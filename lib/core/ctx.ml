@@ -2,12 +2,16 @@ open Mt_sim
 
 type addr = Memory.addr
 
+(* [stats], [lane] and [lat] are cached at [make] so that charging an
+   access reads record fields instead of calling into [Mt_sim]. *)
 type t = {
   machine : Machine.t;
   rt : Runtime.t;
   core : int;
   prng : Prng.t;
-  stats : Stats.t;  (* the core's counters, cached off the charge path *)
+  stats : Stats.t;  (* the core's counters *)
+  lane : Runtime.lane;  (* the runtime's stall lane *)
+  lat : Machine.latency;  (* the machine's last-latency cell *)
   cm : Mt_cm.Cm.t;  (* contention-management policy for this core *)
 }
 
@@ -22,23 +26,38 @@ let make ?cm machine ~rt ~core ~prng =
     | Some c -> c
     | None -> Mt_cm.Cm.make Mt_cm.Cm.immediate ~core
   in
-  { machine; rt; core; prng; stats = Machine.stats machine ~core; cm }
+  {
+    machine;
+    rt;
+    core;
+    prng;
+    stats = Machine.stats machine ~core;
+    lane = Runtime.lane rt;
+    lat = Machine.latency machine;
+    cm;
+  }
 
 let machine t = t.machine
 let runtime t = t.rt
 let core t = t.core
 let prng t = t.prng
 let obs t = Machine.obs t.machine
-let now t = Runtime.clock t.rt
+let now t = t.lane.now
 
-let charge t lat =
+(* The stall lane (DESIGN §12): below the lane's limit a stall only
+   advances the clock, so it is done here without a call; at the limit
+   (another fiber is due, a tick boundary, a non-default policy or a
+   recording sink) [Runtime.stall_on] takes it. *)
+let[@inline] charge t lat =
   if lat > 0 then begin
     t.stats.busy_cycles <- t.stats.busy_cycles + lat;
-    Runtime.stall_on t.rt lat
+    let lane = t.lane in
+    let nc = lane.now + lat in
+    if nc < lane.limit then lane.now <- nc else Runtime.stall_on t.rt lat
   end
 
 (* Charge the latency the machine just recorded for an operation. *)
-let[@inline] charge_last t = charge t (Machine.last_latency t.machine)
+let[@inline] charge_last t = charge t t.lat.last
 
 let work t n = if n > 0 then charge t n
 
@@ -112,13 +131,13 @@ let cm_immediate t = Mt_cm.Cm.is_immediate t.cm
    runs under the default policy stay byte-identical to a tree that
    retries unconditionally. *)
 let cm_wait ?(site = 0) t ~attempt =
-  let w = Mt_cm.Cm.wait t.cm ~site ~attempt ~now:(Runtime.clock t.rt) in
+  let w = Mt_cm.Cm.wait t.cm ~site ~attempt ~now:t.lane.now in
   if w > 0 then begin
     t.stats.cm_waits <- t.stats.cm_waits + 1;
     t.stats.cm_wait_cycles <- t.stats.cm_wait_cycles + w;
     (let o = Machine.obs t.machine in
      if Mt_obs.Obs.enabled o then
-       Mt_obs.Obs.emit o ~core:t.core ~time:(Runtime.clock t.rt)
+       Mt_obs.Obs.emit o ~core:t.core ~time:t.lane.now
          (Mt_obs.Obs.Cm_wait { site; cycles = w; attempt }));
     charge t w
   end

@@ -5,14 +5,16 @@ type state = I | S | E | M
    (0=I 1=S 2=E 3=M), [lrus] its LRU stamp from the global [tick]. No
    per-way records to chase — a probe is a short scan over contiguous
    ints, and the hot path addresses a hit by slot index so it never scans
-   twice. *)
+   twice. The record is exposed: Machine's L1-hit path works on it
+   directly. *)
 type t = {
-  sets_log2 : int;
+  set_mask : int;
   ways : int;
   lines : int array;
   sts : int array;
   lrus : int array;
   mutable tick : int;
+  mutable evicted_st : int;
 }
 
 let[@inline] int_of_st = function I -> 0 | S -> 1 | E -> 2 | M -> 3
@@ -22,30 +24,31 @@ let create ~sets_log2 ~ways =
   if sets_log2 < 0 || ways <= 0 then invalid_arg "Cache.create";
   let slots = (1 lsl sets_log2) * ways in
   {
-    sets_log2;
+    set_mask = (1 lsl sets_log2) - 1;
     ways;
     lines = Array.make slots (-1);
     sts = Array.make slots 0;
     lrus = Array.make slots 0;
     tick = 0;
+    evicted_st = 0;
   }
 
 (* Hot slot-addressed interface ---------------------------------------- *)
 
 (* Slot index of [line] if resident (state <> I), else -1. All slot
    arithmetic stays within [lines] by construction, so the scans use
-   unchecked reads. *)
-let[@inline] probe t line =
-  let base = (line land ((1 lsl t.sets_log2) - 1)) * t.ways in
-  let lim = base + t.ways in
-  let rec go i =
-    if i >= lim then -1
-    else if
-      Array.unsafe_get t.lines i = line && Array.unsafe_get t.sts i <> 0
-    then i
-    else go (i + 1)
-  in
-  go base
+   unchecked reads. A loop, not a local recursive function: the latter
+   would allocate its closure on every probe. *)
+let probe t line =
+  let i = ref ((line land t.set_mask) * t.ways) in
+  let lim = !i + t.ways in
+  while
+    !i < lim
+    && not (Array.unsafe_get t.lines !i = line && Array.unsafe_get t.sts !i <> 0)
+  do
+    incr i
+  done;
+  if !i < lim then !i else -1
 
 let[@inline] state_at t slot = st_of_int (Array.unsafe_get t.sts slot)
 
@@ -88,7 +91,7 @@ let insert t line st =
   if st = I then invalid_arg "Cache.insert: cannot insert in state I";
   if Debug.on () && find t line <> I then
     invalid_arg "Cache.insert: line already resident";
-  let base = (line land ((1 lsl t.sets_log2) - 1)) * t.ways in
+  let base = (line land t.set_mask) * t.ways in
   (* Prefer an empty way; otherwise evict the LRU way. LRU stamps are
      drawn from the global tick, so non-empty stamps are distinct. *)
   let victim = ref base in
@@ -107,16 +110,19 @@ let insert t line st =
     t.lines.(i) <- line;
     t.sts.(i) <- int_of_st st;
     bump t i;
-    None
+    -1
   end
   else begin
     let i = !victim in
-    let evicted = (t.lines.(i), st_of_int t.sts.(i)) in
+    let evicted = t.lines.(i) in
+    t.evicted_st <- t.sts.(i);
     t.lines.(i) <- line;
     t.sts.(i) <- int_of_st st;
     bump t i;
-    Some evicted
+    evicted
   end
+
+let evicted_state t = st_of_int t.evicted_st
 
 let iter t f =
   for i = 0 to Array.length t.lines - 1 do

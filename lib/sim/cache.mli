@@ -6,7 +6,22 @@
 
 type state = I | S | E | M
 
-type t
+(** The representation is exposed for {!Machine}'s call-free L1-hit path
+    (DESIGN §12), which scans and updates the planes in place; every other
+    caller goes through the functions below. Slot [set * ways + way] of
+    [lines] holds the resident line (-1 when empty), [sts] its MESI state
+    as an int (0=I 1=S 2=E 3=M), [lrus] its LRU stamp, drawn from [tick].
+    A hit on slot [i] refreshes its stamp with
+    [tick <- tick + 1; lrus.(i) <- tick]. *)
+type t = {
+  set_mask : int;  (** [sets - 1]: a line's set is [line land set_mask] *)
+  ways : int;
+  lines : int array;
+  sts : int array;
+  lrus : int array;
+  mutable tick : int;
+  mutable evicted_st : int;  (** state of the last {!insert} victim *)
+}
 
 val create : sets_log2:int -> ways:int -> t
 
@@ -39,10 +54,14 @@ val touch : t -> int -> unit
 val set_state : t -> int -> state -> unit
 
 (** [insert t line st] makes the line resident in state [st], evicting the
-    set's LRU victim if the set is full. Returns the victim [(line, state)]
-    if one was evicted. The line must not already be resident (checked,
+    set's LRU victim if the set is full. Returns the victim's line, whose
+    state {!evicted_state} then reports, or -1 if nothing was evicted; it
+    allocates nothing. The line must not already be resident (checked,
     and raising, only when {!Debug.on}). *)
-val insert : t -> int -> state -> (int * state) option
+val insert : t -> int -> state -> int
+
+(** State of the line the last {!insert} evicted. *)
+val evicted_state : t -> state
 
 (** [remove t line] drops the line (external invalidation or inclusion
     victim). No-op if absent. *)

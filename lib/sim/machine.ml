@@ -9,13 +9,16 @@ type core = {
   mutable scratch : int array;  (* IAS line-sort buffer, grown on demand *)
 }
 
+type latency = { mutable last : int }
+
 type t = {
   cfg : Config.t;
   mem : Memory.t;
   dir : Directory.t;
   cores : core array;
   obs : Obs.t;
-  mutable last_lat : int;
+  evented : bool;  (* Obs.enabled obs *)
+  lat : latency;
 }
 
 let create ?(obs = Obs.null) cfg =
@@ -34,24 +37,134 @@ let create ?(obs = Obs.null) cfg =
             scratch = Array.make cfg.max_tags 0;
           });
     obs;
-    last_lat = 0;
+    evented = Obs.enabled obs;
+    lat = { last = 0 };
   }
 
 let cfg t = t.cfg
 let memory t = t.mem
 let num_cores t = Array.length t.cores
 let obs t = t.obs
-let last_latency t = t.last_lat
+let last_latency t = t.lat.last
+let latency t = t.lat
 
-(* Hook helper: every call site guards with [Obs.enabled] so a disabled
-   sink never allocates an event. Timestamps are the simulated clock. *)
+(* Hook helper: every call site guards with [on t] so a disabled sink
+   never allocates an event. Timestamps are the simulated clock. *)
 let ev t core kind = Obs.emit t.obs ~core ~time:(Runtime.now ()) kind
-let on t = Obs.enabled t.obs
+let[@inline] on t = t.evented
 
-let core t core =
-  if core < 0 || core >= Array.length t.cores then
-    invalid_arg (Printf.sprintf "Machine: bad core id %d" core);
-  t.cores.(core)
+let[@inline never] bad_core core =
+  invalid_arg (Printf.sprintf "Machine: bad core id %d" core)
+
+let[@inline] core t core =
+  if core < 0 || core >= Array.length t.cores then bad_core core
+  else Array.unsafe_get t.cores core
+
+(* ------------------------------------------------------------------ *)
+(* The L1-hit path (DESIGN §12). dune's default build compiles every
+   module with -opaque, so no call into another module is ever inlined.
+   An L1 hit therefore works on the exposed planes of Cache, Memtag_unit
+   and Memory through these Machine-local helpers, which are inlined:
+   the entry points below make no call at all when the access hits. *)
+
+let st_m = 3 (* Cache.M in the [sts] plane *)
+
+(* [Cache.probe]: the slot holding [line], or -1. *)
+let[@inline] slot (k : Cache.t) line =
+  let i = ref ((line land k.set_mask) * k.ways) in
+  let lim = !i + k.ways in
+  while
+    !i < lim
+    && not (Array.unsafe_get k.lines !i = line && Array.unsafe_get k.sts !i <> 0)
+  do
+    incr i
+  done;
+  if !i < lim then !i else -1
+
+(* [Cache.touch_at]: refresh the slot's LRU stamp. *)
+let[@inline] touch (k : Cache.t) i =
+  k.tick <- k.tick + 1;
+  Array.unsafe_set k.lrus i k.tick
+
+(* [Memory.get]/[Memory.set], whose bounds check only runs with debug
+   checks on. *)
+let[@inline] mem_get t addr =
+  if !Debug.enabled then Memory.get t.mem addr
+  else t.mem.chunks.(addr lsr Memory.chunk_log2).(addr land Memory.chunk_mask)
+
+let[@inline] mem_set t addr v =
+  if !Debug.enabled then Memory.set t.mem addr v
+  else t.mem.chunks.(addr lsr Memory.chunk_log2).(addr land Memory.chunk_mask) <- v
+
+(* [Memtag_unit.check], which a recording machine calls itself. *)
+let[@inline] verdict t (u : Memtag_unit.t) =
+  if t.evented then Memtag_unit.check u
+  else if u.evicted_conflict > 0 then Memtag_unit.Fail_conflict
+  else if u.evicted_capacity > 0 || u.overflow then Memtag_unit.Fail_spurious
+  else Memtag_unit.Ok
+
+(* Whether [tag_insert] may run: the journal has a free entry and one
+   more occupied slot keeps the table below its rehash load. *)
+let[@inline] tag_room (u : Memtag_unit.t) =
+  u.journal_len < Array.length u.journal
+  && 4 * (u.used + 2) <= 3 * Array.length u.slots
+
+(* [Memtag_unit.is_tagged] on the table; the -1 of an absent line also
+   answers an empty unit without probing. *)
+let[@inline] tag_slot (u : Memtag_unit.t) line =
+  if u.len = 0 then -1
+  else begin
+    let slots = u.slots in
+    let mask = Array.length slots - 1 in
+    let key = line + 1 in
+    let i = ref ((line * 0x9E3779B1) land mask) in
+    while
+      let v = Array.unsafe_get slots !i in
+      v <> 0 && not (v >= 4 && v lsr 2 = key)
+    do
+      i := (!i + 1) land mask
+    done;
+    if Array.unsafe_get slots !i = 0 then -1 else !i
+  end
+
+(* [Memtag_unit.remove]: the slot becomes a tombstone; a pending capacity
+   record goes with it, conflict evidence stays. *)
+let[@inline] tag_remove (u : Memtag_unit.t) line =
+  let i = tag_slot u line in
+  if i >= 0 then begin
+    if Array.unsafe_get u.slots i land 3 = 2 then
+      u.evicted_capacity <- u.evicted_capacity - 1;
+    Array.unsafe_set u.slots i 1;
+    u.len <- u.len - 1
+  end
+
+(* [Memtag_unit.add] when [tag_room] holds: probe from the line's hash,
+   remembering the first tombstone; a present line is left as it is, an
+   absent one takes that tombstone or else the empty slot (journalled). *)
+let[@inline] tag_insert (u : Memtag_unit.t) line =
+  let slots = u.slots in
+  let mask = Array.length slots - 1 in
+  let key = line + 1 in
+  let i = ref ((line * 0x9E3779B1) land mask) in
+  let tomb = ref (-1) in
+  while
+    let v = Array.unsafe_get slots !i in
+    v <> 0 && v lsr 2 <> key
+  do
+    if Array.unsafe_get slots !i = 1 && !tomb < 0 then tomb := !i;
+    i := (!i + 1) land mask
+  done;
+  if Array.unsafe_get slots !i = 0 then begin
+    if !tomb >= 0 then Array.unsafe_set slots !tomb (key lsl 2)
+    else begin
+      Array.unsafe_set slots !i (key lsl 2);
+      u.used <- u.used + 1;
+      Array.unsafe_set u.journal u.journal_len !i;
+      u.journal_len <- u.journal_len + 1
+    end;
+    u.len <- u.len + 1;
+    if u.len > u.max_tags then u.overflow <- true
+  end
 
 let stats t ~core:c = (core t c).stats
 let total_stats t = Stats.sum (Array.map (fun c -> c.stats) t.cores)
@@ -111,30 +224,30 @@ let downgrade_remote t victim line =
 (* L1 victim stays in L2 (inclusive hierarchy), but its tag dies: MemTags
    live at the L1 level, so falling out of L1 is a (spurious) eviction. *)
 let l1_insert t c line st =
-  match Cache.insert c.l1 line st with
-  | None -> ()
-  | Some (vline, _vst) ->
-      if on t && Memtag_unit.live c.tags vline then
-        ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
-      Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+  let vline = Cache.insert c.l1 line st in
+  if vline >= 0 then begin
+    if on t && Memtag_unit.live c.tags vline then
+      ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
+    Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+  end
 
 (* An L2 victim leaves the whole hierarchy: back-invalidate the L1 copy
    (inclusion), write back if dirty, and tell the directory. *)
 let l2_insert t c line st =
-  match Cache.insert c.l2 line st with
-  | None -> ()
-  | Some (vline, vst) ->
-      if Cache.find c.l1 vline <> Cache.I then begin
-        Cache.remove c.l1 vline;
-        if on t && Memtag_unit.live c.tags vline then
-          ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
-        Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
-      end;
-      if vst = Cache.M then begin
-        c.stats.writebacks <- c.stats.writebacks + 1;
-        if on t then ev t c.id (Obs.Writeback { line = vline })
-      end;
-      Directory.drop t.dir vline c.id
+  let vline = Cache.insert c.l2 line st in
+  if vline >= 0 then begin
+    if Cache.find c.l1 vline <> Cache.I then begin
+      Cache.remove c.l1 vline;
+      if on t && Memtag_unit.live c.tags vline then
+        ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
+      Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+    end;
+    if Cache.evicted_state c.l2 = Cache.M then begin
+      c.stats.writebacks <- c.stats.writebacks + 1;
+      if on t then ev t c.id (Obs.Writeback { line = vline })
+    end;
+    Directory.drop t.dir vline c.id
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The central access routine: make [line] resident in [c]'s L1 with read
@@ -163,7 +276,7 @@ let upgrade_from_shared t c line =
   c.stats.coherence_msgs <- c.stats.coherence_msgs + 1;
   cfg.lat_dir + inval_round_lat cfg n
 
-let acquire t c line ~excl =
+let acquire_general t c line ~excl =
   let cfg = t.cfg in
   let s1 = Cache.probe c.l1 line in
   if s1 >= 0 then begin
@@ -272,6 +385,27 @@ let acquire t c line ~excl =
           end
     end
 
+(* The L1-hit branch: the latency of serving [line] from [c]'s L1 — any
+   resident state for a read, M for exclusive rights — or -1 when the
+   access needs [acquire_general] (a miss, an E/S -> M promotion, or a
+   recording sink). *)
+let[@inline] l1_hit t c line ~excl =
+  if t.evented then -1
+  else begin
+    let l1 = c.l1 in
+    let s1 = slot l1 line in
+    if s1 >= 0 && ((not excl) || Array.unsafe_get l1.sts s1 = st_m) then begin
+      touch l1 s1;
+      c.stats.l1_hits <- c.stats.l1_hits + 1;
+      t.cfg.lat_l1
+    end
+    else -1
+  end
+
+let[@inline] acquire t c line ~excl =
+  let lat = l1_hit t c line ~excl in
+  if lat >= 0 then lat else acquire_general t c line ~excl
+
 (* Kill [line] at every other core that has it *tagged* (IAS invalidation
    step, tag-targeted variant). Returns the latency charged to the issuer:
    a directory interrogation plus one invalidation round if any remote
@@ -286,7 +420,11 @@ let invalidate_taggers t c line =
     if i >= n_cores then hit
     else begin
       let v = t.cores.(i) in
-      if v.id <> c.id && Memtag_unit.is_tagged v.tags line then begin
+      if
+        v.id <> c.id
+        && (if on t then Memtag_unit.is_tagged v.tags line
+            else tag_slot v.tags line >= 0)
+      then begin
         c.stats.tag_probes_sent <- c.stats.tag_probes_sent + 1;
         v.stats.tag_probes_received <- v.stats.tag_probes_received + 1;
         if Cache.find v.l2 line <> Cache.I || Cache.find v.l1 line <> Cache.I
@@ -320,32 +458,32 @@ let invalidate_taggers t c line =
 (* ------------------------------------------------------------------ *)
 (* Word-level operations.                                              *)
 
-let line_of t addr = Config.line_of_addr t.cfg addr
+let[@inline] line_of t addr = addr lsr t.cfg.line_words_log2
 
 let read t ~core:cid addr =
   let c = core t cid in
-  t.last_lat <- acquire t c (line_of t addr) ~excl:false;
+  t.lat.last <- acquire t c (line_of t addr) ~excl:false;
   c.stats.loads <- c.stats.loads + 1;
-  Memory.get t.mem addr
+  mem_get t addr
 
 let write t ~core:cid addr v =
   let c = core t cid in
   let lat = acquire t c (line_of t addr) ~excl:true in
   c.stats.stores <- c.stats.stores + 1;
-  Memory.set t.mem addr v;
+  mem_set t addr v;
   (* The store buffer hides the miss from the pipeline; coherence side
      effects above still happened in full. *)
-  let lat = min lat t.cfg.lat_store_buffered in
-  t.last_lat <- lat;
+  let lat = if lat < t.cfg.lat_store_buffered then lat else t.cfg.lat_store_buffered in
+  t.lat.last <- lat;
   lat
 
 let cas t ~core:cid addr ~expected ~desired =
   let c = core t cid in
-  t.last_lat <- acquire t c (line_of t addr) ~excl:true;
+  t.lat.last <- acquire t c (line_of t addr) ~excl:true;
   c.stats.cas_ops <- c.stats.cas_ops + 1;
-  let old = Memory.get t.mem addr in
+  let old = mem_get t addr in
   if old = expected then begin
-    Memory.set t.mem addr desired;
+    mem_set t addr desired;
     true
   end
   else begin
@@ -355,9 +493,9 @@ let cas t ~core:cid addr ~expected ~desired =
 
 let faa t ~core:cid addr delta =
   let c = core t cid in
-  t.last_lat <- acquire t c (line_of t addr) ~excl:true;
-  let old = Memory.get t.mem addr in
-  Memory.set t.mem addr (old + delta);
+  t.lat.last <- acquire t c (line_of t addr) ~excl:true;
+  let old = mem_get t addr in
+  mem_set t addr (old + delta);
   c.stats.stores <- c.stats.stores + 1;
   old
 
@@ -384,15 +522,25 @@ let add_tag t ~core:cid addr ~words =
   let lat =
     tag_lines t c (line_of t addr) (line_of t (addr + words - 1)) 0
   in
-  t.last_lat <- lat;
+  t.lat.last <- lat;
   lat
 
+(* The hit branch is [tag_lines] for one L1-resident line whose tag
+   needs no table growth. *)
 let add_tag_read t ~core:cid addr ~words =
   check_range words;
   let c = core t cid in
-  t.last_lat <- tag_lines t c (line_of t addr) (line_of t (addr + words - 1)) 0;
+  let first = line_of t addr and last = line_of t (addr + words - 1) in
+  let l = if first = last && tag_room c.tags then l1_hit t c first ~excl:false else -1 in
+  t.lat.last <-
+    (if l >= 0 then begin
+       tag_insert c.tags first;
+       c.stats.tag_adds <- c.stats.tag_adds + 1;
+       l + t.cfg.lat_tag_op
+     end
+     else tag_lines t c first last 0);
   c.stats.loads <- c.stats.loads + 1;
-  Memory.get t.mem addr
+  mem_get t addr
 
 let rec untag_lines t c line last acc =
   if line > last then acc
@@ -406,13 +554,22 @@ let rec untag_lines t c line last acc =
 let remove_tag t ~core:cid addr ~words =
   check_range words;
   let c = core t cid in
+  let first = line_of t addr and last = line_of t (addr + words - 1) in
   let lat =
-    untag_lines t c (line_of t addr) (line_of t (addr + words - 1)) 0
+    if t.evented then untag_lines t c first last 0
+    else begin
+      (* [untag_lines] with no sink to tell. *)
+      for line = first to last do
+        tag_remove c.tags line
+      done;
+      c.stats.tag_removes <- c.stats.tag_removes + (last - first + 1);
+      (last - first + 1) * t.cfg.lat_tag_op
+    end
   in
-  t.last_lat <- lat;
+  t.lat.last <- lat;
   lat
 
-let record_verdict t c (verdict : Memtag_unit.verdict) =
+let[@inline] record_verdict t c (verdict : Memtag_unit.verdict) =
   c.stats.validates <- c.stats.validates + 1;
   (match verdict with
   | Memtag_unit.Ok -> ()
@@ -421,7 +578,7 @@ let record_verdict t c (verdict : Memtag_unit.verdict) =
   | Memtag_unit.Fail_spurious ->
       c.stats.validate_failures <- c.stats.validate_failures + 1;
       c.stats.validate_failures_spurious <- c.stats.validate_failures_spurious + 1);
-  if Memtag_unit.overflowed c.tags then c.stats.tag_overflows <- c.stats.tag_overflows + 1;
+  if c.tags.overflow then c.stats.tag_overflows <- c.stats.tag_overflows + 1;
   if on t then
     ev t c.id
       (Obs.Validate
@@ -433,8 +590,8 @@ let record_verdict t c (verdict : Memtag_unit.verdict) =
 
 let validate t ~core:cid =
   let c = core t cid in
-  t.last_lat <- t.cfg.lat_validate;
-  record_verdict t c (Memtag_unit.check c.tags)
+  t.lat.last <- t.cfg.lat_validate;
+  record_verdict t c (verdict t c.tags)
 
 let clear_tag_set t ~core:cid =
   let c = core t cid in
@@ -444,7 +601,7 @@ let clear_tag_set t ~core:cid =
      let count = Memtag_unit.count c.tags in
      if count > 0 then ev t c.id (Obs.Tag_clear { count }));
   Memtag_unit.clear c.tags;
-  t.last_lat <- t.cfg.lat_tag_op;
+  t.lat.last <- t.cfg.lat_tag_op;
   t.cfg.lat_tag_op
 
 let tag_count t ~core:cid = Memtag_unit.count (core t cid).tags
@@ -459,25 +616,25 @@ let max_tags t = Memtag_unit.max_tags t.cores.(0).tags
 let vas t ~core:cid addr v =
   let c = core t cid in
   c.stats.vas_ops <- c.stats.vas_ops + 1;
-  if not (record_verdict t c (Memtag_unit.check c.tags)) then begin
+  if not (record_verdict t c (verdict t c.tags)) then begin
     (* Fail-fast: purely local, no coherence traffic at all. *)
     c.stats.vas_failures <- c.stats.vas_failures + 1;
     if on t then ev t c.id (Obs.Vas { ok = false });
-    t.last_lat <- t.cfg.lat_validate;
+    t.lat.last <- t.cfg.lat_validate;
     false
   end
   else begin
     let lat = acquire t c (line_of t addr) ~excl:true in
-    t.last_lat <- t.cfg.lat_validate + lat;
+    t.lat.last <- t.cfg.lat_validate + lat;
     (* The fill above may itself have capacity-evicted a tagged line, so
        re-check; own writes never evict own tags. *)
-    if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
+    if verdict t c.tags <> Memtag_unit.Ok then begin
       c.stats.vas_failures <- c.stats.vas_failures + 1;
       if on t then ev t c.id (Obs.Vas { ok = false });
       false
     end
     else begin
-      Memory.set t.mem addr v;
+      mem_set t addr v;
       if on t then ev t c.id (Obs.Vas { ok = true });
       true
     end
@@ -504,10 +661,10 @@ let sorted_tag_lines c =
 let ias t ~core:cid addr v =
   let c = core t cid in
   c.stats.ias_ops <- c.stats.ias_ops + 1;
-  if not (record_verdict t c (Memtag_unit.check c.tags)) then begin
+  if not (record_verdict t c (verdict t c.tags)) then begin
     c.stats.ias_failures <- c.stats.ias_failures + 1;
     if on t then ev t c.id (Obs.Ias { ok = false });
-    t.last_lat <- t.cfg.lat_validate;
+    t.lat.last <- t.cfg.lat_validate;
     false
   end
   else begin
@@ -528,14 +685,14 @@ let ias t ~core:cid addr v =
       end
     in
     let lat = kill 0 0 + acquire t c target ~excl:true in
-    t.last_lat <- t.cfg.lat_validate + lat;
-    if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
+    t.lat.last <- t.cfg.lat_validate + lat;
+    if verdict t c.tags <> Memtag_unit.Ok then begin
       c.stats.ias_failures <- c.stats.ias_failures + 1;
       if on t then ev t c.id (Obs.Ias { ok = false });
       false
     end
     else begin
-      Memory.set t.mem addr v;
+      mem_set t addr v;
       if on t then ev t c.id (Obs.Ias { ok = true });
       true
     end

@@ -35,6 +35,13 @@ val obs : t -> Mt_obs.Obs.t
     core). Read it before issuing the next operation. *)
 val last_latency : t -> int
 
+(** The cell {!last_latency} reads. A caller that charges every access
+    ({!Memtags.Ctx}) keeps it and reads [last] directly, which is not a
+    call. *)
+type latency = { mutable last : int }
+
+val latency : t -> latency
+
 (** Per-core counters; [core] must be in [0 .. num_cores-1]. *)
 val stats : t -> core:int -> Stats.t
 

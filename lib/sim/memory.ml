@@ -14,26 +14,31 @@ type t = {
   mutable next_free : addr;
 }
 
+(* Chunks are allocated up to the allocation frontier only; the table
+   slots past it hold the shared empty array until [alloc] reaches them,
+   so a doubled table costs one pointer per slot, not a zeroed chunk. *)
 let create cfg =
   let line_words = Config.line_words cfg in
   {
     line_words;
-    chunks = Array.init 4 (fun _ -> Array.make chunk_words 0);
+    chunks = [| Array.make chunk_words 0 |];
     (* Skip line 0 entirely so that address 0 is an unambiguous null. *)
     next_free = line_words;
   }
 
 let ensure_capacity t addr =
-  let needed_chunks = (addr lsr chunk_log2) + 1 in
-  if needed_chunks > Array.length t.chunks then begin
-    let n = max needed_chunks (2 * Array.length t.chunks) in
-    let chunks = Array.make n [||] in
+  let last = addr lsr chunk_log2 in
+  if last >= Array.length t.chunks then begin
+    let chunks = Array.make (max (last + 1) (2 * Array.length t.chunks)) [||] in
     Array.blit t.chunks 0 chunks 0 (Array.length t.chunks);
-    for i = Array.length t.chunks to n - 1 do
-      chunks.(i) <- Array.make chunk_words 0
-    done;
     t.chunks <- chunks
-  end
+  end;
+  (* Every chunk below the old frontier exists already. *)
+  let i = ref last in
+  while !i >= 0 && Array.length t.chunks.(!i) = 0 do
+    t.chunks.(!i) <- Array.make chunk_words 0;
+    decr i
+  done
 
 let alloc t ~words =
   if words <= 0 then invalid_arg "Memory.alloc: words must be positive";
@@ -50,8 +55,8 @@ let check t addr =
     invalid_arg (Printf.sprintf "Memory: address %d out of bounds" addr)
 
 (* The bounds check is debug-gated (DESIGN §12): with checks off a stray
-   address indexes whatever chunk it lands in (array bounds still trap on
-   truly wild values), mirroring release-mode hardware. *)
+   address below the last allocated chunk reads or writes that chunk,
+   mirroring release-mode hardware; one past it traps on array bounds. *)
 let get t addr =
   if Debug.on () then check t addr;
   t.chunks.(addr lsr chunk_log2).(addr land chunk_mask)

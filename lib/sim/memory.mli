@@ -5,9 +5,21 @@
     (one word = one OCaml [int]). Address [0] is reserved as the null
     pointer and is never handed out by the allocator. *)
 
-type t
-
 type addr = int
+
+(** The representation is exposed for {!Machine}'s call-free L1-hit path
+    (DESIGN §12): word [a] lives at
+    [chunks.(a lsr chunk_log2).(a land chunk_mask)]. Chunks exist up to
+    the chunk holding word [next_free - 1]; the table slots past it hold
+    an empty array. Everything else goes through the functions below. *)
+type t = {
+  line_words : int;
+  mutable chunks : int array array;
+  mutable next_free : addr;  (** first unallocated word *)
+}
+
+val chunk_log2 : int
+val chunk_mask : int
 
 (** The null pointer. Dereferencing it raises [Invalid_argument]. *)
 val null : addr
@@ -25,8 +37,10 @@ val allocated_words : t -> int
 
 (** Word read/write. Address validation (null, unallocated) is gated on
     {!Debug.on}: with checks enabled an out-of-bounds access raises
-    [Invalid_argument]; with checks off (the default, for bench speed) the
-    access silently touches zero-filled backing store. *)
+    [Invalid_argument]. With checks off (the default, for bench speed) a
+    stray address inside an allocated chunk silently touches its
+    zero-filled backing store, and one past the last allocated chunk
+    raises [Invalid_argument] from the array bounds check. *)
 val get : t -> addr -> int
 
 val set : t -> addr -> int -> unit

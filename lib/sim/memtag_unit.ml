@@ -17,6 +17,8 @@ let st_tagged = 0
 let st_conflict = 1
 let st_capacity = 2
 
+(* Exposed in the interface: Machine's tagged-load path inserts into the
+   table directly. *)
 type t = {
   mutable slots : int array;        (* power-of-two length *)
   mutable journal : int array;

@@ -1,28 +1,35 @@
 (* Parallel-plane binary min-heap (DESIGN §12). Keys live in one unboxed
-   interleaved int plane — entry [i] holds [time; tie; aux] at stride
-   [4 * i] (the stride is a power of two so slot addressing is a shift),
+   interleaved int plane — entry [i] holds [time; tie; aux; slot] at
+   stride [4 * i] (a power of two, so slot addressing is a shift),
    keeping a near-full scheduler heap inside a couple of cache lines.
-   Values live in an [Obj.t] plane so that [add] never allocates an entry
-   record. The comparison/swap sequence is exactly the classic sift-up /
-   sift-down of the previous record-based heap; keys are strict total
-   orders at every call site (ties embed the fiber id), so pop order —
-   and hence the whole simulation schedule — is a pure function of the
-   key multiset and none of the layout changes are observable.
+   Values live in a slot table, [vals], at the index the entry's fourth
+   key word names; a sift moves the four ints only, so it never runs the
+   write barrier ([caml_modify]) that moving an [Obj.t] would. [add]
+   takes a slot from the [free] stack, [pop] returns it, and [exchange]
+   reuses the popped entry's slot for the incoming value. The
+   comparison/swap sequence is exactly the classic sift-up / sift-down
+   of the previous record-based heap; keys are strict total orders at
+   every call site (ties embed the fiber id), so pop order — and hence
+   the whole simulation schedule — is a pure function of the key
+   multiset and none of the layout changes are observable.
 
-   Vacated value slots are reset to [filler]: a popped value (in the
-   scheduler, a whole fiber continuation) must not stay reachable through
-   the array, and [grow] never pins an arbitrary live value as filler.
+   A vacated slot is reset to [filler] (or overwritten, by [exchange]):
+   a popped value (in the scheduler, a whole fiber continuation) must not
+   stay reachable through the table, and [grow] never pins an arbitrary
+   live value as filler.
 
-   Safety of [Obj]: the value plane only ever holds values of the heap's
+   Safety of [Obj]: the slot table only ever holds values of the heap's
    ['a] (written by [add]/[add_aux]/[exchange], read back by [pop]/
    [exchange]); [filler] is an immediate and is never returned. [Obj.repr
-   0] also keeps the plane a generic (non-float) array. Unchecked array
-   accesses are all at slots below [size], which both planes accommodate
-   by construction ([grow] keeps them in lockstep). *)
+   0] also keeps the table a generic (non-float) array. Unchecked key
+   accesses are all at entries below [size], which the key plane
+   accommodates by construction. *)
 
 type 'a t = {
-  mutable keys : int array;  (* stride 4: time, tie, aux, unused *)
-  mutable vals : Obj.t array;
+  mutable keys : int array;  (* stride 4: time, tie, aux, slot *)
+  mutable vals : Obj.t array;  (* slot table *)
+  mutable free : int array;  (* unused slots: a stack of [nfree] *)
+  mutable nfree : int;
   mutable size : int;
   mutable x_time : int;  (* key/aux of the last [exchange]d-out entry *)
   mutable x_aux : int;
@@ -30,7 +37,8 @@ type 'a t = {
 
 let filler = Obj.repr 0
 
-let create () = { keys = [||]; vals = [||]; size = 0; x_time = 0; x_aux = 0 }
+let create () =
+  { keys = [||]; vals = [||]; free = [||]; nfree = 0; size = 0; x_time = 0; x_aux = 0 }
 
 let is_empty t = t.size = 0
 let length t = t.size
@@ -42,22 +50,18 @@ let[@inline] less t i j =
   || (ti = tj
      && Array.unsafe_get k ((i lsl 2) + 1) < Array.unsafe_get k ((j lsl 2) + 1))
 
+let[@inline] swap_word (k : int array) a b =
+  let x = Array.unsafe_get k a in
+  Array.unsafe_set k a (Array.unsafe_get k b);
+  Array.unsafe_set k b x
+
 let[@inline] swap t i j =
   let k = t.keys in
   let bi = i lsl 2 and bj = j lsl 2 in
-  let x = Array.unsafe_get k bi in
-  Array.unsafe_set k bi (Array.unsafe_get k bj);
-  Array.unsafe_set k bj x;
-  let x = Array.unsafe_get k (bi + 1) in
-  Array.unsafe_set k (bi + 1) (Array.unsafe_get k (bj + 1));
-  Array.unsafe_set k (bj + 1) x;
-  let x = Array.unsafe_get k (bi + 2) in
-  Array.unsafe_set k (bi + 2) (Array.unsafe_get k (bj + 2));
-  Array.unsafe_set k (bj + 2) x;
-  let v = t.vals in
-  let x = Array.unsafe_get v i in
-  Array.unsafe_set v i (Array.unsafe_get v j);
-  Array.unsafe_set v j x
+  swap_word k bi bj;
+  swap_word k (bi + 1) (bj + 1);
+  swap_word k (bi + 2) (bj + 2);
+  swap_word k (bi + 3) (bj + 3)
 
 let grow t =
   let cap = Array.length t.vals in
@@ -68,7 +72,11 @@ let grow t =
     t.keys <- keys;
     let vals = Array.make ncap filler in
     Array.blit t.vals 0 vals 0 cap;
-    t.vals <- vals
+    t.vals <- vals;
+    (* The heap is full, so every old slot is in use: the free stack is
+       exactly the new ones. *)
+    t.free <- Array.init ncap (fun i -> ncap - 1 - i);
+    t.nfree <- ncap - cap
   end
 
 let rec sift_up t i =
@@ -92,12 +100,15 @@ let rec sift_down t i =
 
 let add_aux t ~time ~tie ~aux value =
   grow t;
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  t.vals.(slot) <- Obj.repr value;
   let i = t.size in
   let b = i lsl 2 in
   t.keys.(b) <- time;
   t.keys.(b + 1) <- tie;
   t.keys.(b + 2) <- aux;
-  t.vals.(i) <- Obj.repr value;
+  t.keys.(b + 3) <- slot;
   t.size <- i + 1;
   sift_up t i
 
@@ -107,17 +118,24 @@ let top_time t = t.keys.(0)
 let top_tie t = t.keys.(1)
 let top_aux t = t.keys.(2)
 
+let first_not_before t ~tie =
+  if t.size = 0 then max_int
+  else if tie < Array.unsafe_get t.keys 1 then Array.unsafe_get t.keys 0 + 1
+  else Array.unsafe_get t.keys 0
+
 let pop (type a) (t : a t) : a =
   if t.size = 0 then invalid_arg "Pqueue.pop: empty";
-  let v = t.vals.(0) in
+  let slot = t.keys.(3) in
+  let v = t.vals.(slot) in
+  t.vals.(slot) <- filler;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
   let last = t.size - 1 in
   t.size <- last;
   let b = last lsl 2 in
-  t.keys.(0) <- t.keys.(b);
-  t.keys.(1) <- t.keys.(b + 1);
-  t.keys.(2) <- t.keys.(b + 2);
-  t.vals.(0) <- t.vals.(last);
-  t.vals.(last) <- filler;
+  for o = 0 to 3 do
+    t.keys.(o) <- t.keys.(b + o)
+  done;
   sift_down t 0;
   (Obj.obj v : a)
 
@@ -131,17 +149,19 @@ let pop_min t =
    key is ≥ the minimum's (that is exactly the slow-path condition), so
    popping the root and sifting the new entry down from the root slot is
    equivalent to [add_aux] followed by [pop] — one sift instead of two.
+   The incoming value takes the popped one's slot.
    Keys form a strict total order, so the (possibly different) internal
    arrangement is unobservable through pop order. *)
 let exchange (type a) (t : a t) ~time ~tie ~aux (value : a) : a =
   if t.size = 0 then invalid_arg "Pqueue.exchange: empty";
-  let v = t.vals.(0) in
+  let slot = t.keys.(3) in
+  let v = t.vals.(slot) in
+  t.vals.(slot) <- Obj.repr value;
   t.x_time <- t.keys.(0);
   t.x_aux <- t.keys.(2);
   t.keys.(0) <- time;
   t.keys.(1) <- tie;
   t.keys.(2) <- aux;
-  t.vals.(0) <- Obj.repr value;
   sift_down t 0;
   (Obj.obj v : a)
 

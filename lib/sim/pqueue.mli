@@ -4,7 +4,9 @@
     scheduling order — and hence the whole simulation — is deterministic.
 
     Keys (and an optional caller-owned int side-channel, [aux]) live in
-    unboxed int planes, so [add]/[pop] allocate nothing (DESIGN §12). The
+    unboxed int planes, so [add]/[pop] allocate nothing, and values sit in
+    a slot table that sifts never touch, so reordering the heap runs no
+    write barrier (DESIGN §12). The
     allocation-free reading protocol is: check {!is_empty}, read
     {!top_time}/{!top_tie}/{!top_aux}, then {!pop}. *)
 
@@ -28,6 +30,13 @@ val top_time : 'a t -> int
 
 val top_tie : 'a t -> int
 val top_aux : 'a t -> int
+
+(** [first_not_before t ~tie] is the earliest time [x] at which the key
+    [(x, tie)] no longer precedes the minimum: [top_time], or [top_time +
+    1] when [tie < top_tie]; [max_int] when [t] is empty. A key [(x, tie)]
+    precedes every entry iff [x < first_not_before t ~tie] — one call for
+    the scheduler's "does this fiber still run first?" test. *)
+val first_not_before : 'a t -> tie:int -> int
 
 (** [pop t] removes the minimum entry and returns its value alone — read
     {!top_time}/{!top_tie}/{!top_aux} before popping. Raises

@@ -78,6 +78,11 @@ let policy_name p = p.policy_name
    so enqueueing a suspension allocates nothing at all. *)
 let null_tick ~now:_ = ()
 
+(* The running fiber's clock and how far it may advance inline (DESIGN
+   §12): [now] is the simulated clock; [limit] is published by
+   [refresh_lane]. *)
+type lane = { mutable now : int; mutable limit : int }
+
 type t = {
   mutable bodies : (unit -> unit) list;  (* reversed spawn order *)
   mutable n_fibers : int;
@@ -88,12 +93,13 @@ type t = {
      concurrently (e.g. shared across domains by mistake). The remaining
      fields are run-scoped (installed by [run], reset on finish); they
      live here rather than in [run]'s closure so that [stall]'s fast path
-     and mid-run [spawn] can reach them. *)
-  mutable clock : int;
+     and mid-run [spawn] can reach them. The running fiber's local clock
+     is always the global one ([lane.now]): a fiber only runs once its
+     key is the schedule minimum. *)
+  lane : lane;
   mutable current_fiber : int;
   mutable active : bool;
   mutable draining : bool;  (* tear-down in progress: stalls must suspend *)
-  mutable clocks : int array;  (* per-fiber local clocks, grown on demand *)
   mutable policy : policy;
   mutable obs : Mt_obs.Obs.t;
   mutable obs_on : bool;  (* Obs.enabled obs, cached off the stall path *)
@@ -128,11 +134,10 @@ let create () =
       bodies = [];
       n_fibers = 0;
       ready = Pqueue.create ();
-      clock = 0;
+      lane = { now = 0; limit = min_int };
       current_fiber = -1;
       active = false;
       draining = false;
-      clocks = [||];
       policy = default_policy;
       obs = Mt_obs.Obs.null;
       obs_on = false;
@@ -169,11 +174,12 @@ let create () =
 
 let current () = Domain.DLS.get current_key
 
-let clock t = t.clock
+let clock t = t.lane.now
+let lane t = t.lane
 
 let now () =
   match current () with
-  | Some t -> t.clock
+  | Some t -> t.lane.now
   | None -> Domain.DLS.get last_clock_key
 
 let fiber_id () =
@@ -181,13 +187,20 @@ let fiber_id () =
   | Some t when t.current_fiber >= 0 -> t.current_fiber
   | _ -> invalid_arg "Runtime.fiber_id: not inside a fiber"
 
-let ensure_clocks t tid =
-  if tid >= Array.length t.clocks then begin
-    let n = max (tid + 1) (max 1 (2 * Array.length t.clocks)) in
-    let clocks = Array.make n 0 in
-    Array.blit t.clocks 0 clocks 0 (Array.length t.clocks);
-    t.clocks <- clocks
-  end
+(* Publish the running fiber's lane limit: the earliest clock at which
+   another fiber's key would come first (the fiber's own tie is its id
+   under the default policy) or a tick boundary would be crossed. Below
+   it, a stall is [lane.now <- lane.now + n] and nothing else, so [Ctx]
+   does that inline; at or past it, or with the lane off, it calls
+   [stall_on]. The limit only moves when the heap or [next_tick] does:
+   at dispatch, after ticks fire, and on a mid-run spawn. *)
+let refresh_lane t =
+  t.lane.limit <-
+    (if t.draining || t.obs_on || not t.policy.is_default then min_int
+     else begin
+       let key = Pqueue.first_not_before t.ready ~tie:t.current_fiber in
+       if key < t.next_tick then key else t.next_tick
+     end)
 
 let start t body () =
   match_with body ()
@@ -214,10 +227,9 @@ let spawn t body =
     let tid = t.n_fibers in
     t.bodies <- body :: t.bodies;
     t.n_fibers <- tid + 1;
-    ensure_clocks t tid;
-    t.clocks.(tid) <- t.clock;
-    Pqueue.add_aux t.ready ~time:t.clock ~tie:(tie_for t tid) ~aux:(tid lsl 1)
-      (Obj.repr (start t body))
+    Pqueue.add_aux t.ready ~time:t.lane.now ~tie:(tie_for t tid)
+      ~aux:(tid lsl 1) (Obj.repr (start t body));
+    refresh_lane t
   end
   else begin
     t.bodies <- body :: t.bodies;
@@ -236,11 +248,15 @@ let run_ticks t upto =
 (* [stall_on t n]: as [stall n], but resolving the runtime through the
    caller instead of domain-local state — the hot path for code (Ctx)
    that already holds the runtime it runs under. The caller must be a
-   fiber of [t]'s active run. *)
+   fiber of [t]'s active run. Ctx advances [lane.now] itself below the
+   lane limit, so this is only reached to suspend, to cross a tick,
+   under a non-default policy or with a recording sink. *)
 let stall_on t n =
   if n < 0 then invalid_arg "Runtime.stall: negative latency";
   let tid = t.current_fiber in
   if tid < 0 then invalid_arg "Runtime.stall: not inside a fiber";
+  let lane = t.lane in
+  let now = lane.now in
   let p = t.policy in
   let delay, tie =
     if p.is_default then (n, tid)
@@ -248,34 +264,29 @@ let stall_on t n =
       (* Hook order (delay draw, then tie draw) is part of a stateful
          policy's PRNG stream contract — both are consulted at every
          stall, suspending or not. *)
-      let d = n + p.extra_delay ~tid ~now:(Array.unsafe_get t.clocks tid) in
+      let d = n + p.extra_delay ~tid ~now in
       if t.obs_on then
-        Mt_obs.Obs.emit t.obs ~core:tid ~time:t.clock
+        Mt_obs.Obs.emit t.obs ~core:tid ~time:now
           (Mt_obs.Obs.Fiber_stall { cycles = d });
       (d, p.tie_of ~tid)
     end
   in
   if p.is_default && t.obs_on then
-    Mt_obs.Obs.emit t.obs ~core:tid ~time:t.clock
+    Mt_obs.Obs.emit t.obs ~core:tid ~time:now
       (Mt_obs.Obs.Fiber_stall { cycles = delay });
-  (* [tid] is a live fiber of this run, so it indexes [clocks]. *)
-  let nc = Array.unsafe_get t.clocks tid + delay in
-  Array.unsafe_set t.clocks tid nc;
-  let q = t.ready in
-  if
-    (not t.draining)
-    && (Pqueue.is_empty q
-       || nc < Pqueue.top_time q
-       || (nc = Pqueue.top_time q && tie < Pqueue.top_tie q))
-  then begin
+  let nc = now + delay in
+  if (not t.draining) && nc < Pqueue.first_not_before t.ready ~tie then begin
     (* Fast path: this fiber's new key is still the schedule minimum,
        so enqueueing and popping it would resume it immediately. Skip
        the effect suspension entirely and replay what the scheduler
        loop would have done: advance the global clock, fire crossed
        tick boundaries, emit the resume event. Byte-identical to the
        slow path by construction. *)
-    t.clock <- nc;
-    if nc >= t.next_tick then run_ticks t nc;
+    lane.now <- nc;
+    if nc >= t.next_tick then begin
+      run_ticks t nc;
+      refresh_lane t
+    end;
     if t.obs_on then
       Mt_obs.Obs.emit t.obs ~core:tid ~time:nc Mt_obs.Obs.Fiber_resume
   end
@@ -297,6 +308,7 @@ let stall n =
    re-enters the queue and is aborted again at its next suspension. *)
 let drain_aborted t =
   t.draining <- true;
+  t.lane.limit <- min_int;
   (* A task parked in the handoff slot is as live as a queued one; sweep
      it first (a trapped-and-restalled fiber re-enters the queue via the
      draining branch of [on_stall] and is caught by the loop below). *)
@@ -331,7 +343,7 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
   if t.active then
     invalid_arg "Runtime.run: this runtime is already running on another domain";
   t.active <- true;
-  t.clock <- 0;
+  t.lane.now <- 0;
   t.current_fiber <- -1;
   t.policy <- policy;
   t.obs <- obs;
@@ -350,9 +362,6 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
       t.tick_interval <- interval;
       t.next_tick <- interval;
       t.tick_fn <- f);
-  if Array.length t.clocks < max 1 t.n_fibers then
-    t.clocks <- Array.make (max 1 t.n_fibers) 0
-  else Array.fill t.clocks 0 (Array.length t.clocks) 0;
   Domain.DLS.set current_key (Some t);
   List.iteri
     (fun i body ->
@@ -362,6 +371,7 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
     t.bodies;
   let finish () =
     t.active <- false;
+    t.lane.limit <- min_int;
     t.current_fiber <- -1;
     t.policy <- default_policy;
     t.obs <- Mt_obs.Obs.null;
@@ -369,7 +379,7 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
     t.tick_interval <- 0;
     t.next_tick <- max_int;
     t.tick_fn <- null_tick;
-    Domain.DLS.set last_clock_key t.clock;
+    Domain.DLS.set last_clock_key t.lane.now;
     Domain.DLS.set current_key None
   in
   (* Trampoline: a suspension's handler parks the next task in the
@@ -391,10 +401,11 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
       dispatch time aux task
     end
   and dispatch time aux task =
-    t.clock <- time;
+    t.lane.now <- time;
     if time >= t.next_tick then run_ticks t time;
     let tid = aux lsr 1 in
     t.current_fiber <- tid;
+    refresh_lane t;
     if t.obs_on then
       Mt_obs.Obs.emit t.obs ~core:tid ~time Mt_obs.Obs.Fiber_resume;
     if aux land 1 = 1 then

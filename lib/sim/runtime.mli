@@ -116,11 +116,25 @@ val run :
 val stall : int -> unit
 
 (** [stall_on t n] is [stall n] resolving the runtime through [t] instead
-    of domain-local state — the hot path for code that already holds the
-    runtime it runs under (one lookup saved per simulated access). The
-    caller must be a fiber of [t]'s active run on the current domain;
-    passing any other runtime is undefined. *)
+    of domain-local state, for code that already holds the runtime it
+    runs under; {!lane} says when a caller may skip it. The caller must
+    be a fiber of [t]'s active run on the current domain; passing any
+    other runtime is undefined. *)
 val stall_on : t -> int -> unit
+
+(** The running fiber's stall lane (DESIGN §12). [now] is the simulated
+    clock ({!clock}). While a fiber runs under the default hooks
+    ({!default_policy}, or {!make_policy} given none) with no recording
+    sink, [limit] is the earliest clock at which another fiber would be
+    scheduled first or a tick boundary crossed: if [now + n < limit],
+    then [now <- now + n] is exactly what [stall_on t n] would do, and a
+    caller may do it instead (Ctx does, without a call). Otherwise — or
+    when [limit] is [min_int]: another policy, a recording sink, no
+    fiber running — it must call {!stall_on}. The record is allocated
+    once per runtime. *)
+type lane = { mutable now : int; mutable limit : int }
+
+val lane : t -> lane
 
 (** [clock t] is [t]'s simulated clock: the current time while [t] is
     running, the final time of its last run otherwise. *)

@@ -1,26 +1,105 @@
-(* Allocation-budget gate (ISSUE 8): the simulator hot path is
-   allocation-free per simulated memory access, so a contended hoh-list
-   set operation — dozens of simulated accesses, tag ops and fiber
-   suspensions — must fit a small fixed byte budget. The workload is
-   deterministic and [Gc.allocated_bytes] counts exact allocation, so the
-   gate is wall-clock-free and stable on shared CI runners.
+(* Allocation gate: the simulator's per-access path allocates nothing,
+   and a suspending stall allocates only the continuation the runtime
+   system itself builds. [Gc.minor_words] counts exact allocation, so
+   every figure below is deterministic and wall-clock-free, stable on
+   shared CI runners.
 
-   The steady-state budget pays for the op itself (locate's result tuple,
-   simulated node allocations) and ~2 words per suspending stall (the
-   effect continuation, ~110 of them per contended op) — about 2.2 kB/op
-   measured. What it must NOT pay for: per-access closures or hash
-   probes, boxed scheduler-queue entries, per-line list building in the
-   tag units — each of those regressions costs several hundred bytes per
-   op and trips the gate. Machine construction (~2.7 MB of flat arrays)
-   happens once, outside the measured window. *)
+   Unit pins. Each runs the same program twice, with [n] and with [2n]
+   repetitions of the step under test, and divides the difference in
+   minor words by [n]: the fixed cost of building the machine, the
+   runtime and the fibers cancels, so the quotient is the step's own
+   allocation, exactly.
+   - An L1-hit [Ctx.read], [Ctx.add_tag_read], [Ctx.write] and
+     [Ctx.validate] allocate 0 words (DESIGN §12).
+   - A suspending stall allocates 2 words: the effect continuation.
+
+   Workload budget. A contended 4-thread hoh-list set operation — dozens
+   of simulated accesses, tag ops and ~110 fiber suspensions — must fit a
+   small fixed byte budget. It pays for the op itself (locate's result
+   tuple, simulated node allocations) and the suspensions; measured
+   985.0 B/op. A reintroduced per-access closure, boxed queue entry or
+   per-line list costs hundreds of bytes per op and trips it. Machine
+   construction happens once, outside the measured window. *)
 
 open Mt_sim
 open Mt_core
 module L = Mt_list.Hoh_list
 
+let failed = ref false
+
+let pin name ~expected per_step =
+  Printf.printf "%-28s %6.2f words/step (pinned %.0f)\n" name per_step expected;
+  if per_step <> expected then begin
+    Printf.eprintf "FAIL: %s allocates %.2f words per step, pinned at %.0f\n"
+      name per_step expected;
+    failed := true
+  end
+
+(* Words allocated per step: [run k] performs [k] steps after a fixed
+   set-up. *)
+let words_per_step run ~n =
+  let words k =
+    let before = Gc.minor_words () in
+    run k;
+    Gc.minor_words () -. before
+  in
+  ignore (words n);
+  (words (2 * n) -. words n) /. float_of_int n
+
+let lines = 32
+
+(* One fiber on a warm machine: [prepare] makes every line L1-resident
+   in the state the step needs, then [step ctx addrs i] runs [k] times. *)
+let access ~prepare step k =
+  let m = Machine.create (Config.default ~num_cores:1 ()) in
+  Harness.exec1 m (fun ctx ->
+      let addrs = Array.init lines (fun _ -> Ctx.alloc ctx ~words:8) in
+      Array.iter (prepare ctx) addrs;
+      for i = 1 to k do
+        step ctx addrs i
+      done)
+
+let read_warm ctx a = ignore (Ctx.read ctx a)
+let write_warm ctx a = Ctx.write ctx a 1
+
+let () =
+  let n = 20_000 in
+  pin "L1-hit read" ~expected:0.
+    (words_per_step ~n
+       (access ~prepare:read_warm (fun ctx addrs i ->
+            ignore (Ctx.read ctx addrs.(i land (lines - 1))))));
+  pin "L1-hit tagged read" ~expected:0.
+    (words_per_step ~n
+       (access ~prepare:read_warm (fun ctx addrs i ->
+            ignore (Ctx.add_tag_read ctx addrs.(i land (lines - 1)) ~words:1);
+            if i land (lines - 1) = lines - 1 then Ctx.clear_tag_set ctx)));
+  pin "L1-hit write" ~expected:0.
+    (words_per_step ~n
+       (access ~prepare:write_warm (fun ctx addrs i ->
+            Ctx.write ctx addrs.(i land (lines - 1)) i)));
+  pin "validate" ~expected:0.
+    (words_per_step ~n
+       (access ~prepare:read_warm (fun ctx _ _ -> ignore (Ctx.validate ctx))));
+  (* Two fibers at equal clocks stalling one cycle each: every stall
+     hands over to the other fiber, so [k] stalls per fiber are [2k]
+     suspensions. *)
+  pin "suspending stall" ~expected:2.
+    (words_per_step ~n (fun k ->
+         let rt = Runtime.create () in
+         for _ = 1 to 2 do
+           Runtime.spawn rt (fun () ->
+               for _ = 1 to k do
+                 Runtime.stall_on rt 1
+               done)
+         done;
+         Runtime.run rt)
+    /. 2.)
+
+(* Workload budget ------------------------------------------------------ *)
+
 let threads = 4
 let ops_per_thread = 500
-let budget_bytes_per_op = 3000.0
+let budget_bytes_per_op = 1130.0
 
 let workload s ctx =
   let g = Ctx.prng ctx in
@@ -53,5 +132,6 @@ let () =
     Printf.eprintf
       "FAIL: %.1f bytes/op exceeds the %.0f-byte hot-path budget\n" per_op
       budget_bytes_per_op;
-    exit 1
-  end
+    failed := true
+  end;
+  if !failed then exit 1

@@ -101,6 +101,37 @@ let prop_pqueue_model =
                   (t', tie') = (t, tie)))
         ops)
 
+(* Values live in a slot table apart from the keys, so check that each
+   pop and exchange returns the value added with that key. Ties are
+   fresh ids, so keys are distinct, and an exchanged-in key is at least
+   the minimum (the precondition of [exchange]). *)
+let prop_pqueue_values =
+  QCheck.Test.make ~name:"pqueue values follow keys under add/pop/exchange"
+    ~count:300
+    QCheck.(list (pair (int_bound 2) small_nat))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] in
+      let id = ref 0 in
+      let fresh () = incr id; !id in
+      List.for_all
+        (fun (op, t) ->
+          match (op, !model) with
+          | 0, _ | _, [] ->
+              let tie = fresh () in
+              Pqueue.add q ~time:t ~tie (t, tie);
+              model := List.merge compare !model [ (t, tie) ];
+              true
+          | 1, m :: rest ->
+              model := rest;
+              Pqueue.pop q = m
+          | _, ((mt, _) as m) :: rest ->
+              let t = max t mt and tie = fresh () in
+              model := List.merge compare rest [ (t, tie) ];
+              Pqueue.exchange q ~time:t ~tie ~aux:0 (t, tie) = m)
+        ops
+      && List.for_all (fun m -> Pqueue.pop q = m) !model)
+
 (* The regression the option-array representation fixes: a popped value
    must not stay reachable from the queue's backing store (fiber
    continuations would otherwise be pinned until the queue is dropped). *)
@@ -114,6 +145,133 @@ let test_pqueue_pop_releases_value () =
   Gc.full_major ();
   check_bool "queue still live" true (Pqueue.is_empty q);
   check_bool "popped value collected" true (Weak.get w 0 = None)
+
+(* The same for [exchange], whose incoming value takes over the popped
+   value's slot: the popped one must become collectable, the incoming one
+   must stay reachable. *)
+let test_pqueue_exchange_releases_value () =
+  let q = Pqueue.create () in
+  let w = Weak.create 2 in
+  (let v1 = ref 1 and v2 = ref 2 in
+   Weak.set w 0 (Some v1);
+   Weak.set w 1 (Some v2);
+   Pqueue.add q ~time:1 ~tie:0 v1;
+   ignore (Sys.opaque_identity (Pqueue.exchange q ~time:2 ~tie:0 ~aux:0 v2)));
+  Gc.full_major ();
+  check_bool "exchanged-out value collected" true (Weak.get w 0 = None);
+  check_bool "exchanged-in value live" true (Weak.get w 1 <> None);
+  check_int "exchanged-in value pops" 2 !(Pqueue.pop q)
+
+(* ------------------------------------------------------------------ *)
+(* Fast path = slow path. An L1 hit is served by [Machine]'s call-free
+   branch and a stall below the lane limit by [Ctx] inline (DESIGN §12).
+   A policy with an [extra_delay] hook — one that adds nothing — sends
+   every stall through [Runtime.stall_on]; a recording sink sends every
+   access through [Machine]'s evented path (and every stall through the
+   scheduler). The three runs must agree on everything observable. *)
+
+module Fast_abtree = Mt_abtree.Abtree_hoh.Make (struct
+  let a = 4
+  let b = 8
+end)
+
+module Fast_store = Mt_store.Store
+
+type path = Fast | Slow_runtime | Evented
+
+(* A 64-line L1 and a 256-line L2: small enough that the workloads below
+   evict, so LRU order and capacity-evicted tags are observable. *)
+let small_caches threads =
+  {
+    (Config.default ~num_cores:threads ()) with
+    l1_sets_log2 = 4;
+    l1_ways = 4;
+    l2_sets_log2 = 6;
+    l2_ways = 4;
+  }
+
+(* Prefill on core 0, then [threads] fibers each run [ops] seeded random
+   ops; returns every op result, the duration, the final contents, the
+   machine counters and whether coherence holds. *)
+let run_path path ~seed ~threads ~ops ~range ~create ~op ~contents =
+  let obs =
+    match path with
+    | Evented -> Mt_obs.Obs.create ~retain:false ~num_cores:threads ()
+    | Fast | Slow_runtime -> Mt_obs.Obs.null
+  in
+  let policy () =
+    match path with
+    | Slow_runtime -> Runtime.make_policy ~extra_delay:(fun ~tid:_ ~now:_ -> 0) ()
+    | Fast | Evented -> Runtime.default_policy
+  in
+  let m = Machine.create ~obs (small_caches threads) in
+  let s = ref None in
+  ignore
+    (Mt_core.Harness.exec m ~seed ~policy:(policy ()) ~threads:1 (fun ctx ->
+         let x = create ctx ~range in
+         for k = 0 to range - 1 do
+           if k mod 3 <> 0 then ignore (op ctx x 0 k)
+         done;
+         s := Some x));
+  let s = Option.get !s in
+  let results = Array.make threads [] in
+  let duration =
+    Mt_core.Harness.exec m ~seed:(seed + 1) ~policy:(policy ()) ~threads (fun ctx ->
+        let g = Mt_core.Ctx.prng ctx in
+        let core = Mt_core.Ctx.core ctx in
+        for _ = 1 to ops do
+          let r = op ctx s (Prng.int g 3) (Prng.int g range) in
+          results.(core) <- r :: results.(core)
+        done)
+  in
+  let coherent =
+    match Machine.check_coherence m with () -> true | exception Failure _ -> false
+  in
+  (results, duration, contents m s, Machine.total_stats m, coherent)
+
+let fast_path_equiv ~name ~create ~op ~contents =
+  QCheck.Test.make ~count:12 ~name:("fast = slow path: " ^ name)
+    QCheck.(quad small_nat (int_range 2 4) (int_range 5 60) (int_range 8 256))
+    (fun (seed, threads, ops, range) ->
+      (* Shrinking may step outside the generator's ranges. *)
+      let threads = max 2 (min 4 threads) and range = max 8 range in
+      let run path = run_path path ~seed ~threads ~ops ~range ~create ~op ~contents in
+      let fast = run Fast in
+      let (_, _, _, _, coherent) = fast in
+      coherent && run Slow_runtime = fast && run Evented = fast)
+
+let set_op insert delete contains ctx s kind k =
+  match kind with
+  | 0 -> insert ctx s k
+  | 1 -> delete ctx s k
+  | _ -> contains ctx s k
+
+let prop_fast_path_list =
+  let module L = Mt_list.Hoh_list in
+  fast_path_equiv ~name:"hoh-list" ~create:(fun ctx ~range:_ -> L.create ctx)
+    ~op:(set_op L.insert L.delete L.contains)
+    ~contents:L.to_list_unsafe
+
+let prop_fast_path_abtree =
+  let module T = Fast_abtree in
+  fast_path_equiv ~name:"hoh-abtree" ~create:(fun ctx ~range:_ -> T.create ctx)
+    ~op:(set_op T.insert T.delete T.contains)
+    ~contents:T.to_list_unsafe
+
+(* Point ops plus two-key transactions on four norec-tagged shards; an
+   op's result is its outcome. *)
+let prop_fast_path_store =
+  let backend = Option.get (Mt_store.Backend.by_name "norec-tagged") in
+  fast_path_equiv ~name:"store"
+    ~create:(fun ctx ~range -> Fast_store.create backend ctx ~shards:4 ~key_space:range)
+    ~op:(fun ctx s kind k ->
+      match kind with
+      | 0 -> Fast_store.Committed [ Fast_store.insert ctx s k ]
+      | 1 -> Fast_store.Committed [ Fast_store.get ctx s k ]
+      | _ ->
+          Fast_store.txn ctx s
+            [ (k, Fast_store.Delete); ((k + 5) mod Fast_store.key_space s, Fast_store.Insert) ])
+    ~contents:(fun m s -> (Fast_store.to_list_unsafe m s, Fast_store.stats s))
 
 (* ------------------------------------------------------------------ *)
 (* Memory *)
@@ -153,6 +311,22 @@ let test_memory_growth () =
   Memory.set mem (a + (1 lsl 20) - 1) 99;
   check_int "far word" 99 (Memory.get mem (a + (1 lsl 20) - 1))
 
+(* Chunks exist only up to the allocation frontier. With debug checks
+   off, a stray address inside the last chunk reads zero and one past it
+   traps on the array bounds. *)
+let test_memory_stray_reads () =
+  let cfg = Config.default () in
+  let mem = Memory.create cfg in
+  let a = Memory.alloc mem ~words:8 in
+  let past_chunk = ((a lsr Memory.chunk_log2) + 1) lsl Memory.chunk_log2 in
+  let checks = Debug.on () in
+  Debug.set false;
+  Fun.protect ~finally:(fun () -> Debug.set checks) @@ fun () ->
+  check_int "stray read in the chunk" 0 (Memory.get mem (a + 64));
+  match Memory.get mem past_chunk with
+  | _ -> Alcotest.fail "read past the last chunk returned"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -169,13 +343,12 @@ let test_cache_insert_find () =
 let test_cache_lru_eviction () =
   (* 1 set (sets_log2 0... use 0), 2 ways: third insert evicts LRU. *)
   let c = Cache.create ~sets_log2:0 ~ways:2 in
-  ignore (Cache.insert c 1 Cache.S);
+  check_int "free way: no victim" (-1) (Cache.insert c 1 Cache.S);
   ignore (Cache.insert c 2 Cache.S);
   Cache.touch c 1;
   (* 2 is now LRU *)
-  match Cache.insert c 3 Cache.S with
-  | Some (victim, Cache.S) -> check_int "evicts LRU" 2 victim
-  | _ -> Alcotest.fail "expected eviction of line 2"
+  check_int "evicts LRU" 2 (Cache.insert c 3 Cache.S);
+  check_bool "victim was S" true (Cache.evicted_state c = Cache.S)
 
 let test_cache_set_isolation () =
   (* Lines mapping to different sets never evict each other. *)
@@ -962,14 +1135,19 @@ let () =
           Alcotest.test_case "order" `Quick test_pqueue_order;
           Alcotest.test_case "pop releases value" `Quick
             test_pqueue_pop_releases_value;
+          Alcotest.test_case "exchange releases value" `Quick
+            test_pqueue_exchange_releases_value;
         ]
-        @ qsuite [ prop_pqueue_sorted; prop_pqueue_model ] );
+        @ qsuite [ prop_pqueue_sorted; prop_pqueue_model; prop_pqueue_values ] );
+      ( "fast path",
+        qsuite [ prop_fast_path_list; prop_fast_path_abtree; prop_fast_path_store ] );
       ( "memory",
         [
           Alcotest.test_case "alloc aligned" `Quick test_memory_alloc_aligned;
           Alcotest.test_case "read write" `Quick test_memory_rw;
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
           Alcotest.test_case "growth" `Quick test_memory_growth;
+          Alcotest.test_case "stray reads" `Quick test_memory_stray_reads;
         ] );
       ( "cache",
         [
