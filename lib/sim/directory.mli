@@ -4,10 +4,14 @@
     and whether one of them holds it exclusively ([E]/[M]). The directory is
     the serialization point for coherence transactions.
 
-    Internally the sharer set is a flat per-line bitmask (two 32-bit planes,
-    cores 0–31 and 32–63) plus an exclusivity word, so the hot coherence
-    path never allocates (DESIGN §12). The [sharing] variant view below is
-    kept for tests and diagnostics. *)
+    Internally each line is one packed int: the sharer bits of cores 0–31
+    and the exclusive owner + 1. The sharer bits of cores 32–63 live in a
+    second plane that is allocated only once such a core holds a line.
+    Both planes are tables of fixed chunks (one simulated-memory chunk's
+    lines each), allocated on first write and never copied; an absent
+    chunk reads as [Uncached]. The hot coherence path never allocates
+    (DESIGN §12). The [sharing] variant view below is kept for tests and
+    diagnostics. *)
 
 type sharing =
   | Uncached
@@ -16,7 +20,10 @@ type sharing =
 
 type t
 
-val create : unit -> t
+(** [create ~line_words_log2 ()] sizes chunks to cover one
+    {!Memory} chunk of lines of [2^line_words_log2] words (default 3, the
+    {!Config.default} line). *)
+val create : ?line_words_log2:int -> unit -> t
 
 val sharing : t -> int -> sharing
 
@@ -63,6 +70,25 @@ val others_count : t -> int -> int -> int
     [core], in ascending id order (the order [others] returns). *)
 val iter_others : t -> int -> int -> (int -> unit) -> unit
 
+(** [others_lo t line core] is the bitmask of holders other than [core]
+    among cores 0–31 (bit [i] = core [i]); [others_hi] is the same for
+    cores 32–63 (bit [i] = core [32 + i]) and is [0] without the second
+    plane. Together they are the set {!iter_others} visits. *)
+val others_lo : t -> int -> int -> int
+val others_hi : t -> int -> int -> int
+
+(** Index of the lowest set bit of a non-zero mask below [2^32]. *)
+val lowest_core : int -> int
+
 (** [iter_lines t f] calls [f line] for every line with at least one
-    holder (coherence invariant checker; not on the hot path). *)
+    holder, in ascending order, walking only the allocated chunks
+    (coherence invariant checker; not on the hot path). *)
 val iter_lines : t -> (int -> unit) -> unit
+
+(** {2 Footprint} *)
+
+(** Lines per chunk. *)
+val lines_per_chunk : t -> int
+
+(** Whether the plane for cores 32–63 has been allocated. *)
+val wide : t -> bool

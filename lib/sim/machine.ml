@@ -25,7 +25,7 @@ let create ?(obs = Obs.null) cfg =
   {
     cfg;
     mem = Memory.create cfg;
-    dir = Directory.create ();
+    dir = Directory.create ~line_words_log2:cfg.line_words_log2 ();
     cores =
       Array.init cfg.num_cores (fun id ->
           {
@@ -258,16 +258,27 @@ let inval_round_lat cfg n_sharers =
   if n_sharers = 0 then 0
   else cfg.Config.lat_inval + (cfg.Config.lat_inval_per_sharer * n_sharers)
 
-(* Invalidate every other holder; visits cores in ascending id order. The
-   count is taken before the sweep because [invalidate_remote] drops each
-   victim from the sharer mask as it goes. *)
+(* Invalidate the holders in sharer mask [m] (bit [i] = core [base + i])
+   in ascending id order; returns [n] plus their number. A loop over the
+   bits with its state in arguments, so a sweep allocates nothing. *)
+let rec invalidate_mask t c line base m n =
+  if m = 0 then n
+  else begin
+    let o = base + Directory.lowest_core m in
+    if on t then ev t c.id (Obs.Inval_sent { line; victim = o });
+    invalidate_remote t o line;
+    c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
+    invalidate_mask t c line base (m land (m - 1)) (n + 1)
+  end
+
+(* Invalidate every other holder; visits cores in ascending id order. Both
+   masks are read before the sweep because [invalidate_remote] drops each
+   victim from the directory as it goes. *)
 let invalidate_others t c line =
-  let n = Directory.others_count t.dir line c.id in
-  Directory.iter_others t.dir line c.id (fun o ->
-      if on t then ev t c.id (Obs.Inval_sent { line; victim = o });
-      invalidate_remote t o line;
-      c.stats.invalidations_sent <- c.stats.invalidations_sent + 1);
-  n
+  let lo = Directory.others_lo t.dir line c.id in
+  let hi = Directory.others_hi t.dir line c.id in
+  let n = invalidate_mask t c line 0 lo 0 in
+  invalidate_mask t c line 32 hi n
 
 let upgrade_from_shared t c line =
   let cfg = t.cfg in

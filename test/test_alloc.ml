@@ -12,14 +12,25 @@
    - An L1-hit [Ctx.read], [Ctx.add_tag_read], [Ctx.write] and
      [Ctx.validate] allocate 0 words (DESIGN §12).
    - A suspending stall allocates 2 words: the effect continuation.
+   - An S -> M upgrade that invalidates one remote sharer, together with
+     the read miss that makes that core a sharer again, allocates 0
+     words: the invalidation sweep loops over the directory's sharer
+     bits instead of passing it a closure.
+
+   Directory footprint. A [Directory] costs one word per line of each
+   chunk that some line was written to, plus the chunk table; the plane
+   for cores 32-63 is never allocated on a machine that does not use
+   them. The former layout (three parallel per-line planes, grown by
+   doubling) holds three times that and fails the gate.
 
    Workload budget. A contended 4-thread hoh-list set operation — dozens
-   of simulated accesses, tag ops and ~110 fiber suspensions — must fit a
+   of simulated accesses, tag ops and fiber suspensions — must fit a
    small fixed byte budget. It pays for the op itself (locate's result
    tuple, simulated node allocations) and the suspensions; measured
-   985.0 B/op. A reintroduced per-access closure, boxed queue entry or
-   per-line list costs hundreds of bytes per op and trips it. Machine
-   construction happens once, outside the measured window. *)
+   63.6 B/op (985.0 while each invalidation round allocated a closure).
+   A reintroduced per-access closure, boxed queue entry or per-line list
+   costs hundreds of bytes per op and trips it. Machine construction
+   happens once, outside the measured window. *)
 
 open Mt_sim
 open Mt_core
@@ -94,6 +105,51 @@ let () =
          done;
          Runtime.run rt)
     /. 2.)
+
+(* Core 1 reads the line (a full miss that downgrades core 0's M copy),
+   then core 0 writes it: an S -> M upgrade with core 1 as the one remote
+   sharer. No fiber is needed: [Machine] accesses do not stall. *)
+let upgrade k =
+  let m = Machine.create (Config.default ~num_cores:2 ()) in
+  let a = Machine.alloc m ~words:8 in
+  Machine.write m ~core:0 a 0 |> ignore;
+  for i = 1 to k do
+    ignore (Machine.read m ~core:1 a);
+    ignore (Machine.write m ~core:0 a i)
+  done
+
+let () =
+  pin "S->M upgrade, 1 sharer" ~expected:0. (words_per_step ~n:20_000 upgrade)
+
+(* Directory footprint -------------------------------------------------- *)
+
+let () =
+  let d = Directory.create () in
+  let per = Directory.lines_per_chunk d in
+  (* Lines on both sides of three chunk boundaries: four chunks. *)
+  let first = per - 100 and last = (3 * per) + 100 in
+  for line = first to last do
+    Directory.add_sharer d line (line land 7)
+  done;
+  let covered = 4 * per in
+  (* The chunk table (at most twice the chunks), four chunk headers and
+     the record: a few dozen words. *)
+  let budget = covered + 64 in
+  let words = Obj.reachable_words (Obj.repr d) in
+  Printf.printf "directory footprint: %d words for %d covered lines (budget %d)
+"
+    words covered budget;
+  if words > budget then begin
+    Printf.eprintf "FAIL: directory holds %d words, over the %d-word budget
+"
+      words budget;
+    failed := true
+  end;
+  if Directory.wide d then begin
+    Printf.eprintf "FAIL: an 8-core directory allocated the plane for cores 32-63
+";
+    failed := true
+  end
 
 (* Workload budget ------------------------------------------------------ *)
 

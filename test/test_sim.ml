@@ -390,6 +390,98 @@ let test_directory_excl () =
     (Invalid_argument "Directory.add_sharer: line is exclusively owned")
     (fun () -> Directory.add_sharer d 9 1)
 
+(* The directory against a reference map from line to [sharing]. Lines
+   sit on both sides of chunk boundaries; a [narrow] case keeps every
+   core below 32 and must never allocate the plane for cores 32-63. *)
+let prop_directory_model =
+  let per = Directory.lines_per_chunk (Directory.create ()) in
+  let pool = [| 0; 1; per - 1; per; per + 1; (2 * per) - 1; 2 * per; (5 * per) + 3 |] in
+  let norm = function
+    | Directory.Shared [] -> Directory.Uncached
+    | Directory.Shared cs -> Directory.Shared (List.sort_uniq compare cs)
+    | s -> s
+  in
+  let holders = function
+    | Directory.Uncached -> []
+    | Directory.Shared cs -> cs
+    | Directory.Excl o -> [ o ]
+  in
+  QCheck.Test.make ~name:"directory vs reference map" ~count:300
+    QCheck.(pair bool (list (quad (int_bound 5) (int_bound 7) (int_bound 63) (int_bound 63))))
+    (fun (narrow, ops) ->
+      let d = Directory.create () in
+      let model = Hashtbl.create 8 in
+      let find l = Option.value (Hashtbl.find_opt model l) ~default:Directory.Uncached in
+      let agree l =
+        let s = find l in
+        Directory.sharing d l = s
+        && Directory.is_uncached d l = (s = Directory.Uncached)
+        && Directory.excl_owner d l = (match s with Directory.Excl o -> o | _ -> -1)
+        && List.for_all
+             (fun c ->
+               let want = List.filter (( <> ) c) (holders s) in
+               let seen = ref [] in
+               Directory.iter_others d l c (fun o -> seen := o :: !seen);
+               Directory.others d l c = want
+               && List.rev !seen = want
+               && Directory.others_count d l c = List.length want)
+             (List.init 64 Fun.id)
+      in
+      List.for_all
+        (fun (op, i, a, b) ->
+          let a, b = if narrow then (a land 31, b land 31) else (a, b) in
+          let l = pool.(i) in
+          let next =
+            match op with
+            | 0 ->
+                Directory.set_excl d l a;
+                Directory.Excl a
+            | 1 -> (
+                let s = find l in
+                let owned = match s with Directory.Excl o -> o <> a | _ -> false in
+                match Directory.add_sharer d l a with
+                | () when owned ->
+                    QCheck.Test.fail_reportf "add_sharer %d %d: no error on an owned line" l a
+                | () -> (
+                    match s with
+                    | Directory.Excl _ -> s
+                    | _ -> norm (Directory.Shared (a :: holders s)))
+                | exception Invalid_argument msg
+                  when owned && msg = "Directory.add_sharer: line is exclusively owned" ->
+                    s)
+            | 2 ->
+                Directory.drop d l a;
+                (match find l with
+                | Directory.Excl o when o = a -> Directory.Uncached
+                | Directory.Shared cs -> norm (Directory.Shared (List.filter (( <> ) a) cs))
+                | s -> s)
+            | 3 ->
+                Directory.set_shared_pair d l a b;
+                norm (Directory.Shared [ a; b ])
+            | 4 ->
+                Directory.set_uncached d l;
+                Directory.Uncached
+            | _ ->
+                let s =
+                  match b land 3 with
+                  | 0 -> Directory.Uncached
+                  | 1 -> Directory.Shared []
+                  | 2 -> Directory.Shared [ b; a; (a * 7) land if narrow then 31 else 63; a ]
+                  | _ -> Directory.Excl a
+                in
+                Directory.set d l s;
+                norm s
+          in
+          Hashtbl.replace model l next;
+          agree l)
+        ops
+      && Array.for_all agree pool
+      && (let seen = ref [] in
+          Directory.iter_lines d (fun l -> seen := l :: !seen);
+          List.rev !seen
+          = List.filter (fun l -> find l <> Directory.Uncached) (Array.to_list pool))
+      && not (narrow && Directory.wide d))
+
 (* ------------------------------------------------------------------ *)
 (* Memtag_unit *)
 
@@ -1160,7 +1252,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_directory_basics;
           Alcotest.test_case "exclusive" `Quick test_directory_excl;
-        ] );
+        ]
+        @ qsuite [ prop_directory_model ] );
       ( "memtag_unit",
         [
           Alcotest.test_case "validate ok" `Quick test_tags_validate_ok;
