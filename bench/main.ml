@@ -8,6 +8,12 @@
                                         contention timeline speed summary
                                         quick --jobs N --json FILE --note k=v]
 
+   Each word selects one panel of the registry at the bottom of this
+   file ("fig4" is an alias of "fig2"); panels always run in registry
+   order, whatever the order of the words. An unknown word exits 2 and
+   lists the valid ones, so a misspelled regeneration command cannot
+   write a baseline that checks nothing.
+
    "latency" has no paper counterpart: it drives the open-loop service
    layer (lib/serve) over list/tree/STM backends, sweeping offered load
    across each backend's saturation knee and reporting goodput, drop rate
@@ -16,7 +22,7 @@
    the same open-loop serve layer under point/txn/scan request-kind
    mixes, one saturation curve per backend x mix.
    "contention" sweeps the restart contention-management policy
-   (immediate/backoff/politeness/adaptive, lib/cm) against thread count
+   (immediate/backoff/politeness, lib/cm) against thread count
    and Zipfian key skew over four restart-loop shapes (HoH list, HoH
    (a,b)-tree, tagged NOrec, store transactions), reporting throughput
    relative to the immediate baseline plus the policy wait counters.
@@ -28,7 +34,7 @@
    (lib/obs Series) attached, exporting the per-window series as the
    "timeseries" JSON panel — the abort storm, queue backup and recovery
    as dynamics rather than end-of-run aggregates.
-   With no arguments everything runs (the paper's full sweep). "quick"
+   With no panel word everything runs (the paper's full sweep). "quick"
    restricts the thread sweep for a fast smoke run. --jobs N fans the
    independent simulation points out over N OCaml domains (0 = auto, 1 =
    sequential); output and JSON are byte-identical for any value. --note
@@ -44,23 +50,17 @@ module Serve = Mt_serve.Server
 module Hist = Mt_obs.Hist
 module Series = Mt_obs.Series
 module Obs = Mt_obs.Obs
+module Json = Mt_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Configuration. *)
 
-let quick = ref false
-let threads_sweep () = if !quick then [ 1; 4; 16; 64 ] else [ 1; 2; 4; 8; 16; 32; 64 ]
+(* What every panel is run with. [jobs] is the resolved domain count:
+   each point builds its own machine/runtime/PRNGs and results merge in
+   input order, so output is byte-identical whatever the value. *)
+type opts = { quick : bool; jobs : int }
 
-(* Domain-parallelism over independent simulation points (--jobs N;
-   0 = auto). Each point builds its own machine/runtime/PRNGs and results
-   merge in input order, so output is byte-identical whatever the value. *)
-let jobs = ref 0
-let pjobs () = if !jobs > 0 then !jobs else Pool.default_jobs ()
-
-(* Free-form --note k=v pairs recorded into the JSON export (used to stamp
-   committed artifacts with wall-clock measurements without making the
-   deterministic part of the document depend on the host). *)
-let notes : (string * string) list ref = ref []
+let threads_sweep o = if o.quick then [ 1; 4; 16; 64 ] else [ 1; 2; 4; 8; 16; 32; 64 ]
 
 let list_range = 256
 let tree_range = 8192
@@ -81,9 +81,24 @@ let tree_impls : (module Mt_list.Set_intf.SET) list =
   [ (module Abtree_llx); (module Abtree_hoh) ]
 
 (* ------------------------------------------------------------------ *)
-(* Generic figure runner for set structures. *)
+(* Panel results. *)
 
 type series = { impl : string; points : (int * Driver.result) list }
+
+(* What a panel hands back: its entries for its export slot, the figure
+   series the summary compares (figure panels only), and host-dependent
+   key=value notes (exported under "notes", never in the deterministic
+   fields). A panel prints its own tables as it runs. *)
+type output = {
+  rows : Json.t list;
+  series : series list;
+  notes : (string * string) list;
+}
+
+let output ?(series = []) ?(notes = []) rows = { rows; series; notes }
+
+(* ------------------------------------------------------------------ *)
+(* Generic figure runner. *)
 
 let impl_name (module S : Mt_list.Set_intf.SET) = S.name
 
@@ -91,126 +106,115 @@ let impl_name (module S : Mt_list.Set_intf.SET) = S.name
    out across domains and stitch the results back per implementation.
    Progress lines print after the parallel phase, in input order, so
    stdout is deterministic for any --jobs value. *)
-let run_series impls ~range ~insert_pct ~delete_pct ~measure_cycles =
-  let points =
-    List.concat_map
-      (fun m -> List.map (fun threads -> (m, threads)) (threads_sweep ()))
-      impls
+let sweep o ~name ~point ~progress impls =
+  let grid =
+    List.concat_map (fun m -> List.map (fun t -> (m, t)) (threads_sweep o)) impls
   in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (m, threads) ->
-        let spec =
-          Spec.make ~key_range:range ~insert_pct ~delete_pct ~threads
-            ~measure_cycles ()
-        in
-        Driver.run_set m spec)
-      points
-  in
-  let tagged = List.map2 (fun (m, t) r -> (impl_name m, t, r)) points results in
+  let results = Pool.map ~jobs:o.jobs (fun (m, t) -> point m t) grid in
+  let tagged = List.map2 (fun (m, t) r -> (name m, t, r)) grid results in
   List.map
     (fun m ->
-      let name = impl_name m in
+      let impl = name m in
       let points =
         List.filter_map
-          (fun (n, t, r) -> if n = name then Some (t, r) else None)
+          (fun (n, t, r) -> if n = impl then Some (t, r) else None)
           tagged
       in
-      List.iter
-        (fun (t, r) -> Printf.printf "  [%s t=%d] %d ops\n%!" name t r.Driver.ops)
-        points;
-      { impl = name; points })
+      List.iter (fun (t, r) -> progress impl t r) points;
+      (impl, points))
     impls
 
-let print_throughput_table ~title series =
+let metric_table ~title cell series =
   let threads = List.map fst (List.hd series).points in
   Report.table ~title
     ~columns:("threads" :: List.map (fun s -> s.impl) series)
     (List.map
        (fun t ->
          string_of_int t
-         :: List.map
-              (fun s -> Report.f2 (List.assoc t s.points).Driver.throughput)
-              series)
+         :: List.map (fun s -> cell (List.assoc t s.points)) series)
        threads)
+
+let throughput (r : Driver.result) = Report.f2 r.throughput
 
 let print_metric_tables ~prefix series =
-  print_throughput_table ~title:(prefix ^ " — throughput (ops / 1000 cycles)") series;
-  let threads = List.map fst (List.hd series).points in
-  Report.table
-    ~title:(prefix ^ " — L1 miss rate")
-    ~columns:("threads" :: List.map (fun s -> s.impl) series)
-    (List.map
-       (fun t ->
-         string_of_int t
-         :: List.map
-              (fun s -> Report.pct (List.assoc t s.points).Driver.l1_miss_rate)
-              series)
-       threads);
-  Report.table
+  metric_table ~title:(prefix ^ " — throughput (ops / 1000 cycles)") throughput series;
+  metric_table ~title:(prefix ^ " — L1 miss rate")
+    (fun r -> Report.pct r.Driver.l1_miss_rate)
+    series;
+  metric_table
     ~title:(prefix ^ " — energy per operation (model units)")
-    ~columns:("threads" :: List.map (fun s -> s.impl) series)
-    (List.map
-       (fun t ->
-         string_of_int t
-         :: List.map
-              (fun s -> Report.f2 (List.assoc t s.points).Driver.energy_per_op)
-              series)
-       threads)
+    (fun r -> Report.f2 r.Driver.energy_per_op)
+    series
 
-let best_gain base_series other_series =
-  List.fold_left
-    (fun acc (t, r) ->
-      let b = (List.assoc t base_series.points).Driver.throughput in
-      if b > 0.0 then max acc (r.Driver.throughput /. b) else acc)
-    0.0 other_series.points
+let series_to_json (s : series) =
+  Json.Obj
+    [
+      ("impl", Json.String s.impl);
+      ("points",
+       Json.List
+         (List.map
+            (fun (threads, r) ->
+              Json.Obj
+                [
+                  ("threads", Json.Int threads);
+                  ("result", Driver.result_to_json r);
+                ])
+            s.points));
+    ]
 
-(* Collected results for the summary block and the --json export. *)
-let collected : (string * series list) list ref = ref []
-let spurious_rows : (string * Driver.result) list ref = ref []
-let headline_rows : (string * string * float option) list ref = ref []
+let figure_output series = output ~series (List.map series_to_json series)
 
-(* ------------------------------------------------------------------ *)
-(* Figures 2 / 4: lists at 35% insert, 35% delete, 30% contains. *)
+(* Figures 2/4, 5, 6 and 7: one set-structure sweep per row. [title] heads
+   the panel, [prefix] its metric tables; Figure 2 adds a throughput
+   table of its own ahead of Figure 4's. *)
+type figure = {
+  key : string;
+  aliases : string list;
+  title : string;
+  prefix : string;
+  throughput_title : string option;
+  impls : (module Mt_list.Set_intf.SET) list;
+  range : int;
+  insert_pct : int;
+  delete_pct : int;
+}
 
-let fig2_fig4 () =
-  print_endline "\n=== Figures 2 & 4: linked lists, 35i/35d/30c ===";
+let figures =
+  [
+    { key = "fig2"; aliases = [ "fig4" ];
+      title = "Figures 2 & 4: linked lists, 35i/35d/30c";
+      prefix = "Figure 4 — lists (35/35/30)";
+      throughput_title = Some "Figure 2 — list throughput vs threads (35/35/30)";
+      impls = list_impls; range = list_range; insert_pct = 35; delete_pct = 35 };
+    { key = "fig5"; aliases = [];
+      title = "Figure 5: linked lists, 15i/15d/70c";
+      prefix = "Figure 5 — lists (15/15/70)"; throughput_title = None;
+      impls = list_impls; range = list_range; insert_pct = 15; delete_pct = 15 };
+    { key = "fig6"; aliases = [];
+      title = "Figure 6: (a,b)-trees, 35i/35d/30c";
+      prefix = "Figure 6 — (a,b)-trees (35/35/30)"; throughput_title = None;
+      impls = tree_impls; range = tree_range; insert_pct = 35; delete_pct = 35 };
+    { key = "fig7"; aliases = [];
+      title = "Figure 7: (a,b)-trees, 15i/15d/70c";
+      prefix = "Figure 7 — (a,b)-trees (15/15/70)"; throughput_title = None;
+      impls = tree_impls; range = tree_range; insert_pct = 15; delete_pct = 15 };
+  ]
+
+let run_figure f o _ =
+  print_endline ("\n=== " ^ f.title ^ " ===");
   let series =
-    run_series list_impls ~range:list_range ~insert_pct:35 ~delete_pct:35
-      ~measure_cycles:150_000
+    sweep o ~name:impl_name f.impls
+      ~point:(fun m threads ->
+        Driver.run_set m
+          (Spec.make ~key_range:f.range ~insert_pct:f.insert_pct
+             ~delete_pct:f.delete_pct ~threads ~measure_cycles:150_000 ()))
+      ~progress:(fun impl t (r : Driver.result) ->
+        Printf.printf "  [%s t=%d] %d ops\n%!" impl t r.ops)
+    |> List.map (fun (impl, points) -> { impl; points })
   in
-  collected := ("fig2", series) :: !collected;
-  print_throughput_table ~title:"Figure 2 — list throughput vs threads (35/35/30)" series;
-  print_metric_tables ~prefix:"Figure 4 — lists (35/35/30)" series
-
-(* Figure 5: lists at 15% insert, 15% delete, 70% contains. *)
-let fig5 () =
-  print_endline "\n=== Figure 5: linked lists, 15i/15d/70c ===";
-  let series =
-    run_series list_impls ~range:list_range ~insert_pct:15 ~delete_pct:15
-      ~measure_cycles:150_000
-  in
-  collected := ("fig5", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 5 — lists (15/15/70)" series
-
-(* Figures 6 / 7: (a,b)-trees, LLX/SCX baseline vs HoH tagging. *)
-let fig6 () =
-  print_endline "\n=== Figure 6: (a,b)-trees, 35i/35d/30c ===";
-  let series =
-    run_series tree_impls ~range:tree_range ~insert_pct:35 ~delete_pct:35
-      ~measure_cycles:150_000
-  in
-  collected := ("fig6", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 6 — (a,b)-trees (35/35/30)" series
-
-let fig7 () =
-  print_endline "\n=== Figure 7: (a,b)-trees, 15i/15d/70c ===";
-  let series =
-    run_series tree_impls ~range:tree_range ~insert_pct:15 ~delete_pct:15
-      ~measure_cycles:150_000
-  in
-  collected := ("fig7", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 7 — (a,b)-trees (15/15/70)" series
+  Option.iter (fun title -> metric_table ~title throughput series) f.throughput_title;
+  print_metric_tables ~prefix:f.prefix series;
+  figure_output series
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: STAMP vacation on NOrec vs tagged NOrec,
@@ -241,52 +245,28 @@ let vacation_point (module S : Mt_stm.Stm_intf.S) threads relations =
 
 let stm_name (module S : Mt_stm.Stm_intf.S) = S.name
 
-let fig8 () =
+let fig8 o _ =
   print_endline "\n=== Figure 8: STAMP vacation on NOrec (-n4 -q60 -u90 -r16384) ===";
-  let relations = if !quick then 4096 else vacation_relations in
+  let relations = if o.quick then 4096 else vacation_relations in
   let impls : (module Mt_stm.Stm_intf.S) list =
     [ (module Mt_stm.Norec); (module Mt_stm.Norec_tagged) ]
   in
-  let points =
-    List.concat_map
-      (fun m -> List.map (fun t -> (m, t)) (threads_sweep ()))
-      impls
-  in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (m, t) -> vacation_point m t relations)
-      points
-  in
-  let tagged =
-    List.map2
-      (fun (m, t) (r, aborts, vbv) -> (stm_name m, t, r, aborts, vbv))
-      points results
-  in
-  List.iter
-    (fun (name, t, (r : Driver.result), aborts, vbv) ->
-      Printf.printf "  [%s t=%d] %d txs, %d aborts, %d vbv passes\n%!" name t
-        r.Driver.ops aborts vbv)
-    tagged;
   let series =
-    List.map
-      (fun m ->
-        let name = stm_name m in
-        {
-          impl = name;
-          points =
-            List.filter_map
-              (fun (n, t, r, _, _) -> if n = name then Some (t, r) else None)
-              tagged;
-        })
-      impls
+    sweep o ~name:stm_name impls
+      ~point:(fun m t -> vacation_point m t relations)
+      ~progress:(fun impl t ((r : Driver.result), aborts, vbv) ->
+        Printf.printf "  [%s t=%d] %d txs, %d aborts, %d vbv passes\n%!" impl t
+          r.ops aborts vbv)
+    |> List.map (fun (impl, points) ->
+           { impl; points = List.map (fun (t, (r, _, _)) -> (t, r)) points })
   in
-  collected := ("fig8", series) :: !collected;
-  print_metric_tables ~prefix:"Figure 8 — vacation" series
+  print_metric_tables ~prefix:"Figure 8 — vacation" series;
+  figure_output series
 
 (* ------------------------------------------------------------------ *)
 (* Section 6 observation: spurious invalidations are negligible. *)
 
-let spurious () =
+let spurious o _ =
   print_endline "\n=== Section 6: spurious validation failures ===";
   let spec range =
     Spec.make ~key_range:range ~insert_pct:35 ~delete_pct:35 ~threads:16
@@ -301,46 +281,51 @@ let spurious () =
        fun () -> Driver.run_set (module Abtree_hoh) (spec tree_range));
       (* A deliberately oversized structure shows capacity evictions rising. *)
       ("hoh-abtree r65536",
-       fun () ->
-         Driver.run_set (module Abtree_hoh)
-           (Spec.make ~key_range:65536 ~insert_pct:35 ~delete_pct:35 ~threads:16
-              ~measure_cycles:150_000 ()));
+       fun () -> Driver.run_set (module Abtree_hoh) (spec 65536));
     ]
   in
   let results =
-    Pool.map ~jobs:(pjobs ()) (fun (name, f) -> (name, f ())) jobs_list
-  in
-  let rows =
-    List.map
-      (fun (name, (r : Driver.result)) ->
-        let frac =
-          if r.validates = 0 then 0.0
-          else
-            float_of_int r.validate_failures_spurious /. float_of_int r.validates
-        in
-        spurious_rows := !spurious_rows @ [ (name, r) ];
-        [
-          name;
-          string_of_int r.validates;
-          string_of_int r.validate_failures;
-          string_of_int r.validate_failures_spurious;
-          Report.pct frac;
-        ])
-      results
+    Pool.map ~jobs:o.jobs (fun (name, f) -> (name, f ())) jobs_list
   in
   Report.table ~title:"Spurious (capacity/overflow) validation failures"
     ~columns:[ "workload"; "validates"; "failures"; "spurious"; "spurious/validate" ]
-    rows
+    (List.map
+       (fun (name, (r : Driver.result)) ->
+         let frac =
+           if r.validates = 0 then 0.0
+           else
+             float_of_int r.validate_failures_spurious /. float_of_int r.validates
+         in
+         [
+           name;
+           string_of_int r.validates;
+           string_of_int r.validate_failures;
+           string_of_int r.validate_failures_spurious;
+           Report.pct frac;
+         ])
+       results);
+  output
+    (List.map
+       (fun (name, (r : Driver.result)) ->
+         Json.Obj
+           [
+             ("workload", Json.String name);
+             ("validates", Json.Int r.validates);
+             ("validate_failures", Json.Int r.validate_failures);
+             ("validate_failures_spurious", Json.Int r.validate_failures_spurious);
+             ("result", Driver.result_to_json r);
+           ])
+       results)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md): explicit tag-op costs, conservative IAS,
    Max_Tags sensitivity for the STM. *)
 
-let ablation () =
+let ablation o _ =
   print_endline "\n=== Ablations ===";
   (* Rows within a table are independent simulations; run each table's rows
      through the pool and print once they are all back, in row order. *)
-  let rows thunks = Pool.map ~jobs:(pjobs ()) (fun f -> f ()) thunks in
+  let rows thunks = Pool.map ~jobs:o.jobs (fun f -> f ()) thunks in
   let base_spec =
     Spec.make ~key_range:list_range ~insert_pct:35 ~delete_pct:35 ~threads:16
       ~measure_cycles:150_000 ()
@@ -397,19 +382,57 @@ let ablation () =
   in
   Report.table ~title:"Ablation: Max_Tags for tagged NOrec (vacation r4096, t16)"
     ~columns:[ "Max_Tags"; "thr/kcyc" ]
-    (Pool.map ~jobs:(pjobs ()) vac_row [ 32; 64; 128; 256 ])
+    (Pool.map ~jobs:o.jobs vac_row [ 32; 64; 128; 256 ]);
+  output []
+
+(* ------------------------------------------------------------------ *)
+(* Open-loop saturation curves. Closed-loop figures cannot see queueing
+   delay; here load is offered at a configured rate whether or not the
+   backend keeps up. Phase 1 calibrates each target by offering far more
+   load than it can serve (goodput then measures saturation capacity);
+   phase 2 offers multiples of that capacity, so the knee is always in
+   frame: goodput plateaus at 1.0x while the end-to-end tail explodes.
+   Returns each target with its calibration result and its (multiple,
+   result) grid, in target order. No paper counterpart (the paper
+   measures closed-loop only). *)
+
+let serve_workers = 4
+let cal_rate = 200.0
+
+let serve_config ~rate ~horizon =
+  Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
+    ~rate_per_kcycle:rate ~horizon ()
+
+let saturation_curves o ~run ~goodput ~report ~mults targets =
+  let calibrated =
+    Pool.map ~jobs:o.jobs (fun t -> (t, run t cal_rate)) targets
+  in
+  List.iter (fun (t, r) -> report t r) calibrated;
+  let grid =
+    List.concat_map
+      (fun (t, cal) -> List.map (fun m -> (t, m, m *. goodput cal)) mults)
+      calibrated
+  in
+  let results = Pool.map ~jobs:o.jobs (fun (t, _, rate) -> run t rate) grid in
+  let tagged = List.map2 (fun (t, m, _) r -> (t, m, r)) grid results in
+  List.map
+    (fun (t, cal) ->
+      ( t,
+        cal,
+        List.filter_map
+          (fun (t', m, r) -> if t' == t then Some (m, r) else None)
+          tagged ))
+    calibrated
+
+(* Export order: every calibration point (load multiple 0), then every
+   grid point. *)
+let curve_rows row curves =
+  List.map (fun (t, cal, _) -> row t 0.0 cal) curves
+  @ List.concat_map (fun (t, _, grid) -> List.map (fun (m, r) -> row t m r) grid) curves
 
 (* ------------------------------------------------------------------ *)
 (* Offered-load sweep: the open-loop service layer (lib/serve) over one
-   list, one tree and one STM backend. Closed-loop figures cannot see
-   queueing delay; here load is offered at a configured rate whether or
-   not the backend keeps up. Each backend is first calibrated by offering
-   far more load than it can serve (goodput then measures saturation
-   capacity), and the grid offers multiples of that capacity so the knee
-   is always in frame: goodput plateaus at 1.0x while the end-to-end tail
-   explodes. No paper counterpart (the paper measures closed-loop only). *)
-
-let serve_workers = 4
+   list, one tree and one STM backend. *)
 
 type serve_backend = {
   sb_name : string;
@@ -421,11 +444,7 @@ let serve_set_backend (module S : Mt_list.Set_intf.SET) ~range =
     sb_name = S.name;
     sb_run =
       (fun ~rate ~horizon ->
-        Serve.run_set
-          (module S)
-          ~key_range:range
-          (Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-             ~rate_per_kcycle:rate ~horizon ()));
+        Serve.run_set (module S) ~key_range:range (serve_config ~rate ~horizon));
   }
 
 (* The STM backend serves transactional map operations (35% insert, 35%
@@ -441,10 +460,7 @@ let serve_stm_backend ~range =
           { (Config.default ~num_cores:(serve_workers + 1) ()) with
             Config.max_tags = 256 }
         in
-        let c =
-          Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-            ~rate_per_kcycle:rate ~horizon ()
-        in
+        let c = serve_config ~rate ~horizon in
         Serve.run ~cfg ~name:"norec-tagged-map"
           ~setup:(fun ctx ->
             let stm = S.create ctx in
@@ -475,66 +491,23 @@ let serve_backends () =
     serve_stm_backend ~range:512;
   ]
 
-let latency_rows : (string * float * Serve.result) list ref = ref []
-
-let latency () =
+let latency o _ =
   print_endline
     "\n=== Offered-load sweep: open-loop service layer (goodput vs tail latency) ===";
-  let horizon = if !quick then 60_000 else 120_000 in
-  let backends = serve_backends () in
-  (* Phase 1: saturation capacity — offer far more than any backend can
-     serve; goodput is then the service capacity of workers + batching. *)
-  let cal_rate = 200.0 in
-  let calibrated =
-    Pool.map ~jobs:(pjobs ())
-      (fun b -> (b, b.sb_run ~rate:cal_rate ~horizon))
-      backends
+  let horizon = if o.quick then 60_000 else 120_000 in
+  let curves =
+    saturation_curves o (serve_backends ())
+      ~run:(fun b rate -> b.sb_run ~rate ~horizon)
+      ~goodput:(fun r -> r.Serve.goodput)
+      ~report:(fun b (r : Serve.result) ->
+        Printf.printf "  [%s] capacity %.3f req/kcyc (offered %.0f, drop %.1f%%)\n%!"
+          b.sb_name r.goodput cal_rate (100.0 *. r.drop_rate))
+      ~mults:
+        (if o.quick then [ 0.5; 0.9; 1.1; 1.5 ]
+         else [ 0.25; 0.5; 0.7; 0.85; 1.0; 1.2; 1.5; 2.0 ])
   in
   List.iter
-    (fun (b, (r : Serve.result)) ->
-      Printf.printf "  [%s] capacity %.3f req/kcyc (offered %.0f, drop %.1f%%)\n%!"
-        b.sb_name r.Serve.goodput cal_rate (100.0 *. r.Serve.drop_rate))
-    calibrated;
-  (* Phase 2: the grid — multiples of each backend's measured capacity. *)
-  let mults =
-    if !quick then [ 0.5; 0.9; 1.1; 1.5 ]
-    else [ 0.25; 0.5; 0.7; 0.85; 1.0; 1.2; 1.5; 2.0 ]
-  in
-  let points =
-    List.concat_map
-      (fun (b, (cal : Serve.result)) ->
-        List.map (fun m -> (b, m, m *. cal.Serve.goodput)) mults)
-      calibrated
-  in
-  let results =
-    Pool.map ~jobs:(pjobs ())
-      (fun (b, _, rate) -> b.sb_run ~rate ~horizon)
-      points
-  in
-  let tagged = List.map2 (fun (b, m, _) r -> (b.sb_name, m, r)) points results in
-  latency_rows :=
-    List.map (fun (b, (r : Serve.result)) -> (b.sb_name, 0.0, r)) calibrated
-    @ tagged;
-  List.iter
-    (fun b ->
-      let rows =
-        List.filter_map
-          (fun (n, m, (r : Serve.result)) ->
-            if n <> b.sb_name then None
-            else
-              Some
-                [
-                  Printf.sprintf "%.2fx" m;
-                  Report.f2 r.Serve.offered;
-                  Report.f2 r.Serve.goodput;
-                  Report.pct r.Serve.drop_rate;
-                  string_of_int (Hist.percentile r.Serve.queue_wait 50.0);
-                  string_of_int (Hist.percentile r.Serve.e2e 50.0);
-                  string_of_int (Hist.percentile r.Serve.e2e 99.0);
-                  string_of_int (Hist.percentile r.Serve.e2e 99.9);
-                ])
-          tagged
-      in
+    (fun (b, _, grid) ->
       Report.table
         ~title:
           (Printf.sprintf
@@ -543,8 +516,31 @@ let latency () =
         ~columns:
           [ "load"; "offered/kcyc"; "goodput/kcyc"; "drop"; "wait p50";
             "e2e p50"; "e2e p99"; "e2e p99.9" ]
-        rows)
-    backends
+        (List.map
+           (fun (m, (r : Serve.result)) ->
+             [
+               Printf.sprintf "%.2fx" m;
+               Report.f2 r.offered;
+               Report.f2 r.goodput;
+               Report.pct r.drop_rate;
+               string_of_int (Hist.percentile r.queue_wait 50.0);
+               string_of_int (Hist.percentile r.e2e 50.0);
+               string_of_int (Hist.percentile r.e2e 99.0);
+               string_of_int (Hist.percentile r.e2e 99.9);
+             ])
+           grid))
+    curves;
+  output
+    (curve_rows
+       (fun b mult r ->
+         Json.Obj
+           [
+             ("backend", Json.String b.sb_name);
+             ("calibration", Json.Bool (mult = 0.0));
+             ("load_multiple", Json.Float mult);
+             ("result", Serve.result_to_json r);
+           ])
+       curves)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded store: saturation curves per request-kind mix per backend.
@@ -570,107 +566,103 @@ let store_mixes =
 
 let store_backend_names = [ "hoh-list"; "hoh-abtree"; "norec-tagged" ]
 
-let store_rows :
-    (string * Store_serve.mix * float * Serve.result * Store.stats) list ref =
-  ref []
+let store_backend name =
+  match Store_backend.by_name name with
+  | Some b -> b
+  | None -> failwith ("bench: unknown store backend " ^ name)
 
-let store () =
+let store_stats_to_json (st : Store.stats) =
+  Json.Obj
+    [
+      ("point_ops", Json.Int st.point_ops);
+      ("txn_commits", Json.Int st.txn_commits);
+      ("txn_aborts", Json.Int st.txn_aborts);
+      ("txn_sub_ops", Json.Int st.txn_sub_ops);
+      ("txn_retries", Json.Int st.txn_retries);
+      ("txn_retries_locked", Json.Int st.txn_retries_locked);
+      ("txn_retries_version", Json.Int st.txn_retries_version);
+      ("scans", Json.Int st.scans);
+      ("scan_collects", Json.Int st.scan_collects);
+      ("scan_tag_fallbacks", Json.Int st.scan_tag_fallbacks);
+      ("scan_shard_retries", Json.Int st.scan_shard_retries);
+      ("shard_ops",
+       Json.List (Array.to_list (Array.map (fun n -> Json.Int n) st.shard_ops)));
+      ("imbalance", Json.Float (Store.imbalance st));
+    ]
+
+let store o _ =
   print_endline
     "\n=== Sharded store: saturation curves per mix per backend ===";
-  let horizon = if !quick then 60_000 else 120_000 in
+  let horizon = if o.quick then 60_000 else 120_000 in
   let specs =
     List.concat_map
       (fun name ->
-        let backend =
-          match Store_backend.by_name name with
-          | Some b -> b
-          | None -> failwith ("bench store: unknown backend " ^ name)
-        in
+        let backend = store_backend name in
         List.map
           (fun mix -> Store_serve.spec ~shards:store_shards ~backend ~mix ())
           store_mixes)
       store_backend_names
   in
-  let run_point spec rate =
-    Store_serve.run spec
-      (Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-         ~rate_per_kcycle:rate ~horizon ())
-  in
-  (* Phase 1: saturate each backend × mix combination to measure its
-     service capacity (same protocol as the latency panel). *)
-  let cal_rate = 200.0 in
-  let calibrated =
-    Pool.map ~jobs:(pjobs ()) (fun spec -> (spec, run_point spec cal_rate)) specs
+  let curves =
+    saturation_curves o specs
+      ~run:(fun spec rate -> Store_serve.run spec (serve_config ~rate ~horizon))
+      ~goodput:(fun ((r : Serve.result), _) -> r.goodput)
+      ~report:(fun (spec : Store_serve.spec) ((r : Serve.result), _) ->
+        Printf.printf "  [%s %s] capacity %.3f req/kcyc (offered %.0f)\n%!"
+          (Store_backend.name spec.backend)
+          (Store_serve.mix_name spec.mix)
+          r.goodput cal_rate)
+      ~mults:
+        (if o.quick then [ 0.5; 1.0; 1.5 ]
+         else [ 0.25; 0.5; 0.85; 1.0; 1.2; 1.5; 2.0 ])
   in
   List.iter
-    (fun ((spec : Store_serve.spec), ((r : Serve.result), _)) ->
-      Printf.printf "  [%s %s] capacity %.3f req/kcyc (offered %.0f)\n%!"
-        (Store_backend.name spec.backend)
-        (Store_serve.mix_name spec.mix)
-        r.Serve.goodput cal_rate)
-    calibrated;
-  (* Phase 2: the saturation curve — multiples of measured capacity. *)
-  let mults =
-    if !quick then [ 0.5; 1.0; 1.5 ]
-    else [ 0.25; 0.5; 0.85; 1.0; 1.2; 1.5; 2.0 ]
-  in
-  let points =
-    List.concat_map
-      (fun (spec, ((cal : Serve.result), _)) ->
-        List.map (fun m -> (spec, m, m *. cal.Serve.goodput)) mults)
-      calibrated
-  in
-  let results =
-    Pool.map ~jobs:(pjobs ()) (fun (spec, _, rate) -> run_point spec rate) points
-  in
-  let tagged =
-    List.map2
-      (fun ((spec : Store_serve.spec), m, _) (r, st) ->
-        (Store_backend.name spec.backend, spec.mix, m, r, st))
-      points results
-  in
-  store_rows :=
-    List.map
-      (fun ((spec : Store_serve.spec), (r, st)) ->
-        (Store_backend.name spec.backend, spec.mix, 0.0, r, st))
-      calibrated
-    @ tagged;
-  List.iter
-    (fun ((spec : Store_serve.spec), _) ->
-      let bname = Store_backend.name spec.backend in
-      let rows =
-        List.filter_map
-          (fun (n, mix, m, (r : Serve.result), (st : Store.stats)) ->
-            if n <> bname || mix <> spec.mix then None
-            else
-              let txns = st.txn_commits + st.txn_aborts in
-              Some
-                [
-                  Printf.sprintf "%.2fx" m;
-                  Report.f2 r.Serve.offered;
-                  Report.f2 r.Serve.goodput;
-                  Report.pct r.Serve.drop_rate;
-                  string_of_int (Hist.percentile r.Serve.e2e 99.0);
-                  Report.pct
-                    (if txns = 0 then 0.0
-                     else float_of_int st.txn_aborts /. float_of_int txns);
-                  string_of_int st.scan_tag_fallbacks;
-                  Printf.sprintf "%.2f" (Store.imbalance st);
-                ])
-          tagged
-      in
+    (fun ((spec : Store_serve.spec), _, grid) ->
       Report.table
         ~title:
           (Printf.sprintf
              "Sharded store — %s, mix %s (%d shards, %d workers)"
-             bname
+             (Store_backend.name spec.backend)
              (Store_serve.mix_name spec.mix)
              store_shards serve_workers)
         ~columns:
           [ "load"; "offered/kcyc"; "goodput/kcyc"; "drop"; "e2e p99";
             "txn abort"; "scan fallback"; "imbalance" ]
-        rows)
-    calibrated
+        (List.map
+           (fun (m, ((r : Serve.result), (st : Store.stats))) ->
+             let txns = st.txn_commits + st.txn_aborts in
+             [
+               Printf.sprintf "%.2fx" m;
+               Report.f2 r.offered;
+               Report.f2 r.goodput;
+               Report.pct r.drop_rate;
+               string_of_int (Hist.percentile r.e2e 99.0);
+               Report.pct
+                 (if txns = 0 then 0.0
+                  else float_of_int st.txn_aborts /. float_of_int txns);
+               string_of_int st.scan_tag_fallbacks;
+               Printf.sprintf "%.2f" (Store.imbalance st);
+             ])
+           grid))
+    curves;
+  output
+    (curve_rows
+       (fun (spec : Store_serve.spec) mult (r, st) ->
+         let m = spec.mix in
+         Json.Obj
+           [
+             ("backend", Json.String (Store_backend.name spec.backend));
+             ("mix", Json.String (Store_serve.mix_name m));
+             ("point_pct", Json.Int m.point_pct);
+             ("txn_pct", Json.Int m.txn_pct);
+             ("scan_pct", Json.Int m.scan_pct);
+             ("shards", Json.Int store_shards);
+             ("calibration", Json.Bool (mult = 0.0));
+             ("load_multiple", Json.Float mult);
+             ("result", Serve.result_to_json r);
+             ("store", store_stats_to_json st);
+           ])
+       curves)
 
 (* ------------------------------------------------------------------ *)
 (* Contention panel: restart-management policy x thread count x Zipfian
@@ -689,14 +681,14 @@ module Zipf = Mt_adversary.Zipf
 module Ctx = Mt_core.Ctx
 
 let contention_policies =
-  [ Cm.immediate; Cm.backoff (); Cm.politeness (); Cm.adaptive () ]
+  [ Cm.immediate; Cm.backoff (); Cm.politeness () ]
 
 let contention_backends = [ "hoh-list"; "hoh-abtree"; "norec-tagged"; "store-txn" ]
 
-let contention_spec ~range ~insert_pct ~delete_pct ~threads =
+let contention_spec o ~range ~insert_pct ~delete_pct ~threads =
   Spec.make ~key_range:range ~insert_pct ~delete_pct ~threads
-    ~warmup_cycles:(if !quick then 10_000 else 30_000)
-    ~measure_cycles:(if !quick then 60_000 else 150_000)
+    ~warmup_cycles:(if o.quick then 10_000 else 30_000)
+    ~measure_cycles:(if o.quick then 60_000 else 150_000)
     ()
 
 (* Write-heavy Zipf-keyed set workload (45i/45d/10c). The hot rank maps
@@ -704,10 +696,10 @@ let contention_spec ~range ~insert_pct ~delete_pct ~threads =
    at the end of the longest traversal path — a restart throws away the
    whole hand-over-hand walk, which is exactly the storm contention
    management exists to calm. *)
-let contention_set_point ?cfg (module S : Mt_list.Set_intf.SET) ~range ~theta
+let contention_set_point o ?cfg (module S : Mt_list.Set_intf.SET) ~range ~theta
     ~cm ~threads =
   let z = Zipf.create ~n:range ~theta in
-  let spec = contention_spec ~range ~insert_pct:45 ~delete_pct:45 ~threads in
+  let spec = contention_spec o ~range ~insert_pct:45 ~delete_pct:45 ~threads in
   Driver.run_custom ?cfg ~cm ~name:S.name
     ~setup:(fun ctx ->
       let s = S.create ctx in
@@ -728,10 +720,10 @@ let contention_set_point ?cfg (module S : Mt_list.Set_intf.SET) ~range ~theta
 (* Zipf-keyed transfer transactions over a word array on tagged NOrec:
    every transaction reads and writes two skew-chosen cells, so the hot
    ranks produce genuine read/write conflicts, not just seqlock churn. *)
-let contention_stm_point ~range ~theta ~cm ~threads =
+let contention_stm_point o ~range ~theta ~cm ~threads =
   let module S = Mt_stm.Norec_tagged in
   let z = Zipf.create ~n:range ~theta in
-  let spec = contention_spec ~range ~insert_pct:0 ~delete_pct:0 ~threads in
+  let spec = contention_spec o ~range ~insert_pct:0 ~delete_pct:0 ~threads in
   Driver.run_custom ~cm ~name:"norec-tagged"
     ~setup:(fun ctx ->
       let stm = S.create ctx in
@@ -753,16 +745,12 @@ let contention_stm_point ~range ~theta ~cm ~threads =
 (* Zipf-keyed 3-key transactions against the sharded store (hoh-list
    shards): hot ranks all route to the same shard, so its version word
    becomes the contended site for the shard-lock retry loop. *)
-let contention_store_point ~theta ~cm ~threads =
+let contention_store_point o ~theta ~cm ~threads =
   let key_space = 8192 and shards = 8 and txn_keys = 3 in
   let z = Zipf.create ~n:key_space ~theta in
-  let backend =
-    match Store_backend.by_name "hoh-list" with
-    | Some b -> b
-    | None -> failwith "bench contention: unknown store backend"
-  in
+  let backend = store_backend "hoh-list" in
   let spec =
-    contention_spec ~range:key_space ~insert_pct:0 ~delete_pct:0 ~threads
+    contention_spec o ~range:key_space ~insert_pct:0 ~delete_pct:0 ~threads
   in
   Driver.run_custom ~cm ~name:"store-txn"
     ~setup:(fun ctx ->
@@ -790,14 +778,11 @@ let contention_store_point ~theta ~cm ~threads =
       ignore (Store.txn ctx st (build txn_keys [])))
     spec
 
-let contention_rows :
-    (string * string * int * float * Driver.result) list ref = ref []
-
-let contention () =
+let contention o _ =
   print_endline
     "\n=== Contention management: policy x threads x Zipf skew ===";
-  let threads_list = if !quick then [ 8; 64 ] else [ 4; 16; 64 ] in
-  let thetas = if !quick then [ 0.99; 2.0 ] else [ 0.6; 0.99; 2.0 ] in
+  let threads_list = if o.quick then [ 8; 64 ] else [ 4; 16; 64 ] in
+  let thetas = if o.quick then [ 0.99; 2.0 ] else [ 0.6; 0.99; 2.0 ] in
   let points =
     List.concat_map
       (fun backend ->
@@ -811,7 +796,7 @@ let contention () =
       contention_backends
   in
   let results =
-    Pool.map ~jobs:(pjobs ())
+    Pool.map ~jobs:o.jobs
       (fun (backend, pol, threads, theta) ->
         (* The set-structure points run the conservative IAS variant
            (paper §3's sketch; the same knob as the ablation panel):
@@ -826,16 +811,16 @@ let contention () =
         in
         match backend with
         | "hoh-list" ->
-            contention_set_point ~cfg:(conservative threads)
+            contention_set_point o ~cfg:(conservative threads)
               (module Mt_list.Hoh_list)
               ~range:2048 ~theta ~cm:pol ~threads
         | "hoh-abtree" ->
-            contention_set_point ~cfg:(conservative threads)
+            contention_set_point o ~cfg:(conservative threads)
               (module Abtree_hoh)
               ~range:tree_range ~theta ~cm:pol ~threads
         | "norec-tagged" ->
-            contention_stm_point ~range:1024 ~theta ~cm:pol ~threads
-        | _ -> contention_store_point ~theta ~cm:pol ~threads)
+            contention_stm_point o ~range:1024 ~theta ~cm:pol ~threads
+        | _ -> contention_store_point o ~theta ~cm:pol ~threads)
       points
   in
   let tagged =
@@ -843,7 +828,6 @@ let contention () =
       (fun (b, pol, t, th) r -> (b, Cm.spec_name pol, t, th, r))
       points results
   in
-  contention_rows := tagged;
   List.iter
     (fun backend ->
       let rows = List.filter (fun (b, _, _, _, _) -> b = backend) tagged in
@@ -881,7 +865,114 @@ let contention () =
           [ "policy"; "threads"; "theta"; "thr/kcyc"; "vs imm"; "cm waits";
             "wait cycles" ]
         body)
-    contention_backends
+    contention_backends;
+  output
+    (List.map
+       (fun (backend, policy, threads, theta, (r : Driver.result)) ->
+         Json.Obj
+           [
+             ("backend", Json.String backend);
+             ("policy", Json.String policy);
+             ("threads", Json.Int threads);
+             ("theta", Json.Float theta);
+             ("result", Driver.result_to_json r);
+             ( "cm",
+               Json.Obj
+                 [
+                   ("waits", Json.Int r.stats.Stats.cm_waits);
+                   ("wait_cycles", Json.Int r.stats.Stats.cm_wait_cycles);
+                 ] );
+           ])
+       tagged)
+
+(* ------------------------------------------------------------------ *)
+(* Timeline: windowed telemetry under an injected Max_Tags squeeze.
+
+   Two scenarios over the HoH list — a closed-loop run (8 threads) and an
+   open-loop serve run (4 workers) — each with a mid-run squeeze pulse
+   dropping Max_Tags to 1. A hand-over-hand locate's window is two live
+   tags, so under the pulse every traversal overflows the tag file:
+   validations fail spuriously, ops spin in retry, and (open-loop) the
+   queues back up — then the pulse restores and the per-window series
+   shows the recovery. The telemetry runs on a retain:false sink (the
+   series reads the live event stream, not the rings), so the panel is
+   byte-identical for any --jobs value and with tracing on or off. *)
+
+let timeline_window = 5_000
+
+let timeline o _ =
+  print_endline
+    "\n=== Timeline: windowed telemetry under a Max_Tags squeeze pulse ===";
+  let horizon = if o.quick then 60_000 else 150_000 in
+  let fault = Printf.sprintf "squeeze=%d,1,%d" (horizon / 3) (horizon / 5) in
+  let spec_inj =
+    match Mt_adversary.Inject.of_string fault with
+    | Ok s -> s
+    | Error e -> failwith ("bench timeline: bad fault spec: " ^ e)
+  in
+  let make_policy m =
+    Mt_adversary.Scenario.make_policy spec_inj ~machine:m ~seed:1 ~max_delay:0
+  in
+  let closed () =
+    let obs = Obs.create ~retain:false ~num_cores:8 () in
+    let series = Series.create ~window:timeline_window () in
+    let spec =
+      Spec.make ~key_range:list_range ~insert_pct:35 ~delete_pct:35 ~threads:8
+        ~measure_cycles:horizon ()
+    in
+    let r =
+      Driver.run_set ~obs ~make_policy ~series (module Mt_list.Hoh_list) spec
+    in
+    ("closed-squeeze", "closed-loop", series, Driver.result_to_json r)
+  in
+  let serve () =
+    let obs = Obs.create ~retain:false ~num_cores:(serve_workers + 1) () in
+    let series = Series.create ~window:timeline_window () in
+    let r =
+      Serve.run_set ~obs ~make_policy ~series
+        (module Mt_list.Hoh_list)
+        ~key_range:list_range
+        (serve_config ~rate:8.0 ~horizon)
+    in
+    ("serve-squeeze", "open-loop", series, Serve.result_to_json r)
+  in
+  let scenarios = Pool.map ~jobs:o.jobs (fun f -> f ()) [ closed; serve ] in
+  List.iter
+    (fun (name, _, series, _) ->
+      List.iter
+        (fun (t, label) -> Printf.printf "  [%s] mark @%-6d %s\n%!" name t label)
+        (Series.marks series);
+      let ws = Series.windows series in
+      let peak = ref 0 in
+      Array.iteri
+        (fun i w ->
+          if
+            w.Series.w_snap.Series.c_tag_overflows
+            > ws.(!peak).Series.w_snap.Series.c_tag_overflows
+          then peak := i)
+        ws;
+      let w = ws.(!peak) in
+      Printf.printf
+        "  [%s] %d windows of %d cycles; peak window [%d,%d): %d tag \
+         overflows, %d spurious validation failures, %d ops\n%!"
+        name (Array.length ws) timeline_window w.Series.w_t0
+        (w.Series.w_t0 + timeline_window)
+        w.Series.w_snap.Series.c_tag_overflows w.Series.w_validate_spurious
+        w.Series.w_ops)
+    scenarios;
+  output
+    (List.map
+       (fun (name, mode, series, result) ->
+         Json.Obj
+           [
+             ("scenario", Json.String name);
+             ("mode", Json.String mode);
+             ("backend", Json.String "hoh-list");
+             ("fault_spec", Json.String fault);
+             ("series", Series.to_json series);
+             ("result", result);
+           ])
+       scenarios)
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock speed of the simulator itself: how many simulated requests
@@ -892,14 +983,14 @@ let contention () =
    stdout and, with --json, under "notes", never into the deterministic
    fields. *)
 
-let speed () =
+let speed _ _ =
   print_endline
     "\n=== Wall-clock speed: BENCH_3 calibration microbench (host-dependent) ===";
-  let horizon = 120_000 and rate = 200.0 in
+  let horizon = 120_000 in
   let t0 = Unix.gettimeofday () in
   let completed =
     List.fold_left
-      (fun acc b -> acc + (b.sb_run ~rate ~horizon).Serve.completed)
+      (fun acc b -> acc + (b.sb_run ~rate:cal_rate ~horizon).Serve.completed)
       0 (serve_backends ())
   in
   let dt = Unix.gettimeofday () -. t0 in
@@ -907,9 +998,9 @@ let speed () =
   Printf.printf
     "  %d requests served in %.3f s wall — %.0f simulated ops/wall-second\n"
     completed dt ops_per_s;
-  notes :=
-    !notes
-    @ [
+  output []
+    ~notes:
+      [
         ("speed_bench", "latency phase-1 calibration, rate=200, horizon=120k");
         ("speed_requests", string_of_int completed);
         ("speed_wall_s", Printf.sprintf "%.3f" dt);
@@ -920,7 +1011,7 @@ let speed () =
 (* Bechamel micro-benchmarks: host-level cost of the simulator's primitive
    operations (how expensive is simulating each primitive). *)
 
-let micro () =
+let micro _ _ =
   print_endline "\n=== Bechamel micro-benchmarks (host ns per simulated primitive) ===";
   let open Bechamel in
   let open Bechamel.Toolkit in
@@ -958,350 +1049,176 @@ let micro () =
           | Some [ est ] -> Printf.printf "  %-24s %8.1f ns/op\n" name est
           | _ -> Printf.printf "  %-24s (no estimate)\n" name)
         results)
-    tests
+    tests;
+  output []
 
 (* ------------------------------------------------------------------ *)
-(* Headline summary (Section 6 discussion claims). *)
+(* Headline summary (Section 6 discussion claims), read from the figure
+   panels that ran before it. *)
 
-let summary () =
+let best_gain base_series other_series =
+  List.fold_left
+    (fun acc (t, r) ->
+      let b = (List.assoc t base_series.points).Driver.throughput in
+      if b > 0.0 then max acc (r.Driver.throughput /. b) else acc)
+    0.0 other_series.points
+
+let summary _ earlier =
   print_endline "\n=== Headline comparison vs the paper's claims ===";
-  let find key = List.assoc_opt key !collected in
   let gain key base other =
-    match find key with
+    match List.assoc_opt key earlier with
     | None -> None
-    | Some series -> (
-        match
-          ( List.find_opt (fun s -> s.impl = base) series,
-            List.find_opt (fun s -> s.impl = other) series )
-        with
+    | Some out -> (
+        let find impl = List.find_opt (fun s -> s.impl = impl) out.series in
+        match (find base, find other) with
         | Some b, Some o -> Some (best_gain b o)
         | _ -> None)
   in
-  let row name paper measured =
-    headline_rows := !headline_rows @ [ (name, paper, measured) ];
-    [ name; paper; (match measured with Some g -> Printf.sprintf "%.2fx" g | None -> "(skipped)") ]
+  let rows =
+    [
+      ("HoH list vs Harris (35/35)", "1.10-1.50x", gain "fig2" "harris-list" "hoh-list");
+      ("VAS list vs Harris (35/35)", "1.10-1.50x", gain "fig2" "harris-list" "vas-list");
+      ("HoH abtree vs LLX/SCX (35/35)", "up to 2x", gain "fig6" "llx-abtree(4,8)" "hoh-abtree(4,8)");
+      ("HoH abtree vs LLX/SCX (15/15)", "up to 2x", gain "fig7" "llx-abtree(4,8)" "hoh-abtree(4,8)");
+      ("tagged NOrec vs NOrec (vacation)", "up to 1.5x", gain "fig8" "norec" "norec-tagged");
+    ]
   in
   Report.table ~title:"Peak speedups across the thread sweep"
     ~columns:[ "comparison"; "paper"; "measured (best over threads)" ]
-    [
-      row "HoH list vs Harris (35/35)" "1.10-1.50x" (gain "fig2" "harris-list" "hoh-list");
-      row "VAS list vs Harris (35/35)" "1.10-1.50x" (gain "fig2" "harris-list" "vas-list");
-      row "HoH abtree vs LLX/SCX (35/35)" "up to 2x" (gain "fig6" "llx-abtree(4,8)" "hoh-abtree(4,8)");
-      row "HoH abtree vs LLX/SCX (15/15)" "up to 2x" (gain "fig7" "llx-abtree(4,8)" "hoh-abtree(4,8)");
-      row "tagged NOrec vs NOrec (vacation)" "up to 1.5x" (gain "fig8" "norec" "norec-tagged");
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable export: everything collected during the run, in a
-   fixed figure order. This is the BENCH_*.json schema — extend, don't
-   reorder or rename. *)
-
-module Json = Mt_obs.Json
-
-(* ------------------------------------------------------------------ *)
-(* Timeline: windowed telemetry under an injected Max_Tags squeeze.
-
-   Two scenarios over the HoH list — a closed-loop run (8 threads) and an
-   open-loop serve run (4 workers) — each with a mid-run squeeze pulse
-   dropping Max_Tags to 1. A hand-over-hand locate's window is two live
-   tags, so under the pulse every traversal overflows the tag file:
-   validations fail spuriously, ops spin in retry, and (open-loop) the
-   queues back up — then the pulse restores and the per-window series
-   shows the recovery. The telemetry runs on a retain:false sink (the
-   series reads the live event stream, not the rings), so the panel is
-   byte-identical for any --jobs value and with tracing on or off. *)
-
-let timeline_window = 5_000
-let timeline_rows : Json.t list ref = ref []
-
-let timeline () =
-  print_endline
-    "\n=== Timeline: windowed telemetry under a Max_Tags squeeze pulse ===";
-  let horizon = if !quick then 60_000 else 150_000 in
-  let fault = Printf.sprintf "squeeze=%d,1,%d" (horizon / 3) (horizon / 5) in
-  let spec_inj =
-    match Mt_adversary.Inject.of_string fault with
-    | Ok s -> s
-    | Error e -> failwith ("bench timeline: bad fault spec: " ^ e)
-  in
-  let make_policy m =
-    Mt_adversary.Scenario.make_policy spec_inj ~machine:m ~seed:1 ~max_delay:0
-  in
-  let closed () =
-    let obs = Obs.create ~retain:false ~num_cores:8 () in
-    let series = Series.create ~window:timeline_window () in
-    let spec =
-      Spec.make ~key_range:list_range ~insert_pct:35 ~delete_pct:35 ~threads:8
-        ~measure_cycles:horizon ()
-    in
-    let r =
-      Driver.run_set ~obs ~make_policy ~series (module Mt_list.Hoh_list) spec
-    in
-    ("closed-squeeze", "closed-loop", series, Driver.result_to_json r)
-  in
-  let serve () =
-    let obs = Obs.create ~retain:false ~num_cores:(serve_workers + 1) () in
-    let series = Series.create ~window:timeline_window () in
-    let c =
-      Serve.config ~workers:serve_workers ~batch:4 ~queue_capacity:128
-        ~rate_per_kcycle:8.0 ~horizon ()
-    in
-    let r =
-      Serve.run_set ~obs ~make_policy ~series
-        (module Mt_list.Hoh_list)
-        ~key_range:list_range c
-    in
-    ("serve-squeeze", "open-loop", series, Serve.result_to_json r)
-  in
-  let scenarios = Pool.map ~jobs:(pjobs ()) (fun f -> f ()) [ closed; serve ] in
-  List.iter
-    (fun (name, _, series, _) ->
-      List.iter
-        (fun (t, label) -> Printf.printf "  [%s] mark @%-6d %s\n%!" name t label)
-        (Series.marks series);
-      let ws = Series.windows series in
-      let peak = ref 0 in
-      Array.iteri
-        (fun i w ->
-          if
-            w.Series.w_snap.Series.c_tag_overflows
-            > ws.(!peak).Series.w_snap.Series.c_tag_overflows
-          then peak := i)
-        ws;
-      let w = ws.(!peak) in
-      Printf.printf
-        "  [%s] %d windows of %d cycles; peak window [%d,%d): %d tag \
-         overflows, %d spurious validation failures, %d ops\n%!"
-        name (Array.length ws) timeline_window w.Series.w_t0
-        (w.Series.w_t0 + timeline_window)
-        w.Series.w_snap.Series.c_tag_overflows w.Series.w_validate_spurious
-        w.Series.w_ops)
-    scenarios;
-  timeline_rows :=
-    List.map
-      (fun (name, mode, series, result) ->
-        Json.Obj
-          [
-            ("scenario", Json.String name);
-            ("mode", Json.String mode);
-            ("backend", Json.String "hoh-list");
-            ("fault_spec", Json.String fault);
-            ("series", Series.to_json series);
-            ("result", result);
-          ])
-      scenarios
-
-let figure_order = [ "fig2"; "fig5"; "fig6"; "fig7"; "fig8" ]
-
-let series_to_json (s : series) =
-  Json.Obj
-    [
-      ("impl", Json.String s.impl);
-      ("points",
-       Json.List
-         (List.map
-            (fun (threads, r) ->
-              Json.Obj
-                [
-                  ("threads", Json.Int threads);
-                  ("result", Driver.result_to_json r);
-                ])
-            s.points));
-    ]
-
-let export_json file =
-  let figures =
-    List.filter_map
-      (fun name ->
-        match List.assoc_opt name !collected with
-        | None -> None
-        | Some series ->
-            Some (name, Json.List (List.map series_to_json series)))
-      figure_order
-  in
-  let spurious =
-    List.map
-      (fun (name, (r : Driver.result)) ->
-        Json.Obj
-          [
-            ("workload", Json.String name);
-            ("validates", Json.Int r.Driver.validates);
-            ("validate_failures", Json.Int r.Driver.validate_failures);
-            ("validate_failures_spurious",
-             Json.Int r.Driver.validate_failures_spurious);
-            ("result", Driver.result_to_json r);
-          ])
-      !spurious_rows
-  in
-  let latency_points =
-    List.map
-      (fun (backend, mult, (r : Serve.result)) ->
-        Json.Obj
-          [
-            ("backend", Json.String backend);
-            ("calibration", Json.Bool (mult = 0.0));
-            ("load_multiple", Json.Float mult);
-            ("result", Serve.result_to_json r);
-          ])
-      !latency_rows
-  in
-  let store_points =
-    List.map
-      (fun ( backend,
-             (m : Store_serve.mix),
-             mult,
-             (r : Serve.result),
-             (st : Store.stats) ) ->
-        Json.Obj
-          [
-            ("backend", Json.String backend);
-            ("mix", Json.String (Store_serve.mix_name m));
-            ("point_pct", Json.Int m.point_pct);
-            ("txn_pct", Json.Int m.txn_pct);
-            ("scan_pct", Json.Int m.scan_pct);
-            ("shards", Json.Int store_shards);
-            ("calibration", Json.Bool (mult = 0.0));
-            ("load_multiple", Json.Float mult);
-            ("result", Serve.result_to_json r);
-            ("store",
-             Json.Obj
+    (List.map
+       (fun (name, paper, measured) ->
+         [ name; paper;
+           (match measured with Some g -> Printf.sprintf "%.2fx" g | None -> "(skipped)") ])
+       rows);
+  (* The export lists the rows last-first: the order every committed
+     BENCH_*.json carries. *)
+  output
+    (List.rev_map
+       (fun (name, paper, measured) ->
+         Json.Obj
+           ([
+              ("comparison", Json.String name);
+              ("paper_claim", Json.String paper);
+            ]
+           @
+           (* Never a bare null: a figure missing from this run selection is
+              an explicit skip with a reason (json_check enforces this). *)
+           match measured with
+           | Some g -> [ ("measured_peak_speedup", Json.Float g) ]
+           | None ->
                [
-                 ("point_ops", Json.Int st.point_ops);
-                 ("txn_commits", Json.Int st.txn_commits);
-                 ("txn_aborts", Json.Int st.txn_aborts);
-                 ("txn_sub_ops", Json.Int st.txn_sub_ops);
-                 ("txn_retries", Json.Int st.txn_retries);
-                 ("txn_retries_locked", Json.Int st.txn_retries_locked);
-                 ("txn_retries_version", Json.Int st.txn_retries_version);
-                 ("scans", Json.Int st.scans);
-                 ("scan_collects", Json.Int st.scan_collects);
-                 ("scan_tag_fallbacks", Json.Int st.scan_tag_fallbacks);
-                 ("scan_shard_retries", Json.Int st.scan_shard_retries);
-                 ("shard_ops",
-                  Json.List
-                    (Array.to_list
-                       (Array.map (fun n -> Json.Int n) st.shard_ops)));
-                 ("imbalance", Json.Float (Store.imbalance st));
-               ]);
-          ])
-      !store_rows
-  in
-  let contention_points =
-    List.map
-      (fun (backend, policy, threads, theta, (r : Driver.result)) ->
-        Json.Obj
-          [
-            ("backend", Json.String backend);
-            ("policy", Json.String policy);
-            ("threads", Json.Int threads);
-            ("theta", Json.Float theta);
-            ("result", Driver.result_to_json r);
-            ( "cm",
-              Json.Obj
-                [
-                  ("waits", Json.Int r.Driver.stats.Stats.cm_waits);
-                  ("wait_cycles", Json.Int r.Driver.stats.Stats.cm_wait_cycles);
-                ] );
-          ])
-      !contention_rows
-  in
-  let headline =
-    List.map
-      (fun (name, paper, measured) ->
-        Json.Obj
-          ([
-             ("comparison", Json.String name);
-             ("paper_claim", Json.String paper);
-           ]
-          @
-          (* Never a bare null: a figure missing from this run selection is
-             an explicit skip with a reason (json_check enforces this at
-             schema v3). *)
-          match measured with
-          | Some g -> [ ("measured_peak_speedup", Json.Float g) ]
-          | None ->
-              [
-                ("skipped", Json.Bool true);
-                ("reason",
-                 Json.String "figure not collected in this run selection");
-              ]))
-      !headline_rows
-  in
-  let note_fields =
-    match !notes with
-    | [] -> []
-    | kvs ->
-        [
-          ("notes",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs));
-        ]
-  in
+                 ("skipped", Json.Bool true);
+                 ("reason", Json.String "figure not collected in this run selection");
+               ]))
+       rows)
+
+(* ------------------------------------------------------------------ *)
+(* The panel registry. [slot] names the export key a panel's rows go
+   under ("figures" nests them under the panel's own name); [run] gets
+   the outputs of the panels that ran before it, by name. Registry order
+   is run order. *)
+
+type panel = {
+  name : string;
+  aliases : string list;
+  slot : string option;
+  run : opts -> (string * output) list -> output;
+}
+
+let panel ?(aliases = []) ?slot name run = { name; aliases; slot; run }
+
+let panels =
+  List.map
+    (fun (f : figure) ->
+      panel f.key ~aliases:f.aliases ~slot:"figures" (run_figure f))
+    figures
+  @ [
+      panel "fig8" ~slot:"figures" fig8;
+      panel "spurious" ~slot:"spurious" spurious;
+      panel "ablation" ablation;
+      panel "latency" ~slot:"latency" latency;
+      panel "store" ~slot:"store" store;
+      panel "contention" ~slot:"contention" contention;
+      panel "timeline" ~slot:"timeseries" timeline;
+      panel "speed" speed;
+      panel "micro" micro;
+      panel "summary" ~slot:"headline" summary;
+    ]
+
+(* Machine-readable export of the panels that ran. This is the BENCH_*.json
+   schema — extend, don't reorder or rename. Every slot is present, as an
+   empty list when its panel did not run. *)
+let export_json o ~notes ran file =
+  let in_slot key = List.filter (fun (p, _) -> p.slot = Some key) ran in
+  let slot key = Json.List (List.concat_map (fun (_, out) -> out.rows) (in_slot key)) in
+  let notes = notes @ List.concat_map (fun (_, out) -> out.notes) ran in
   let doc =
     Json.Obj
       ([
          ("schema_version", Json.Int 5);
          ("generator", Json.String "memory-tagging-sim bench/main.exe");
-         ("quick", Json.Bool !quick);
-         ("figures", Json.Obj figures);
-         ("spurious", Json.List spurious);
-         ("headline", Json.List headline);
-         ("latency", Json.List latency_points);
-         ("store", Json.List store_points);
-         ("contention", Json.List contention_points);
-         ("timeseries", Json.List !timeline_rows);
+         ("quick", Json.Bool o.quick);
+         ("figures",
+          Json.Obj
+            (List.map (fun (p, out) -> (p.name, Json.List out.rows)) (in_slot "figures")));
        ]
-      @ note_fields)
+      @ List.map
+          (fun key -> (key, slot key))
+          [ "spurious"; "headline"; "latency"; "store"; "contention"; "timeseries" ]
+      @
+      match notes with
+      | [] -> []
+      | kvs -> [ ("notes", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs)) ])
   in
   Json.to_file file doc;
   Printf.printf "\nWrote benchmark JSON to %s\n" file
 
+let usage_error fmt =
+  Printf.ksprintf (fun s -> prerr_endline ("bench: " ^ s); exit 2) fmt
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Peel the valued options off the figure-selection words. *)
-  let rec split_opts json acc = function
-    | "--json" :: file :: rest -> split_opts (Some file) acc rest
-    | "--json" :: [] -> failwith "bench: --json requires a file argument"
+  let rec parse ~json ~jobs ~notes words = function
+    | "--json" :: file :: rest -> parse ~json:(Some file) ~jobs ~notes words rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some n when n >= 0 ->
-            jobs := n;
-            split_opts json acc rest
-        | _ -> failwith "bench: --jobs requires a non-negative integer")
-    | "--jobs" :: [] -> failwith "bench: --jobs requires an integer argument"
+        | Some n when n >= 0 -> parse ~json ~jobs:n ~notes words rest
+        | _ -> usage_error "--jobs requires a non-negative integer")
     | "--note" :: kv :: rest -> (
         match String.index_opt kv '=' with
         | Some i ->
-            notes :=
-              !notes
-              @ [
-                  ( String.sub kv 0 i,
-                    String.sub kv (i + 1) (String.length kv - i - 1) );
-                ];
-            split_opts json acc rest
-        | None -> failwith "bench: --note requires a key=value argument")
-    | "--note" :: [] -> failwith "bench: --note requires a key=value argument"
-    | a :: rest -> split_opts json (a :: acc) rest
-    | [] -> (json, List.rev acc)
+            let note =
+              (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+            in
+            parse ~json ~jobs ~notes:(note :: notes) words rest
+        | None -> usage_error "--note requires a key=value argument")
+    | [ ("--json" | "--jobs" | "--note") as flag ] ->
+        usage_error "%s requires an argument" flag
+    | w :: rest -> parse ~json ~jobs ~notes (w :: words) rest
+    | [] -> (json, jobs, List.rev notes, List.rev words)
   in
-  let json_file, args = split_opts None [] args in
-  if List.mem "quick" args then quick := true;
-  let args = List.filter (fun a -> a <> "quick") args in
-  let all = args = [] in
-  let want name = all || List.mem name args in
+  let json_file, jobs, notes, words =
+    parse ~json:None ~jobs:0 ~notes:[] [] (List.tl (Array.to_list Sys.argv))
+  in
+  let quick = List.mem "quick" words in
+  let words = List.filter (fun w -> w <> "quick") words in
+  let selects w p = w = p.name || List.mem w p.aliases in
+  (match List.filter (fun w -> not (List.exists (selects w) panels)) words with
+  | [] -> ()
+  | bad ->
+      usage_error "unknown panel %s; valid words: %s quick"
+        (String.concat ", " bad)
+        (String.concat " " (List.concat_map (fun p -> p.name :: p.aliases) panels)));
+  let o = { quick; jobs = (if jobs > 0 then jobs else Pool.default_jobs ()) } in
+  let selected =
+    List.filter (fun p -> words = [] || List.exists (fun w -> selects w p) words) panels
+  in
   let t0 = Unix.gettimeofday () in
-  if want "fig2" || want "fig4" then fig2_fig4 ();
-  if want "fig5" then fig5 ();
-  if want "fig6" then fig6 ();
-  if want "fig7" then fig7 ();
-  if want "fig8" then fig8 ();
-  if want "spurious" then spurious ();
-  if want "ablation" then ablation ();
-  if want "latency" then latency ();
-  if want "store" then store ();
-  if want "contention" then contention ();
-  if want "timeline" then timeline ();
-  if want "speed" then speed ();
-  if want "micro" then micro ();
-  if want "summary" then summary ();
-  Option.iter export_json json_file;
+  let ran =
+    List.fold_left
+      (fun ran p ->
+        let earlier = List.map (fun (p, out) -> (p.name, out)) ran in
+        ran @ [ (p, p.run o earlier) ])
+      [] selected
+  in
+  Option.iter (export_json o ~notes ran) json_file;
   Printf.printf "\nTotal bench wall time: %.1f s\n" (Unix.gettimeofday () -. t0)

@@ -5,30 +5,26 @@
    Usage:  json_check [--bench|--trace] FILE...
 
    --bench  additionally requires a top-level object with an integer
-            "schema_version" field of at least 5 — older emitters must be
-            regenerated, not re-validated. Every store point (any object
-            carrying both "backend" and "mix") must carry integer mix
-            percentages summing to 100, a "result" object and a "store"
-            counters object (txn commit/abort, per-cause retry split,
-            scan validation, per-shard routing); every time-series window
-            a "store" and a "cm" panel; and every contention point (any
-            object carrying both "policy" and "theta") a "result" object
-            plus a "cm" object with non-negative integer waits and
-            wait_cycles.
-            Inherited from schema_version >= 2: every
-            benchmark point (any object carrying both "impl" and "ops")
-            must also carry a fully self-describing "spec" object
-            (key_range, init_fill, insert_pct, delete_pct, threads,
-            warmup_cycles, measure_cycles, seed), and every service point
-            (any object carrying both "backend" and "goodput_per_kcycle")
-            a "serve" configuration object. For schema_version >= 3 the
-            document must contain no bare nulls (a skipped measurement is
-            an explicit {"skipped": true, "reason": ...}), every headline
-            row (any object carrying "comparison") must carry either a
-            numeric "measured_peak_speedup" or that skip marker, and
-            every time-series object (any object carrying "windows")
-            must be a full Series export (window geometry, marks, the
-            per-window panels, a latency summary).
+            "schema_version" field of at least 5 (older emitters must be
+            regenerated, not re-validated) and checks, anywhere in the
+            document:
+            - no bare nulls: a skipped measurement is an explicit
+              {"skipped": true, "reason": ...};
+            - every benchmark point (an object with "impl" and "ops")
+              carries a replayable "spec" object;
+            - every service point (an object with "backend" and
+              "goodput_per_kcycle") carries a "serve" configuration;
+            - every store point (an object with "backend" and "mix")
+              carries integer mix percentages summing to 100, a "result"
+              object and a "store" counters object;
+            - every contention point (an object with "policy" and
+              "theta") carries a "result" object and a "cm" object with
+              non-negative integer waits and wait_cycles;
+            - every headline row (an object with "comparison") carries a
+              numeric "measured_peak_speedup" or the skip marker;
+            - every time-series object (an object with "windows") is a
+              full Series export: window geometry, marks, the per-window
+              panels and a latency summary.
    --trace  additionally requires a "traceEvents" array where every
             element has "ph", "ts" and "pid" fields (the Chrome
             trace-event contract Perfetto relies on). *)
@@ -66,7 +62,7 @@ let window_fields =
     "cm"; "latency";
   ]
 
-(* The counters object every sharded-store point must carry at v4. *)
+(* The counters object every sharded-store point must carry. *)
 let store_stat_fields =
   [
     "point_ops"; "txn_commits"; "txn_aborts"; "txn_sub_ops"; "txn_retries";
@@ -74,18 +70,13 @@ let store_stat_fields =
     "scan_tag_fallbacks"; "scan_shard_retries"; "shard_ops"; "imbalance";
   ]
 
-(* Walk the whole document: any object that looks like a benchmark point
-   (has both "impl" and "ops") must be self-describing, likewise any
-   service point (has both "backend" and "goodput_per_kcycle"). At
-   schema v3, additionally: no bare nulls anywhere, headline rows carry
-   a measurement or an explicit skip, and Series exports are complete. *)
-let rec check_points ?(v3 = false) ?(v4 = false) ?(v5 = false) path j =
-  (if v3 then match j with
-   | Json.Null -> fail "%s: bare null (schema v3 wants explicit skips)" path
-   | _ -> ());
+(* Walk the whole document and apply every per-object check listed in
+   the header comment. *)
+let rec check_points path j =
   match j with
+  | Json.Null -> fail "%s: bare null (a skip must be explicit)" path
   | Json.Obj fields ->
-      if v4 then begin
+      begin
         match (Json.member "backend" j, Json.member "mix" j) with
         | Some (Json.String _), Some (Json.String _) ->
             (match
@@ -114,7 +105,7 @@ let rec check_points ?(v3 = false) ?(v4 = false) ?(v5 = false) path j =
             | _ -> fail "%s: store point lacks a \"store\" counters object" path)
         | _ -> ()
       end;
-      if v5 then begin
+      begin
         match (Json.member "policy" j, Json.member "theta" j) with
         | Some (Json.String _), Some (Json.Float _ | Json.Int _) ->
             (match Json.member "result" j with
@@ -135,45 +126,43 @@ let rec check_points ?(v3 = false) ?(v4 = false) ?(v5 = false) path j =
             | _ -> fail "%s: contention point lacks a \"cm\" object" path)
         | _ -> ()
       end;
-      if v3 then begin
-        if Json.member "comparison" j <> None then begin
-          match (Json.member "measured_peak_speedup" j, Json.member "skipped" j)
-          with
-          | Some (Json.Float _ | Json.Int _), _ -> ()
-          | _, Some (Json.Bool true) ->
-              if
-                match Json.member "reason" j with
-                | Some (Json.String _) -> true
-                | _ -> false
-              then ()
-              else fail "%s: skipped headline row lacks a \"reason\"" path
-          | _ ->
-              fail
-                "%s: headline row needs a numeric measured_peak_speedup or \
-                 skipped:true"
-                path
-        end;
-        match Json.member "windows" j with
-        | Some (Json.List ws) ->
-            List.iter
-              (fun f ->
-                if Json.member f j = None then
-                  fail "%s: time-series object lacks %S" path f)
-              series_fields;
-            (match Json.member "window_cycles" j with
-            | Some (Json.Int w) when w > 0 -> ()
-            | _ -> fail "%s: window_cycles must be a positive integer" path);
-            List.iteri
-              (fun i w ->
-                List.iter
-                  (fun f ->
-                    if Json.member f w = None then
-                      fail "%s: windows[%d] lacks %S" path i f)
-                  window_fields)
-              ws
-        | Some _ -> fail "%s: \"windows\" must be a list" path
-        | None -> ()
+      if Json.member "comparison" j <> None then begin
+        match (Json.member "measured_peak_speedup" j, Json.member "skipped" j)
+        with
+        | Some (Json.Float _ | Json.Int _), _ -> ()
+        | _, Some (Json.Bool true) ->
+            if
+              match Json.member "reason" j with
+              | Some (Json.String _) -> true
+              | _ -> false
+            then ()
+            else fail "%s: skipped headline row lacks a \"reason\"" path
+        | _ ->
+            fail
+              "%s: headline row needs a numeric measured_peak_speedup or \
+               skipped:true"
+              path
       end;
+      (match Json.member "windows" j with
+      | Some (Json.List ws) ->
+          List.iter
+            (fun f ->
+              if Json.member f j = None then
+                fail "%s: time-series object lacks %S" path f)
+            series_fields;
+          (match Json.member "window_cycles" j with
+          | Some (Json.Int w) when w > 0 -> ()
+          | _ -> fail "%s: window_cycles must be a positive integer" path);
+          List.iteri
+            (fun i w ->
+              List.iter
+                (fun f ->
+                  if Json.member f w = None then
+                    fail "%s: windows[%d] lacks %S" path i f)
+                window_fields)
+            ws
+      | Some _ -> fail "%s: \"windows\" must be a list" path
+      | None -> ());
       if Json.member "impl" j <> None && Json.member "ops" j <> None then begin
         match Json.member "spec" j with
         | Some (Json.Obj _ as spec) ->
@@ -197,8 +186,8 @@ let rec check_points ?(v3 = false) ?(v4 = false) ?(v5 = false) path j =
               serve_fields
         | _ -> fail "%s: service point lacks a \"serve\" object" path
       end;
-      List.iter (fun (_, v) -> check_points ~v3 ~v4 ~v5 path v) fields
-  | Json.List l -> List.iter (check_points ~v3 ~v4 ~v5 path) l
+      List.iter (fun (_, v) -> check_points path v) fields
+  | Json.List l -> List.iter (check_points path) l
   | _ -> ()
 
 let check_bench path j =
@@ -209,7 +198,7 @@ let check_bench path j =
           "%s: schema_version %d rejected (v5 required — regenerate with a \
            current bench)"
           path v
-      else check_points ~v3:true ~v4:true ~v5:true path j
+      else check_points path j
   | _ -> fail "%s: missing integer schema_version" path
 
 let check_trace path j =

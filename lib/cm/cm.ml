@@ -14,14 +14,6 @@ type spec =
   | Immediate
   | Backoff of { base : int; cap : int }
   | Politeness of { slot : int; slots : int }
-  | Adaptive of {
-      threshold : int;
-      decay_cycles : int;
-      base : int;
-      cap : int;
-      slot : int;
-      slots : int;
-    }
 
 let default_base = 32
 let default_cap = 4096
@@ -38,25 +30,15 @@ let politeness ?(slot = default_slot) ?(slots = default_slots) () =
   if slot <= 0 || slots <= 0 then invalid_arg "Cm.politeness: need slot, slots > 0";
   Politeness { slot; slots }
 
-let adaptive ?(threshold = 3) ?(decay_cycles = 2048) ?(base = default_base)
-    ?(cap = default_cap) ?(slot = default_slot) ?(slots = default_slots) () =
-  if threshold <= 0 then invalid_arg "Cm.adaptive: threshold";
-  if decay_cycles <= 0 then invalid_arg "Cm.adaptive: decay_cycles";
-  if base <= 0 || cap < base then invalid_arg "Cm.adaptive: need cap >= base > 0";
-  if slot <= 0 || slots <= 0 then invalid_arg "Cm.adaptive: need slot, slots > 0";
-  Adaptive { threshold; decay_cycles; base; cap; slot; slots }
-
 let spec_name = function
   | Immediate -> "immediate"
   | Backoff _ -> "backoff"
   | Politeness _ -> "politeness"
-  | Adaptive _ -> "adaptive"
 
 let spec_of_string = function
   | "immediate" -> Ok Immediate
   | "backoff" -> Ok (backoff ())
   | "politeness" -> Ok (politeness ())
-  | "adaptive" -> Ok (adaptive ())
   | s -> Error (Printf.sprintf "unknown contention policy %S" s)
 
 (* min cap (base * 2^attempt) without overflow: base <= cap asr attempt
@@ -70,34 +52,9 @@ let capped_backoff ~base ~cap ~attempt =
   else if base > cap asr attempt then cap
   else base lsl attempt
 
-(* Per-location failure counters for Adaptive: a tiny fixed-size
-   direct-mapped table keyed on site address. Collisions just merge two
-   locations' heat — acceptable for a contention heuristic, and it keeps
-   the hot path allocation-free. *)
-type site_slot = {
-  mutable s_site : int;  (* -1 = empty *)
-  mutable s_count : int;
-  mutable s_last : int;  (* sim time of the last recorded failure *)
-}
+type t = { spec : spec; core : int; prng : Mt_sim.Prng.t option }
 
-type t = {
-  spec : spec;
-  core : int;
-  prng : Mt_sim.Prng.t option;
-  table : site_slot array;  (* non-empty only for Adaptive *)
-}
-
-let table_size = 64
-
-let make ?prng spec ~core =
-  let table =
-    match spec with
-    | Adaptive _ ->
-        Array.init table_size (fun _ -> { s_site = -1; s_count = 0; s_last = 0 })
-    | _ -> [||]
-  in
-  { spec; core; prng; table }
-
+let make ?prng spec ~core = { spec; core; prng }
 let spec t = t.spec
 let is_immediate t = match t.spec with Immediate -> true | _ -> false
 
@@ -124,39 +81,8 @@ let politeness_wait t ~slot ~slots ~now =
   let w = (mine - pos + period) mod period in
   if w = 0 || w > period - slot then 0 else w
 
-let site_slot t site =
-  (* Multiplicative hash (Fibonacci constant); table_size is a power of 2. *)
-  let h = site * 0x9E3779B1 land max_int in
-  t.table.(h land (table_size - 1))
-
-let adaptive_wait t ~threshold ~decay_cycles ~base ~cap ~slot ~slots ~site
-    ~attempt ~now =
-  let s = site_slot t site in
-  if s.s_site <> site then begin
-    s.s_site <- site;
-    s.s_count <- 0
-  end
-  else begin
-    (* Time decay: halve the counter for every decay window since the
-       last failure, so a location that cooled off re-earns its heat. *)
-    let idle = now - s.s_last in
-    if idle >= decay_cycles then begin
-      let halvings = min 30 (idle / decay_cycles) in
-      s.s_count <- s.s_count asr halvings
-    end
-  end;
-  s.s_last <- now;
-  s.s_count <- s.s_count + 1;
-  if s.s_count <= threshold then 0
-  else if s.s_count <= 4 * threshold then
-    backoff_wait t ~base ~cap ~attempt:(min attempt 20)
-  else politeness_wait t ~slot ~slots ~now
-
-let wait t ~site ~attempt ~now =
+let wait t ~attempt ~now =
   match t.spec with
   | Immediate -> 0
   | Backoff { base; cap } -> backoff_wait t ~base ~cap ~attempt:(min attempt 20)
   | Politeness { slot; slots } -> politeness_wait t ~slot ~slots ~now
-  | Adaptive { threshold; decay_cycles; base; cap; slot; slots } ->
-      adaptive_wait t ~threshold ~decay_cycles ~base ~cap ~slot ~slots ~site
-        ~attempt ~now

@@ -17,12 +17,10 @@
     Contention Management for Efficient Compare-and-Swap Operations"):
     capped exponential backoff with seeded jitter, and time-division
     politeness — constant slots keyed on core id, so contending cores
-    take turns instead of colliding. [Adaptive] keeps per-location
-    failure counters with time decay and escalates immediate → backoff
-    → politeness as a location heats up. *)
+    take turns instead of colliding. *)
 
 (** Policy specification — pure data, shared across cores; each core
-    materializes its own {!t} (private jitter stream, private counters). *)
+    materializes its own {!t} (private jitter stream). *)
 type spec =
   | Immediate
       (** Retry at once; the baseline. No waits, no PRNG draws, no state. *)
@@ -35,17 +33,6 @@ type spec =
           [slots] slots of [slot] cycles; a failing core waits until its
           own slot ([core mod slots]) comes around. Deterministic — no
           randomness at all. *)
-  | Adaptive of {
-      threshold : int;  (** failures before leaving immediate mode *)
-      decay_cycles : int;  (** halve a location's counter per this many idle cycles *)
-      base : int;
-      cap : int;
-      slot : int;
-      slots : int;
-    }
-      (** Per-location failure counters with time decay: below
-          [threshold] retry immediately; below [4 * threshold] use
-          backoff; above, politeness. *)
 
 val immediate : spec
 
@@ -55,22 +42,10 @@ val backoff : ?base:int -> ?cap:int -> unit -> spec
 (** Defaults: [slot = 192], [slots = 8]. *)
 val politeness : ?slot:int -> ?slots:int -> unit -> spec
 
-(** Defaults: [threshold = 3], [decay_cycles = 2048], backoff/politeness
-    parameters as above. *)
-val adaptive :
-  ?threshold:int ->
-  ?decay_cycles:int ->
-  ?base:int ->
-  ?cap:int ->
-  ?slot:int ->
-  ?slots:int ->
-  unit ->
-  spec
-
 val spec_name : spec -> string
 
-(** Parses the four bare policy names ([immediate], [backoff],
-    [politeness], [adaptive]) to their default-parameter specs. *)
+(** Parses the three bare policy names ([immediate], [backoff],
+    [politeness]) to their default-parameter specs. *)
 val spec_of_string : string -> (spec, string) result
 
 (** {1 Per-core instances} *)
@@ -90,12 +65,12 @@ val spec : t -> spec
     whether to run their hand-rolled default wait. *)
 val is_immediate : t -> bool
 
-(** [wait t ~site ~attempt ~now] is the number of simulated cycles to
-    wait before retry number [attempt] (0-based) against the contended
-    location [site] at simulated time [now]. [Immediate] always returns
-    0. The caller charges the cycles and records the failure — this
-    call itself updates only the policy's private state. *)
-val wait : t -> site:int -> attempt:int -> now:int -> int
+(** [wait t ~attempt ~now] is the number of simulated cycles to wait
+    before retry number [attempt] (0-based) at simulated time [now].
+    [Immediate] always returns 0. The caller charges the cycles and
+    records the failure — this call itself only draws backoff jitter
+    from the policy's private stream. *)
+val wait : t -> attempt:int -> now:int -> int
 
 (** {1 Shared backoff arithmetic} *)
 

@@ -131,7 +131,7 @@ let cm_immediate t = Mt_cm.Cm.is_immediate t.cm
    runs under the default policy stay byte-identical to a tree that
    retries unconditionally. *)
 let cm_wait ?(site = 0) t ~attempt =
-  let w = Mt_cm.Cm.wait t.cm ~site ~attempt ~now:t.lane.now in
+  let w = Mt_cm.Cm.wait t.cm ~attempt ~now:t.lane.now in
   if w > 0 then begin
     t.stats.cm_waits <- t.stats.cm_waits + 1;
     t.stats.cm_wait_cycles <- t.stats.cm_wait_cycles + w;

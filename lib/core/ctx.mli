@@ -87,10 +87,10 @@ val cm : t -> Mt_cm.Cm.t
 val cm_immediate : t -> bool
 
 (** [cm_wait ?site t ~attempt] asks the policy for a wait before retry
-    number [attempt] (0-based) against the contended location [site],
-    then charges it through the ordinary stall path, counts it in
-    {!Mt_sim.Stats} and emits {!Mt_obs.Obs.Cm_wait}. A zero wait (always,
-    under [immediate]) does nothing at all. *)
+    number [attempt] (0-based), then charges it through the ordinary
+    stall path, counts it in {!Mt_sim.Stats} and emits
+    {!Mt_obs.Obs.Cm_wait}, which names the contended location [site]. A
+    zero wait (always, under [immediate]) does nothing at all. *)
 val cm_wait : ?site:addr -> t -> attempt:int -> unit
 
 (** [cm_wait_default ?site t ~attempt ~default] — for retry sites that

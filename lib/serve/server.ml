@@ -68,57 +68,6 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
 
 type req = { id : int; arrival : int; payload : int; mutable attempts : int }
 
-(* Client-side retry buffer: a binary min-heap on (due time, request id) so
-   retries fire in a deterministic order and never delay later arrivals. *)
-module Rheap = struct
-  type t = { mutable a : (int * req) array; mutable n : int }
-
-  let dummy = { id = -1; arrival = 0; payload = 0; attempts = 0 }
-  let create () = { a = Array.make 16 (0, dummy); n = 0 }
-  let min_time h = if h.n = 0 then None else Some (fst h.a.(0))
-
-  let lt (t1, r1) (t2, r2) = t1 < t2 || (t1 = t2 && r1.id < r2.id)
-
-  let push h time req =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (2 * h.n) (0, dummy) in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- (time, req);
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && lt h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    let (_, r) = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    h.a.(h.n) <- (0, dummy);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r' = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < h.n && lt h.a.(l) h.a.(!s) then s := l;
-      if r' < h.n && lt h.a.(r') h.a.(!s) then s := r';
-      if !s = !i then continue := false
-      else begin
-        let tmp = h.a.(!s) in
-        h.a.(!s) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !s
-      end
-    done;
-    r
-end
-
 type result = {
   backend : string;
   config : config;
@@ -191,7 +140,10 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
         ~seed:(c.seed + 101)
     in
     let pay = Prng.create ~seed:(c.seed + 202) in
-    let heap = Rheap.create () in
+    (* Client-side retry buffer, ordered on (due time, request id) so
+       retries fire in a deterministic order and never delay later
+       arrivals. A request sits in it at most once, so keys are unique. *)
+    let heap = Pqueue.create () in
     let qid_of req =
       match c.queues with Shared -> 0 | Per_worker _ -> req.id mod c.workers
     in
@@ -243,7 +195,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
                      attempt = req.attempts;
                      cause = "queue-full";
                    });
-            Rheap.push heap (Ctx.now ctx + b) req
+            Pqueue.add heap ~time:(Ctx.now ctx + b) ~tie:req.id req
         | _ ->
             incr dropped;
             if Obs.enabled obs then
@@ -256,7 +208,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
     let continue = ref true in
     while !continue do
       let arr_t = if !next_arrival < c.horizon then Some !next_arrival else None in
-      let retry_t = Rheap.min_time heap in
+      let retry_t = Pqueue.min_time heap in
       let next_event =
         match (arr_t, retry_t) with
         | None, None -> None
@@ -291,7 +243,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
             end
             else attempt req
           end
-          else attempt (Rheap.pop heap)
+          else attempt (Pqueue.pop heap)
     done;
     gen_done := true
   in

@@ -27,10 +27,11 @@
    of simulated accesses, tag ops and fiber suspensions — must fit a
    small fixed byte budget. It pays for the op itself (locate's result
    tuple, simulated node allocations) and the suspensions; measured
-   63.6 B/op (985.0 while each invalidation round allocated a closure).
-   A reintroduced per-access closure, boxed queue entry or per-line list
-   costs hundreds of bytes per op and trips it. Machine construction
-   happens once, outside the measured window. *)
+   63.6 B/op against a 128 B/op budget (985.0 while each invalidation
+   round allocated a closure). A reintroduced per-access closure, boxed
+   queue entry or per-line list costs tens to hundreds of bytes per op
+   and trips it. Machine construction happens once, outside the
+   measured window. *)
 
 open Mt_sim
 open Mt_core
@@ -155,7 +156,7 @@ let () =
 
 let threads = 4
 let ops_per_thread = 500
-let budget_bytes_per_op = 1130.0
+let budget_bytes_per_op = 128.0
 
 let workload s ctx =
   let g = Ctx.prng ctx in

@@ -1,11 +1,11 @@
 (* Tests for the contention-management layer (lib/cm) and its Ctx/Harness
    threading: capped-backoff overflow arithmetic (the old Server clamp's
    replacement), per-policy wait semantics (backoff jitter only from the
-   supplied stream, politeness as a pure function of core and time,
-   adaptive escalation and decay), the Immediate-is-a-no-op contract
-   (qcheck + a full-run equality against a policy that never fires), and
-   the house invariants (bit-identical reruns per policy, tracing
-   non-perturbing, policy waits visible in Stats). *)
+   supplied stream, politeness as a pure function of core and time),
+   the Immediate-is-a-no-op contract (qcheck + a full-run equality
+   against a policy that never fires), and the house invariants
+   (bit-identical reruns per policy, tracing non-perturbing, policy
+   waits visible in Stats). *)
 
 open Mt_sim
 open Mt_core
@@ -77,7 +77,7 @@ let prop_immediate_noop =
     QCheck.(triple (int_bound (1 lsl 30)) (int_bound 10_000) (int_bound (1 lsl 40)))
     (fun (site, attempt, now) ->
       let t = Cm.make Cm.immediate ~core:(site land 7) in
-      Cm.wait t ~site ~attempt ~now = 0)
+      Cm.wait t ~attempt ~now = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff: jitter comes only from the supplied stream; no stream means
@@ -87,7 +87,7 @@ let test_backoff_jitter () =
   let spec = Cm.backoff ~base:32 ~cap:4096 () in
   let waits seed =
     let t = Cm.make ~prng:(Prng.create ~seed) spec ~core:0 in
-    List.init 11 (fun a -> Cm.wait t ~site:1 ~attempt:a ~now:0)
+    List.init 11 (fun a -> Cm.wait t ~attempt:a ~now:0)
   in
   check_bool "same seed, same waits" true (waits 7 = waits 7);
   check_bool "different seed, different waits" true (waits 7 <> waits 8);
@@ -104,7 +104,7 @@ let test_backoff_jitter () =
       check_int
         (Printf.sprintf "no-prng attempt %d" a)
         (Cm.capped_backoff ~base:32 ~cap:4096 ~attempt:a)
-        (Cm.wait t ~site:1 ~attempt:a ~now:0))
+        (Cm.wait t ~attempt:a ~now:0))
     (List.init 11 Fun.id)
 
 (* ------------------------------------------------------------------ *)
@@ -114,7 +114,7 @@ let test_backoff_jitter () =
 let test_politeness_slots () =
   let spec = Cm.politeness ~slot:10 ~slots:4 () in
   let w ~core ~now =
-    Cm.wait (Cm.make spec ~core) ~site:0 ~attempt:0 ~now
+    Cm.wait (Cm.make spec ~core) ~attempt:0 ~now
   in
   (* core 0 owns [0,10) of every 40-cycle round. *)
   check_int "in own slot" 0 (w ~core:0 ~now:5);
@@ -135,42 +135,6 @@ let test_politeness_slots () =
         (wait >= 0 && wait < 40 && pos >= slot_start && pos < slot_start + 10)
     done
   done
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive: immediate below threshold, backoff while warm, politeness
-   when hot; time decay re-earns immediate mode. *)
-
-let test_adaptive_escalation () =
-  let spec =
-    Cm.adaptive ~threshold:3 ~decay_cycles:2048 ~base:32 ~cap:4096 ~slot:192
-      ~slots:8 ()
-  in
-  let t = Cm.make spec ~core:0 in
-  let site = 123 in
-  (* Failures 1..3: still immediate. *)
-  for i = 0 to 2 do
-    check_int (Printf.sprintf "cold failure %d" i) 0
-      (Cm.wait t ~site ~attempt:i ~now:1000)
-  done;
-  (* Failures 4..12: capped backoff (no jitter stream: exact bound). *)
-  for i = 3 to 11 do
-    check_int
-      (Printf.sprintf "warm failure %d" i)
-      (Cm.capped_backoff ~base:32 ~cap:4096 ~attempt:i)
-      (Cm.wait t ~site ~attempt:i ~now:1000)
-  done;
-  (* Failure 13: politeness. period 1536, core 0 owns [0,192);
-     pos 1000 -> wait 536 to the next round. *)
-  check_int "hot failure" 536 (Cm.wait t ~site ~attempt:12 ~now:1000);
-  (* Four decay windows idle halve the counter 13 -> 0: cold again. *)
-  check_int "decayed back to immediate" 0
-    (Cm.wait t ~site ~attempt:0 ~now:(1000 + (4 * 2048)));
-  (* A different site in the (direct-mapped) table starts cold. *)
-  let t2 = Cm.make spec ~core:0 in
-  for i = 0 to 5 do
-    ignore (Cm.wait t2 ~site:7 ~attempt:i ~now:0)
-  done;
-  check_int "other site still cold" 0 (Cm.wait t2 ~site:8 ~attempt:0 ~now:0)
 
 (* ------------------------------------------------------------------ *)
 (* Ctx threading: with_restarts consults the policy once per restart and
@@ -231,7 +195,7 @@ let fingerprint (r : Driver.result) =
   (r.ops, r.duration, r.throughput, r.cas_failures, r.validate_failures, r.stats)
 
 let all_policies =
-  [ Cm.immediate; Cm.backoff (); Cm.politeness (); Cm.adaptive () ]
+  [ Cm.immediate; Cm.backoff (); Cm.politeness () ]
 
 let test_policy_rerun_identity () =
   List.iter
@@ -258,16 +222,18 @@ let test_policy_tracing_identity () =
 (* A policy that can never fire must reproduce the Immediate run
    exactly: the per-core operation streams are independent of the
    policy's private jitter streams, so any difference would mean the
-   harness let the policy perturb the workload itself. *)
+   harness let the policy perturb the workload itself. Politeness with a
+   single slot waits 0 by construction: every instant is inside the
+   core's own slot. *)
 let test_never_firing_policy_is_immediate () =
-  let asleep = Cm.adaptive ~threshold:1_000_000_000 () in
+  let asleep = Cm.politeness ~slots:1 () in
   let base =
     fingerprint (Driver.run_set ~cm:Cm.immediate (module Mt_list.Hoh_list) spec_small)
   in
   let quiet =
     fingerprint (Driver.run_set ~cm:asleep (module Mt_list.Hoh_list) spec_small)
   in
-  check_bool "never-firing adaptive == immediate" true (base = quiet)
+  check_bool "never-firing politeness == immediate" true (base = quiet)
 
 let () =
   Alcotest.run "cm"
@@ -285,8 +251,6 @@ let () =
             test_backoff_jitter;
           Alcotest.test_case "politeness slot arithmetic" `Quick
             test_politeness_slots;
-          Alcotest.test_case "adaptive escalation and decay" `Quick
-            test_adaptive_escalation;
         ] );
       ( "ctx",
         [
