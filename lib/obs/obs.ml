@@ -2,7 +2,8 @@
    false and every hook site in the simulator guards its event construction
    behind that check, so tracing off costs one load and one branch per hook
    and allocates nothing — or a recording sink with one bounded event ring
-   per simulated core plus an unbounded per-line contention aggregate.
+   per simulated core (only when it retains events) plus an unbounded
+   per-line contention aggregate and allocation-label map.
 
    Determinism: events are stamped with the simulated clock by the caller
    and with a global sequence number by [emit]; the runtime is
@@ -54,16 +55,29 @@ type ring = {
   mutable next : int;  (* total pushes; next slot = next mod capacity *)
 }
 
-type line_contention = { mutable invals : int; mutable downgrades : int }
+(* Allocation labels as an append-only run-length map (DESIGN §12). Run
+   [i] covers lines [starts.(i)] up to the next run's start (the last run
+   up to [frontier] - 1) and carries [names.(i)], [None] for an unlabelled
+   gap. Ranges arrive in ascending order of [line_lo] — the simulated bump
+   allocator hands out ascending lines — so every line between the newest
+   range's [line_lo] and [frontier] is already labelled and only the part
+   at or past [frontier] is new. *)
+type labels = {
+  mutable starts : int array;
+  mutable names : string option array;
+  mutable runs : int;
+  mutable frontier : int;  (* one past the last labelled line *)
+  mutable last_lo : int;  (* [line_lo] of the newest range *)
+}
 
 type recording = {
-  rings : ring array;
+  rings : ring array;  (* one per core when [retain], else empty *)
   mutable seq : int;
-  dropped : int array;  (* per core, same index as [rings] *)
+  dropped : int array;  (* per core *)
   retain : bool;
   mutable tap : (event -> unit) option;
-  hot : (int, line_contention) Hashtbl.t;
-  labels : (int, string) Hashtbl.t;  (* line -> owning allocation label *)
+  mutable hot : int array array;  (* hot-line count chunks, see [bump] *)
+  labels : labels;
 }
 
 type t = Null | Recording of recording
@@ -79,50 +93,84 @@ let create ?(ring_capacity = default_ring_capacity) ?(retain = true)
   Recording
     {
       rings =
-        Array.init num_cores (fun _ ->
-            { buf = Array.make ring_capacity None; next = 0 });
+        (if retain then
+           Array.init num_cores (fun _ ->
+               { buf = Array.make ring_capacity None; next = 0 })
+         else [||]);
       seq = 0;
       dropped = Array.make num_cores 0;
       retain;
       tap = None;
-      hot = Hashtbl.create 1024;
-      labels = Hashtbl.create 1024;
+      hot = [||];
+      labels =
+        {
+          starts = [||];
+          names = [||];
+          runs = 0;
+          frontier = 0;
+          last_lo = min_int;
+        };
     }
 
 let enabled = function Null -> false | Recording _ -> true
 
+let num_cores = function Null -> 0 | Recording r -> Array.length r.dropped
+
 let set_tap t tap =
   match t with Null -> () | Recording r -> r.tap <- tap
 
-let hot_entry r line =
-  match Hashtbl.find_opt r.hot line with
-  | Some e -> e
-  | None ->
-      let e = { invals = 0; downgrades = 0 } in
-      Hashtbl.add r.hot line e;
-      e
+(* Hot-line counts: one packed word per line, invalidations in the low 31
+   bits and downgrades above them, in fixed chunks of [hot_chunk] lines.
+   A chunk is allocated on the first event for one of its lines and never
+   moves; an absent chunk is the shared empty array. Only the table grows.
+   A line's word is non-zero exactly when it has been counted. *)
+let hot_shift = 13
+let hot_chunk = 1 lsl hot_shift
+let inval_bits = 31
+let downgrade_one = 1 lsl inval_bits
+let invals w = w land (downgrade_one - 1)
+let downgrades w = w lsr inval_bits
+
+let[@inline never] hot_fresh r ci =
+  let n = Array.length r.hot in
+  if ci >= n then begin
+    let table = Array.make (max (ci + 1) (2 * n)) [||] in
+    Array.blit r.hot 0 table 0 n;
+    r.hot <- table
+  end;
+  let ch = Array.make hot_chunk 0 in
+  r.hot.(ci) <- ch;
+  ch
+
+let bump r line one =
+  if line < 0 then invalid_arg "Obs: negative line";
+  let ci = line lsr hot_shift in
+  let ch = if ci < Array.length r.hot then r.hot.(ci) else [||] in
+  let ch = if Array.length ch = 0 then hot_fresh r ci else ch in
+  let off = line land (hot_chunk - 1) in
+  ch.(off) <- ch.(off) + one
 
 let emit t ~core ~time kind =
   match t with
   | Null -> ()
   | Recording r ->
       (match kind with
-      | Inval_sent { line; _ } ->
-          let e = hot_entry r line in
-          e.invals <- e.invals + 1
-      | Downgrade { line; _ } ->
-          let e = hot_entry r line in
-          e.downgrades <- e.downgrades + 1
+      | Inval_sent { line; _ } -> bump r line 1
+      | Downgrade { line; _ } -> bump r line downgrade_one
       | _ -> ());
-      let e = { seq = r.seq; time; core; kind } in
-      r.seq <- r.seq + 1;
-      (match r.tap with Some f -> f e | None -> ());
-      if r.retain then begin
-        let ring = r.rings.(core) in
-        let cap = Array.length ring.buf in
-        if ring.next >= cap then r.dropped.(core) <- r.dropped.(core) + 1;
-        ring.buf.(ring.next mod cap) <- Some e;
-        ring.next <- ring.next + 1
+      let seq = r.seq in
+      r.seq <- seq + 1;
+      (* The record is built only when something reads it. *)
+      if r.retain || Option.is_some r.tap then begin
+        let e = { seq; time; core; kind } in
+        (match r.tap with Some f -> f e | None -> ());
+        if r.retain then begin
+          let ring = r.rings.(core) in
+          let cap = Array.length ring.buf in
+          if ring.next >= cap then r.dropped.(core) <- r.dropped.(core) + 1;
+          ring.buf.(ring.next mod cap) <- Some e;
+          ring.next <- ring.next + 1
+        end
       end
 
 let dropped = function
@@ -150,18 +198,55 @@ let events = function
       |> List.concat_map ring_events
       |> List.sort (fun (a : event) (b : event) -> compare a.seq b.seq)
 
+let push_run l start name =
+  if l.runs = Array.length l.starts then begin
+    let cap = max 16 (2 * l.runs) in
+    let starts = Array.make cap 0 and names = Array.make cap None in
+    Array.blit l.starts 0 starts 0 l.runs;
+    Array.blit l.names 0 names 0 l.runs;
+    l.starts <- starts;
+    l.names <- names
+  end;
+  l.starts.(l.runs) <- start;
+  l.names.(l.runs) <- name;
+  l.runs <- l.runs + 1
+
 let label_lines t ~line_lo ~line_hi label =
   match t with
   | Null -> ()
-  | Recording r ->
-      for line = line_lo to line_hi do
-        (* First allocation wins; lines are never reallocated (bump
-           allocator), so a clash would be a simulator bug. *)
-        if not (Hashtbl.mem r.labels line) then Hashtbl.add r.labels line label
-      done
+  | Recording { labels = l; _ } when line_lo <= line_hi ->
+      if line_lo < 0 then invalid_arg "Obs.label_lines: negative line";
+      if line_lo < l.last_lo then
+        invalid_arg "Obs.label_lines: ranges must ascend by line_lo";
+      l.last_lo <- line_lo;
+      (* First label wins: lines below [frontier] keep theirs. *)
+      let lo = max line_lo l.frontier in
+      if lo <= line_hi then begin
+        (* A contiguous range with the previous run's label extends it. *)
+        let extends =
+          lo = l.frontier && l.runs > 0 && l.names.(l.runs - 1) = Some label
+        in
+        if lo > l.frontier && l.runs > 0 then push_run l l.frontier None;
+        if not extends then push_run l lo (Some label);
+        l.frontier <- line_hi + 1
+      end
+  | Recording _ -> ()
 
 let label_of t line =
-  match t with Null -> None | Recording r -> Hashtbl.find_opt r.labels line
+  match t with
+  | Null -> None
+  | Recording { labels = l; _ } ->
+      if l.runs = 0 || line < l.starts.(0) || line >= l.frontier then None
+      else begin
+        (* The last run starting at or below [line]: starts.(lo) <= line
+           < starts.(hi). *)
+        let lo = ref 0 and hi = ref l.runs in
+        while !hi - !lo > 1 do
+          let mid = (!lo + !hi) / 2 in
+          if l.starts.(mid) <= line then lo := mid else hi := mid
+        done;
+        l.names.(!lo)
+      end
 
 type hot_line = {
   hl_line : int;
@@ -174,27 +259,28 @@ let hot_lines ?(top = 10) t =
   match t with
   | Null -> []
   | Recording r ->
-      let all =
-        Hashtbl.fold
-          (fun line e acc ->
-            {
-              hl_line = line;
-              hl_invals = e.invals;
-              hl_downgrades = e.downgrades;
-              hl_label = Hashtbl.find_opt r.labels line;
-            }
-            :: acc)
-          r.hot []
-      in
-      let sorted =
-        List.sort
-          (fun a b ->
-            let ca = a.hl_invals + a.hl_downgrades
-            and cb = b.hl_invals + b.hl_downgrades in
-            if ca <> cb then compare cb ca else compare a.hl_line b.hl_line)
-          all
-      in
-      List.filteri (fun i _ -> i < top) sorted
+      let all = ref [] in
+      Array.iteri
+        (fun ci ch ->
+          Array.iteri
+            (fun off w ->
+              if w <> 0 then all := ((ci lsl hot_shift) + off, w) :: !all)
+            ch)
+        r.hot;
+      let count w = invals w + downgrades w in
+      List.sort
+        (fun (la, wa) (lb, wb) ->
+          let ca = count wa and cb = count wb in
+          if ca <> cb then compare cb ca else compare la lb)
+        !all
+      |> List.filteri (fun i _ -> i < top)
+      |> List.map (fun (line, w) ->
+             {
+               hl_line = line;
+               hl_invals = invals w;
+               hl_downgrades = downgrades w;
+               hl_label = label_of t line;
+             })
 
 (* ------------------------------------------------------------------ *)
 (* Event names and structured arguments (shared by the trace exporter

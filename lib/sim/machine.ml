@@ -22,6 +22,11 @@ type t = {
 }
 
 let create ?(obs = Obs.null) cfg =
+  if Obs.enabled obs && Obs.num_cores obs < cfg.Config.num_cores then
+    invalid_arg
+      (Printf.sprintf
+         "Machine.create: the obs sink records %d cores but the machine has %d"
+         (Obs.num_cores obs) cfg.Config.num_cores);
   {
     cfg;
     mem = Memory.create cfg;

@@ -21,7 +21,9 @@ type t
 (** [create ?obs cfg] — [obs] (default {!Mt_obs.Obs.null}) is the machine's
     observability sink; every coherence, tag and validation action emits a
     structured event into it when recording is enabled, at zero cost
-    otherwise (one branch per hook, no allocation). *)
+    otherwise (one branch per hook, no allocation). A recording sink must
+    have been created for at least [cfg.num_cores] cores
+    ([Invalid_argument] naming both counts otherwise). *)
 val create : ?obs:Mt_obs.Obs.t -> Config.t -> t
 
 val cfg : t -> Config.t

@@ -23,6 +23,14 @@
    them. The former layout (three parallel per-line planes, grown by
    doubling) holds three times that and fails the gate.
 
+   Recording sink. An emit on an enabled [retain:false] sink with no tap
+   allocates 0 words (it used to build the event record and drop it). An
+   empty [retain:false] sink holds no rings; hot-line counts cost one
+   word per line of each touched chunk plus the chunk table; the label map
+   grows with its runs, not its lines. The former sink (a 65,536-slot ring
+   per core, a boxed record and a hash binding per hot line, a hash
+   binding per labelled line) fails all four.
+
    Workload budget. A contended 4-thread hoh-list set operation — dozens
    of simulated accesses, tag ops and fiber suspensions — must fit a
    small fixed byte budget. It pays for the op itself (locate's result
@@ -151,6 +159,61 @@ let () =
 ";
     failed := true
   end
+
+(* Recording sink --------------------------------------------------------- *)
+
+module Obs = Mt_obs.Obs
+
+(* An enabled sink that retains nothing and has no tap builds no event
+   record: an emit only advances the sequence number and, for an
+   invalidation or downgrade, bumps the line's packed count. The kinds are
+   built once, outside the measured steps. *)
+let () =
+  let kinds =
+    [| Obs.Inval_sent { line = 3; victim = 1 }; Obs.Fiber_resume;
+       Obs.Downgrade { line = 9_000; victim = 2 }; Obs.Vas { ok = true } |]
+  in
+  pin "emit, retain:false, no tap" ~expected:0.
+    (words_per_step ~n:20_000 (fun k ->
+         let obs = Obs.create ~retain:false ~num_cores:4 () in
+         for i = 1 to k do
+           Obs.emit obs ~core:(i land 3) ~time:i kinds.(i land 3)
+         done))
+
+let sink_words obs = Obj.reachable_words (Obj.repr obs)
+
+let footprint name ~words ~budget =
+  Printf.printf "%-28s %8d words (budget %d)\n" name words budget;
+  if words > budget then begin
+    Printf.eprintf "FAIL: %s holds %d words, over the %d-word budget\n" name
+      words budget;
+    failed := true
+  end
+
+(* The sink's footprint, by part: the empty sink, then hot counts and
+   labels over it. A run is a stretch of contiguous same-labelled lines. *)
+let () =
+  let empty = sink_words (Obs.create ~retain:false ~num_cores:8 ()) in
+  footprint "empty retain:false sink" ~words:empty ~budget:256;
+  let chunk = 8192 in
+  let hot = Obs.create ~retain:false ~num_cores:8 () in
+  (* Every line on both sides of three chunk boundaries: four chunks. *)
+  for line = chunk - 100 to (3 * chunk) + 100 do
+    Obs.emit hot ~core:0 ~time:0 (Obs.Inval_sent { line; victim = 1 });
+    Obs.emit hot ~core:0 ~time:0 (Obs.Downgrade { line; victim = 1 })
+  done;
+  footprint "hot counts, 4 chunks" ~words:(sink_words hot - empty)
+    ~budget:((4 * chunk) + 64);
+  let runs = 1_000 in
+  let labelled = Obs.create ~retain:false ~num_cores:8 () in
+  (* 1000 runs of 100 lines each, alternating between two labels:
+     100,000 labelled lines. *)
+  for i = 0 to runs - 1 do
+    Obs.label_lines labelled ~line_lo:(i * 100) ~line_hi:((i * 100) + 99)
+      (if i land 1 = 0 then "even" else "odd")
+  done;
+  footprint "labels, 1000 runs" ~words:(sink_words labelled - empty)
+    ~budget:(8 * runs)
 
 (* Workload budget ------------------------------------------------------ *)
 

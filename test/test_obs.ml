@@ -1,6 +1,8 @@
 (* Unit tests for the observability layer: histogram bucket/percentile
    math (including the empty and single-sample edge cases), ring-buffer
-   wraparound ordering, well-formedness of the exported trace JSON, and
+   wraparound ordering, the sink's construction checks, its tap stream,
+   its label map and hot-line counts against a per-line model,
+   well-formedness of the exported trace JSON, and
    the end-to-end determinism guarantee — two identically-seeded traced
    runs produce byte-identical Perfetto files, and tracing never changes
    the simulated metrics. *)
@@ -172,6 +174,162 @@ let test_hot_lines () =
         (match rest with [ h ] -> h.Obs.hl_line | _ -> -1)
   | _ -> Alcotest.fail "hot line ranking wrong"
 
+(* A recording sink must cover every core of the machine it is attached
+   to: a smaller one is rejected when the machine is built, not by an
+   array bounds error mid-run. *)
+let test_sink_too_small () =
+  let spec =
+    Spec.make ~key_range:64 ~insert_pct:35 ~delete_pct:35 ~threads:4
+      ~warmup_cycles:1_000 ~measure_cycles:2_000 ~seed:1 ()
+  in
+  (match Driver.run_set ~obs:(Obs.create ~num_cores:2 ()) (module Mt_list.Hoh_list) spec with
+  | _ -> Alcotest.fail "a 2-core sink ran a 4-core machine"
+  | exception Invalid_argument msg ->
+      check_string "message names both counts"
+        "Machine.create: the obs sink records 2 cores but the machine has 4" msg);
+  check_int "num_cores" 4 (Obs.num_cores (Obs.create ~retain:false ~num_cores:4 ()));
+  check_int "null num_cores" 0 (Obs.num_cores Obs.null);
+  (* A larger sink and the null sink are both fine. *)
+  let cfg = Mt_sim.Config.default ~num_cores:4 () in
+  ignore (Mt_sim.Machine.create ~obs:(Obs.create ~num_cores:6 ()) cfg);
+  ignore (Mt_sim.Machine.create ~obs:Obs.null cfg)
+
+(* A tap attached mid-run to a sink that retains nothing sees exactly the
+   events a retaining sink keeps from that point on: same sequence
+   numbers, times, cores and kinds. *)
+let test_tap_matches_retained () =
+  let spec =
+    Spec.make ~key_range:64 ~insert_pct:35 ~delete_pct:35 ~threads:4
+      ~warmup_cycles:2_000 ~measure_cycles:6_000 ~seed:5 ()
+  in
+  let tapped = ref [] in
+  let obs = Obs.create ~retain:false ~num_cores:4 () in
+  let attach _machine =
+    Obs.set_tap obs (Some (fun e -> tapped := e :: !tapped));
+    Mt_sim.Runtime.default_policy
+  in
+  ignore (Driver.run_set ~obs ~make_policy:attach (module Mt_list.Hoh_list) spec);
+  let tapped = List.rev !tapped in
+  let kept = Obs.create ~num_cores:4 () in
+  ignore (Driver.run_set ~obs:kept (module Mt_list.Hoh_list) spec);
+  check_int "nothing dropped" 0 (Obs.dropped kept);
+  check_int "no events retained" 0 (List.length (Obs.events obs));
+  match tapped with
+  | [] -> Alcotest.fail "tap saw no events"
+  | first :: _ ->
+      check_bool "attached mid-run" true (first.Obs.seq > 0);
+      let from_first =
+        List.filter (fun (e : Obs.event) -> e.Obs.seq >= first.Obs.seq) (Obs.events kept)
+      in
+      check_int "same length" (List.length from_first) (List.length tapped);
+      check_bool "same (seq, time, core, kind) stream" true (from_first = tapped)
+
+(* Model-based check of the label map and the hot-line counts against a
+   per-line [Hashtbl] reference: first label wins, and hot lines rank by
+   invalidations+downgrades descending, then line ascending. Ranges ascend
+   by [line_lo], leave unlabelled gaps, repeat labels back to back (runs
+   that must merge), include ranges that overlap earlier ones, and reach
+   past three 8192-line hot-count chunks. *)
+let chunk_lines = 8192
+
+type plan = {
+  ranges : (int * int * string) list;  (* line_lo, line_hi, label *)
+  events : (bool * int) list;  (* downgrade?, line *)
+  max_line : int;
+}
+
+let gen_plan =
+  let open QCheck.Gen in
+  let* segs =
+    list_size (int_range 3 16)
+      (quad (int_range 0 2_000) (int_range 1 2_500)
+         (oneofl [ "a"; "b"; "c" ])
+         (int_range 0 3))
+  in
+  let _, cursor, _, rev =
+    List.fold_left
+      (fun (i, cursor, prev_lo, acc) (gap, len, label, ov) ->
+        (* The second range always overlaps the first; later ones
+           sometimes do. Ranges never start below an earlier one. *)
+        let lo =
+          if i > 0 && (i = 1 || ov = 0) then max prev_lo (cursor - 1 - (len / 2))
+          else cursor + (if ov = 1 then 0 else gap)
+        in
+        let hi = lo + len - 1 in
+        (i + 1, max cursor (hi + 1), lo, (lo, hi, label) :: acc))
+      (0, 1, 0, []) segs
+  in
+  let tail_lo = cursor + 7 in
+  let tail_hi = max tail_lo ((3 * chunk_lines) + 11) in
+  let ranges = List.rev ((tail_lo, tail_hi, "a") :: rev) in
+  let max_line = tail_hi + 64 in
+  let* pool = list_repeat 48 (int_range 0 max_line) in
+  let* events = list_size (int_range 0 600) (pair bool (oneofl pool)) in
+  return { ranges; events; max_line }
+
+let print_plan p =
+  Printf.sprintf "ranges=[%s] events=%d max_line=%d"
+    (String.concat "; "
+       (List.map (fun (lo, hi, l) -> Printf.sprintf "%d-%d:%s" lo hi l) p.ranges))
+    (List.length p.events) p.max_line
+
+let prop_labels_and_hot_lines =
+  QCheck.Test.make ~name:"label map and hot counts match a per-line model"
+    ~count:150
+    (QCheck.make ~print:print_plan gen_plan)
+    (fun p ->
+      let obs = Obs.create ~retain:false ~num_cores:2 () in
+      let labels = Hashtbl.create 1024 and hot = Hashtbl.create 64 in
+      List.iter
+        (fun (lo, hi, label) ->
+          Obs.label_lines obs ~line_lo:lo ~line_hi:hi label;
+          for line = lo to hi do
+            if not (Hashtbl.mem labels line) then Hashtbl.add labels line label
+          done)
+        p.ranges;
+      List.iter
+        (fun (down, line) ->
+          let i, d = Option.value (Hashtbl.find_opt hot line) ~default:(0, 0) in
+          if down then begin
+            Obs.emit obs ~core:0 ~time:0 (Obs.Downgrade { line; victim = 1 });
+            Hashtbl.replace hot line (i, d + 1)
+          end
+          else begin
+            Obs.emit obs ~core:0 ~time:0 (Obs.Inval_sent { line; victim = 1 });
+            Hashtbl.replace hot line (i + 1, d)
+          end)
+        p.events;
+      for line = 0 to p.max_line + 1 do
+        if Obs.label_of obs line <> Hashtbl.find_opt labels line then
+          QCheck.Test.fail_reportf "label_of %d" line
+      done;
+      let ranked =
+        Hashtbl.fold
+          (fun line (i, d) acc ->
+            { Obs.hl_line = line; hl_invals = i; hl_downgrades = d;
+              hl_label = Hashtbl.find_opt labels line }
+            :: acc)
+          hot []
+        |> List.sort (fun (a : Obs.hot_line) (b : Obs.hot_line) ->
+               let ca = a.hl_invals + a.hl_downgrades
+               and cb = b.hl_invals + b.hl_downgrades in
+               if ca <> cb then compare cb ca else compare a.hl_line b.hl_line)
+      in
+      List.for_all
+        (fun k ->
+          Obs.hot_lines ~top:k obs = List.filteri (fun i _ -> i < k) ranked)
+        [ 0; 1; 3; 8; 50; max_int ])
+
+let test_label_lines_rejects_descending () =
+  let obs = Obs.create ~num_cores:1 () in
+  Obs.label_lines obs ~line_lo:10 ~line_hi:12 "x";
+  Obs.label_lines obs ~line_lo:10 ~line_hi:20 "y";
+  check_bool "first label wins" true (Obs.label_of obs 11 = Some "x");
+  check_bool "new lines take the new label" true (Obs.label_of obs 13 = Some "y");
+  match Obs.label_lines obs ~line_lo:9 ~line_hi:30 "z" with
+  | () -> Alcotest.fail "a range below an earlier one was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* JSON round-trips and trace export well-formedness. *)
 
@@ -318,6 +476,13 @@ let () =
           Alcotest.test_case "merge across cores" `Quick test_ring_merge_across_cores;
           Alcotest.test_case "null sink" `Quick test_null_sink;
           Alcotest.test_case "hot lines" `Quick test_hot_lines;
+          Alcotest.test_case "sink smaller than machine rejected" `Quick
+            test_sink_too_small;
+          Alcotest.test_case "mid-run tap matches retained stream" `Quick
+            test_tap_matches_retained;
+          QCheck_alcotest.to_alcotest prop_labels_and_hot_lines;
+          Alcotest.test_case "label ranges must ascend" `Quick
+            test_label_lines_rejects_descending;
         ] );
       ( "trace",
         [

@@ -218,6 +218,23 @@ let test_hot_lines_deterministic () =
   | _ -> assert false);
   List.iter2 (check_string "jobs 1 vs 2") seq par
 
+(* The report's bytes, pinned: a change to how the sink stores hot-line
+   counts or allocation labels must not move a single count, owner or
+   rank. *)
+let hot_run_top8 =
+  {|[{"line":4,"invalidations":39,"downgrades":15,"owner":"hoh-node"},|}
+  ^ {|{"line":35,"invalidations":34,"downgrades":13,"owner":"hoh-node"},|}
+  ^ {|{"line":2,"invalidations":24,"downgrades":10,"owner":"hoh-node"},|}
+  ^ {|{"line":31,"invalidations":24,"downgrades":9,"owner":"hoh-node"},|}
+  ^ {|{"line":104,"invalidations":22,"downgrades":10,"owner":"hoh-node"},|}
+  ^ {|{"line":56,"invalidations":17,"downgrades":7,"owner":"hoh-node"},|}
+  ^ {|{"line":110,"invalidations":16,"downgrades":7,"owner":"hoh-node"},|}
+  ^ {|{"line":73,"invalidations":15,"downgrades":7,"owner":"hoh-node"}]|}
+
+let test_hot_lines_pinned () =
+  check_string "top-8 report" hot_run_top8
+    (Json.to_string (Trace.hot_lines_json ~top:8 (hot_run ())))
+
 let test_hot_lines_topk_prefix () =
   (* top-3 must be exactly the first three of top-8 (stable ranking,
      ties broken by line number — no resort across cutoffs). *)
@@ -348,6 +365,7 @@ let () =
             test_hot_lines_deterministic;
           Alcotest.test_case "top-K prefix stable" `Quick
             test_hot_lines_topk_prefix;
+          Alcotest.test_case "top-8 report pinned" `Quick test_hot_lines_pinned;
         ] );
       ( "compare",
         [
