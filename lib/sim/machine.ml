@@ -92,14 +92,27 @@ let[@inline] touch (k : Cache.t) i =
   Array.unsafe_set k.lrus i k.tick
 
 (* [Memory.get]/[Memory.set], whose bounds check only runs with debug
-   checks on. *)
+   checks on. A chunk is narrow (4-byte words) or wide (int words); only
+   the write that makes a chunk wide leaves this path, through
+   [Memory.set]. *)
 let[@inline] mem_get t addr =
   if !Debug.enabled then Memory.get t.mem addr
-  else t.mem.chunks.(addr lsr Memory.chunk_log2).(addr land Memory.chunk_mask)
+  else begin
+    let ci = addr lsr Memory.chunk_log2 and off = addr land Memory.chunk_mask in
+    let b = t.mem.narrow.(ci) in
+    if b != Bytes.empty then Int32.to_int (Memory.get32 b (off lsl 2))
+    else Array.unsafe_get (Array.unsafe_get t.mem.wide ci) off
+  end
 
 let[@inline] mem_set t addr v =
   if !Debug.enabled then Memory.set t.mem addr v
-  else t.mem.chunks.(addr lsr Memory.chunk_log2).(addr land Memory.chunk_mask) <- v
+  else begin
+    let ci = addr lsr Memory.chunk_log2 and off = addr land Memory.chunk_mask in
+    let b = t.mem.narrow.(ci) in
+    if b == Bytes.empty then Array.unsafe_set (Array.unsafe_get t.mem.wide ci) off v
+    else if (v lsl 31) asr 31 = v then Memory.set32 b (off lsl 2) (Int32.of_int v)
+    else Memory.set t.mem addr v
+  end
 
 (* [Memtag_unit.check], which a recording machine calls itself. *)
 let[@inline] verdict t (u : Memtag_unit.t) =

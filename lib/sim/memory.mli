@@ -2,24 +2,47 @@
 
     The functional contents of memory live here; the caches and directory
     only model {e timing} and coherence state. Addresses are word indices
-    (one word = one OCaml [int]). Address [0] is reserved as the null
-    pointer and is never handed out by the allocator. *)
+    (one word holds one OCaml [int]; {!t} says how it is stored). Address
+    [0] is reserved as the null pointer and is never handed out by the
+    allocator. *)
 
 type addr = int
 
 (** The representation is exposed for {!Machine}'s call-free L1-hit path
-    (DESIGN §12): word [a] lives at
-    [chunks.(a lsr chunk_log2).(a land chunk_mask)]. Chunks exist up to
-    the chunk holding word [next_free - 1]; the table slots past it hold
-    an empty array. Everything else goes through the functions below. *)
+    (DESIGN §12). Memory is a table of chunks of [2^chunk_log2] words;
+    word [a] lives in chunk [ci = a lsr chunk_log2] at offset
+    [a land chunk_mask]. Each chunk is in one of two forms:
+    - {e narrow}: [narrow.(ci)] holds every word as a sign-extended
+      32-bit integer, 4 bytes per word, read and written with {!get32}
+      and {!set32} at byte offset [4 * offset]; [wide.(ci)] is empty;
+    - {e wide}: [narrow.(ci)] is physically [Bytes.empty] and [wide.(ci)]
+      holds every word as an OCaml [int].
+
+    A chunk is born narrow. The first write into it of a value outside
+    [[-2^31, 2^31 - 1]] switches it to wide: its words are copied into an
+    [int array] and its bytes dropped. The switch happens at most once per
+    chunk and never reverses, so reads and writes are exact over every
+    OCaml [int]. Chunks never move. The two tables have the same length
+    and hold exactly the chunks up to the one holding word
+    [next_free - 1], so once [narrow.(ci)] has passed its bounds check
+    the chunk's own accesses need none. Everything else goes through the
+    functions below. *)
 type t = {
   line_words : int;
-  mutable chunks : int array array;
+  mutable narrow : Bytes.t array;
+  mutable wide : int array array;
   mutable next_free : addr;  (** first unallocated word *)
 }
 
 val chunk_log2 : int
 val chunk_mask : int
+
+(** Native-endian 4-byte access to a narrow chunk, without a bounds check.
+    The compiler fuses them with [Int32.to_int]/[Int32.of_int], so no
+    [int32] is boxed. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 (** The null pointer. Dereferencing it raises [Invalid_argument]. *)
 val null : addr
@@ -32,7 +55,8 @@ val create : Config.t -> t
     sharing). Raises [Invalid_argument] if [words <= 0]. *)
 val alloc : t -> words:int -> addr
 
-(** Number of words allocated so far (diagnostics). *)
+(** Words handed out by {!alloc} so far, each allocation rounded up to
+    whole lines; the reserved null line is not counted (diagnostics). *)
 val allocated_words : t -> int
 
 (** Word read/write. Address validation (null, unallocated) is gated on
@@ -40,7 +64,9 @@ val allocated_words : t -> int
     [Invalid_argument]. With checks off (the default, for bench speed) a
     stray address inside an allocated chunk silently touches its
     zero-filled backing store, and one past the last allocated chunk
-    raises [Invalid_argument] from the array bounds check. *)
+    raises [Invalid_argument] from the bounds check of the chunk table. A
+    [set] of a value outside the signed 32-bit range into a narrow chunk
+    switches that chunk to wide (see {!t}). *)
 val get : t -> addr -> int
 
 val set : t -> addr -> int -> unit

@@ -31,6 +31,13 @@
    per core, a boxed record and a hash binding per hot line, a hash
    binding per labelled line) fails all four.
 
+   Simulated memory. Four narrow chunks of [Memory] cost at most half a
+   word per simulated word plus 64 words (the chunk tables, headers and
+   record); one value outside the signed 32-bit range switches only its
+   own chunk to a full word per word. The former layout (every chunk an
+   [int array]) holds twice that and fails the gate. An L1-hit write of
+   such a value into a switched chunk allocates 0 words.
+
    Workload budget. A contended 4-thread hoh-list set operation — dozens
    of simulated accesses, tag ops and fiber suspensions — must fit a
    small fixed byte budget. It pays for the op itself (locate's result
@@ -97,6 +104,11 @@ let () =
     (words_per_step ~n
        (access ~prepare:write_warm (fun ctx addrs i ->
             Ctx.write ctx addrs.(i land (lines - 1)) i)));
+  (* The same writes into a chunk already switched to 64-bit words. *)
+  pin "L1-hit wide write" ~expected:0.
+    (words_per_step ~n
+       (access ~prepare:(fun ctx a -> Ctx.write ctx a max_int) (fun ctx addrs i ->
+            Ctx.write ctx addrs.(i land (lines - 1)) (i lsl 40))));
   pin "validate" ~expected:0.
     (words_per_step ~n
        (access ~prepare:read_warm (fun ctx _ _ -> ignore (Ctx.validate ctx))));
@@ -214,6 +226,25 @@ let () =
   done;
   footprint "labels, 1000 runs" ~words:(sink_words labelled - empty)
     ~budget:(8 * runs)
+
+(* Simulated memory footprint -------------------------------------------- *)
+
+let () =
+  let chunk_words = 1 lsl Memory.chunk_log2 in
+  let mem = Memory.create (Config.default ()) in
+  (* The null line is reserved: this fills four chunks exactly. *)
+  ignore (Memory.alloc mem ~words:((4 * chunk_words) - mem.Memory.line_words));
+  let words () = Obj.reachable_words (Obj.repr mem) in
+  footprint "memory, 4 narrow chunks" ~words:(words ())
+    ~budget:((4 * chunk_words / 2) + 64);
+  Memory.set mem (chunk_words + 5) max_int;
+  footprint "memory, 1 of 4 chunks wide" ~words:(words ())
+    ~budget:((3 * chunk_words / 2) + chunk_words + 64);
+  let wide = Array.map (fun b -> Bytes.length b = 0) mem.Memory.narrow in
+  if wide <> [| false; true; false; false |] then begin
+    Printf.eprintf "FAIL: one wide value switched chunks other than its own\n";
+    failed := true
+  end
 
 (* Workload budget ------------------------------------------------------ *)
 

@@ -168,7 +168,16 @@ let test_pqueue_exchange_releases_value () =
    A policy with an [extra_delay] hook — one that adds nothing — sends
    every stall through [Runtime.stall_on]; a recording sink sends every
    access through [Machine]'s evented path (and every stall through the
-   scheduler). The three runs must agree on everything observable. *)
+   scheduler). The three runs must agree on everything observable. With
+   [~checks:false] the runs go through [Machine]'s inline memory access,
+   not [Memory.get]/[Memory.set]. *)
+
+(* Run [f] with the simulator's debug checks set to [on], then restore
+   them. *)
+let with_checks on f =
+  let saved = Debug.on () in
+  Debug.set on;
+  Fun.protect ~finally:(fun () -> Debug.set saved) f
 
 module Fast_abtree = Mt_abtree.Abtree_hoh.Make (struct
   let a = 4
@@ -229,13 +238,16 @@ let run_path path ~seed ~threads ~ops ~range ~create ~op ~contents =
   in
   (results, duration, contents m s, Machine.total_stats m, coherent)
 
-let fast_path_equiv ~name ~create ~op ~contents =
+let fast_path_equiv ?(checks = true) ~name ~create ~op ~contents () =
   QCheck.Test.make ~count:12 ~name:("fast = slow path: " ^ name)
     QCheck.(quad small_nat (int_range 2 4) (int_range 5 60) (int_range 8 256))
     (fun (seed, threads, ops, range) ->
       (* Shrinking may step outside the generator's ranges. *)
       let threads = max 2 (min 4 threads) and range = max 8 range in
-      let run path = run_path path ~seed ~threads ~ops ~range ~create ~op ~contents in
+      let run path =
+        with_checks checks @@ fun () ->
+        run_path path ~seed ~threads ~ops ~range ~create ~op ~contents
+      in
       let fast = run Fast in
       let (_, _, _, _, coherent) = fast in
       coherent && run Slow_runtime = fast && run Evented = fast)
@@ -250,13 +262,34 @@ let prop_fast_path_list =
   let module L = Mt_list.Hoh_list in
   fast_path_equiv ~name:"hoh-list" ~create:(fun ctx ~range:_ -> L.create ctx)
     ~op:(set_op L.insert L.delete L.contains)
-    ~contents:L.to_list_unsafe
+    ~contents:L.to_list_unsafe ()
+
+(* Keys offset by 2^40 do not fit a narrow chunk. The prefill inserts
+   every key but the multiples of 3; [create] pads the allocator so that
+   its nodes end on a chunk boundary, and the first node the concurrent
+   phase allocates lands in a fresh narrow chunk, which its key write
+   switches to wide on every path. *)
+let prop_fast_path_wide_list =
+  let module L = Mt_list.Hoh_list in
+  let offset = 1 lsl 40 and chunk_words = 1 lsl Memory.chunk_log2 in
+  fast_path_equiv ~checks:false ~name:"hoh-list, wide keys"
+    ~create:(fun ctx ~range ->
+      let s = L.create ctx in
+      let mem = Machine.memory (Mt_core.Ctx.machine ctx) in
+      let prefill = range - ((range + 2) / 3) in
+      let lw = mem.Memory.line_words in
+      let need = mem.Memory.next_free + (prefill * lw) in
+      let pad = -need land (chunk_words - 1) in
+      if pad > 0 then ignore (Mt_core.Ctx.alloc ctx ~words:pad);
+      s)
+    ~op:(fun ctx s kind k -> set_op L.insert L.delete L.contains ctx s kind (k + offset))
+    ~contents:L.to_list_unsafe ()
 
 let prop_fast_path_abtree =
   let module T = Fast_abtree in
   fast_path_equiv ~name:"hoh-abtree" ~create:(fun ctx ~range:_ -> T.create ctx)
     ~op:(set_op T.insert T.delete T.contains)
-    ~contents:T.to_list_unsafe
+    ~contents:T.to_list_unsafe ()
 
 (* Point ops plus two-key transactions on four norec-tagged shards; an
    op's result is its outcome. *)
@@ -272,6 +305,7 @@ let prop_fast_path_store =
           Fast_store.txn ctx s
             [ (k, Fast_store.Delete); ((k + 5) mod Fast_store.key_space s, Fast_store.Insert) ])
     ~contents:(fun m s -> (Fast_store.to_list_unsafe m s, Fast_store.stats s))
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Memory *)
@@ -319,13 +353,96 @@ let test_memory_stray_reads () =
   let mem = Memory.create cfg in
   let a = Memory.alloc mem ~words:8 in
   let past_chunk = ((a lsr Memory.chunk_log2) + 1) lsl Memory.chunk_log2 in
-  let checks = Debug.on () in
-  Debug.set false;
-  Fun.protect ~finally:(fun () -> Debug.set checks) @@ fun () ->
+  with_checks false @@ fun () ->
   check_int "stray read in the chunk" 0 (Memory.get mem (a + 64));
   match Memory.get mem past_chunk with
   | _ -> Alcotest.fail "read past the last chunk returned"
   | exception Invalid_argument _ -> ()
+
+let test_memory_allocated_words () =
+  let cfg = Config.default () in
+  let lw = Config.line_words cfg in
+  let mem = Memory.create cfg in
+  check_int "fresh: the null line is not counted" 0 (Memory.allocated_words mem);
+  ignore (Memory.alloc mem ~words:1);
+  check_int "one word takes a line" lw (Memory.allocated_words mem);
+  ignore (Memory.alloc mem ~words:(lw + 1));
+  check_int "rounded up to lines" (3 * lw) (Memory.allocated_words mem)
+
+(* Memory against a plain int-array model: random allocations, writes and
+   reads over at least three chunks, with values at and around the edges
+   of the 4-byte range so that chunks switch to wide mid-sequence. Every
+   switch is followed by a read-back of every word allocated so far. Each
+   op runs on a bare [Memory] and, through core 0, on a [Machine]; checks
+   are off, so the machine takes its inline copies of [Memory.get] and
+   [Memory.set]. *)
+type mem_op = Alloc of int | Set of int * int | Get of int
+
+let prop_memory_model =
+  let chunk_words = 1 lsl Memory.chunk_log2 in
+  let edge = 1 lsl 31 in
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (6, oneofl [ 0; 1; -1; edge - 1; -(edge - 1); edge; -edge; min_int; max_int ]);
+          (1, int); (8, int_range (-1000) 1000) ])
+  in
+  (* Addresses are drawn as fractions of the allocated words, so they
+     stay valid however the allocations fall. *)
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (1, map (fun w -> Alloc w) (int_range 1 chunk_words));
+          (12, map2 (fun r v -> Set (r, v)) nat value);
+          (8, map (fun r -> Get r) nat) ])
+  in
+  let print = function
+    | Alloc w -> Printf.sprintf "Alloc %d" w
+    | Set (r, v) -> Printf.sprintf "Set (%d, %d)" r v
+    | Get r -> Printf.sprintf "Get %d" r
+  in
+  QCheck.Test.make ~count:40 ~name:"memory matches an int-array model"
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_range 1 300) op))
+    (fun ops ->
+      with_checks false @@ fun () ->
+      let cfg = Config.default () in
+      let lw = Config.line_words cfg in
+      let mem = Memory.create cfg and m = Machine.create cfg in
+      let model = ref [||] in
+      let alloc words =
+        ignore (Memory.alloc mem ~words);
+        ignore (Machine.alloc m ~words);
+        let a = Array.make mem.Memory.next_free 0 in
+        Array.blit !model 0 a 0 (Array.length !model);
+        model := a
+      in
+      (* Three chunks up front; the ops may add more. *)
+      alloc ((2 * chunk_words) + 1);
+      let addr r = lw + (r mod Memory.allocated_words mem) in
+      let reads a = Memory.get mem a = !model.(a) && Machine.read m ~core:0 a = !model.(a) in
+      let all_read_back () =
+        let ok = ref true in
+        for a = lw to mem.Memory.next_free - 1 do
+          if not (reads a) then ok := false
+        done;
+        !ok
+      in
+      let wide () =
+        Array.fold_left (fun n b -> if Bytes.length b = 0 then n + 1 else n) 0
+          mem.Memory.narrow
+      in
+      List.for_all
+        (function
+          | Alloc w -> alloc w; true
+          | Set (r, v) ->
+              let a = addr r and before = wide () in
+              Memory.set mem a v;
+              ignore (Machine.write m ~core:0 a v);
+              !model.(a) <- v;
+              reads a && (wide () = before || all_read_back ())
+          | Get r -> reads (addr r))
+        ops
+      && all_read_back ())
 
 (* ------------------------------------------------------------------ *)
 (* Cache *)
@@ -1232,7 +1349,9 @@ let () =
         ]
         @ qsuite [ prop_pqueue_sorted; prop_pqueue_model; prop_pqueue_values ] );
       ( "fast path",
-        qsuite [ prop_fast_path_list; prop_fast_path_abtree; prop_fast_path_store ] );
+        qsuite
+          [ prop_fast_path_list; prop_fast_path_wide_list; prop_fast_path_abtree;
+            prop_fast_path_store ] );
       ( "memory",
         [
           Alcotest.test_case "alloc aligned" `Quick test_memory_alloc_aligned;
@@ -1240,7 +1359,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
           Alcotest.test_case "growth" `Quick test_memory_growth;
           Alcotest.test_case "stray reads" `Quick test_memory_stray_reads;
-        ] );
+          Alcotest.test_case "allocated words" `Quick test_memory_allocated_words;
+        ]
+        @ qsuite [ prop_memory_model ] );
       ( "cache",
         [
           Alcotest.test_case "insert/find" `Quick test_cache_insert_find;
