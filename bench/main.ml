@@ -581,6 +581,7 @@ let store_stats_to_json (st : Store.stats) =
       ("txn_retries", Json.Int st.txn_retries);
       ("txn_retries_locked", Json.Int st.txn_retries_locked);
       ("txn_retries_version", Json.Int st.txn_retries_version);
+      ("txn_locked_cycles", Json.Int st.txn_locked_cycles);
       ("scans", Json.Int st.scans);
       ("scan_collects", Json.Int st.scan_collects);
       ("scan_tag_fallbacks", Json.Int st.scan_tag_fallbacks);
@@ -775,7 +776,15 @@ let contention_store_point o ~theta ~cm ~threads =
           in
           build (i - 1) ((k, o) :: acc)
       in
-      ignore (Store.txn ctx st (build txn_keys [])))
+      (* One op = one committed transaction: an [Aborted] attempt is
+         retried with the same keys, so throughput counts commits. *)
+      let ops = build txn_keys [] in
+      let rec commit () =
+        match Store.txn ctx st ops with
+        | Store.Committed _ -> ()
+        | Store.Aborted _ -> commit ()
+      in
+      commit ())
     spec
 
 let contention o _ =

@@ -66,8 +66,9 @@ let window_fields =
 let store_stat_fields =
   [
     "point_ops"; "txn_commits"; "txn_aborts"; "txn_sub_ops"; "txn_retries";
-    "txn_retries_locked"; "txn_retries_version"; "scans"; "scan_collects";
-    "scan_tag_fallbacks"; "scan_shard_retries"; "shard_ops"; "imbalance";
+    "txn_retries_locked"; "txn_retries_version"; "txn_locked_cycles";
+    "scans"; "scan_collects"; "scan_tag_fallbacks"; "scan_shard_retries";
+    "shard_ops"; "imbalance";
   ]
 
 (* Walk the whole document and apply every per-object check listed in

@@ -11,7 +11,11 @@ module type S = sig
 
   (** Plain (untagged, unvalidated) walk collecting the keys in
       [\[lo, hi\]], visiting at most [budget] nodes. Only atomic under an
-      external quiescence proof (the store's version protocol). *)
+      external quiescence proof (the store's version protocol). It has
+      two users: scans collect shards with it, and transactions warm
+      each sub-op's key with the one-key walk [~lo:k ~hi:k] (which must
+      return [\[k\]] when [k] is present and [\[\]] otherwise) before
+      taking any shard lock, discarding the result. *)
   val scan_plain : Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
 end
 

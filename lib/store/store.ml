@@ -17,11 +17,14 @@ module Obs = Mt_obs.Obs
      seen is committed state. (Without this check a point get could
      observe a cross-shard transaction's sub-op before the transaction's
      release — unlinearizable, see test_store.)
-   - Transactions acquire every touched shard's lock in one
-     [Kcas.kcas_tagged] (all even v_i -> v_i+1, fail-fast on tags), apply
-     sub-ops under the locks, and release all locks atomically with one
-     [Kcas.kcas] — the release is the commit's linearization point.
-     Acquisition retries are bounded; exhaustion aborts with a cause.
+   - Transactions first warm their keys: one plain point walk
+     ([scan_plain ~lo:k ~hi:k]) per sub-op, outside any lock, so the
+     critical section runs on cached lines. They then acquire every
+     touched shard's lock in one [Kcas.kcas_tagged] (all even
+     v_i -> v_i+1, fail-fast on tags), apply sub-ops under the locks, and
+     release all locks atomically with one [Kcas.kcas] — the release is
+     the commit's linearization point. Acquisition retries are bounded;
+     exhaustion aborts with a cause.
    - Scans tag each touched shard's version word (Kcas.snapshot-style),
      walk the shard with the backend's plain collect, then validate the
      whole tag set once. On a broken or capacity-evicted tag the plain
@@ -52,6 +55,7 @@ type stats = {
   scan_tag_fallbacks : int;
   scan_shard_retries : int;
   shard_ops : int array;
+  txn_locked_cycles : int;
 }
 
 (* Host-level accounting: a pure function of the simulation, so it is
@@ -69,6 +73,7 @@ type counters = {
   mutable c_scan_tag_fallbacks : int;
   mutable c_scan_shard_retries : int;
   c_shard_ops : int array;
+  mutable c_txn_locked_cycles : int;  (* acquisition -> release, commits *)
 }
 
 (* Shard imbalance: hottest shard's share of routed ops, normalized so a
@@ -134,6 +139,7 @@ let create ?(txn_max_retries = 8) (backend : (module Backend.S)) ctx ~shards
           c_scan_tag_fallbacks = 0;
           c_scan_shard_retries = 0;
           c_shard_ops = Array.make shards 0;
+          c_txn_locked_cycles = 0;
         };
     }
 
@@ -159,6 +165,7 @@ let stats (T s) =
     scan_tag_fallbacks = s.c.c_scan_tag_fallbacks;
     scan_shard_retries = s.c.c_scan_shard_retries;
     shard_ops = Array.copy s.c.c_shard_ops;
+    txn_locked_cycles = s.c.c_txn_locked_cycles;
   }
 
 let reset_stats (T s) =
@@ -173,6 +180,7 @@ let reset_stats (T s) =
   s.c.c_scan_collects <- 0;
   s.c.c_scan_tag_fallbacks <- 0;
   s.c.c_scan_shard_retries <- 0;
+  s.c.c_txn_locked_cycles <- 0;
   Array.fill s.c.c_shard_ops 0 (Array.length s.c.c_shard_ops) 0
 
 let emit ctx kind =
@@ -274,6 +282,17 @@ let txn ctx (T s) ops =
         List.sort_uniq compare (List.map (fun (k, _) -> k mod nsh) ops)
       in
       let t0 = Ctx.now ctx in
+      (* Warm before locking: one plain point walk per sub-op key pulls the
+         nodes its sub-op will touch into this core's cache, so the
+         critical section below hits in L1 instead of paying directory
+         misses while every touched shard is locked. The walk's result is
+         discarded; correctness rests on the locked sub-ops alone. *)
+      List.iter
+        (fun (k, _) ->
+          ignore
+            (B.scan_plain ctx s.shards.(k mod nsh) ~lo:k ~hi:k
+               ~budget:s.scan_budget))
+        ops;
       let last_cause = ref "shard-locked" in
       (* All-or-nothing lock acquisition: one tagged kCAS over every
          touched shard's version word, even v_i -> odd v_i+1. The tag
@@ -298,7 +317,7 @@ let txn ctx (T s) ops =
                   { Kcas.addr = s.versions.(sh); expected = v; desired = v + 1 })
                 vs
             in
-            if Kcas.kcas_tagged ctx ups then Some (vs, attempt)
+            if Kcas.kcas_tagged ctx ups then Some (vs, attempt, Ctx.now ctx)
             else begin
               last_cause := "version-changed";
               s.c.c_txn_retries_version <- s.c.c_txn_retries_version + 1;
@@ -316,7 +335,7 @@ let txn ctx (T s) ops =
             (Obs.Txn_abort
                { cause = !last_cause; retries = s.txn_max_retries });
           Aborted { cause = !last_cause; retries = s.txn_max_retries }
-      | Some (vs, retries) ->
+      | Some (vs, retries, t_locked) ->
           s.c.c_txn_retries <- s.c.c_txn_retries + retries;
           (* Sub-ops run under every touched shard's lock; nothing is
              visible as committed until the atomic release below. *)
@@ -348,6 +367,8 @@ let txn ctx (T s) ops =
           if not (Kcas.kcas ctx rel) then
             failwith "Store: txn release kCAS lost while holding the locks";
           s.c.c_txn_commits <- s.c.c_txn_commits + 1;
+          s.c.c_txn_locked_cycles <-
+            s.c.c_txn_locked_cycles + (Ctx.now ctx - t_locked);
           emit ctx
             (Obs.Txn_commit
                { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });

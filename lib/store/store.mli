@@ -9,10 +9,12 @@
     - {b point ops} touch exactly one shard — writes take the shard's
       version lock with a single-word CAS, gets validate optimistically
       by re-reading the version — with zero cross-shard coordination;
-    - {b transactions} acquire every touched shard's lock in one
-      [Kcas.kcas_tagged] and release them all with one [Kcas.kcas] (the
-      commit's linearization point), aborting with a cause after a
-      bounded number of acquisition retries;
+    - {b transactions} first walk each sub-op's key with the backend's
+      plain point walk (warming the cache outside the critical section),
+      then acquire every touched shard's lock in one [Kcas.kcas_tagged]
+      and release them all with one [Kcas.kcas] (the commit's
+      linearization point), aborting with a cause after a bounded number
+      of acquisition retries;
     - {b scans/snapshots} tag each touched shard's version word
       (Kcas.snapshot-style), walk shards with the backend's plain
       collect, and validate the whole tag set at one instant, falling
@@ -53,6 +55,9 @@ type stats = {
           re-read pass (spurious or real) *)
   scan_shard_retries : int;  (** shards re-collected after moving *)
   shard_ops : int array;  (** routed ops per shard (imbalance source) *)
+  txn_locked_cycles : int;
+      (** simulated cycles from lock acquisition to release, summed over
+          committed transactions *)
 }
 
 type t
@@ -83,7 +88,10 @@ val delete : Mt_core.Ctx.t -> t -> int -> bool
 
 (** [txn ctx t ops] — atomic multi-key transaction across shards. Either
     every sub-op runs (under all touched shard locks, released atomically)
-    or none does. *)
+    or none does. Before its first acquisition attempt it walks each
+    sub-op's key once with [scan_plain ~lo:k ~hi:k] and discards the
+    result, so the locked sub-ops hit in L1 and the locks are held
+    briefly (see [txn_locked_cycles]). *)
 val txn : Mt_core.Ctx.t -> t -> (int * op) list -> outcome
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]
