@@ -703,12 +703,8 @@ let contention_set_point o ?cfg (module S : Mt_list.Set_intf.SET) ~range ~theta
   let spec = contention_spec o ~range ~insert_pct:45 ~delete_pct:45 ~threads in
   Driver.run_custom ?cfg ~cm ~name:S.name
     ~setup:(fun ctx ->
-      let s = S.create ctx in
-      let g = Prng.create ~seed:(spec.Spec.seed + 1) in
-      for k = 0 to range - 1 do
-        if Prng.float g < spec.Spec.init_fill then ignore (S.insert ctx s k)
-      done;
-      s)
+      Mt_list.Set_intf.prefilled (module S) ctx ~seed:(spec.Spec.seed + 1)
+        ~key_range:range ~fill:spec.Spec.init_fill)
     ~op:(fun ctx s ->
       let g = Ctx.prng ctx in
       let k = range - 1 - Zipf.sample z g in

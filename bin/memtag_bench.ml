@@ -35,12 +35,70 @@ let trace_file_for ~multi file name =
     | Some stem -> Printf.sprintf "%s.%s.json" stem name
     | None -> Printf.sprintf "%s.%s" file name
 
+(* One benchmark point of either mode: [tag] suffixes its trace file,
+   [title] heads its hot-line report, [row] prints its result row(s). *)
+type point = {
+  tag : string;
+  title : string;
+  row : unit -> unit;
+  obs : Obs.t;
+  json : Json.t;
+}
+
+(* The one emission path of both modes: per point its row, trace file and
+   hot lines, then one JSON document listing every point under [key]. *)
+let emit ~key ~json_file ~trace_file ~hot points =
+  let multi = List.length points > 1 in
+  List.iter
+    (fun p ->
+      p.row ();
+      Option.iter
+        (fun file ->
+          let file = trace_file_for ~multi file p.tag in
+          Trace.write_file p.obs file;
+          Printf.printf "Wrote event trace (%d events, %d dropped) to %s\n"
+            (List.length (Obs.events p.obs))
+            (Obs.dropped p.obs) file)
+        trace_file;
+      if hot > 0 then begin
+        if multi then Format.printf "hot lines [%s]:@." p.title;
+        Format.printf "%a@." (Trace.pp_hot_lines ~top:hot) p.obs
+      end)
+    points;
+  Option.iter
+    (fun file ->
+      let doc =
+        Json.Obj
+          [
+            ("schema_version", Json.Int 5);
+            ("generator", Json.String "memory-tagging-sim bin/memtag_bench.exe");
+            (key,
+             Json.List
+               (List.map
+                  (fun p ->
+                    Json.Obj
+                      [
+                        ("events_dropped", Json.Int (Obs.dropped p.obs));
+                        ("result", p.json);
+                      ])
+                  points));
+          ]
+      in
+      Json.to_file file doc;
+      Printf.printf "Wrote benchmark JSON to %s\n" file)
+    json_file
+
+(* One recording sink per benchmark point: points are independent
+   simulations (possibly on different domains), so tracing stays
+   per-run. Off (Null) unless requested. *)
+let sink ~tracing ~num_cores =
+  if tracing then Obs.create ~num_cores () else Obs.null
+
 (* Open-loop service mode (--rate): impls x offered rates, each point an
    independent Serve.run_set simulation. Shares --range/--insert/--delete/
    --seed with the closed-loop mode; --cycles becomes the arrival horizon. *)
 let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
-    ~workers ~batch ~qcap ~queue_kind ~arrival ~retries ~jobs ~json_file
-    ~trace_file ~hot =
+    ~workers ~batch ~qcap ~queue_kind ~arrival ~retries ~jobs ~tracing =
   let queues =
     match queue_kind with
     | "shared" -> Serve.Shared
@@ -62,65 +120,49 @@ let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
     if retries <= 0 then Serve.Drop
     else Serve.Retry { max_retries = retries; backoff_base = 64; backoff_cap = 4096 }
   in
-  let tracing = trace_file <> None || hot > 0 in
   let points =
     List.concat_map (fun rate -> List.map (fun im -> (im, rate)) chosen) rates
   in
-  let results =
-    Mt_par.Pool.map ~jobs
-      (fun ((name, m), rate) ->
-        let obs =
-          if tracing then Obs.create ~num_cores:(workers + 1) () else Obs.null
-        in
-        let config =
-          Serve.config ~batch ~queue_capacity:qcap ~queues ~admission ~process
-            ~horizon ~seed ~workers ~rate_per_kcycle:rate ()
-        in
-        let r = Serve.run_set ~obs ~insert_pct ~delete_pct m ~key_range config in
-        (name, rate, r, obs))
-      points
-  in
-  let multi = List.length results > 1 in
-  List.iter
-    (fun (name, rate, r, obs) ->
-      Format.printf "%a@." Serve.pp_result r;
-      Option.iter
-        (fun file ->
-          let file =
-            trace_file_for ~multi file (Printf.sprintf "%s-r%g" name rate)
-          in
-          Trace.write_file obs file;
-          Printf.printf "Wrote event trace (%d events, %d dropped) to %s\n"
-            (List.length (Obs.events obs))
-            (Obs.dropped obs) file)
-        trace_file;
-      if hot > 0 then begin
-        if multi then Format.printf "hot lines [%s r=%g]:@." name rate;
-        Format.printf "%a@." (Trace.pp_hot_lines ~top:hot) obs
-      end)
-    results;
-  Option.iter
-    (fun file ->
-      let doc =
-        Json.Obj
-          [
-            ("schema_version", Json.Int 5);
-            ("generator", Json.String "memory-tagging-sim bin/memtag_bench.exe");
-            ("serve_results",
-             Json.List
-               (List.map
-                  (fun (_, _, r, obs) ->
-                    Json.Obj
-                      [
-                        ("events_dropped", Json.Int (Obs.dropped obs));
-                        ("result", Serve.result_to_json r);
-                      ])
-                  results));
-          ]
+  Mt_par.Pool.map ~jobs
+    (fun ((name, m), rate) ->
+      let obs = sink ~tracing ~num_cores:(workers + 1) in
+      let config =
+        Serve.config ~batch ~queue_capacity:qcap ~queues ~admission ~process
+          ~horizon ~seed ~workers ~rate_per_kcycle:rate ()
       in
-      Json.to_file file doc;
-      Printf.printf "Wrote benchmark JSON to %s\n" file)
-    json_file
+      let r = Serve.run_set ~obs ~insert_pct ~delete_pct m ~key_range config in
+      {
+        tag = Printf.sprintf "%s-r%g" name rate;
+        title = Printf.sprintf "%s r=%g" name rate;
+        row = (fun () -> Format.printf "%a@." Serve.pp_result r);
+        obs;
+        json = Serve.result_to_json r;
+      })
+    points
+
+(* Closed-loop mode: one Driver.run_set point per impl. *)
+let closed chosen ~threads ~key_range ~insert_pct ~delete_pct ~measure ~seed
+    ~verbose ~jobs ~tracing =
+  let spec =
+    Mt_workload.Spec.make ~key_range ~insert_pct ~delete_pct ~threads
+      ~measure_cycles:measure ~seed ()
+  in
+  Mt_par.Pool.map ~jobs
+    (fun (name, m) ->
+      let obs = sink ~tracing ~num_cores:threads in
+      let r = Mt_workload.Driver.run_set ~obs m spec in
+      {
+        tag = name;
+        title = name;
+        row =
+          (fun () ->
+            Format.printf "%a@." Mt_workload.Driver.pp_result r;
+            if verbose then
+              Format.printf "  %a@." Mt_sim.Stats.pp r.Mt_workload.Driver.stats);
+        obs;
+        json = Mt_workload.Driver.result_to_json r;
+      })
+    chosen
 
 let run impl_names threads key_range insert_pct delete_pct measure seed all verbose
     json_file trace_file hot jobs rates workers batch qcap queue_kind arrival
@@ -138,71 +180,19 @@ let run impl_names threads key_range insert_pct delete_pct measure seed all verb
               exit 2)
         impl_names
   in
-  if rates <> [] then
-    serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon:measure ~seed
-      ~workers ~batch ~qcap ~queue_kind ~arrival ~retries ~jobs ~json_file
-      ~trace_file ~hot
-  else begin
-  let spec =
-    Mt_workload.Spec.make ~key_range ~insert_pct ~delete_pct ~threads
-      ~measure_cycles:measure ~seed ()
-  in
-  (* One recording sink per benchmark point: points are independent
-     simulations (possibly on different domains), so tracing stays
-     per-run. Off (Null) unless requested. *)
   let tracing = trace_file <> None || hot > 0 in
-  let results =
-    Mt_par.Pool.map ~jobs
-      (fun (name, m) ->
-        let obs =
-          if tracing then Obs.create ~num_cores:threads () else Obs.null
-        in
-        let r = Mt_workload.Driver.run_set ~obs m spec in
-        (name, r, obs))
-      chosen
+  let key, points =
+    if rates <> [] then
+      ( "serve_results",
+        serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon:measure
+          ~seed ~workers ~batch ~qcap ~queue_kind ~arrival ~retries ~jobs
+          ~tracing )
+    else
+      ( "results",
+        closed chosen ~threads ~key_range ~insert_pct ~delete_pct ~measure ~seed
+          ~verbose ~jobs ~tracing )
   in
-  let multi = List.length results > 1 in
-  List.iter
-    (fun (name, r, obs) ->
-      Format.printf "%a@." Mt_workload.Driver.pp_result r;
-      if verbose then
-        Format.printf "  %a@." Mt_sim.Stats.pp r.Mt_workload.Driver.stats;
-      Option.iter
-        (fun file ->
-          let file = trace_file_for ~multi file name in
-          Trace.write_file obs file;
-          Printf.printf "Wrote event trace (%d events, %d dropped) to %s\n"
-            (List.length (Obs.events obs))
-            (Obs.dropped obs) file)
-        trace_file;
-      if hot > 0 then begin
-        if multi then Format.printf "hot lines [%s]:@." name;
-        Format.printf "%a@." (Trace.pp_hot_lines ~top:hot) obs
-      end)
-    results;
-  Option.iter
-    (fun file ->
-      let doc =
-        Json.Obj
-          [
-            ("schema_version", Json.Int 5);
-            ("generator", Json.String "memory-tagging-sim bin/memtag_bench.exe");
-            ("results",
-             Json.List
-               (List.map
-                  (fun (_, r, obs) ->
-                    Json.Obj
-                      [
-                        ("events_dropped", Json.Int (Obs.dropped obs));
-                        ("result", Mt_workload.Driver.result_to_json r);
-                      ])
-                  results));
-          ]
-      in
-      Json.to_file file doc;
-      Printf.printf "Wrote benchmark JSON to %s\n" file)
-    json_file
-  end
+  emit ~key ~json_file ~trace_file ~hot points
 
 let () =
   let impl =

@@ -1,16 +1,9 @@
 open Mt_sim
 open Mt_check
 
-(* How hot is the machine right now? The signals the paper worries about:
-   failed validations (tag conflicts + spurious), failed primitives, and
-   inbound invalidations — summed over all cores. A pure function of the
-   simulation state, so adaptive decisions stay deterministic. *)
-let heat machine =
-  let s = Machine.total_stats machine in
-  s.Stats.validate_failures + s.Stats.cas_failures + s.Stats.vas_failures
-  + s.Stats.ias_failures + s.Stats.invalidations_received
-
-(* Resample the heat every [heat_window] stalls (a full stats sum walks
+(* Resample the machine's heat ({!Stats.heat} summed over all cores — a
+   pure function of the simulation state, so adaptive decisions stay
+   deterministic) every [heat_window] stalls (a full stats sum walks
    every core, so not per stall), and turn the delta into a straggler
    probability multiplier: m = 1 + min 7 (delta/4). A quiet machine
    injects at the base rate; a contention storm injects up to 8x more —
@@ -60,7 +53,7 @@ let make_policy (spec : Inject.spec) ~machine ~seed ~max_delay =
           | Some { prob; pause } ->
               incr stalls;
               if spec.adaptive && !stalls mod heat_window = 0 then begin
-                let h = heat machine in
+                let h = Stats.heat (Machine.total_stats machine) in
                 mult := multiplier_of_delta (h - !last_heat);
                 last_heat := h
               end;

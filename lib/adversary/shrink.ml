@@ -29,8 +29,10 @@ let ladder ~lo cur =
   let cands = if cur - 1 >= lo then (cur - 1) :: cands else cands in
   List.sort_uniq compare (List.filter (fun v -> v >= lo && v < cur) cands)
 
-let shrink ?(seed_budget = 12) (module S : Mt_list.Set_intf.SET)
-    (initial : config) =
+(* Seeds searched per candidate: [0, seed_budget). *)
+let seed_budget = 12
+
+let shrink (module S : Mt_list.Set_intf.SET) (initial : config) =
   let runs = ref 0 in
   let exec c =
     incr runs;

@@ -12,7 +12,7 @@
     resolution; passes repeat to a fixpoint, so the final config is
     stable under re-shrinking ({e idempotent}).
 
-    A candidate is accepted iff some seed in [0, seed_budget) makes it
+    A candidate is accepted iff some seed in [0, 12) makes it
     fail (any violation counts — shrinking chases {e a} failure, not
     necessarily the original one); the first failing seed becomes the
     candidate's seed, so seeds end up small too. Every probe is a
@@ -35,12 +35,10 @@ type result = {
 
 val pp_config : Format.formatter -> config -> unit
 
-(** [shrink ?seed_budget (module S) config] — delta-debug [config] (which
-    must fail; raises [Invalid_argument] otherwise) to a minimal failing
-    configuration. [seed_budget] (default 12) bounds the per-candidate
-    seed search. *)
+(** [shrink (module S) config] — delta-debug [config] (which must fail;
+    raises [Invalid_argument] otherwise) to a minimal failing
+    configuration. *)
 val shrink :
-  ?seed_budget:int ->
   (module Mt_list.Set_intf.SET) ->
   config ->
   result

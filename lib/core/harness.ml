@@ -1,9 +1,28 @@
 open Mt_sim
+module Obs = Mt_obs.Obs
+module Series = Mt_obs.Series
 
-let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?tick
+let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?series
     ?(cm = Mt_cm.Cm.immediate) ~threads f =
   if threads <= 0 || threads > Machine.num_cores machine then
     invalid_arg "Harness.exec: bad thread count";
+  let obs = Machine.obs machine in
+  if series <> None && not (Obs.enabled obs) then
+    invalid_arg
+      "Harness.exec: ?series needs a recording obs sink (retain:false ok)";
+  (* The series observes this phase only: the counter baseline is the
+     machine's state at entry, the tap sees this phase's events, and
+     boundary snapshots fire from the scheduler tick. *)
+  let snap () = Stats.series_counters (Machine.total_stats machine) in
+  let tick =
+    Option.map
+      (fun s ->
+        Series.set_baseline s (snap ());
+        Obs.set_tap obs (Some (Series.feed s));
+        ( Series.window_cycles s,
+          fun ~now -> Series.snapshot s ~time:now (snap ()) ))
+      series
+  in
   let master = Prng.create ~seed in
   (* Jitter streams come from a SEPARATE master so the per-core op
      streams are identical across policies: a policy comparison then
@@ -26,8 +45,14 @@ let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?tick
     in
     Runtime.spawn rt (fun () -> f (Ctx.make machine ~cm ~rt ~core ~prng))
   done;
-  Runtime.run ~policy ~obs:(Machine.obs machine) ?tick rt;
-  Runtime.clock rt
+  Runtime.run ~policy ~obs ?tick rt;
+  let duration = Runtime.clock rt in
+  Option.iter
+    (fun s ->
+      Series.finish s ~time:duration (snap ());
+      Obs.set_tap obs None)
+    series;
+  duration
 
 let exec1 machine ?(seed = 0x5EED) f =
   let result = ref None in

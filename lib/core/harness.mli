@@ -13,21 +13,30 @@
       ...
     ]} *)
 
-(** [exec machine ?seed ?policy ~threads f] runs [threads] fibers, fiber
-    [i] pinned to core [i] with its own PRNG stream derived from [seed].
-    [policy] (default {!Mt_sim.Runtime.default_policy}) selects the
-    scheduling policy; pass a fresh {!Mt_sim.Runtime.random_policy} to
-    explore an alternative, fully reproducible interleaving of the same
-    workload. Returns the simulated duration in cycles (the time the last
-    fiber finished). Raises [Invalid_argument] if [threads] exceeds the
-    machine's cores or is not positive. [tick] is forwarded to
-    {!Mt_sim.Runtime.run}: a periodic observation hook fired at every
-    multiple of its interval the simulated clock crosses (the window
-    telemetry snapshot point). [cm] (default {!Mt_cm.Cm.immediate})
-    selects the contention-management policy; each core gets a private
-    instance, with a jitter stream split off the master PRNG only for
-    policies that draw randomness — so the default is byte-identical to
-    a harness without policies.
+(** [exec machine ?seed ?policy ?series ?cm ~threads f] runs [threads]
+    fibers, fiber [i] pinned to core [i] with its own PRNG stream derived
+    from [seed]. [policy] (default {!Mt_sim.Runtime.default_policy})
+    selects the scheduling policy; pass a fresh
+    {!Mt_sim.Runtime.random_policy} to explore an alternative, fully
+    reproducible interleaving of the same workload. Returns the simulated
+    duration in cycles (the time the last fiber finished). Raises
+    [Invalid_argument] if [threads] exceeds the machine's cores or is not
+    positive. [cm] (default {!Mt_cm.Cm.immediate}) selects the
+    contention-management policy; each core gets a private instance, with
+    a jitter stream split off the master PRNG only for policies that draw
+    randomness — so the default is byte-identical to a harness without
+    policies.
+
+    [series] makes windowed telemetry ({!Mt_obs.Series}) observe exactly
+    this phase: the counter baseline is the machine's state at entry,
+    {!Mt_obs.Series.feed} is the machine sink's tap for the phase,
+    boundary snapshots fire from a {!Mt_sim.Runtime.run} tick at every
+    window multiple, and on return the tail window is closed at the final
+    clock and the tap detached. Raises [Invalid_argument] unless the
+    machine's sink records ([Obs.create ~retain:false] works — the series
+    reads the live stream, not the rings). The series' tap replaces any
+    tap already installed, so [policy] — built by the caller before this
+    call — must not rely on a tap of its own while a series is attached.
 
     Thread safety: one [exec] per domain at a time, each on its own
     machine. Independent machines may execute concurrently on different
@@ -38,7 +47,7 @@ val exec :
   Mt_sim.Machine.t ->
   ?seed:int ->
   ?policy:Mt_sim.Runtime.policy ->
-  ?tick:int * (now:int -> unit) ->
+  ?series:Mt_obs.Series.t ->
   ?cm:Mt_cm.Cm.spec ->
   threads:int ->
   (Ctx.t -> unit) ->

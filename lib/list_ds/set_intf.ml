@@ -30,3 +30,17 @@ module type SET = sig
       ascending order, sentinels excluded. *)
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
 end
+
+(** [prefilled (module S) ctx ~seed ~key_range ~fill] builds an empty set
+    and inserts each key of [\[0, key_range)], in ascending order, with
+    probability [fill] drawn from a fresh PRNG seeded with [seed] — the
+    setup phase the closed-loop driver, the serve layer and the bench
+    panels share. *)
+let prefilled (type s) (module S : SET with type t = s) ctx ~seed ~key_range
+    ~fill : s =
+  let s = S.create ctx in
+  let g = Mt_sim.Prng.create ~seed in
+  for k = 0 to key_range - 1 do
+    if Mt_sim.Prng.float g < fill then ignore (S.insert ctx s k)
+  done;
+  s

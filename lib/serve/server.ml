@@ -3,7 +3,6 @@ open Mt_core
 module Obs = Mt_obs.Obs
 module Hist = Mt_obs.Hist
 module Json = Mt_obs.Json
-module Series = Mt_obs.Series
 
 type queues = Shared | Per_worker of { steal : bool }
 
@@ -94,16 +93,14 @@ type result = {
   class_e2e : Hist.t array;
 }
 
-let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
-    ~op (c : config) =
+let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
+    (c : config) =
   let threads = c.workers + 1 in
   let cfg =
     match cfg with Some m -> m | None -> Config.default ~num_cores:threads ()
   in
   if cfg.Config.num_cores < threads then
     invalid_arg "Server.run: machine has fewer cores than workers + 1";
-  if series <> None && not (Obs.enabled obs) then
-    invalid_arg "Server.run: ?series needs a recording obs sink (retain:false ok)";
   let m = Machine.create ~obs cfg in
   let state = Harness.exec1 m ~seed:c.seed (fun ctx -> setup ctx) in
   let nq = match c.queues with Shared -> 1 | Per_worker _ -> c.workers in
@@ -161,7 +158,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
       | None -> ()
       | Some { heat_per_kcycle; sample_cycles } ->
           if now - !last_sample >= sample_cycles then begin
-            let h = (Stats.series_counters (Machine.total_stats m)).c_heat in
+            let h = Stats.heat (Machine.total_stats m) in
             let elapsed = now - !last_sample in
             shedding :=
               1000.0 *. float_of_int (h - !last_heat) /. float_of_int elapsed
@@ -339,32 +336,14 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
             batch
     done
   in
-  (* The series observes the serving phase only (the tap attaches after
-     setup; the counter baseline is the post-setup state); a custom policy
-     (fault injection) likewise drives only the serving phase. *)
-  let snap () = Stats.series_counters (Machine.total_stats m) in
-  (match series with
-  | Some s ->
-      Series.set_baseline s (snap ());
-      Obs.set_tap obs (Some (Series.feed s))
-  | None -> ());
+  (* The series and a custom policy (fault injection) drive the serving
+     phase only, never setup. *)
   let policy = Option.map (fun f -> f m) make_policy in
-  let tick =
-    Option.map
-      (fun s ->
-        (Series.window_cycles s, fun ~now -> Series.snapshot s ~time:now (snap ())))
-      series
-  in
   let duration =
-    Harness.exec m ~seed:c.seed ?policy ?tick ?cm ~threads (fun ctx ->
+    Harness.exec m ~seed:c.seed ?policy ?series ~threads (fun ctx ->
         let core = Ctx.core ctx in
         if core = c.workers then arrival_fiber ctx else worker_fiber ctx core)
   in
-  (match series with
-  | Some s ->
-      Series.finish s ~time:duration (snap ());
-      Obs.set_tap obs None
-  | None -> ());
   let still_queued = Array.fold_left (fun a q -> a + Queue.length q) 0 qs in
   let max_depth = Array.fold_left (fun a q -> max a (Queue.max_depth q)) 0 qs in
   let rejects = Array.fold_left (fun a q -> a + Queue.rejects q) 0 qs in
@@ -402,19 +381,14 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ?cm ~name ~setup
     class_e2e;
   }
 
-let run_set ?cfg ?obs ?make_policy ?series ?cm ?(init_fill = 0.5)
-    ?(insert_pct = 35) ?(delete_pct = 35) (module S : Mt_list.Set_intf.SET)
-    ~key_range (c : config) =
+let run_set ?obs ?make_policy ?series ?(insert_pct = 35) ?(delete_pct = 35)
+    (module S : Mt_list.Set_intf.SET) ~key_range (c : config) =
   if key_range <= 0 then invalid_arg "Server.run_set: bad key_range";
   if insert_pct < 0 || delete_pct < 0 || insert_pct + delete_pct > 100 then
     invalid_arg "Server.run_set: bad operation mix";
   let setup ctx =
-    let s = S.create ctx in
-    let g = Prng.create ~seed:(c.seed + 1) in
-    for k = 0 to key_range - 1 do
-      if Prng.float g < init_fill then ignore (S.insert ctx s k)
-    done;
-    s
+    Mt_list.Set_intf.prefilled (module S) ctx ~seed:(c.seed + 1) ~key_range
+      ~fill:0.5
   in
   let op ctx s payload =
     let k = (payload lsr 20) mod key_range in
@@ -423,7 +397,7 @@ let run_set ?cfg ?obs ?make_policy ?series ?cm ?(init_fill = 0.5)
     else if r < insert_pct + delete_pct then ignore (S.delete ctx s k)
     else ignore (S.contains ctx s k)
   in
-  run ?cfg ?obs ?make_policy ?series ?cm ~name:S.name ~setup ~op c
+  run ?obs ?make_policy ?series ~name:S.name ~setup ~op c
 
 let queues_name = function
   | Shared -> "shared"

@@ -113,7 +113,8 @@ type result = {
   class_e2e : Mt_obs.Hist.t array;  (** end-to-end latency per class *)
 }
 
-(** [run ?cfg ?obs ~name ~setup ~op config] — the open-loop analogue of
+(** [run ?cfg ?obs ?make_policy ?series ?classes ~name ~setup ~op config]
+    — the open-loop analogue of
     {!Mt_workload.Driver.run_custom}: [setup] builds the backend on core 0;
     [op ctx state payload] executes one request ([payload] is 62 bits of
     seeded per-request randomness that determines the operation). The
@@ -130,9 +131,9 @@ type result = {
     request id — which the trace exporter renders as Perfetto flow
     arrows. [make_policy] builds a custom scheduling policy from the
     machine (fault injection); [series] attaches windowed telemetry
-    ({!Mt_obs.Series}) to the serving phase (requires a recording [obs];
-    a [retain:false] sink works). Both apply to the serving phase only,
-    never setup.
+    ({!Mt_obs.Series}) to the serving phase through
+    {!Mt_core.Harness.exec} (requires a recording [obs]; a [retain:false]
+    sink works). Both apply to the serving phase only, never setup.
 
     [classes = (names, classify)] buckets each completed request by
     [classify payload] (an index into [names]; out-of-range means
@@ -144,25 +145,23 @@ val run :
   ?make_policy:(Mt_sim.Machine.t -> Mt_sim.Runtime.policy) ->
   ?series:Mt_obs.Series.t ->
   ?classes:string array * (int -> int) ->
-  ?cm:Mt_cm.Cm.spec ->
   name:string ->
   setup:(Mt_core.Ctx.t -> 'a) ->
   op:(Mt_core.Ctx.t -> 'a -> int -> unit) ->
   config ->
   result
 
-(** [run_set set ~key_range config] serves a {!Mt_list.Set_intf.SET}
-    backend: the structure is prefilled to [init_fill] (default 0.5) and
-    each request performs an insert/delete/contains on a payload-derived
-    key with the given mix (defaults 35/35/30, like the paper's write-heavy
-    workload). *)
+(** [run_set ?obs ?make_policy ?series ?insert_pct ?delete_pct set
+    ~key_range config] serves a {!Mt_list.Set_intf.SET} backend on the
+    default machine: the structure is prefilled to half the key range
+    ({!Mt_list.Set_intf.prefilled}) and each request performs an
+    insert/delete/contains on a payload-derived key with the given mix
+    (defaults 35/35/30, like the paper's write-heavy workload). Options as
+    in {!run}. *)
 val run_set :
-  ?cfg:Mt_sim.Config.t ->
   ?obs:Mt_obs.Obs.t ->
   ?make_policy:(Mt_sim.Machine.t -> Mt_sim.Runtime.policy) ->
   ?series:Mt_obs.Series.t ->
-  ?cm:Mt_cm.Cm.spec ->
-  ?init_fill:float ->
   ?insert_pct:int ->
   ?delete_pct:int ->
   (module Mt_list.Set_intf.SET) ->

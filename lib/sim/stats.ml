@@ -127,10 +127,12 @@ let sum ts =
   Array.iter (fun t -> add acc t) ts;
   acc
 
+let heat t =
+  t.validate_failures + t.cas_failures + t.vas_failures + t.ias_failures
+  + t.invalidations_received
+
 (* The counter shape the windowed telemetry layer snapshots at window
-   boundaries. [c_heat] matches the adversary's contention temperature
-   (Scenario.heat): failed validations + failed primitives + inbound
-   invalidations. *)
+   boundaries. *)
 let series_counters t : Mt_obs.Series.counters =
   {
     Mt_obs.Series.c_l1_hits = t.l1_hits;
@@ -139,9 +141,7 @@ let series_counters t : Mt_obs.Series.counters =
     c_invalidations = t.invalidations_received;
     c_writebacks = t.writebacks;
     c_tag_overflows = t.tag_overflows;
-    c_heat =
-      t.validate_failures + t.cas_failures + t.vas_failures + t.ias_failures
-      + t.invalidations_received;
+    c_heat = heat t;
   }
 
 let l1_accesses t = t.l1_hits + t.l1_misses

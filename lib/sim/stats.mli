@@ -56,8 +56,14 @@ val add : t -> t -> unit
 (** [sum ts] is a fresh aggregate of all counters. *)
 val sum : t array -> t
 
+(** Contention temperature: failed validations + failed CAS/VAS/IAS +
+    received invalidations. The adversary's load-adaptive rule, the serve
+    layer's overload shedding and the telemetry windows all read this one
+    definition. *)
+val heat : t -> int
+
 (** Cumulative counters in the shape {!Mt_obs.Series} snapshots at window
-    boundaries; [c_heat] is the adversary's contention temperature. *)
+    boundaries; [c_heat] is {!heat}. *)
 val series_counters : t -> Mt_obs.Series.counters
 
 (** Total L1 accesses (hits + misses). *)

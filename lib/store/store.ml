@@ -93,17 +93,17 @@ type t =
       shards : 'b array;
       versions : Ctx.addr array;
       key_space : int;
-      txn_max_retries : int;
       scan_budget : int;
       c : counters;
     }
       -> t
 
-let create ?(txn_max_retries = 8) (backend : (module Backend.S)) ctx ~shards
-    ~key_space =
+(* Lock-acquisition attempts a transaction makes before it aborts. *)
+let txn_max_retries = 8
+
+let create (backend : (module Backend.S)) ctx ~shards ~key_space =
   if shards <= 0 then invalid_arg "Store.create: shards must be positive";
   if key_space < shards then invalid_arg "Store.create: key_space < shards";
-  if txn_max_retries < 0 then invalid_arg "Store.create: txn_max_retries";
   let (module B) = backend in
   let versions =
     Array.init shards (fun _ ->
@@ -120,7 +120,6 @@ let create ?(txn_max_retries = 8) (backend : (module Backend.S)) ctx ~shards
       shards = Array.init shards (fun _ -> B.create ctx);
       versions;
       key_space;
-      txn_max_retries;
       (* Enough fuel to walk a whole shard (every structure visits at most
          ~2 nodes per resident key) plus slack; a doomed racy walk burning
          it out just fails the version check and retries. *)
@@ -299,7 +298,7 @@ let txn ctx (T s) ops =
          front end fails fast (no descriptor traffic) when a version
          moved under us. *)
       let rec try_acquire attempt =
-        if attempt > s.txn_max_retries then None
+        if attempt > txn_max_retries then None
         else begin
           let vs =
             List.map (fun sh -> (sh, Kcas.get ctx s.versions.(sh))) shard_ids
@@ -330,11 +329,11 @@ let txn ctx (T s) ops =
       (match try_acquire 0 with
       | None ->
           s.c.c_txn_aborts <- s.c.c_txn_aborts + 1;
-          s.c.c_txn_retries <- s.c.c_txn_retries + s.txn_max_retries;
+          s.c.c_txn_retries <- s.c.c_txn_retries + txn_max_retries;
           emit ctx
             (Obs.Txn_abort
-               { cause = !last_cause; retries = s.txn_max_retries });
-          Aborted { cause = !last_cause; retries = s.txn_max_retries }
+               { cause = !last_cause; retries = txn_max_retries });
+          Aborted { cause = !last_cause; retries = txn_max_retries }
       | Some (vs, retries, t_locked) ->
           s.c.c_txn_retries <- s.c.c_txn_retries + retries;
           (* Sub-ops run under every touched shard's lock; nothing is

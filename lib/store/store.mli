@@ -63,10 +63,9 @@ type stats = {
 type t
 
 (** [create backend ctx ~shards ~key_space] — keys are [0 .. key_space-1].
-    [txn_max_retries] (default 8) bounds transaction lock acquisition.
-    Call from a quiescent context (e.g. serve setup) before sharing. *)
+    A transaction aborts after 8 failed lock-acquisition retries. Call
+    from a quiescent context (e.g. serve setup) before sharing. *)
 val create :
-  ?txn_max_retries:int ->
   (module Backend.S) ->
   Mt_core.Ctx.t ->
   shards:int ->

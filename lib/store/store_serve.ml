@@ -19,20 +19,18 @@ type spec = {
   key_space : int;
   prefill : int;
   mix : mix;
-  txn_keys : int;
   scan_width : int;
 }
 
 let spec ?(shards = 4) ?(key_space = 1 lsl 20) ?(prefill = 1024)
-    ?(txn_keys = 3) ?(scan_width = 4096) ~backend ~mix () =
+    ?(scan_width = 4096) ~backend ~mix () =
   if shards <= 0 then invalid_arg "Store_serve.spec: shards";
   if key_space < shards then invalid_arg "Store_serve.spec: key_space";
   if prefill < 0 || prefill > key_space then
     invalid_arg "Store_serve.spec: prefill";
-  if txn_keys <= 0 then invalid_arg "Store_serve.spec: txn_keys";
   if scan_width <= 0 || scan_width > key_space then
     invalid_arg "Store_serve.spec: scan_width";
-  { backend; shards; key_space; prefill; mix; txn_keys; scan_width }
+  { backend; shards; key_space; prefill; mix; scan_width }
 
 let classes = [| "point"; "txn"; "scan" |]
 
@@ -41,6 +39,9 @@ let classify spec payload =
   if c < spec.mix.point_pct then 0
   else if c < spec.mix.point_pct + spec.mix.txn_pct then 1
   else 2
+
+(* Sub-ops per transaction. *)
+let txn_keys = 3
 
 (* One LCG step per payload-derived field (the xorshift* multiplier,
    which fits OCaml's 63-bit ints); masking keeps it non-negative. *)
@@ -72,12 +73,12 @@ let op spec ctx store payload =
           build (i - 1) h ((k, o) :: acc)
         end
       in
-      ignore (Store.txn ctx store (build spec.txn_keys h []))
+      ignore (Store.txn ctx store (build txn_keys h []))
   | _ ->
       let lo = h mod (spec.key_space - spec.scan_width + 1) in
       ignore (Store.scan ctx store ~lo ~hi:(lo + spec.scan_width - 1))
 
-let run ?cfg ?obs ?make_policy ?series ?cm spec (c : Serve.config) =
+let run ?obs ?make_policy spec (c : Serve.config) =
   let store = ref None in
   let setup ctx =
     let st =
@@ -96,8 +97,7 @@ let run ?cfg ?obs ?make_policy ?series ?cm spec (c : Serve.config) =
   in
   let name = Printf.sprintf "store-%s" (Backend.name spec.backend) in
   let r =
-    Serve.run ?cfg ?obs ?make_policy ?series ?cm
-      ~classes:(classes, classify spec)
+    Serve.run ?obs ?make_policy ~classes:(classes, classify spec)
       ~name ~setup ~op:(op spec) c
   in
   (r, Store.stats (Option.get !store))

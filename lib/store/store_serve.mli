@@ -18,17 +18,15 @@ type spec = {
   key_space : int;
   prefill : int;  (** seeded keys inserted before serving *)
   mix : mix;
-  txn_keys : int;  (** sub-ops per transaction *)
   scan_width : int;  (** keys covered by one range scan *)
 }
 
-(** Defaults: 4 shards, 2^20 keys, 1024 prefilled, 3-key transactions,
-    4096-wide scans. *)
+(** Defaults: 4 shards, 2^20 keys, 1024 prefilled, 4096-wide scans.
+    Every transaction touches 3 keys. *)
 val spec :
   ?shards:int ->
   ?key_space:int ->
   ?prefill:int ->
-  ?txn_keys:int ->
   ?scan_width:int ->
   backend:(module Backend.S) ->
   mix:mix ->
@@ -42,16 +40,14 @@ val classes : string array
 (** The class index ([classes]) a payload decodes to under [spec]'s mix. *)
 val classify : spec -> int -> int
 
-(** [run spec config] serves the mixed workload against a store built in
-    setup (with seeded prefill); returns the serve result (including the
-    per-class latency breakdown) and the store's operation counters for
-    the serving phase. *)
+(** [run ?obs ?make_policy spec config] serves the mixed workload against
+    a store built in setup (with seeded prefill) on the serve layer's
+    default machine; returns the serve result (including the per-class
+    latency breakdown) and the store's operation counters for the serving
+    phase. [obs] and [make_policy] are as in {!Mt_serve.Server.run}. *)
 val run :
-  ?cfg:Mt_sim.Config.t ->
   ?obs:Mt_obs.Obs.t ->
   ?make_policy:(Mt_sim.Machine.t -> Mt_sim.Runtime.policy) ->
-  ?series:Mt_obs.Series.t ->
-  ?cm:Mt_cm.Cm.spec ->
   spec ->
   Mt_serve.Server.config ->
   Mt_serve.Server.result * Store.stats

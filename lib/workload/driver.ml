@@ -3,7 +3,6 @@ open Mt_core
 module Obs = Mt_obs.Obs
 module Hist = Mt_obs.Hist
 module Json = Mt_obs.Json
-module Series = Mt_obs.Series
 
 type result = {
   impl : string;
@@ -29,14 +28,12 @@ let run_custom ?cfg ?(obs = Obs.null) ?make_policy ?series ?cm ~name ~setup
   in
   if cfg.Config.num_cores < spec.threads then
     invalid_arg "Driver: machine has fewer cores than spec threads";
-  if series <> None && not (Obs.enabled obs) then
-    invalid_arg "Driver: ?series needs a recording obs sink (retain:false ok)";
   let m = Machine.create ~obs cfg in
   let state = Harness.exec1 m ~seed:spec.seed (fun ctx -> setup ctx) in
   let counts = Array.make spec.threads 0 in
   let latency = Hist.create () in
-  let phase ?policy ?tick ~seed ~horizon ~record () =
-    Harness.exec m ~seed ?policy ?tick ?cm ~threads:spec.threads (fun ctx ->
+  let phase ?policy ?series ~seed ~horizon ~record () =
+    Harness.exec m ~seed ?policy ?series ?cm ~threads:spec.threads (fun ctx ->
         let core = Ctx.core ctx in
         let ops = ref 0 in
         while Ctx.now ctx < horizon do
@@ -56,32 +53,14 @@ let run_custom ?cfg ?(obs = Obs.null) ?make_policy ?series ?cm ~name ~setup
     phase ~seed:(spec.seed + 17) ~horizon:spec.warmup_cycles ~record:false ()
   in
   Machine.reset_stats m;
-  (* The series observes the measured phase only: the tap attaches after
-     warmup and the counter baseline is the post-reset state. A custom
-     policy (fault injection) likewise only drives the measured phase —
-     one-shot squeeze pulses must not be consumed by warmup. *)
-  let snap () = Stats.series_counters (Machine.total_stats m) in
-  (match series with
-  | Some s ->
-      Series.set_baseline s (snap ());
-      Obs.set_tap obs (Some (Series.feed s))
-  | None -> ());
+  (* The series and a custom policy (fault injection) drive the measured
+     phase only: window 0 excludes warmup, and one-shot squeeze pulses
+     must not be consumed by warmup. *)
   let policy = Option.map (fun f -> f m) make_policy in
-  let tick =
-    Option.map
-      (fun s ->
-        (Series.window_cycles s, fun ~now -> Series.snapshot s ~time:now (snap ())))
-      series
-  in
   let duration =
-    phase ?policy ?tick ~seed:(spec.seed + 31) ~horizon:spec.measure_cycles
+    phase ?policy ?series ~seed:(spec.seed + 31) ~horizon:spec.measure_cycles
       ~record:true ()
   in
-  (match series with
-  | Some s ->
-      Series.finish s ~time:duration (snap ());
-      Obs.set_tap obs None
-  | None -> ());
   let stats = Machine.total_stats m in
   let ops = Array.fold_left ( + ) 0 counts in
   let energy = Stats.energy cfg stats ~cycles:(duration * spec.threads) in
@@ -105,12 +84,8 @@ let run_custom ?cfg ?(obs = Obs.null) ?make_policy ?series ?cm ~name ~setup
 let run_set ?cfg ?obs ?make_policy ?series ?cm
     (module S : Mt_list.Set_intf.SET) (spec : Spec.t) =
   let setup ctx =
-    let s = S.create ctx in
-    let g = Prng.create ~seed:(spec.seed + 1) in
-    for k = 0 to spec.key_range - 1 do
-      if Prng.float g < spec.init_fill then ignore (S.insert ctx s k)
-    done;
-    s
+    Mt_list.Set_intf.prefilled (module S) ctx ~seed:(spec.seed + 1)
+      ~key_range:spec.key_range ~fill:spec.init_fill
   in
   let op ctx s =
     let g = Ctx.prng ctx in

@@ -20,23 +20,22 @@ type result = {
   stats : Mt_sim.Stats.t;      (** full aggregated counters of the window *)
 }
 
-(** [run_set ?cfg ?obs ?make_policy ?series set spec] builds a fresh
+(** [run_set ?cfg ?obs ?make_policy ?series ?cm set spec] builds a fresh
     machine (default config sized to [spec.threads] cores unless [cfg] is
-    given), populates the structure, runs a warmup window, resets
-    counters, and measures. Deterministic in [spec.seed]. When [obs] is a
-    recording sink it is attached to the machine (all simulator events)
-    and each logical operation additionally appears as a span on its
-    core's track.
+    given), populates the structure ({!Mt_list.Set_intf.prefilled}), runs
+    a warmup window, resets counters, and measures. Deterministic in
+    [spec.seed]. When [obs] is a recording sink it is attached to the
+    machine (all simulator events) and each logical operation additionally
+    appears as a span on its core's track.
 
     [make_policy] builds a custom scheduling policy from the machine
     (e.g. {!Mt_adversary.Scenario.make_policy} applied via a closure) —
     it drives the {e measured} phase only, so one-shot fault pulses are
     not consumed by warmup. [series] attaches windowed telemetry
-    ({!Mt_obs.Series}) to the measured phase: the event tap and counter
-    baseline are installed after warmup/reset, boundary snapshots fire
-    from a scheduler tick, and the tail window is closed at the final
-    clock. Requires a recording [obs] (a [retain:false] sink works — the
-    series reads the live stream, not the rings).
+    ({!Mt_obs.Series}) to the measured phase through
+    {!Mt_core.Harness.exec}, so window 0 starts after warmup/reset.
+    Requires a recording [obs] (a [retain:false] sink works — the series
+    reads the live stream, not the rings).
 
     [cm] selects the contention-management policy consulted on every
     CAS/VAS/IAS failure and restart (see {!Mt_cm.Cm}); it applies to both
@@ -53,7 +52,7 @@ val run_set :
   Spec.t ->
   result
 
-(** [run_custom ?cfg ?obs ?make_policy ?series ~name ~setup ~op spec] is
+(** [run_custom ?cfg ?obs ?make_policy ?series ?cm ~name ~setup ~op spec] is
     the generic form used by the STM/vacation benchmarks: [setup] builds
     the shared state on core 0; [op] performs one logical operation (given
     the per-thread PRNG-equipped ctx and the state). Options as in

@@ -9,14 +9,13 @@ type t = {
   seed : int;
 }
 
-let make ?(init_fill = 0.5) ?(warmup_cycles = 30_000) ?(measure_cycles = 150_000)
-    ?(seed = 1) ~key_range ~insert_pct ~delete_pct ~threads () =
+let make ?(warmup_cycles = 30_000) ?(measure_cycles = 150_000) ?(seed = 1)
+    ~key_range ~insert_pct ~delete_pct ~threads () =
   if key_range <= 0 then invalid_arg "Spec.make: key_range must be positive";
   if insert_pct < 0 || delete_pct < 0 || insert_pct + delete_pct > 100 then
     invalid_arg "Spec.make: bad operation mix";
-  if init_fill < 0.0 || init_fill > 1.0 then invalid_arg "Spec.make: bad init_fill";
   if threads <= 0 || threads > 64 then invalid_arg "Spec.make: bad thread count";
-  { key_range; init_fill; insert_pct; delete_pct; threads; warmup_cycles;
+  { key_range; init_fill = 0.5; insert_pct; delete_pct; threads; warmup_cycles;
     measure_cycles; seed }
 
 let to_string t =

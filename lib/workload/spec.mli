@@ -3,13 +3,14 @@
 
     On every iteration each thread picks a uniformly random key in
     [\[0, key_range)] and performs insert / delete / contains according to
-    the percentage mix. The structure is pre-filled to [init_fill] of the
-    range so that roughly half of the updates return [false], keeping the
-    size stationary, as in the paper. *)
+    the percentage mix. The structure is pre-filled to half of the range
+    so that roughly half of the updates return [false], keeping the size
+    stationary, as in the paper. *)
 
 type t = {
   key_range : int;
-  init_fill : float;       (** fraction of the range inserted at setup *)
+  init_fill : float;       (** fraction of the range inserted at setup
+                               (always 0.5) *)
   insert_pct : int;        (** percentage of insert operations *)
   delete_pct : int;        (** percentage of delete operations; the
                                remainder are contains *)
@@ -20,11 +21,10 @@ type t = {
 }
 
 (** [make ~key_range ~insert_pct ~delete_pct ~threads ()] with defaults:
-    [init_fill = 0.5], [warmup_cycles = 30_000], [measure_cycles =
-    150_000], [seed = 1]. Raises [Invalid_argument] on nonsensical
+    [warmup_cycles = 30_000], [measure_cycles = 150_000], [seed = 1];
+    [init_fill] is 0.5. Raises [Invalid_argument] on nonsensical
     percentages or sizes. *)
 val make :
-  ?init_fill:float ->
   ?warmup_cycles:int ->
   ?measure_cycles:int ->
   ?seed:int ->

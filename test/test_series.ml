@@ -47,6 +47,33 @@ let run_point ?make_policy ?(retain = false) () =
 let series_str s = Json.to_string (Series.to_json s)
 
 (* ------------------------------------------------------------------ *)
+(* The phase seam: Harness.exec ~series owns the telemetry wiring. *)
+
+let machine ?obs () =
+  Mt_sim.Machine.create ?obs (Mt_sim.Config.default ~num_cores:2 ())
+
+(* A series reads the live event stream, so a non-recording sink is a
+   configuration error, rejected before the phase runs. *)
+let test_exec_series_needs_sink () =
+  let series = Series.create ~window () in
+  match Mt_core.Harness.exec (machine ()) ~series ~threads:1 (fun _ -> ()) with
+  | _ -> Alcotest.fail "a series on Obs.null was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* The series observes exactly one phase: once exec returns, its tap is
+   gone and later events leave the series untouched. *)
+let test_exec_detaches_tap () =
+  let obs = Obs.create ~retain:false ~num_cores:2 () in
+  let series = Series.create ~window () in
+  let (_ : int) =
+    Mt_core.Harness.exec (machine ~obs ()) ~series ~threads:2 (fun ctx ->
+        Mt_core.Ctx.work ctx (2 * window))
+  in
+  let before = series_str series in
+  Obs.emit obs ~core:0 ~time:1 (Obs.Vas { ok = false });
+  check_string "series unchanged after exec" before (series_str series)
+
+(* ------------------------------------------------------------------ *)
 (* Partition identities. *)
 
 let test_series_partitions_ops () =
@@ -346,6 +373,10 @@ let () =
           Alcotest.test_case "jobs invariant" `Quick test_series_jobs_invariant;
           Alcotest.test_case "squeeze spike visible" `Quick
             test_series_squeeze_spike;
+          Alcotest.test_case "exec rejects a null sink" `Quick
+            test_exec_series_needs_sink;
+          Alcotest.test_case "exec detaches its tap" `Quick
+            test_exec_detaches_tap;
         ] );
       ( "serve",
         [
