@@ -8,23 +8,35 @@ module Obs = Mt_obs.Obs
    per shard (its own cache line): even = unlocked, odd = locked, and the
    value only ever increases, so there is no ABA.
 
-   - Point writes lock their one shard with a single-word CAS
-     (even v -> v+1), run the backend op, release (v+1 -> v+2). Zero
-     cross-shard coordination.
+   - Point writes first try to prove themselves no-ops without the
+     lock: read the version, walk the key with the backend's plain
+     one-key walk ([scan_plain ~lo:k ~hi:k]), re-read the version. An
+     insert of a present key or a delete of an absent key whose two
+     reads agree on an even version returns [false] having written
+     nothing: it linearizes between the reads, by [get]'s argument, and
+     leaves the version line shared, so it breaks no scan's tag and no
+     transaction's acquisition. Every other write locks its one shard
+     with a single-word CAS (even v -> v+1), runs the backend op on the
+     lines the walk warmed, and releases (v+1 -> v+2). Zero cross-shard
+     coordination.
    - Point gets are optimistic: read the version (even), run the
      backend's linearizable [contains], re-read the version; equal means
      no writer held or took the shard lock during the read, so the value
      seen is committed state. (Without this check a point get could
      observe a cross-shard transaction's sub-op before the transaction's
      release — unlinearizable, see test_store.)
-   - Transactions first warm their keys: one plain point walk
-     ([scan_plain ~lo:k ~hi:k]) per sub-op, outside any lock, so the
-     critical section runs on cached lines. They then acquire every
-     touched shard's lock in one [Kcas.kcas_tagged] (all even
-     v_i -> v_i+1, fail-fast on tags), apply sub-ops under the locks, and
-     release all locks atomically with one [Kcas.kcas] — the release is
-     the commit's linearization point. Acquisition retries are bounded;
-     exhaustion aborts with a cause.
+   - Transactions first warm their keys: one plain point walk per
+     sub-op, outside any lock, so the critical section runs on cached
+     lines. They then acquire every touched shard's lock in one
+     [Kcas.kcas_tagged] (all even v_i -> v_i+1, fail-fast on tags), apply
+     sub-ops under the locks, and release all locks atomically with one
+     [Kcas.kcas] — the release is the commit's linearization point. When
+     the first acquisition and [txn_max_retries] retries all fail, a
+     transaction takes the store's fallback lock (one more lock word),
+     then the same shard locks one at a time with the point writers'
+     spinning [acquire], drops the fallback lock and commits the same
+     way. Only the fallback-lock holder ever waits while holding a shard
+     lock, so there is no deadlock and a transaction never aborts.
    - Scans tag each touched shard's version word (Kcas.snapshot-style),
      walk the shard with the backend's plain collect, then validate the
      whole tag set once. On a broken or capacity-evicted tag the plain
@@ -37,10 +49,6 @@ module Obs = Mt_obs.Obs
 type op = Get | Insert | Delete
 
 let op_name = function Get -> "get" | Insert -> "insert" | Delete -> "delete"
-
-type outcome =
-  | Committed of bool list
-  | Aborted of { cause : string; retries : int }
 
 type stats = {
   point_ops : int;
@@ -63,7 +71,6 @@ type stats = {
 type counters = {
   mutable c_point_ops : int;
   mutable c_txn_commits : int;
-  mutable c_txn_aborts : int;
   mutable c_txn_sub_ops : int;
   mutable c_txn_retries : int;
   mutable c_txn_retries_locked : int;  (* failed acquisitions, by cause *)
@@ -92,13 +99,15 @@ type t =
       backend_name : string;
       shards : 'b array;
       versions : Ctx.addr array;
+      fallback : Ctx.addr;  (* lock word serializing txn fallbacks *)
       key_space : int;
       scan_budget : int;
       c : counters;
     }
       -> t
 
-(* Lock-acquisition attempts a transaction makes before it aborts. *)
+(* Tagged acquisition retries a transaction makes before it falls back to
+   serialized locking. *)
 let txn_max_retries = 8
 
 let create (backend : (module Backend.S)) ctx ~shards ~key_space =
@@ -112,6 +121,8 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
         Kcas.init ctx a 0;
         a)
   in
+  let fallback = Ctx.alloc ~label:"store-fallback" ctx ~words:1 in
+  Kcas.init ctx fallback 0;
   let per_shard = ((key_space + shards - 1) / shards) + 1 in
   T
     {
@@ -119,6 +130,7 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
       backend_name = B.name;
       shards = Array.init shards (fun _ -> B.create ctx);
       versions;
+      fallback;
       key_space;
       (* Enough fuel to walk a whole shard (every structure visits at most
          ~2 nodes per resident key) plus slack; a doomed racy walk burning
@@ -128,7 +140,6 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
         {
           c_point_ops = 0;
           c_txn_commits = 0;
-          c_txn_aborts = 0;
           c_txn_sub_ops = 0;
           c_txn_retries = 0;
           c_txn_retries_locked = 0;
@@ -154,7 +165,7 @@ let stats (T s) =
   {
     point_ops = s.c.c_point_ops;
     txn_commits = s.c.c_txn_commits;
-    txn_aborts = s.c.c_txn_aborts;
+    txn_aborts = 0;
     txn_sub_ops = s.c.c_txn_sub_ops;
     txn_retries = s.c.c_txn_retries;
     txn_retries_locked = s.c.c_txn_retries_locked;
@@ -170,7 +181,6 @@ let stats (T s) =
 let reset_stats (T s) =
   s.c.c_point_ops <- 0;
   s.c.c_txn_commits <- 0;
-  s.c.c_txn_aborts <- 0;
   s.c.c_txn_sub_ops <- 0;
   s.c.c_txn_retries <- 0;
   s.c.c_txn_retries_locked <- 0;
@@ -199,25 +209,26 @@ let retry_wait ctx ~site ~attempt =
   Ctx.cm_wait_default ~site ctx ~attempt ~default:(fun () ->
       backoff_cycles attempt)
 
-(* Spin until the shard's version is even and our CAS takes it odd.
-   Returns the locked (odd) version. Writers always release, so this
-   terminates under any fair schedule. *)
-let acquire ctx versions sh =
+(* Spin until the lock word [a] is even and our CAS takes it odd.
+   Returns the locked (odd) value. Every lock holder releases without
+   waiting, except the one fallback transaction holding the store's
+   fallback lock; so this terminates under any fair schedule. *)
+let acquire ctx a =
   let rec go attempt =
-    let v = Kcas.get ctx versions.(sh) in
-    if (not (locked v)) && Kcas.cas ctx versions.(sh) ~expected:v ~desired:(v + 1)
+    let v = Kcas.get ctx a in
+    if (not (locked v)) && Kcas.cas ctx a ~expected:v ~desired:(v + 1)
     then v + 1
     else begin
-      retry_wait ctx ~site:versions.(sh) ~attempt;
+      retry_wait ctx ~site:a ~attempt;
       go (attempt + 1)
     end
   in
   go 0
 
-let release ctx versions sh vlocked =
-  (* We hold the lock: nothing else may move the version word, and a
+let release ctx a vlocked =
+  (* We hold the lock: nothing else may move the word, and a
      transaction's tagged acquire only fires on even values. *)
-  let ok = Kcas.cas ctx versions.(sh) ~expected:vlocked ~desired:(vlocked + 1) in
+  let ok = Kcas.cas ctx a ~expected:vlocked ~desired:(vlocked + 1) in
   if not ok then failwith "Store: release CAS lost while holding the lock"
 
 let point_done ctx c sh =
@@ -225,25 +236,34 @@ let point_done ctx c sh =
   c.c_shard_ops.(sh) <- c.c_shard_ops.(sh) + 1;
   emit ctx (Obs.Store_op { shard = sh })
 
-let insert ctx (T s) k =
+(* An insert ([~insert:true]) or delete of [k]. The unlocked walk either
+   proves the write a no-op at an instant between two equal even version
+   reads — the shard was frozen across the walk — or warms the lines the
+   locked backend op then touches. It runs even when the first read finds
+   the shard locked: then it only warms, while the holder works. *)
+let write ctx (T s) k ~insert =
   check_key s.key_space k;
   let module B = (val s.backend) in
   let sh = k mod Array.length s.versions in
-  let vl = acquire ctx s.versions sh in
-  let r = B.insert ctx s.shards.(sh) k in
-  release ctx s.versions sh vl;
+  let v = Kcas.get ctx s.versions.(sh) in
+  let present =
+    B.scan_plain ctx s.shards.(sh) ~lo:k ~hi:k ~budget:s.scan_budget <> []
+  in
+  let r =
+    if present = insert && (not (locked v)) && Kcas.get ctx s.versions.(sh) = v
+    then false
+    else begin
+      let vl = acquire ctx s.versions.(sh) in
+      let r = (if insert then B.insert else B.delete) ctx s.shards.(sh) k in
+      release ctx s.versions.(sh) vl;
+      r
+    end
+  in
   point_done ctx s.c sh;
   r
 
-let delete ctx (T s) k =
-  check_key s.key_space k;
-  let module B = (val s.backend) in
-  let sh = k mod Array.length s.versions in
-  let vl = acquire ctx s.versions sh in
-  let r = B.delete ctx s.shards.(sh) k in
-  release ctx s.versions sh vl;
-  point_done ctx s.c sh;
-  r
+let insert ctx t k = write ctx t k ~insert:true
+let delete ctx t k = write ctx t k ~insert:false
 
 let get ctx (T s) k =
   check_key s.key_space k;
@@ -273,7 +293,7 @@ let get ctx (T s) k =
 let txn ctx (T s) ops =
   List.iter (fun (k, _) -> check_key s.key_space k) ops;
   match ops with
-  | [] -> Committed []
+  | [] -> []
   | _ ->
       let module B = (val s.backend) in
       let nsh = Array.length s.versions in
@@ -292,19 +312,37 @@ let txn ctx (T s) ops =
             (B.scan_plain ctx s.shards.(k mod nsh) ~lo:k ~hi:k
                ~budget:s.scan_budget))
         ops;
-      let last_cause = ref "shard-locked" in
       (* All-or-nothing lock acquisition: one tagged kCAS over every
          touched shard's version word, even v_i -> odd v_i+1. The tag
          front end fails fast (no descriptor traffic) when a version
-         moved under us. *)
+         moved under us. Returns each shard's pre-lock version, the
+         failed attempts, and when the first lock was taken. *)
       let rec try_acquire attempt =
-        if attempt > txn_max_retries then None
+        if attempt > txn_max_retries then begin
+          (* Serialized fallback: under the store's fallback lock, spin
+             on each shard lock in turn. Only the fallback-lock holder
+             ever waits while holding a shard lock, and every holder it
+             waits for releases without waiting, so this makes progress
+             where the all-at-once kCAS kept losing races. One fallback
+             at a time keeps lock holders from queueing behind each
+             other on the hot shards. *)
+          let fl = acquire ctx s.fallback in
+          let first = List.hd shard_ids in
+          let v0 = acquire ctx s.versions.(first) - 1 in
+          let t_locked = Ctx.now ctx in
+          let rest =
+            List.map
+              (fun sh -> (sh, acquire ctx s.versions.(sh) - 1))
+              (List.tl shard_ids)
+          in
+          release ctx s.fallback fl;
+          ((first, v0) :: rest, attempt, t_locked)
+        end
         else begin
           let vs =
             List.map (fun sh -> (sh, Kcas.get ctx s.versions.(sh))) shard_ids
           in
           if List.exists (fun (_, v) -> locked v) vs then begin
-            last_cause := "shard-locked";
             s.c.c_txn_retries_locked <- s.c.c_txn_retries_locked + 1;
             retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
             try_acquire (attempt + 1)
@@ -316,9 +354,8 @@ let txn ctx (T s) ops =
                   { Kcas.addr = s.versions.(sh); expected = v; desired = v + 1 })
                 vs
             in
-            if Kcas.kcas_tagged ctx ups then Some (vs, attempt, Ctx.now ctx)
+            if Kcas.kcas_tagged ctx ups then (vs, attempt, Ctx.now ctx)
             else begin
-              last_cause := "version-changed";
               s.c.c_txn_retries_version <- s.c.c_txn_retries_version + 1;
               retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
               try_acquire (attempt + 1)
@@ -326,52 +363,44 @@ let txn ctx (T s) ops =
           end
         end
       in
-      (match try_acquire 0 with
-      | None ->
-          s.c.c_txn_aborts <- s.c.c_txn_aborts + 1;
-          s.c.c_txn_retries <- s.c.c_txn_retries + txn_max_retries;
-          emit ctx
-            (Obs.Txn_abort
-               { cause = !last_cause; retries = txn_max_retries });
-          Aborted { cause = !last_cause; retries = txn_max_retries }
-      | Some (vs, retries, t_locked) ->
-          s.c.c_txn_retries <- s.c.c_txn_retries + retries;
-          (* Sub-ops run under every touched shard's lock; nothing is
-             visible as committed until the atomic release below. *)
-          let results =
-            List.map
-              (fun (k, o) ->
-                let sh = k mod nsh in
-                s.c.c_txn_sub_ops <- s.c.c_txn_sub_ops + 1;
-                s.c.c_shard_ops.(sh) <- s.c.c_shard_ops.(sh) + 1;
-                emit ctx (Obs.Store_op { shard = sh });
-                match o with
-                | Get -> B.contains ctx s.shards.(sh) k
-                | Insert -> B.insert ctx s.shards.(sh) k
-                | Delete -> B.delete ctx s.shards.(sh) k)
-              ops
-          in
-          let rel =
-            List.map
-              (fun (sh, v) ->
-                {
-                  Kcas.addr = s.versions.(sh);
-                  expected = v + 1;
-                  desired = v + 2;
-                })
-              vs
-          in
-          (* Atomic release of every lock: the commit's linearization
-             point. Cannot fail — we hold all the locks. *)
-          if not (Kcas.kcas ctx rel) then
-            failwith "Store: txn release kCAS lost while holding the locks";
-          s.c.c_txn_commits <- s.c.c_txn_commits + 1;
-          s.c.c_txn_locked_cycles <-
-            s.c.c_txn_locked_cycles + (Ctx.now ctx - t_locked);
-          emit ctx
-            (Obs.Txn_commit
-               { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });
-          Committed results)
+      let vs, retries, t_locked = try_acquire 0 in
+      s.c.c_txn_retries <- s.c.c_txn_retries + retries;
+      (* Sub-ops run under every touched shard's lock; nothing is
+         visible as committed until the atomic release below. *)
+      let results =
+        List.map
+          (fun (k, o) ->
+            let sh = k mod nsh in
+            s.c.c_txn_sub_ops <- s.c.c_txn_sub_ops + 1;
+            s.c.c_shard_ops.(sh) <- s.c.c_shard_ops.(sh) + 1;
+            emit ctx (Obs.Store_op { shard = sh });
+            match o with
+            | Get -> B.contains ctx s.shards.(sh) k
+            | Insert -> B.insert ctx s.shards.(sh) k
+            | Delete -> B.delete ctx s.shards.(sh) k)
+          ops
+      in
+      let rel =
+        List.map
+          (fun (sh, v) ->
+            {
+              Kcas.addr = s.versions.(sh);
+              expected = v + 1;
+              desired = v + 2;
+            })
+          vs
+      in
+      (* Atomic release of every lock: the commit's linearization
+         point. Cannot fail — we hold all the locks. *)
+      if not (Kcas.kcas ctx rel) then
+        failwith "Store: txn release kCAS lost while holding the locks";
+      s.c.c_txn_commits <- s.c.c_txn_commits + 1;
+      s.c.c_txn_locked_cycles <-
+        s.c.c_txn_locked_cycles + (Ctx.now ctx - t_locked);
+      emit ctx
+        (Obs.Txn_commit
+           { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });
+      results
 
 let scan ctx (T s) ~lo ~hi =
   check_key s.key_space lo;

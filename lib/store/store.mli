@@ -6,15 +6,22 @@
     kCAS-managed {e version word} per shard (even = unlocked, odd =
     locked, monotonically increasing):
 
-    - {b point ops} touch exactly one shard — writes take the shard's
-      version lock with a single-word CAS, gets validate optimistically
-      by re-reading the version — with zero cross-shard coordination;
+    - {b point ops} touch exactly one shard with zero cross-shard
+      coordination. A write first walks its key with the backend's plain
+      point walk between two reads of the shard version; an insert of a
+      present key or a delete of an absent key whose reads agree on an
+      even version returns [false] without the lock (no CAS). Every
+      other write takes the shard's version lock with a single-word CAS.
+      Gets validate optimistically by re-reading the version;
     - {b transactions} first walk each sub-op's key with the backend's
       plain point walk (warming the cache outside the critical section),
       then acquire every touched shard's lock in one [Kcas.kcas_tagged]
       and release them all with one [Kcas.kcas] (the commit's
-      linearization point), aborting with a cause after a bounded number
-      of acquisition retries;
+      linearization point). When the tagged acquisition keeps losing
+      races, the transaction takes the store's fallback lock, then the
+      shard locks one at a time; only one transaction at a time holds
+      the fallback lock, so fallbacks never wait on each other and a
+      transaction always commits;
     - {b scans/snapshots} tag each touched shard's version word
       (Kcas.snapshot-style), walk shards with the backend's plain
       collect, and validate the whole tag set at one instant, falling
@@ -24,28 +31,25 @@
 
     Progress and accounting are deterministic: a run is a pure function
     of the simulation, byte-identical for any [--jobs] and with tracing
-    on or off. Obs hooks: [Store_op], [Txn_commit], [Txn_abort],
-    [Scan_validate]. *)
+    on or off. Obs hooks: [Store_op], [Txn_commit], [Scan_validate]. *)
 
 type op = Get | Insert | Delete
 
 val op_name : op -> string
-
-type outcome =
-  | Committed of bool list
-      (** per-sub-op results, in the order the sub-ops were given *)
-  | Aborted of { cause : string; retries : int }
-      (** lock acquisition exhausted its retry budget; no sub-op ran and
-          no shard was modified ([cause] is ["shard-locked"] or
-          ["version-changed"]) *)
 
 (** Host-level operation counters (a pure function of the simulation). *)
 type stats = {
   point_ops : int;
   txn_commits : int;
   txn_aborts : int;
+      (** always 0: a transaction falls back to serialized locking
+          instead of aborting (the field is kept for readers of the
+          counters) *)
   txn_sub_ops : int;
-  txn_retries : int;  (** acquisition retries, committed and aborted *)
+  txn_retries : int;
+      (** failed tagged acquisitions; a transaction that fails 9 (the
+          first attempt and 8 retries) takes the fallback, so
+          [txn_retries = txn_retries_locked + txn_retries_version] *)
   txn_retries_locked : int;  (** retries caused by a locked shard *)
   txn_retries_version : int;  (** retries caused by a version change *)
   scans : int;
@@ -63,8 +67,7 @@ type stats = {
 type t
 
 (** [create backend ctx ~shards ~key_space] — keys are [0 .. key_space-1].
-    A transaction aborts after 8 failed lock-acquisition retries. Call
-    from a quiescent context (e.g. serve setup) before sharing. *)
+    Call from a quiescent context (e.g. serve setup) before sharing. *)
 val create :
   (module Backend.S) ->
   Mt_core.Ctx.t ->
@@ -79,19 +82,21 @@ val backend_name : t -> string
 (** The shard routing function: [k mod num_shards]. *)
 val shard_of : t -> int -> int
 
-(** Point ops: shard-local, linearizable. *)
+(** Point ops: shard-local, linearizable. A write that would change
+    nothing returns [false] without locking when its shard is quiet. *)
 val get : Mt_core.Ctx.t -> t -> int -> bool
 
 val insert : Mt_core.Ctx.t -> t -> int -> bool
 val delete : Mt_core.Ctx.t -> t -> int -> bool
 
-(** [txn ctx t ops] — atomic multi-key transaction across shards. Either
-    every sub-op runs (under all touched shard locks, released atomically)
-    or none does. Before its first acquisition attempt it walks each
+(** [txn ctx t ops] — atomic multi-key transaction across shards: every
+    sub-op runs under all touched shard locks, released atomically, and
+    the per-sub-op results come back in the order the sub-ops were given.
+    It always commits. Before its first acquisition attempt it walks each
     sub-op's key once with [scan_plain ~lo:k ~hi:k] and discards the
     result, so the locked sub-ops hit in L1 and the locks are held
     briefly (see [txn_locked_cycles]). *)
-val txn : Mt_core.Ctx.t -> t -> (int * op) list -> outcome
+val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]
     (both within the key space), merged across shards in ascending

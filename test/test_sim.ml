@@ -292,15 +292,15 @@ let prop_fast_path_abtree =
     ~contents:T.to_list_unsafe ()
 
 (* Point ops plus two-key transactions on four norec-tagged shards; an
-   op's result is its outcome. *)
+   op's result is its sub-op results. *)
 let prop_fast_path_store =
   let backend = Option.get (Mt_store.Backend.by_name "norec-tagged") in
   fast_path_equiv ~name:"store"
     ~create:(fun ctx ~range -> Fast_store.create backend ctx ~shards:4 ~key_space:range)
     ~op:(fun ctx s kind k ->
       match kind with
-      | 0 -> Fast_store.Committed [ Fast_store.insert ctx s k ]
-      | 1 -> Fast_store.Committed [ Fast_store.get ctx s k ]
+      | 0 -> [ Fast_store.insert ctx s k ]
+      | 1 -> [ Fast_store.get ctx s k ]
       | _ ->
           Fast_store.txn ctx s
             [ (k, Fast_store.Delete); ((k + 5) mod Fast_store.key_space s, Fast_store.Insert) ])
