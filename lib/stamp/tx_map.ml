@@ -90,28 +90,6 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
     in
     go (S.read tx t.root_cell) init
 
-  (* Plain (non-transactional, unvalidated) in-order walk collecting keys
-     in [lo, hi]. NOrec writes back plain values at commit, so a quiesced
-     tree reads cleanly with raw [Ctx.read]; a racing commit can expose a
-     mixed-epoch pointer graph, which is why this is only atomic under an
-     external quiescence proof (the sharded store's per-shard version
-     protocol). [budget] bounds the visit count so a doomed walk racing
-     live updates still terminates. *)
-  let scan_keys_plain ctx t ~lo ~hi ~budget =
-    let fuel = ref budget in
-    let acc = ref [] in
-    let rec go node =
-      if node <> null && !fuel > 0 then begin
-        decr fuel;
-        let k = Ctx.read ctx (node + key_off) in
-        if k > lo then go (Ctx.read ctx (node + left_off));
-        if k >= lo && k <= hi then acc := k :: !acc;
-        if k < hi then go (Ctx.read ctx (node + right_off))
-      end
-    in
-    go (Ctx.read ctx t.root_cell);
-    List.sort compare !acc
-
   let to_alist_unsafe machine t =
     let peek = Mt_sim.Machine.peek machine in
     let rec go node acc =

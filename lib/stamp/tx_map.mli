@@ -26,14 +26,6 @@ module Make (S : Mt_stm.Stm_intf.S) : sig
   (** In-transaction fold over all bindings in ascending key order. *)
   val fold : S.tx -> t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
-  (** [scan_keys_plain ctx t ~lo ~hi ~budget] — plain (non-transactional)
-      in-order walk collecting keys in [\[lo, hi\]], visiting at most
-      [budget] nodes. {e Not} atomic on its own: callers must prove
-      quiescence externally (the sharded store's per-shard version
-      protocol does). *)
-  val scan_keys_plain :
-    Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
-
   (** Timing-free contents for test oracles (quiescent machine only). *)
   val to_alist_unsafe : Mt_sim.Machine.t -> t -> (int * int) list
 end

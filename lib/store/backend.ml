@@ -32,32 +32,30 @@ module Hoh_abtree : S = struct
   let name = "hoh-abtree"
 end
 
-(* Each shard owns a private tagged-NOrec instance (its own sequence
-   lock), so transactions on distinct shards never conflict at the STM
-   layer — cross-shard atomicity is the store's job, not NOrec's. *)
+(* A B+-tree with one cache line per node, run on tagged NOrec. Each
+   shard owns a private NOrec instance (its own sequence lock), so
+   transactions on distinct shards never conflict at the STM layer —
+   cross-shard atomicity is the store's job, not NOrec's. *)
 module Norec_map : S = struct
   module Stm = Mt_stm.Norec_tagged
-  module TM = Mt_stamp.Tx_map.Make (Stm)
+  module TB = Tx_btree.Make (Stm)
 
-  type t = { stm : Stm.t; map : TM.t }
+  type t = { stm : Stm.t; tree : TB.t }
 
   let name = "norec-tagged"
-  let create ctx = { stm = Stm.create ctx; map = TM.create ctx }
+  let create ctx = { stm = Stm.create ctx; tree = TB.create ctx }
 
   let insert ctx t k =
-    Stm.atomically ctx t.stm (fun tx -> TM.insert tx t.map k k)
+    Stm.atomically ctx t.stm (fun tx -> TB.insert tx t.tree k)
 
   let delete ctx t k =
-    Stm.atomically ctx t.stm (fun tx -> TM.remove tx t.map k <> None)
+    Stm.atomically ctx t.stm (fun tx -> TB.delete tx t.tree k)
 
   let contains ctx t k =
-    Stm.atomically ctx t.stm (fun tx -> TM.find tx t.map k <> None)
+    Stm.atomically ctx t.stm (fun tx -> TB.contains tx t.tree k)
 
-  let scan_plain ctx t ~lo ~hi ~budget =
-    TM.scan_keys_plain ctx t.map ~lo ~hi ~budget
-
-  let to_list_unsafe machine t =
-    List.map fst (TM.to_alist_unsafe machine t.map)
+  let scan_plain ctx t ~lo ~hi ~budget = TB.scan_plain ctx t.tree ~lo ~hi ~budget
+  let to_list_unsafe machine t = TB.to_list_unsafe machine t.tree
 end
 
 let all : (string * (module S)) list =

@@ -26,8 +26,9 @@ module Hoh_list : S
 (** The HoH-tagged relaxed (a,b)-tree, (4,8). *)
 module Hoh_abtree : S
 
-(** A transactional BST on tagged NOrec; each shard owns a private STM
-    instance so only the store coordinates across shards. *)
+(** A transactional B+-tree ({!Tx_btree}, one cache line per node) on
+    tagged NOrec; each shard owns a private STM instance so only the
+    store coordinates across shards. *)
 module Norec_map : S
 
 (** Registry, keyed by the backend's [name]: ["hoh-list"],

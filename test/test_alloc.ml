@@ -17,6 +17,11 @@
      words: the invalidation sweep loops over the directory's sharer
      bits instead of passing it a closure.
 
+   B+-tree walks. On the store's B+-tree (lib/store/tx_btree.ml), over an
+   STM that reads memory directly, a [contains] allocates 0 words and a
+   one-key [scan_plain] 5 (its fuel cell and its one-element result), at
+   depth 1 and at depth 6 alike: no descent allocates per node visited.
+
    Directory footprint. A [Directory] costs one word per line of each
    chunk that some line was written to, plus the chunk table; the plane
    for cores 32-63 is never allocated on a machine that does not use
@@ -141,6 +146,65 @@ let upgrade k =
 
 let () =
   pin "S->M upgrade, 1 sharer" ~expected:0. (words_per_step ~n:20_000 upgrade)
+
+(* B+-tree walks --------------------------------------------------------- *)
+
+(* An STM that reads and writes memory directly, so that only the tree's
+   own code allocates. *)
+module Direct : Mt_stm.Stm_intf.S with type tx = Ctx.t = struct
+  type t = unit
+  type tx = Ctx.t
+
+  let name = "direct"
+  let create _ = ()
+  let atomically ctx () body = body ctx
+  let read = Ctx.read
+  let write = Ctx.write
+  let ctx tx = tx
+  let commits () = 0
+  let aborts () = 0
+  let vbv_passes () = 0
+  let reset_stats () = ()
+end
+
+module TB = Mt_store.Tx_btree.Make (Direct)
+
+let btree ~keys ctx =
+  let t = TB.create ctx in
+  for key = 0 to keys - 1 do
+    ignore (TB.insert ctx t key)
+  done;
+  t
+
+(* [k] steps on a warm, quiescent tree of [keys] keys; step [i] looks up
+   a present key. *)
+let btree_walk ~keys step k =
+  let m = Machine.create (Config.default ~num_cores:1 ()) in
+  Harness.exec1 m (fun ctx ->
+      let t = btree ~keys ctx in
+      for i = 1 to k do
+        step ctx t (i mod keys)
+      done)
+
+let () =
+  let n = 20_000 in
+  List.iter
+    (fun (what, expected, step) ->
+      List.iter
+        (fun keys ->
+          let m = Machine.create (Config.default ~num_cores:1 ()) in
+          let depth = TB.depth_unsafe m (Harness.exec1 m (btree ~keys)) in
+          pin
+            (Printf.sprintf "btree %s, depth %d" what depth)
+            ~expected
+            (words_per_step ~n (btree_walk ~keys step)))
+        [ 6; 1024 ])
+    [
+      ("contains", 0., fun ctx t k -> ignore (TB.contains ctx t k));
+      ( "scan k..k",
+        5.,
+        fun ctx t k -> ignore (TB.scan_plain ctx t ~lo:k ~hi:k ~budget:64) );
+    ]
 
 (* Directory footprint -------------------------------------------------- *)
 

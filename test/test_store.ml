@@ -2,7 +2,8 @@
    determinism, the sequential map+range-query model per backend
    (set_battery's ranged battery), transaction atomicity under fuzzed
    schedules with the coherence audit on, point/txn/scan linearizability
-   via the generic Wing-Gong checker, serve-layer conservation, and the
+   via the generic Wing-Gong checker, the set and ranged batteries on the
+   norec-tagged shard's bare B+-tree, serve-layer conservation, and the
    house invariants (byte-identical across --jobs and with tracing on or
    off). *)
 
@@ -109,8 +110,8 @@ let test_point_walk () =
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
    holds the locks only for cached sub-ops, because the warm-up walk ran
-   first. Measured: 460 / 906 / 878 cycles (hoh-list / hoh-abtree /
-   norec-tagged) with the walk, 7532 / 2362 / 7782 without it. *)
+   first. Measured: 460 / 906 / 625 cycles (hoh-list / hoh-abtree /
+   norec-tagged) with the walk, 7532 / 2362 / 1561 without it. *)
 
 let test_txn_hold_time () =
   List.iter
@@ -258,6 +259,61 @@ let ranged_battery bname =
   end in
   let module B = Set_battery.Make_ranged (R) in
   B.cases
+
+(* ------------------------------------------------------------------ *)
+(* The norec-tagged shard's B+-tree on its own, under tagged NOrec. Each
+   instance starts deep: [create] inserts the multiples of 8 below 2048
+   in ascending order and deletes them all again, leaving 4 internal
+   levels over 64 empty leaves, each bounding a 32-key stretch of the
+   key space. Every battery case then runs on emptied leaves, splits
+   them, and splits the internal nodes above them. *)
+
+module Btree = struct
+  module Stm = Mt_stm.Norec_tagged
+  module TB = Mt_store.Tx_btree.Make (Stm)
+
+  type t = { stm : Stm.t; tree : TB.t }
+
+  let name = "btree"
+  let skeleton = List.init 256 (fun i -> 8 * i)
+  let key_range = 512
+  let atomically ctx t f = Stm.atomically ctx t.stm (fun tx -> f tx t.tree)
+  let insert ctx t k = atomically ctx t (fun tx m -> TB.insert tx m k)
+  let delete ctx t k = atomically ctx t (fun tx m -> TB.delete tx m k)
+  let contains ctx t k = atomically ctx t (fun tx m -> TB.contains tx m k)
+
+  let create ctx =
+    let t = { stm = Stm.create ctx; tree = TB.create ctx } in
+    List.iter (fun k -> ignore (insert ctx t k)) skeleton;
+    List.iter (fun k -> ignore (delete ctx t k)) skeleton;
+    t
+
+  let to_list_unsafe machine t = TB.to_list_unsafe machine t.tree
+
+  let range ctx t ~lo ~hi =
+    TB.scan_plain ctx t.tree ~lo ~hi ~budget:(List.length skeleton + 4096)
+end
+
+module Btree_battery = Set_battery.Make (Btree)
+module Btree_ranged = Set_battery.Make_ranged (Btree)
+
+let test_btree_skeleton () =
+  let m = machine () in
+  let t = Harness.exec1 m Btree.create in
+  check_int "levels, leaves included" 5 (Btree.TB.depth_unsafe m t.tree);
+  Alcotest.(check (list int)) "emptied" [] (Btree.to_list_unsafe m t)
+
+let btree_cases =
+  Alcotest.test_case "skeleton depth" `Quick test_btree_skeleton
+  :: Btree_battery.cases
+  @ [
+      Alcotest.test_case "sequential oracle, 2048 keys" `Quick
+        (Btree_battery.sequential_oracle ~ops:4000 ~range:2048);
+      Alcotest.test_case "concurrent 8x2048" `Slow (fun () ->
+          ignore
+            (Btree_battery.concurrent_accounting ~threads:8 ~range:2048
+               ~ops:400 ()));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Transaction atomicity under fuzzed schedules.
@@ -584,4 +640,5 @@ let () =
          ] );
      ]
     @ List.map (fun bname -> ("ranged-" ^ bname, ranged_battery bname))
-        backend_names)
+        backend_names
+    @ [ ("btree", btree_cases); ("ranged-btree", Btree_ranged.cases) ])
