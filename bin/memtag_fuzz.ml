@@ -30,6 +30,7 @@ let impls : (string * (module Mt_list.Set_intf.SET)) list =
     ("elided_list", (module Mt_list.Elided_list));
     ("abtree_hoh", (module Abtree_hoh));
     ("abtree_llx", (module Abtree_llx));
+    ("norec_btree", (module Mt_store.Backend.Norec_map : Mt_list.Set_intf.SET));
     ("buggy_list", (module Mt_check.Buggy_list));
     ("buggy_abtree", (module Mt_check.Buggy_abtree));
   ]

@@ -32,7 +32,8 @@ module Hoh_abtree : S = struct
   let name = "hoh-abtree"
 end
 
-(* A B+-tree with one cache line per node, run on tagged NOrec. Each
+(* A B+-tree with one cache line per node, two 31-bit fields per word
+   (fanout 8, 14-key leaves), run on tagged NOrec. Each
    shard owns a private NOrec instance (its own sequence lock), so
    transactions on distinct shards never conflict at the STM layer —
    cross-shard atomicity is the store's job, not NOrec's. *)

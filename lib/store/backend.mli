@@ -26,9 +26,10 @@ module Hoh_list : S
 (** The HoH-tagged relaxed (a,b)-tree, (4,8). *)
 module Hoh_abtree : S
 
-(** A transactional B+-tree ({!Tx_btree}, one cache line per node) on
-    tagged NOrec; each shard owns a private STM instance so only the
-    store coordinates across shards. *)
+(** A transactional B+-tree ({!Tx_btree}, one cache line per node,
+    two 31-bit fields per word: fanout 8, 14-key leaves) on tagged NOrec;
+    each shard owns a private STM instance so only the store coordinates
+    across shards. *)
 module Norec_map : S
 
 (** Registry, keyed by the backend's [name]: ["hoh-list"],

@@ -67,7 +67,10 @@ type stats = {
 type t
 
 (** [create backend ctx ~shards ~key_space] — keys are [0 .. key_space-1].
-    Call from a quiescent context (e.g. serve setup) before sharing. *)
+    Call from a quiescent context (e.g. serve setup) before sharing.
+    Raises [Invalid_argument] when [key_space > 2^31]: keys must fit a
+    31-bit field (the norec-tagged shard packs two per word), and every
+    backend shares that limit. *)
 val create :
   (module Backend.S) ->
   Mt_core.Ctx.t ->

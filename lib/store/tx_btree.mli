@@ -1,22 +1,29 @@
 (** A transactional B+-tree set in simulated memory, accessed through an
     STM's read/write primitives: the sharded store's [norec-tagged] shard.
 
-    Every node is one 8-word cache line: a header word packing the key
-    count and a leaf bit, then up to 7 sorted keys (leaf) or 3
-    separators and 4 children (internal). Insert is one descent that
-    splits bottom-up only when a node overflows; delete removes the key
-    from its leaf and merges nothing, so leaves may go empty while the
-    separators above them stay valid bounds. *)
+    Every node is one 8-word cache line of half-width fields, two 31-bit
+    halves per word. A leaf is a header word (key count and leaf bit)
+    and up to 14 sorted keys, two per word. An internal node packs its
+    header with child 0 in word 0 and separator [i-1] with child [i] in
+    word [i]: up to 7 separators and 8 children. Insert is one descent
+    that splits bottom-up only when a node overflows; delete removes the
+    key from its leaf and merges nothing, so leaves may go empty while
+    the separators above them stay valid bounds. Mutations shift the
+    packed words in place. Keys and node addresses must lie in
+    [\[0, 2^31)]. *)
 
 module Make (S : Mt_stm.Stm_intf.S) : sig
   type t
 
-  (** Allocate an empty set (outside any transaction). *)
+  (** Allocate an empty set (outside any transaction). Every node
+      allocation, here and inside transactions, raises [Invalid_argument]
+      if its address does not fit the 31-bit pointer field. *)
   val create : Mt_core.Ctx.t -> t
 
   val contains : S.tx -> t -> int -> bool
 
-  (** [insert tx t k] — false if [k] is already present. *)
+  (** [insert tx t k] — false if [k] is already present. Raises
+      [Invalid_argument] when [k] is outside [\[0, 2^31)]. *)
   val insert : S.tx -> t -> int -> bool
 
   (** [delete tx t k] — false if [k] is absent. *)

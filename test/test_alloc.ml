@@ -18,9 +18,11 @@
      bits instead of passing it a closure.
 
    B+-tree walks. On the store's B+-tree (lib/store/tx_btree.ml), over an
-   STM that reads memory directly, a [contains] allocates 0 words and a
-   one-key [scan_plain] 5 (its fuel cell and its one-element result), at
-   depth 1 and at depth 6 alike: no descent allocates per node visited.
+   STM that reads memory directly, a [contains] allocates 0 words, a
+   one-key [scan_plain] 5 (its fuel cell and its one-element result), and
+   a delete plus re-insert of a present key 0, at depth 1 and at depth 4
+   alike: no descent allocates per node visited, and mutations shift the
+   packed words in place instead of unpacking a node into arrays.
 
    Directory footprint. A [Directory] costs one word per line of each
    chunk that some line was written to, plus the chunk table; the plane
@@ -204,6 +206,11 @@ let () =
       ( "scan k..k",
         5.,
         fun ctx t k -> ignore (TB.scan_plain ctx t ~lo:k ~hi:k ~budget:64) );
+      ( "delete + re-insert",
+        0.,
+        fun ctx t k ->
+          ignore (TB.delete ctx t k);
+          ignore (TB.insert ctx t k) );
     ]
 
 (* Directory footprint -------------------------------------------------- *)

@@ -110,8 +110,8 @@ let test_point_walk () =
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
    holds the locks only for cached sub-ops, because the warm-up walk ran
-   first. Measured: 460 / 906 / 625 cycles (hoh-list / hoh-abtree /
-   norec-tagged) with the walk, 7532 / 2362 / 1561 without it. *)
+   first. Measured: 460 / 906 / 621 cycles (hoh-list / hoh-abtree /
+   norec-tagged) with the walk, 7532 / 2362 / 1453 without it. *)
 
 let test_txn_hold_time () =
   List.iter
@@ -262,9 +262,9 @@ let ranged_battery bname =
 
 (* ------------------------------------------------------------------ *)
 (* The norec-tagged shard's B+-tree on its own, under tagged NOrec. Each
-   instance starts deep: [create] inserts the multiples of 8 below 2048
-   in ascending order and deletes them all again, leaving 4 internal
-   levels over 64 empty leaves, each bounding a 32-key stretch of the
+   instance starts deep: [create] inserts the multiples of 4 below 2048
+   in ascending order and deletes them all again, leaving 3 internal
+   levels over 73 empty leaves, each bounding a 28-key stretch of the
    key space. Every battery case then runs on emptied leaves, splits
    them, and splits the internal nodes above them. *)
 
@@ -275,7 +275,7 @@ module Btree = struct
   type t = { stm : Stm.t; tree : TB.t }
 
   let name = "btree"
-  let skeleton = List.init 256 (fun i -> 8 * i)
+  let skeleton = List.init 512 (fun i -> 4 * i)
   let key_range = 512
   let atomically ctx t f = Stm.atomically ctx t.stm (fun tx -> f tx t.tree)
   let insert ctx t k = atomically ctx t (fun tx m -> TB.insert tx m k)
@@ -300,7 +300,7 @@ module Btree_ranged = Set_battery.Make_ranged (Btree)
 let test_btree_skeleton () =
   let m = machine () in
   let t = Harness.exec1 m Btree.create in
-  check_int "levels, leaves included" 5 (Btree.TB.depth_unsafe m t.tree);
+  check_int "levels, leaves included" 4 (Btree.TB.depth_unsafe m t.tree);
   Alcotest.(check (list int)) "emptied" [] (Btree.to_list_unsafe m t)
 
 let btree_cases =
@@ -314,6 +314,37 @@ let btree_cases =
             (Btree_battery.concurrent_accounting ~threads:8 ~range:2048
                ~ops:400 ()));
     ]
+
+(* Keys are 31-bit fields: a key space past 2^31 is rejected at
+   construction on every backend, and the B+-tree itself refuses a key
+   outside [0, 2^31). *)
+let test_key_limit () =
+  let m = machine () in
+  Harness.exec1 m (fun ctx ->
+      List.iter
+        (fun bname ->
+          Alcotest.check_raises (bname ^ " key_space 2^31 + 1")
+            (Invalid_argument
+               "Store.create: key_space > 2^31, past the 31-bit key field")
+            (fun () ->
+              ignore
+                (Store.create (backend bname) ctx ~shards:4
+                   ~key_space:((1 lsl 31) + 1)));
+          let s =
+            Store.create (backend bname) ctx ~shards:4 ~key_space:(1 lsl 31)
+          in
+          let top = (1 lsl 31) - 1 in
+          check_bool (bname ^ " top key inserted") true (Store.insert ctx s top);
+          check_bool (bname ^ " top key present") true (Store.get ctx s top))
+        backend_names;
+      let t = Btree.create ctx in
+      List.iter
+        (fun k ->
+          Alcotest.check_raises
+            (Printf.sprintf "btree insert %d" k)
+            (Invalid_argument "Tx_btree.insert: key outside the 31-bit key field")
+            (fun () -> ignore (Btree.insert ctx t k)))
+        [ -1; 1 lsl 31 ])
 
 (* ------------------------------------------------------------------ *)
 (* Transaction atomicity under fuzzed schedules.
@@ -607,6 +638,7 @@ let () =
          [
            Alcotest.test_case "hash partitioning" `Quick test_routing;
            Alcotest.test_case "determinism" `Quick test_determinism;
+           Alcotest.test_case "31-bit key limit" `Quick test_key_limit;
          ] );
        ( "point",
          [
