@@ -1,10 +1,11 @@
 (** Pluggable shard backends for the sharded store.
 
-    A backend is a tagged set structure ({!Mt_list.Set_intf.SET}) plus a
-    plain-read range collect. The store's atomicity never leans on a
-    backend op's tag set (every structure clears it internally); range
-    scans pair [scan_plain] with the store's per-shard version words,
-    which prove the walked shard quiescent whenever the scan validates. *)
+    A backend is a tagged set structure ({!Mt_list.Set_intf.SET}) plus
+    two plain-read walks, a range collect and a one-key descent. The
+    store's atomicity never leans on a backend op's tag set (every
+    structure clears it internally); scans pair [scan_plain], and gets
+    [mem_plain], with the store's per-shard version words, which prove
+    the walked shard quiescent whenever the operation validates. *)
 
 module type S = sig
   include Mt_list.Set_intf.SET
@@ -12,12 +13,22 @@ module type S = sig
   (** Plain (untagged, unvalidated) walk collecting the keys in
       [\[lo, hi\]], visiting at most [budget] nodes. Only atomic under an
       external quiescence proof (the store's version protocol). It has
-      two users: scans collect shards with it, and transactions warm
-      each sub-op's key with the one-key walk [~lo:k ~hi:k] (which must
-      return [\[k\]] when [k] is present and [\[\]] otherwise) before
-      taking any shard lock, discarding the result. *)
+      two users: scans collect shards with it, and writes and
+      transactions walk each key with the one-key walk [~lo:k ~hi:k]
+      (which must return [\[k\]] when [k] is present and [\[\]]
+      otherwise) before taking any shard lock: a write to prove itself a
+      no-op or to warm its lines, a transaction only to warm them. *)
   val scan_plain :
     Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+
+  (** Plain (untagged, unvalidated) one-key descent: [contains] without
+      any synchronization of its own, terminating against concurrent
+      updates but exact only under the same quiescence proof as
+      [scan_plain]. Gets run it between two equal even reads of the
+      shard version, and a transaction's [Get] sub-ops under the held
+      shard locks. It must agree with [contains] on a quiescent
+      structure. *)
+  val mem_plain : Mt_core.Ctx.t -> t -> int -> bool
 end
 
 (** The hand-over-hand tagged list ({!Mt_list.Hoh_list}). *)

@@ -19,18 +19,22 @@ module Obs = Mt_obs.Obs
      with a single-word CAS (even v -> v+1), runs the backend op on the
      lines the walk warmed, and releases (v+1 -> v+2). Zero cross-shard
      coordination.
-   - Point gets are optimistic: read the version (even), run the
-     backend's linearizable [contains], re-read the version; equal means
-     no writer held or took the shard lock during the read, so the value
-     seen is committed state. (Without this check a point get could
-     observe a cross-shard transaction's sub-op before the transaction's
-     release — unlinearizable, see test_store.)
+   - Point gets are optimistic: read the version (even), walk the key
+     with the backend's plain one-key descent ([mem_plain]), re-read the
+     version; equal means no writer held or took the shard lock during
+     the walk, so the shard was frozen and the value seen is committed
+     state. The version reads are the whole proof: the walk reads no
+     tag, lock or STM sequence lock of its own, so a get touches only the
+     version line and the nodes on its key's path. (Without the closing
+     read a get could observe a cross-shard transaction's sub-op before
+     the transaction's release — unlinearizable, see test_store.)
    - Transactions first warm their keys: one plain point walk per
      sub-op, outside any lock, so the critical section runs on cached
      lines. They then acquire every touched shard's lock in one
      [Kcas.kcas_tagged] (all even v_i -> v_i+1, fail-fast on tags), apply
-     sub-ops under the locks, and release all locks atomically with one
-     [Kcas.kcas] — the release is the commit's linearization point. When
+     sub-ops under the locks (a [Get] is the plain [mem_plain] walk: the
+     held lock freezes its shard), and release all locks atomically with
+     one [Kcas.kcas] — the release is the commit's linearization point. When
      the first acquisition and [txn_max_retries] retries all fail, a
      transaction takes the store's fallback lock (one more lock word),
      then the same shard locks one at a time with the point writers'
@@ -282,8 +286,8 @@ let get ctx (T s) k =
       attempt (tries + 1)
     end
     else begin
-      let r = B.contains ctx s.shards.(sh) k in
-      (* Version unchanged across the read: no writer held or took the
+      let r = B.mem_plain ctx s.shards.(sh) k in
+      (* Version unchanged across the walk: no writer held or took the
          shard lock meanwhile, so [r] is committed state. *)
       if Kcas.get ctx s.versions.(sh) = v then r
       else begin
@@ -372,7 +376,8 @@ let txn ctx (T s) ops =
       let vs, retries, t_locked = try_acquire 0 in
       s.c.c_txn_retries <- s.c.c_txn_retries + retries;
       (* Sub-ops run under every touched shard's lock; nothing is
-         visible as committed until the atomic release below. *)
+         visible as committed until the atomic release below. Only lock
+         holders change a shard, so a [Get] walks it plainly. *)
       let results =
         List.map
           (fun (k, o) ->
@@ -381,7 +386,7 @@ let txn ctx (T s) ops =
             s.c.c_shard_ops.(sh) <- s.c.c_shard_ops.(sh) + 1;
             emit ctx (Obs.Store_op { shard = sh });
             match o with
-            | Get -> B.contains ctx s.shards.(sh) k
+            | Get -> B.mem_plain ctx s.shards.(sh) k
             | Insert -> B.insert ctx s.shards.(sh) k
             | Delete -> B.delete ctx s.shards.(sh) k)
           ops

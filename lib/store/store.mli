@@ -12,7 +12,9 @@
       present key or a delete of an absent key whose reads agree on an
       even version returns [false] without the lock (no CAS). Every
       other write takes the shard's version lock with a single-word CAS.
-      Gets validate optimistically by re-reading the version;
+      A get walks its key with the backend's plain one-key descent
+      ([mem_plain]) between two reads of the version, and retries
+      unless they agree on an even value;
     - {b transactions} first walk each sub-op's key with the backend's
       plain point walk (warming the cache outside the critical section),
       then acquire every touched shard's lock in one [Kcas.kcas_tagged]
@@ -85,8 +87,11 @@ val backend_name : t -> string
 (** The shard routing function: [k mod num_shards]. *)
 val shard_of : t -> int -> int
 
-(** Point ops: shard-local, linearizable. A write that would change
-    nothing returns [false] without locking when its shard is quiet. *)
+(** Point ops: shard-local, linearizable. [get] runs the backend's
+    plain [mem_plain] descent between two reads of the shard version and
+    returns once they agree on an even value; it takes no lock, tag or
+    STM transaction. A write that would change nothing returns [false]
+    without locking when its shard is quiet. *)
 val get : Mt_core.Ctx.t -> t -> int -> bool
 
 val insert : Mt_core.Ctx.t -> t -> int -> bool
@@ -98,7 +103,9 @@ val delete : Mt_core.Ctx.t -> t -> int -> bool
     It always commits. Before its first acquisition attempt it walks each
     sub-op's key once with [scan_plain ~lo:k ~hi:k] and discards the
     result, so the locked sub-ops hit in L1 and the locks are held
-    briefly (see [txn_locked_cycles]). *)
+    briefly (see [txn_locked_cycles]). Under the locks a [Get] sub-op is
+    the backend's plain [mem_plain] descent, and [Insert]/[Delete] the
+    backend's own ops. *)
 val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]

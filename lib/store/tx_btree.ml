@@ -78,11 +78,11 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
 
   (* Position of [k] among a leaf's [n] keys, or [-1 - p] when [k] is
      absent and [p] is where it would go; [j] is even, so each step reads
-     one word for two keys. *)
-  let rec leaf_search tx node n k j =
+     one word for two keys, with [read c] as in [child_for]. *)
+  let rec leaf_search read c node n k j =
     if j >= n then -1 - n
     else
-      let w = S.read tx (key_word node j) in
+      let w = read c (key_word node j) in
       let x = low w in
       if x > k then -1 - j
       else if x = k then j
@@ -91,13 +91,19 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
         let y = high w in
         if y > k then -1 - (j + 1)
         else if y = k then j + 1
-        else leaf_search tx node n k (j + 2)
+        else leaf_search read c node n k (j + 2)
 
-  let rec mem tx node k =
-    let w = S.read tx node in
-    let n = count w in
-    if is_leaf w then leaf_search tx node n k 0 >= 0
-    else mem tx (child_for S.read tx node n k 0 w) k
+  (* The one-key descent, shared by the transactional [contains] and the
+     plain [mem_plain]. Counts are clamped to their node's capacity and
+     a null child ends the descent, as in the plain range walk, so a walk
+     racing a NOrec write-back stays inside the tree; it needs no fuel,
+     because a node's level never changes and each step goes one down. *)
+  let rec mem read c node k =
+    node <> null
+    &&
+    let w = read c node in
+    if is_leaf w then leaf_search read c node (min (count w) leaf_cap) k 0 >= 0
+    else mem read c (child_for read c node (min (count w) inner_cap) k 0 w) k
 
   (* [shift_in tx node pos k m w] makes room for [k] at key position
      [pos]: rewrites key word [m] (currently [w]) and every word below it
@@ -140,7 +146,7 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
   type ins = Dup | Done | Split of { sep : int; right : Ctx.addr }
 
   let leaf_insert tx node n k =
-    let p = leaf_search tx node n k 0 in
+    let p = leaf_search S.read tx node n k 0 in
     let pos = -1 - p in
     if p >= 0 then Dup
     else if n < leaf_cap then begin
@@ -258,7 +264,7 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
     let w = S.read tx node in
     let n = count w in
     if is_leaf w then begin
-      let p = leaf_search tx node n k 0 in
+      let p = leaf_search S.read tx node n k 0 in
       if p < 0 then false
       else begin
         if p < n - 1 then
@@ -269,7 +275,8 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
     end
     else del tx (child_for S.read tx node n k 0 w) k
 
-  let contains tx t k = mem tx (S.read tx t.root_cell) k
+  let contains tx t k = mem S.read tx (S.read tx t.root_cell) k
+  let mem_plain ctx t k = mem Ctx.read ctx (Ctx.read ctx t.root_cell) k
   let delete tx t k = del tx (S.read tx t.root_cell) k
 
   (* Plain (untagged, unvalidated) range walk. Under a racing NOrec

@@ -39,6 +39,14 @@ module Make (S : Mt_stm.Stm_intf.S) : sig
   val scan_plain :
     Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
 
+  (** [mem_plain ctx t k] — [contains] as one plain (untagged,
+      unvalidated) descent: the same code over [Ctx.read] instead of the
+      STM's read. It terminates against concurrent commits (counts are
+      clamped and every step goes one level down) but is exact only when
+      the caller proves the tree quiescent across it, as the sharded
+      store's version protocol does. *)
+  val mem_plain : Mt_core.Ctx.t -> t -> int -> bool
+
   (** Timing-free contents, ascending, for test oracles (quiescent
       machine only). *)
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list

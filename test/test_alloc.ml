@@ -18,11 +18,12 @@
      bits instead of passing it a closure.
 
    B+-tree walks. On the store's B+-tree (lib/store/tx_btree.ml), over an
-   STM that reads memory directly, a [contains] allocates 0 words, a
-   one-key [scan_plain] 5 (its fuel cell and its one-element result), and
-   a delete plus re-insert of a present key 0, at depth 1 and at depth 4
-   alike: no descent allocates per node visited, and mutations shift the
-   packed words in place instead of unpacking a node into arrays.
+   STM that reads memory directly, a [contains] and a plain [mem_plain]
+   (the store's get) allocate 0 words, a one-key [scan_plain] 5 (its fuel
+   cell and its one-element result), and a delete plus re-insert of a
+   present key 0, at depth 1 and at depth 4 alike: no descent allocates
+   per node visited, and mutations shift the packed words in place
+   instead of unpacking a node into arrays.
 
    Directory footprint. A [Directory] costs one word per line of each
    chunk that some line was written to, plus the chunk table; the plane
@@ -203,6 +204,7 @@ let () =
         [ 6; 1024 ])
     [
       ("contains", 0., fun ctx t k -> ignore (TB.contains ctx t k));
+      ("mem_plain", 0., fun ctx t k -> ignore (TB.mem_plain ctx t k));
       ( "scan k..k",
         5.,
         fun ctx t k -> ignore (TB.scan_plain ctx t ~lo:k ~hi:k ~budget:64) );

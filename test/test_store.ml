@@ -82,9 +82,10 @@ let test_determinism () =
     backend_names
 
 (* ------------------------------------------------------------------ *)
-(* The point walk the transaction warm-up relies on: [scan_plain] over
-   the one-key window [k, k] is [k] when k is present and [] otherwise,
-   for every backend. *)
+(* The two plain walks every backend provides, on a quiescent structure:
+   [scan_plain] over the one-key window [k, k] is [k] when k is present
+   and [] otherwise (writes and the transaction warm-up rely on it), and
+   [mem_plain] agrees with [contains] on every key (gets rely on it). *)
 
 let test_point_walk () =
   let range = 256 in
@@ -104,14 +105,21 @@ let test_point_walk () =
             (bname ^ " one-key walks")
             (List.init range (fun k -> if present.(k) then [ k ] else []))
             (List.init range (fun k ->
-                 B.scan_plain ctx t ~lo:k ~hi:k ~budget:((2 * range) + 64)))))
+                 B.scan_plain ctx t ~lo:k ~hi:k ~budget:((2 * range) + 64)));
+          let contains = List.init range (fun k -> B.contains ctx t k) in
+          Alcotest.(check (list bool))
+            (bname ^ " contains") (Array.to_list present) contains;
+          Alcotest.(check (list bool))
+            (bname ^ " mem_plain = contains")
+            contains
+            (List.init range (fun k -> B.mem_plain ctx t k))))
     Backend.all
 
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
    holds the locks only for cached sub-ops, because the warm-up walk ran
-   first. Measured: 460 / 906 / 621 cycles (hoh-list / hoh-abtree /
-   norec-tagged) with the walk, 7532 / 2362 / 1453 without it. *)
+   first. Measured: 460 / 906 / 496 cycles (hoh-list / hoh-abtree /
+   norec-tagged) with the walk, 7532 / 2362 / 1328 without it. *)
 
 let test_txn_hold_time () =
   List.iter
@@ -558,6 +566,30 @@ let test_noop_linearizable () =
       done)
     backend_names
 
+(* Get-heavy: the same five keys, schedule and think time, but the point
+   ops are mostly gets, racing transactions that delete a key and
+   re-insert it, and inserts. A get's plain walk that overlaps such a
+   transaction sees the key's deleted state on a locked shard; only the
+   closing version read sends it back to retry. A get that trusts its
+   walk then returns [false] for a key every linearization holds. *)
+let test_get_linearizable () =
+  let step ctx s g =
+    let k = Prng.int g 5 in
+    match Prng.int g 7 with
+    | 0 | 1 | 2 -> Point (Store.Get, k, Store.get ctx s k)
+    | 3 | 4 | 5 ->
+        let ops = [ (k, Store.Delete); (k, Store.Insert) ] in
+        Txn (ops, Store.txn ctx s ops)
+    | _ -> Point (Store.Insert, k, Store.insert ctx s k)
+  in
+  List.iter
+    (fun bname ->
+      for seed = 0 to 199 do
+        check_history bname ~seed ~key_space:5 ~threads:4 ~steps:20
+          ~policy:Runtime.default_policy ~think:1000 step
+      done)
+    backend_names
+
 (* ------------------------------------------------------------------ *)
 (* Serve integration: conservation, per-class accounting, and the
    jobs/tracing invariance contract. *)
@@ -662,6 +694,8 @@ let () =
              test_mixed_linearizable;
            Alcotest.test_case "no-op-heavy histories" `Slow
              test_noop_linearizable;
+           Alcotest.test_case "get-heavy histories" `Slow
+             test_get_linearizable;
          ] );
        ( "serve",
          [
