@@ -164,9 +164,41 @@ let closed chosen ~threads ~key_range ~insert_pct ~delete_pct ~measure ~seed
       })
     chosen
 
+(* An invalid flag value exits 2 with the flag named, before any point
+   runs, instead of escaping as an exception from inside a run. *)
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "memtag_bench: %s\n" msg;
+      exit 2)
+    fmt
+
+let validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates
+    ~workers ~batch ~qcap =
+  if key_range <= 0 then reject "--range must be positive (got %d)" key_range;
+  if insert_pct < 0 || delete_pct < 0 || insert_pct + delete_pct > 100 then
+    reject "--insert and --delete must be non-negative and sum to at most 100 \
+            (got %d and %d)" insert_pct delete_pct;
+  if rates = [] then begin
+    if threads < 1 || threads > 64 then
+      reject "--threads must be in 1..64 (got %d)" threads
+  end
+  else begin
+    List.iter
+      (fun r -> if not (r > 0.0) then reject "--rate must be positive (got %g)" r)
+      rates;
+    if workers < 1 || workers > 63 then
+      reject "--workers must be in 1..63 (got %d)" workers;
+    if batch < 1 then reject "--batch must be positive (got %d)" batch;
+    if qcap < 1 then reject "--qcap must be positive (got %d)" qcap;
+    if measure < 1 then reject "--cycles must be positive (got %d)" measure
+  end
+
 let run impl_names threads key_range insert_pct delete_pct measure seed all verbose
     json_file trace_file hot jobs rates workers batch qcap queue_kind arrival
     retries =
+  validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates ~workers
+    ~batch ~qcap;
   let jobs = if jobs > 0 then jobs else Mt_par.Pool.default_jobs () in
   let chosen =
     if all then impls

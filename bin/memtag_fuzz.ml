@@ -165,8 +165,24 @@ let report_failure name threads (o : Mt_check.Explore.outcome) params ~spec
   if not identical then
     Format.printf "WARNING: determinism broken — fix the scheduler first@."
 
+(* An invalid flag value exits 2 with the flag named, before any seed
+   runs, instead of escaping as an exception from inside a run. *)
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "memtag_fuzz: %s\n" msg;
+      exit 2)
+    fmt
+
 let run structures all seeds seed_start threads_list ops range prefill
     max_delay jobs adversary spec_str shrink verbose =
+  List.iter
+    (fun t ->
+      if t < 1 || t > 64 then reject "--threads must be in 1..64 (got %d)" t)
+    threads_list;
+  if range <= 0 then reject "--range must be positive (got %d)" range;
+  if max_delay < 0 then reject "--max-delay must be non-negative (got %d)" max_delay;
+  if seeds < 0 then reject "--seeds must be non-negative (got %d)" seeds;
   let jobs = if jobs > 0 then jobs else Mt_par.Pool.default_jobs () in
   let pinned_spec =
     match spec_str with

@@ -22,23 +22,24 @@ type config = {
   rate_per_kcycle : float;
   horizon : int;
   dispatch_cycles : int;
-  idle_poll_cycles : int;
   seed : int;
   record_dequeues : bool;
   shed : shed option;
 }
 
+(* How long an idle worker waits before polling its queue again. *)
+let idle_poll_cycles = 32
+
 let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
     ?(admission = Drop) ?(process = Arrival.Poisson) ?(horizon = 150_000)
-    ?(dispatch_cycles = 16) ?(idle_poll_cycles = 32) ?(seed = 1)
+    ?(dispatch_cycles = 16) ?(seed = 1)
     ?(record_dequeues = false) ?shed ~workers ~rate_per_kcycle () =
   if workers <= 0 || workers > 63 then invalid_arg "Server.config: bad workers";
   if batch <= 0 then invalid_arg "Server.config: batch must be positive";
   if queue_capacity <= 0 then invalid_arg "Server.config: bad queue_capacity";
   if not (rate_per_kcycle > 0.0) then invalid_arg "Server.config: bad rate";
   if horizon <= 0 then invalid_arg "Server.config: bad horizon";
-  if dispatch_cycles < 0 || idle_poll_cycles <= 0 then
-    invalid_arg "Server.config: bad cycle cost";
+  if dispatch_cycles < 0 then invalid_arg "Server.config: bad cycle cost";
   (match admission with
   | Retry { max_retries; backoff_base; backoff_cap } ->
       if max_retries < 0 || backoff_base <= 0 || backoff_cap < backoff_base then
@@ -59,7 +60,6 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
     rate_per_kcycle;
     horizon;
     dispatch_cycles;
-    idle_poll_cycles;
     seed;
     record_dequeues;
     shed;
@@ -294,7 +294,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
       match batch with
       | [] ->
           if finished () then continue := false
-          else Runtime.stall c.idle_poll_cycles
+          else Runtime.stall idle_poll_cycles
       | batch ->
           let t_dq = Ctx.now ctx in
           let n = List.length batch in
@@ -451,7 +451,7 @@ let config_to_json (c : config) =
       ("offered_per_kcycle", Json.Float c.rate_per_kcycle);
       ("horizon_cycles", Json.Int c.horizon);
       ("dispatch_cycles", Json.Int c.dispatch_cycles);
-      ("idle_poll_cycles", Json.Int c.idle_poll_cycles);
+      ("idle_poll_cycles", Json.Int idle_poll_cycles);
       ("seed", Json.Int c.seed);
     ]
 

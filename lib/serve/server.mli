@@ -52,7 +52,6 @@ type config = {
   dispatch_cycles : int;
       (** fixed dequeue/dispatch overhead charged once per batch — what
           batching amortizes *)
-  idle_poll_cycles : int;  (** idle worker poll interval *)
   seed : int;
   record_dequeues : bool;
       (** keep the (queue, request id) dequeue log in the result (tests) *)
@@ -61,7 +60,8 @@ type config = {
 
 (** [config ~workers ~rate_per_kcycle ()] with defaults: batch 1, capacity
     64, shared queue, drop admission, Poisson arrivals, horizon 150_000,
-    dispatch 16, idle poll 32, seed 1, no shedding. *)
+    dispatch 16, seed 1, no shedding. An idle worker polls its queue
+    every 32 cycles. *)
 val config :
   ?batch:int ->
   ?queue_capacity:int ->
@@ -70,7 +70,6 @@ val config :
   ?process:Arrival.process ->
   ?horizon:int ->
   ?dispatch_cycles:int ->
-  ?idle_poll_cycles:int ->
   ?seed:int ->
   ?record_dequeues:bool ->
   ?shed:shed ->

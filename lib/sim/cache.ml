@@ -5,8 +5,7 @@ type state = I | S | E | M
    (0=I 1=S 2=E 3=M), [lrus] its LRU stamp from the global [tick]. No
    per-way records to chase — a probe is a short scan over contiguous
    ints, and the hot path addresses a hit by slot index so it never scans
-   twice. The record is exposed: Machine's L1-hit path works on it
-   directly. *)
+   twice. *)
 type t = {
   set_mask : int;
   ways : int;
@@ -39,7 +38,7 @@ let create ~sets_log2 ~ways =
    arithmetic stays within [lines] by construction, so the scans use
    unchecked reads. A loop, not a local recursive function: the latter
    would allocate its closure on every probe. *)
-let probe t line =
+let[@inline] probe t line =
   let i = ref ((line land t.set_mask) * t.ways) in
   let lim = !i + t.ways in
   while

@@ -6,22 +6,7 @@
 
 type state = I | S | E | M
 
-(** The representation is exposed for {!Machine}'s call-free L1-hit path
-    (DESIGN §12), which scans and updates the planes in place; every other
-    caller goes through the functions below. Slot [set * ways + way] of
-    [lines] holds the resident line (-1 when empty), [sts] its MESI state
-    as an int (0=I 1=S 2=E 3=M), [lrus] its LRU stamp, drawn from [tick].
-    A hit on slot [i] refreshes its stamp with
-    [tick <- tick + 1; lrus.(i) <- tick]. *)
-type t = {
-  set_mask : int;  (** [sets - 1]: a line's set is [line land set_mask] *)
-  ways : int;
-  lines : int array;
-  sts : int array;
-  lrus : int array;
-  mutable tick : int;
-  mutable evicted_st : int;  (** state of the last {!insert} victim *)
-}
+type t
 
 val create : sets_log2:int -> ways:int -> t
 

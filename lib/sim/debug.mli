@@ -14,7 +14,3 @@
 
 val set : bool -> unit
 val on : unit -> bool
-
-(** The flag itself, which {!on} reads: {!Machine}'s call-free hit path
-    dereferences it instead of calling {!on}. *)
-val enabled : bool ref

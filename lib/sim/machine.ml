@@ -65,125 +65,6 @@ let[@inline] core t core =
   if core < 0 || core >= Array.length t.cores then bad_core core
   else Array.unsafe_get t.cores core
 
-(* ------------------------------------------------------------------ *)
-(* The L1-hit path (DESIGN §12). dune's default build compiles every
-   module with -opaque, so no call into another module is ever inlined.
-   An L1 hit therefore works on the exposed planes of Cache, Memtag_unit
-   and Memory through these Machine-local helpers, which are inlined:
-   the entry points below make no call at all when the access hits. *)
-
-let st_m = 3 (* Cache.M in the [sts] plane *)
-
-(* [Cache.probe]: the slot holding [line], or -1. *)
-let[@inline] slot (k : Cache.t) line =
-  let i = ref ((line land k.set_mask) * k.ways) in
-  let lim = !i + k.ways in
-  while
-    !i < lim
-    && not (Array.unsafe_get k.lines !i = line && Array.unsafe_get k.sts !i <> 0)
-  do
-    incr i
-  done;
-  if !i < lim then !i else -1
-
-(* [Cache.touch_at]: refresh the slot's LRU stamp. *)
-let[@inline] touch (k : Cache.t) i =
-  k.tick <- k.tick + 1;
-  Array.unsafe_set k.lrus i k.tick
-
-(* [Memory.get]/[Memory.set], whose bounds check only runs with debug
-   checks on. A chunk is narrow (4-byte words) or wide (int words); only
-   the write that makes a chunk wide leaves this path, through
-   [Memory.set]. *)
-let[@inline] mem_get t addr =
-  if !Debug.enabled then Memory.get t.mem addr
-  else begin
-    let ci = addr lsr Memory.chunk_log2 and off = addr land Memory.chunk_mask in
-    let b = t.mem.narrow.(ci) in
-    if b != Bytes.empty then Int32.to_int (Memory.get32 b (off lsl 2))
-    else Array.unsafe_get (Array.unsafe_get t.mem.wide ci) off
-  end
-
-let[@inline] mem_set t addr v =
-  if !Debug.enabled then Memory.set t.mem addr v
-  else begin
-    let ci = addr lsr Memory.chunk_log2 and off = addr land Memory.chunk_mask in
-    let b = t.mem.narrow.(ci) in
-    if b == Bytes.empty then Array.unsafe_set (Array.unsafe_get t.mem.wide ci) off v
-    else if (v lsl 31) asr 31 = v then Memory.set32 b (off lsl 2) (Int32.of_int v)
-    else Memory.set t.mem addr v
-  end
-
-(* [Memtag_unit.check], which a recording machine calls itself. *)
-let[@inline] verdict t (u : Memtag_unit.t) =
-  if t.evented then Memtag_unit.check u
-  else if u.evicted_conflict > 0 then Memtag_unit.Fail_conflict
-  else if u.evicted_capacity > 0 || u.overflow then Memtag_unit.Fail_spurious
-  else Memtag_unit.Ok
-
-(* Whether [tag_insert] may run: the journal has a free entry and one
-   more occupied slot keeps the table below its rehash load. *)
-let[@inline] tag_room (u : Memtag_unit.t) =
-  u.journal_len < Array.length u.journal
-  && 4 * (u.used + 2) <= 3 * Array.length u.slots
-
-(* [Memtag_unit.is_tagged] on the table; the -1 of an absent line also
-   answers an empty unit without probing. *)
-let[@inline] tag_slot (u : Memtag_unit.t) line =
-  if u.len = 0 then -1
-  else begin
-    let slots = u.slots in
-    let mask = Array.length slots - 1 in
-    let key = line + 1 in
-    let i = ref ((line * 0x9E3779B1) land mask) in
-    while
-      let v = Array.unsafe_get slots !i in
-      v <> 0 && not (v >= 4 && v lsr 2 = key)
-    do
-      i := (!i + 1) land mask
-    done;
-    if Array.unsafe_get slots !i = 0 then -1 else !i
-  end
-
-(* [Memtag_unit.remove]: the slot becomes a tombstone; a pending capacity
-   record goes with it, conflict evidence stays. *)
-let[@inline] tag_remove (u : Memtag_unit.t) line =
-  let i = tag_slot u line in
-  if i >= 0 then begin
-    if Array.unsafe_get u.slots i land 3 = 2 then
-      u.evicted_capacity <- u.evicted_capacity - 1;
-    Array.unsafe_set u.slots i 1;
-    u.len <- u.len - 1
-  end
-
-(* [Memtag_unit.add] when [tag_room] holds: probe from the line's hash,
-   remembering the first tombstone; a present line is left as it is, an
-   absent one takes that tombstone or else the empty slot (journalled). *)
-let[@inline] tag_insert (u : Memtag_unit.t) line =
-  let slots = u.slots in
-  let mask = Array.length slots - 1 in
-  let key = line + 1 in
-  let i = ref ((line * 0x9E3779B1) land mask) in
-  let tomb = ref (-1) in
-  while
-    let v = Array.unsafe_get slots !i in
-    v <> 0 && v lsr 2 <> key
-  do
-    if Array.unsafe_get slots !i = 1 && !tomb < 0 then tomb := !i;
-    i := (!i + 1) land mask
-  done;
-  if Array.unsafe_get slots !i = 0 then begin
-    if !tomb >= 0 then Array.unsafe_set slots !tomb (key lsl 2)
-    else begin
-      Array.unsafe_set slots !i (key lsl 2);
-      u.used <- u.used + 1;
-      Array.unsafe_set u.journal u.journal_len !i;
-      u.journal_len <- u.journal_len + 1
-    end;
-    u.len <- u.len + 1;
-    if u.len > u.max_tags then u.overflow <- true
-  end
-
 let stats t ~core:c = (core t c).stats
 let total_stats t = Stats.sum (Array.map (fun c -> c.stats) t.cores)
 let reset_stats t = Array.iter (fun c -> Stats.reset c.stats) t.cores
@@ -419,12 +300,11 @@ let acquire_general t c line ~excl =
    access needs [acquire_general] (a miss, an E/S -> M promotion, or a
    recording sink). *)
 let[@inline] l1_hit t c line ~excl =
-  if t.evented then -1
+  if on t then -1
   else begin
-    let l1 = c.l1 in
-    let s1 = slot l1 line in
-    if s1 >= 0 && ((not excl) || Array.unsafe_get l1.sts s1 = st_m) then begin
-      touch l1 s1;
+    let s1 = Cache.probe c.l1 line in
+    if s1 >= 0 && ((not excl) || Cache.state_at c.l1 s1 = Cache.M) then begin
+      Cache.touch_at c.l1 s1;
       c.stats.l1_hits <- c.stats.l1_hits + 1;
       t.cfg.lat_l1
     end
@@ -450,9 +330,7 @@ let invalidate_taggers t c line =
     else begin
       let v = t.cores.(i) in
       if
-        v.id <> c.id
-        && (if on t then Memtag_unit.is_tagged v.tags line
-            else tag_slot v.tags line >= 0)
+        v.id <> c.id && Memtag_unit.is_tagged v.tags line
       then begin
         c.stats.tag_probes_sent <- c.stats.tag_probes_sent + 1;
         v.stats.tag_probes_received <- v.stats.tag_probes_received + 1;
@@ -493,13 +371,13 @@ let read t ~core:cid addr =
   let c = core t cid in
   t.lat.last <- acquire t c (line_of t addr) ~excl:false;
   c.stats.loads <- c.stats.loads + 1;
-  mem_get t addr
+  Memory.get t.mem addr
 
 let write t ~core:cid addr v =
   let c = core t cid in
   let lat = acquire t c (line_of t addr) ~excl:true in
   c.stats.stores <- c.stats.stores + 1;
-  mem_set t addr v;
+  Memory.set t.mem addr v;
   (* The store buffer hides the miss from the pipeline; coherence side
      effects above still happened in full. *)
   let lat = if lat < t.cfg.lat_store_buffered then lat else t.cfg.lat_store_buffered in
@@ -510,9 +388,9 @@ let cas t ~core:cid addr ~expected ~desired =
   let c = core t cid in
   t.lat.last <- acquire t c (line_of t addr) ~excl:true;
   c.stats.cas_ops <- c.stats.cas_ops + 1;
-  let old = mem_get t addr in
+  let old = Memory.get t.mem addr in
   if old = expected then begin
-    mem_set t addr desired;
+    Memory.set t.mem addr desired;
     true
   end
   else begin
@@ -523,8 +401,8 @@ let cas t ~core:cid addr ~expected ~desired =
 let faa t ~core:cid addr delta =
   let c = core t cid in
   t.lat.last <- acquire t c (line_of t addr) ~excl:true;
-  let old = mem_get t addr in
-  mem_set t addr (old + delta);
+  let old = Memory.get t.mem addr in
+  Memory.set t.mem addr (old + delta);
   c.stats.stores <- c.stats.stores + 1;
   old
 
@@ -554,22 +432,21 @@ let add_tag t ~core:cid addr ~words =
   t.lat.last <- lat;
   lat
 
-(* The hit branch is [tag_lines] for one L1-resident line whose tag
-   needs no table growth. *)
+(* The hit branch is [tag_lines] for one L1-resident line. *)
 let add_tag_read t ~core:cid addr ~words =
   check_range words;
   let c = core t cid in
   let first = line_of t addr and last = line_of t (addr + words - 1) in
-  let l = if first = last && tag_room c.tags then l1_hit t c first ~excl:false else -1 in
+  let l = if first = last then l1_hit t c first ~excl:false else -1 in
   t.lat.last <-
     (if l >= 0 then begin
-       tag_insert c.tags first;
+       Memtag_unit.add c.tags first;
        c.stats.tag_adds <- c.stats.tag_adds + 1;
        l + t.cfg.lat_tag_op
      end
      else tag_lines t c first last 0);
   c.stats.loads <- c.stats.loads + 1;
-  mem_get t addr
+  Memory.get t.mem addr
 
 let rec untag_lines t c line last acc =
   if line > last then acc
@@ -583,18 +460,7 @@ let rec untag_lines t c line last acc =
 let remove_tag t ~core:cid addr ~words =
   check_range words;
   let c = core t cid in
-  let first = line_of t addr and last = line_of t (addr + words - 1) in
-  let lat =
-    if t.evented then untag_lines t c first last 0
-    else begin
-      (* [untag_lines] with no sink to tell. *)
-      for line = first to last do
-        tag_remove c.tags line
-      done;
-      c.stats.tag_removes <- c.stats.tag_removes + (last - first + 1);
-      (last - first + 1) * t.cfg.lat_tag_op
-    end
-  in
+  let lat = untag_lines t c (line_of t addr) (line_of t (addr + words - 1)) 0 in
   t.lat.last <- lat;
   lat
 
@@ -607,7 +473,7 @@ let[@inline] record_verdict t c (verdict : Memtag_unit.verdict) =
   | Memtag_unit.Fail_spurious ->
       c.stats.validate_failures <- c.stats.validate_failures + 1;
       c.stats.validate_failures_spurious <- c.stats.validate_failures_spurious + 1);
-  if c.tags.overflow then c.stats.tag_overflows <- c.stats.tag_overflows + 1;
+  if Memtag_unit.overflowed c.tags then c.stats.tag_overflows <- c.stats.tag_overflows + 1;
   if on t then
     ev t c.id
       (Obs.Validate
@@ -620,7 +486,7 @@ let[@inline] record_verdict t c (verdict : Memtag_unit.verdict) =
 let validate t ~core:cid =
   let c = core t cid in
   t.lat.last <- t.cfg.lat_validate;
-  record_verdict t c (verdict t c.tags)
+  record_verdict t c (Memtag_unit.check c.tags)
 
 let clear_tag_set t ~core:cid =
   let c = core t cid in
@@ -645,7 +511,7 @@ let max_tags t = Memtag_unit.max_tags t.cores.(0).tags
 let vas t ~core:cid addr v =
   let c = core t cid in
   c.stats.vas_ops <- c.stats.vas_ops + 1;
-  if not (record_verdict t c (verdict t c.tags)) then begin
+  if not (record_verdict t c (Memtag_unit.check c.tags)) then begin
     (* Fail-fast: purely local, no coherence traffic at all. *)
     c.stats.vas_failures <- c.stats.vas_failures + 1;
     if on t then ev t c.id (Obs.Vas { ok = false });
@@ -657,13 +523,13 @@ let vas t ~core:cid addr v =
     t.lat.last <- t.cfg.lat_validate + lat;
     (* The fill above may itself have capacity-evicted a tagged line, so
        re-check; own writes never evict own tags. *)
-    if verdict t c.tags <> Memtag_unit.Ok then begin
+    if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
       c.stats.vas_failures <- c.stats.vas_failures + 1;
       if on t then ev t c.id (Obs.Vas { ok = false });
       false
     end
     else begin
-      mem_set t addr v;
+      Memory.set t.mem addr v;
       if on t then ev t c.id (Obs.Vas { ok = true });
       true
     end
@@ -690,7 +556,7 @@ let sorted_tag_lines c =
 let ias t ~core:cid addr v =
   let c = core t cid in
   c.stats.ias_ops <- c.stats.ias_ops + 1;
-  if not (record_verdict t c (verdict t c.tags)) then begin
+  if not (record_verdict t c (Memtag_unit.check c.tags)) then begin
     c.stats.ias_failures <- c.stats.ias_failures + 1;
     if on t then ev t c.id (Obs.Ias { ok = false });
     t.lat.last <- t.cfg.lat_validate;
@@ -715,13 +581,13 @@ let ias t ~core:cid addr v =
     in
     let lat = kill 0 0 + acquire t c target ~excl:true in
     t.lat.last <- t.cfg.lat_validate + lat;
-    if verdict t c.tags <> Memtag_unit.Ok then begin
+    if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
       c.stats.ias_failures <- c.stats.ias_failures + 1;
       if on t then ev t c.id (Obs.Ias { ok = false });
       false
     end
     else begin
-      mem_set t addr v;
+      Memory.set t.mem addr v;
       if on t then ev t c.id (Obs.Ias { ok = true });
       true
     end

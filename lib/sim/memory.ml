@@ -58,13 +58,13 @@ let alloc t ~words =
 
 let allocated_words t = t.next_free - t.line_words
 
-let check t addr =
+let[@inline never] check t addr =
   if addr <= 0 || addr >= t.next_free then
     invalid_arg (Printf.sprintf "Memory: address %d out of bounds" addr)
 
 (* The switch: copy narrow chunk [ci] into a fresh int array and drop its
    bytes. *)
-let widen t ci =
+let[@inline never] widen t ci =
   let b = t.narrow.(ci) in
   t.wide.(ci) <- Array.init chunk_words (fun i -> Int32.to_int (get32 b (i lsl 2)));
   t.narrow.(ci) <- Bytes.empty
@@ -72,16 +72,15 @@ let widen t ci =
 (* The bounds check is debug-gated (DESIGN §12): with checks off a stray
    address below the frontier's chunk end reads or writes that chunk,
    mirroring release-mode hardware; one past it traps on the bounds of
-   the [narrow] table. [Machine]'s inline copies of these two bodies must
-   stay in step with them. *)
-let get t addr =
+   the [narrow] table. *)
+let[@inline] get t addr =
   if Debug.on () then check t addr;
   let ci = addr lsr chunk_log2 and off = addr land chunk_mask in
   let b = t.narrow.(ci) in
   if b != Bytes.empty then Int32.to_int (get32 b (off lsl 2))
   else Array.unsafe_get (Array.unsafe_get t.wide ci) off
 
-let set t addr v =
+let[@inline] set t addr v =
   if Debug.on () then check t addr;
   let ci = addr lsr chunk_log2 and off = addr land chunk_mask in
   let b = t.narrow.(ci) in

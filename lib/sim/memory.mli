@@ -8,13 +8,10 @@
 
 type addr = int
 
-(** The representation is exposed for {!Machine}'s call-free L1-hit path
-    (DESIGN §12). Memory is a table of chunks of [2^chunk_log2] words;
-    word [a] lives in chunk [ci = a lsr chunk_log2] at offset
-    [a land chunk_mask]. Each chunk is in one of two forms:
+(** Memory is a table of chunks of [2^chunk_log2] words; word [a] lives
+    in chunk [ci = a lsr chunk_log2]. Each chunk is in one of two forms:
     - {e narrow}: [narrow.(ci)] holds every word as a sign-extended
-      32-bit integer, 4 bytes per word, read and written with {!get32}
-      and {!set32} at byte offset [4 * offset]; [wide.(ci)] is empty;
+      32-bit integer, 4 bytes per word; [wide.(ci)] is empty;
     - {e wide}: [narrow.(ci)] is physically [Bytes.empty] and [wide.(ci)]
       holds every word as an OCaml [int].
 
@@ -24,9 +21,8 @@ type addr = int
     chunk and never reverses, so reads and writes are exact over every
     OCaml [int]. Chunks never move. The two tables have the same length
     and hold exactly the chunks up to the one holding word
-    [next_free - 1], so once [narrow.(ci)] has passed its bounds check
-    the chunk's own accesses need none. Everything else goes through the
-    functions below. *)
+    [next_free - 1]. The record is visible so that tests can inspect a
+    chunk's form; everything else goes through the functions below. *)
 type t = {
   line_words : int;
   mutable narrow : Bytes.t array;
@@ -35,14 +31,6 @@ type t = {
 }
 
 val chunk_log2 : int
-val chunk_mask : int
-
-(** Native-endian 4-byte access to a narrow chunk, without a bounds check.
-    The compiler fuses them with [Int32.to_int]/[Int32.of_int], so no
-    [int32] is boxed. *)
-external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-
-external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 (** The null pointer. Dereferencing it raises [Invalid_argument]. *)
 val null : addr

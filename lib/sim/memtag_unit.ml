@@ -17,8 +17,6 @@ let st_tagged = 0
 let st_conflict = 1
 let st_capacity = 2
 
-(* Exposed in the interface: Machine's tagged-load path inserts into the
-   table directly. *)
 type t = {
   mutable slots : int array;        (* power-of-two length *)
   mutable journal : int array;
@@ -49,21 +47,26 @@ let create ~max_tags =
 
 let[@inline] hash line mask = (line * 0x9E3779B1) land mask
 
-(* Slot index of [line], or -1 if absent. *)
+(* Slot index of [line], or -1 if absent; an empty unit answers without
+   probing. Probe indices are masked into [slots], so the scans read it
+   unchecked. *)
 let[@inline] find_slot t line =
-  let mask = Array.length t.slots - 1 in
-  let key = line + 1 in
-  let i = ref (hash line mask) in
-  let r = ref (-2) in
-  while !r = -2 do
-    let v = t.slots.(!i) in
-    if v = 0 then r := -1
-    else if v >= 4 && v lsr 2 = key then r := !i
-    else i := (!i + 1) land mask
-  done;
-  !r
+  if t.len = 0 then -1
+  else begin
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let key = line + 1 in
+    let i = ref (hash line mask) in
+    while
+      let v = Array.unsafe_get slots !i in
+      v <> 0 && not (v >= 4 && v lsr 2 = key)
+    do
+      i := (!i + 1) land mask
+    done;
+    if Array.unsafe_get slots !i = 0 then -1 else !i
+  end
 
-let journal_push t slot =
+let[@inline never] journal_push t slot =
   if t.journal_len = Array.length t.journal then begin
     let j = Array.make (2 * t.journal_len) 0 in
     Array.blit t.journal 0 j 0 t.journal_len;
@@ -73,7 +76,7 @@ let journal_push t slot =
   t.journal_len <- t.journal_len + 1
 
 (* Rebuild without tombstones, doubling if the table is genuinely full. *)
-let rehash t =
+let[@inline never] rehash t =
   let old = t.slots in
   let cap = Array.length old in
   let cap' = if t.len * 4 > cap then 2 * cap else cap in
@@ -93,33 +96,32 @@ let rehash t =
       end)
     old
 
-let add t line =
-  let mask = Array.length t.slots - 1 in
+let[@inline] add t line =
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
   let key = line + 1 in
   let i = ref (hash line mask) in
   let tomb = ref (-1) in
-  let state = ref (-2) in
-  (* -2 probing; -1 absent (insert); >= 0 present *)
-  while !state = -2 do
-    let v = t.slots.(!i) in
-    if v = 0 then state := -1
-    else if v = 1 then begin
-      if !tomb < 0 then tomb := !i;
-      i := (!i + 1) land mask
-    end
-    else if v lsr 2 = key then state := v land 3
-    else i := (!i + 1) land mask
+  while
+    let v = Array.unsafe_get slots !i in
+    v <> 0 && v lsr 2 <> key
+  do
+    if Array.unsafe_get slots !i = 1 && !tomb < 0 then tomb := !i;
+    i := (!i + 1) land mask
   done;
-  if !state = -1 then begin
-    (if !tomb >= 0 then t.slots.(!tomb) <- key lsl 2
+  (* An absent line takes the first tombstone on its probe path, or else
+     the empty slot that ended it (journalled); a present one, tagged or
+     evicted, is left as it is. *)
+  if Array.unsafe_get slots !i = 0 then begin
+    (if !tomb >= 0 then Array.unsafe_set slots !tomb (key lsl 2)
      else begin
-       t.slots.(!i) <- key lsl 2;
+       Array.unsafe_set slots !i (key lsl 2);
        t.used <- t.used + 1;
        journal_push t !i
      end);
     t.len <- t.len + 1;
     if t.len > t.max_tags then t.overflow <- true;
-    if 4 * (t.used + 1) > 3 * Array.length t.slots then rehash t
+    if 4 * (t.used + 1) > 3 * Array.length slots then rehash t
   end
 
 (* Conflict evidence is sticky: a concurrent writer hit the line *while
@@ -129,7 +131,7 @@ let add t line =
    record, by contrast, only predicts a *spurious* failure; removing the
    tag withdraws the claim it was protecting, so that evidence is
    dropped with the entry. *)
-let remove t line =
+let[@inline] remove t line =
   let i = find_slot t line in
   if i >= 0 then begin
     (match t.slots.(i) land 3 with
@@ -139,7 +141,7 @@ let remove t line =
     t.len <- t.len - 1
   end
 
-let is_tagged t line = find_slot t line >= 0
+let[@inline] is_tagged t line = find_slot t line >= 0
 
 let live t line =
   let i = find_slot t line in
@@ -171,12 +173,12 @@ let on_evict t line cause =
 
 type verdict = Ok | Fail_conflict | Fail_spurious
 
-let check t =
+let[@inline] check t =
   if t.evicted_conflict > 0 then Fail_conflict
   else if t.evicted_capacity > 0 || t.overflow then Fail_spurious
   else Ok
 
-let overflowed t = t.overflow
+let[@inline] overflowed t = t.overflow
 
 let max_tags t = t.max_tags
 

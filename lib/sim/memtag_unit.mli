@@ -9,26 +9,7 @@
 
 type cause = Conflict | Capacity
 
-(** The representation is exposed for {!Machine}'s call-free tagged-load
-    path (DESIGN §12); everything else goes through the functions below.
-    [slots] is an open-addressed table probed linearly from
-    [(line * 0x9E3779B1) land (length - 1)]: 0 is empty, 1 a tombstone,
-    and [((line + 1) lsl 2) lor st] an occupied slot with [st] 0 tagged,
-    1 conflict-evicted, 2 capacity-evicted. [journal] lists the slots
-    filled since the last {!clear}. Machine mirrors {!add}, {!remove}
-    and {!is_tagged} on this table; the "fast path" property in
-    [test/test_sim.ml] checks the two against each other. *)
-type t = {
-  mutable slots : int array;  (** power-of-two length *)
-  mutable journal : int array;
-  mutable journal_len : int;
-  mutable len : int;  (** occupied slots (tagged or evicted) *)
-  mutable used : int;  (** occupied slots + tombstones *)
-  mutable max_tags : int;
-  mutable overflow : bool;
-  mutable evicted_conflict : int;
-  mutable evicted_capacity : int;
-}
+type t
 
 val create : max_tags:int -> t
 

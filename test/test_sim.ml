@@ -163,14 +163,13 @@ let test_pqueue_exchange_releases_value () =
   check_int "exchanged-in value pops" 2 !(Pqueue.pop q)
 
 (* ------------------------------------------------------------------ *)
-(* Fast path = slow path. An L1 hit is served by [Machine]'s call-free
-   branch and a stall below the lane limit by [Ctx] inline (DESIGN §12).
-   A policy with an [extra_delay] hook — one that adds nothing — sends
+(* Fast path = slow path. An L1 hit is served by [Machine]'s hit branch
+   and a stall below the lane limit by [Ctx] inline (DESIGN §12). A
+   policy with an [extra_delay] hook — one that adds nothing — sends
    every stall through [Runtime.stall_on]; a recording sink sends every
    access through [Machine]'s evented path (and every stall through the
    scheduler). The three runs must agree on everything observable. With
-   [~checks:false] the runs go through [Machine]'s inline memory access,
-   not [Memory.get]/[Memory.set]. *)
+   [~checks:false] memory accesses skip their debug bounds checks. *)
 
 (* Run [f] with the simulator's debug checks set to [on], then restore
    them. *)
@@ -374,8 +373,7 @@ let test_memory_allocated_words () =
    of the 4-byte range so that chunks switch to wide mid-sequence. Every
    switch is followed by a read-back of every word allocated so far. Each
    op runs on a bare [Memory] and, through core 0, on a [Machine]; checks
-   are off, so the machine takes its inline copies of [Memory.get] and
-   [Memory.set]. *)
+   are off, so neither makes the debug bounds check. *)
 type mem_op = Alloc of int | Set of int * int | Get of int
 
 let prop_memory_model =
@@ -1292,6 +1290,57 @@ let test_add_tag_read_equals_read_plus_tag () =
   let ok = Machine.validate m ~core:0 in
   check_bool "line was really tagged" false ok
 
+(* The tagged-read hit path grows the tag table itself. One core with
+   every line L1-resident tags enough distinct lines to pass the table's
+   rehash load and its journal's initial 128 entries, with removes
+   interleaved so that tombstones build up, then re-tags the removed
+   lines. A recording sink sends the same sequence through the general
+   path: both machines must agree on every latency (a tag op costs a
+   cycle, so a skipped one shows), the tag count, the verdict and every
+   counter. *)
+let test_tag_read_hit_grows_table () =
+  let lines = 300 in
+  let run obs =
+    let cfg =
+      { (Config.default ~num_cores:1 ()) with max_tags = 1024; lat_tag_op = 1 }
+    in
+    let m = Machine.create ~obs cfg in
+    let lw = Config.line_words cfg in
+    let base = Machine.alloc m ~words:(lines * lw) in
+    for l = 0 to lines - 1 do
+      ignore (Machine.read m ~core:0 (base + (l * lw)))
+    done;
+    let misses = (Machine.stats m ~core:0).l1_misses in
+    (* 7 is coprime with [lines]: a scrambled visit of every line. *)
+    let addr i = base + (i * 7 mod lines * lw) in
+    let latencies = ref [] and peak = ref 0 in
+    let step f =
+      ignore (f ());
+      latencies := Machine.last_latency m :: !latencies;
+      peak := max !peak (Machine.tag_count m ~core:0)
+    in
+    for i = 0 to lines - 1 do
+      step (fun () -> Machine.add_tag_read m ~core:0 (addr i) ~words:1);
+      if i mod 4 = 3 then
+        step (fun () -> Machine.remove_tag m ~core:0 (addr (i - 2)) ~words:1)
+    done;
+    for i = 0 to lines - 1 do
+      if i mod 4 = 1 then
+        step (fun () -> Machine.add_tag_read m ~core:0 (addr i) ~words:1)
+    done;
+    let ok = Machine.validate m ~core:0 in
+    check_int "every access hit L1" misses (Machine.stats m ~core:0).l1_misses;
+    (List.rev !latencies, !peak, Machine.tag_count m ~core:0, ok,
+     Machine.stats m ~core:0)
+  in
+  let hit = run Mt_obs.Obs.null in
+  let general = run (Mt_obs.Obs.create ~retain:false ~num_cores:1 ()) in
+  let _, peak, count, ok, _ = hit in
+  check_bool "past the journal's initial 128 entries" true (peak > 128);
+  check_int "every line tagged" lines count;
+  check_bool "validates" true ok;
+  check_bool "hit path = general path" true (hit = general)
+
 let test_lines_of_range_spanning () =
   let cfg = Config.default () in
   Alcotest.(check (list int))
@@ -1457,6 +1506,8 @@ let () =
             test_downgrade_keeps_tag_but_write_kills_it;
           Alcotest.test_case "ias self tags" `Quick test_ias_self_only_tags;
           Alcotest.test_case "tagged load" `Quick test_add_tag_read_equals_read_plus_tag;
+          Alcotest.test_case "tagged-read hit grows the tag table" `Quick
+            test_tag_read_hit_grows_table;
           Alcotest.test_case "line ranges" `Quick test_lines_of_range_spanning;
         ]
         @ qsuite [ prop_prng_int_uniformish ] );
