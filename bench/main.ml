@@ -576,7 +576,6 @@ let store_stats_to_json (st : Store.stats) =
     [
       ("point_ops", Json.Int st.point_ops);
       ("txn_commits", Json.Int st.txn_commits);
-      ("txn_aborts", Json.Int st.txn_aborts);
       ("txn_sub_ops", Json.Int st.txn_sub_ops);
       ("txn_retries", Json.Int st.txn_retries);
       ("txn_retries_locked", Json.Int st.txn_retries_locked);

@@ -65,7 +65,7 @@ let window_fields =
 (* The counters object every sharded-store point must carry. *)
 let store_stat_fields =
   [
-    "point_ops"; "txn_commits"; "txn_aborts"; "txn_sub_ops"; "txn_retries";
+    "point_ops"; "txn_commits"; "txn_sub_ops"; "txn_retries";
     "txn_retries_locked"; "txn_retries_version"; "txn_locked_cycles";
     "scans"; "scan_collects"; "scan_tag_fallbacks"; "scan_shard_retries";
     "shard_ops"; "imbalance";

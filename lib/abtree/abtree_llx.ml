@@ -3,18 +3,6 @@ module Llx_scx = Mt_llxscx.Llx_scx
 
 let null = Mt_sim.Memory.null
 
-(* Test hook: lets white-box tests disable rebalancing in every
-   instantiation, to isolate set-semantics bugs from rebalancing bugs. *)
-module For_testing_rebalance = struct
-  let flags : bool ref list ref = ref []
-  let register r = flags := r :: !flags
-  let disable () = List.iter (fun r -> r := false) !flags
-
-  (* Called with (step name, gp, new node, u) after each successful
-     rebalance SCX. *)
-  let on_step : (string -> int -> int -> int -> unit) ref = ref (fun _ _ _ _ -> ())
-end
-
 module Make (P : sig
   val a : int
   val b : int
@@ -138,11 +126,6 @@ struct
 
   let ( let* ) o f = match o with None -> false | Some x -> f x
 
-  (* Escape hatch used by tests to isolate bugs: when false, trees grow
-     unbalanced but set semantics must still hold. *)
-  let rebalancing_enabled = ref true
-  let () = For_testing_rebalance.register rebalancing_enabled
-
   (* ------------------------------------------------------------------ *)
 
   let rec insert ctx t k =
@@ -179,7 +162,6 @@ struct
                   Llx_scx.scx ctx ~v:[ ps; us ] ~r:[]
                     ~fld:(Llx_scx.field_addr p ixc) ~old_val:u ~new_val:new_node
                 then begin
-                  !For_testing_rebalance.on_step "insert" p new_node u;
                   if Node_desc.size grew > b then rebalance ctx t k;
                   Some true
                 end
@@ -212,7 +194,6 @@ struct
                   Llx_scx.scx ctx ~v:[ ps; us ] ~r:[]
                     ~fld:(Llx_scx.field_addr p ixc) ~old_val:u ~new_val:new_node
                 then begin
-                  !For_testing_rebalance.on_step "delete" p new_node u;
                   if Node_desc.size shrunk < a && p <> t.sentinel then rebalance ctx t k;
                   Some true
                 end
@@ -244,10 +225,6 @@ struct
     go null (-1) null (-1) t.sentinel
 
   (* One rebalancing step via SCX; false = conflict, re-descend. *)
-  and traced name gp p u ok =
-    if ok then !For_testing_rebalance.on_step name gp p u;
-    ok
-
   and apply_step ctx t gp ixp p ixc u =
     let* ps = llx_node ctx p in
     if ixc >= Array.length ps.fields || ps.fields.(ixc) <> u then false
@@ -260,8 +237,7 @@ struct
         if p = t.sentinel then
           (* RootUntag *)
           let nn = write_desc ctx (Node_desc.set_weight ud 1) in
-          traced "RootUntag" gp nn u
-            (Llx_scx.scx ctx ~v:[ ps; us ] ~r:[ u ] ~fld:fld_p ~old_val:u ~new_val:nn)
+          Llx_scx.scx ctx ~v:[ ps; us ] ~r:[ u ] ~fld:fld_p ~old_val:u ~new_val:nn
         else begin
           if ud.leaf || pd.leaf then false
           else begin
@@ -280,9 +256,8 @@ struct
                     { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
                 end
               in
-              traced "AbsorbOrSplit" gp new_node u
-                (Llx_scx.scx ctx ~v:[ gs; ps; us ] ~r:[ p; u ] ~fld:fld_gp ~old_val:p
-                   ~new_val:new_node)
+              Llx_scx.scx ctx ~v:[ gs; ps; us ] ~r:[ p; u ] ~fld:fld_gp ~old_val:p
+                ~new_val:new_node
             end
           end
         end
@@ -294,9 +269,8 @@ struct
           let* cs = llx_node ctx c in
           let cd = desc_of_snapshot ctx c cs in
           let nn = write_desc ctx (Node_desc.set_weight cd 1) in
-          traced "RootAbsorb" gp nn u
-            (Llx_scx.scx ctx ~v:[ ps; us; cs ] ~r:[ u; c ] ~fld:fld_p ~old_val:u
-               ~new_val:nn)
+          Llx_scx.scx ctx ~v:[ ps; us; cs ] ~r:[ u; c ] ~fld:fld_p ~old_val:u
+            ~new_val:nn
         end
       end
       else begin
@@ -328,9 +302,8 @@ struct
                         { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
                     end
                   in
-                  traced "SiblingWeight" gp new_node u
-                    (Llx_scx.scx ctx ~v:[ gs; ps; ss ] ~r:[ p; s ] ~fld:fld_gp
-                       ~old_val:p ~new_val:new_node)
+                  Llx_scx.scx ctx ~v:[ gs; ps; ss ] ~r:[ p; s ] ~fld:fld_gp
+                    ~old_val:p ~new_val:new_node
                 end
               end
               else begin
@@ -354,9 +327,8 @@ struct
                     end
                   in
                   let nn = write_desc ctx new_parent in
-                  traced "MergeOrDistribute" gp nn u
-                    (Llx_scx.scx ctx ~v:[ gs; ps; us; ss ] ~r:[ p; u; s ] ~fld:fld_gp
-                       ~old_val:p ~new_val:nn)
+                  Llx_scx.scx ctx ~v:[ gs; ps; us; ss ] ~r:[ p; u; s ] ~fld:fld_gp
+                    ~old_val:p ~new_val:nn
                 end
               end
             end
@@ -366,8 +338,6 @@ struct
     end
 
   and rebalance ctx t k =
-    if not !rebalancing_enabled then ()
-    else
     match find_violation ctx t k with
     | None -> ()
     | Some (gp, ixp, p, ixc, u) ->
@@ -392,8 +362,6 @@ struct
       }
     in
     Checker.check ~a ~b ~reader ~sentinel:t.sentinel
-
-  let sentinel_unsafe t = t.sentinel
 
   let to_list_unsafe machine t =
     let peek = Mt_sim.Machine.peek machine in

@@ -17,16 +17,4 @@ end) : sig
 
   (** Structural invariant check on a quiescent machine. *)
   val check : Mt_sim.Machine.t -> t -> Checker.report
-
-  (** Sentinel address (white-box tests only). *)
-  val sentinel_unsafe : t -> int
-end
-
-(** White-box hook: disable rebalancing in all existing instantiations
-    (tree grows unbalanced; set semantics must still hold). Tests only. *)
-module For_testing_rebalance : sig
-  val disable : unit -> unit
-
-  (** Invoked as [f step_name gp p u] after each committed rebalance SCX. *)
-  val on_step : (string -> int -> int -> int -> unit) ref
 end

@@ -31,8 +31,6 @@ let make_policy (spec : Inject.spec) ~machine ~seed ~max_delay =
         Mt_obs.Obs.emit obs ~core:0 ~time:now (Mt_obs.Obs.Fault { label })
     in
     Runtime.decorate_policy base
-      ~name:
-        (Printf.sprintf "adversary(seed=%d,%s)" seed (Inject.to_string spec))
       ~extra_delay:(fun ~tid:_ ~now ~base ->
         (match spec.squeeze with
         | Some { at; max_tags; hold } -> (

@@ -35,12 +35,6 @@ let spec_name = function
   | Backoff _ -> "backoff"
   | Politeness _ -> "politeness"
 
-let spec_of_string = function
-  | "immediate" -> Ok Immediate
-  | "backoff" -> Ok (backoff ())
-  | "politeness" -> Ok (politeness ())
-  | s -> Error (Printf.sprintf "unknown contention policy %S" s)
-
 (* min cap (base * 2^attempt) without overflow: base <= cap asr attempt
    iff base * 2^attempt <= cap (integer division truncates downward, and
    both sides are non-negative), so the shift only runs when it cannot

@@ -44,10 +44,6 @@ val politeness : ?slot:int -> ?slots:int -> unit -> spec
 
 val spec_name : spec -> string
 
-(** Parses the three bare policy names ([immediate], [backoff],
-    [politeness]) to their default-parameter specs. *)
-val spec_of_string : string -> (spec, string) result
-
 (** {1 Per-core instances} *)
 
 type t

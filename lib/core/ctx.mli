@@ -83,9 +83,6 @@ val tag_count : t -> int
 (** This core's policy instance. *)
 val cm : t -> Mt_cm.Cm.t
 
-(** True iff the policy is [immediate] (the determinism baseline). *)
-val cm_immediate : t -> bool
-
 (** [cm_wait ?site t ~attempt] asks the policy for a wait before retry
     number [attempt] (0-based), then charges it through the ordinary
     stall path, counts it in {!Mt_sim.Stats} and emits

@@ -26,9 +26,6 @@ type addr = Mt_core.Ctx.addr
     offsets): 0 [info], 1 [marked], 2 [nfields], 3.. mutable fields, then
     the client's immutable payload. *)
 
-(** Number of header words before the mutable fields. *)
-val header_words : int
-
 (** [alloc_record ctx ~mutable_fields ~extra_words] allocates a fresh
     data-record with [mutable_fields] mutable slots and [extra_words]
     immutable payload words; returns its address. The record starts

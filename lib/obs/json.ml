@@ -237,5 +237,3 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let to_list_opt = function List xs -> Some xs | _ -> None

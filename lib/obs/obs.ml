@@ -41,7 +41,6 @@ type kind =
   | Fault of { label : string }
   | Store_op of { shard : int }
   | Txn_commit of { shards : int; cycles : int }
-  | Txn_abort of { cause : string; retries : int }
   | Scan_validate of { shard : int; ok : bool }
   | Snap_attempt of { cells : int }
   | Snap_invalid of { cells : int }
@@ -76,7 +75,7 @@ type recording = {
   dropped : int array;  (* per core *)
   retain : bool;
   mutable tap : (event -> unit) option;
-  mutable hot : int array array;  (* hot-line count chunks, see [bump] *)
+  hot : Chunk_table.t;  (* packed hot-line counts, see [inval_bits] *)
   labels : labels;
 }
 
@@ -101,7 +100,7 @@ let create ?(ring_capacity = default_ring_capacity) ?(retain = true)
       dropped = Array.make num_cores 0;
       retain;
       tap = None;
-      hot = [||];
+      hot = Chunk_table.create ~chunk_log2:13;
       labels =
         {
           starts = [||];
@@ -119,44 +118,21 @@ let num_cores = function Null -> 0 | Recording r -> Array.length r.dropped
 let set_tap t tap =
   match t with Null -> () | Recording r -> r.tap <- tap
 
-(* Hot-line counts: one packed word per line, invalidations in the low 31
-   bits and downgrades above them, in fixed chunks of [hot_chunk] lines.
-   A chunk is allocated on the first event for one of its lines and never
-   moves; an absent chunk is the shared empty array. Only the table grows.
-   A line's word is non-zero exactly when it has been counted. *)
-let hot_shift = 13
-let hot_chunk = 1 lsl hot_shift
+(* Hot-line counts: one packed word per line in a [Chunk_table] of 8,192
+   lines per chunk, invalidations in the low 31 bits and downgrades above
+   them. A line's word is non-zero exactly when it has been counted. *)
 let inval_bits = 31
 let downgrade_one = 1 lsl inval_bits
 let invals w = w land (downgrade_one - 1)
 let downgrades w = w lsr inval_bits
-
-let[@inline never] hot_fresh r ci =
-  let n = Array.length r.hot in
-  if ci >= n then begin
-    let table = Array.make (max (ci + 1) (2 * n)) [||] in
-    Array.blit r.hot 0 table 0 n;
-    r.hot <- table
-  end;
-  let ch = Array.make hot_chunk 0 in
-  r.hot.(ci) <- ch;
-  ch
-
-let bump r line one =
-  if line < 0 then invalid_arg "Obs: negative line";
-  let ci = line lsr hot_shift in
-  let ch = if ci < Array.length r.hot then r.hot.(ci) else [||] in
-  let ch = if Array.length ch = 0 then hot_fresh r ci else ch in
-  let off = line land (hot_chunk - 1) in
-  ch.(off) <- ch.(off) + one
 
 let emit t ~core ~time kind =
   match t with
   | Null -> ()
   | Recording r ->
       (match kind with
-      | Inval_sent { line; _ } -> bump r line 1
-      | Downgrade { line; _ } -> bump r line downgrade_one
+      | Inval_sent { line; _ } -> Chunk_table.add r.hot line 1
+      | Downgrade { line; _ } -> Chunk_table.add r.hot line downgrade_one
       | _ -> ());
       let seq = r.seq in
       r.seq <- seq + 1;
@@ -260,13 +236,7 @@ let hot_lines ?(top = 10) t =
   | Null -> []
   | Recording r ->
       let all = ref [] in
-      Array.iteri
-        (fun ci ch ->
-          Array.iteri
-            (fun off w ->
-              if w <> 0 then all := ((ci lsl hot_shift) + off, w) :: !all)
-            ch)
-        r.hot;
+      Chunk_table.iter r.hot (fun line w -> all := (line, w) :: !all);
       let count w = invals w + downgrades w in
       List.sort
         (fun (la, wa) (lb, wb) ->
@@ -321,7 +291,6 @@ let kind_name = function
   | Fault _ -> "fault"
   | Store_op _ -> "store-op"
   | Txn_commit _ -> "txn-commit"
-  | Txn_abort _ -> "txn-abort"
   | Scan_validate { ok = true; _ } -> "scan-validate-ok"
   | Scan_validate { ok = false; _ } -> "scan-validate-fail"
   | Snap_attempt _ -> "snap-attempt"
@@ -369,8 +338,6 @@ let kind_args t = function
   | Store_op { shard } -> [ ("shard", Json.Int shard) ]
   | Txn_commit { shards; cycles } ->
       [ ("shards", Json.Int shards); ("cycles", Json.Int cycles) ]
-  | Txn_abort { cause; retries } ->
-      [ ("cause", Json.String cause); ("retries", Json.Int retries) ]
   | Scan_validate { shard; ok } ->
       [ ("shard", Json.Int shard); ("ok", Json.Bool ok) ]
   | Snap_attempt { cells } | Snap_invalid { cells } ->

@@ -73,13 +73,6 @@ type kind =
   | Txn_commit of { shards : int; cycles : int }
       (** A cross-shard store transaction committed, having locked [shards]
           distinct shards, [cycles] after its first acquisition attempt. *)
-  | Txn_abort of { cause : string; retries : int }
-      (** A store transaction gave up ([cause]) after [retries]
-          acquisition attempts. [Store] no longer emits it: its
-          transactions fall back to serialized locking and always
-          commit.
-          The event and its series column stay, so recorded timelines
-          keep their shape. *)
   | Scan_validate of { shard : int; ok : bool }
       (** A store range scan validated [shard]'s window at its snapshot
           instant; [ok = false] means that shard (and only that shard) is
@@ -101,8 +94,6 @@ type t
 
 (** The disabled sink. *)
 val null : t
-
-val default_ring_capacity : int
 
 (** [create ?ring_capacity ?retain ~num_cores ()] — a recording sink. Each
     core's ring holds the last [ring_capacity] (default 65536) events;

@@ -78,7 +78,6 @@ type window = {
   mutable w_max_depth : int;
   mutable w_store_ops : int;
   mutable w_txn_commits : int;
-  mutable w_txn_aborts : int;
   mutable w_scan_ok : int;
   mutable w_scan_fail : int;
   mutable w_snap_attempts : int;
@@ -113,7 +112,6 @@ let fresh_window t0 =
     w_max_depth = 0;
     w_store_ops = 0;
     w_txn_commits = 0;
-    w_txn_aborts = 0;
     w_scan_ok = 0;
     w_scan_fail = 0;
     w_snap_attempts = 0;
@@ -218,7 +216,6 @@ let feed t (e : Obs.event) =
       Hashtbl.replace w.w_shard_ops shard
         (1 + Option.value ~default:0 (Hashtbl.find_opt w.w_shard_ops shard))
   | Obs.Txn_commit _ -> w.w_txn_commits <- w.w_txn_commits + 1
-  | Obs.Txn_abort _ -> w.w_txn_aborts <- w.w_txn_aborts + 1
   | Obs.Scan_validate { ok; _ } ->
       if ok then w.w_scan_ok <- w.w_scan_ok + 1
       else w.w_scan_fail <- w.w_scan_fail + 1
@@ -341,7 +338,6 @@ let window_to_json t occ_end (w : window) =
           [
             ("ops", Json.Int w.w_store_ops);
             ("txn_commits", Json.Int w.w_txn_commits);
-            ("txn_aborts", Json.Int w.w_txn_aborts);
             ("scan_validate_ok", Json.Int w.w_scan_ok);
             ("scan_validate_fail", Json.Int w.w_scan_fail);
             ("snap_attempts", Json.Int w.w_snap_attempts);

@@ -34,10 +34,6 @@ type counters = {
   c_heat : int;
 }
 
-val zero_counters : counters
-
-val default_window : int
-
 (** [create ?window ()] — an empty series with [window]-cycle windows. *)
 val create : ?window:int -> unit -> t
 
@@ -100,7 +96,6 @@ type window = {
   mutable w_max_depth : int;
   mutable w_store_ops : int;
   mutable w_txn_commits : int;
-  mutable w_txn_aborts : int;
   mutable w_scan_ok : int;
   mutable w_scan_fail : int;
   mutable w_snap_attempts : int;

@@ -134,6 +134,3 @@ let population t =
     if t.sts.(i) <> 0 then incr n
   done;
   !n
-
-let pp_state ppf st =
-  Format.pp_print_string ppf (match st with I -> "I" | S -> "S" | E -> "E" | M -> "M")

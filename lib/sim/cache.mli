@@ -58,5 +58,3 @@ val iter : t -> (int -> state -> unit) -> unit
 
 (** Number of resident lines (diagnostics / tests). *)
 val population : t -> int
-
-val pp_state : Format.formatter -> state -> unit

@@ -11,63 +11,21 @@ type sharing = Uncached | Shared of int list | Excl of int
    field implies the sharer bits (in [lo] or [hi]) are exactly the
    owner's. [Config.default] caps num_cores at 64.
 
-   Each plane is a table of fixed chunks, one simulated-memory chunk's
-   worth of lines each. A chunk is allocated by the first write of a
-   non-zero word into it and never moves; an absent chunk is the shared
-   empty array and reads as 0 (Uncached). Only the table can grow. *)
-type plane = { mutable chunks : int array array }
+   Each plane is a {!Mt_obs.Chunk_table} of one simulated-memory chunk's
+   worth of lines per chunk, so an absent chunk reads as 0 (Uncached). *)
+module Plane = Mt_obs.Chunk_table
 
-type t = {
-  shift : int;  (* log2 of the lines per chunk *)
-  lo : plane;
-  hi : plane;
-}
+type t = { lo : Plane.t; hi : Plane.t }
 
 let owner_shift = 32
 let sharer_bits = (1 lsl owner_shift) - 1
 
 let create ?(line_words_log2 = 3) () =
-  {
-    shift = max 0 (Memory.chunk_log2 - line_words_log2);
-    lo = { chunks = [||] };
-    hi = { chunks = [||] };
-  }
+  let chunk_log2 = max 0 (Memory.chunk_log2 - line_words_log2) in
+  { lo = Plane.create ~chunk_log2; hi = Plane.create ~chunk_log2 }
 
-let lines_per_chunk t = 1 lsl t.shift
-let wide t = Array.length t.hi.chunks > 0
-
-(* The word of [line] in [p]; 0 past the table or in an absent chunk
-   (whose length is 0, so one comparison covers both). *)
-let[@inline] get t p line =
-  let ci = line lsr t.shift in
-  let chunks = p.chunks in
-  if ci < Array.length chunks then begin
-    let ch = Array.unsafe_get chunks ci in
-    let off = line land ((1 lsl t.shift) - 1) in
-    if off < Array.length ch then Array.unsafe_get ch off else 0
-  end
-  else 0
-
-let[@inline never] fresh_chunk t p ci =
-  let n = Array.length p.chunks in
-  if ci >= n then begin
-    let chunks = Array.make (max (ci + 1) (2 * n)) [||] in
-    Array.blit p.chunks 0 chunks 0 n;
-    p.chunks <- chunks
-  end;
-  let ch = Array.make (1 lsl t.shift) 0 in
-  p.chunks.(ci) <- ch;
-  ch
-
-(* Store [w] as [line]'s word in [p]. Only a non-zero word allocates: a
-   zero into an absent chunk is already what a read returns. *)
-let[@inline] put t p line w =
-  let ci = line lsr t.shift in
-  let off = line land ((1 lsl t.shift) - 1) in
-  let chunks = p.chunks in
-  let ch = if ci < Array.length chunks then Array.unsafe_get chunks ci else [||] in
-  if off < Array.length ch then Array.unsafe_set ch off w
-  else if w <> 0 then Array.unsafe_set (fresh_chunk t p ci) off w
+let lines_per_chunk t = Plane.chunk_size t.lo
+let wide t = Plane.chunks t.hi > 0
 
 (* Index of the lowest set bit of a non-zero mask below 2^32. *)
 let[@inline] lowest_core m =
@@ -103,45 +61,45 @@ let[@inline] hi_bit core = if core < 32 then 0 else 1 lsl (core - 32)
 
 (* Hot accessors: each reads [line]'s packed word once ----------------- *)
 
-let is_uncached t line = get t t.lo line = 0 && get t t.hi line = 0
+let is_uncached t line = Plane.get t.lo line = 0 && Plane.get t.hi line = 0
 
 (* Owner core id if the line is held E/M, else -1. *)
-let excl_owner t line = (get t t.lo line lsr owner_shift) - 1
+let excl_owner t line = (Plane.get t.lo line lsr owner_shift) - 1
 
 let set_uncached t line =
-  put t t.lo line 0;
-  put t t.hi line 0
+  Plane.set t.lo line 0;
+  Plane.set t.hi line 0
 
 let set_excl t line core =
-  put t t.lo line (((core + 1) lsl owner_shift) lor bit core);
-  put t t.hi line (hi_bit core)
+  Plane.set t.lo line (((core + 1) lsl owner_shift) lor bit core);
+  Plane.set t.hi line (hi_bit core)
 
 let set_shared_pair t line a b =
-  put t t.lo line (bit a lor bit b);
-  put t t.hi line (hi_bit a lor hi_bit b)
+  Plane.set t.lo line (bit a lor bit b);
+  Plane.set t.hi line (hi_bit a lor hi_bit b)
 
 let add_sharer t line core =
-  let w = get t t.lo line in
+  let w = Plane.get t.lo line in
   if w lsr owner_shift = 0 then begin
-    if core < 32 then put t t.lo line (w lor bit core)
-    else put t t.hi line (get t t.hi line lor hi_bit core)
+    if core < 32 then Plane.set t.lo line (w lor bit core)
+    else Plane.set t.hi line (Plane.get t.hi line lor hi_bit core)
   end
   else if (w lsr owner_shift) - 1 <> core then
     invalid_arg "Directory.add_sharer: line is exclusively owned"
 
 let drop t line core =
-  let w = get t t.lo line in
+  let w = Plane.get t.lo line in
   let owner = w lsr owner_shift in
   if owner = 0 then begin
-    if core < 32 then put t t.lo line (w land lnot (bit core))
-    else put t t.hi line (get t t.hi line land lnot (hi_bit core))
+    if core < 32 then Plane.set t.lo line (w land lnot (bit core))
+    else Plane.set t.hi line (Plane.get t.hi line land lnot (hi_bit core))
   end
   else if owner - 1 = core then set_uncached t line
 
 (* The holders other than [core] among cores 0..31 and 32..63, as
    bitmasks. Without the second plane the latter is 0 and reads nothing. *)
-let others_lo t line core = get t t.lo line land sharer_bits land lnot (bit core)
-let others_hi t line core = get t t.hi line land lnot (hi_bit core)
+let others_lo t line core = Plane.get t.lo line land sharer_bits land lnot (bit core)
+let others_hi t line core = Plane.get t.hi line land lnot (hi_bit core)
 
 let others_count t line core =
   popcount32 (others_lo t line core) + popcount32 (others_hi t line core)
@@ -162,10 +120,10 @@ let core_list lo hi =
   List.rev !acc
 
 let sharing t line =
-  let w = get t t.lo line in
+  let w = Plane.get t.lo line in
   if w lsr owner_shift > 0 then Excl ((w lsr owner_shift) - 1)
   else begin
-    let h = get t t.hi line in
+    let h = Plane.get t.hi line in
     if w = 0 && h = 0 then Uncached else Shared (core_list w h)
   end
 
@@ -173,17 +131,19 @@ let set t line s =
   match s with
   | Uncached | Shared [] -> set_uncached t line
   | Shared cores ->
-      put t t.lo line (List.fold_left (fun m c -> m lor bit c) 0 cores);
-      put t t.hi line (List.fold_left (fun m c -> m lor hi_bit c) 0 cores)
+      Plane.set t.lo line (List.fold_left (fun m c -> m lor bit c) 0 cores);
+      Plane.set t.hi line (List.fold_left (fun m c -> m lor hi_bit c) 0 cores)
   | Excl owner -> set_excl t line owner
 
 let others t line core = core_list (others_lo t line core) (others_hi t line core)
 
 let iter_lines t f =
-  let allocated p ci = ci < Array.length p.chunks && Array.length p.chunks.(ci) > 0 in
-  for ci = 0 to max (Array.length t.lo.chunks) (Array.length t.hi.chunks) - 1 do
-    if allocated t.lo ci || allocated t.hi ci then
-      for line = ci lsl t.shift to ((ci + 1) lsl t.shift) - 1 do
-        if not (is_uncached t line) then f line
-      done
-  done
+  if not (wide t) then Plane.iter t.lo (fun line _ -> f line)
+  else begin
+    (* A line held only by cores 32..63 has a zero word in [lo]. *)
+    let lines = ref [] in
+    let note line _ = lines := line :: !lines in
+    Plane.iter t.lo note;
+    Plane.iter t.hi note;
+    List.iter f (List.sort_uniq compare !lines)
+  end

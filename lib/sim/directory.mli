@@ -7,10 +7,9 @@
     Internally each line is one packed int: the sharer bits of cores 0–31
     and the exclusive owner + 1. The sharer bits of cores 32–63 live in a
     second plane that is allocated only once such a core holds a line.
-    Both planes are tables of fixed chunks (one simulated-memory chunk's
-    lines each), allocated on first write and never copied; an absent
-    chunk reads as [Uncached]. The hot coherence path never allocates
-    (DESIGN §12). The [sharing] variant view below is kept for tests and
+    Both planes are {!Mt_obs.Chunk_table}s with one simulated-memory
+    chunk's lines per chunk; an absent chunk reads as [Uncached]. The hot
+    coherence path never allocates (DESIGN §12). The [sharing] variant view below is kept for tests and
     diagnostics. *)
 
 type sharing =

@@ -1,3 +1,5 @@
+module Chunk_table = Mt_obs.Chunk_table
+
 type addr = int
 
 let null = 0
@@ -9,16 +11,16 @@ let chunk_words = 1 lsl chunk_log2
 let chunk_mask = chunk_words - 1
 
 (* Chunk [i] is either narrow — [narrow.(i)] holds its words as
-   sign-extended 4-byte integers and [wide.(i)] is empty — or wide —
-   [narrow.(i)] is [Bytes.empty] and [wide.(i)] holds them as OCaml ints.
-   A chunk starts narrow and turns wide the first time a word outside the
-   signed 32-bit range is written into it; it never turns back. Both
-   tables hold exactly the chunks up to the allocation frontier, so the
-   bounds check on [narrow] is the only one an access needs. *)
+   sign-extended 4-byte integers — or wide — [narrow.(i)] is [Bytes.empty]
+   and chunk [i] of the [wide] table holds them as OCaml ints. A chunk
+   starts narrow and turns wide the first time a word outside the signed
+   32-bit range is written into it; it never turns back. [narrow] holds
+   exactly the chunks up to the allocation frontier, so its bounds check
+   is the only one an access needs. *)
 type t = {
   line_words : int;
   mutable narrow : Bytes.t array;
-  mutable wide : int array array;
+  wide : Chunk_table.t;
   mutable next_free : addr;
 }
 
@@ -35,18 +37,16 @@ let create cfg =
   {
     line_words;
     narrow = [| narrow_chunk () |];
-    wide = [| [||] |];
+    wide = Chunk_table.create ~chunk_log2;
     (* Skip line 0 entirely so that address 0 is an unambiguous null. *)
     next_free = line_words;
   }
 
-(* Chunks never move; only the two tables of pointers are copied. *)
+(* Chunks never move; only the table of pointers is copied. *)
 let ensure_capacity t addr =
-  let n = Array.length t.wide and len = (addr lsr chunk_log2) + 1 in
-  if len > n then begin
-    t.narrow <- Array.init len (fun i -> if i < n then t.narrow.(i) else narrow_chunk ());
-    t.wide <- Array.init len (fun i -> if i < n then t.wide.(i) else [||])
-  end
+  let n = Array.length t.narrow and len = (addr lsr chunk_log2) + 1 in
+  if len > n then
+    t.narrow <- Array.init len (fun i -> if i < n then t.narrow.(i) else narrow_chunk ())
 
 let alloc t ~words =
   if words <= 0 then invalid_arg "Memory.alloc: words must be positive";
@@ -62,11 +62,13 @@ let[@inline never] check t addr =
   if addr <= 0 || addr >= t.next_free then
     invalid_arg (Printf.sprintf "Memory: address %d out of bounds" addr)
 
-(* The switch: copy narrow chunk [ci] into a fresh int array and drop its
+(* The switch: copy narrow chunk [ci] into its wide chunk and drop its
    bytes. *)
 let[@inline never] widen t ci =
-  let b = t.narrow.(ci) in
-  t.wide.(ci) <- Array.init chunk_words (fun i -> Int32.to_int (get32 b (i lsl 2)));
+  let b = t.narrow.(ci) and ch = Chunk_table.chunk t.wide ci in
+  for i = 0 to chunk_words - 1 do
+    ch.(i) <- Int32.to_int (get32 b (i lsl 2))
+  done;
   t.narrow.(ci) <- Bytes.empty
 
 (* The bounds check is debug-gated (DESIGN §12): with checks off a stray
@@ -78,16 +80,16 @@ let[@inline] get t addr =
   let ci = addr lsr chunk_log2 and off = addr land chunk_mask in
   let b = t.narrow.(ci) in
   if b != Bytes.empty then Int32.to_int (get32 b (off lsl 2))
-  else Array.unsafe_get (Array.unsafe_get t.wide ci) off
+  else Array.unsafe_get (Chunk_table.unsafe_chunk t.wide ci) off
 
 let[@inline] set t addr v =
   if Debug.on () then check t addr;
   let ci = addr lsr chunk_log2 and off = addr land chunk_mask in
   let b = t.narrow.(ci) in
-  if b == Bytes.empty then Array.unsafe_set (Array.unsafe_get t.wide ci) off v
+  if b == Bytes.empty then Array.unsafe_set (Chunk_table.unsafe_chunk t.wide ci) off v
   (* [v] survives a round trip through 32 signed bits. *)
   else if (v lsl 31) asr 31 = v then set32 b (off lsl 2) (Int32.of_int v)
   else begin
     widen t ci;
-    Array.unsafe_set t.wide.(ci) off v
+    Array.unsafe_set (Chunk_table.unsafe_chunk t.wide ci) off v
   end

@@ -11,22 +11,23 @@ type addr = int
 (** Memory is a table of chunks of [2^chunk_log2] words; word [a] lives
     in chunk [ci = a lsr chunk_log2]. Each chunk is in one of two forms:
     - {e narrow}: [narrow.(ci)] holds every word as a sign-extended
-      32-bit integer, 4 bytes per word; [wide.(ci)] is empty;
-    - {e wide}: [narrow.(ci)] is physically [Bytes.empty] and [wide.(ci)]
-      holds every word as an OCaml [int].
+      32-bit integer, 4 bytes per word;
+    - {e wide}: [narrow.(ci)] is physically [Bytes.empty] and chunk [ci]
+      of the {!Mt_obs.Chunk_table} [wide] holds every word as an OCaml
+      [int].
 
     A chunk is born narrow. The first write into it of a value outside
-    [[-2^31, 2^31 - 1]] switches it to wide: its words are copied into an
-    [int array] and its bytes dropped. The switch happens at most once per
-    chunk and never reverses, so reads and writes are exact over every
-    OCaml [int]. Chunks never move. The two tables have the same length
-    and hold exactly the chunks up to the one holding word
-    [next_free - 1]. The record is visible so that tests can inspect a
+    [[-2^31, 2^31 - 1]] switches it to wide: its words are copied into
+    its [wide] chunk and its bytes dropped. The switch happens at most
+    once per chunk and never reverses, so reads and writes are exact over
+    every OCaml [int]. Chunks never move. [narrow] holds exactly the
+    chunks up to the one holding word [next_free - 1]; [wide] holds only
+    the switched ones. The record is visible so that tests can inspect a
     chunk's form; everything else goes through the functions below. *)
 type t = {
   line_words : int;
   mutable narrow : Bytes.t array;
-  mutable wide : int array array;
+  wide : Mt_obs.Chunk_table.t;
   mutable next_free : addr;  (** first unallocated word *)
 }
 

@@ -8,7 +8,7 @@
     a slot table that sifts never touch, so reordering the heap runs no
     write barrier (DESIGN §12). The
     allocation-free reading protocol is: check {!is_empty}, read
-    {!top_time}/{!top_tie}/{!top_aux}, then {!pop}. *)
+    {!top_time}/{!top_aux}, then {!pop}. *)
 
 type 'a t
 
@@ -28,24 +28,23 @@ val add_aux : 'a t -> time:int -> tie:int -> aux:int -> 'a -> unit
     empty — callers check {!is_empty} first. *)
 val top_time : 'a t -> int
 
-val top_tie : 'a t -> int
 val top_aux : 'a t -> int
 
 (** [first_not_before t ~tie] is the earliest time [x] at which the key
     [(x, tie)] no longer precedes the minimum: [top_time], or [top_time +
-    1] when [tie < top_tie]; [max_int] when [t] is empty. A key [(x, tie)]
+    1] when [tie] is below the minimum's tie; [max_int] when [t] is empty. A key [(x, tie)]
     precedes every entry iff [x < first_not_before t ~tie] — one call for
     the scheduler's "does this fiber still run first?" test. *)
 val first_not_before : 'a t -> tie:int -> int
 
 (** [pop t] removes the minimum entry and returns its value alone — read
-    {!top_time}/{!top_tie}/{!top_aux} before popping. Raises
+    {!top_time}/{!top_aux} before popping. Raises
     [Invalid_argument] if empty. The popped value is no longer reachable
     from the queue (vacated slots are cleared, so fiber closures are not
     pinned for the heap's lifetime). *)
 val pop : 'a t -> 'a
 
-(** [pop_min t] is [(top_time, top_tie, pop)] as a tuple (allocates;
+(** [pop_min t] is the minimum's [(time, tie, value)] as a tuple (allocates;
     tests and non-hot callers). *)
 val pop_min : 'a t -> int * int * 'a
 

@@ -11,7 +11,6 @@ type _ Effect.t += Stall : unit Effect.t
 exception Aborted
 
 type policy = {
-  policy_name : string;
   (* Both default hooks are pure and stateless, so when [is_default] the
      scheduler may skip calling them entirely (no PRNG stream to keep in
      sync) — the hot path uses [delay = n] and [tie = tid] directly. *)
@@ -22,7 +21,6 @@ type policy = {
 
 let default_policy =
   {
-    policy_name = "fifo";
     is_default = true;
     extra_delay = (fun ~tid:_ ~now:_ -> 0);
     tie_of = (fun ~tid -> tid);
@@ -38,16 +36,14 @@ let random_policy ?(max_delay = 64) ~seed () =
   if max_delay < 0 then invalid_arg "Runtime.random_policy: negative max_delay";
   let g = Prng.create ~seed:(seed lxor 0x5CEDC0DE) in
   {
-    policy_name = Printf.sprintf "random(seed=%d,max_delay=%d)" seed max_delay;
     is_default = false;
     extra_delay =
       (fun ~tid:_ ~now:_ -> if max_delay = 0 then 0 else Prng.int g (max_delay + 1));
     tie_of = (fun ~tid -> (Prng.int g 0x4000 lsl 16) lor (tid land 0xFFFF));
   }
 
-let make_policy ?(name = "custom") ?extra_delay ?tie_of () =
+let make_policy ?extra_delay ?tie_of () =
   {
-    policy_name = name;
     (* Hooks left unset are literally the default hooks, so the scheduler
        may treat the policy as default (skipping the calls is
        unobservable). *)
@@ -56,9 +52,8 @@ let make_policy ?(name = "custom") ?extra_delay ?tie_of () =
     tie_of = Option.value tie_of ~default:default_policy.tie_of;
   }
 
-let decorate_policy base ~name ~extra_delay =
+let decorate_policy base ~extra_delay =
   {
-    policy_name = name;
     is_default = false;
     extra_delay =
       (fun ~tid ~now ->
@@ -66,8 +61,6 @@ let decorate_policy base ~name ~extra_delay =
         extra_delay ~tid ~now ~base:b);
     tie_of = base.tie_of;
   }
-
-let policy_name p = p.policy_name
 
 (* A ready-queue entry is either a fiber that has not started yet (a plain
    thunk — there is no continuation to unwind) or one suspended mid-stall,
@@ -181,11 +174,6 @@ let now () =
   match current () with
   | Some t -> t.lane.now
   | None -> Domain.DLS.get last_clock_key
-
-let fiber_id () =
-  match current () with
-  | Some t when t.current_fiber >= 0 -> t.current_fiber
-  | _ -> invalid_arg "Runtime.fiber_id: not inside a fiber"
 
 (* Publish the running fiber's lane limit: the earliest clock at which
    another fiber's key would come first (the fiber's own tie is its id

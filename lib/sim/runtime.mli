@@ -10,9 +10,9 @@
     {b Concurrency contract}: all scheduler state lives in the {!t} value,
     so independent runtimes (each driving its own machine) may run
     concurrently on different OCaml domains — one active [run] per domain,
-    enforced. {!now} and {!fiber_id} resolve against the domain's active
-    run. Nothing may be shared between simulations running on different
-    domains: one machine, one runtime, one domain. *)
+    enforced. {!now} resolves against the domain's active run. Nothing
+    may be shared between simulations running on different domains: one
+    machine, one runtime, one domain. *)
 
 type t
 
@@ -42,7 +42,7 @@ val default_policy : policy
     fresh one per run. *)
 val random_policy : ?max_delay:int -> seed:int -> unit -> policy
 
-(** [make_policy ?name ?extra_delay ?tie_of ()] builds a custom policy
+(** [make_policy ?extra_delay ?tie_of ()] builds a custom policy
     from raw hooks. [extra_delay ~tid ~now] is consulted at every stall of
     fiber [tid], where [now] is the fiber's local clock {e before} the
     stall is applied; the returned extra latency is added to the stall.
@@ -53,25 +53,20 @@ val random_policy : ?max_delay:int -> seed:int -> unit -> policy
     pure function of their construction seed drives replayable schedules.
     Defaults are the {!default_policy} hooks. *)
 val make_policy :
-  ?name:string ->
   ?extra_delay:(tid:int -> now:int -> int) ->
   ?tie_of:(tid:int -> int) ->
   unit ->
   policy
 
-(** [decorate_policy base ~name ~extra_delay] wraps [base]: readiness ties
+(** [decorate_policy base ~extra_delay] wraps [base]: readiness ties
     are still broken by [base], and every stall first consults [base]'s
     delay (so [base]'s PRNG stream is consumed identically), then passes it
     to the decorator as [~base]. This is how fault injectors stack on top
     of {!random_policy} without disturbing its draw sequence. *)
 val decorate_policy :
   policy ->
-  name:string ->
   extra_delay:(tid:int -> now:int -> base:int -> int) ->
   policy
-
-(** Human-readable description of a policy (for logs and reports). *)
-val policy_name : policy -> string
 
 val create : unit -> t
 
@@ -145,6 +140,3 @@ val clock : t -> int
     run completed on this domain. *)
 val now : unit -> int
 
-(** [fiber_id ()] is the id (spawn index) of the calling fiber. Raises
-    [Invalid_argument] outside a fiber. *)
-val fiber_id : unit -> int

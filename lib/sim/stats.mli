@@ -66,9 +66,6 @@ val heat : t -> int
     boundaries; [c_heat] is {!heat}. *)
 val series_counters : t -> Mt_obs.Series.counters
 
-(** Total L1 accesses (hits + misses). *)
-val l1_accesses : t -> int
-
 (** L1 miss rate in [0,1]; 0 if there were no accesses. *)
 val l1_miss_rate : t -> float
 

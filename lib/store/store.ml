@@ -100,7 +100,6 @@ let imbalance st =
 type t =
   | T : {
       backend : (module Backend.S with type t = 'b);
-      backend_name : string;
       shards : 'b array;
       versions : Ctx.addr array;
       fallback : Ctx.addr;  (* lock word serializing txn fallbacks *)
@@ -137,7 +136,6 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
   T
     {
       backend = (module B : Backend.S with type t = B.t);
-      backend_name = B.name;
       shards = Array.init shards (fun _ -> B.create ctx);
       versions;
       fallback;
@@ -165,7 +163,6 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
 
 let num_shards (T s) = Array.length s.versions
 let key_space (T s) = s.key_space
-let backend_name (T s) = s.backend_name
 
 let shard_of (T s) k =
   if k < 0 then invalid_arg "Store.shard_of: negative key";
@@ -514,8 +511,6 @@ let scan ctx (T s) ~lo ~hi =
   round ();
   s.c.c_scans <- s.c.c_scans + 1;
   List.sort compare (List.concat_map (fun sh -> res.(sh)) relevant)
-
-let snapshot_all ctx (T s as t) = scan ctx t ~lo:0 ~hi:(s.key_space - 1)
 
 let to_list_unsafe machine (T s) =
   let module B = (val s.backend) in

@@ -82,7 +82,6 @@ val create :
 
 val num_shards : t -> int
 val key_space : t -> int
-val backend_name : t -> string
 
 (** The shard routing function: [k mod num_shards]. *)
 val shard_of : t -> int -> int
@@ -112,9 +111,6 @@ val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
     (both within the key space), merged across shards in ascending
     order. Retries only the shards whose version moved. *)
 val scan : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list
-
-(** Whole-store snapshot: [scan] over the full key space. *)
-val snapshot_all : Mt_core.Ctx.t -> t -> int list
 
 val stats : t -> stats
 val reset_stats : t -> unit

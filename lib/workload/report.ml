@@ -1,8 +1,6 @@
 let f2 x = Printf.sprintf "%.2f" x
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-let speedup base x = if base = 0.0 then "-" else Printf.sprintf "%.2fx" (x /. base)
-
 let table ~title ~columns rows =
   List.iter
     (fun row ->

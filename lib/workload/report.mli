@@ -15,6 +15,3 @@ val f2 : float -> string
 val pct : float -> string
 (** fraction -> "12.34%" *)
 
-(** [speedup base x] renders [x /. base] as e.g. "1.42x"; "-" if the base
-    is zero. *)
-val speedup : float -> float -> string

@@ -455,6 +455,79 @@ let test_driver_json_schema () =
   | None -> Alcotest.fail "no latency_cycles"
 
 (* ------------------------------------------------------------------ *)
+(* Chunk_table against a [Hashtbl] model: random sets, adds and gets over
+   16-entry chunks, at indices on both sides of three chunk boundaries and
+   at one far index, then one more write at the far index, which grows the
+   table past every chunk the ops allocated. After every step the table
+   holds exactly the chunks that some non-zero write or add reached (so a
+   zero into an absent chunk allocates nothing), each allocated chunk is
+   still the array it was when first allocated, and [iter] yields exactly
+   the non-zero entries in ascending order. *)
+
+type chunk_op = Ct_set of int * int | Ct_add of int * int | Ct_get of int
+
+let prop_chunk_table_model =
+  let module Ct = Mt_obs.Chunk_table in
+  let log2 = 4 in
+  let per = 1 lsl log2 and far = (50 lsl 4) + 5 in
+  let index =
+    QCheck.Gen.oneofl
+      [ 0; 1; per - 1; per; per + 1; (2 * per) - 1; 2 * per; (3 * per) - 1; 3 * per;
+        (3 * per) + 2; far ]
+  in
+  let value = QCheck.Gen.(frequency [ (3, return 0); (2, int_range (-3) 3); (1, int) ]) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 (fun i v -> Ct_set (i, v)) index value);
+          (3, map2 (fun i d -> Ct_add (i, d)) index value);
+          (2, map (fun i -> Ct_get i) index) ])
+  in
+  let print = function
+    | Ct_set (i, v) -> Printf.sprintf "set %d %d" i v
+    | Ct_add (i, d) -> Printf.sprintf "add %d %d" i d
+    | Ct_get i -> Printf.sprintf "get %d" i
+  in
+  QCheck.Test.make ~count:300 ~name:"chunk table matches a Hashtbl model"
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_range 0 60) op))
+    (fun ops ->
+      let t = Ct.create ~chunk_log2:log2 in
+      let model = Hashtbl.create 16 in
+      (* Chunk index -> the array first allocated for it. *)
+      let born = Hashtbl.create 8 in
+      let find i = Option.value (Hashtbl.find_opt model i) ~default:0 in
+      let written i v =
+        if v <> 0 && not (Hashtbl.mem born (i lsr log2)) then
+          Hashtbl.replace born (i lsr log2) (Ct.chunk t (i lsr log2))
+      in
+      let agree () =
+        let entries = ref [] in
+        Ct.iter t (fun i v -> entries := (i, v) :: !entries);
+        let nonzero =
+          Hashtbl.fold (fun i v acc -> if v <> 0 then (i, v) :: acc else acc) model []
+        in
+        Ct.chunks t = Hashtbl.length born
+        && Hashtbl.fold (fun ci ch ok -> ok && Ct.chunk t ci == ch) born true
+        && List.rev !entries = List.sort compare nonzero
+      in
+      let step = function
+        | Ct_set (i, v) ->
+            Ct.set t i v;
+            Hashtbl.replace model i v;
+            written i v
+        | Ct_add (i, d) ->
+            Ct.add t i d;
+            Hashtbl.replace model i (find i + d);
+            written i d
+        | Ct_get _ -> ()
+      in
+      List.for_all
+        (fun o ->
+          step o;
+          (match o with Ct_get i -> Ct.get t i = find i | _ -> true) && agree ())
+        (ops @ [ Ct_set (far + per, 1) ]))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -484,6 +557,7 @@ let () =
           Alcotest.test_case "label ranges must ascend" `Quick
             test_label_lines_rejects_descending;
         ] );
+      ("chunk", [ QCheck_alcotest.to_alcotest prop_chunk_table_model ]);
       ( "trace",
         [
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;

@@ -1136,25 +1136,63 @@ let prop_machine_coherence_invariant =
 (* ISSUE 8: the flat-array directory/cache rewrite must uphold the MESI
    invariants structurally, not just behaviourally — run the machine's own
    checker (L1 ⊆ L2 inclusion, single M/E owner, exact sharer sets) after
-   every operation of a random read/write/tag/untag sequence. *)
-let prop_machine_check_coherence =
-  QCheck.Test.make ~name:"MESI/directory invariants hold" ~count:100
-    QCheck.(list (tup3 (int_bound 3) (int_bound 31) (int_bound 4)))
-    (fun ops ->
-      let m = machine () in
+   every operation of a random read/write/tag/untag/validate/VAS/IAS
+   sequence on 2-4 cores.
+
+   The same run checks the paper's Section 3 claim that a VAS or IAS
+   whose validation fails fails locally: such a call (it returns false and
+   counts one more failed validation) leaves every core's coherence
+   traffic counters and every other core's tag count unchanged. A late
+   failure is exempt: it re-checks after acquiring the target, and that
+   fill may evict a tagged line after traffic was sent. With [sink] the
+   machine records into an Obs sink, so its evented path runs. *)
+let prop_machine_check_coherence ~sink =
+  QCheck.Test.make ~count:100
+    ~name:
+      (if sink then "MESI invariants and local VAS/IAS failure, recording sink"
+       else "MESI/directory invariants hold")
+    QCheck.(pair (int_range 2 4) (list (tup3 (int_bound 3) (int_bound 31) (int_bound 6))))
+    (fun (cores, ops) ->
+      let obs =
+        if sink then Mt_obs.Obs.create ~retain:false ~num_cores:cores () else Mt_obs.Obs.null
+      in
+      let m = Machine.create ~obs (Config.default ~num_cores:cores ()) in
       let base = Machine.alloc m ~words:256 in
-      List.iter
+      let traffic () =
+        List.init cores (fun core ->
+            let s = Machine.stats m ~core in
+            [ s.coherence_msgs; s.invalidations_sent; s.invalidations_received;
+              s.downgrades_received; s.tag_probes_sent; s.tag_probes_received;
+              s.writebacks ])
+      in
+      let tags_of_others core =
+        List.filter_map
+          (fun c -> if c = core then None else Some (Machine.tag_count m ~core:c))
+          (List.init cores Fun.id)
+      in
+      let fails_locally swap core a =
+        let failed () = (Machine.stats m ~core).validate_failures in
+        let failed0 = failed () and traffic0 = traffic () and tags0 = tags_of_others core in
+        swap m ~core a 1
+        || failed () <> failed0 + 1
+        || (traffic () = traffic0 && tags_of_others core = tags0)
+      in
+      List.for_all
         (fun (core, line_off, kind) ->
-          let a = base + (8 * line_off) in
-          (match kind with
-          | 0 -> ignore (Machine.read m ~core a)
-          | 1 -> ignore (Machine.write m ~core a 1)
-          | 2 -> ignore (Machine.add_tag m ~core a ~words:1)
-          | 3 -> ignore (Machine.remove_tag m ~core a ~words:1)
-          | _ -> ignore (Machine.validate m ~core));
-          Machine.check_coherence m)
-        ops;
-      true)
+          let core = core mod cores and a = base + (8 * line_off) in
+          let local =
+            match kind with
+            | 0 -> ignore (Machine.read m ~core a); true
+            | 1 -> ignore (Machine.write m ~core a 1); true
+            | 2 -> ignore (Machine.add_tag m ~core a ~words:1); true
+            | 3 -> ignore (Machine.remove_tag m ~core a ~words:1); true
+            | 4 -> ignore (Machine.validate m ~core); true
+            | 5 -> fails_locally Machine.vas core a
+            | _ -> fails_locally Machine.ias core a
+          in
+          Machine.check_coherence m;
+          local)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Harness / Ctx *)
@@ -1495,7 +1533,8 @@ let () =
             [
               prop_machine_matches_shadow;
               prop_machine_coherence_invariant;
-              prop_machine_check_coherence;
+              prop_machine_check_coherence ~sink:false;
+              prop_machine_check_coherence ~sink:true;
             ] );
       ( "model-edges",
         [
