@@ -1,11 +1,10 @@
 (* Regenerates every measured figure of the paper (Figures 2, 4, 5, 6, 7
    and 8), the spurious-invalidation observation of Section 6, and the
-   design-choice ablations called out in DESIGN.md, plus bechamel
-   micro-benchmarks of the primitive operations.
+   design-choice ablations called out in DESIGN.md.
 
    Usage:  dune exec bench/main.exe [-- fig2 fig5 fig6 fig7 fig8 spurious
-                                        ablation micro latency store
-                                        contention timeline speed summary
+                                        ablation latency store contention
+                                        timeline summary
                                         quick --jobs N --json FILE --note k=v]
 
    Each word selects one panel of the registry at the bottom of this
@@ -26,9 +25,6 @@
    and Zipfian key skew over four restart-loop shapes (HoH list, HoH
    (a,b)-tree, tagged NOrec, store transactions), reporting throughput
    relative to the immediate baseline plus the policy wait counters.
-   "speed" times the latency panel's phase-1 calibration against the
-   host's wall clock and reports simulated ops per wall-second (the
-   simulator's own speed; host-dependent, exported only under "notes").
    "timeline" runs a closed-loop and an open-loop scenario under an
    injected mid-run Max_Tags squeeze pulse with windowed telemetry
    (lib/obs Series) attached, exporting the per-window series as the
@@ -66,36 +62,24 @@ let list_range = 256
 let tree_range = 8192
 let vacation_relations = 16384
 
-module Abtree_params = struct
-  let a = 4
-  let b = 8
-end
+module Catalog = Mt_workload.Catalog
 
-module Abtree_hoh = Mt_abtree.Abtree_hoh.Make (Abtree_params)
-module Abtree_llx = Mt_abtree.Abtree_llx.Make (Abtree_params)
-
-let list_impls : (module Mt_list.Set_intf.SET) list =
-  [ (module Mt_list.Harris_list); (module Mt_list.Vas_list); (module Mt_list.Hoh_list) ]
-
-let tree_impls : (module Mt_list.Set_intf.SET) list =
-  [ (module Abtree_llx); (module Abtree_hoh) ]
+let sets = List.map (fun (e : Catalog.entry) -> e.set)
+let list_impls = sets Catalog.[ harris_list; vas_list; hoh_list ]
+let tree_impls = sets Catalog.[ abtree_llx; abtree_hoh ]
+let abtree_hoh = Catalog.abtree_hoh.set
 
 (* ------------------------------------------------------------------ *)
 (* Panel results. *)
 
 type series = { impl : string; points : (int * Driver.result) list }
 
-(* What a panel hands back: its entries for its export slot, the figure
-   series the summary compares (figure panels only), and host-dependent
-   key=value notes (exported under "notes", never in the deterministic
-   fields). A panel prints its own tables as it runs. *)
-type output = {
-  rows : Json.t list;
-  series : series list;
-  notes : (string * string) list;
-}
+(* What a panel hands back: its entries for its export slot and the
+   figure series the summary compares (figure panels only). A panel
+   prints its own tables as it runs. *)
+type output = { rows : Json.t list; series : series list }
 
-let output ?(series = []) ?(notes = []) rows = { rows; series; notes }
+let output ?(series = []) rows = { rows; series }
 
 (* ------------------------------------------------------------------ *)
 (* Generic figure runner. *)
@@ -220,15 +204,17 @@ let run_figure f o _ =
 (* Figure 8: STAMP vacation on NOrec vs tagged NOrec,
    -n4 -q60 -u90 -r16384 (-t is replaced by a fixed simulated window). *)
 
-let vacation_point (module S : Mt_stm.Stm_intf.S) threads relations =
+(* One vacation run: the Fig. 8 client mix over [relations] rows per
+   table on a [max_tags]-tag machine. Returns the result, the STM's aborts
+   and its VBV passes. *)
+let vacation (module S : Mt_stm.Stm_intf.S) ~max_tags ~relations ~threads
+    ~warmup ~measure =
   let module V = Mt_stamp.Vacation.Make (S) in
   let params = { V.relations; queries = 4; query_pct = 60; user_pct = 90 } in
-  (* STM read sets are much larger than a search-structure window; the
-     Fig. 8 configuration provisions 256 tags (see DESIGN.md). *)
-  let cfg = { (Config.default ~num_cores:threads ()) with Config.max_tags = 256 } in
+  let cfg = { (Config.default ~num_cores:threads ()) with Config.max_tags } in
   let spec =
     Spec.make ~key_range:relations ~insert_pct:0 ~delete_pct:0 ~threads
-      ~warmup_cycles:50_000 ~measure_cycles:400_000 ()
+      ~warmup_cycles:warmup ~measure_cycles:measure ()
   in
   let stm_box = ref None in
   let r =
@@ -253,7 +239,11 @@ let fig8 o _ =
   in
   let series =
     sweep o ~name:stm_name impls
-      ~point:(fun m t -> vacation_point m t relations)
+      (* STM read sets are much larger than a search-structure window;
+         the Fig. 8 configuration provisions 256 tags (see DESIGN.md). *)
+      ~point:(fun m threads ->
+        vacation m ~max_tags:256 ~relations ~threads ~warmup:50_000
+          ~measure:400_000)
       ~progress:(fun impl t ((r : Driver.result), aborts, vbv) ->
         Printf.printf "  [%s t=%d] %d txs, %d aborts, %d vbv passes\n%!" impl t
           r.ops aborts vbv)
@@ -273,19 +263,15 @@ let spurious o _ =
       ~measure_cycles:150_000 ()
   in
   (* Three independent points; run them domain-parallel, report in order. *)
-  let jobs_list : (string * (unit -> Driver.result)) list =
-    [
-      ("hoh-list r512",
-       fun () -> Driver.run_set (module Mt_list.Hoh_list) (spec list_range));
-      ("hoh-abtree r8192",
-       fun () -> Driver.run_set (module Abtree_hoh) (spec tree_range));
-      (* A deliberately oversized structure shows capacity evictions rising. *)
-      ("hoh-abtree r65536",
-       fun () -> Driver.run_set (module Abtree_hoh) (spec 65536));
-    ]
-  in
   let results =
-    Pool.map ~jobs:o.jobs (fun (name, f) -> (name, f ())) jobs_list
+    Pool.map ~jobs:o.jobs
+      (fun (name, m, range) -> (name, Driver.run_set m (spec range)))
+      [
+        ("hoh-list r512", (module Mt_list.Hoh_list : Mt_list.Set_intf.SET), list_range);
+        ("hoh-abtree r8192", abtree_hoh, tree_range);
+        (* A deliberately oversized structure shows capacity evictions rising. *)
+        ("hoh-abtree r65536", abtree_hoh, 65536);
+      ]
   in
   Report.table ~title:"Spurious (capacity/overflow) validation failures"
     ~columns:[ "workload"; "validates"; "failures"; "spurious"; "spurious/validate" ]
@@ -325,58 +311,34 @@ let ablation o _ =
   print_endline "\n=== Ablations ===";
   (* Rows within a table are independent simulations; run each table's rows
      through the pool and print once they are all back, in row order. *)
-  let rows thunks = Pool.map ~jobs:o.jobs (fun f -> f ()) thunks in
-  let base_spec =
-    Spec.make ~key_range:list_range ~insert_pct:35 ~delete_pct:35 ~threads:16
-      ~measure_cycles:150_000 ()
-  in
-  let with_cfg name cfg () =
-    let r = Driver.run_set ~cfg (module Mt_list.Hoh_list) base_spec in
+  let set_row m range (name, cfg) =
+    let r =
+      Driver.run_set ~cfg m
+        (Spec.make ~key_range:range ~insert_pct:35 ~delete_pct:35 ~threads:16
+           ~measure_cycles:150_000 ())
+    in
     [ name; Report.f2 r.Driver.throughput; Report.pct r.Driver.l1_miss_rate ]
   in
   let cfg0 = Config.default ~num_cores:16 () in
   Report.table ~title:"Ablation: explicit tag-instruction costs (HoH list, t16)"
     ~columns:[ "config"; "thr/kcyc"; "L1 miss" ]
-    (rows
+    (Pool.map ~jobs:o.jobs (set_row (module Mt_list.Hoh_list) list_range)
        [
-         with_cfg "tag=0 validate=0 (default)" cfg0;
-         with_cfg "tag=1 validate=1"
-           { cfg0 with Config.lat_tag_op = 1; lat_validate = 1 };
-         with_cfg "tag=2 validate=4"
-           { cfg0 with Config.lat_tag_op = 2; lat_validate = 4 };
+         ("tag=0 validate=0 (default)", cfg0);
+         ("tag=1 validate=1", { cfg0 with Config.lat_tag_op = 1; lat_validate = 1 });
+         ("tag=2 validate=4", { cfg0 with Config.lat_tag_op = 2; lat_validate = 4 });
        ]);
-  let tree_spec =
-    Spec.make ~key_range:tree_range ~insert_pct:35 ~delete_pct:35 ~threads:16
-      ~measure_cycles:150_000 ()
-  in
-  let tree_cfg name cfg () =
-    let r = Driver.run_set ~cfg (module Abtree_hoh) tree_spec in
-    [ name; Report.f2 r.Driver.throughput; Report.pct r.Driver.l1_miss_rate ]
-  in
   Report.table ~title:"Ablation: IAS invalidation scope (HoH abtree, t16)"
     ~columns:[ "config"; "thr/kcyc"; "L1 miss" ]
-    (rows
+    (Pool.map ~jobs:o.jobs (set_row abtree_hoh tree_range)
        [
-         tree_cfg "tag-targeted IAS (default)" cfg0;
-         tree_cfg "IAS elevates all sharers"
-           { cfg0 with Config.ias_tag_targeted = false };
+         ("tag-targeted IAS (default)", cfg0);
+         ("IAS elevates all sharers", { cfg0 with Config.ias_tag_targeted = false });
        ]);
   let vac_row max_tags =
-    let module S = Mt_stm.Norec_tagged in
-    let module V = Mt_stamp.Vacation.Make (S) in
-    let params = { V.relations = 4096; queries = 4; query_pct = 60; user_pct = 90 } in
-    let cfg = { (Config.default ~num_cores:16 ()) with Config.max_tags } in
-    let spec =
-      Spec.make ~key_range:4096 ~insert_pct:0 ~delete_pct:0 ~threads:16
-        ~measure_cycles:300_000 ()
-    in
-    let r =
-      Driver.run_custom ~cfg ~name:"vacation"
-        ~setup:(fun ctx ->
-          let stm = S.create ctx in
-          (stm, V.setup ctx stm params))
-        ~op:(fun ctx (stm, mgr) -> V.client_op ctx stm mgr params)
-        spec
+    let r, _, _ =
+      vacation (module Mt_stm.Norec_tagged) ~max_tags ~relations:4096
+        ~threads:16 ~warmup:30_000 ~measure:300_000
     in
     [ string_of_int max_tags; Report.f2 r.Driver.throughput ]
   in
@@ -484,7 +446,7 @@ let serve_stm_backend ~range =
 let serve_backends () =
   [
     serve_set_backend (module Mt_list.Hoh_list) ~range:list_range;
-    serve_set_backend (module Abtree_hoh) ~range:tree_range;
+    serve_set_backend abtree_hoh ~range:tree_range;
     (* 512 keys: the transactional BST stays cache-resident, keeping the
        STM backend in the same capacity class as the structures (a 4096
        key map is memory-bound at ~25x the service time). *)
@@ -564,13 +526,6 @@ let store_mixes =
     Store_serve.mix ~point_pct:50 ~txn_pct:20;
   ]
 
-let store_backend_names = [ "hoh-list"; "hoh-abtree"; "norec-tagged" ]
-
-let store_backend name =
-  match Store_backend.by_name name with
-  | Some b -> b
-  | None -> failwith ("bench: unknown store backend " ^ name)
-
 let store_stats_to_json (st : Store.stats) =
   Json.Obj
     [
@@ -596,12 +551,11 @@ let store o _ =
   let horizon = if o.quick then 60_000 else 120_000 in
   let specs =
     List.concat_map
-      (fun name ->
-        let backend = store_backend name in
+      (fun backend ->
         List.map
           (fun mix -> Store_serve.spec ~shards:store_shards ~backend ~mix ())
           store_mixes)
-      store_backend_names
+      Catalog.backends
   in
   let curves =
     saturation_curves o specs
@@ -679,8 +633,6 @@ module Ctx = Mt_core.Ctx
 let contention_policies =
   [ Cm.immediate; Cm.backoff (); Cm.politeness () ]
 
-let contention_backends = [ "hoh-list"; "hoh-abtree"; "norec-tagged"; "store-txn" ]
-
 let contention_spec o ~range ~insert_pct ~delete_pct ~threads =
   Spec.make ~key_range:range ~insert_pct ~delete_pct ~threads
     ~warmup_cycles:(if o.quick then 10_000 else 30_000)
@@ -691,12 +643,19 @@ let contention_spec o ~range ~insert_pct ~delete_pct ~threads =
    to the LARGEST key, so for ordered structures the contended nodes sit
    at the end of the longest traversal path — a restart throws away the
    whole hand-over-hand walk, which is exactly the storm contention
-   management exists to calm. *)
-let contention_set_point o ?cfg (module S : Mt_list.Set_intf.SET) ~range ~theta
-    ~cm ~threads =
+   management exists to calm. The set points run the conservative IAS
+   variant (paper §3's sketch; the same knob as the ablation panel): every
+   successful delete elevates the whole tag set to M, so each success
+   invalidates all concurrent walkers sharing the hot lines and the
+   restart storm has a real fabric cost. *)
+let contention_set_point o (module S : Mt_list.Set_intf.SET) ~range ~theta ~cm
+    ~threads =
   let z = Zipf.create ~n:range ~theta in
   let spec = contention_spec o ~range ~insert_pct:45 ~delete_pct:45 ~threads in
-  Driver.run_custom ?cfg ~cm ~name:S.name
+  let cfg =
+    { (Config.default ~num_cores:threads ()) with Config.ias_tag_targeted = false }
+  in
+  Driver.run_custom ~cfg ~cm ~name:S.name
     ~setup:(fun ctx ->
       Mt_list.Set_intf.prefilled (module S) ctx ~seed:(spec.Spec.seed + 1)
         ~key_range:range ~fill:spec.Spec.init_fill)
@@ -740,13 +699,12 @@ let contention_stm_point o ~range ~theta ~cm ~threads =
 let contention_store_point o ~theta ~cm ~threads =
   let key_space = 8192 and shards = 8 and txn_keys = 3 in
   let z = Zipf.create ~n:key_space ~theta in
-  let backend = store_backend "hoh-list" in
   let spec =
     contention_spec o ~range:key_space ~insert_pct:0 ~delete_pct:0 ~threads
   in
   Driver.run_custom ~cm ~name:"store-txn"
     ~setup:(fun ctx ->
-      let st = Store.create backend ctx ~shards ~key_space in
+      let st = Store.create (module Store_backend.Hoh_list) ctx ~shards ~key_space in
       let g = Prng.create ~seed:(spec.Spec.seed + 1) in
       for _ = 1 to 1024 do
         ignore (Store.insert ctx st (Prng.int g key_space))
@@ -770,11 +728,30 @@ let contention_store_point o ~theta ~cm ~threads =
       ignore (Store.txn ctx st (build txn_keys [])))
     spec
 
+(* The four restart loops, under the names the JSON "backend" field
+   carries. The 2048-node list is where storms bite hardest: one restart
+   forfeits a full L2-latency hand-over-hand walk. *)
+type contention_backend = {
+  cb_name : string;
+  cb_point : theta:float -> cm:Cm.spec -> threads:int -> Driver.result;
+}
+
+let contention_backends o =
+  [
+    { cb_name = "hoh-list";
+      cb_point = contention_set_point o (module Mt_list.Hoh_list) ~range:2048 };
+    { cb_name = "hoh-abtree";
+      cb_point = contention_set_point o abtree_hoh ~range:tree_range };
+    { cb_name = "norec-tagged"; cb_point = contention_stm_point o ~range:1024 };
+    { cb_name = "store-txn"; cb_point = contention_store_point o };
+  ]
+
 let contention o _ =
   print_endline
     "\n=== Contention management: policy x threads x Zipf skew ===";
   let threads_list = if o.quick then [ 8; 64 ] else [ 4; 16; 64 ] in
   let thetas = if o.quick then [ 0.99; 2.0 ] else [ 0.6; 0.99; 2.0 ] in
+  let backends = contention_backends o in
   let points =
     List.concat_map
       (fun backend ->
@@ -785,43 +762,20 @@ let contention o _ =
                 List.map (fun theta -> (backend, pol, threads, theta)) thetas)
               threads_list)
           contention_policies)
-      contention_backends
+      backends
   in
   let results =
     Pool.map ~jobs:o.jobs
-      (fun (backend, pol, threads, theta) ->
-        (* The set-structure points run the conservative IAS variant
-           (paper §3's sketch; the same knob as the ablation panel):
-           every successful delete elevates the whole tag set to M, so
-           each success invalidates all concurrent walkers sharing the
-           hot lines and the restart storm has a real fabric cost. The
-           2048-node list is where storms bite hardest: one restart
-           forfeits a full L2-latency hand-over-hand walk. *)
-        let conservative threads =
-          { (Config.default ~num_cores:threads ()) with
-            Config.ias_tag_targeted = false }
-        in
-        match backend with
-        | "hoh-list" ->
-            contention_set_point o ~cfg:(conservative threads)
-              (module Mt_list.Hoh_list)
-              ~range:2048 ~theta ~cm:pol ~threads
-        | "hoh-abtree" ->
-            contention_set_point o ~cfg:(conservative threads)
-              (module Abtree_hoh)
-              ~range:tree_range ~theta ~cm:pol ~threads
-        | "norec-tagged" ->
-            contention_stm_point o ~range:1024 ~theta ~cm:pol ~threads
-        | _ -> contention_store_point o ~theta ~cm:pol ~threads)
+      (fun (b, pol, threads, theta) -> b.cb_point ~theta ~cm:pol ~threads)
       points
   in
   let tagged =
     List.map2
-      (fun (b, pol, t, th) r -> (b, Cm.spec_name pol, t, th, r))
+      (fun (b, pol, t, th) r -> (b.cb_name, Cm.spec_name pol, t, th, r))
       points results
   in
   List.iter
-    (fun backend ->
+    (fun { cb_name = backend; _ } ->
       let rows = List.filter (fun (b, _, _, _, _) -> b = backend) tagged in
       let imm_thr t th =
         List.find_map
@@ -857,7 +811,7 @@ let contention o _ =
           [ "policy"; "threads"; "theta"; "thr/kcyc"; "vs imm"; "cm waits";
             "wait cycles" ]
         body)
-    contention_backends;
+    backends;
   output
     (List.map
        (fun (backend, policy, threads, theta, (r : Driver.result)) ->
@@ -967,84 +921,6 @@ let timeline o _ =
        scenarios)
 
 (* ------------------------------------------------------------------ *)
-(* Wall-clock speed of the simulator itself: how many simulated requests
-   the host executes per wall-second on the BENCH_3 phase-1 calibration
-   microbench (all three serve backends saturated at 200 req/kcycle over
-   a 120k-cycle horizon, run sequentially on one domain so the number is
-   a single-core figure). Host-dependent by design — the result goes to
-   stdout and, with --json, under "notes", never into the deterministic
-   fields. *)
-
-let speed _ _ =
-  print_endline
-    "\n=== Wall-clock speed: BENCH_3 calibration microbench (host-dependent) ===";
-  let horizon = 120_000 in
-  let t0 = Unix.gettimeofday () in
-  let completed =
-    List.fold_left
-      (fun acc b -> acc + (b.sb_run ~rate:cal_rate ~horizon).Serve.completed)
-      0 (serve_backends ())
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  let ops_per_s = float_of_int completed /. dt in
-  Printf.printf
-    "  %d requests served in %.3f s wall — %.0f simulated ops/wall-second\n"
-    completed dt ops_per_s;
-  output []
-    ~notes:
-      [
-        ("speed_bench", "latency phase-1 calibration, rate=200, horizon=120k");
-        ("speed_requests", string_of_int completed);
-        ("speed_wall_s", Printf.sprintf "%.3f" dt);
-        ("speed_ops_per_wall_s", Printf.sprintf "%.0f" ops_per_s);
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: host-level cost of the simulator's primitive
-   operations (how expensive is simulating each primitive). *)
-
-let micro _ _ =
-  print_endline "\n=== Bechamel micro-benchmarks (host ns per simulated primitive) ===";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let m = Machine.create (Config.default ~num_cores:2 ()) in
-  let a = Machine.alloc m ~words:8 in
-  let tests =
-    [
-      Test.make ~name:"machine-read" (Staged.stage (fun () -> ignore (Machine.read m ~core:0 a)));
-      Test.make ~name:"machine-write"
-        (Staged.stage (fun () -> ignore (Machine.write m ~core:0 a 1)));
-      Test.make ~name:"machine-cas"
-        (Staged.stage (fun () ->
-             ignore (Machine.cas m ~core:0 a ~expected:0 ~desired:0)));
-      Test.make ~name:"machine-tag-clear"
-        (Staged.stage (fun () ->
-             ignore (Machine.add_tag m ~core:0 a ~words:1);
-             ignore (Machine.clear_tag_set m ~core:0)));
-      Test.make ~name:"machine-vas"
-        (Staged.stage (fun () -> ignore (Machine.vas m ~core:0 a 1)));
-      Test.make ~name:"machine-ias"
-        (Staged.stage (fun () -> ignore (Machine.ias m ~core:0 a 1)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-24s %8.1f ns/op\n" name est
-          | _ -> Printf.printf "  %-24s (no estimate)\n" name)
-        results)
-    tests;
-  output []
-
-(* ------------------------------------------------------------------ *)
 (* Headline summary (Section 6 discussion claims), read from the figure
    panels that ran before it. *)
 
@@ -1132,8 +1008,6 @@ let panels =
       panel "store" ~slot:"store" store;
       panel "contention" ~slot:"contention" contention;
       panel "timeline" ~slot:"timeseries" timeline;
-      panel "speed" speed;
-      panel "micro" micro;
       panel "summary" ~slot:"headline" summary;
     ]
 
@@ -1143,7 +1017,6 @@ let panels =
 let export_json o ~notes ran file =
   let in_slot key = List.filter (fun (p, _) -> p.slot = Some key) ran in
   let slot key = Json.List (List.concat_map (fun (_, out) -> out.rows) (in_slot key)) in
-  let notes = notes @ List.concat_map (fun (_, out) -> out.notes) ran in
   let doc =
     Json.Obj
       ([

@@ -4,23 +4,7 @@
 
 open Cmdliner
 
-module Abtree_params = struct
-  let a = 4
-  let b = 8
-end
-
-module Abtree_hoh = Mt_abtree.Abtree_hoh.Make (Abtree_params)
-module Abtree_llx = Mt_abtree.Abtree_llx.Make (Abtree_params)
-
-let impls : (string * (module Mt_list.Set_intf.SET)) list =
-  [
-    ("harris", (module Mt_list.Harris_list));
-    ("vas", (module Mt_list.Vas_list));
-    ("hoh", (module Mt_list.Hoh_list));
-    ("abtree-llx", (module Abtree_llx));
-    ("abtree-hoh", (module Abtree_hoh));
-  ]
-
+module Catalog = Mt_workload.Catalog
 module Obs = Mt_obs.Obs
 module Trace = Mt_obs.Trace
 module Json = Mt_obs.Json
@@ -201,15 +185,15 @@ let run impl_names threads key_range insert_pct delete_pct measure seed all verb
     ~batch ~qcap;
   let jobs = if jobs > 0 then jobs else Mt_par.Pool.default_jobs () in
   let chosen =
-    if all then impls
+    if all then List.map (fun (e : Catalog.entry) -> (e.name, e.set)) Catalog.runnable
     else
       List.map
         (fun n ->
-          match List.assoc_opt n impls with
-          | Some m -> (n, m)
+          match Catalog.find Catalog.runnable n with
+          | Some e -> (n, e.set)
           | None ->
-              Printf.eprintf "unknown implementation %S\n" n;
-              exit 2)
+              reject "unknown implementation %S (known: %s)" n
+                (Catalog.known Catalog.runnable))
         impl_names
   in
   let tracing = trace_file <> None || hot > 0 in
@@ -230,9 +214,9 @@ let () =
   let impl =
     Arg.(value & opt_all string [ "hoh" ]
          & info [ "i"; "impl" ]
-             ~doc:"Implementation (harris|vas|hoh|abtree-llx|abtree-hoh); repeatable.")
+             ~doc:("Implementation (" ^ Catalog.known Catalog.runnable ^ "); repeatable."))
   in
-  let all = Arg.(value & flag & info [ "a"; "all" ] ~doc:"Run every implementation.") in
+  let all = Arg.(value & flag & info [ "a"; "all" ] ~doc:"Run every non-canary implementation.") in
   let threads = Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Thread count.") in
   let range = Arg.(value & opt int 1024 & info [ "r"; "range" ] ~doc:"Key range.") in
   let ins = Arg.(value & opt int 35 & info [ "insert" ] ~doc:"Insert percentage.") in

@@ -12,36 +12,16 @@
 
 open Cmdliner
 
-module Abtree_params = struct
-  let a = 2
-  let b = 4
-end
+module Catalog = Mt_workload.Catalog
 
-module Abtree_hoh = Mt_abtree.Abtree_hoh.Make (Abtree_params)
-module Abtree_llx = Mt_abtree.Abtree_llx.Make (Abtree_params)
-
-let canaries = [ "buggy_list"; "buggy_abtree" ]
-
-let impls : (string * (module Mt_list.Set_intf.SET)) list =
-  [
-    ("harris_list", (module Mt_list.Harris_list));
-    ("vas_list", (module Mt_list.Vas_list));
-    ("hoh_list", (module Mt_list.Hoh_list));
-    ("elided_list", (module Mt_list.Elided_list));
-    ("abtree_hoh", (module Abtree_hoh));
-    ("abtree_llx", (module Abtree_llx));
-    ("norec_btree", (module Mt_store.Backend.Norec_map : Mt_list.Set_intf.SET));
-    ("buggy_list", (module Mt_check.Buggy_list));
-    ("buggy_abtree", (module Mt_check.Buggy_abtree));
-  ]
-
-let resolve name =
-  match List.assoc_opt name impls with
-  | Some m -> m
-  | None ->
-      Printf.eprintf "unknown structure %S (known: %s)\n" name
-        (String.concat ", " (List.map fst impls));
-      exit 2
+(* An invalid flag value exits 2 with the flag named, before any seed
+   runs, instead of escaping as an exception from inside a run. *)
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "memtag_fuzz: %s\n" msg;
+      exit 2)
+    fmt
 
 let replay_command name threads (params : Mt_check.Explore.params) ~seed ~spec =
   Printf.sprintf
@@ -52,36 +32,32 @@ let replay_command name threads (params : Mt_check.Explore.params) ~seed ~spec =
     (if Mt_adversary.Inject.is_none spec then ""
      else Printf.sprintf " --spec '%s'" (Mt_adversary.Inject.to_string spec))
 
+let write dir file s =
+  Out_channel.with_open_text (Filename.concat dir file) (fun oc -> output_string oc s)
+
 (* On violation, dump everything a debugging session needs into
    fuzz-failure-<seed>/: the Perfetto event trace of a traced replay, the
    full recorded history, and the minimized per-key window the checker
    rejected. The traced replay doubles as the determinism check — neither
    tracing nor fault injection may perturb the schedule, so its history
    must match byte for byte. *)
-let dump_failure name threads (o : Mt_check.Explore.outcome) params ~spec
+let dump_failure name m threads (o : Mt_check.Explore.outcome) params ~spec
     (violation : Mt_check.Linearize.violation) =
   let dir = Printf.sprintf "fuzz-failure-%d" o.seed in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let write file s =
-    let oc = open_out (Filename.concat dir file) in
-    output_string oc s;
-    close_out oc
-  in
   let obs = Mt_obs.Obs.create ~num_cores:threads () in
-  let replay =
-    Mt_adversary.Scenario.run ~obs (resolve name) ~params ~spec ~seed:o.seed
-  in
+  let replay = Mt_adversary.Scenario.run ~obs m ~params ~spec ~seed:o.seed in
   let identical =
     Mt_check.History.to_string replay.history
     = Mt_check.History.to_string o.history
   in
   Mt_obs.Trace.write_file ~num_cores:threads obs (Filename.concat dir "trace.json");
-  write "history.txt" (Mt_check.History.to_string o.history);
-  write "minimized.txt"
+  write dir "history.txt" (Mt_check.History.to_string o.history);
+  write dir "minimized.txt"
     (Format.asprintf "%a@.@.%s@."
        Mt_check.Linearize.pp_violation violation
        (Mt_check.History.to_string (Array.of_list violation.window)));
-  write "repro.txt"
+  write dir "repro.txt"
     (Printf.sprintf
        "structure=%s threads=%d seed=%d ops=%d range=%d prefill=%d max-delay=%d \
         spec=%s\n\
@@ -96,19 +72,12 @@ let dump_failure name threads (o : Mt_check.Explore.outcome) params ~spec
 (* Delta-debug the failure to a minimal repro and drop it (config, history,
    traced replay) alongside the original artifacts. The minimal config is
    re-replayed with tracing on to prove it still fails byte-identically. *)
-let dump_shrunk name (module S : Mt_list.Set_intf.SET) dir
-    (shrunk : Mt_adversary.Shrink.result) =
-  let write file s =
-    let oc = open_out (Filename.concat dir file) in
-    output_string oc s;
-    close_out oc
-  in
+let dump_shrunk name m dir (shrunk : Mt_adversary.Shrink.result) =
   let c = shrunk.config in
   let threads = c.params.Mt_check.Explore.threads in
   let obs = Mt_obs.Obs.create ~num_cores:threads () in
   let replay =
-    Mt_adversary.Scenario.run ~obs (module S) ~params:c.params ~spec:c.spec
-      ~seed:c.seed
+    Mt_adversary.Scenario.run ~obs m ~params:c.params ~spec:c.spec ~seed:c.seed
   in
   let identical =
     Mt_check.History.to_string replay.history
@@ -117,12 +86,12 @@ let dump_shrunk name (module S : Mt_list.Set_intf.SET) dir
   in
   Mt_obs.Trace.write_file ~num_cores:threads obs
     (Filename.concat dir "minimal-trace.json");
-  write "minimal-history.txt"
+  write dir "minimal-history.txt"
     (Mt_check.History.to_string shrunk.outcome.history);
   let violation =
     match shrunk.outcome.verdict with Error v -> v | Ok () -> assert false
   in
-  write "minimal.txt"
+  write dir "minimal.txt"
     (Format.asprintf
        "minimal failing configuration (%d candidate runs):@.  %a@.@.\
         started from:@.  %a@.@.replay: %s@.@.%a@."
@@ -139,8 +108,8 @@ let dump_shrunk name (module S : Mt_list.Set_intf.SET) dir
     shrunk.runs dir identical;
   identical
 
-let report_failure name threads (o : Mt_check.Explore.outcome) params ~spec
-    ~spec_of ~shrink =
+let report_failure name m threads (o : Mt_check.Explore.outcome) params
+    ~spec ~spec_of ~shrink =
   let violation =
     match o.verdict with Error v -> v | Ok () -> assert false
   in
@@ -150,7 +119,7 @@ let report_failure name threads (o : Mt_check.Explore.outcome) params ~spec
   Format.printf "%a@." Mt_check.Linearize.pp_violation violation;
   (* Determinism check: replaying the seed (here with tracing on) must
      reproduce the history byte for byte. *)
-  let dir, identical = dump_failure name threads o params ~spec violation in
+  let dir, identical = dump_failure name m threads o params ~spec violation in
   Format.printf "replay of seed %d byte-identical: %b@." o.seed identical;
   let identical =
     if not shrink then identical
@@ -158,21 +127,12 @@ let report_failure name threads (o : Mt_check.Explore.outcome) params ~spec
       let initial =
         { Mt_adversary.Shrink.params; spec = spec_of o.seed; seed = o.seed }
       in
-      let shrunk = Mt_adversary.Shrink.shrink (resolve name) initial in
-      identical && dump_shrunk name (resolve name) dir shrunk
+      let shrunk = Mt_adversary.Shrink.shrink m initial in
+      identical && dump_shrunk name m dir shrunk
     end
   in
   if not identical then
     Format.printf "WARNING: determinism broken — fix the scheduler first@."
-
-(* An invalid flag value exits 2 with the flag named, before any seed
-   runs, instead of escaping as an exception from inside a run. *)
-let reject fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "memtag_fuzz: %s\n" msg;
-      exit 2)
-    fmt
 
 let run structures all seeds seed_start threads_list ops range prefill
     max_delay jobs adversary spec_str shrink verbose =
@@ -202,8 +162,15 @@ let run structures all seeds seed_start threads_list ops range prefill
         else Mt_adversary.Inject.none
   in
   let chosen =
-    if all then List.filter (fun (n, _) -> not (List.mem n canaries)) impls
-    else List.map (fun n -> (n, resolve n)) structures
+    if all then List.map (fun (e : Catalog.entry) -> (e.name, e.fuzz)) Catalog.runnable
+    else
+      List.map
+        (fun n ->
+          match Catalog.find Catalog.all n with
+          | Some e -> (n, e.fuzz)
+          | None ->
+              reject "unknown structure %S (known: %s)" n (Catalog.known Catalog.all))
+        structures
   in
   let failed = ref false in
   List.iter
@@ -239,7 +206,7 @@ let run structures all seeds seed_start threads_list ops range prefill
                 (if adversary || pinned_spec <> None then " [adversary]" else "")
           | Some o ->
               failed := true;
-              report_failure name threads o params ~spec:(spec_of o.seed)
+              report_failure name m threads o params ~spec:(spec_of o.seed)
                 ~spec_of ~shrink);
           if verbose && failure = None then
             Format.printf "     (last clean seed %d)@." (seed_start + clean - 1))
@@ -253,11 +220,10 @@ let () =
       value
       & opt_all string [ "vas_list" ]
       & info [ "s"; "structure" ]
-          ~doc:
-            "Structure to fuzz (harris_list|vas_list|hoh_list|elided_list|abtree_hoh|abtree_llx|buggy_list|buggy_abtree); repeatable.")
+          ~doc:("Structure to fuzz (" ^ Catalog.known Catalog.all ^ "); repeatable."))
   in
   let all =
-    Arg.(value & flag & info [ "a"; "all" ] ~doc:"Fuzz every (correct) structure.")
+    Arg.(value & flag & info [ "a"; "all" ] ~doc:"Fuzz every non-canary structure.")
   in
   let seeds =
     Arg.(value & opt int 50 & info [ "seeds" ] ~doc:"Number of schedule seeds to explore.")

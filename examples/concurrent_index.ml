@@ -7,10 +7,7 @@
 open Mt_sim
 open Mt_core
 
-module Index = Mt_abtree.Abtree_hoh.Make (struct
-  let a = 4
-  let b = 8
-end)
+module Index = Mt_abtree.Abtree_hoh.Paper
 
 let () =
   let threads = 16 in

@@ -2,6 +2,14 @@ open Mt_core
 
 let null = Mt_sim.Memory.null
 
+module type S = sig
+  include Mt_list.Set_intf.SET
+
+  val range : Ctx.t -> t -> lo:int -> hi:int -> int list option
+  val scan_plain : Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  val check : Mt_sim.Machine.t -> t -> Checker.report
+end
+
 module Make_gen (P : sig
   val a : int
   val b : int
@@ -473,3 +481,8 @@ end) =
 
     let validated_insert = true
   end)
+
+module Paper = Make (struct
+  let a = 4
+  let b = 8
+end)

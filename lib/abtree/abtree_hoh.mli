@@ -18,6 +18,24 @@
     RootUntag, RootAbsorb, AbsorbChild, PropagateTag, AbsorbSibling,
     Distribute — until the path is violation-free. *)
 
+(** What every HoH tree offers beyond {!Mt_list.Set_intf.SET}. *)
+module type S = sig
+  include Mt_list.Set_intf.SET
+
+  (** Atomic range snapshot [\[lo, hi\]] via tag-validated leaf walks;
+      [None] when the range spans more lines than [Max_Tags] allows. *)
+  val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
+
+  (** [scan_plain ctx t ~lo ~hi ~budget] — plain untagged range collect
+      visiting at most [budget] nodes. {e Not} atomic on its own: callers
+      must prove quiescence externally (the sharded store's per-shard
+      version protocol does). *)
+  val scan_plain : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+
+  (** Structural invariant check on a quiescent machine. *)
+  val check : Mt_sim.Machine.t -> t -> Checker.report
+end
+
 (** Generalized over the insert commit: [validated_insert = false] drops
     the IAS validation from insert's pointer swing (a plain store commits
     blindly over a possibly-replaced window). That configuration exists
@@ -27,22 +45,7 @@ module Make_gen (_ : sig
   val a : int
   val b : int
   val validated_insert : bool
-end) : sig
-  include Mt_list.Set_intf.SET
-
-  (** Atomic range snapshot [\[lo, hi\]] via tag-validated leaf walks;
-      [None] when the range spans more lines than [Max_Tags] allows. *)
-  val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
-
-  (** [scan_plain ctx t ~lo ~hi ~budget] — plain untagged range collect
-      visiting at most [budget] nodes. {e Not} atomic on its own: callers
-      must prove quiescence externally (the sharded store's per-shard
-      version protocol does). *)
-  val scan_plain : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
-
-  (** Structural invariant check on a quiescent machine. *)
-  val check : Mt_sim.Machine.t -> t -> Checker.report
-end
+end) : S
 
 module Make (_ : sig
   val a : int
@@ -50,19 +53,9 @@ module Make (_ : sig
 
   val b : int
   (** maximum degree; [b >= 2*a - 1] *)
-end) : sig
-  include Mt_list.Set_intf.SET
+end) : S
 
-  (** Atomic range snapshot [\[lo, hi\]] via tag-validated leaf walks;
-      [None] when the range spans more lines than [Max_Tags] allows. *)
-  val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
-
-  (** [scan_plain ctx t ~lo ~hi ~budget] — plain untagged range collect
-      visiting at most [budget] nodes. {e Not} atomic on its own: callers
-      must prove quiescence externally (the sharded store's per-shard
-      version protocol does). *)
-  val scan_plain : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
-
-  (** Structural invariant check on a quiescent machine. *)
-  val check : Mt_sim.Machine.t -> t -> Checker.report
-end
+(** The paper's evaluation tree, (a,b) = (4,8) (DESIGN §4): the one
+    instance the benchmarks, the store's [hoh-abtree] shards and the
+    examples run. *)
+module Paper : S

@@ -383,3 +383,8 @@ struct
     in
     List.rev (walk t.sentinel [])
 end
+
+module Paper = Make (struct
+  let a = 4
+  let b = 8
+end)

@@ -18,3 +18,7 @@ end) : sig
   (** Structural invariant check on a quiescent machine. *)
   val check : Mt_sim.Machine.t -> t -> Checker.report
 end
+
+(** The LLX/SCX baseline at the paper's (a,b) = (4,8) (DESIGN §4), the
+    one instance the benchmarks run. *)
+module Paper : Mt_list.Set_intf.SET

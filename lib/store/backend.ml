@@ -38,10 +38,7 @@ module Hoh_list : S = struct
 end
 
 module Hoh_abtree : S = struct
-  include Mt_abtree.Abtree_hoh.Make (struct
-    let a = 4
-    let b = 8
-  end)
+  include Mt_abtree.Abtree_hoh.Paper
 
   let name = "hoh-abtree"
   let mem_plain = contains
@@ -75,12 +72,4 @@ module Norec_map : S = struct
   let to_list_unsafe machine t = TB.to_list_unsafe machine t.tree
 end
 
-let all : (string * (module S)) list =
-  [
-    ("hoh-list", (module Hoh_list));
-    ("hoh-abtree", (module Hoh_abtree));
-    ("norec-tagged", (module Norec_map));
-  ]
-
-let by_name n = List.assoc_opt n all
 let name (module B : S) = B.name

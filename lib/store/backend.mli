@@ -34,7 +34,8 @@ end
 (** The hand-over-hand tagged list ({!Mt_list.Hoh_list}). *)
 module Hoh_list : S
 
-(** The HoH-tagged relaxed (a,b)-tree, (4,8). *)
+(** The HoH-tagged relaxed (a,b)-tree, {!Mt_abtree.Abtree_hoh.Paper}
+    under the name ["hoh-abtree"]. *)
 module Hoh_abtree : S
 
 (** A transactional B+-tree ({!Tx_btree}, one cache line per node,
@@ -43,9 +44,4 @@ module Hoh_abtree : S
     across shards. *)
 module Norec_map : S
 
-(** Registry, keyed by the backend's [name]: ["hoh-list"],
-    ["hoh-abtree"], ["norec-tagged"]. *)
-val all : (string * (module S)) list
-
-val by_name : string -> (module S) option
 val name : (module S) -> string

@@ -297,6 +297,75 @@ let test_deep_oracle (module T : Mt_list.Set_intf.SET) () =
       done;
       check_bool "final" true (T.to_list_unsafe (Ctx.machine ctx) t = O.elements !oracle))
 
+(* ------------------------------------------------------------------ *)
+(* The catalog, the one name table of every front-end. *)
+
+module Catalog = Mt_workload.Catalog
+
+let set_name (module S : Mt_list.Set_intf.SET) = S.name
+
+(* Each name a front-end accepted before the catalog existed still
+   resolves to a module of the same [name]: memtag_bench's at the paper's
+   (4,8), memtag_fuzz's with the trees at (2,4), and the store's. *)
+let test_catalog_names () =
+  let resolves among instance =
+    List.iter (fun (n, expected) ->
+        match Catalog.find among n with
+        | Some e -> Alcotest.(check string) n expected (instance e)
+        | None -> Alcotest.failf "%s does not resolve" n)
+  in
+  resolves Catalog.runnable
+    (fun e -> set_name e.set)
+    [ ("harris", "harris-list"); ("vas", "vas-list"); ("hoh", "hoh-list");
+      ("abtree-llx", "llx-abtree(4,8)"); ("abtree-hoh", "hoh-abtree(4,8)") ];
+  resolves Catalog.all
+    (fun e -> set_name e.fuzz)
+    [ ("harris_list", "harris-list"); ("vas_list", "vas-list");
+      ("hoh_list", "hoh-list"); ("elided_list", "elided-hoh-list");
+      ("abtree_hoh", "hoh-abtree(2,4)"); ("abtree_llx", "llx-abtree(2,4)");
+      ("norec_btree", "norec-tagged"); ("buggy_list", "buggy-list");
+      ("buggy_abtree", "buggy-abtree") ];
+  resolves Catalog.all
+    (fun e -> Option.fold ~none:"" ~some:Mt_store.Backend.name e.backend)
+    (List.map (fun n -> (n, n)) [ "hoh-list"; "hoh-abtree"; "norec-tagged" ])
+
+let test_catalog_lists () =
+  let names = List.concat_map (fun (e : Catalog.entry) -> e.name :: e.aliases) Catalog.all in
+  check_int "no name or alias twice" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string))
+    "--all: the non-canaries in fuzz order"
+    [ "harris_list"; "vas_list"; "hoh_list"; "elided_list"; "abtree_hoh";
+      "abtree_llx"; "norec_btree" ]
+    (List.map (fun (e : Catalog.entry) -> e.name) Catalog.runnable);
+  Alcotest.(check (list string))
+    "store backends" [ "hoh-list"; "hoh-abtree"; "norec-tagged" ]
+    (List.map Mt_store.Backend.name Catalog.backends)
+
+(* Why the fuzzer's trees are (2,4): filling the fuzzer's default key
+   range in order leaves a (2,4) root over four leaves (split leaves
+   absorbed below the root), a (4,8) root over two (a single RootUntag). *)
+let test_catalog_fuzz_trees () =
+  let range = Mt_check.Explore.default_params.range in
+  let nodes (module T : CHECKED_SET) =
+    let m = machine ~cores:1 () in
+    let t =
+      Harness.exec1 m (fun ctx ->
+          let t = T.create ctx in
+          for k = 0 to range - 1 do
+            ignore (T.insert ctx t k)
+          done;
+          t)
+    in
+    let r = T.check m t in
+    assert_report T.name r;
+    r.nodes
+  in
+  check_int "hoh(2,4) root + leaves" 5 (nodes (module Hoh_small));
+  check_int "llx(2,4) root + leaves" 5 (nodes (module Llx_small));
+  check_int "hoh(4,8) root + leaves" 3 (nodes (module Hoh_mid));
+  check_int "llx(4,8) root + leaves" 3 (nodes (module Llx_mid))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -326,6 +395,13 @@ let () =
           Alcotest.test_case "overflow" `Quick test_tree_range_overflow;
           Alcotest.test_case "snapshot consistency" `Quick
             test_tree_range_snapshot_consistency;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "front-end names resolve" `Quick test_catalog_names;
+          Alcotest.test_case "names, --all and backends" `Quick test_catalog_lists;
+          Alcotest.test_case "fuzz trees rebalance in range" `Quick
+            test_catalog_fuzz_trees;
         ] );
       ( "node_desc",
         qsuite

@@ -178,10 +178,7 @@ let with_checks on f =
   Debug.set on;
   Fun.protect ~finally:(fun () -> Debug.set saved) f
 
-module Fast_abtree = Mt_abtree.Abtree_hoh.Make (struct
-  let a = 4
-  let b = 8
-end)
+module Fast_abtree = Mt_abtree.Abtree_hoh.Paper
 
 module Fast_store = Mt_store.Store
 
@@ -293,9 +290,9 @@ let prop_fast_path_abtree =
 (* Point ops plus two-key transactions on four norec-tagged shards; an
    op's result is its sub-op results. *)
 let prop_fast_path_store =
-  let backend = Option.get (Mt_store.Backend.by_name "norec-tagged") in
   fast_path_equiv ~name:"store"
-    ~create:(fun ctx ~range -> Fast_store.create backend ctx ~shards:4 ~key_space:range)
+    ~create:(fun ctx ~range ->
+      Fast_store.create (module Mt_store.Backend.Norec_map) ctx ~shards:4 ~key_space:range)
     ~op:(fun ctx s kind k ->
       match kind with
       | 0 -> [ Fast_store.insert ctx s k ]

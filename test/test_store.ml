@@ -22,13 +22,11 @@ let check_int = Alcotest.(check int)
 let machine ?(cores = 8) () =
   Machine.create (Config.default ~num_cores:cores ())
 
-let backend name =
-  match Backend.by_name name with
-  | Some b -> b
-  | None -> Alcotest.failf "unknown backend %s" name
-
-(* Every registered backend, exercised by the cross-backend tests. *)
-let backend_names = List.map fst Backend.all
+(* Every catalogued store backend, by name, exercised by the
+   cross-backend tests. *)
+let backends = List.map (fun b -> (Backend.name b, b)) Mt_workload.Catalog.backends
+let backend name = List.assoc name backends
+let backend_names = List.map fst backends
 
 (* ------------------------------------------------------------------ *)
 (* Routing: pure hash partitioning, deterministic reruns. *)
@@ -113,7 +111,7 @@ let test_point_walk () =
             (bname ^ " mem_plain = contains")
             contains
             (List.init range (fun k -> B.mem_plain ctx t k))))
-    Backend.all
+    backends
 
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
