@@ -265,12 +265,13 @@ let spurious o _ =
   (* Three independent points; run them domain-parallel, report in order. *)
   let results =
     Pool.map ~jobs:o.jobs
-      (fun (name, m, range) -> (name, Driver.run_set m (spec range)))
+      (fun (name, m, range) ->
+        (Printf.sprintf "%s r%d" name range, Driver.run_set m (spec range)))
       [
-        ("hoh-list r512", (module Mt_list.Hoh_list : Mt_list.Set_intf.SET), list_range);
-        ("hoh-abtree r8192", abtree_hoh, tree_range);
+        ("hoh-list", (module Mt_list.Hoh_list : Mt_list.Set_intf.SET), list_range);
+        ("hoh-abtree", abtree_hoh, tree_range);
         (* A deliberately oversized structure shows capacity evictions rising. *)
-        ("hoh-abtree r65536", abtree_hoh, 65536);
+        ("hoh-abtree", abtree_hoh, 65536);
       ]
   in
   Report.table ~title:"Spurious (capacity/overflow) validation failures"

@@ -31,14 +31,14 @@ let () =
   Runtime.spawn rt (fun () ->
       let ctx = Ctx.make machine ~rt ~core:0 ~prng:(Prng.create ~seed:1) in
       Ctx.add_tag ctx cell ~words:1;
-      Runtime.stall 1000;
+      Runtime.stall_on rt 1000;
       (* core 1 wrote meanwhile *)
       t0 := Ctx.validate ctx;
       t1 := Ctx.vas ctx cell 99;
       Ctx.clear_tag_set ctx);
   Runtime.spawn rt (fun () ->
       let ctx = Ctx.make machine ~rt ~core:1 ~prng:(Prng.create ~seed:2) in
-      Runtime.stall 500;
+      Runtime.stall_on rt 500;
       Ctx.write ctx cell 42);
   Runtime.run rt;
   Printf.printf "after a remote write: validate=%b vas=%b (cell=%d) — conflict detected locally\n"

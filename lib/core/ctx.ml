@@ -46,8 +46,8 @@ let now t = t.lane.now
 
 (* The stall lane (DESIGN §12): below the lane's limit a stall only
    advances the clock, so it is done here without a call; at the limit
-   (another fiber is due, a tick boundary, a non-default policy or a
-   recording sink) [Runtime.stall_on] takes it. *)
+   (another fiber is due, a non-default policy or a recording sink)
+   [Runtime.stall_on] takes it. *)
 let[@inline] charge t lat =
   if lat > 0 then begin
     t.stats.busy_cycles <- t.stats.busy_cycles + lat;

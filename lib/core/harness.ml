@@ -11,18 +11,14 @@ let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?series
     invalid_arg
       "Harness.exec: ?series needs a recording obs sink (retain:false ok)";
   (* The series observes this phase only: the counter baseline is the
-     machine's state at entry, the tap sees this phase's events, and
-     boundary snapshots fire from the scheduler tick. *)
-  let snap () = Stats.series_counters (Machine.total_stats machine) in
-  let tick =
-    Option.map
-      (fun s ->
-        Series.set_baseline s (snap ());
-        Obs.set_tap obs (Some (Series.feed s));
-        ( Series.window_cycles s,
-          fun ~now -> Series.snapshot s ~time:now (snap ()) ))
-      series
-  in
+     machine's state at entry, and the tap sees this phase's events and
+     closes its windows as their times cross each boundary. *)
+  Option.iter
+    (fun s ->
+      Series.attach s (fun () ->
+          Stats.series_counters (Machine.total_stats machine));
+      Obs.set_tap obs (Some (Series.feed s)))
+    series;
   let master = Prng.create ~seed in
   (* Jitter streams come from a SEPARATE master so the per-core op
      streams are identical across policies: a policy comparison then
@@ -45,11 +41,11 @@ let exec machine ?(seed = 0x5EED) ?(policy = Runtime.default_policy) ?series
     in
     Runtime.spawn rt (fun () -> f (Ctx.make machine ~cm ~rt ~core ~prng))
   done;
-  Runtime.run ~policy ~obs ?tick rt;
+  Runtime.run ~policy ~obs rt;
   let duration = Runtime.clock rt in
   Option.iter
     (fun s ->
-      Series.finish s ~time:duration (snap ());
+      Series.finish s ~time:duration;
       Obs.set_tap obs None)
     series;
   duration

@@ -28,13 +28,14 @@
     policies.
 
     [series] makes windowed telemetry ({!Mt_obs.Series}) observe exactly
-    this phase: the counter baseline is the machine's state at entry,
-    {!Mt_obs.Series.feed} is the machine sink's tap for the phase,
-    boundary snapshots fire from a {!Mt_sim.Runtime.run} tick at every
-    window multiple, and on return the tail window is closed at the final
-    clock and the tap detached. Raises [Invalid_argument] unless the
-    machine's sink records ([Obs.create ~retain:false] works — the series
-    reads the live stream, not the rings). The series' tap replaces any
+    this phase: {!Mt_obs.Series.attach} takes the machine's counters at
+    entry as the baseline, {!Mt_obs.Series.feed} is the machine sink's
+    tap for the phase and snapshots the counters as the event stream
+    crosses each window boundary, and on return the tail window is
+    closed at the final clock and the tap detached. Raises
+    [Invalid_argument] unless the machine's sink records
+    ([Obs.create ~retain:false] works — the series reads the live
+    stream, not the rings). The series' tap replaces any
     tap already installed, so [policy] — built by the caller before this
     call — must not rely on a tap of its own while a series is attached.
 

@@ -1,6 +1,6 @@
 (* Windowed time-series telemetry: folds the Obs event stream (via an Obs
-   tap) plus periodic machine-counter snapshots (via a scheduler tick)
-   into fixed-width sim-clock windows.
+   tap) plus machine-counter snapshots taken as that stream crosses each
+   window boundary into fixed-width sim-clock windows.
 
    Determinism contract: everything here is a pure function of the fed
    events and snapshots, which are themselves pure functions of the run's
@@ -130,6 +130,8 @@ type t = {
   mutable occ : int;  (* running live-tag count across all cores *)
   mutable marks : (int * string) list;  (* reversed; from Fault events *)
   mutable last : counters;  (* cumulative counters at the last snapshot *)
+  mutable read : unit -> counters;  (* the attached phase's counters *)
+  mutable next_boundary : int;  (* max_int until attached *)
   open_spans : (int, int) Hashtbl.t;  (* core -> open Span_begin time *)
 }
 
@@ -144,10 +146,10 @@ let create ?(window = default_window) () =
     occ = 0;
     marks = [];
     last = zero_counters;
+    read = (fun () -> zero_counters);
+    next_boundary = max_int;
     open_spans = Hashtbl.create 16;
   }
-
-let window_cycles t = t.window
 
 (* The dense window array grows on demand; every slot up to the highest
    index touched exists (quiet windows stay all-zero). *)
@@ -164,13 +166,43 @@ let win t idx =
   if idx >= t.n then t.n <- idx + 1;
   t.windows.(idx)
 
-let set_baseline t c = t.last <- c
-
 let touch_occ t (w : window) =
   w.w_tag_occupancy_end <- t.occ;
   w.w_occ_seen <- true
 
+(* A snapshot at time T closes the counter delta since the previous
+   snapshot into the window containing cycle T-1: at a boundary
+   (T = k*w) that is window k-1; [finish] snapshots once more at the
+   final clock, attributing the tail delta to the last (possibly
+   partial) window. Deltas accumulate, so a final clock landing exactly
+   on a boundary double-snapshots harmlessly (the second delta is
+   zero). *)
+let snapshot t ~time =
+  if time > 0 then begin
+    let c = t.read () in
+    let w = win t ((time - 1) / t.window) in
+    w.w_snap <- add_counters w.w_snap (sub_counters c t.last);
+    t.last <- c
+  end
+
+let attach t read =
+  t.read <- read;
+  t.last <- read ();
+  t.next_boundary <- t.window
+
+(* Close every boundary at or before [time], in boundary order. A
+   recording sink emits [Fiber_resume] at each new clock before any
+   other event at that time, so the first event at or past a boundary
+   arrives exactly when the clock reaches it, before anything at that
+   time has run. *)
+let cross t time =
+  while t.next_boundary <= time do
+    snapshot t ~time:t.next_boundary;
+    t.next_boundary <- t.next_boundary + t.window
+  done
+
 let feed t (e : Obs.event) =
+  if e.time >= t.next_boundary then cross t e.time;
   let w = win t (e.time / t.window) in
   match e.kind with
   | Obs.Span_begin _ -> Hashtbl.replace t.open_spans e.core e.time
@@ -227,21 +259,10 @@ let feed t (e : Obs.event) =
   | Obs.Fault { label } -> t.marks <- (e.time, label) :: t.marks
   | _ -> ()
 
-(* A snapshot at time T closes the counter delta since the previous
-   snapshot into the window containing cycle T-1. The scheduler tick
-   calls this at exact window boundaries (T = k*w, so idx = k-1);
-   [finish] calls it once more at the final clock, attributing the tail
-   delta to the last (possibly partial) window. Deltas accumulate, so a
-   final clock landing exactly on a boundary double-snapshots harmlessly
-   (the second delta is what accrued since the tick — possibly zero). *)
-let snapshot t ~time c =
-  if time > 0 then begin
-    let w = win t ((time - 1) / t.window) in
-    w.w_snap <- add_counters w.w_snap (sub_counters c t.last);
-    t.last <- c
-  end
-
-let finish t ~time c = snapshot t ~time:(max time 1) c
+let finish t ~time =
+  cross t time;
+  snapshot t ~time:(max time 1);
+  t.next_boundary <- max_int
 
 let marks t = List.rev t.marks
 
@@ -255,9 +276,7 @@ let latency_summary t =
   h
 
 (* Carry tag occupancy forward through quiet windows so the series reads
-   as a level, not a spike train. Done at render time (events arrive
-   slightly out of global order across cores, so incremental window
-   closing would not be deterministic-safe). *)
+   as a level, not a spike train. *)
 let occupancy_series t =
   let occ = ref 0 in
   Array.map

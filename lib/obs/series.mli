@@ -7,17 +7,18 @@
     - the live Obs event stream, delivered through {!Obs.set_tap} — ops
       (span completions) and their latency histogram, abort causes,
       tag churn and occupancy, service-layer queue activity;
-    - cumulative machine counters, snapshotted at window boundaries by a
-      {!Mt_sim.Runtime} tick and differenced into per-window deltas —
-      L1 hits/misses, coherence messages, invalidations, writebacks,
-      tag overflows, and the adversary's heat metric.
+    - cumulative machine counters, read through the closure given to
+      {!attach} each time the event stream crosses a window boundary and
+      differenced into per-window deltas — L1 hits/misses, coherence
+      messages, invalidations, writebacks, tag overflows, and the
+      adversary's heat metric.
 
     {b Determinism contract}: the output is a pure function of the fed
     events and snapshots. A series never reads the sink's rings, so it is
     byte-identical with trace retention on or off ([Obs.create
     ~retain:false]), and — one series per sweep point, like one sink per
     point — for any [--jobs] value. Zero overhead when unused: no tap, no
-    tick, no cost. *)
+    cost. *)
 
 type t
 
@@ -37,26 +38,27 @@ type counters = {
 (** [create ?window ()] — an empty series with [window]-cycle windows. *)
 val create : ?window:int -> unit -> t
 
-val window_cycles : t -> int
+(** [attach t read] starts a measured phase whose clock begins at 0:
+    [read ()] now is the counter baseline (so the first window's delta
+    excludes warmup), and from here on {!feed} calls [read] once for
+    every window boundary an event's time reaches or crosses, before
+    folding that event, closing each window's counter delta. The phase's
+    sink must emit an event at every clock advance before any other
+    event at the new time ({!Mt_sim.Runtime.run} does on a recording
+    sink), so each snapshot sees the counters exactly as the clock
+    reached the boundary. *)
+val attach : t -> (unit -> counters) -> unit
 
 (** The Obs tap: fold one event into its window (window index =
     [time / window]). Ops are attributed to the window their span ends
     in; [Fault] events become timeline marks. *)
 val feed : t -> Obs.event -> unit
 
-(** Cumulative counters at the instant the measured phase starts (so the
-    first window's delta excludes warmup). *)
-val set_baseline : t -> counters -> unit
-
-(** [snapshot t ~time c] closes the counter delta since the previous
-    snapshot into the window containing cycle [time - 1]. Call at exact
-    window boundaries (the {!Mt_sim.Runtime} tick does). *)
-val snapshot : t -> time:int -> counters -> unit
-
-(** [finish t ~time c] attributes the tail delta to the final (possibly
-    partial) window at the run's final clock [time]. Safe when [time]
-    lands exactly on an already-snapshotted boundary. *)
-val finish : t -> time:int -> counters -> unit
+(** [finish t ~time] closes the attached phase at its final clock
+    [time]: any boundary not yet crossed up to [time] is closed, and the
+    tail delta goes to the final (possibly partial) window. Safe when
+    [time] lands exactly on a boundary. *)
+val finish : t -> time:int -> unit
 
 (** Fault-injection marks, oldest first: [(time, label)]. *)
 val marks : t -> (int * string) list

@@ -10,8 +10,6 @@ type admission =
   | Drop
   | Retry of { max_retries : int; backoff_base : int; backoff_cap : int }
 
-type shed = { heat_per_kcycle : float; sample_cycles : int }
-
 type config = {
   workers : int;
   batch : int;
@@ -24,7 +22,6 @@ type config = {
   dispatch_cycles : int;
   seed : int;
   record_dequeues : bool;
-  shed : shed option;
 }
 
 (* How long an idle worker waits before polling its queue again. *)
@@ -33,7 +30,7 @@ let idle_poll_cycles = 32
 let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
     ?(admission = Drop) ?(process = Arrival.Poisson) ?(horizon = 150_000)
     ?(dispatch_cycles = 16) ?(seed = 1)
-    ?(record_dequeues = false) ?shed ~workers ~rate_per_kcycle () =
+    ?(record_dequeues = false) ~workers ~rate_per_kcycle () =
   if workers <= 0 || workers > 63 then invalid_arg "Server.config: bad workers";
   if batch <= 0 then invalid_arg "Server.config: batch must be positive";
   if queue_capacity <= 0 then invalid_arg "Server.config: bad queue_capacity";
@@ -45,11 +42,6 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
       if max_retries < 0 || backoff_base <= 0 || backoff_cap < backoff_base then
         invalid_arg "Server.config: bad retry policy"
   | Drop -> ());
-  (match shed with
-  | Some { heat_per_kcycle; sample_cycles } ->
-      if not (heat_per_kcycle > 0.0) || sample_cycles <= 0 then
-        invalid_arg "Server.config: bad shed policy"
-  | None -> ());
   {
     workers;
     batch;
@@ -62,7 +54,6 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
     dispatch_cycles;
     seed;
     record_dequeues;
-    shed;
   }
 
 type req = { id : int; arrival : int; payload : int; mutable attempts : int }
@@ -73,7 +64,6 @@ type result = {
   generated : int;
   completed : int;
   dropped : int;
-  shed_drops : int;
   rejects : int;
   steals : int;
   still_queued : int;
@@ -109,7 +99,6 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
   let generated = ref 0
   and completed = ref 0
   and dropped = ref 0
-  and shed_drops = ref 0
   and steals = ref 0 in
   let queue_wait = Hist.create ()
   and service = Hist.create ()
@@ -143,29 +132,6 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
     let heap = Pqueue.create () in
     let qid_of req =
       match c.queues with Shared -> 0 | Per_worker _ -> req.id mod c.workers
-    in
-    (* Overload shedding: sample the fabric's aggregate contention signal
-       (validation/CAS/VAS/IAS failures + invalidations — the same "heat"
-       the telemetry windows report) at a fixed cadence; while its rate
-       exceeds the threshold, new arrivals are shed at admission, before
-       they can add to the restart storm. Counters are a pure function of
-       simulated time, so shedding keeps runs deterministic. *)
-    let shedding = ref false in
-    let last_heat = ref 0
-    and last_sample = ref 0 in
-    let sample_shed now =
-      match c.shed with
-      | None -> ()
-      | Some { heat_per_kcycle; sample_cycles } ->
-          if now - !last_sample >= sample_cycles then begin
-            let h = Stats.heat (Machine.total_stats m) in
-            let elapsed = now - !last_sample in
-            shedding :=
-              1000.0 *. float_of_int (h - !last_heat) /. float_of_int elapsed
-              > heat_per_kcycle;
-            last_heat := h;
-            last_sample := now
-          end
     in
     let attempt req =
       let q = qs.(qid_of req) in
@@ -217,7 +183,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
       | None -> continue := false
       | Some (t, is_arrival) ->
           let now = Ctx.now ctx in
-          if t > now then Runtime.stall (t - now);
+          if t > now then Runtime.stall_on (Ctx.runtime ctx) (t - now);
           if is_arrival then begin
             let payload = Int64.to_int (Prng.next pay) land max_int in
             let req =
@@ -229,16 +195,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
             if Obs.enabled obs then
               Obs.emit obs ~core ~time:req.arrival
                 (Obs.Req_arrive { id = req.id });
-            sample_shed req.arrival;
-            if !shedding then begin
-              incr dropped;
-              incr shed_drops;
-              if Obs.enabled obs then
-                Obs.emit obs ~core ~time:req.arrival
-                  (Obs.Req_drop
-                     { id = req.id; queue = qid_of req; cause = "overload-shed" })
-            end
-            else attempt req
+            attempt req
           end
           else attempt (Pqueue.pop heap)
     done;
@@ -294,7 +251,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
       match batch with
       | [] ->
           if finished () then continue := false
-          else Runtime.stall idle_poll_cycles
+          else Runtime.stall_on (Ctx.runtime ctx) idle_poll_cycles
       | batch ->
           let t_dq = Ctx.now ctx in
           let n = List.length batch in
@@ -353,7 +310,6 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
     generated = !generated;
     completed = !completed;
     dropped = !dropped;
-    shed_drops = !shed_drops;
     rejects;
     steals = !steals;
     still_queued;
@@ -436,17 +392,6 @@ let config_to_json (c : config) =
                 ("backoff_base", Json.Int backoff_base);
                 ("backoff_cap", Json.Int backoff_cap);
               ] );
-      ( "shed",
-        (* No bare nulls at schema v3+: absence is an explicit flag. *)
-        match c.shed with
-        | None -> Json.Obj [ ("enabled", Json.Bool false) ]
-        | Some { heat_per_kcycle; sample_cycles } ->
-            Json.Obj
-              [
-                ("enabled", Json.Bool true);
-                ("heat_per_kcycle", Json.Float heat_per_kcycle);
-                ("sample_cycles", Json.Int sample_cycles);
-              ] );
       ("arrival", Json.String (Arrival.process_name c.process));
       ("offered_per_kcycle", Json.Float c.rate_per_kcycle);
       ("horizon_cycles", Json.Int c.horizon);
@@ -463,7 +408,6 @@ let result_to_json r =
       ("generated", Json.Int r.generated);
       ("completed", Json.Int r.completed);
       ("dropped", Json.Int r.dropped);
-      ("shed_drops", Json.Int r.shed_drops);
       ("enqueue_rejects", Json.Int r.rejects);
       ("steals", Json.Int r.steals);
       ("still_queued", Json.Int r.still_queued);

@@ -32,14 +32,6 @@ type admission =
           computed overflow-safely by {!Mt_cm.Cm.capped_backoff});
           retries never delay later arrivals (the stream stays open-loop). *)
 
-(** Overload shedding: the arrival fiber samples the fabric's aggregate
-    contention signal — validation/CAS/VAS/IAS failures plus invalidations,
-    the "heat" the telemetry windows report — every [sample_cycles]; while
-    its rate exceeds [heat_per_kcycle] events per 1000 cycles, new arrivals
-    are dropped at admission (cause ["overload-shed"]) before they can feed
-    the restart storm. Retries already admitted still proceed. *)
-type shed = { heat_per_kcycle : float; sample_cycles : int }
-
 type config = {
   workers : int;  (** worker fibers (cores 0..workers-1; arrivals on core [workers]) *)
   batch : int;  (** max requests moved per dequeue (>= 1) *)
@@ -55,12 +47,11 @@ type config = {
   seed : int;
   record_dequeues : bool;
       (** keep the (queue, request id) dequeue log in the result (tests) *)
-  shed : shed option;  (** overload shedding; [None] (default) disables it *)
 }
 
 (** [config ~workers ~rate_per_kcycle ()] with defaults: batch 1, capacity
     64, shared queue, drop admission, Poisson arrivals, horizon 150_000,
-    dispatch 16, seed 1, no shedding. An idle worker polls its queue
+    dispatch 16, seed 1. An idle worker polls its queue
     every 32 cycles. *)
 val config :
   ?batch:int ->
@@ -72,7 +63,6 @@ val config :
   ?dispatch_cycles:int ->
   ?seed:int ->
   ?record_dequeues:bool ->
-  ?shed:shed ->
   workers:int ->
   rate_per_kcycle:float ->
   unit ->
@@ -84,9 +74,6 @@ type result = {
   generated : int;  (** requests created by the arrival process *)
   completed : int;
   dropped : int;  (** rejected for good by admission control *)
-  shed_drops : int;
-      (** of [dropped], the requests shed by overload control (cause
-          ["overload-shed"]); 0 unless [config.shed] is set *)
   rejects : int;  (** enqueue attempts that bounced (retries re-count) *)
   steals : int;  (** requests obtained by work-stealing *)
   still_queued : int;  (** left in queues at the end (0 after a drain) *)

@@ -2,29 +2,27 @@ open Effect
 open Effect.Deep
 
 (* The effect is nullary: the stalling fiber's (new local clock, readiness
-   tie) are precomputed by [stall] and parked in the runtime's [pend_time]/
-   [pend_tie] fields, so a suspension allocates nothing beyond the
-   continuation itself. The effect is the slow path: [stall] performs it
+   tie) are precomputed by [stall_on] and parked in the runtime's
+   [pend_time]/[pend_tie] fields, so a suspension allocates nothing beyond
+   the continuation itself. The effect is the slow path: [stall_on] performs it
    only when another fiber is scheduled next (see the fast path below). *)
 type _ Effect.t += Stall : unit Effect.t
 
 exception Aborted
 
 type policy = {
-  (* Both default hooks are pure and stateless, so when [is_default] the
-     scheduler may skip calling them entirely (no PRNG stream to keep in
-     sync) — the hot path uses [delay = n] and [tie = tid] directly. *)
-  is_default : bool;
   extra_delay : tid:int -> now:int -> int;
   tie_of : tid:int -> int;
 }
 
+(* Both default hooks are pure and stateless, so under [default_policy]
+   (tested physically: [is_default]) the scheduler skips calling them
+   entirely (no PRNG stream to keep in sync) — the hot path uses
+   [delay = n] and [tie = tid] directly. *)
 let default_policy =
-  {
-    is_default = true;
-    extra_delay = (fun ~tid:_ ~now:_ -> 0);
-    tie_of = (fun ~tid -> tid);
-  }
+  { extra_delay = (fun ~tid:_ ~now:_ -> 0); tie_of = (fun ~tid -> tid) }
+
+let is_default p = p == default_policy
 
 (* Seeded schedule perturbation: every stall gets an extra random delay in
    [0, max_delay], and readiness ties are broken by a random priority
@@ -36,25 +34,13 @@ let random_policy ?(max_delay = 64) ~seed () =
   if max_delay < 0 then invalid_arg "Runtime.random_policy: negative max_delay";
   let g = Prng.create ~seed:(seed lxor 0x5CEDC0DE) in
   {
-    is_default = false;
     extra_delay =
       (fun ~tid:_ ~now:_ -> if max_delay = 0 then 0 else Prng.int g (max_delay + 1));
     tie_of = (fun ~tid -> (Prng.int g 0x4000 lsl 16) lor (tid land 0xFFFF));
   }
 
-let make_policy ?extra_delay ?tie_of () =
-  {
-    (* Hooks left unset are literally the default hooks, so the scheduler
-       may treat the policy as default (skipping the calls is
-       unobservable). *)
-    is_default = (match (extra_delay, tie_of) with None, None -> true | _ -> false);
-    extra_delay = Option.value extra_delay ~default:default_policy.extra_delay;
-    tie_of = Option.value tie_of ~default:default_policy.tie_of;
-  }
-
 let decorate_policy base ~extra_delay =
   {
-    is_default = false;
     extra_delay =
       (fun ~tid ~now ->
         let b = base.extra_delay ~tid ~now in
@@ -68,12 +54,11 @@ let decorate_policy base ~extra_delay =
    kind rides in the low bit of the queue's int side-channel ([aux =
    (tid lsl 1) lor kind], kind 1 = suspended continuation, 0 = start
    thunk) and the value plane holds the thunk or continuation untagged,
-   so enqueueing a suspension allocates nothing at all. *)
-let null_tick ~now:_ = ()
+   so enqueueing a suspension allocates nothing at all.
 
-(* The running fiber's clock and how far it may advance inline (DESIGN
-   §12): [now] is the simulated clock; [limit] is published by
-   [refresh_lane]. *)
+   The running fiber's clock and how far it may advance inline (DESIGN
+   §12): [now] is the simulated clock; [limit] is published at every
+   dispatch. *)
 type lane = { mutable now : int; mutable limit : int }
 
 type t = {
@@ -85,8 +70,8 @@ type t = {
      any fiber; [active] guards against the same value being run twice
      concurrently (e.g. shared across domains by mistake). The remaining
      fields are run-scoped (installed by [run], reset on finish); they
-     live here rather than in [run]'s closure so that [stall]'s fast path
-     and mid-run [spawn] can reach them. The running fiber's local clock
+     live here rather than in [run]'s closure so that [stall_on]'s fast
+     path can reach them. The running fiber's local clock
      is always the global one ([lane.now]): a fiber only runs once its
      key is the schedule minimum. *)
   lane : lane;
@@ -109,9 +94,6 @@ type t = {
      every [Stall] keeps the suspension path allocation-free. Set once in
      [create] (it captures the runtime itself). *)
   mutable on_stall : ((unit, unit) continuation -> unit) option;
-  mutable tick_interval : int;  (* 0 = no tick hook *)
-  mutable next_tick : int;  (* max_int = no tick hook: one compare gates *)
-  mutable tick_fn : now:int -> unit;
 }
 
 (* The runtime currently executing on *this* domain, plus the final clock
@@ -140,9 +122,6 @@ let create () =
       handoff_aux = -1;
       handoff_task = Obj.repr 0;
       on_stall = None;
-      tick_interval = 0;
-      next_tick = max_int;
-      tick_fn = null_tick;
     }
   in
   t.on_stall <-
@@ -175,21 +154,6 @@ let now () =
   | Some t -> t.lane.now
   | None -> Domain.DLS.get last_clock_key
 
-(* Publish the running fiber's lane limit: the earliest clock at which
-   another fiber's key would come first (the fiber's own tie is its id
-   under the default policy) or a tick boundary would be crossed. Below
-   it, a stall is [lane.now <- lane.now + n] and nothing else, so [Ctx]
-   does that inline; at or past it, or with the lane off, it calls
-   [stall_on]. The limit only moves when the heap or [next_tick] does:
-   at dispatch, after ticks fire, and on a mid-run spawn. *)
-let refresh_lane t =
-  t.lane.limit <-
-    (if t.draining || t.obs_on || not t.policy.is_default then min_int
-     else begin
-       let key = Pqueue.first_not_before t.ready ~tie:t.current_fiber in
-       if key < t.next_tick then key else t.next_tick
-     end)
-
 let start t body () =
   match_with body ()
     {
@@ -202,64 +166,35 @@ let start t body () =
           | _ -> None);
     }
 
-let[@inline never] tie_for t tid =
-  if t.policy.is_default then tid else t.policy.tie_of ~tid
-
+(* A fiber joins the schedule only before [run]: every fiber starts at
+   time 0, so the set of fibers is fixed for the whole run. *)
 let spawn t body =
-  if t.active then begin
-    (* Mid-run spawn: the new fiber joins the live run, starting at the
-       current simulated time. Only the run's own domain may do this. *)
-    (match current () with
-    | Some rt when rt == t -> ()
-    | _ -> invalid_arg "Runtime.spawn: runtime is running on another domain");
-    let tid = t.n_fibers in
-    t.bodies <- body :: t.bodies;
-    t.n_fibers <- tid + 1;
-    Pqueue.add_aux t.ready ~time:t.lane.now ~tie:(tie_for t tid)
-      ~aux:(tid lsl 1) (Obj.repr (start t body));
-    refresh_lane t
-  end
-  else begin
-    t.bodies <- body :: t.bodies;
-    t.n_fibers <- t.n_fibers + 1
-  end
+  if t.active then invalid_arg "Runtime.spawn: runtime is running";
+  t.bodies <- body :: t.bodies;
+  t.n_fibers <- t.n_fibers + 1
 
-(* Callers gate on [upto >= t.next_tick] (a single compare; [next_tick]
-   is [max_int] when no hook is installed) so the loop is off the fast
-   path. *)
-let run_ticks t upto =
-  while t.next_tick <= upto do
-    t.tick_fn ~now:t.next_tick;
-    t.next_tick <- t.next_tick + t.tick_interval
-  done
-
-(* [stall_on t n]: as [stall n], but resolving the runtime through the
-   caller instead of domain-local state — the hot path for code (Ctx)
-   that already holds the runtime it runs under. The caller must be a
-   fiber of [t]'s active run. Ctx advances [lane.now] itself below the
-   lane limit, so this is only reached to suspend, to cross a tick,
-   under a non-default policy or with a recording sink. *)
+(* [stall_on t n]: the only stall entry. The caller must be a fiber of
+   [t]'s active run. Ctx advances [lane.now] itself below the lane
+   limit, so this is only reached to suspend, under a non-default
+   policy or with a recording sink. *)
 let stall_on t n =
-  if n < 0 then invalid_arg "Runtime.stall: negative latency";
+  if n < 0 then invalid_arg "Runtime.stall_on: negative latency";
   let tid = t.current_fiber in
-  if tid < 0 then invalid_arg "Runtime.stall: not inside a fiber";
+  if tid < 0 then invalid_arg "Runtime.stall_on: not inside a fiber";
   let lane = t.lane in
   let now = lane.now in
   let p = t.policy in
   let delay, tie =
-    if p.is_default then (n, tid)
+    if is_default p then (n, tid)
     else begin
       (* Hook order (delay draw, then tie draw) is part of a stateful
          policy's PRNG stream contract — both are consulted at every
          stall, suspending or not. *)
       let d = n + p.extra_delay ~tid ~now in
-      if t.obs_on then
-        Mt_obs.Obs.emit t.obs ~core:tid ~time:now
-          (Mt_obs.Obs.Fiber_stall { cycles = d });
       (d, p.tie_of ~tid)
     end
   in
-  if p.is_default && t.obs_on then
+  if t.obs_on then
     Mt_obs.Obs.emit t.obs ~core:tid ~time:now
       (Mt_obs.Obs.Fiber_stall { cycles = delay });
   let nc = now + delay in
@@ -267,14 +202,9 @@ let stall_on t n =
     (* Fast path: this fiber's new key is still the schedule minimum,
        so enqueueing and popping it would resume it immediately. Skip
        the effect suspension entirely and replay what the scheduler
-       loop would have done: advance the global clock, fire crossed
-       tick boundaries, emit the resume event. Byte-identical to the
-       slow path by construction. *)
+       loop would have done: advance the global clock and emit the
+       resume event. Byte-identical to the slow path by construction. *)
     lane.now <- nc;
-    if nc >= t.next_tick then begin
-      run_ticks t nc;
-      refresh_lane t
-    end;
     if t.obs_on then
       Mt_obs.Obs.emit t.obs ~core:tid ~time:nc Mt_obs.Obs.Fiber_resume
   end
@@ -283,11 +213,6 @@ let stall_on t n =
     t.pend_tie <- tie;
     perform Stall
   end
-
-let stall n =
-  match current () with
-  | Some t when t.current_fiber >= 0 -> stall_on t n
-  | _ -> invalid_arg "Runtime.stall: not inside a fiber"
 
 (* Tear-down after a fiber exception: every still-suspended fiber is
    resumed with [Aborted] raised at its stall point, so closures release
@@ -324,7 +249,7 @@ let drain_aborted t =
   done;
   t.draining <- false
 
-let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
+let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) t =
   (match current () with
   | Some _ -> invalid_arg "Runtime.run: a run is already active on this domain"
   | None -> ());
@@ -336,25 +261,14 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
   t.policy <- policy;
   t.obs <- obs;
   t.obs_on <- Mt_obs.Obs.enabled obs;
-  (* Periodic scheduler hook: [f ~now:k*interval] fires once per window
-     boundary the clock reaches or crosses, in boundary order, from
-     scheduler context (between fibers — the callback must observe, not
-     stall). Boundaries the run never reaches do not fire. *)
-  (match tick with
-  | None ->
-      t.tick_interval <- 0;
-      t.next_tick <- max_int;
-      t.tick_fn <- null_tick
-  | Some (interval, f) ->
-      if interval <= 0 then invalid_arg "Runtime.run: tick interval";
-      t.tick_interval <- interval;
-      t.next_tick <- interval;
-      t.tick_fn <- f);
+  (* The lane is off under a policy with hooks or a recording sink. *)
+  let lane_on = is_default policy && not t.obs_on in
   Domain.DLS.set current_key (Some t);
   List.iteri
     (fun i body ->
       let tid = t.n_fibers - 1 - i in
-      Pqueue.add_aux t.ready ~time:0 ~tie:(tie_for t tid) ~aux:(tid lsl 1)
+      let tie = if is_default policy then tid else policy.tie_of ~tid in
+      Pqueue.add_aux t.ready ~time:0 ~tie ~aux:(tid lsl 1)
         (Obj.repr (start t body)))
     t.bodies;
   let finish () =
@@ -364,9 +278,6 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
     t.policy <- default_policy;
     t.obs <- Mt_obs.Obs.null;
     t.obs_on <- false;
-    t.tick_interval <- 0;
-    t.next_tick <- max_int;
-    t.tick_fn <- null_tick;
     Domain.DLS.set last_clock_key t.lane.now;
     Domain.DLS.set current_key None
   in
@@ -390,10 +301,15 @@ let run ?(policy = default_policy) ?(obs = Mt_obs.Obs.null) ?tick t =
     end
   and dispatch time aux task =
     t.lane.now <- time;
-    if time >= t.next_tick then run_ticks t time;
     let tid = aux lsr 1 in
     t.current_fiber <- tid;
-    refresh_lane t;
+    (* Publish the lane limit: the earliest clock at which another
+       fiber's key would come first (the fiber's own tie is its id under
+       the default policy). Below it, a stall is [lane.now <- lane.now +
+       n] and nothing else, so [Ctx] does that inline; at or past it it
+       calls [stall_on]. The limit only moves when the heap does. *)
+    if lane_on then
+      t.lane.limit <- Pqueue.first_not_before t.ready ~tie:tid;
     if t.obs_on then
       Mt_obs.Obs.emit t.obs ~core:tid ~time Mt_obs.Obs.Fiber_resume;
     if aux land 1 = 1 then

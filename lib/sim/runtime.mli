@@ -2,7 +2,7 @@
 
     Each simulated thread runs as an OCaml 5 effect-handled fiber pinned to
     one simulated core. Whenever a fiber incurs simulated latency it
-    performs {!stall}; the scheduler then resumes whichever fiber has the
+    calls {!stall_on}; the scheduler then resumes whichever fiber has the
     smallest local clock (ties broken by fiber id), giving a deterministic
     interleaving at memory-access granularity — the granularity at which
     coherence races occur on real hardware and in Graphite.
@@ -42,27 +42,16 @@ val default_policy : policy
     fresh one per run. *)
 val random_policy : ?max_delay:int -> seed:int -> unit -> policy
 
-(** [make_policy ?extra_delay ?tie_of ()] builds a custom policy
-    from raw hooks. [extra_delay ~tid ~now] is consulted at every stall of
-    fiber [tid], where [now] is the fiber's local clock {e before} the
-    stall is applied; the returned extra latency is added to the stall.
-    [tie_of ~tid] breaks readiness ties (it must never return the same key
-    for two distinct ready fibers; keep [tid] in the low bits). Hooks may
-    carry state (e.g. a seeded PRNG, fault injectors): they are invoked in
-    scheduler order, which is deterministic, so a policy whose hooks are a
-    pure function of their construction seed drives replayable schedules.
-    Defaults are the {!default_policy} hooks. *)
-val make_policy :
-  ?extra_delay:(tid:int -> now:int -> int) ->
-  ?tie_of:(tid:int -> int) ->
-  unit ->
-  policy
-
 (** [decorate_policy base ~extra_delay] wraps [base]: readiness ties
     are still broken by [base], and every stall first consults [base]'s
     delay (so [base]'s PRNG stream is consumed identically), then passes it
-    to the decorator as [~base]. This is how fault injectors stack on top
-    of {!random_policy} without disturbing its draw sequence. *)
+    to the decorator as [~base], where [now] is the fiber's clock {e
+    before} the stall is applied; the decorator's result, in place of
+    [base]'s, is the extra latency added to the stall. This is how fault injectors stack on top of
+    {!random_policy} without disturbing its draw sequence. The decorator
+    may carry state: it is invoked in scheduler order, which is
+    deterministic, so a decorator that is a pure function of its
+    construction seed drives replayable schedules. *)
 val decorate_policy :
   policy ->
   extra_delay:(tid:int -> now:int -> base:int -> int) ->
@@ -70,13 +59,9 @@ val decorate_policy :
 
 val create : unit -> t
 
-(** [spawn t body] registers a fiber. Fibers spawned before {!run} start
-    at simulated time 0 in spawn order. Spawning while [t] is running —
-    from a fiber or a tick callback of that same run — enqueues the new
-    fiber into the live schedule: it gets the next fiber id and starts at
-    the current simulated time (and, like any registered fiber, from time
-    0 in subsequent runs of the same [t]). Raises [Invalid_argument] if
-    [t] is running on a different domain. *)
+(** [spawn t body] registers a fiber. Every run of [t] starts all its
+    fibers at simulated time 0 in spawn order. Raises [Invalid_argument]
+    while [t] is running: a run's fibers are fixed when it starts. *)
 val spawn : t -> (unit -> unit) -> unit
 
 (** [run ?policy ?obs t] executes all fibers to completion under [policy]
@@ -89,39 +74,23 @@ val spawn : t -> (unit -> unit) -> unit
     the domain remain usable for subsequent runs. When [obs] is a
     recording sink, every scheduling step emits fiber stall/resume events
     onto the stalling fiber's core track (simulated timestamps only —
-    tracing never perturbs the schedule).
+    tracing never perturbs the schedule). Every advance of the clock
+    emits [Fiber_resume] at the new time before any other event at that
+    time, which is what lets {!Mt_obs.Series} close its windows from the
+    event stream alone. *)
+val run : ?policy:policy -> ?obs:Mt_obs.Obs.t -> t -> unit
 
-    [tick] is a periodic scheduler hook [(interval, f)]: [f ~now:(k *
-    interval)] fires once for every boundary the simulated clock reaches
-    or crosses, in boundary order, from scheduler context between fiber
-    steps. The callback must only observe (snapshot counters, sample
-    state) — it runs outside any fiber and must not stall or spawn.
-    Boundaries beyond the final clock never fire; the window telemetry
-    layer closes the tail explicitly. Ticking never perturbs the
-    schedule. *)
-val run :
-  ?policy:policy ->
-  ?obs:Mt_obs.Obs.t ->
-  ?tick:int * (now:int -> unit) ->
-  t ->
-  unit
-
-(** [stall n] suspends the calling fiber for [n >= 0] simulated cycles.
-    Must be called from within a fiber. *)
-val stall : int -> unit
-
-(** [stall_on t n] is [stall n] resolving the runtime through [t] instead
-    of domain-local state, for code that already holds the runtime it
-    runs under; {!lane} says when a caller may skip it. The caller must
-    be a fiber of [t]'s active run on the current domain; passing any
-    other runtime is undefined. *)
+(** [stall_on t n] suspends the calling fiber for [n >= 0] simulated
+    cycles; {!lane} says when a caller may skip it. The caller must be a
+    fiber of [t]'s active run on the current domain; passing any other
+    runtime is undefined, and calling it while no fiber of [t] runs
+    raises [Invalid_argument]. *)
 val stall_on : t -> int -> unit
 
 (** The running fiber's stall lane (DESIGN §12). [now] is the simulated
-    clock ({!clock}). While a fiber runs under the default hooks
-    ({!default_policy}, or {!make_policy} given none) with no recording
-    sink, [limit] is the earliest clock at which another fiber would be
-    scheduled first or a tick boundary crossed: if [now + n < limit],
+    clock ({!clock}). While a fiber runs under {!default_policy} with no
+    recording sink, [limit] is the earliest clock at which another fiber
+    would be scheduled first: if [now + n < limit],
     then [now <- now + n] is exactly what [stall_on t n] would do, and a
     caller may do it instead (Ctx does, without a call). Otherwise — or
     when [limit] is [min_int]: another policy, a recording sink, no

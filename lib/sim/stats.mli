@@ -57,9 +57,8 @@ val add : t -> t -> unit
 val sum : t array -> t
 
 (** Contention temperature: failed validations + failed CAS/VAS/IAS +
-    received invalidations. The adversary's load-adaptive rule, the serve
-    layer's overload shedding and the telemetry windows all read this one
-    definition. *)
+    received invalidations. The adversary's load-adaptive rule and the
+    telemetry windows both read this one definition. *)
 val heat : t -> int
 
 (** Cumulative counters in the shape {!Mt_obs.Series} snapshots at window

@@ -88,13 +88,13 @@ let test_figure1_ias_aborts_parked_traversal () =
       let ctx = Ctx.make m ~rt ~core:0 ~prng:(Prng.create ~seed:1) in
       let _pred, _curr, ck = Mt_list.Hoh_list.For_testing.locate ctx s 20 in
       check_int "found 20" 20 ck;
-      Runtime.stall 100_000;
+      Runtime.stall_on rt 100_000;
       parked_validation := Some (Ctx.validate ctx);
       Ctx.clear_tag_set ctx);
   (* Fiber 1: wait until fiber 0 is parked, then delete key 20. *)
   Runtime.spawn rt (fun () ->
       let ctx = Ctx.make m ~rt ~core:1 ~prng:(Prng.create ~seed:2) in
-      Runtime.stall 50_000;
+      Runtime.stall_on rt 50_000;
       check_bool "delete succeeded" true (Mt_list.Hoh_list.delete ctx s 20));
   Runtime.run rt;
   Alcotest.(check (option bool))

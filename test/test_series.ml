@@ -2,7 +2,8 @@
    sentinel: window partition identities (the series is a partition of
    the run, not a resample), the determinism contract (byte-identical
    with trace retention on or off, for any --jobs value, across repeated
-   runs), squeeze-pulse visibility (an injected Max_Tags squeeze shows
+   runs), boundary attribution (windows close from the event stream,
+   one counter snapshot per boundary crossed), squeeze-pulse visibility (an injected Max_Tags squeeze shows
    up as an overflow/abort spike exactly in the windows overlapping the
    pulse, with quiet windows on both sides), request conservation
    between the serve layer's result counters and the per-window series,
@@ -72,6 +73,83 @@ let test_exec_detaches_tap () =
   let before = series_str series in
   Obs.emit obs ~core:0 ~time:1 (Obs.Vas { ok = false });
   check_string "series unchanged after exec" before (series_str series)
+
+(* ------------------------------------------------------------------ *)
+(* Boundary attribution. Two fibers on 1000-cycle windows. Fiber 1
+   parks until exactly t = 5000. Fiber 0 meanwhile takes one stall
+   that jumps over the 1000 and 2000 boundaries at once, then a second
+   one past 5000; fiber 1 is dispatched at 5000, which closes the 3000,
+   4000 and 5000 boundaries at one clock step. Every window's counter
+   delta is pinned to the values the series produced when a scheduler
+   tick took these snapshots, so closing windows from the event stream
+   must attribute each delta to the same window. *)
+
+let boundary_window = 1_000
+
+let test_series_boundary_attribution () =
+  let module M = Mt_sim.Machine in
+  let module Ctx = Mt_core.Ctx in
+  let obs = Obs.create ~retain:false ~num_cores:2 () in
+  let m = machine ~obs () in
+  let a = M.alloc m ~words:1 and b = M.alloc m ~words:1 in
+  let c = M.alloc m ~words:1 in
+  let series = Series.create ~window:boundary_window () in
+  let stall ctx n = Mt_sim.Runtime.stall_on (Ctx.runtime ctx) n in
+  let jump = ref (0, 0) and landed = ref 0 in
+  let duration =
+    Mt_core.Harness.exec m ~series ~threads:2 (fun ctx ->
+        if Ctx.core ctx = 0 then begin
+          Ctx.write ctx a 1;
+          ignore (Ctx.read ctx b);
+          let t0 = Ctx.now ctx in
+          stall ctx 2_500;
+          jump := (t0, Ctx.now ctx);
+          Ctx.write ctx b 2;
+          ignore (Ctx.read ctx c);
+          stall ctx (6_500 - Ctx.now ctx);
+          ignore (Ctx.read ctx a)
+        end
+        else begin
+          ignore (Ctx.read ctx a);
+          Ctx.write ctx c 3;
+          stall ctx (5_000 - Ctx.now ctx);
+          landed := Ctx.now ctx;
+          Ctx.write ctx a 4;
+          ignore (Ctx.read ctx b)
+        end)
+  in
+  let t0, t1 = !jump in
+  check_bool "one stall jumps two boundaries" true
+    (t0 < boundary_window && t1 > 2 * boundary_window
+    && t1 < 3 * boundary_window);
+  check_int "a stall lands on a boundary" 5_000 !landed;
+  let deltas =
+    Array.to_list
+      (Array.map
+         (fun w ->
+           let s = w.Series.w_snap in
+           Series.
+             [
+               w.w_t0; s.c_l1_hits; s.c_l1_misses; s.c_coherence_msgs;
+               s.c_invalidations; s.c_writebacks; s.c_tag_overflows; s.c_heat;
+             ])
+         (Series.windows series))
+  in
+  check_int "final clock" 6_605 duration;
+  (* t0, L1 hits, L1 misses, coherence msgs, invalidations, writebacks,
+     tag overflows, heat *)
+  Alcotest.(check (list (list int)))
+    "per-window counter deltas"
+    [
+      [ 0; 0; 4; 4; 0; 1; 0; 0 ];
+      [ 1000; 0; 0; 0; 0; 0; 0; 0 ];
+      [ 2000; 1; 1; 1; 0; 1; 0; 0 ];
+      [ 3000; 0; 0; 0; 0; 0; 0; 0 ];
+      [ 4000; 0; 0; 0; 0; 0; 0; 0 ];
+      [ 5000; 1; 1; 2; 1; 1; 0; 1 ];
+      [ 6000; 0; 1; 1; 0; 1; 0; 0 ];
+    ]
+    deltas
 
 (* ------------------------------------------------------------------ *)
 (* Partition identities. *)
@@ -377,6 +455,8 @@ let () =
             test_exec_series_needs_sink;
           Alcotest.test_case "exec detaches its tap" `Quick
             test_exec_detaches_tap;
+          Alcotest.test_case "boundary attribution" `Quick
+            test_series_boundary_attribution;
         ] );
       ( "serve",
         [

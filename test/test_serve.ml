@@ -5,9 +5,7 @@
    dequeue order, same-seed byte-identical replay (with tracing on or
    off), and the two macroscopic sanity properties of an open-loop system:
    at low load end-to-end latency is dominated by service time, and past
-   saturation goodput plateaus while requests get dropped. Plus the
-   heat-rate admission shedding introduced with the contention layer
-   (DESIGN §14). *)
+   saturation goodput plateaus while requests get dropped. *)
 
 open Mt_core
 module Serve = Mt_serve.Server
@@ -277,38 +275,6 @@ let test_real_backend () =
   check_bool "completed requests" true (r.completed > 50);
   check_bool "latency recorded" true (Hist.count r.e2e = r.completed)
 
-(* Heat-rate admission shedding: a hot workload (two workers ping-pong
-   one shared line, so inbound invalidations accrue heat every sample
-   window) against an absurdly low heat bound must shed arrivals at
-   admission; the accounting still balances, sheds are a subset of
-   drops, and switching shedding off restores shed_drops = 0. *)
-let test_shed () =
-  let run shed =
-    let c =
-      Serve.config ~workers:2 ~rate_per_kcycle:30.0 ~queue_capacity:64
-        ~horizon:30_000 ?shed ()
-    in
-    Serve.run ~name:"hot-synthetic"
-      ~setup:(fun ctx -> Ctx.alloc ~label:"shed-hot" ctx ~words:1)
-      ~op:(fun ctx addr payload ->
-        Ctx.write ctx addr payload;
-        Ctx.work ctx 50)
-      c
-  in
-  let r =
-    run (Some { Serve.heat_per_kcycle = 0.001; sample_cycles = 1_000 })
-  in
-  conserved r;
-  check_bool "shed fired" true (r.shed_drops > 0);
-  check_bool "sheds are drops" true (r.shed_drops <= r.dropped);
-  let r2 =
-    run (Some { Serve.heat_per_kcycle = 0.001; sample_cycles = 1_000 })
-  in
-  check_bool "shedding deterministic" true (r = r2);
-  let quiet = run None in
-  conserved quiet;
-  check_int "no shed when off" 0 quiet.shed_drops
-
 let () =
   Alcotest.run "serve"
     [
@@ -346,6 +312,4 @@ let () =
         ] );
       ( "integration",
         [ Alcotest.test_case "hoh-list backend" `Quick test_real_backend ] );
-      ( "shed",
-        [ Alcotest.test_case "heat-rate admission shedding" `Quick test_shed ] );
     ]

@@ -168,7 +168,9 @@ let test_pqueue_exchange_releases_value () =
    policy with an [extra_delay] hook — one that adds nothing — sends
    every stall through [Runtime.stall_on]; a recording sink sends every
    access through [Machine]'s evented path (and every stall through the
-   scheduler). The three runs must agree on everything observable. With
+   scheduler); a [Series] on that sink also snapshots the machine's
+   counters at every 64-cycle window boundary the event stream crosses.
+   The four runs must agree on everything observable. With
    [~checks:false] memory accesses skip their debug bounds checks. *)
 
 (* Run [f] with the simulator's debug checks set to [on], then restore
@@ -182,7 +184,7 @@ module Fast_abtree = Mt_abtree.Abtree_hoh.Paper
 
 module Fast_store = Mt_store.Store
 
-type path = Fast | Slow_runtime | Evented
+type path = Fast | Slow_runtime | Evented | Windowed
 
 (* A 64-line L1 and a 256-line L2: small enough that the workloads below
    evict, so LRU order and capacity-evicted tags are observable. *)
@@ -201,18 +203,26 @@ let small_caches threads =
 let run_path path ~seed ~threads ~ops ~range ~create ~op ~contents =
   let obs =
     match path with
-    | Evented -> Mt_obs.Obs.create ~retain:false ~num_cores:threads ()
+    | Evented | Windowed -> Mt_obs.Obs.create ~retain:false ~num_cores:threads ()
     | Fast | Slow_runtime -> Mt_obs.Obs.null
   in
   let policy () =
     match path with
-    | Slow_runtime -> Runtime.make_policy ~extra_delay:(fun ~tid:_ ~now:_ -> 0) ()
-    | Fast | Evented -> Runtime.default_policy
+    | Slow_runtime ->
+        Runtime.decorate_policy Runtime.default_policy
+          ~extra_delay:(fun ~tid:_ ~now:_ ~base -> base)
+    | Fast | Evented | Windowed -> Runtime.default_policy
+  in
+  let series () =
+    match path with
+    | Windowed -> Some (Mt_obs.Series.create ~window:64 ())
+    | Fast | Slow_runtime | Evented -> None
   in
   let m = Machine.create ~obs (small_caches threads) in
   let s = ref None in
   ignore
-    (Mt_core.Harness.exec m ~seed ~policy:(policy ()) ~threads:1 (fun ctx ->
+    (Mt_core.Harness.exec m ~seed ~policy:(policy ()) ?series:(series ())
+       ~threads:1 (fun ctx ->
          let x = create ctx ~range in
          for k = 0 to range - 1 do
            if k mod 3 <> 0 then ignore (op ctx x 0 k)
@@ -221,7 +231,8 @@ let run_path path ~seed ~threads ~ops ~range ~create ~op ~contents =
   let s = Option.get !s in
   let results = Array.make threads [] in
   let duration =
-    Mt_core.Harness.exec m ~seed:(seed + 1) ~policy:(policy ()) ~threads (fun ctx ->
+    Mt_core.Harness.exec m ~seed:(seed + 1) ~policy:(policy ())
+      ?series:(series ()) ~threads (fun ctx ->
         let g = Mt_core.Ctx.prng ctx in
         let core = Mt_core.Ctx.core ctx in
         for _ = 1 to ops do
@@ -246,7 +257,8 @@ let fast_path_equiv ?(checks = true) ~name ~create ~op ~contents () =
       in
       let fast = run Fast in
       let (_, _, _, _, coherent) = fast in
-      coherent && run Slow_runtime = fast && run Evented = fast)
+      coherent && run Slow_runtime = fast && run Evented = fast
+      && run Windowed = fast)
 
 let set_op insert delete contains ctx s kind k =
   match kind with
@@ -669,14 +681,14 @@ let test_runtime_interleaving () =
   let order = ref [] in
   let rt = Runtime.create () in
   Runtime.spawn rt (fun () ->
-      Runtime.stall 10;
+      Runtime.stall_on rt 10;
       order := `A10 :: !order;
-      Runtime.stall 20;
+      Runtime.stall_on rt 20;
       order := `A30 :: !order);
   Runtime.spawn rt (fun () ->
-      Runtime.stall 15;
+      Runtime.stall_on rt 15;
       order := `B15 :: !order;
-      Runtime.stall 1;
+      Runtime.stall_on rt 1;
       order := `B16 :: !order);
   Runtime.run rt;
   check_bool "order by simulated time" true
@@ -686,48 +698,50 @@ let test_runtime_tie_break_by_tid () =
   let order = ref [] in
   let rt = Runtime.create () in
   Runtime.spawn rt (fun () ->
-      Runtime.stall 5;
+      Runtime.stall_on rt 5;
       order := 0 :: !order);
   Runtime.spawn rt (fun () ->
-      Runtime.stall 5;
+      Runtime.stall_on rt 5;
       order := 1 :: !order);
   Runtime.run rt;
   Alcotest.(check (list int)) "lower tid first on tie" [ 0; 1 ] (List.rev !order)
 
 let test_runtime_now_final () =
   let rt = Runtime.create () in
-  Runtime.spawn rt (fun () -> Runtime.stall 123);
+  Runtime.spawn rt (fun () -> Runtime.stall_on rt 123);
   Runtime.run rt;
   check_int "final clock" 123 (Runtime.now ())
 
-(* ISSUE 8 regression: a fiber spawned while the run is live must join the
-   schedule (at the current simulated time) instead of being dropped. *)
+(* A run's fibers are fixed when it starts: spawning into a live run
+   raises instead of silently dropping the fiber, the spawning fiber
+   carries on, and the rejected body never runs, in this run or the
+   next. *)
 let test_runtime_spawn_mid_run () =
   let order = ref [] in
   let rt = Runtime.create () in
   Runtime.spawn rt (fun () ->
       order := 0 :: !order;
-      Runtime.spawn rt (fun () ->
-          order := 1 :: !order;
-          Runtime.stall 3;
-          order := 2 :: !order);
-      Runtime.stall 10;
-      order := 3 :: !order);
+      Alcotest.check_raises "spawn into a live run"
+        (Invalid_argument "Runtime.spawn: runtime is running") (fun () ->
+          Runtime.spawn rt (fun () -> order := 99 :: !order));
+      Runtime.stall_on rt 10;
+      order := 1 :: !order);
+  Runtime.run rt;
   Runtime.run rt;
   Alcotest.(check (list int))
-    "mid-run fiber runs, interleaved by simulated time" [ 0; 1; 2; 3 ]
+    "only the registered fiber runs, once per run" [ 0; 1; 0; 1 ]
     (List.rev !order);
-  check_int "clock covers the late spawn" 10 (Runtime.now ())
+  check_int "clock" 10 (Runtime.now ())
 
 let test_runtime_exception_propagates () =
   let rt = Runtime.create () in
   Runtime.spawn rt (fun () ->
-      Runtime.stall 1;
+      Runtime.stall_on rt 1;
       failwith "boom");
   Alcotest.check_raises "fiber exception" (Failure "boom") (fun () -> Runtime.run rt);
   (* The runtime must be reusable after a failed run. *)
   let rt2 = Runtime.create () in
-  Runtime.spawn rt2 (fun () -> Runtime.stall 1);
+  Runtime.spawn rt2 (fun () -> Runtime.stall_on rt2 1);
   Runtime.run rt2
 
 (* When one fiber raises, every other suspended fiber is discontinued with
@@ -740,10 +754,10 @@ let test_runtime_abort_runs_finalizers () =
       Fun.protect
         ~finally:(fun () -> cleaned := true)
         (fun () ->
-          Runtime.stall 100;
+          Runtime.stall_on rt 100;
           resumed := true));
   Runtime.spawn rt (fun () ->
-      Runtime.stall 1;
+      Runtime.stall_on rt 1;
       failwith "boom");
   Alcotest.check_raises "original exception wins" (Failure "boom") (fun () ->
       Runtime.run rt);
@@ -753,7 +767,7 @@ let test_runtime_abort_runs_finalizers () =
   let hit = ref false in
   let rt2 = Runtime.create () in
   Runtime.spawn rt2 (fun () ->
-      Runtime.stall 1;
+      Runtime.stall_on rt2 1;
       hit := true);
   Runtime.run rt2;
   check_bool "fresh run after teardown" true !hit
@@ -764,20 +778,20 @@ let test_runtime_abort_trapped_fiber_drains () =
   let aborts = ref 0 in
   let rt = Runtime.create () in
   Runtime.spawn rt (fun () ->
-      try Runtime.stall 10
+      try Runtime.stall_on rt 10
       with Runtime.Aborted -> (
         incr aborts;
-        try Runtime.stall 10 with Runtime.Aborted -> incr aborts));
+        try Runtime.stall_on rt 10 with Runtime.Aborted -> incr aborts));
   Runtime.spawn rt (fun () ->
-      Runtime.stall 1;
+      Runtime.stall_on rt 1;
       failwith "boom");
   Alcotest.check_raises "propagates" (Failure "boom") (fun () -> Runtime.run rt);
   check_int "aborted once per suspension" 2 !aborts
 
 let test_runtime_stall_outside_fiber () =
   Alcotest.check_raises "stall outside any run"
-    (Invalid_argument "Runtime.stall: not inside a fiber") (fun () ->
-      Runtime.stall 5)
+    (Invalid_argument "Runtime.stall_on: not inside a fiber") (fun () ->
+      Runtime.stall_on (Runtime.create ()) 5)
 
 let test_runtime_nested_run_rejected () =
   let rt = Runtime.create () in
@@ -790,7 +804,7 @@ let test_runtime_nested_run_rejected () =
 
 let test_runtime_clock_accessor () =
   let rt = Runtime.create () in
-  Runtime.spawn rt (fun () -> Runtime.stall 7);
+  Runtime.spawn rt (fun () -> Runtime.stall_on rt 7);
   Runtime.run rt;
   check_int "per-runtime clock" 7 (Runtime.clock rt)
 
@@ -1477,7 +1491,8 @@ let () =
           Alcotest.test_case "interleaving" `Quick test_runtime_interleaving;
           Alcotest.test_case "tie break" `Quick test_runtime_tie_break_by_tid;
           Alcotest.test_case "final now" `Quick test_runtime_now_final;
-          Alcotest.test_case "spawn mid-run" `Quick test_runtime_spawn_mid_run;
+          Alcotest.test_case "spawn mid-run raises" `Quick
+            test_runtime_spawn_mid_run;
           Alcotest.test_case "exceptions" `Quick test_runtime_exception_propagates;
           Alcotest.test_case "abort runs finalizers" `Quick
             test_runtime_abort_runs_finalizers;

@@ -216,12 +216,12 @@ let test_tagged_reader_sees_writer () =
       let ctx = Ctx.make m ~rt ~core:0 ~prng:(Prng.create ~seed:1) in
       Mt_stm.Norec_tagged.atomically ctx stm (fun tx ->
           let v1 = Mt_stm.Norec_tagged.read tx cell in
-          Runtime.stall 50_000;
+          Runtime.stall_on rt 50_000;
           let v2 = Mt_stm.Norec_tagged.read tx cell in
           observed := (v1, v2) :: !observed));
   Runtime.spawn rt (fun () ->
       let ctx = Ctx.make m ~rt ~core:1 ~prng:(Prng.create ~seed:2) in
-      Runtime.stall 20_000;
+      Runtime.stall_on rt 20_000;
       Mt_stm.Norec_tagged.atomically ctx stm (fun tx ->
           Mt_stm.Norec_tagged.write tx cell 99));
   Runtime.run rt;
