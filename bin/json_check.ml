@@ -49,8 +49,8 @@ let spec_fields =
 
 let serve_fields =
   [
-    "workers"; "batch"; "queue_capacity"; "queues"; "admission"; "arrival";
-    "offered_per_kcycle"; "horizon_cycles"; "seed";
+    "workers"; "batch"; "queue_capacity"; "arrival"; "offered_per_kcycle";
+    "horizon_cycles"; "seed";
   ]
 
 let series_fields =

@@ -82,16 +82,7 @@ let sink ~tracing ~num_cores =
    independent Serve.run_set simulation. Shares --range/--insert/--delete/
    --seed with the closed-loop mode; --cycles becomes the arrival horizon. *)
 let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
-    ~workers ~batch ~qcap ~queue_kind ~arrival ~retries ~jobs ~tracing =
-  let queues =
-    match queue_kind with
-    | "shared" -> Serve.Shared
-    | "percore" -> Serve.Per_worker { steal = false }
-    | "steal" -> Serve.Per_worker { steal = true }
-    | s ->
-        Printf.eprintf "unknown queue discipline %S (shared|percore|steal)\n" s;
-        exit 2
-  in
+    ~workers ~batch ~qcap ~arrival ~jobs ~tracing =
   let process =
     match Arrival.process_of_string arrival with
     | Some p -> p
@@ -100,10 +91,6 @@ let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
           arrival;
         exit 2
   in
-  let admission =
-    if retries <= 0 then Serve.Drop
-    else Serve.Retry { max_retries = retries; backoff_base = 64; backoff_cap = 4096 }
-  in
   let points =
     List.concat_map (fun rate -> List.map (fun im -> (im, rate)) chosen) rates
   in
@@ -111,8 +98,8 @@ let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
     (fun ((name, m), rate) ->
       let obs = sink ~tracing ~num_cores:(workers + 1) in
       let config =
-        Serve.config ~batch ~queue_capacity:qcap ~queues ~admission ~process
-          ~horizon ~seed ~workers ~rate_per_kcycle:rate ()
+        Serve.config ~batch ~queue_capacity:qcap ~process ~horizon ~seed
+          ~workers ~rate_per_kcycle:rate ()
       in
       let r = Serve.run_set ~obs ~insert_pct ~delete_pct m ~key_range config in
       {
@@ -163,6 +150,7 @@ let validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates
   if insert_pct < 0 || delete_pct < 0 || insert_pct + delete_pct > 100 then
     reject "--insert and --delete must be non-negative and sum to at most 100 \
             (got %d and %d)" insert_pct delete_pct;
+  if measure < 1 then reject "--cycles must be positive (got %d)" measure;
   if rates = [] then begin
     if threads < 1 || threads > 64 then
       reject "--threads must be in 1..64 (got %d)" threads
@@ -174,13 +162,11 @@ let validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates
     if workers < 1 || workers > 63 then
       reject "--workers must be in 1..63 (got %d)" workers;
     if batch < 1 then reject "--batch must be positive (got %d)" batch;
-    if qcap < 1 then reject "--qcap must be positive (got %d)" qcap;
-    if measure < 1 then reject "--cycles must be positive (got %d)" measure
+    if qcap < 1 then reject "--qcap must be positive (got %d)" qcap
   end
 
 let run impl_names threads key_range insert_pct delete_pct measure seed all verbose
-    json_file trace_file hot jobs rates workers batch qcap queue_kind arrival
-    retries =
+    json_file trace_file hot jobs rates workers batch qcap arrival =
   validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates ~workers
     ~batch ~qcap;
   let jobs = if jobs > 0 then jobs else Mt_par.Pool.default_jobs () in
@@ -201,8 +187,7 @@ let run impl_names threads key_range insert_pct delete_pct measure seed all verb
     if rates <> [] then
       ( "serve_results",
         serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon:measure
-          ~seed ~workers ~batch ~qcap ~queue_kind ~arrival ~retries ~jobs
-          ~tracing )
+          ~seed ~workers ~batch ~qcap ~arrival ~jobs ~tracing )
     else
       ( "results",
         closed chosen ~threads ~key_range ~insert_pct ~delete_pct ~measure ~seed
@@ -261,7 +246,7 @@ let () =
              ~doc:"Offered load in requests per 1000 simulated cycles; \
                    repeatable. Any $(docv) switches to the open-loop service \
                    mode: a seeded arrival process offers requests to the \
-                   structure through bounded queues and admission control, \
+                   structure through one bounded queue that drops on full, \
                    reporting goodput, drop rate and end-to-end latency tails \
                    instead of closed-loop throughput. $(b,--cycles) is the \
                    arrival horizon; $(b,--threads) is ignored in favour of \
@@ -278,30 +263,18 @@ let () =
   in
   let qcap =
     Arg.(value & opt int 64
-         & info [ "qcap" ] ~doc:"Service mode: per-queue capacity.")
-  in
-  let queue_kind =
-    Arg.(value & opt string "shared"
-         & info [ "queue" ] ~docv:"KIND"
-             ~doc:"Service mode: queue discipline \
-                   (shared|percore|steal).")
+         & info [ "qcap" ] ~doc:"Service mode: queue capacity.")
   in
   let arrival =
     Arg.(value & opt string "poisson"
          & info [ "arrival" ] ~docv:"PROC"
              ~doc:"Service mode: arrival process (fixed|poisson|bursty).")
   in
-  let retries =
-    Arg.(value & opt int 0
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Service mode: retry a bounced request up to $(docv) times \
-                   with capped exponential backoff instead of dropping it.")
-  in
   let cmd =
     Cmd.v
       (Cmd.info "memtag_bench" ~doc:"Run one MemTags set benchmark data point")
       Term.(const run $ impl $ threads $ range $ ins $ del $ measure $ seed $ all
             $ verbose $ json_file $ trace_file $ hot $ jobs $ rates $ workers
-            $ batch $ qcap $ queue_kind $ arrival $ retries)
+            $ batch $ qcap $ arrival)
   in
   exit (Cmd.eval cmd)

@@ -38,8 +38,7 @@ let spec_name = function
 (* min cap (base * 2^attempt) without overflow: base <= cap asr attempt
    iff base * 2^attempt <= cap (integer division truncates downward, and
    both sides are non-negative), so the shift only runs when it cannot
-   wrap. The old Server clamp saturated at attempt 20 regardless of cap;
-   this is exact for every attempt. *)
+   wrap, and the result is exact for every attempt. *)
 let capped_backoff ~base ~cap ~attempt =
   if base <= 0 || cap <= 0 then 0
   else if attempt >= 62 then cap

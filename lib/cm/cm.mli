@@ -73,5 +73,5 @@ val wait : t -> attempt:int -> now:int -> int
 (** [capped_backoff ~base ~cap ~attempt] is
     [min cap (base * 2^attempt)] computed without overflow: correct for
     any [attempt >= 0] (including ones where the shift would wrap) and
-    never negative. [Server]'s admission retry uses this directly. *)
+    never negative. The [Backoff] policy's waits are built on it. *)
 val capped_backoff : base:int -> cap:int -> attempt:int -> int

@@ -32,10 +32,9 @@ type kind =
   | Span_begin of { name : string }
   | Span_end of { name : string }
   | Req_arrive of { id : int }
-  | Req_enqueue of { id : int; queue : int; depth : int }
-  | Req_dequeue of { id : int; queue : int; wait : int }
-  | Req_retry of { id : int; attempt : int; cause : string }
-  | Req_drop of { id : int; queue : int; cause : string }
+  | Req_enqueue of { id : int; depth : int }
+  | Req_dequeue of { id : int; wait : int }
+  | Req_drop of { id : int }
   | Req_commit of { id : int }
   | Batch of { size : int }
   | Fault of { label : string }
@@ -284,7 +283,6 @@ let kind_name = function
   | Req_arrive _ -> "req-arrive"
   | Req_enqueue _ -> "req-enqueue"
   | Req_dequeue _ -> "req-dequeue"
-  | Req_retry _ -> "req-retry"
   | Req_drop _ -> "req-drop"
   | Req_commit _ -> "req-commit"
   | Batch _ -> "batch"
@@ -319,20 +317,11 @@ let kind_args t = function
   | Fiber_stall { cycles } -> [ ("cycles", Json.Int cycles) ]
   | Fiber_resume -> []
   | Span_begin _ | Span_end _ -> []
-  | Req_arrive { id } -> [ ("id", Json.Int id) ]
-  | Req_enqueue { id; queue; depth } ->
-      [ ("id", Json.Int id); ("queue", Json.Int queue);
-        ("depth", Json.Int depth) ]
-  | Req_dequeue { id; queue; wait } ->
-      [ ("id", Json.Int id); ("queue", Json.Int queue);
-        ("wait", Json.Int wait) ]
-  | Req_retry { id; attempt; cause } ->
-      [ ("id", Json.Int id); ("attempt", Json.Int attempt);
-        ("cause", Json.String cause) ]
-  | Req_drop { id; queue; cause } ->
-      [ ("id", Json.Int id); ("queue", Json.Int queue);
-        ("cause", Json.String cause) ]
-  | Req_commit { id } -> [ ("id", Json.Int id) ]
+  | Req_arrive { id } | Req_drop { id } | Req_commit { id } ->
+      [ ("id", Json.Int id) ]
+  | Req_enqueue { id; depth } ->
+      [ ("id", Json.Int id); ("depth", Json.Int depth) ]
+  | Req_dequeue { id; wait } -> [ ("id", Json.Int id); ("wait", Json.Int wait) ]
   | Batch { size } -> [ ("size", Json.Int size) ]
   | Fault { label } -> [ ("label", Json.String label) ]
   | Store_op { shard } -> [ ("shard", Json.Int shard) ]
@@ -347,14 +336,13 @@ let kind_args t = function
         ("attempt", Json.Int attempt) ]
 
 (* The request id an event participates in, if any — the thread that links
-   one request's causal chain (arrive → enqueue → dequeue → retries →
-   commit/drop) across cores in the trace exporter's flow events. *)
+   one request's causal chain (arrive → enqueue → dequeue → commit, or
+   arrive → drop) across cores in the trace exporter's flow events. *)
 let req_id = function
   | Req_arrive { id }
   | Req_enqueue { id; _ }
   | Req_dequeue { id; _ }
-  | Req_retry { id; _ }
-  | Req_drop { id; _ }
+  | Req_drop { id }
   | Req_commit { id } ->
       Some id
   | _ -> None

@@ -72,7 +72,6 @@ type window = {
   mutable w_occ_seen : bool;  (* did any tag event land in this window? *)
   mutable w_enqueues : int;
   mutable w_dequeues : int;
-  mutable w_retries : int;
   mutable w_drops : int;
   mutable w_commits : int;
   mutable w_max_depth : int;
@@ -106,7 +105,6 @@ let fresh_window t0 =
     w_occ_seen = false;
     w_enqueues = 0;
     w_dequeues = 0;
-    w_retries = 0;
     w_drops = 0;
     w_commits = 0;
     w_max_depth = 0;
@@ -240,7 +238,6 @@ let feed t (e : Obs.event) =
       w.w_enqueues <- w.w_enqueues + 1;
       if depth > w.w_max_depth then w.w_max_depth <- depth
   | Obs.Req_dequeue _ -> w.w_dequeues <- w.w_dequeues + 1
-  | Obs.Req_retry _ -> w.w_retries <- w.w_retries + 1
   | Obs.Req_drop _ -> w.w_drops <- w.w_drops + 1
   | Obs.Req_commit _ -> w.w_commits <- w.w_commits + 1
   | Obs.Store_op { shard } ->
@@ -331,7 +328,6 @@ let window_to_json t occ_end (w : window) =
           [
             ("enqueues", Json.Int w.w_enqueues);
             ("dequeues", Json.Int w.w_dequeues);
-            ("retries", Json.Int w.w_retries);
             ("drops", Json.Int w.w_drops);
             ("commits", Json.Int w.w_commits);
             ("max_depth", Json.Int w.w_max_depth);

@@ -92,7 +92,6 @@ type window = {
   mutable w_occ_seen : bool;
   mutable w_enqueues : int;
   mutable w_dequeues : int;
-  mutable w_retries : int;
   mutable w_drops : int;
   mutable w_commits : int;
   mutable w_max_depth : int;

@@ -7,8 +7,8 @@
    Fault marks which are global so a squeeze pulse draws a full-height
    line across every track. Service-layer request events additionally
    emit Perfetto flow events (ph "s"/"t"/"f", cat "req", id = request id)
-   so one request's causal chain — arrive, enqueue, dequeue, retries,
-   commit or drop — renders as connected arrows across cores. The output
+   so one request's causal chain — arrive, enqueue, dequeue, commit, or
+   arrive, drop — renders as connected arrows across cores. The output
    is a pure function of the recorded event stream, so identical runs
    export byte-identical traces. *)
 
@@ -32,11 +32,11 @@ let meta_events ~num_cores =
            ])
 
 (* The flow phase of a request event: "s" starts the flow at arrival,
-   "t" threads it through each queue/retry step, "f" finishes it at the
+   "t" threads it through the enqueue and dequeue, "f" finishes it at the
    terminal commit or drop. *)
 let flow_phase = function
   | Obs.Req_arrive _ -> Some "s"
-  | Obs.Req_enqueue _ | Obs.Req_dequeue _ | Obs.Req_retry _ -> Some "t"
+  | Obs.Req_enqueue _ | Obs.Req_dequeue _ -> Some "t"
   | Obs.Req_commit _ | Obs.Req_drop _ -> Some "f"
   | _ -> None
 

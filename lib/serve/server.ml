@@ -4,59 +4,31 @@ module Obs = Mt_obs.Obs
 module Hist = Mt_obs.Hist
 module Json = Mt_obs.Json
 
-type queues = Shared | Per_worker of { steal : bool }
-
-type admission =
-  | Drop
-  | Retry of { max_retries : int; backoff_base : int; backoff_cap : int }
-
 type config = {
   workers : int;
   batch : int;
   queue_capacity : int;
-  queues : queues;
-  admission : admission;
   process : Arrival.process;
   rate_per_kcycle : float;
   horizon : int;
-  dispatch_cycles : int;
   seed : int;
-  record_dequeues : bool;
 }
 
-(* How long an idle worker waits before polling its queue again. *)
+let dispatch_cycles = 16
+
+(* How long an idle worker waits before polling the queue again. *)
 let idle_poll_cycles = 32
 
-let config ?(batch = 1) ?(queue_capacity = 64) ?(queues = Shared)
-    ?(admission = Drop) ?(process = Arrival.Poisson) ?(horizon = 150_000)
-    ?(dispatch_cycles = 16) ?(seed = 1)
-    ?(record_dequeues = false) ~workers ~rate_per_kcycle () =
+let config ?(batch = 1) ?(queue_capacity = 64) ?(process = Arrival.Poisson)
+    ?(horizon = 150_000) ?(seed = 1) ~workers ~rate_per_kcycle () =
   if workers <= 0 || workers > 63 then invalid_arg "Server.config: bad workers";
   if batch <= 0 then invalid_arg "Server.config: batch must be positive";
   if queue_capacity <= 0 then invalid_arg "Server.config: bad queue_capacity";
   if not (rate_per_kcycle > 0.0) then invalid_arg "Server.config: bad rate";
   if horizon <= 0 then invalid_arg "Server.config: bad horizon";
-  if dispatch_cycles < 0 then invalid_arg "Server.config: bad cycle cost";
-  (match admission with
-  | Retry { max_retries; backoff_base; backoff_cap } ->
-      if max_retries < 0 || backoff_base <= 0 || backoff_cap < backoff_base then
-        invalid_arg "Server.config: bad retry policy"
-  | Drop -> ());
-  {
-    workers;
-    batch;
-    queue_capacity;
-    queues;
-    admission;
-    process;
-    rate_per_kcycle;
-    horizon;
-    dispatch_cycles;
-    seed;
-    record_dequeues;
-  }
+  { workers; batch; queue_capacity; process; rate_per_kcycle; horizon; seed }
 
-type req = { id : int; arrival : int; payload : int; mutable attempts : int }
+type req = { id : int; arrival : int; payload : int }
 
 type result = {
   backend : string;
@@ -64,8 +36,6 @@ type result = {
   generated : int;
   completed : int;
   dropped : int;
-  rejects : int;
-  steals : int;
   still_queued : int;
   duration : int;
   offered : float;
@@ -76,7 +46,6 @@ type result = {
   e2e : Hist.t;
   batch_fill : Hist.t;
   max_depth : int;
-  dequeue_log : (int * int) list;
   class_names : string array;
   class_counts : int array;
   class_service : Hist.t array;
@@ -93,18 +62,17 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
     invalid_arg "Server.run: machine has fewer cores than workers + 1";
   let m = Machine.create ~obs cfg in
   let state = Harness.exec1 m ~seed:c.seed (fun ctx -> setup ctx) in
-  let nq = match c.queues with Shared -> 1 | Per_worker _ -> c.workers in
-  let qs = Array.init nq (fun i -> Queue.create ~id:i ~capacity:c.queue_capacity) in
+  (* The one shared bounded FIFO. Host-level state, not simulated memory:
+     fibers only switch at simulated stalls, so it needs no locking, and
+     what it measures is queueing delay, not its own contention. *)
+  let queue = Queue.create () in
+  let max_depth = ref 0 in
   let gen_done = ref false in
-  let generated = ref 0
-  and completed = ref 0
-  and dropped = ref 0
-  and steals = ref 0 in
+  let generated = ref 0 and completed = ref 0 and dropped = ref 0 in
   let queue_wait = Hist.create ()
   and service = Hist.create ()
   and e2e = Hist.create ()
   and batch_fill = Hist.create () in
-  let dequeue_log = ref [] in
   (* Optional per-request-class breakdown: [classes = (names, classify)]
      buckets each completed request by [classify payload] — host-level
      accounting only, so it never perturbs the simulation. *)
@@ -116,9 +84,8 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
   let class_e2e = Array.init nclasses (fun _ -> Hist.create ()) in
 
   (* The arrival fiber: generates timestamped requests from the arrival
-     process until [horizon], runs admission (enqueue, or drop / schedule a
-     client-side retry), then drains the retry heap. Retries never shift
-     the arrival clock — the stream stays open-loop. *)
+     process until [horizon] and admits each one — enqueued if the queue
+     has room, dropped for good if it is full. *)
   let arrival_fiber ctx =
     let core = Ctx.core ctx in
     let arr =
@@ -126,131 +93,46 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
         ~seed:(c.seed + 101)
     in
     let pay = Prng.create ~seed:(c.seed + 202) in
-    (* Client-side retry buffer, ordered on (due time, request id) so
-       retries fire in a deterministic order and never delay later
-       arrivals. A request sits in it at most once, so keys are unique. *)
-    let heap = Pqueue.create () in
-    let qid_of req =
-      match c.queues with Shared -> 0 | Per_worker _ -> req.id mod c.workers
-    in
-    let attempt req =
-      let q = qs.(qid_of req) in
-      if Queue.try_enqueue q req then begin
+    let due = ref (Arrival.next arr) in
+    while !due < c.horizon do
+      let now = Ctx.now ctx in
+      if !due > now then Runtime.stall_on (Ctx.runtime ctx) (!due - now);
+      let payload = Int64.to_int (Prng.next pay) land max_int in
+      let req = { id = !generated; arrival = Ctx.now ctx; payload } in
+      incr generated;
+      due := Arrival.next arr;
+      if Obs.enabled obs then
+        Obs.emit obs ~core ~time:req.arrival (Obs.Req_arrive { id = req.id });
+      if Queue.length queue < c.queue_capacity then begin
+        Queue.push req queue;
+        let depth = Queue.length queue in
+        if depth > !max_depth then max_depth := depth;
         if Obs.enabled obs then
-          Obs.emit obs ~core ~time:(Ctx.now ctx)
-            (Obs.Req_enqueue
-               { id = req.id; queue = Queue.id q; depth = Queue.length q })
+          Obs.emit obs ~core ~time:req.arrival
+            (Obs.Req_enqueue { id = req.id; depth })
       end
-      else
-        match c.admission with
-        | Retry { max_retries; backoff_base; backoff_cap }
-          when req.attempts < max_retries ->
-            let b =
-              Mt_cm.Cm.capped_backoff ~base:backoff_base ~cap:backoff_cap
-                ~attempt:req.attempts
-            in
-            req.attempts <- req.attempts + 1;
-            if Obs.enabled obs then
-              Obs.emit obs ~core ~time:(Ctx.now ctx)
-                (Obs.Req_retry
-                   {
-                     id = req.id;
-                     attempt = req.attempts;
-                     cause = "queue-full";
-                   });
-            Pqueue.add heap ~time:(Ctx.now ctx + b) ~tie:req.id req
-        | _ ->
-            incr dropped;
-            if Obs.enabled obs then
-              Obs.emit obs ~core ~time:(Ctx.now ctx)
-                (Obs.Req_drop
-                   { id = req.id; queue = Queue.id q; cause = "queue-full" })
-    in
-    let next_arrival = ref (Arrival.next arr) in
-    let next_id = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let arr_t = if !next_arrival < c.horizon then Some !next_arrival else None in
-      let retry_t = Pqueue.min_time heap in
-      let next_event =
-        match (arr_t, retry_t) with
-        | None, None -> None
-        | Some a, None -> Some (a, true)
-        | None, Some r -> Some (r, false)
-        | Some a, Some r -> if a <= r then Some (a, true) else Some (r, false)
-      in
-      match next_event with
-      | None -> continue := false
-      | Some (t, is_arrival) ->
-          let now = Ctx.now ctx in
-          if t > now then Runtime.stall_on (Ctx.runtime ctx) (t - now);
-          if is_arrival then begin
-            let payload = Int64.to_int (Prng.next pay) land max_int in
-            let req =
-              { id = !next_id; arrival = Ctx.now ctx; payload; attempts = 0 }
-            in
-            incr next_id;
-            incr generated;
-            next_arrival := Arrival.next arr;
-            if Obs.enabled obs then
-              Obs.emit obs ~core ~time:req.arrival
-                (Obs.Req_arrive { id = req.id });
-            attempt req
-          end
-          else attempt (Pqueue.pop heap)
+      else begin
+        incr dropped;
+        if Obs.enabled obs then
+          Obs.emit obs ~core ~time:req.arrival (Obs.Req_drop { id = req.id })
+      end
     done;
     gen_done := true
   in
 
-  (* A worker fiber: form a batch (own queue first, then steal if enabled),
-     charge the dispatch overhead once, execute each request, record
-     wait / service / end-to-end. Exits once arrivals are done and every
-     queue it can see is empty. *)
+  (* A worker fiber: take up to [batch] requests, charge the dispatch
+     overhead once, execute each request, record wait / service /
+     end-to-end. Exits once arrivals are done and the queue is empty. *)
   let worker_fiber ctx w =
-    let own = match c.queues with Shared -> qs.(0) | Per_worker _ -> qs.(w) in
-    let can_steal =
-      match c.queues with Per_worker { steal } -> steal | Shared -> false
-    in
-    (* Take up to [k] requests from [q], tagging each with the queue id. *)
-    let take_from q k =
-      let rec go k acc =
-        if k = 0 then List.rev acc
-        else
-          match Queue.dequeue q with
-          | None -> List.rev acc
-          | Some r -> go (k - 1) ((r, Queue.id q) :: acc)
-      in
-      go k []
-    in
-    let steal_batch k =
-      let rec scan i =
-        if i >= nq - 1 then []
-        else
-          let v = (w + 1 + i) mod nq in
-          let got = take_from qs.(v) k in
-          if got = [] then scan (i + 1)
-          else begin
-            steals := !steals + List.length got;
-            got
-          end
-      in
-      scan 0
-    in
-    let finished () =
-      !gen_done
-      &&
-      match c.queues with
-      | Shared -> Queue.is_empty qs.(0)
-      | Per_worker { steal = true } -> Array.for_all Queue.is_empty qs
-      | Per_worker { steal = false } -> Queue.is_empty own
+    let rec take k acc =
+      if k = 0 || Queue.is_empty queue then List.rev acc
+      else take (k - 1) (Queue.pop queue :: acc)
     in
     let continue = ref true in
     while !continue do
-      let batch = take_from own c.batch in
-      let batch = if batch = [] && can_steal then steal_batch c.batch else batch in
-      match batch with
+      match take c.batch [] with
       | [] ->
-          if finished () then continue := false
+          if !gen_done then continue := false
           else Runtime.stall_on (Ctx.runtime ctx) idle_poll_cycles
       | batch ->
           let t_dq = Ctx.now ctx in
@@ -259,17 +141,15 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
           if Obs.enabled obs then
             Obs.emit obs ~core:w ~time:t_dq (Obs.Batch { size = n });
           List.iter
-            (fun (r, qid) ->
+            (fun r ->
               Hist.add queue_wait (t_dq - r.arrival);
-              if c.record_dequeues then dequeue_log := (qid, r.id) :: !dequeue_log;
               if Obs.enabled obs then
                 Obs.emit obs ~core:w ~time:t_dq
-                  (Obs.Req_dequeue
-                     { id = r.id; queue = qid; wait = t_dq - r.arrival }))
+                  (Obs.Req_dequeue { id = r.id; wait = t_dq - r.arrival }))
             batch;
-          Ctx.work ctx c.dispatch_cycles;
+          Ctx.work ctx dispatch_cycles;
           List.iter
-            (fun (r, _) ->
+            (fun r ->
               let t0 = Ctx.now ctx in
               if Obs.enabled obs then
                 Obs.emit obs ~core:w ~time:t0 (Obs.Span_begin { name });
@@ -301,22 +181,17 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
         let core = Ctx.core ctx in
         if core = c.workers then arrival_fiber ctx else worker_fiber ctx core)
   in
-  let still_queued = Array.fold_left (fun a q -> a + Queue.length q) 0 qs in
-  let max_depth = Array.fold_left (fun a q -> max a (Queue.max_depth q)) 0 qs in
-  let rejects = Array.fold_left (fun a q -> a + Queue.rejects q) 0 qs in
   {
     backend = name;
     config = c;
     generated = !generated;
     completed = !completed;
     dropped = !dropped;
-    rejects;
-    steals = !steals;
-    still_queued;
+    still_queued = Queue.length queue;
     duration;
     offered = c.rate_per_kcycle;
     (* Sustained completion rate over the whole run, drain included: under
-       overload the queues keep completing work past the horizon, and
+       overload the queue keeps completing work past the horizon, and
        dividing by the horizon alone would credit that backlog as extra
        capacity. *)
     goodput =
@@ -329,8 +204,7 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
     service;
     e2e;
     batch_fill;
-    max_depth;
-    dequeue_log = List.rev !dequeue_log;
+    max_depth = !max_depth;
     class_names;
     class_counts;
     class_service;
@@ -355,11 +229,6 @@ let run_set ?obs ?make_policy ?series ?(insert_pct = 35) ?(delete_pct = 35)
   in
   run ?obs ?make_policy ?series ~name:S.name ~setup ~op c
 
-let queues_name = function
-  | Shared -> "shared"
-  | Per_worker { steal = false } -> "per-worker"
-  | Per_worker { steal = true } -> "per-worker-steal"
-
 let pp_result ppf r =
   Format.fprintf ppf
     "%-18s offered %8.3f/kcyc  goodput %8.3f/kcyc  drop %5.2f%%  wait p50 %d  \
@@ -380,22 +249,10 @@ let config_to_json (c : config) =
       ("workers", Json.Int c.workers);
       ("batch", Json.Int c.batch);
       ("queue_capacity", Json.Int c.queue_capacity);
-      ("queues", Json.String (queues_name c.queues));
-      ( "admission",
-        match c.admission with
-        | Drop -> Json.Obj [ ("policy", Json.String "drop") ]
-        | Retry { max_retries; backoff_base; backoff_cap } ->
-            Json.Obj
-              [
-                ("policy", Json.String "retry");
-                ("max_retries", Json.Int max_retries);
-                ("backoff_base", Json.Int backoff_base);
-                ("backoff_cap", Json.Int backoff_cap);
-              ] );
       ("arrival", Json.String (Arrival.process_name c.process));
       ("offered_per_kcycle", Json.Float c.rate_per_kcycle);
       ("horizon_cycles", Json.Int c.horizon);
-      ("dispatch_cycles", Json.Int c.dispatch_cycles);
+      ("dispatch_cycles", Json.Int dispatch_cycles);
       ("idle_poll_cycles", Json.Int idle_poll_cycles);
       ("seed", Json.Int c.seed);
     ]
@@ -408,8 +265,6 @@ let result_to_json r =
       ("generated", Json.Int r.generated);
       ("completed", Json.Int r.completed);
       ("dropped", Json.Int r.dropped);
-      ("enqueue_rejects", Json.Int r.rejects);
-      ("steals", Json.Int r.steals);
       ("still_queued", Json.Int r.still_queued);
       ("duration_cycles", Json.Int r.duration);
       ("offered_per_kcycle", Json.Float r.offered);

@@ -1,68 +1,46 @@
-(** Open-loop request service: arrivals, queueing, batching, admission.
+(** Open-loop request service: arrivals, one shared queue, batching,
+    drop-on-full admission.
 
     Closed-loop workloads ({!Mt_workload.Driver}) issue the next operation
     the instant the previous one completes, so queueing delay is invisible
     and throughput saturates gracefully. This module instead offers load to
     the structure at a configured rate, independent of how fast it is being
     served: one arrival fiber generates timestamped requests from an
-    {!Arrival} process and pushes them through admission control into
-    bounded {!Queue}s; [workers] worker fibers dequeue (up to [batch] at a
-    time), execute each request against the backend, and record queueing
-    delay, service time and end-to-end latency separately. Past saturation
-    the queues fill, goodput plateaus and the end-to-end tail explodes —
-    the regime a structure serving real traffic actually lives in.
+    {!Arrival} process into one shared bounded FIFO, dropping a request
+    for good when the queue is full; [workers] worker fibers dequeue (up
+    to [batch] at a time), execute each request against the backend, and
+    record queueing delay, service time and end-to-end latency
+    separately. Past saturation the queue fills, goodput plateaus and the
+    end-to-end tail explodes — the regime a structure serving real
+    traffic actually lives in.
 
     Everything is driven by simulated time and seeded PRNGs: a run is a
     pure function of its [config], so sweeps are byte-identical for any
     [--jobs] value and with tracing on or off. *)
 
-type queues =
-  | Shared  (** one queue, every worker dequeues from it *)
-  | Per_worker of { steal : bool }
-      (** one queue per worker (arrivals spread round-robin by request id);
-          with [steal], an idle worker takes work from the oldest end of
-          another worker's queue. *)
-
-type admission =
-  | Drop  (** reject-on-full: a bounced request is dropped immediately *)
-  | Retry of { max_retries : int; backoff_base : int; backoff_cap : int }
-      (** a bounced request is re-attempted client-side up to
-          [max_retries] times with capped exponential backoff
-          ([backoff_base * 2^attempt], capped at [backoff_cap] cycles,
-          computed overflow-safely by {!Mt_cm.Cm.capped_backoff});
-          retries never delay later arrivals (the stream stays open-loop). *)
-
 type config = {
   workers : int;  (** worker fibers (cores 0..workers-1; arrivals on core [workers]) *)
   batch : int;  (** max requests moved per dequeue (>= 1) *)
-  queue_capacity : int;  (** bound of each queue *)
-  queues : queues;
-  admission : admission;
+  queue_capacity : int;  (** bound of the shared queue *)
   process : Arrival.process;
   rate_per_kcycle : float;  (** offered load: requests per 1000 cycles *)
   horizon : int;  (** arrivals stop at this simulated time; workers drain *)
-  dispatch_cycles : int;
-      (** fixed dequeue/dispatch overhead charged once per batch — what
-          batching amortizes *)
   seed : int;
-  record_dequeues : bool;
-      (** keep the (queue, request id) dequeue log in the result (tests) *)
 }
 
+(** Fixed dequeue/dispatch overhead charged once per batch — what
+    batching amortizes: 16 cycles. *)
+val dispatch_cycles : int
+
 (** [config ~workers ~rate_per_kcycle ()] with defaults: batch 1, capacity
-    64, shared queue, drop admission, Poisson arrivals, horizon 150_000,
-    dispatch 16, seed 1. An idle worker polls its queue
-    every 32 cycles. *)
+    64, Poisson arrivals, horizon 150_000, seed 1. An idle worker polls
+    the queue every 32 cycles. *)
 val config :
   ?batch:int ->
   ?queue_capacity:int ->
-  ?queues:queues ->
-  ?admission:admission ->
   ?process:Arrival.process ->
   ?horizon:int ->
-  ?dispatch_cycles:int ->
   ?seed:int ->
-  ?record_dequeues:bool ->
   workers:int ->
   rate_per_kcycle:float ->
   unit ->
@@ -73,10 +51,8 @@ type result = {
   config : config;
   generated : int;  (** requests created by the arrival process *)
   completed : int;
-  dropped : int;  (** rejected for good by admission control *)
-  rejects : int;  (** enqueue attempts that bounced (retries re-count) *)
-  steals : int;  (** requests obtained by work-stealing *)
-  still_queued : int;  (** left in queues at the end (0 after a drain) *)
+  dropped : int;  (** arrived to a full queue and dropped *)
+  still_queued : int;  (** left in the queue at the end (0 after a drain) *)
   duration : int;  (** simulated time when the last fiber finished *)
   offered : float;  (** [config.rate_per_kcycle] *)
   goodput : float;
@@ -88,9 +64,7 @@ type result = {
   service : Mt_obs.Hist.t;  (** dequeue -> completion, cycles *)
   e2e : Mt_obs.Hist.t;  (** arrival -> completion, cycles *)
   batch_fill : Mt_obs.Hist.t;  (** requests actually moved per dequeue *)
-  max_depth : int;  (** high-water occupancy over all queues *)
-  dequeue_log : (int * int) list;
-      (** (queue id, request id) in dequeue order, iff [record_dequeues] *)
+  max_depth : int;  (** high-water occupancy of the queue *)
   class_names : string array;
       (** per-request-class breakdown labels ([[||]] unless [?classes]
           was passed to {!run}) *)
@@ -109,10 +83,10 @@ type result = {
 
     Requests are conserved: [generated = completed + dropped +
     still_queued] always holds, and [still_queued] is 0 because workers
-    drain the queues after arrivals stop.
+    drain the queue after arrivals stop. Dequeues are globally FIFO.
 
     Every request is a causal chain in the event stream — [Req_arrive] at
-    generation, [Req_enqueue]/[Req_retry]/[Req_drop] at admission,
+    generation, [Req_enqueue] or [Req_drop] at admission,
     [Req_dequeue] at pickup, [Req_commit] at completion, all carrying the
     request id — which the trace exporter renders as Perfetto flow
     arrows. [make_policy] builds a custom scheduling policy from the

@@ -62,8 +62,8 @@ let default_bands : (string * band) list =
 let identity_keys =
   [
     "impl"; "backend"; "comparison"; "workload"; "scenario"; "mode";
-    "queues"; "admission"; "arrival"; "paper_claim"; "fault_spec";
-    "generator"; "quick"; "skipped"; "calibration"; "policy"; "theta";
+    "arrival"; "paper_claim"; "fault_spec"; "generator"; "quick"; "skipped";
+    "calibration"; "policy"; "theta";
   ]
 
 (* Subtrees that are host- or wall-clock-dependent by contract. *)

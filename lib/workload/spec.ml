@@ -15,6 +15,9 @@ let make ?(warmup_cycles = 30_000) ?(measure_cycles = 150_000) ?(seed = 1)
   if insert_pct < 0 || delete_pct < 0 || insert_pct + delete_pct > 100 then
     invalid_arg "Spec.make: bad operation mix";
   if threads <= 0 || threads > 64 then invalid_arg "Spec.make: bad thread count";
+  if warmup_cycles < 0 then invalid_arg "Spec.make: negative warmup_cycles";
+  if measure_cycles <= 0 then
+    invalid_arg "Spec.make: measure_cycles must be positive";
   { key_range; init_fill = 0.5; insert_pct; delete_pct; threads; warmup_cycles;
     measure_cycles; seed }
 

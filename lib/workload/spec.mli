@@ -23,7 +23,8 @@ type t = {
 (** [make ~key_range ~insert_pct ~delete_pct ~threads ()] with defaults:
     [warmup_cycles = 30_000], [measure_cycles = 150_000], [seed = 1];
     [init_fill] is 0.5. Raises [Invalid_argument] on nonsensical
-    percentages or sizes. *)
+    percentages or sizes, a negative [warmup_cycles] or a non-positive
+    [measure_cycles]. *)
 val make :
   ?warmup_cycles:int ->
   ?measure_cycles:int ->

@@ -454,6 +454,23 @@ let test_driver_json_schema () =
       check_bool "latency has p999" true (Json.member "p999" lat <> None)
   | None -> Alcotest.fail "no latency_cycles"
 
+(* A measured window of zero cycles or a negative warmup is not a run:
+   [Spec.make] refuses it instead of reporting an all-zero point. *)
+let test_spec_rejects_bad_windows () =
+  let make ?warmup_cycles ?measure_cycles () =
+    Spec.make ?warmup_cycles ?measure_cycles ~key_range:64 ~insert_pct:10
+      ~delete_pct:10 ~threads:2 ()
+  in
+  let rejects name f =
+    check_bool name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "measure_cycles 0" (make ~measure_cycles:0);
+  rejects "measure_cycles -1" (make ~measure_cycles:(-1));
+  rejects "warmup_cycles -1" (make ~warmup_cycles:(-1));
+  let s = make ~warmup_cycles:0 ~measure_cycles:1 () in
+  check_int "zero warmup accepted" 0 s.Spec.warmup_cycles
+
 (* ------------------------------------------------------------------ *)
 (* Chunk_table against a [Hashtbl] model: random sets, adds and gets over
    16-entry chunks, at indices on both sides of three chunk boundaries and
@@ -558,6 +575,11 @@ let () =
             test_label_lines_rejects_descending;
         ] );
       ("chunk", [ QCheck_alcotest.to_alcotest prop_chunk_table_model ]);
+      ( "spec",
+        [
+          Alcotest.test_case "make rejects bad windows" `Quick
+            test_spec_rejects_bad_windows;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
