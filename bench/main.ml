@@ -628,7 +628,7 @@ let store o _ =
    contention-management effect. *)
 
 module Cm = Mt_cm.Cm
-module Zipf = Mt_adversary.Zipf
+module Zipf = Mt_check.Zipf
 module Ctx = Mt_core.Ctx
 
 let contention_policies =
@@ -853,12 +853,12 @@ let timeline o _ =
   let horizon = if o.quick then 60_000 else 150_000 in
   let fault = Printf.sprintf "squeeze=%d,1,%d" (horizon / 3) (horizon / 5) in
   let spec_inj =
-    match Mt_adversary.Inject.of_string fault with
+    match Mt_check.Inject.of_string fault with
     | Ok s -> s
     | Error e -> failwith ("bench timeline: bad fault spec: " ^ e)
   in
   let make_policy m =
-    Mt_adversary.Scenario.make_policy spec_inj ~machine:m ~seed:1 ~max_delay:0
+    Mt_check.Inject.make_policy spec_inj ~machine:m ~seed:1 ~max_delay:0
   in
   let closed () =
     let obs = Obs.create ~retain:false ~num_cores:8 () in

@@ -3,7 +3,7 @@
    failing seed with its minimized (per-key) history window, replays it to
    prove determinism, and exits nonzero on violation.
 
-   --adversary arms the fault-injection engine (lib/adversary): each seed
+   --adversary arms the fault injector (Mt_check.Inject): each seed
    additionally gets a seed-derived fault plan — mid-run Max_Tags squeeze
    pulses, straggler cores, Zipfian / flash-crowd key skew, shrunken cache
    geometry — with load-adaptive injection probabilities. --shrink
@@ -11,6 +11,7 @@
    configuration. --seed-start makes long sweeps resumable / shardable. *)
 
 open Cmdliner
+open Mt_check
 
 module Catalog = Mt_workload.Catalog
 
@@ -23,112 +24,92 @@ let reject fmt =
       exit 2)
     fmt
 
-let replay_command name threads (params : Mt_check.Explore.params) ~seed ~spec =
+let replay_command name (c : Shrink.config) =
   Printf.sprintf
     "memtag_fuzz -s %s -t %d --seed-start %d --seeds 1 --ops %d -r %d \
      --prefill %d --max-delay %d%s"
-    name threads seed params.Mt_check.Explore.ops params.range params.prefill
-    params.max_delay
-    (if Mt_adversary.Inject.is_none spec then ""
-     else Printf.sprintf " --spec '%s'" (Mt_adversary.Inject.to_string spec))
+    name c.params.threads c.seed c.params.ops c.params.range c.params.prefill
+    c.params.max_delay
+    (if Inject.is_none c.spec then ""
+     else Printf.sprintf " --spec '%s'" (Inject.to_string c.spec))
 
 let write dir file s =
   Out_channel.with_open_text (Filename.concat dir file) (fun oc -> output_string oc s)
 
-(* On violation, dump everything a debugging session needs into
-   fuzz-failure-<seed>/: the Perfetto event trace of a traced replay, the
-   full recorded history, and the minimized per-key window the checker
-   rejected. The traced replay doubles as the determinism check — neither
-   tracing nor fault injection may perturb the schedule, so its history
-   must match byte for byte. *)
-let dump_failure name m threads (o : Mt_check.Explore.outcome) params ~spec
-    (violation : Mt_check.Linearize.violation) =
+let violation_of (o : Explore.outcome) =
+  match o.verdict with Error v -> v | Ok () -> assert false
+
+(* Replay the failing run [o] of configuration [c] with tracing on and
+   write what a debugging session needs into [dir]: the Perfetto event
+   trace as [<prefix>trace.json], the full recorded history as
+   [<prefix>history.txt], and each [(file, contents)] note. The traced
+   replay doubles as the determinism check — neither tracing nor fault
+   injection may perturb the schedule, so it must reproduce the history
+   byte for byte and fail again. *)
+let dump_run m dir ~prefix (c : Shrink.config) (o : Explore.outcome) notes =
+  let threads = c.params.threads in
+  let obs = Mt_obs.Obs.create ~num_cores:threads () in
+  let replay = Explore.run ~obs ~spec:c.spec m ~params:c.params ~seed:c.seed in
+  Mt_obs.Trace.write_file ~num_cores:threads obs
+    (Filename.concat dir (prefix ^ "trace.json"));
+  write dir (prefix ^ "history.txt") (History.to_string o.history);
+  List.iter (fun (file, contents) -> write dir file contents) notes;
+  History.to_string replay.history = History.to_string o.history
+  && Result.is_error replay.verdict
+
+(* On violation, dump the failure into fuzz-failure-<seed>/ (with the
+   minimized per-key window the checker rejected and a repro line); with
+   [shrink], delta-debug it to a minimal repro and dump that alongside. *)
+let report_failure name m (o : Explore.outcome) params ~spec_of ~shrink =
+  let violation = violation_of o in
+  Format.printf "@.FAIL %s threads=%d seed=%d (%d events)@." name
+    params.Explore.threads o.seed (Array.length o.history);
+  Format.printf "%a@." Linearize.pp_violation violation;
   let dir = Printf.sprintf "fuzz-failure-%d" o.seed in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let obs = Mt_obs.Obs.create ~num_cores:threads () in
-  let replay = Mt_adversary.Scenario.run ~obs m ~params ~spec ~seed:o.seed in
+  let failure = { Shrink.params; spec = spec_of o.seed; seed = o.seed } in
   let identical =
-    Mt_check.History.to_string replay.history
-    = Mt_check.History.to_string o.history
+    dump_run m dir ~prefix:"" failure o
+      [
+        ( "minimized.txt",
+          Format.asprintf "%a@.@.%s@." Linearize.pp_violation violation
+            (History.to_string (Array.of_list violation.window)) );
+        ( "repro.txt",
+          Printf.sprintf
+            "structure=%s threads=%d seed=%d ops=%d range=%d prefill=%d \
+             max-delay=%d spec=%s\nreplay: %s\n"
+            name params.threads o.seed params.ops params.range params.prefill
+            params.max_delay (Inject.to_string failure.spec)
+            (replay_command name failure) );
+      ]
   in
-  Mt_obs.Trace.write_file ~num_cores:threads obs (Filename.concat dir "trace.json");
-  write dir "history.txt" (Mt_check.History.to_string o.history);
-  write dir "minimized.txt"
-    (Format.asprintf "%a@.@.%s@."
-       Mt_check.Linearize.pp_violation violation
-       (Mt_check.History.to_string (Array.of_list violation.window)));
-  write dir "repro.txt"
-    (Printf.sprintf
-       "structure=%s threads=%d seed=%d ops=%d range=%d prefill=%d max-delay=%d \
-        spec=%s\n\
-        replay: %s\n"
-       name threads o.seed params.Mt_check.Explore.ops params.range
-       params.prefill params.max_delay
-       (Mt_adversary.Inject.to_string spec)
-       (replay_command name threads params ~seed:o.seed ~spec));
   Format.printf "wrote %s/{trace.json,history.txt,minimized.txt,repro.txt}@." dir;
-  (dir, identical)
-
-(* Delta-debug the failure to a minimal repro and drop it (config, history,
-   traced replay) alongside the original artifacts. The minimal config is
-   re-replayed with tracing on to prove it still fails byte-identically. *)
-let dump_shrunk name m dir (shrunk : Mt_adversary.Shrink.result) =
-  let c = shrunk.config in
-  let threads = c.params.Mt_check.Explore.threads in
-  let obs = Mt_obs.Obs.create ~num_cores:threads () in
-  let replay =
-    Mt_adversary.Scenario.run ~obs m ~params:c.params ~spec:c.spec ~seed:c.seed
-  in
-  let identical =
-    Mt_check.History.to_string replay.history
-    = Mt_check.History.to_string shrunk.outcome.history
-    && (match replay.verdict with Error _ -> true | Ok () -> false)
-  in
-  Mt_obs.Trace.write_file ~num_cores:threads obs
-    (Filename.concat dir "minimal-trace.json");
-  write dir "minimal-history.txt"
-    (Mt_check.History.to_string shrunk.outcome.history);
-  let violation =
-    match shrunk.outcome.verdict with Error v -> v | Ok () -> assert false
-  in
-  write dir "minimal.txt"
-    (Format.asprintf
-       "minimal failing configuration (%d candidate runs):@.  %a@.@.\
-        started from:@.  %a@.@.replay: %s@.@.%a@."
-       shrunk.runs Mt_adversary.Shrink.pp_config c
-       Mt_adversary.Shrink.pp_config shrunk.initial
-       (replay_command name threads c.params ~seed:c.seed ~spec:c.spec)
-       Mt_check.Linearize.pp_violation violation);
-  Format.printf
-    "shrunk to %a (%d events, %d candidate runs)@.wrote \
-     %s/{minimal.txt,minimal-history.txt,minimal-trace.json}@.minimal repro \
-     replays byte-identically: %b@."
-    Mt_adversary.Shrink.pp_config c
-    (Array.length shrunk.outcome.history)
-    shrunk.runs dir identical;
-  identical
-
-let report_failure name m threads (o : Mt_check.Explore.outcome) params
-    ~spec ~spec_of ~shrink =
-  let violation =
-    match o.verdict with Error v -> v | Ok () -> assert false
-  in
-  Format.printf "@.FAIL %s threads=%d seed=%d (%d events)@." name threads
-    o.seed
-    (Array.length o.history);
-  Format.printf "%a@." Mt_check.Linearize.pp_violation violation;
-  (* Determinism check: replaying the seed (here with tracing on) must
-     reproduce the history byte for byte. *)
-  let dir, identical = dump_failure name m threads o params ~spec violation in
   Format.printf "replay of seed %d byte-identical: %b@." o.seed identical;
   let identical =
     if not shrink then identical
     else begin
-      let initial =
-        { Mt_adversary.Shrink.params; spec = spec_of o.seed; seed = o.seed }
+      let shrunk = Shrink.shrink m failure in
+      let c = shrunk.config in
+      let minimal_identical =
+        dump_run m dir ~prefix:"minimal-" c shrunk.outcome
+          [
+            ( "minimal.txt",
+              Format.asprintf
+                "minimal failing configuration (%d candidate runs):@.  %a@.@.\
+                 started from:@.  %a@.@.replay: %s@.@.%a@."
+                shrunk.runs Shrink.pp_config c Shrink.pp_config shrunk.initial
+                (replay_command name c) Linearize.pp_violation
+                (violation_of shrunk.outcome) );
+          ]
       in
-      let shrunk = Mt_adversary.Shrink.shrink m initial in
-      identical && dump_shrunk name m dir shrunk
+      Format.printf
+        "shrunk to %a (%d events, %d candidate runs)@.wrote \
+         %s/{minimal.txt,minimal-history.txt,minimal-trace.json}@.minimal repro \
+         replays byte-identically: %b@."
+        Shrink.pp_config c
+        (Array.length shrunk.outcome.history)
+        shrunk.runs dir minimal_identical;
+      identical && minimal_identical
     end
   in
   if not identical then
@@ -148,7 +129,7 @@ let run structures all seeds seed_start threads_list ops range prefill
     match spec_str with
     | None -> None
     | Some s -> (
-        match Mt_adversary.Inject.of_string s with
+        match Inject.of_string s with
         | Ok spec -> Some spec
         | Error msg ->
             Printf.eprintf "%s\n" msg;
@@ -158,8 +139,7 @@ let run structures all seeds seed_start threads_list ops range prefill
     match pinned_spec with
     | Some spec -> spec
     | None ->
-        if adversary then Mt_adversary.Inject.of_seed ~seed
-        else Mt_adversary.Inject.none
+        if adversary then Inject.of_seed ~seed else Inject.none
   in
   let chosen =
     if all then List.map (fun (e : Catalog.entry) -> (e.name, e.fuzz)) Catalog.runnable
@@ -177,19 +157,10 @@ let run structures all seeds seed_start threads_list ops range prefill
     (fun (name, m) ->
       List.iter
         (fun threads ->
-          let params =
-            {
-              Mt_check.Explore.threads;
-              ops;
-              range;
-              prefill;
-              max_delay;
-            }
-          in
+          let params = { Explore.threads; ops; range; prefill; max_delay } in
           let t0 = Unix.gettimeofday () in
           let clean, failure =
-            Mt_adversary.Scenario.sweep ~jobs ~start:seed_start m ~params
-              ~spec_of ~seeds
+            Explore.sweep ~jobs ~start:seed_start ~spec_of m ~params ~seeds
           in
           let dt = Unix.gettimeofday () -. t0 in
           let swept = match failure with None -> seeds | Some o -> o.seed - seed_start + 1 in
@@ -206,8 +177,7 @@ let run structures all seeds seed_start threads_list ops range prefill
                 (if adversary || pinned_spec <> None then " [adversary]" else "")
           | Some o ->
               failed := true;
-              report_failure name m threads o params ~spec:(spec_of o.seed)
-                ~spec_of ~shrink);
+              report_failure name m o params ~spec_of ~shrink);
           if verbose && failure = None then
             Format.printf "     (last clean seed %d)@." (seed_start + clean - 1))
         threads_list)

@@ -20,31 +20,10 @@ type outcome = {
   verdict : (unit, Linearize.violation) result;
 }
 
-(* Everything an adversary may replace about a run: how the machine is
-   built (cache geometry, Max_Tags), how the scheduling policy is derived
-   from the seed (straggler pauses, mid-run fault triggers), and how keys
-   are drawn (skewed / flash-crowd distributions). The defaults reproduce
-   the historical uninstrumented run bit for bit — same machine, same
-   policy, same PRNG consumption. *)
-type hooks = {
-  make_machine : obs:Mt_obs.Obs.t -> num_cores:int -> Machine.t;
-  make_policy : machine:Machine.t -> seed:int -> max_delay:int -> Runtime.policy;
-  draw_key : prng:Prng.t -> nth:int -> range:int -> int;
-}
-
-let default_hooks =
-  {
-    make_machine =
-      (fun ~obs ~num_cores -> Machine.create ~obs (Config.default ~num_cores ()));
-    make_policy =
-      (fun ~machine:_ ~seed ~max_delay -> Runtime.random_policy ~max_delay ~seed ());
-    draw_key = (fun ~prng ~nth:_ ~range -> Prng.int prng range);
-  }
-
-let run ?(obs = Mt_obs.Obs.null) ?(hooks = default_hooks)
+let run ?(obs = Mt_obs.Obs.null) ?(spec = Inject.none)
     (module S : Mt_list.Set_intf.SET) ~params ~seed =
   let p = params in
-  let m = hooks.make_machine ~obs ~num_cores:p.threads in
+  let m = Inject.make_machine spec ~obs ~num_cores:p.threads in
   let s = Harness.exec1 m (fun ctx -> S.create ctx) in
   if p.prefill > 0 then
     Harness.exec1 m (fun ctx ->
@@ -54,12 +33,13 @@ let run ?(obs = Mt_obs.Obs.null) ?(hooks = default_hooks)
         done);
   let init = S.to_list_unsafe m s in
   let h = History.create () in
-  let policy = hooks.make_policy ~machine:m ~seed ~max_delay:p.max_delay in
+  let policy = Inject.make_policy spec ~machine:m ~seed ~max_delay:p.max_delay in
+  let draw_key = Inject.draw_key spec ~range:p.range in
   let duration =
     Harness.exec m ~seed ~policy ~threads:p.threads (fun ctx ->
         let g = Ctx.prng ctx in
         for nth = 0 to p.ops - 1 do
-          let k = hooks.draw_key ~prng:g ~nth ~range:p.range in
+          let k = draw_key ~prng:g ~nth in
           ignore
             (match Prng.int g 4 with
             | 0 | 1 ->
@@ -92,7 +72,9 @@ let scan_range ~run ~lo ~hi =
   in
   go lo
 
-let sweep_with ?(jobs = 1) ?(start = 0) ~run ~seeds () =
+let sweep ?(jobs = 1) ?(start = 0) ?(spec_of = Fun.const Inject.none)
+    (module S : Mt_list.Set_intf.SET) ~params ~seeds =
+  let run ~seed = run ~spec:(spec_of seed) (module S) ~params ~seed in
   let hi = start + seeds in
   let first_failure =
     if jobs <= 1 || seeds <= 1 then scan_range ~run ~lo:start ~hi
@@ -114,8 +96,3 @@ let sweep_with ?(jobs = 1) ?(start = 0) ~run ~seeds () =
   match first_failure with
   | None -> (seeds, None)
   | Some o -> (o.seed - start, Some o)
-
-let sweep ?jobs ?start ?hooks (module S : Mt_list.Set_intf.SET) ~params ~seeds =
-  sweep_with ?jobs ?start
-    ~run:(fun ~seed -> run ?hooks (module S) ~params ~seed)
-    ~seeds ()

@@ -10,11 +10,10 @@
     the parameters, so a failing seed replays to a byte-identical
     history.
 
-    The {!hooks} record is the adversary seam ([lib/adversary]): it lets a
-    caller replace how the machine is built, how the policy is derived
-    from the seed, and how keys are drawn, while this module keeps
-    ownership of the workload shape, the history recording, and the
-    first-failure sweep contract. *)
+    A run may carry an {!Inject.spec} fault plan (the adversary): it
+    shrinks the machine's caches, fires faults from the policy and skews
+    the key draw, and the run stays a pure function of
+    [(spec, params, seed)]. {!Inject.none} is the plain run. *)
 
 type params = {
   threads : int;
@@ -35,60 +34,35 @@ type outcome = {
   verdict : (unit, Linearize.violation) result;
 }
 
-(** The injection points a scenario engine may replace. Every hook must be
-    a pure function of its arguments and the seed it was built from —
-    hooks are invoked in scheduler order, so seeded hook state keeps runs
-    byte-identically replayable. [draw_key ~prng ~nth ~range] picks the
-    [nth] (0-based, per thread) operation's key. *)
-type hooks = {
-  make_machine : obs:Mt_obs.Obs.t -> num_cores:int -> Mt_sim.Machine.t;
-  make_policy :
-    machine:Mt_sim.Machine.t -> seed:int -> max_delay:int -> Mt_sim.Runtime.policy;
-  draw_key : prng:Mt_sim.Prng.t -> nth:int -> range:int -> int;
-}
-
-(** Default machine ({!Mt_sim.Config.default}), default policy
-    ({!Mt_sim.Runtime.random_policy}), uniform keys — byte-identical to
-    the historical hook-free behaviour. *)
-val default_hooks : hooks
-
-(** [run ?obs ?hooks (module S) ~params ~seed] — execute the workload
-    under the seed's schedule and check the history. A recording [obs]
+(** [run ?obs ?spec (module S) ~params ~seed] — execute the workload
+    under the seed's schedule, with the fault plan [spec] (default
+    {!Inject.none}) armed, and check the history. A recording [obs]
     captures the full simulator event stream of the run (tracing never
     perturbs the schedule, so a traced replay reproduces the untraced
-    history — with or without injection hooks). *)
+    history — with or without injected faults). *)
 val run :
   ?obs:Mt_obs.Obs.t ->
-  ?hooks:hooks ->
+  ?spec:Inject.spec ->
   (module Mt_list.Set_intf.SET) ->
   params:params ->
   seed:int ->
   outcome
 
-(** [sweep_with ?jobs ?start ~run ~seeds ()] — the generic first-failure
-    sweep over seeds [start .. start+seeds-1] (default [start = 0]),
-    stopping at the first violation; [run ~seed] must be self-contained
-    (fresh machine per call) so seeds may be evaluated on any domain.
+(** [sweep ?jobs ?start ?spec_of (module S) ~params ~seeds] — the
+    first-failure sweep over seeds [start .. start+seeds-1] (default
+    [start = 0]), each run with the fault plan [spec_of seed] (default
+    {!Inject.none}; {!Inject.of_seed} is the standard adversary,
+    [Fun.const spec] pins one plan), stopping at the first violation.
     Returns the number of clean runs before the failure (= [seeds] if
     none) and the failing outcome, if any. With [jobs > 1] the seed space
     is scanned by [jobs] OCaml domains over contiguous ascending chunks;
     the first failure reported is still the globally smallest failing
     seed, so the result is identical to the sequential sweep — only
     faster. *)
-val sweep_with :
-  ?jobs:int ->
-  ?start:int ->
-  run:(seed:int -> outcome) ->
-  seeds:int ->
-  unit ->
-  int * outcome option
-
-(** [sweep ?jobs ?start ?hooks (module S) ~params ~seeds] —
-    {!sweep_with} over {!run}. *)
 val sweep :
   ?jobs:int ->
   ?start:int ->
-  ?hooks:hooks ->
+  ?spec_of:(int -> Inject.spec) ->
   (module Mt_list.Set_intf.SET) ->
   params:params ->
   seeds:int ->

@@ -8,9 +8,9 @@ type event = {
   t_res : int;
 }
 
-type t = { mutable rev_events : event list; mutable n : int }
+type t = { mutable rev_events : event list }
 
-let create () = { rev_events = []; n = 0 }
+let create () = { rev_events = [] }
 
 let record t ctx op f =
   let t_inv = Mt_core.Ctx.now ctx in
@@ -18,10 +18,7 @@ let record t ctx op f =
   let t_res = Mt_core.Ctx.now ctx in
   t.rev_events <-
     { core = Mt_core.Ctx.core ctx; op; result; t_inv; t_res } :: t.rev_events;
-  t.n <- t.n + 1;
   result
-
-let length t = t.n
 
 let compare_event a b =
   compare (a.t_inv, a.t_res, a.core, a.op) (b.t_inv, b.t_res, b.core, b.op)

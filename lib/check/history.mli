@@ -28,9 +28,6 @@ val create : unit -> t
     invocation/response interval, and passes its result through. *)
 val record : t -> Mt_core.Ctx.t -> op -> (unit -> bool) -> bool
 
-(** Number of events recorded so far. *)
-val length : t -> int
-
 (** All recorded events in canonical order (sorted by invocation time,
     then response time, then core). Call after the run completes. *)
 val events : t -> event array

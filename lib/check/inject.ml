@@ -4,7 +4,6 @@ type distribution =
   | Uniform
   | Zipfian of { theta : float }
   | Flash_crowd of { hot : int; period : int; duty : int }
-  | Shard_hot of { shards : int; theta : float }
 
 type squeeze = { at : int; max_tags : int; hold : int }
 type straggler = { prob : float; pause : int }
@@ -86,6 +85,101 @@ let of_seed ~seed =
   { squeeze; straggler; distribution; geometry; adaptive = true }
 
 (* ------------------------------------------------------------------ *)
+(* Arming a plan against one run: the machine it builds, the policy that
+   fires its faults, and the key draw. With [none] each is the plain
+   run's: the default machine, [Runtime.random_policy] itself, and one
+   uniform [Prng.int] per key. *)
+
+let make_machine spec ~obs ~num_cores =
+  let cfg = Config.default ~num_cores () in
+  let cfg =
+    match spec.geometry with
+    | None -> cfg
+    | Some { l1_sets_log2; l1_ways; l2_sets_log2; l2_ways } ->
+        { cfg with l1_sets_log2; l1_ways; l2_sets_log2; l2_ways }
+  in
+  Machine.create ~obs cfg
+
+(* Resample the machine's heat ({!Stats.heat} summed over all cores — a
+   pure function of the simulation state, so adaptive decisions stay
+   deterministic) every [heat_window] stalls (a full stats sum walks
+   every core, so not per stall), and turn the delta into a straggler
+   probability multiplier: m = 1 + min 7 (delta/4). A quiet machine
+   injects at the base rate; a contention storm injects up to 8x more —
+   the CoreSim-style "kick them while they're down" conditional. *)
+let heat_window = 64
+
+let multiplier_of_delta d = 1 + min 7 (d / 4)
+
+let make_policy spec ~machine ~seed ~max_delay =
+  let base = Runtime.random_policy ~max_delay ~seed () in
+  if spec.squeeze = None && spec.straggler = None then base
+  else begin
+    let g = Prng.create ~seed:(seed lxor 0xADA9) in
+    let restore = Machine.max_tags machine in
+    let squeeze_state = ref `Armed in
+    let stalls = ref 0 in
+    let last_heat = ref 0 in
+    let mult = ref 1 in
+    (* Each fault instant is marked on the timeline (core 0 — the fault is
+       machine-global) so a telemetry window or trace can attribute the
+       abort spike to the pulse that caused it. *)
+    let mark ~now label =
+      let obs = Machine.obs machine in
+      if Mt_obs.Obs.enabled obs then
+        Mt_obs.Obs.emit obs ~core:0 ~time:now (Mt_obs.Obs.Fault { label })
+    in
+    Runtime.decorate_policy base
+      ~extra_delay:(fun ~tid:_ ~now ~base ->
+        (match spec.squeeze with
+        | Some { at; max_tags; hold } -> (
+            match !squeeze_state with
+            | `Armed when now >= at ->
+                Machine.set_max_tags machine max_tags;
+                mark ~now (Printf.sprintf "squeeze(max_tags=%d)" max_tags);
+                squeeze_state := `Squeezed
+            | `Squeezed when now >= at + hold ->
+                Machine.set_max_tags machine restore;
+                mark ~now "squeeze-restore";
+                squeeze_state := `Done
+            | _ -> ())
+        | None -> ());
+        let extra =
+          match spec.straggler with
+          | None -> 0
+          | Some { prob; pause } ->
+              incr stalls;
+              if spec.adaptive && !stalls mod heat_window = 0 then begin
+                let h = Stats.heat (Machine.total_stats machine) in
+                mult := multiplier_of_delta (h - !last_heat);
+                last_heat := h
+              end;
+              let p =
+                if spec.adaptive then
+                  Float.min 0.9 (prob *. float_of_int !mult)
+                else prob
+              in
+              if Prng.float g < p then pause else 0
+        in
+        base + extra)
+  end
+
+let draw_key spec ~range =
+  match spec.distribution with
+  | Uniform -> fun ~prng ~nth:_ -> Prng.int prng range
+  | Zipfian { theta } ->
+      (* rank = key: the hottest keys cluster at the low end of the key
+         space (the front of a list, the leftmost leaves of a tree). *)
+      let z = Zipf.create ~n:range ~theta in
+      fun ~prng ~nth:_ -> Zipf.sample z prng
+  | Flash_crowd { hot; period; duty } ->
+      fun ~prng ~nth ->
+        if nth mod period < duty then
+          let phase = nth / period in
+          ((phase * 7919) + Prng.int prng (min hot range)) mod range
+        else Prng.int prng range
+
+(* ------------------------------------------------------------------ *)
 (* Compact round-tripping syntax, so a shrunk spec (which no seed
    generates) can still be named on the memtag_fuzz command line. *)
 
@@ -111,10 +205,7 @@ let to_string s =
         Buffer.add_string b (Printf.sprintf "dist=zipf,%g" theta)
     | Flash_crowd { hot; period; duty } ->
         sep ();
-        Buffer.add_string b (Printf.sprintf "dist=flash,%d,%d,%d" hot period duty)
-    | Shard_hot { shards; theta } ->
-        sep ();
-        Buffer.add_string b (Printf.sprintf "dist=shard,%d,%g" shards theta));
+        Buffer.add_string b (Printf.sprintf "dist=flash,%d,%d,%d" hot period duty));
     (match s.geometry with
     | Some { l1_sets_log2; l1_ways; l2_sets_log2; l2_ways } ->
         sep ();
@@ -171,27 +262,30 @@ let of_string str =
                 ->
                   Ok { acc with distribution = Flash_crowd { hot; period; duty } }
               | _ -> fail "dist=flash,HOT,PERIOD,DUTY expected in %S" group)
-          | "dist", [ "shard"; s; th ] -> (
-              match (int_of_string_opt s, float_of_string_opt th) with
-              | Some shards, Some theta when shards > 0 && theta >= 0.0 ->
-                  Ok { acc with distribution = Shard_hot { shards; theta } }
-              | _ -> fail "dist=shard,SHARDS,THETA expected in %S" group)
           | "geom", l -> (
+              (* The injector only shrinks caches: a size past the default
+                 would make Cache.create allocate it. *)
+              let d = Config.default () in
+              let within v hi = v >= 0 && v <= hi in
               match ints l with
               | Some [ l1_sets_log2; l1_ways; l2_sets_log2; l2_ways ]
-                when l1_sets_log2 >= 0 && l1_ways > 0 && l2_sets_log2 >= 0
-                     && l2_ways > 0 ->
+                when within l1_sets_log2 d.l1_sets_log2
+                     && within l1_ways d.l1_ways && l1_ways > 0
+                     && within l2_sets_log2 d.l2_sets_log2
+                     && within l2_ways d.l2_ways && l2_ways > 0 ->
                   Ok
                     {
                       acc with
                       geometry =
                         Some { l1_sets_log2; l1_ways; l2_sets_log2; l2_ways };
                     }
-              | _ -> fail "geom=L1SETS_LOG2,L1WAYS,L2SETS_LOG2,L2WAYS in %S" group)
+              | _ ->
+                  fail
+                    "geom=L1SETS_LOG2,L1WAYS,L2SETS_LOG2,L2WAYS (at most %d,%d,%d,%d) \
+                     expected in %S"
+                    d.l1_sets_log2 d.l1_ways d.l2_sets_log2 d.l2_ways group)
           | "adaptive", [] -> Ok { acc with adaptive = true }
           | _ -> fail "unknown group %S" group)
     in
     List.fold_left parse_group (Ok none) (String.split_on_char ';' str)
   end
-
-let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -1,10 +1,26 @@
-(** Fault-injection plans (what the adversary does to one run).
+(** Fault-injection plans (what the adversary does to one run) and how
+    {!Explore.run} arms them.
 
     A {!spec} names the faults to inject — everything else (when exactly
     a straggler pauses, which keys a skewed draw picks) comes from PRNG
     streams derived from the run's seed, so an injected run is a pure
     function of [(spec, params, seed)] and replays byte-identically.
-    {!Scenario} arms a spec against a concrete machine/policy/workload. *)
+
+    Arming a spec touches three things: the {b machine} (cache-geometry
+    perturbation at build time, {!make_machine}), the {b policy} (a
+    decorator over {!Mt_sim.Runtime.random_policy} firing the Max_Tags
+    squeeze pulse and straggler pauses, {!make_policy}) and the {b keys}
+    (Zipfian or flash-crowd draws instead of uniform, {!draw_key}).
+
+    {b Load-adaptive rule}: every 64 stalls the policy sums the machine's
+    failed validations/CAS/VAS/IAS and inbound invalidations; the delta
+    [d] since the previous sample scales the straggler probability by
+    [1 + min 7 (d/4)] (capped at 0.9) — faults concentrate exactly when
+    the mechanisms under test are already hot.
+
+    {b Determinism contract}: injection decisions draw from a private
+    PRNG stream derived from the run seed, are made in scheduler order,
+    and read only simulation state — so tracing still changes nothing. *)
 
 type distribution =
   | Uniform
@@ -15,11 +31,6 @@ type distribution =
       (** every [period] ops (per thread), the first [duty] ops draw from
           a [hot]-key window that rotates each period — a moving
           flash crowd. Remaining ops draw uniformly. *)
-  | Shard_hot of { shards : int; theta : float }
-      (** cross-shard skew for the sharded store: the Zipfian rank (mass
-          [∝ 1/(r+1)^theta]) picks the {e shard} (shard of key [k] is
-          [k mod shards], so rank 0 heats shard 0), and a uniform draw
-          picks the key within it. Syntax: ["dist=shard,SHARDS,THETA"]. *)
 
 type squeeze = {
   at : int;  (** trigger: first stall whose fiber clock reaches [at] *)
@@ -50,10 +61,10 @@ type spec = {
   geometry : geometry option;  (** cache-geometry perturbation at build time *)
   adaptive : bool;
       (** load-adaptive injection: scale straggler probability by the
-          observed abort/invalidation heat (see {!Scenario}). *)
+          observed abort/invalidation heat (see above). *)
 }
 
-(** No faults: scenarios run byte-identically to {!Mt_check.Explore}. *)
+(** No faults: the plain run. *)
 val none : spec
 
 val is_none : spec -> bool
@@ -74,5 +85,31 @@ val of_seed : seed:int -> spec
     seed generates — is named on the [memtag_fuzz --spec] command line. *)
 val to_string : spec -> string
 
+(** [of_string s] parses {!to_string}'s syntax. A geometry larger than
+    {!Mt_sim.Config.default}'s in any component (L1 2^6 sets x 8 ways, L2
+    2^8 sets x 16 ways) is an [Error]: the injector only shrinks caches. *)
 val of_string : string -> (spec, string) result
-val pp : Format.formatter -> spec -> unit
+
+(** [make_machine spec ~obs ~num_cores] — {!Mt_sim.Config.default} with
+    the spec's cache geometry, if any. *)
+val make_machine :
+  spec -> obs:Mt_obs.Obs.t -> num_cores:int -> Mt_sim.Machine.t
+
+(** The armed policy decorator — also for driving fault pulses under the
+    closed-loop {!Mt_workload.Driver} or the serve layer (pass as
+    [?make_policy] with a closure supplying [seed]/[max_delay]). The
+    squeeze pulse fires once per policy value, and every fault instant
+    is emitted as an [Obs.Fault] timeline mark on the machine's sink.
+    With neither squeeze nor straggler it is the base policy itself;
+    [max_delay:0] keeps the base schedule undisturbed. *)
+val make_policy :
+  spec ->
+  machine:Mt_sim.Machine.t ->
+  seed:int ->
+  max_delay:int ->
+  Mt_sim.Runtime.policy
+
+(** [draw_key spec ~range] picks the [nth] (0-based, per thread)
+    operation's key in [\[0, range)] from the thread's PRNG. Apply it to
+    [~range] once per run: a Zipfian table is built there. *)
+val draw_key : spec -> range:int -> prng:Mt_sim.Prng.t -> nth:int -> int

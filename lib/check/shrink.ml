@@ -1,5 +1,3 @@
-open Mt_check
-
 type config = { params : Explore.params; spec : Inject.spec; seed : int }
 
 type result = {
@@ -16,9 +14,6 @@ let pp_config ppf (c : config) =
     c.params.max_delay c.seed
     (Inject.to_string c.spec)
 
-let run_config (module S : Mt_list.Set_intf.SET) (c : config) =
-  Scenario.run (module S) ~params:c.params ~spec:c.spec ~seed:c.seed
-
 (* Ascending candidate values strictly below [cur]: [lo], powers of two,
    and [cur - 1] — geometric probing finds the scale cheaply, the final
    [cur - 1] lets the fixpoint loop polish linearly. *)
@@ -32,11 +27,47 @@ let ladder ~lo cur =
 (* Seeds searched per candidate: [0, seed_budget). *)
 let seed_budget = 12
 
+(* The reduction table, in the order one pass tries it. Each entry maps
+   the current best configuration to its candidate (params, spec) pairs,
+   smallest first; the first candidate that fails is taken and the rest
+   of that entry is skipped. Every candidate is strictly smaller than
+   the best it came from. *)
+let numeric cands get set (c : config) =
+  List.map (fun v -> (set c.params v, c.spec)) (cands (get c.params))
+
+let drop clear (c : config) =
+  let spec = clear c.spec in
+  if spec = c.spec then [] else [ (c.params, spec) ]
+
+let reductions : (config -> (Explore.params * Inject.spec) list) list =
+  [
+    (* threads, smallest first *)
+    numeric
+      (fun cur -> List.init (cur - 1) (fun i -> i + 1))
+      (fun p -> p.Explore.threads)
+      (fun p threads -> { p with threads });
+    numeric (ladder ~lo:1) (fun p -> p.ops) (fun p ops -> { p with ops });
+    numeric (ladder ~lo:1) (fun p -> p.range) (fun p range -> { p with range });
+    numeric (ladder ~lo:0)
+      (fun p -> p.prefill)
+      (fun p prefill -> { p with prefill });
+    (* yield-injection bound (schedule perturbation sites) *)
+    numeric (ladder ~lo:0)
+      (fun p -> p.max_delay)
+      (fun p max_delay -> { p with max_delay });
+    (* injected faults, one component at a time *)
+    drop (fun s -> { s with Inject.squeeze = None });
+    drop (fun s -> { s with straggler = None });
+    drop (fun s -> { s with distribution = Uniform });
+    drop (fun s -> { s with geometry = None });
+    drop (fun s -> { s with adaptive = false });
+  ]
+
 let shrink (module S : Mt_list.Set_intf.SET) (initial : config) =
   let runs = ref 0 in
   let exec c =
     incr runs;
-    run_config (module S) c
+    Explore.run ~spec:c.spec (module S) ~params:c.params ~seed:c.seed
   in
   let first = exec initial in
   (match first.verdict with
@@ -64,64 +95,18 @@ let shrink (module S : Mt_list.Set_intf.SET) (initial : config) =
     in
     go 0
   in
-  (* One pass of every reduction dimension; true if anything shrank.
-     Reductions only ever replace the current best with a strictly
-     smaller configuration (fewer threads/ops/keys/faults or a smaller
-     seed), so the fixpoint loop terminates and the result is stable
-     under re-shrinking (idempotence). *)
+  (* One pass of the reduction table, then the seed; true if anything
+     shrank. Reductions only ever replace the current best with a
+     strictly smaller configuration (fewer threads/ops/keys/faults or a
+     smaller seed), so the fixpoint loop terminates and the result is
+     stable under re-shrinking (idempotence). *)
   let pass () =
     let changed = ref false in
-    let reduce params spec = if try_reduce params spec then changed := true in
-    (* threads, smallest first *)
-    (let cur = !best.params.Explore.threads in
-     ignore
-       (List.exists
-          (fun t -> try_reduce { !best.params with Explore.threads = t } !best.spec
-                    && (changed := true; true))
-          (List.init (cur - 1) (fun i -> i + 1))));
-    (* ops per thread *)
-    (let cur = !best.params.Explore.ops in
-     ignore
-       (List.exists
-          (fun v -> try_reduce { !best.params with Explore.ops = v } !best.spec
-                    && (changed := true; true))
-          (ladder ~lo:1 cur)));
-    (* key range *)
-    (let cur = !best.params.Explore.range in
-     ignore
-       (List.exists
-          (fun v -> try_reduce { !best.params with Explore.range = v } !best.spec
-                    && (changed := true; true))
-          (ladder ~lo:1 cur)));
-    (* prefill *)
-    (let cur = !best.params.Explore.prefill in
-     ignore
-       (List.exists
-          (fun v -> try_reduce { !best.params with Explore.prefill = v } !best.spec
-                    && (changed := true; true))
-          (ladder ~lo:0 cur)));
-    (* yield-injection bound (schedule perturbation sites) *)
-    (let cur = !best.params.Explore.max_delay in
-     ignore
-       (List.exists
-          (fun v -> try_reduce { !best.params with Explore.max_delay = v } !best.spec
-                    && (changed := true; true))
-          (ladder ~lo:0 cur)));
-    (* injected faults, one component at a time *)
-    (let s = !best.spec in
-     if s.Inject.squeeze <> None then
-       reduce !best.params { s with Inject.squeeze = None });
-    (let s = !best.spec in
-     if s.Inject.straggler <> None then
-       reduce !best.params { s with Inject.straggler = None });
-    (let s = !best.spec in
-     if s.Inject.distribution <> Inject.Uniform then
-       reduce !best.params { s with Inject.distribution = Inject.Uniform });
-    (let s = !best.spec in
-     if s.Inject.geometry <> None then
-       reduce !best.params { s with Inject.geometry = None });
-    (let s = !best.spec in
-     if s.Inject.adaptive then reduce !best.params { s with Inject.adaptive = false });
+    List.iter
+      (fun reduction ->
+        if List.exists (fun (p, s) -> try_reduce p s) (reduction !best) then
+          changed := true)
+      reductions;
     (* seed, in case no dimension above moved it into [0, seed_budget) *)
     (let cur = !best.seed in
      let rec go sd =

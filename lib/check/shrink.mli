@@ -16,19 +16,19 @@
     fail (any violation counts — shrinking chases {e a} failure, not
     necessarily the original one); the first failing seed becomes the
     candidate's seed, so seeds end up small too. Every probe is a
-    deterministic {!Scenario.run}, so the whole shrink — and the final
+    deterministic {!Explore.run}, so the whole shrink — and the final
     minimal repro — is a pure function of the inputs and replays
     byte-identically. *)
 
 type config = {
-  params : Mt_check.Explore.params;
+  params : Explore.params;
   spec : Inject.spec;
   seed : int;
 }
 
 type result = {
   config : config;  (** the minimal failing configuration *)
-  outcome : Mt_check.Explore.outcome;  (** its (still failing) run *)
+  outcome : Explore.outcome;  (** its (still failing) run *)
   runs : int;  (** total candidate executions spent *)
   initial : config;  (** what shrinking started from *)
 }

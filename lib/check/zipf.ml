@@ -1,4 +1,4 @@
-type t = { theta : float; cdf : float array }
+type t = { cdf : float array }
 
 let create ~n ~theta =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -14,10 +14,9 @@ let create ~n ~theta =
     w;
   (* Guard against the running sum landing epsilon short of 1. *)
   cdf.(n - 1) <- 1.0;
-  { theta; cdf }
+  { cdf }
 
 let n t = Array.length t.cdf
-let theta t = t.theta
 
 let pmf t i =
   if i < 0 || i >= n t then invalid_arg "Zipf.pmf: rank out of range";

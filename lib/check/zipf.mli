@@ -13,9 +13,6 @@ type t
     uniform; common hot-key workloads use [0.8 .. 1.5]). *)
 val create : n:int -> theta:float -> t
 
-val n : t -> int
-val theta : t -> float
-
 (** Probability mass of a rank (exact, from the normalized table). *)
 val pmf : t -> int -> float
 

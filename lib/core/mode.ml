@@ -12,8 +12,6 @@ let addr t = t.addr
 
 let is_fast ctx t = Ctx.read ctx t.addr = fast
 
-let tag ctx t = Ctx.add_tag ctx t.addr ~words:1
-
 let set_slow ctx t = Ctx.write ctx t.addr slow
 
 let set_fast ctx t = Ctx.write ctx t.addr fast

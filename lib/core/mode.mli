@@ -21,9 +21,6 @@ val addr : t -> Ctx.addr
 (** Read the current mode. *)
 val is_fast : Ctx.t -> t -> bool
 
-(** Tag the mode line (include it in the fast path's tag set). *)
-val tag : Ctx.t -> t -> unit
-
 (** Flip to SLOW (idempotent; a plain store, invalidating all taggers). *)
 val set_slow : Ctx.t -> t -> unit
 

@@ -16,13 +16,6 @@ type t = {
 let create () =
   { counts = Array.make n_buckets 0; n = 0; sum = 0; min_v = max_int; max_v = 0 }
 
-let clear t =
-  Array.fill t.counts 0 n_buckets 0;
-  t.n <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
-
 (* Index of the most significant set bit; [v] must be positive. *)
 let msb v =
   let r = ref 0 and x = ref v in
@@ -112,8 +105,3 @@ let to_json t =
       ("mean", Json.Float (mean t));
       ("sum", Json.Int t.sum);
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d p50=%d p90=%d p99=%d p99.9=%d max=%d" t.n
-    (percentile t 50.0) (percentile t 90.0) (percentile t 99.0)
-    (percentile t 99.9) t.max_v

@@ -9,7 +9,6 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 (** [add t v] records one sample; negative values clamp to 0. *)
 val add : t -> int -> unit
@@ -35,8 +34,6 @@ val merge : into:t -> t -> unit
     layer; like every quantile it is subject to the 12.5% bucket
     quantisation bound above). *)
 val to_json : t -> Json.t
-
-val pp : Format.formatter -> t -> unit
 
 (**/**)
 

@@ -14,6 +14,8 @@ type config = {
   seed : int;
 }
 
+(* Fixed dequeue/dispatch overhead charged once per batch — what
+   batching amortizes. *)
 let dispatch_cycles = 16
 
 (* How long an idle worker waits before polling the queue again. *)

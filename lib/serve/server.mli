@@ -28,13 +28,10 @@ type config = {
   seed : int;
 }
 
-(** Fixed dequeue/dispatch overhead charged once per batch — what
-    batching amortizes: 16 cycles. *)
-val dispatch_cycles : int
-
 (** [config ~workers ~rate_per_kcycle ()] with defaults: batch 1, capacity
-    64, Poisson arrivals, horizon 150_000, seed 1. An idle worker polls
-    the queue every 32 cycles. *)
+    64, Poisson arrivals, horizon 150_000, seed 1. Each dequeued batch
+    costs a fixed 16-cycle dispatch; an idle worker polls the queue every
+    32 cycles. *)
 val config :
   ?batch:int ->
   ?queue_capacity:int ->

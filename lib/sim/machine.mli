@@ -113,7 +113,7 @@ val ias : t -> core:int -> Memory.addr -> int -> bool
 (** Number of lines currently tracked by the core's tag unit. *)
 val tag_count : t -> core:int -> int
 
-(** {1 Fault-injection hooks} (adversarial scenario engine, [lib/adversary]). *)
+(** {1 Fault-injection hooks} (the adversary's squeeze pulse, [Mt_check.Inject]). *)
 
 (** [set_max_tags t n] retargets every core's tag-capacity ceiling mid-run
     — the adversary's Max_Tags-shrink fault. A core whose tag set already

@@ -215,14 +215,3 @@ let fill_lines t a =
     end
   done;
   !n
-
-let iter_lines t f =
-  for k = 0 to t.journal_len - 1 do
-    let v = t.slots.(t.journal.(k)) in
-    if v >= 4 then f (v lsr 2 - 1)
-  done
-
-let lines t =
-  let acc = ref [] in
-  iter_lines t (fun line -> acc := line :: !acc);
-  !acc

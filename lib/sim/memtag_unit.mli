@@ -59,15 +59,8 @@ val max_tags : t -> int
 val set_max_tags : t -> int -> unit
 val clear : t -> unit
 
-(** Currently tracked lines (tagged or evicted), unordered. Allocates;
-    the hot path uses {!iter_lines}. *)
-val lines : t -> int list
-
-(** [iter_lines t f] calls [f] on every tracked line (tagged or evicted),
-    in unspecified but deterministic order, without allocating. *)
-val iter_lines : t -> (int -> unit) -> unit
-
-(** [fill_lines t a] writes the tracked lines into [a] (which must have at
-    least {!count} slots) and returns how many were written — the
-    closure-free form of {!iter_lines} for the IAS hot path. *)
+(** [fill_lines t a] writes the tracked lines (tagged or evicted) into
+    [a] (which must have at least {!count} slots), in unspecified but
+    deterministic order without allocating, and returns how many were
+    written — the IAS hot path's view of the tag set. *)
 val fill_lines : t -> int array -> int

@@ -41,7 +41,6 @@ let create () =
   { keys = [||]; vals = [||]; free = [||]; nfree = 0; size = 0; x_time = 0; x_aux = 0 }
 
 let is_empty t = t.size = 0
-let length t = t.size
 
 let[@inline] less t i j =
   let k = t.keys in
@@ -167,5 +166,3 @@ let exchange (type a) (t : a t) ~time ~tie ~aux (value : a) : a =
 
 let xchg_time t = t.x_time
 let xchg_aux t = t.x_aux
-
-let min_time t = if t.size = 0 then None else Some t.keys.(0)

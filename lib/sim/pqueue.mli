@@ -15,7 +15,6 @@ type 'a t
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val add : 'a t -> time:int -> tie:int -> 'a -> unit
 
@@ -59,6 +58,3 @@ val exchange : 'a t -> time:int -> tie:int -> aux:int -> 'a -> 'a
 
 val xchg_time : 'a t -> int
 val xchg_aux : 'a t -> int
-
-(** [min_time t] is the earliest key without removing it. *)
-val min_time : 'a t -> int option

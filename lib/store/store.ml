@@ -52,40 +52,41 @@ module Obs = Mt_obs.Obs
 
 type op = Get | Insert | Delete
 
-let op_name = function Get -> "get" | Insert -> "insert" | Delete -> "delete"
-
-type stats = {
-  point_ops : int;
-  txn_commits : int;
-  txn_aborts : int;
-  txn_sub_ops : int;
-  txn_retries : int;
-  txn_retries_locked : int;
-  txn_retries_version : int;
-  scans : int;
-  scan_collects : int;
-  scan_tag_fallbacks : int;
-  scan_shard_retries : int;
-  shard_ops : int array;
-  txn_locked_cycles : int;
-}
 
 (* Host-level accounting: a pure function of the simulation, so it is
    byte-identical for any --jobs and with tracing on or off. *)
-type counters = {
-  mutable c_point_ops : int;
-  mutable c_txn_commits : int;
-  mutable c_txn_sub_ops : int;
-  mutable c_txn_retries : int;
-  mutable c_txn_retries_locked : int;  (* failed acquisitions, by cause *)
-  mutable c_txn_retries_version : int;
-  mutable c_scans : int;
-  mutable c_scan_collects : int;
-  mutable c_scan_tag_fallbacks : int;
-  mutable c_scan_shard_retries : int;
-  c_shard_ops : int array;
-  mutable c_txn_locked_cycles : int;  (* acquisition -> release, commits *)
+type stats = {
+  mutable point_ops : int;
+  mutable txn_commits : int;
+  mutable txn_aborts : int;
+  mutable txn_sub_ops : int;
+  mutable txn_retries : int;
+  mutable txn_retries_locked : int;  (* failed acquisitions, by cause *)
+  mutable txn_retries_version : int;
+  mutable scans : int;
+  mutable scan_collects : int;
+  mutable scan_tag_fallbacks : int;
+  mutable scan_shard_retries : int;
+  shard_ops : int array;
+  mutable txn_locked_cycles : int;  (* acquisition -> release, commits *)
 }
+
+let zero_stats ~shards =
+  {
+    point_ops = 0;
+    txn_commits = 0;
+    txn_aborts = 0;
+    txn_sub_ops = 0;
+    txn_retries = 0;
+    txn_retries_locked = 0;
+    txn_retries_version = 0;
+    scans = 0;
+    scan_collects = 0;
+    scan_tag_fallbacks = 0;
+    scan_shard_retries = 0;
+    shard_ops = Array.make shards 0;
+    txn_locked_cycles = 0;
+  }
 
 (* Shard imbalance: hottest shard's share of routed ops, normalized so a
    perfectly uniform split is 1.0 and "everything on one shard" is
@@ -105,7 +106,7 @@ type t =
       fallback : Ctx.addr;  (* lock word serializing txn fallbacks *)
       key_space : int;
       scan_budget : int;
-      c : counters;
+      mutable c : stats;
     }
       -> t
 
@@ -144,21 +145,7 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
          ~2 nodes per resident key) plus slack; a doomed racy walk burning
          it out just fails the version check and retries. *)
       scan_budget = (2 * per_shard) + 64;
-      c =
-        {
-          c_point_ops = 0;
-          c_txn_commits = 0;
-          c_txn_sub_ops = 0;
-          c_txn_retries = 0;
-          c_txn_retries_locked = 0;
-          c_txn_retries_version = 0;
-          c_scans = 0;
-          c_scan_collects = 0;
-          c_scan_tag_fallbacks = 0;
-          c_scan_shard_retries = 0;
-          c_shard_ops = Array.make shards 0;
-          c_txn_locked_cycles = 0;
-        };
+      c = zero_stats ~shards;
     }
 
 let num_shards (T s) = Array.length s.versions
@@ -168,36 +155,8 @@ let shard_of (T s) k =
   if k < 0 then invalid_arg "Store.shard_of: negative key";
   k mod Array.length s.versions
 
-let stats (T s) =
-  {
-    point_ops = s.c.c_point_ops;
-    txn_commits = s.c.c_txn_commits;
-    txn_aborts = 0;
-    txn_sub_ops = s.c.c_txn_sub_ops;
-    txn_retries = s.c.c_txn_retries;
-    txn_retries_locked = s.c.c_txn_retries_locked;
-    txn_retries_version = s.c.c_txn_retries_version;
-    scans = s.c.c_scans;
-    scan_collects = s.c.c_scan_collects;
-    scan_tag_fallbacks = s.c.c_scan_tag_fallbacks;
-    scan_shard_retries = s.c.c_scan_shard_retries;
-    shard_ops = Array.copy s.c.c_shard_ops;
-    txn_locked_cycles = s.c.c_txn_locked_cycles;
-  }
-
-let reset_stats (T s) =
-  s.c.c_point_ops <- 0;
-  s.c.c_txn_commits <- 0;
-  s.c.c_txn_sub_ops <- 0;
-  s.c.c_txn_retries <- 0;
-  s.c.c_txn_retries_locked <- 0;
-  s.c.c_txn_retries_version <- 0;
-  s.c.c_scans <- 0;
-  s.c.c_scan_collects <- 0;
-  s.c.c_scan_tag_fallbacks <- 0;
-  s.c.c_scan_shard_retries <- 0;
-  s.c.c_txn_locked_cycles <- 0;
-  Array.fill s.c.c_shard_ops 0 (Array.length s.c.c_shard_ops) 0
+let stats (T s) = { s.c with shard_ops = Array.copy s.c.shard_ops }
+let reset_stats (T s) = s.c <- zero_stats ~shards:(Array.length s.versions)
 
 let emit ctx kind =
   let o = Ctx.obs ctx in
@@ -239,8 +198,8 @@ let release ctx a vlocked =
   if not ok then failwith "Store: release CAS lost while holding the lock"
 
 let point_done ctx c sh =
-  c.c_point_ops <- c.c_point_ops + 1;
-  c.c_shard_ops.(sh) <- c.c_shard_ops.(sh) + 1;
+  c.point_ops <- c.point_ops + 1;
+  c.shard_ops.(sh) <- c.shard_ops.(sh) + 1;
   emit ctx (Obs.Store_op { shard = sh })
 
 (* An insert ([~insert:true]) or delete of [k]. The unlocked walk either
@@ -350,7 +309,7 @@ let txn ctx (T s) ops =
             List.map (fun sh -> (sh, Kcas.get ctx s.versions.(sh))) shard_ids
           in
           if List.exists (fun (_, v) -> locked v) vs then begin
-            s.c.c_txn_retries_locked <- s.c.c_txn_retries_locked + 1;
+            s.c.txn_retries_locked <- s.c.txn_retries_locked + 1;
             retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
             try_acquire (attempt + 1)
           end
@@ -363,7 +322,7 @@ let txn ctx (T s) ops =
             in
             if Kcas.kcas_tagged ctx ups then (vs, attempt, Ctx.now ctx)
             else begin
-              s.c.c_txn_retries_version <- s.c.c_txn_retries_version + 1;
+              s.c.txn_retries_version <- s.c.txn_retries_version + 1;
               retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
               try_acquire (attempt + 1)
             end
@@ -371,7 +330,7 @@ let txn ctx (T s) ops =
         end
       in
       let vs, retries, t_locked = try_acquire 0 in
-      s.c.c_txn_retries <- s.c.c_txn_retries + retries;
+      s.c.txn_retries <- s.c.txn_retries + retries;
       (* Sub-ops run under every touched shard's lock; nothing is
          visible as committed until the atomic release below. Only lock
          holders change a shard, so a [Get] walks it plainly. *)
@@ -379,8 +338,8 @@ let txn ctx (T s) ops =
         List.map
           (fun (k, o) ->
             let sh = k mod nsh in
-            s.c.c_txn_sub_ops <- s.c.c_txn_sub_ops + 1;
-            s.c.c_shard_ops.(sh) <- s.c.c_shard_ops.(sh) + 1;
+            s.c.txn_sub_ops <- s.c.txn_sub_ops + 1;
+            s.c.shard_ops.(sh) <- s.c.shard_ops.(sh) + 1;
             emit ctx (Obs.Store_op { shard = sh });
             match o with
             | Get -> B.mem_plain ctx s.shards.(sh) k
@@ -402,9 +361,9 @@ let txn ctx (T s) ops =
          point. Cannot fail — we hold all the locks. *)
       if not (Kcas.kcas ctx rel) then
         failwith "Store: txn release kCAS lost while holding the locks";
-      s.c.c_txn_commits <- s.c.c_txn_commits + 1;
-      s.c.c_txn_locked_cycles <-
-        s.c.c_txn_locked_cycles + (Ctx.now ctx - t_locked);
+      s.c.txn_commits <- s.c.txn_commits + 1;
+      s.c.txn_locked_cycles <-
+        s.c.txn_locked_cycles + (Ctx.now ctx - t_locked);
       emit ctx
         (Obs.Txn_commit
            { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });
@@ -446,7 +405,7 @@ let scan ctx (T s) ~lo ~hi =
           let v = read_version sh in
           if v <> vers.(sh) then begin
             dirty.(sh) <- true;
-            s.c.c_scan_shard_retries <- s.c.c_scan_shard_retries + 1;
+            s.c.scan_shard_retries <- s.c.scan_shard_retries + 1;
             emit ctx (Obs.Scan_validate { shard = sh; ok = false })
           end
         end)
@@ -466,7 +425,7 @@ let scan ctx (T s) ~lo ~hi =
           in
           vers.(sh) <- pin 0;
           res.(sh) <- B.scan_plain ctx s.shards.(sh) ~lo ~hi ~budget:s.scan_budget;
-          s.c.c_scan_collects <- s.c.c_scan_collects + 1;
+          s.c.scan_collects <- s.c.scan_collects + 1;
           dirty.(sh) <- false
         end)
       relevant;
@@ -482,7 +441,7 @@ let scan ctx (T s) ~lo ~hi =
     else begin
       if use_tags then begin
         Ctx.clear_tag_set ctx;
-        s.c.c_scan_tag_fallbacks <- s.c.c_scan_tag_fallbacks + 1
+        s.c.scan_tag_fallbacks <- s.c.scan_tag_fallbacks + 1
       end;
       (* Plain re-read pass, sound without tags: every walk precedes the
          pass and every re-read follows its start, so an unchanged
@@ -497,7 +456,7 @@ let scan ctx (T s) ~lo ~hi =
           if v <> vers.(sh) then begin
             dirty.(sh) <- true;
             all_ok := false;
-            s.c.c_scan_shard_retries <- s.c.c_scan_shard_retries + 1;
+            s.c.scan_shard_retries <- s.c.scan_shard_retries + 1;
             emit ctx (Obs.Scan_validate { shard = sh; ok = false })
           end)
         relevant;
@@ -509,7 +468,7 @@ let scan ctx (T s) ~lo ~hi =
     end
   in
   round ();
-  s.c.c_scans <- s.c.c_scans + 1;
+  s.c.scans <- s.c.scans + 1;
   List.sort compare (List.concat_map (fun sh -> res.(sh)) relevant)
 
 let to_list_unsafe machine (T s) =

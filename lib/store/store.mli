@@ -37,31 +37,30 @@
 
 type op = Get | Insert | Delete
 
-val op_name : op -> string
-
-(** Host-level operation counters (a pure function of the simulation). *)
+(** Host-level operation counters (a pure function of the simulation).
+    {!stats} returns a copy; the store keeps counting into its own. *)
 type stats = {
-  point_ops : int;
-  txn_commits : int;
-  txn_aborts : int;
+  mutable point_ops : int;
+  mutable txn_commits : int;
+  mutable txn_aborts : int;
       (** always 0: a transaction falls back to serialized locking
           instead of aborting (the field is kept for readers of the
           counters) *)
-  txn_sub_ops : int;
-  txn_retries : int;
+  mutable txn_sub_ops : int;
+  mutable txn_retries : int;
       (** failed tagged acquisitions; a transaction that fails 9 (the
           first attempt and 8 retries) takes the fallback, so
           [txn_retries = txn_retries_locked + txn_retries_version] *)
-  txn_retries_locked : int;  (** retries caused by a locked shard *)
-  txn_retries_version : int;  (** retries caused by a version change *)
-  scans : int;
-  scan_collects : int;  (** per-shard walk executions (>= touched shards) *)
-  scan_tag_fallbacks : int;
+  mutable txn_retries_locked : int;  (** retries caused by a locked shard *)
+  mutable txn_retries_version : int;  (** retries caused by a version change *)
+  mutable scans : int;
+  mutable scan_collects : int;  (** per-shard walk executions (>= touched shards) *)
+  mutable scan_tag_fallbacks : int;
       (** tag validations that failed and fell back to the version
           re-read pass (spurious or real) *)
-  scan_shard_retries : int;  (** shards re-collected after moving *)
+  mutable scan_shard_retries : int;  (** shards re-collected after moving *)
   shard_ops : int array;  (** routed ops per shard (imbalance source) *)
-  txn_locked_cycles : int;
+  mutable txn_locked_cycles : int;
       (** simulated cycles from lock acquisition to release, summed over
           committed transactions *)
 }

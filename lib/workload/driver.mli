@@ -29,7 +29,7 @@ type result = {
     appears as a span on its core's track.
 
     [make_policy] builds a custom scheduling policy from the machine
-    (e.g. {!Mt_adversary.Scenario.make_policy} applied via a closure) —
+    (e.g. {!Mt_check.Inject.make_policy} applied via a closure) —
     it drives the {e measured} phase only, so one-shot fault pulses are
     not consumed by warmup. [series] attaches windowed telemetry
     ({!Mt_obs.Series}) to the measured phase through

@@ -1,11 +1,10 @@
-(* Tests for the adversarial scenario engine: fault plans must be pure
+(* Tests for the fault injector and shrinker: fault plans must be pure
    functions of the seed (byte-identical replay, tracing changes nothing,
    spec strings round-trip), the injectors must actually perturb runs,
-   and the shrinker must reduce both canaries to small, still-failing,
-   idempotently-stable repros. *)
+   and the shrinker must reduce both canaries to exactly the pinned,
+   still-failing, idempotently-stable repros. *)
 
 open Mt_check
-open Mt_adversary
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -29,8 +28,8 @@ let full_spec =
 
 let test_injected_replay_identical () =
   let run () =
-    Scenario.run (module Mt_list.Vas_list) ~params:(params ())
-      ~spec:full_spec ~seed:7
+    Explore.run ~spec:full_spec (module Mt_list.Vas_list)
+      ~params:(params ()) ~seed:7
   in
   let a = run () and b = run () in
   check_bool "byte-identical histories" true
@@ -42,13 +41,13 @@ let test_tracing_changes_nothing_injected () =
   (* Recording a full event trace during an injected run must not perturb
      the schedule, the injections, or the history. *)
   let bare =
-    Scenario.run (module Mt_list.Vas_list) ~params:(params ())
-      ~spec:full_spec ~seed:11
+    Explore.run ~spec:full_spec (module Mt_list.Vas_list)
+      ~params:(params ()) ~seed:11
   in
   let obs = Mt_obs.Obs.create ~num_cores:4 () in
   let traced =
-    Scenario.run ~obs (module Mt_list.Vas_list) ~params:(params ())
-      ~spec:full_spec ~seed:11
+    Explore.run ~obs ~spec:full_spec (module Mt_list.Vas_list)
+      ~params:(params ()) ~seed:11
   in
   check_bool "traced history identical" true
     (History.to_string bare.history = History.to_string traced.history);
@@ -58,27 +57,16 @@ let test_injection_has_effect () =
   (* The plan must actually change the run — otherwise the adversary is a
      no-op and every "survives --adversary" claim is vacuous. *)
   let plain =
-    Scenario.run (module Mt_list.Vas_list) ~params:(params ())
-      ~spec:Inject.none ~seed:7
+    Explore.run ~spec:Inject.none (module Mt_list.Vas_list)
+      ~params:(params ()) ~seed:7
   in
   let injected =
-    Scenario.run (module Mt_list.Vas_list) ~params:(params ())
-      ~spec:full_spec ~seed:7
+    Explore.run ~spec:full_spec (module Mt_list.Vas_list)
+      ~params:(params ()) ~seed:7
   in
   check_bool "injected schedule differs from plain" true
     (History.to_string plain.history <> History.to_string injected.history
     || plain.duration <> injected.duration)
-
-let test_none_spec_matches_explore () =
-  (* Inject.none must route through the exact historical Explore path. *)
-  let a =
-    Scenario.run (module Mt_list.Vas_list) ~params:(params ())
-      ~spec:Inject.none ~seed:3
-  in
-  let b = Explore.run (module Mt_list.Vas_list) ~params:(params ()) ~seed:3 in
-  check_bool "none-spec run equals Explore.run" true
-    (History.to_string a.history = History.to_string b.history
-    && a.duration = b.duration)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-plan derivation and the spec string syntax. *)
@@ -104,64 +92,33 @@ let prop_spec_roundtrip =
       | Ok spec' -> spec' = spec
       | Error _ -> false)
 
-let prop_shard_hot_roundtrip =
-  (* of_seed never draws Shard_hot (CI adversarial expectations are pinned
-     to the historical plan space), so round-trip it directly: any
-     shards/theta combination must survive to_string >> of_string, alone
-     and alongside the other groups. *)
-  QCheck.Test.make ~name:"shard-hot spec round-trip" ~count:200
-    QCheck.(triple (int_range 1 64) (int_bound 30) bool)
-    (fun (shards, t10, adaptive) ->
-      let spec =
-        {
-          Inject.none with
-          distribution = Shard_hot { shards; theta = float_of_int t10 /. 10.0 };
-          adaptive;
-        }
-      in
-      match Inject.of_string (Inject.to_string spec) with
-      | Ok spec' -> spec' = spec
-      | Error _ -> false)
-
-let test_shard_hot_syntax () =
-  check_bool "dist=shard parses" true
-    (Inject.of_string "dist=shard,8,1.1"
-    = Ok { Inject.none with distribution = Shard_hot { shards = 8; theta = 1.1 } });
-  check_bool "zero shards rejected" true
-    (match Inject.of_string "dist=shard,0,1.1" with
-    | Error _ -> true
-    | Ok _ -> false);
-  check_bool "negative theta rejected" true
-    (match Inject.of_string "dist=shard,8,-0.5" with
-    | Error _ -> true
-    | Ok _ -> false)
-
-let test_shard_hot_draws_skewed () =
-  (* The draw hook must (a) stay in range, (b) actually heat shard 0:
-     with theta=1.5 over 4 shards, keys = 0 (mod 4) must dominate. *)
-  let spec =
-    { Inject.none with distribution = Shard_hot { shards = 4; theta = 1.5 } }
-  in
-  let range = 64 in
-  let hooks = Scenario.hooks spec ~range in
-  let g = Mt_sim.Prng.create ~seed:42 in
-  let per_shard = Array.make 4 0 in
-  for nth = 0 to 999 do
-    let k = hooks.Explore.draw_key ~prng:g ~nth ~range in
-    check_bool "key in range" true (k >= 0 && k < range);
-    per_shard.(k mod 4) <- per_shard.(k mod 4) + 1
-  done;
-  check_bool "shard 0 hottest" true
-    (per_shard.(0) > per_shard.(1)
-    && per_shard.(1) > per_shard.(3)
-    && per_shard.(0) > 250 (* above the uniform share *))
-
 let test_spec_plain () =
   check_bool "none prints as plain" true (Inject.to_string Inject.none = "plain");
   check_bool "plain parses as none" true
     (Inject.of_string "plain" = Ok Inject.none);
   check_bool "garbage rejected" true
     (match Inject.of_string "squeeze=oops" with Error _ -> true | Ok _ -> false)
+
+let test_spec_geometry_bound () =
+  (* The injector only shrinks caches: Config.default's geometry (L1 2^6
+     sets x 8 ways, L2 2^8 sets x 16 ways) parses, one step past it in
+     any component is rejected before anything is allocated. *)
+  let parses s = Result.is_ok (Inject.of_string s) in
+  check_bool "default geometry accepted" true (parses "geom=6,8,8,16");
+  let small = { Inject.none with geometry = Some Inject.small_geometry } in
+  check_bool "small geometry round-trips" true
+    (Inject.of_string (Inject.to_string small) = Ok small);
+  List.iter
+    (fun s -> check_bool (s ^ " rejected") false (parses s))
+    [
+      "geom=7,8,8,16";
+      "geom=6,9,8,16";
+      "geom=6,8,9,16";
+      "geom=6,8,8,17";
+      "geom=40,1,40,1";
+      "geom=6,0,8,16";
+      "geom=-1,8,8,16";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Zipfian sampler. *)
@@ -220,7 +177,7 @@ let test_set_max_tags_latches_overflow () =
 
 let test_adversarial_sweep_clean () =
   let _, failure =
-    Scenario.sweep (module Mt_list.Vas_list) ~params:(params ())
+    Explore.sweep (module Mt_list.Vas_list) ~params:(params ())
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:10
   in
@@ -235,7 +192,7 @@ let test_buggy_abtree_caught () =
   (* The new canary: hand-over-hand a-b tree with the insert commit's
      validation dropped must be caught within 100 adversarial seeds. *)
   let _, failure =
-    Scenario.sweep (module Buggy_abtree) ~params:(params ())
+    Explore.sweep (module Buggy_abtree) ~params:(params ())
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:100
   in
@@ -243,8 +200,8 @@ let test_buggy_abtree_caught () =
   | Some o ->
       check_bool "caught well within budget" true (o.seed < 100);
       let replay =
-        Scenario.run (module Buggy_abtree) ~params:(params ())
-          ~spec:(Inject.of_seed ~seed:o.seed) ~seed:o.seed
+        Explore.run ~spec:(Inject.of_seed ~seed:o.seed) (module Buggy_abtree)
+          ~params:(params ()) ~seed:o.seed
       in
       check_bool "failure replays byte-identically" true
         (History.to_string replay.history = History.to_string o.history)
@@ -253,7 +210,7 @@ let test_buggy_abtree_caught () =
 let test_sweep_jobs_invariant () =
   (* First reported adversarial failure must not depend on --jobs. *)
   let sweep jobs =
-    Scenario.sweep ~jobs (module Buggy_list) ~params:(params ())
+    Explore.sweep ~jobs (module Buggy_list) ~params:(params ())
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:40
   in
@@ -273,7 +230,7 @@ let test_sweep_jobs_invariant () =
 let find_failure (module S : Mt_list.Set_intf.SET) =
   let p = params () in
   let _, failure =
-    Scenario.sweep (module S) ~params:p
+    Explore.sweep (module S) ~params:p
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:100
   in
@@ -281,21 +238,34 @@ let find_failure (module S : Mt_list.Set_intf.SET) =
   | Some o -> { Shrink.params = p; spec = Inject.of_seed ~seed:o.seed; seed = o.seed }
   | None -> Alcotest.fail "expected a failure to shrink"
 
-let test_shrink_buggy_list () =
-  let initial = find_failure (module Buggy_list) in
-  let r = Shrink.shrink (module Buggy_list) initial in
+(* The exact minimal repro and probe count for each canary: a reordered
+   reduction table, a changed ladder or a changed seed budget moves them. *)
+let check_shrink_pinned (module S : Mt_list.Set_intf.SET) ~config ~runs =
+  let r = Shrink.shrink (module S) (find_failure (module S)) in
   let c = r.config in
-  check_bool "threads shrunk to <= 2" true (c.params.Explore.threads <= 2);
-  check_bool "ops bounded" true (c.params.Explore.ops <= 16);
-  check_bool "shrunk config still fails" true
-    (match r.outcome.verdict with Error _ -> true | Ok () -> false);
-  (* and the minimal repro replays byte-identically *)
-  let replay =
-    Scenario.run (module Buggy_list) ~params:c.params ~spec:c.spec ~seed:c.seed
-  in
+  Alcotest.(check string) "minimal config" config
+    (Format.asprintf "%a" Shrink.pp_config c);
+  check_int "candidate runs" runs r.runs;
+  (* and the minimal repro replays byte-identically, still failing *)
+  let replay = Explore.run ~spec:c.spec (module S) ~params:c.params ~seed:c.seed in
   check_bool "minimal repro replays byte-identically" true
     (History.to_string replay.history = History.to_string r.outcome.history
-    && (match replay.verdict with Error _ -> true | Ok () -> false))
+    && Result.is_error replay.verdict)
+
+let test_shrink_buggy_list () =
+  check_shrink_pinned
+    (module Buggy_list)
+    ~config:
+      "threads=2 ops=1 range=8 prefill=2 max-delay=0 seed=4 spec=dist=zipf,1.5"
+    ~runs:225
+
+let test_shrink_buggy_abtree () =
+  check_shrink_pinned
+    (module Buggy_abtree)
+    ~config:
+      "threads=2 ops=2 range=2 prefill=0 max-delay=0 seed=4 \
+       spec=straggler=0.02,2000"
+    ~runs:216
 
 let test_shrink_idempotent () =
   let initial = find_failure (module Buggy_list) in
@@ -315,7 +285,7 @@ let test_shrink_rejects_passing_config () =
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
-  Alcotest.run "mt_adversary"
+  Alcotest.run "adversary"
     [
       ( "determinism",
         [
@@ -325,18 +295,15 @@ let () =
             test_tracing_changes_nothing_injected;
           Alcotest.test_case "injection has effect" `Quick
             test_injection_has_effect;
-          Alcotest.test_case "none spec = Explore.run" `Quick
-            test_none_spec_matches_explore;
         ] );
       ( "spec",
         Alcotest.test_case "of_seed deterministic" `Quick
           test_of_seed_deterministic
         :: Alcotest.test_case "of_seed varies" `Quick test_of_seed_varies
         :: Alcotest.test_case "plain round-trip" `Quick test_spec_plain
-        :: Alcotest.test_case "shard-hot syntax" `Quick test_shard_hot_syntax
-        :: Alcotest.test_case "shard-hot draw skewed" `Quick
-             test_shard_hot_draws_skewed
-        :: qsuite [ prop_spec_roundtrip; prop_shard_hot_roundtrip ] );
+        :: Alcotest.test_case "geometry bounded by the default" `Quick
+             test_spec_geometry_bound
+        :: qsuite [ prop_spec_roundtrip ] );
       ( "zipf",
         Alcotest.test_case "rank ordering" `Quick test_zipf_rank_ordering
         :: qsuite [ prop_zipf_deterministic; prop_zipf_in_range ] );
@@ -357,6 +324,8 @@ let () =
         [
           Alcotest.test_case "buggy list minimal repro" `Slow
             test_shrink_buggy_list;
+          Alcotest.test_case "buggy abtree minimal repro" `Slow
+            test_shrink_buggy_abtree;
           Alcotest.test_case "idempotent" `Slow test_shrink_idempotent;
           Alcotest.test_case "rejects passing config" `Quick
             test_shrink_rejects_passing_config;

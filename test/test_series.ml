@@ -19,8 +19,7 @@ module Spec = Mt_workload.Spec
 module Driver = Mt_workload.Driver
 module BC = Mt_workload.Bench_compare
 module Serve = Mt_serve.Server
-module Inject = Mt_adversary.Inject
-module Scenario = Mt_adversary.Scenario
+module Inject = Mt_check.Inject
 module Pool = Mt_par.Pool
 
 let check_bool = Alcotest.(check bool)
@@ -201,7 +200,7 @@ let test_series_squeeze_spike () =
     | Error e -> Alcotest.fail e
   in
   let make_policy m =
-    Scenario.make_policy inj ~machine:m ~seed:7 ~max_delay:0
+    Inject.make_policy inj ~machine:m ~seed:7 ~max_delay:0
   in
   let series, r = run_point ~make_policy () in
   (match Series.marks series with
