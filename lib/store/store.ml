@@ -1,11 +1,10 @@
 open Mt_core
-module Kcas = Mt_kcas.Kcas
 module Obs = Mt_obs.Obs
 
 (* A sharded multi-structure store. Keys hash-partition (k mod shards)
    across per-core shards, each backed by a pluggable tagged structure.
-   Concurrency control lives entirely in one kCAS-managed *version word*
-   per shard (its own cache line): even = unlocked, odd = locked, and the
+   Concurrency control lives entirely in one plain *version word* per
+   shard (its own cache line): even = unlocked, odd = locked, and the
    value only ever increases, so there is no ABA.
 
    - Point writes first try to prove themselves no-ops without the
@@ -30,25 +29,32 @@ module Obs = Mt_obs.Obs
      the transaction's release — unlinearizable, see test_store.)
    - Transactions first warm their keys: one plain point walk per
      sub-op, outside any lock, so the critical section runs on cached
-     lines. They then acquire every touched shard's lock in one
-     [Kcas.kcas_tagged] (all even v_i -> v_i+1, fail-fast on tags), apply
-     sub-ops under the locks (a [Get] is the plain [mem_plain] walk: the
-     held lock freezes its shard), and release all locks atomically with
-     one [Kcas.kcas] — the release is the commit's linearization point. When
-     the first acquisition and [txn_max_retries] retries all fail, a
-     transaction takes the store's fallback lock (one more lock word),
-     then the same shard locks one at a time with the point writers'
-     spinning [acquire], drops the fallback lock and commits the same
-     way. Only the fallback-lock holder ever waits while holding a shard
-     lock, so there is no deadlock and a transaction never aborts.
-   - Scans tag each touched shard's version word (Kcas.snapshot-style),
-     walk the shard with the backend's plain collect, then validate the
-     whole tag set once. On a broken or capacity-evicted tag the plain
-     re-read fallback discriminates: versions are monotone, so a version
-     unchanged between a shard's pre-walk read and the re-read pass
-     proves that shard quiescent over an interval containing the pass
-     start — a common instant for every shard. Only shards whose version
-     moved are re-collected. *)
+     lines. They then take every touched shard's lock with the paper's
+     VAS: one tagged load of each version word, then a VAS of each from
+     even v to v+1 in shard order. VAS validates the whole tag set, so
+     the chain completes only if no touched version moved since it was
+     tagged; a chain broken after its first VAS releases what it took
+     (v+1 -> v+2, keeping versions monotone). Sub-ops run under the
+     locks (a [Get] is the plain [mem_plain] walk: the held lock freezes
+     its shard), then each lock is released with the point writers'
+     single-word CAS. Every shard stays locked from before the first
+     sub-op until after the last — strict two-phase locking — so the
+     commit linearizes at any instant all the locks are held. When the
+     first acquisition and [txn_max_retries] retries all fail, or the
+     transaction touches more shards than the tag set holds, it takes
+     the store's fallback lock (one more lock word), then the same shard
+     locks one at a time with the point writers' spinning [acquire],
+     drops the fallback lock and commits the same way. Only the
+     fallback-lock holder ever waits while holding a shard lock, so
+     there is no deadlock and a transaction never aborts.
+   - Scans tag each touched shard's version word, walk the shard with
+     the backend's plain collect, then validate the whole tag set once.
+     On a broken or capacity-evicted tag the plain re-read fallback
+     discriminates: versions are monotone, so a version unchanged
+     between a shard's pre-walk read and the re-read pass proves that
+     shard quiescent over an interval containing the pass start — a
+     common instant for every shard. Only shards whose version moved
+     are re-collected. *)
 
 type op = Get | Insert | Delete
 
@@ -124,15 +130,12 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
   if key_space > key_space_limit then
     invalid_arg "Store.create: key_space > 2^31, past the 31-bit key field";
   let (module B) = backend in
+  (* One word per line, so shard locks never false-share; memory comes
+     zeroed, so every lock starts free at version 0. *)
   let versions =
-    Array.init shards (fun _ ->
-        (* One word per line: shard locks never false-share. *)
-        let a = Ctx.alloc ~label:"store-version" ctx ~words:1 in
-        Kcas.init ctx a 0;
-        a)
+    Array.init shards (fun _ -> Ctx.alloc ~label:"store-version" ctx ~words:1)
   in
   let fallback = Ctx.alloc ~label:"store-fallback" ctx ~words:1 in
-  Kcas.init ctx fallback 0;
   let per_shard = ((key_space + shards - 1) / shards) + 1 in
   T
     {
@@ -181,8 +184,8 @@ let retry_wait ctx ~site ~attempt =
    fallback lock; so this terminates under any fair schedule. *)
 let acquire ctx a =
   let rec go attempt =
-    let v = Kcas.get ctx a in
-    if (not (locked v)) && Kcas.cas ctx a ~expected:v ~desired:(v + 1)
+    let v = Ctx.read ctx a in
+    if (not (locked v)) && Ctx.cas ctx a ~expected:v ~desired:(v + 1)
     then v + 1
     else begin
       retry_wait ctx ~site:a ~attempt;
@@ -193,8 +196,8 @@ let acquire ctx a =
 
 let release ctx a vlocked =
   (* We hold the lock: nothing else may move the word, and a
-     transaction's tagged acquire only fires on even values. *)
-  let ok = Kcas.cas ctx a ~expected:vlocked ~desired:(vlocked + 1) in
+     transaction's VAS only fires on even values. *)
+  let ok = Ctx.cas ctx a ~expected:vlocked ~desired:(vlocked + 1) in
   if not ok then failwith "Store: release CAS lost while holding the lock"
 
 let point_done ctx c sh =
@@ -211,12 +214,12 @@ let write ctx (T s) k ~insert =
   check_key s.key_space k;
   let module B = (val s.backend) in
   let sh = k mod Array.length s.versions in
-  let v = Kcas.get ctx s.versions.(sh) in
+  let v = Ctx.read ctx s.versions.(sh) in
   let present =
     B.scan_plain ctx s.shards.(sh) ~lo:k ~hi:k ~budget:s.scan_budget <> []
   in
   let r =
-    if present = insert && (not (locked v)) && Kcas.get ctx s.versions.(sh) = v
+    if present = insert && (not (locked v)) && Ctx.read ctx s.versions.(sh) = v
     then false
     else begin
       let vl = acquire ctx s.versions.(sh) in
@@ -236,7 +239,7 @@ let get ctx (T s) k =
   let module B = (val s.backend) in
   let sh = k mod Array.length s.versions in
   let rec attempt tries =
-    let v = Kcas.get ctx s.versions.(sh) in
+    let v = Ctx.read ctx s.versions.(sh) in
     if locked v then begin
       retry_wait ctx ~site:s.versions.(sh) ~attempt:tries;
       attempt (tries + 1)
@@ -245,7 +248,7 @@ let get ctx (T s) k =
       let r = B.mem_plain ctx s.shards.(sh) k in
       (* Version unchanged across the walk: no writer held or took the
          shard lock meanwhile, so [r] is committed state. *)
-      if Kcas.get ctx s.versions.(sh) = v then r
+      if Ctx.read ctx s.versions.(sh) = v then r
       else begin
         retry_wait ctx ~site:s.versions.(sh) ~attempt:tries;
         attempt (tries + 1)
@@ -278,20 +281,19 @@ let txn ctx (T s) ops =
             (B.scan_plain ctx s.shards.(k mod nsh) ~lo:k ~hi:k
                ~budget:s.scan_budget))
         ops;
-      (* All-or-nothing lock acquisition: one tagged kCAS over every
-         touched shard's version word, even v_i -> odd v_i+1. The tag
-         front end fails fast (no descriptor traffic) when a version
-         moved under us. Returns each shard's pre-lock version, the
-         failed attempts, and when the first lock was taken. *)
-      let rec try_acquire attempt =
-        if attempt > txn_max_retries then begin
+      let rec acquire_all attempt =
+        if
+          attempt > txn_max_retries
+          || List.length shard_ids > Mt_sim.Machine.max_tags (Ctx.machine ctx)
+        then begin
           (* Serialized fallback: under the store's fallback lock, spin
              on each shard lock in turn. Only the fallback-lock holder
              ever waits while holding a shard lock, and every holder it
              waits for releases without waiting, so this makes progress
-             where the all-at-once kCAS kept losing races. One fallback
-             at a time keeps lock holders from queueing behind each
-             other on the hot shards. *)
+             where the tagged acquisition kept losing races, or could
+             not tag every version at once. One fallback at a time keeps
+             lock holders from queueing behind each other on the hot
+             shards. *)
           let fl = acquire ctx s.fallback in
           let first = List.hd shard_ids in
           let v0 = acquire ctx s.versions.(first) - 1 in
@@ -305,35 +307,46 @@ let txn ctx (T s) ops =
           ((first, v0) :: rest, attempt, t_locked)
         end
         else begin
+          (* All-or-nothing acquisition: tag every touched version, then
+             VAS each even v -> odd v+1 in shard order. Each VAS
+             validates the whole tag set, so the chain only completes if
+             no tagged version moved; a failed first VAS writes nothing,
+             and a later failure releases the locks already taken to
+             v+2, not v, keeping versions monotone. *)
+          Ctx.clear_tag_set ctx;
           let vs =
-            List.map (fun sh -> (sh, Kcas.get ctx s.versions.(sh))) shard_ids
+            List.map
+              (fun sh -> (sh, Ctx.add_tag_read ctx s.versions.(sh) ~words:1))
+              shard_ids
           in
-          if List.exists (fun (_, v) -> locked v) vs then begin
-            s.c.txn_retries_locked <- s.c.txn_retries_locked + 1;
-            retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
-            try_acquire (attempt + 1)
-          end
+          let rec take = function
+            | [] -> true
+            | (sh, v) :: rest ->
+                if Ctx.vas ctx s.versions.(sh) (v + 1) then take rest
+                else begin
+                  List.iter
+                    (fun (sh', v') ->
+                      if sh' < sh then release ctx s.versions.(sh') (v' + 1))
+                    vs;
+                  false
+                end
+          in
+          let busy = List.exists (fun (_, v) -> locked v) vs in
+          let taken = (not busy) && take vs in
+          Ctx.clear_tag_set ctx;
+          if taken then (vs, attempt, Ctx.now ctx)
           else begin
-            let ups =
-              List.map
-                (fun (sh, v) ->
-                  { Kcas.addr = s.versions.(sh); expected = v; desired = v + 1 })
-                vs
-            in
-            if Kcas.kcas_tagged ctx ups then (vs, attempt, Ctx.now ctx)
-            else begin
-              s.c.txn_retries_version <- s.c.txn_retries_version + 1;
-              retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
-              try_acquire (attempt + 1)
-            end
+            if busy then s.c.txn_retries_locked <- s.c.txn_retries_locked + 1
+            else s.c.txn_retries_version <- s.c.txn_retries_version + 1;
+            retry_wait ctx ~site:s.versions.(List.hd shard_ids) ~attempt;
+            acquire_all (attempt + 1)
           end
         end
       in
-      let vs, retries, t_locked = try_acquire 0 in
+      let vs, retries, t_locked = acquire_all 0 in
       s.c.txn_retries <- s.c.txn_retries + retries;
-      (* Sub-ops run under every touched shard's lock; nothing is
-         visible as committed until the atomic release below. Only lock
-         holders change a shard, so a [Get] walks it plainly. *)
+      (* Sub-ops run under every touched shard's lock. Only lock holders
+         change a shard, so a [Get] walks it plainly. *)
       let results =
         List.map
           (fun (k, o) ->
@@ -347,20 +360,10 @@ let txn ctx (T s) ops =
             | Delete -> B.delete ctx s.shards.(sh) k)
           ops
       in
-      let rel =
-        List.map
-          (fun (sh, v) ->
-            {
-              Kcas.addr = s.versions.(sh);
-              expected = v + 1;
-              desired = v + 2;
-            })
-          vs
-      in
-      (* Atomic release of every lock: the commit's linearization
-         point. Cannot fail — we hold all the locks. *)
-      if not (Kcas.kcas ctx rel) then
-        failwith "Store: txn release kCAS lost while holding the locks";
+      (* Release only after the last sub-op: every lock was held across
+         all of them (two-phase locking), so the commit needs no atomic
+         release and each lock goes with one CAS. *)
+      List.iter (fun (sh, v) -> release ctx s.versions.(sh) (v + 1)) vs;
       s.c.txn_commits <- s.c.txn_commits + 1;
       s.c.txn_locked_cycles <-
         s.c.txn_locked_cycles + (Ctx.now ctx - t_locked);
@@ -394,8 +397,8 @@ let scan ctx (T s) ~lo ~hi =
     let use_tags = nrel <= Mt_sim.Machine.max_tags machine in
     if use_tags then Ctx.clear_tag_set ctx;
     let read_version sh =
-      if use_tags then Kcas.get_tagged ctx s.versions.(sh)
-      else Kcas.get ctx s.versions.(sh)
+      if use_tags then Ctx.add_tag_read ctx s.versions.(sh) ~words:1
+      else Ctx.read ctx s.versions.(sh)
     in
     (* Re-pin shards kept from earlier rounds: versions are monotone, so
        an unchanged version means the shard never moved since its walk. *)
@@ -452,7 +455,7 @@ let scan ctx (T s) ~lo ~hi =
       let all_ok = ref true in
       List.iter
         (fun sh ->
-          let v = Kcas.get ctx s.versions.(sh) in
+          let v = Ctx.read ctx s.versions.(sh) in
           if v <> vers.(sh) then begin
             dirty.(sh) <- true;
             all_ok := false;

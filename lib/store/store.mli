@@ -2,9 +2,9 @@
 
     Hash-partitions a key space across per-core shards (key [k] lives in
     shard [k mod shards]), each backed by a pluggable tagged structure
-    ({!Backend.S}). All cross-operation coordination lives in one
-    kCAS-managed {e version word} per shard (even = unlocked, odd =
-    locked, monotonically increasing):
+    ({!Backend.S}). All cross-operation coordination lives in one plain
+    {e version word} per shard (even = unlocked, odd = locked,
+    monotonically increasing):
 
     - {b point ops} touch exactly one shard with zero cross-shard
       coordination. A write first walks its key with the backend's plain
@@ -17,19 +17,23 @@
       unless they agree on an even value;
     - {b transactions} first walk each sub-op's key with the backend's
       plain point walk (warming the cache outside the critical section),
-      then acquire every touched shard's lock in one [Kcas.kcas_tagged]
-      and release them all with one [Kcas.kcas] (the commit's
-      linearization point). When the tagged acquisition keeps losing
-      races, the transaction takes the store's fallback lock, then the
+      then take every touched shard's lock with one tagged load of each
+      version and a VAS of each from even v to v+1 in shard order (the
+      chain completes only if no tagged version moved), run the sub-ops,
+      and release each lock with a single-word CAS after the last one.
+      Every lock is held across every sub-op (strict two-phase locking),
+      so the commit is atomic. When the tagged acquisition keeps losing
+      races, or the transaction touches more shards than the tag set
+      holds, the transaction takes the store's fallback lock, then the
       shard locks one at a time; only one transaction at a time holds
       the fallback lock, so fallbacks never wait on each other and a
       transaction always commits;
-    - {b scans/snapshots} tag each touched shard's version word
-      (Kcas.snapshot-style), walk shards with the backend's plain
-      collect, and validate the whole tag set at one instant, falling
-      back to a monotone-version re-read pass that re-collects only the
-      shards that actually moved (so spurious tag capacity evictions and
-      [shards > Max_Tags] both degrade gracefully instead of failing).
+    - {b scans/snapshots} tag each touched shard's version word, walk
+      shards with the backend's plain collect, and validate the whole
+      tag set at one instant, falling back to a monotone-version re-read
+      pass that re-collects only the shards that actually moved (so
+      spurious tag capacity evictions and [shards > Max_Tags] both
+      degrade gracefully instead of failing).
 
     Progress and accounting are deterministic: a run is a pure function
     of the simulation, byte-identical for any [--jobs] and with tracing
@@ -49,7 +53,8 @@ type stats = {
   mutable txn_sub_ops : int;
   mutable txn_retries : int;
       (** failed tagged acquisitions; a transaction that fails 9 (the
-          first attempt and 8 retries) takes the fallback, so
+          first attempt and 8 retries), or touches more shards than
+          [Max_Tags], takes the fallback, so
           [txn_retries = txn_retries_locked + txn_retries_version] *)
   mutable txn_retries_locked : int;  (** retries caused by a locked shard *)
   mutable txn_retries_version : int;  (** retries caused by a version change *)
@@ -96,7 +101,7 @@ val insert : Mt_core.Ctx.t -> t -> int -> bool
 val delete : Mt_core.Ctx.t -> t -> int -> bool
 
 (** [txn ctx t ops] — atomic multi-key transaction across shards: every
-    sub-op runs under all touched shard locks, released atomically, and
+    sub-op runs under all touched shard locks, released after the last, and
     the per-sub-op results come back in the order the sub-ops were given.
     It always commits. Before its first acquisition attempt it walks each
     sub-op's key once with [scan_plain ~lo:k ~hi:k] and discards the

@@ -34,6 +34,7 @@ let spec ?(shards = 4) ?(key_space = 1 lsl 20) ?(prefill = 1024)
 
 let classes = [| "point"; "txn"; "scan" |]
 
+(* The class index ([classes]) a payload decodes to under [spec]'s mix. *)
 let classify spec payload =
   let c = payload mod 100 in
   if c < spec.mix.point_pct then 0

@@ -37,9 +37,6 @@ val spec :
     breakdown: [[| "point"; "txn"; "scan" |]]. *)
 val classes : string array
 
-(** The class index ([classes]) a payload decodes to under [spec]'s mix. *)
-val classify : spec -> int -> int
-
 (** [run ?obs ?make_policy spec config] serves the mixed workload against
     a store built in setup (with seeded prefill) on the serve layer's
     default machine; returns the serve result (including the per-class

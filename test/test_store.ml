@@ -116,8 +116,8 @@ let test_point_walk () =
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
    holds the locks only for cached sub-ops, because the warm-up walk ran
-   first. Measured: 460 / 906 / 496 cycles (hoh-list / hoh-abtree /
-   norec-tagged) with the walk, 7532 / 2362 / 1328 without it. *)
+   first. Measured: 304 / 750 / 340 cycles (hoh-list / hoh-abtree /
+   norec-tagged) with the walk, 7376 / 2206 / 1172 without it. *)
 
 let test_txn_hold_time () =
   List.iter
@@ -187,14 +187,21 @@ let test_noop_writes_cas_free () =
 
 (* The serialized fallback: writer fibers hammer effective writes on
    shard 0 while transaction fibers run 3-key transactions over shards
-   0..2. Tagged acquisition keeps losing to the writers, so transactions
+   0..2. Tagged acquisition loses to the writers, so some transactions
    spend their whole retry budget (9 failed attempts) and fall back;
    every transaction still commits with the right results. With one
    transaction fiber (keys 0..2) the retry counters move only for it,
    so their delta across one call is that call's retries and shows the
    fallback ran. With two (keys 0..2 and 4..6, the same shards) their
    fallbacks overlap, and must queue on the fallback lock rather than
-   on each other's shard locks. *)
+   on each other's shard locks. The transaction fibers (fiber [i] runs
+   on core [i]) are stragglers, every stall [straggle] cycles longer,
+   so their acquisitions keep meeting the writers' lock holds: a tagged
+   acquisition — one tagged load per shard and a short VAS chain — is
+   brief enough that on the plain schedule it may slip between the
+   holds and never spend its budget. *)
+
+let straggle = 8
 
 let test_txn_fallback ~txn_fibers () =
   List.iter
@@ -208,7 +215,12 @@ let test_txn_fallback ~txn_fibers () =
       let txns = 40 in
       let fallbacks = ref 0 in
       let (_ : int) =
-        Harness.exec m ~seed:5 ~threads (fun ctx ->
+        Harness.exec m ~seed:5 ~threads
+          ~policy:
+            (Runtime.decorate_policy Runtime.default_policy
+               ~extra_delay:(fun ~tid ~now:_ ~base ->
+                 if tid < txn_fibers then base + straggle else base))
+          (fun ctx ->
             let c = Ctx.core ctx in
             if c < txn_fibers then
               for i = 1 to txns do
@@ -243,6 +255,37 @@ let test_txn_fallback ~txn_fibers () =
           true (!fallbacks > 0);
       check_int (bname ^ " final contents") 0
         (List.length (Store.to_list_unsafe m s)))
+    backend_names
+
+(* Past the tag set's capacity a transaction cannot tag every version
+   it would lock, so it goes straight to the serialized fallback instead
+   of spending its retry budget on VAS chains that cannot complete. At
+   [max_tags = 2] a 3-shard all-Get transaction commits with no retry
+   and no VAS, and issues 8 CASes: the fallback lock's acquire and
+   release and each shard lock's (the VAS path issues 3, one release
+   per shard). *)
+
+let test_txn_past_tag_capacity () =
+  List.iter
+    (fun bname ->
+      let m =
+        Machine.create { (Config.default ~num_cores:1 ()) with max_tags = 2 }
+      in
+      Harness.exec1 m (fun ctx ->
+          let s = Store.create (backend bname) ctx ~shards:4 ~key_space:64 in
+          let before = Machine.total_stats m in
+          let rs =
+            Store.txn ctx s [ (0, Store.Get); (1, Store.Get); (2, Store.Get) ]
+          in
+          let after = Machine.total_stats m in
+          Alcotest.(check (list bool))
+            (bname ^ " txn results") [ false; false; false ] rs;
+          check_int (bname ^ " no VAS") 0 (after.Stats.vas_ops - before.vas_ops);
+          check_int (bname ^ " fallback CASes") 8
+            (after.Stats.cas_ops - before.cas_ops);
+          let st = Store.stats s in
+          check_int (bname ^ " one commit") 1 st.txn_commits;
+          check_int (bname ^ " no retries") 0 st.txn_retries))
     backend_names
 
 (* ------------------------------------------------------------------ *)
@@ -683,6 +726,8 @@ let () =
              (test_txn_fallback ~txn_fibers:1);
            Alcotest.test_case "overlapping fallbacks" `Quick
              (test_txn_fallback ~txn_fibers:2);
+           Alcotest.test_case "past the tag capacity" `Quick
+             test_txn_past_tag_capacity;
          ] );
        ( "backend",
          [ Alcotest.test_case "point walk contract" `Quick test_point_walk ] );
