@@ -278,28 +278,31 @@ let spurious o _ =
     ~columns:[ "workload"; "validates"; "failures"; "spurious"; "spurious/validate" ]
     (List.map
        (fun (name, (r : Driver.result)) ->
+         let s = r.stats in
          let frac =
-           if r.validates = 0 then 0.0
+           if s.Stats.validates = 0 then 0.0
            else
-             float_of_int r.validate_failures_spurious /. float_of_int r.validates
+             float_of_int s.Stats.validate_failures_spurious
+             /. float_of_int s.Stats.validates
          in
          [
            name;
-           string_of_int r.validates;
-           string_of_int r.validate_failures;
-           string_of_int r.validate_failures_spurious;
+           string_of_int s.Stats.validates;
+           string_of_int s.Stats.validate_failures;
+           string_of_int s.Stats.validate_failures_spurious;
            Report.pct frac;
          ])
        results);
   output
     (List.map
        (fun (name, (r : Driver.result)) ->
+         let s = r.stats in
          Json.Obj
            [
              ("workload", Json.String name);
-             ("validates", Json.Int r.validates);
-             ("validate_failures", Json.Int r.validate_failures);
-             ("validate_failures_spurious", Json.Int r.validate_failures_spurious);
+             ("validates", Json.Int s.Stats.validates);
+             ("validate_failures", Json.Int s.Stats.validate_failures);
+             ("validate_failures_spurious", Json.Int s.Stats.validate_failures_spurious);
              ("result", Driver.result_to_json r);
            ])
        results)

@@ -264,7 +264,8 @@ let of_string str =
               | _ -> fail "dist=flash,HOT,PERIOD,DUTY expected in %S" group)
           | "geom", l -> (
               (* The injector only shrinks caches: a size past the default
-                 would make Cache.create allocate it. *)
+                 would make Cache.create allocate it. The L2 is inclusive,
+                 so it must hold at least as many lines as the L1. *)
               let d = Config.default () in
               let within v hi = v >= 0 && v <= hi in
               match ints l with
@@ -272,7 +273,9 @@ let of_string str =
                 when within l1_sets_log2 d.l1_sets_log2
                      && within l1_ways d.l1_ways && l1_ways > 0
                      && within l2_sets_log2 d.l2_sets_log2
-                     && within l2_ways d.l2_ways && l2_ways > 0 ->
+                     && within l2_ways d.l2_ways && l2_ways > 0
+                     && (1 lsl l2_sets_log2) * l2_ways
+                        >= (1 lsl l1_sets_log2) * l1_ways ->
                   Ok
                     {
                       acc with
@@ -281,8 +284,8 @@ let of_string str =
                     }
               | _ ->
                   fail
-                    "geom=L1SETS_LOG2,L1WAYS,L2SETS_LOG2,L2WAYS (at most %d,%d,%d,%d) \
-                     expected in %S"
+                    "geom=L1SETS_LOG2,L1WAYS,L2SETS_LOG2,L2WAYS (at most %d,%d,%d,%d, \
+                     L2 lines >= L1 lines) expected in %S"
                     d.l1_sets_log2 d.l1_ways d.l2_sets_log2 d.l2_ways group)
           | "adaptive", [] -> Ok { acc with adaptive = true }
           | _ -> fail "unknown group %S" group)

@@ -122,7 +122,6 @@ let tag_count t = Machine.tag_count t.machine ~core:t.core
 (* ------------------------------------------------------------------ *)
 (* Contention management (DESIGN §14). *)
 
-let cm t = t.cm
 let cm_immediate t = Mt_cm.Cm.is_immediate t.cm
 
 (* Charge a policy-imposed wait through the ordinary stall path. Under

@@ -80,9 +80,6 @@ val tag_count : t -> int
     waits, draws no randomness and keeps no state, so runs under it are
     byte-identical to the pre-policy tree. *)
 
-(** This core's policy instance. *)
-val cm : t -> Mt_cm.Cm.t
-
 (** [cm_wait ?site t ~attempt] asks the policy for a wait before retry
     number [attempt] (0-based), then charges it through the ordinary
     stall path, counts it in {!Mt_sim.Stats} and emits

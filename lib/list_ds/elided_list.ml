@@ -1,7 +1,7 @@
 open Mt_core
 
 type t = {
-  head : Ctx.addr;
+  list : Hoh_list.t;
   mode : Mode.t;
   lock : Ctx.addr;
   slow_runs : Ctx.addr;  (* diagnostic counter, in simulated memory *)
@@ -13,10 +13,9 @@ let name = "elided-hoh-list"
 let threshold = 8
 
 let create ctx =
-  let tail = Node.alloc ~label:"elided-node" ctx ~key:max_int ~next:Mt_sim.Memory.null ~marked:false in
-  let head = Node.alloc ~label:"elided-node" ctx ~key:min_int ~next:tail ~marked:false in
+  let list = Hoh_list.create_labelled ~label:"elided-node" ctx in
   let machine = Ctx.machine ctx in
-  { head; mode = Mode.create machine; lock = Ctx.alloc ~label:"elided-lock" ctx ~words:1;
+  { list; mode = Mode.create machine; lock = Ctx.alloc ~label:"elided-lock" ctx ~words:1;
     slow_runs = Ctx.alloc ~label:"elided-lock" ctx ~words:1 }
 
 let slow_path_count machine t = Mt_sim.Machine.peek machine t.slow_runs
@@ -26,7 +25,8 @@ exception Restart = Ctx.Restart
 exception Mode_slow
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: the HoH algorithm, with the mode line in the tag set. *)
+(* Fast path: one attempt of the HoH algorithm, with the mode line in the
+   tag set, so every validation and VAS/IAS also checks the mode. *)
 
 (* Tag the mode line and check it reads FAST. A SLOW reading is not a
    fast-path failure: the caller waits for the mode to return to FAST
@@ -35,42 +35,13 @@ exception Mode_slow
 let arm_mode ctx t =
   if Ctx.add_tag_read ctx (Mode.addr t.mode) ~words:1 <> Mode.fast then raise Mode_slow
 
-let locate ctx t k =
+(* [step] is {!Hoh_list.insert_at} or {!Hoh_list.delete_at}; a lost swap
+   counts as a failed attempt, like a failed validation. *)
+let fast step ctx t k =
   arm_mode ctx t;
-  let pred = t.head in
-  let (_ : int) = Node.tagged_key ctx pred in
-  let curr = Node.ptr_of (Node.next_packed ctx pred) in
-  let ck = Node.tagged_key ctx curr in
-  if not (Ctx.validate ctx) then raise Restart;
-  let rec advance pred curr ck =
-    if ck >= k then (pred, curr, ck)
-    else begin
-      let succ = Node.ptr_of (Node.next_packed ctx curr) in
-      Ctx.remove_tag ctx pred ~words:Node.words;
-      let sk = Node.tagged_key ctx succ in
-      if not (Ctx.validate ctx) then raise Restart;
-      advance curr succ sk
-    end
-  in
-  advance pred curr ck
-
-let fast_insert ctx t k =
-  let pred, curr, ck = locate ctx t k in
-  if ck = k then Some false
-  else begin
-    let node = Node.alloc ~label:"elided-node" ctx ~key:k ~next:curr ~marked:false in
-    if Ctx.vas ctx (pred + Node.next_off) (Node.pack node ~marked:false) then Some true
-    else raise Restart
-  end
-
-let fast_delete ctx t k =
-  let pred, curr, ck = locate ctx t k in
-  if ck <> k then Some false
-  else begin
-    let succ = Node.ptr_of (Node.next_packed ctx curr) in
-    if Ctx.ias ctx (pred + Node.next_off) (Node.pack succ ~marked:false) then Some true
-    else raise Restart
-  end
+  match step ctx t.list (Hoh_list.walk ctx t.list k) k with
+  | Some result -> result
+  | None -> raise Restart
 
 (* ------------------------------------------------------------------ *)
 (* Slow path: plain sequential code under the global lock, with the mode
@@ -97,8 +68,8 @@ let slow_locate ctx t k =
     if ck >= k then (pred, curr, ck)
     else go curr (Node.ptr_of (Node.next_packed ctx curr))
   in
-  let first = Node.ptr_of (Node.next_packed ctx t.head) in
-  go t.head first
+  let head = Hoh_list.head t.list in
+  go head (Node.ptr_of (Node.next_packed ctx head))
 
 let slow_insert ctx t k () =
   let pred, curr, ck = slow_locate ctx t k in
@@ -120,13 +91,13 @@ let slow_delete ctx t k () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Run [fast] with bounded retries, then fall back to [slow] under the
-   lock. When the mode reads SLOW we also wait-or-fallback immediately.
-   This keeps its own loop rather than {!Ctx.with_restarts} because the
-   failure counter doubles as the lock-fallback trigger; the contention
-   policy hooks in before each fast-path retry (a no-op under
+(* Run the fast path with bounded retries, then fall back to [slow] under
+   the lock. When the mode reads SLOW we also wait-or-fallback
+   immediately. This keeps its own loop rather than {!Ctx.with_restarts}
+   because the failure counter doubles as the lock-fallback trigger; the
+   contention policy hooks in before each fast-path retry (a no-op under
    [immediate], preserving the historical behavior exactly). *)
-let elide ctx t ~fast ~slow =
+let elide ctx t k ~step ~slow =
   let rec wait_fast () =
     if not (Mode.is_fast ctx t.mode) then begin
       Ctx.work ctx 32;
@@ -136,20 +107,16 @@ let elide ctx t ~fast ~slow =
   let rec attempt fails =
     if fails >= threshold then begin
       Ctx.clear_tag_set ctx;
-      with_lock ctx t slow
+      with_lock ctx t (slow ctx t k)
     end
     else
-      match fast ctx t with
-      | Some result ->
+      match fast step ctx t k with
+      | result ->
           Ctx.clear_tag_set ctx;
           result
-      | None ->
-          Ctx.clear_tag_set ctx;
-          Ctx.cm_wait ~site:t.head ctx ~attempt:fails;
-          attempt (fails + 1)
       | exception Restart ->
           Ctx.clear_tag_set ctx;
-          Ctx.cm_wait ~site:t.head ctx ~attempt:fails;
+          Ctx.cm_wait ~site:(Hoh_list.head t.list) ctx ~attempt:fails;
           attempt (fails + 1)
       | exception Mode_slow ->
           Ctx.clear_tag_set ctx;
@@ -158,17 +125,12 @@ let elide ctx t ~fast ~slow =
   in
   attempt 0
 
-let insert ctx t k = elide ctx t ~fast:(fun ctx t -> fast_insert ctx t k) ~slow:(slow_insert ctx t k)
+let insert ctx t k = elide ctx t k ~step:Hoh_list.insert_at ~slow:slow_insert
 
-let delete ctx t k = elide ctx t ~fast:(fun ctx t -> fast_delete ctx t k) ~slow:(slow_delete ctx t k)
+let delete ctx t k = elide ctx t k ~step:Hoh_list.delete_at ~slow:slow_delete
 
 (* Plain traversal; linearizable for the same frozen-successor reason as in
    Hoh_list: neither fast nor slow deletes ever write the removed node. *)
-let contains ctx t k =
-  let rec go node =
-    let ck = Node.key ctx node in
-    if ck < k then go (Node.ptr_of (Node.next_packed ctx node)) else ck = k
-  in
-  go (Node.ptr_of (Node.next_packed ctx t.head))
+let contains ctx t = Hoh_list.contains ctx t.list
 
-let to_list_unsafe machine t = Node.to_list_unsafe machine t.head
+let to_list_unsafe machine t = Hoh_list.to_list_unsafe machine t.list

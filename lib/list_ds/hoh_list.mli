@@ -25,9 +25,33 @@ val scan_plain : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int lis
 (** SEARCH exactly as written in the paper's Algorithm 2: a fully
     HoH-tagged locate. [contains] itself uses a plain untagged traversal,
     which is linearizable because deleted nodes are frozen (see the
-    implementation comment); the tagged variant is kept for comparison and
-    for the ablation bench. *)
+    implementation comment); the tagged variant is kept so a test can
+    check that the two agree. *)
 val contains_tagged : Mt_core.Ctx.t -> t -> int -> bool
+
+(** {2 The pieces {!Elided_list}'s fast path is built from} *)
+
+(** [create_labelled ~label ctx] is {!create} with the nodes attributed to
+    [label] in the hot-line profile ([create] uses ["hoh-node"]). *)
+val create_labelled : label:string -> Mt_core.Ctx.t -> t
+
+val head : t -> Mt_core.Ctx.addr
+
+(** [walk ctx t k] is one attempt of LOCATE: it returns
+    [(pred, curr, curr_key)] with [pred] and [curr] left tagged, or raises
+    {!Mt_core.Ctx.Restart} when a validation fails. The caller must
+    eventually [clear_tag_set]. *)
+val walk : Mt_core.Ctx.t -> t -> int -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int
+
+(** [insert_at ctx t window k] and [delete_at ctx t window k] are the
+    commit steps of INSERT (a VAS) and DELETE (an IAS) on a window from
+    {!walk}, tags still held: [Some result] when the operation is decided,
+    [None] when the swap lost a race. They leave the tag set as it is. *)
+val insert_at :
+  Mt_core.Ctx.t -> t -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int -> int -> bool option
+
+val delete_at :
+  Mt_core.Ctx.t -> t -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int -> int -> bool option
 
 (** Internals exposed for white-box tests (e.g. reproducing Figure 1). *)
 module For_testing : sig

@@ -50,9 +50,6 @@ val create : unit -> t
 
 val reset : t -> unit
 
-(** [add acc t] accumulates [t] into [acc]. *)
-val add : t -> t -> unit
-
 (** [sum ts] is a fresh aggregate of all counters. *)
 val sum : t array -> t
 

@@ -1,144 +1,4 @@
-open Mt_core
-
-type addr = Ctx.addr
-
-exception Abort = Stm_intf.Abort
-
-type t = {
-  seqlock : addr;
-  mutable commits : int;
-  mutable aborts : int;
-  mutable vbv_passes : int;
-}
-
-type tx = {
-  ctx : Ctx.t;
-  stm : t;
-  mutable snapshot : int;             (* V: last known-consistent even time *)
-  mutable reads : (addr * int) list;  (* read set, newest first *)
-  writes : (addr, int) Hashtbl.t;     (* write buffer *)
-  mutable write_log : addr list;      (* write-back order (reversed) *)
-}
-
-let name = "norec"
-
-(* Hook: record the abort (with its cause) on the aborting core's trace
-   track; free when tracing is off. *)
-let abort_event ctx reason =
-  let o = Ctx.obs ctx in
-  if Mt_obs.Obs.enabled o then
-    Mt_obs.Obs.emit o ~core:(Ctx.core ctx) ~time:(Ctx.now ctx)
-      (Mt_obs.Obs.Stm_abort { impl = name; reason })
-
-let create ctx =
-  let seqlock = Ctx.alloc ~label:"norec-seqlock" ctx ~words:1 in
-  { seqlock; commits = 0; aborts = 0; vbv_passes = 0 }
-
-let commits t = t.commits
-let aborts t = t.aborts
-let vbv_passes t = t.vbv_passes
-
-let reset_stats t =
-  t.commits <- 0;
-  t.aborts <- 0;
-  t.vbv_passes <- 0
-
-(* Spin until the lock is free (even) and return the sequence number. *)
-let rec read_sequence tx =
-  let v = Ctx.read tx.ctx tx.stm.seqlock in
-  if v land 1 = 1 then begin
-    Ctx.work tx.ctx 2;
-    read_sequence tx
-  end
-  else v
-
-(* Value-based validation: raises Abort if the read set is inconsistent;
-   otherwise updates the snapshot and returns it. *)
-let rec validate tx =
-  let time = read_sequence tx in
-  tx.stm.vbv_passes <- tx.stm.vbv_passes + 1;
-  let consistent =
-    List.for_all (fun (a, v) -> Ctx.read tx.ctx a = v) tx.reads
-  in
-  if not consistent then begin
-    abort_event tx.ctx "vbv-inconsistent";
-    raise Abort
-  end
-  else if Ctx.read tx.ctx tx.stm.seqlock = time then begin
-    tx.snapshot <- time;
-    time
-  end
-  else validate tx
-
-let read tx a =
-  match Hashtbl.find_opt tx.writes a with
-  | Some v -> v
-  | None ->
-      let v = ref (Ctx.read tx.ctx a) in
-      while Ctx.read tx.ctx tx.stm.seqlock <> tx.snapshot do
-        let (_ : int) = validate tx in
-        v := Ctx.read tx.ctx a
-      done;
-      tx.reads <- (a, !v) :: tx.reads;
-      !v
-
-let ctx tx = tx.ctx
-
-let write tx a v =
-  if not (Hashtbl.mem tx.writes a) then tx.write_log <- a :: tx.write_log;
-  Hashtbl.replace tx.writes a v
-
-let commit tx =
-  if Hashtbl.length tx.writes = 0 then ()  (* read-only: nothing to do *)
-  else begin
-    (* Acquire the sequence lock at our snapshot, validating on conflict. *)
-    let rec acquire () =
-      if
-        not
-          (Ctx.cas tx.ctx tx.stm.seqlock ~expected:tx.snapshot
-             ~desired:(tx.snapshot + 1))
-      then begin
-        let (_ : int) = validate tx in
-        acquire ()
-      end
-    in
-    acquire ();
-    List.iter
-      (fun a -> Ctx.write tx.ctx a (Hashtbl.find tx.writes a))
-      (List.rev tx.write_log);
-    Ctx.write tx.ctx tx.stm.seqlock (tx.snapshot + 2)
-  end
-
-let atomically ctx stm body =
-  let rec attempt n =
-    let tx =
-      {
-        ctx;
-        stm;
-        snapshot = 0;
-        reads = [];
-        writes = Hashtbl.create 16;
-        write_log = [];
-      }
-    in
-    tx.snapshot <- read_sequence tx;
-    match
-      let result = body tx in
-      commit tx;
-      result
-    with
-    | result ->
-        stm.commits <- stm.commits + 1;
-        result
-    | exception Abort ->
-        stm.aborts <- stm.aborts + 1;
-        (* Historical site default: randomized doubling backoff (prevents
-           lock-step retry livelock), 16 * 2^n capped at 2048. Runs only
-           under the [immediate] policy; otherwise the contention layer
-           computes the wait. *)
-        Ctx.cm_wait_default ~site:stm.seqlock ctx ~attempt:n
-          ~default:(fun () ->
-            Mt_sim.Prng.int (Ctx.prng ctx) (min 2048 (16 lsl min n 7)));
-        attempt (n + 1)
-  in
-  attempt 0
+include Norec_core.Make (struct
+  let name = "norec"
+  let tagged = false
+end)

@@ -13,10 +13,6 @@ type result = {
   l1_miss_rate : float;
   energy : float;
   energy_per_op : float;
-  validates : int;
-  validate_failures : int;
-  validate_failures_spurious : int;
-  cas_failures : int;
   latency : Hist.t;
   stats : Stats.t;
 }
@@ -73,10 +69,6 @@ let run_custom ?cfg ?(obs = Obs.null) ?make_policy ?series ?cm ~name ~setup
     l1_miss_rate = Stats.l1_miss_rate stats;
     energy;
     energy_per_op = (if ops = 0 then 0.0 else energy /. float_of_int ops);
-    validates = stats.Stats.validates;
-    validate_failures = stats.Stats.validate_failures;
-    validate_failures_spurious = stats.Stats.validate_failures_spurious;
-    cas_failures = stats.Stats.cas_failures;
     latency;
     stats;
   }
@@ -98,6 +90,7 @@ let run_set ?cfg ?obs ?make_policy ?series ?cm
   run_custom ?cfg ?obs ?make_policy ?series ?cm ~name:S.name ~setup ~op spec
 
 let pp_result ppf r =
+  let s = r.stats in
   Format.fprintf ppf
     "%-14s %-22s ops %7d  thr %8.2f/kcyc  L1miss %5.2f%%  E/op %8.1f  lat p50/p99 %d/%d  \
      aborts: vfail %d (real %d, spurious %d) casfail %d"
@@ -105,9 +98,9 @@ let pp_result ppf r =
     r.energy_per_op
     (Hist.percentile r.latency 50.0)
     (Hist.percentile r.latency 99.0)
-    r.validate_failures
-    (r.validate_failures - r.validate_failures_spurious)
-    r.validate_failures_spurious r.cas_failures
+    s.Stats.validate_failures
+    (s.Stats.validate_failures - s.Stats.validate_failures_spurious)
+    s.Stats.validate_failures_spurious s.Stats.cas_failures
 
 (* Stable machine-readable form: one benchmark point. Field set and order
    are part of the BENCH_*.json schema — extend, don't reorder. *)
@@ -143,12 +136,12 @@ let result_to_json r =
       ("aborts",
        Json.Obj
          [
-           ("validates", Json.Int r.validates);
-           ("validate_failures", Json.Int r.validate_failures);
+           ("validates", Json.Int s.Stats.validates);
+           ("validate_failures", Json.Int s.Stats.validate_failures);
            ("validate_failures_real",
-            Json.Int (r.validate_failures - r.validate_failures_spurious));
-           ("validate_failures_spurious", Json.Int r.validate_failures_spurious);
-           ("cas_failures", Json.Int r.cas_failures);
+            Json.Int (s.Stats.validate_failures - s.Stats.validate_failures_spurious));
+           ("validate_failures_spurious", Json.Int s.Stats.validate_failures_spurious);
+           ("cas_failures", Json.Int s.Stats.cas_failures);
            ("vas_failures", Json.Int s.Stats.vas_failures);
            ("ias_failures", Json.Int s.Stats.ias_failures);
            ("tag_overflows", Json.Int s.Stats.tag_overflows);

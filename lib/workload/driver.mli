@@ -12,10 +12,6 @@ type result = {
   l1_miss_rate : float;        (** misses / accesses, in [0,1] *)
   energy : float;              (** total energy of the window (model units) *)
   energy_per_op : float;
-  validates : int;
-  validate_failures : int;
-  validate_failures_spurious : int;
-  cas_failures : int;
   latency : Mt_obs.Hist.t;     (** per-op latency of the measured window *)
   stats : Mt_sim.Stats.t;      (** full aggregated counters of the window *)
 }

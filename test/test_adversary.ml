@@ -102,7 +102,8 @@ let test_spec_plain () =
 let test_spec_geometry_bound () =
   (* The injector only shrinks caches: Config.default's geometry (L1 2^6
      sets x 8 ways, L2 2^8 sets x 16 ways) parses, one step past it in
-     any component is rejected before anything is allocated. *)
+     any component is rejected before anything is allocated, and so is an
+     L2 holding fewer lines than the L1 it includes. *)
   let parses s = Result.is_ok (Inject.of_string s) in
   check_bool "default geometry accepted" true (parses "geom=6,8,8,16");
   let small = { Inject.none with geometry = Some Inject.small_geometry } in
@@ -118,6 +119,7 @@ let test_spec_geometry_bound () =
       "geom=40,1,40,1";
       "geom=6,0,8,16";
       "geom=-1,8,8,16";
+      "geom=6,8,0,1";
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -192,7 +192,7 @@ let spec_small =
     ~warmup_cycles:2_000 ~measure_cycles:8_000 ()
 
 let fingerprint (r : Driver.result) =
-  (r.ops, r.duration, r.throughput, r.cas_failures, r.validate_failures, r.stats)
+  (r.ops, r.duration, r.throughput, r.stats)
 
 let all_policies =
   [ Cm.immediate; Cm.backoff (); Cm.politeness () ]

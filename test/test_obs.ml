@@ -422,8 +422,8 @@ let test_tracing_does_not_perturb () =
   check_int "duration" plain.Driver.duration traced.Driver.duration;
   check_bool "throughput" true
     (plain.Driver.throughput = traced.Driver.throughput);
-  check_int "validate failures" plain.Driver.validate_failures
-    traced.Driver.validate_failures
+  check_int "validate failures" plain.Driver.stats.Mt_sim.Stats.validate_failures
+    traced.Driver.stats.Mt_sim.Stats.validate_failures
 
 let test_driver_json_schema () =
   let r, _ = traced_run 3 in

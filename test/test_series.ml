@@ -227,7 +227,7 @@ let test_series_squeeze_spike () =
      ops still complete overall. *)
   check_bool "run still completes ops" true (r.Driver.ops > 0);
   check_bool "spurious aborts recorded" true
-    (r.Driver.validate_failures_spurious > 0)
+    (r.Driver.stats.Mt_sim.Stats.validate_failures_spurious > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Serve-layer conservation: result counters vs series sums. *)

@@ -147,6 +147,44 @@ struct
         check_int "retried" 3 !tries;
         check_int "only final attempt committed" 3 (Machine.peek m cell))
 
+  (* The counter on a recording sink: every abort event carries this STM's
+     name, and the hottest line is this STM's sequence lock. At Max_Tags 1
+     tagged NOrec cannot hold its read set, so it too validates by value
+     and aborts under contention. *)
+  let test_obs_named () =
+    let threads = 8 in
+    let obs = Mt_obs.Obs.create ~retain:false ~num_cores:threads () in
+    let impls = ref [] in
+    Mt_obs.Obs.set_tap obs
+      (Some
+         (fun e ->
+           match e.Mt_obs.Obs.kind with
+           | Mt_obs.Obs.Stm_abort { impl; _ } -> impls := impl :: !impls
+           | _ -> ()));
+    let cfg = { (Config.default ~num_cores:threads ()) with max_tags = 1 } in
+    let m = Machine.create ~obs cfg in
+    let stm, cell =
+      Harness.exec1 m (fun ctx ->
+          let stm = S.create ctx in
+          (stm, Ctx.alloc ctx ~words:1))
+    in
+    let (_ : int) =
+      Harness.exec m ~seed:2 ~threads (fun ctx ->
+          for _ = 1 to 50 do
+            S.atomically ctx stm (fun tx -> S.write tx cell (S.read tx cell + 1))
+          done)
+    in
+    check_int "all increments applied" (threads * 50) (Machine.peek m cell);
+    check_bool "aborts recorded" true (!impls <> []);
+    List.iter (Alcotest.(check string) "abort names the STM" S.name) !impls;
+    let owner =
+      match Mt_obs.Trace.hot_lines_json ~top:1 obs with
+      | Mt_obs.Json.List [ Mt_obs.Json.Obj fields ] -> List.assoc "owner" fields
+      | _ -> Mt_obs.Json.Null
+    in
+    check_bool "hottest line is the sequence lock" true
+      (owner = Mt_obs.Json.String (S.name ^ "-seqlock"))
+
   let cases =
     [
       Alcotest.test_case "roundtrip" `Quick test_read_write_roundtrip;
@@ -155,6 +193,7 @@ struct
       Alcotest.test_case "consistent snapshots" `Quick test_consistent_snapshots;
       Alcotest.test_case "counter" `Quick test_counter;
       Alcotest.test_case "user abort" `Quick test_user_abort_retries;
+      Alcotest.test_case "events and hot line named" `Quick test_obs_named;
     ]
 end
 
