@@ -20,20 +20,6 @@ struct
     if P.a < 2 then invalid_arg "Abtree_hoh: a must be >= 2";
     if P.b < (2 * P.a) - 1 then invalid_arg "Abtree_hoh: b must be >= 2a-1"
 
-  (* The checker-canary seam: with [validated_insert = false] an insert
-     swings the parent slot with a plain (unvalidated) store instead of
-     IAS — the hand-over-hand descent's tag window is never checked at
-     commit time, so a concurrent replacement of the window is silently
-     overwritten. [Mt_check.Buggy_abtree] instantiates this to give the
-     linearizability battery a tree-shaped seeded bug; every real tree
-     uses {!Make}, which pins it to [true]. *)
-  let insert_commit ctx target v =
-    if P.validated_insert then Ctx.ias ctx target v
-    else begin
-      Ctx.write ctx target v;
-      true
-    end
-
   let a = P.a
   let b = P.b
 
@@ -85,8 +71,15 @@ struct
 
   let read_desc ctx node = read_desc_gen tread ctx node
 
-  let tagged_meta ctx node = tread ctx node
+  (* A timing-free read of a node, for the checker on a quiescent machine. *)
+  let peek_desc machine node = read_desc_gen Mt_sim.Machine.peek machine node
+
   let untag ctx node = Ctx.remove_tag ctx node ~words:node_words
+
+  (* Tag [node] (a tagged load of its meta word) and validate the tag set. *)
+  let tag_valid ctx node =
+    let (_ : int) = tread ctx node in
+    Ctx.validate ctx
 
   let create ctx =
     let leaf = write_desc ctx { weight = 1; leaf = true; keys = [||]; ptrs = [||] } in
@@ -111,24 +104,27 @@ struct
 
   exception Restart = Ctx.Restart
 
-  (* Hand-over-hand tagged descent toward [k], stopping at the first node
-     satisfying [stop] (or at a leaf). Returns
-     [(gp, ixp, p, ixc, curr, curr_meta)]: [ixp] is [p]'s slot in [gp],
-     [ixc] is [curr]'s slot in [p]; [null]/[-1] when absent. The returned
-     window nodes remain tagged; the caller must clear the tag set.
-     Restarts go through {!Ctx.with_restarts} (clear, consult the
+  (* Hand-over-hand tagged descent toward [k], stopping at a leaf or, when
+     [rebalancing], at the first node that {!Node_desc.violates} balance.
+     Returns [(gp, ixp, p, ixc, curr, curr_meta)]: [ixp] is [p]'s slot in
+     [gp], [ixc] is [curr]'s slot in [p]; [null]/[-1] when absent. The
+     returned window nodes remain tagged; the caller must clear the tag
+     set. Restarts go through {!Ctx.with_restarts} (clear, consult the
      contention policy, re-descend). *)
-  let locate_gen ctx t k ~stop =
+  let locate ctx t k ~rebalancing =
     Ctx.with_restarts ~site:t.sentinel ctx (fun () ->
         let curr = t.sentinel in
-        let cm = tagged_meta ctx curr in
+        let cm = tread ctx curr in
         if not (Ctx.validate ctx) then raise Restart;
         let rec go gp ixp p ixc curr cm =
-          if (p <> null && stop ~p ~meta:cm) || Node_desc.meta_leaf cm then
-            (gp, ixp, p, ixc, curr, cm)
+          if
+            (rebalancing && p <> null
+            && Node_desc.violates ~a ~root_child:(p = t.sentinel) cm)
+            || Node_desc.meta_leaf cm
+          then (gp, ixp, p, ixc, curr, cm)
           else begin
             let ix, next = select_child ctx curr cm k in
-            let nm = tagged_meta ctx next in
+            let nm = tread ctx next in
             if not (Ctx.validate ctx) then raise Restart;
             if gp <> null then untag ctx gp;
             go p ixc curr ix next nm
@@ -136,213 +132,127 @@ struct
         in
         go null (-1) null (-1) curr cm)
 
-  let never ~p:_ ~meta:_ = false
-
-  (* Does the node described by [meta] (child of [p]) violate balance? *)
-  let violation t ~p ~meta =
-    let w = Node_desc.meta_weight meta in
-    let count = Node_desc.meta_count meta in
-    let leaf = Node_desc.meta_leaf meta in
-    if w = 0 then true
-    else if p = t.sentinel then (not leaf) && count = 0 (* internal root child with 1 child *)
-    else if leaf then count < a
-    else count + 1 < a
-
   (* ------------------------------------------------------------------ *)
   (* Updates. *)
 
-  let rec insert ctx t k =
-    let rec go attempt =
-      let gp, _ixp, p, ixc, u, _um = locate_gen ctx t k ~stop:never in
-      let ud = read_desc ctx u in
-      if Node_desc.leaf_contains ud k then begin
-        Ctx.clear_tag_set ctx;
-        false
-      end
-      else begin
-        (* Only p's slot is written and only u is removed: drop gp's tag to
-           avoid collateral invalidation. *)
-        if gp <> null then untag ctx gp;
-        let target = p + ptrs_off + ixc in
-        let grew = Node_desc.leaf_insert ud k in
-        let ok =
-          if Node_desc.size grew <= b then insert_commit ctx target (write_desc ctx grew)
-          else begin
-            (* Figure 3(b): split into two leaves under a fresh flagged node. *)
-            let l, r, sep = Node_desc.split grew in
-            let la = write_desc ctx l in
-            let ra = write_desc ctx r in
-            let np =
-              write_desc ctx
-                { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
-            in
-            insert_commit ctx target np
-          end
-        in
-        Ctx.clear_tag_set ctx;
-        if ok then begin
-          if Node_desc.size grew > b then rebalance ctx t k;
-          true
-        end
-        else begin
-          Ctx.cm_wait ~site:target ctx ~attempt;
-          go (attempt + 1)
-        end
-      end
-    in
-    go 0
+  (* The checker-canary seam: with [validated_insert = false] an insert
+     swings the parent slot with a plain (unvalidated) store instead of
+     IAS — the hand-over-hand descent's tag window is never checked at
+     commit time, so a concurrent replacement of the window is silently
+     overwritten. [Mt_check.Buggy_abtree] instantiates this to give the
+     linearizability battery a tree-shaped seeded bug; every real tree
+     uses {!Make}, which pins it to [true]. *)
+  let commit ctx ~insert target v =
+    if insert && not P.validated_insert then begin
+      Ctx.write ctx target v;
+      true
+    end
+    else Ctx.ias ctx target v
 
-  and delete ctx t k =
-    let rec go attempt =
-      let gp, _ixp, p, ixc, u, _um = locate_gen ctx t k ~stop:never in
-      let ud = read_desc ctx u in
-      if not (Node_desc.leaf_contains ud k) then begin
-        Ctx.clear_tag_set ctx;
-        false
+  (* AbsorbChild or PropagateTag: [pd] and its flagged internal child [cd]
+     (slot [ix]) become one node, or two under a flagged parent, at
+     [target]. *)
+  let absorb_child ctx target pd ix (cd : Node_desc.t) =
+    (not cd.leaf)
+    && Ctx.ias ctx target
+         (Node_desc.write_fitted ~b write_desc ctx
+            (Node_desc.absorb ~parent:pd ~ix ~child:cd))
+
+  (* INSERT and DELETE: locate the leaf, write its replacement (split
+     under a flagged parent when it overflows, Figure 3(b)) and commit it
+     with one IAS on the parent's slot; a lost race waits on the
+     contention policy (keyed by the contended slot) and retries. *)
+  let rec update ctx t k ~insert attempt =
+    let gp, _ixp, p, ixc, u, _um = locate ctx t k ~rebalancing:false in
+    let ud = read_desc ctx u in
+    if Node_desc.leaf_contains ud k = insert then begin
+      (* Already present (insert) or absent (delete). *)
+      Ctx.clear_tag_set ctx;
+      false
+    end
+    else begin
+      (* Only p's slot is written and only u is removed: drop gp's tag to
+         avoid collateral invalidation. *)
+      if gp <> null then untag ctx gp;
+      let target = p + ptrs_off + ixc in
+      let d =
+        if insert then Node_desc.leaf_insert ud k else Node_desc.leaf_remove ud k
+      in
+      let ok = commit ctx ~insert target (Node_desc.write_fitted ~b write_desc ctx d) in
+      Ctx.clear_tag_set ctx;
+      if ok then begin
+        if
+          if insert then Node_desc.size d > b
+          else Node_desc.size d < a && p <> t.sentinel
+        then rebalance ctx t k;
+        true
       end
       else begin
-        if gp <> null then untag ctx gp;
-        let target = p + ptrs_off + ixc in
-        let shrunk = Node_desc.leaf_remove ud k in
-        let ok = Ctx.ias ctx target (write_desc ctx shrunk) in
-        Ctx.clear_tag_set ctx;
-        if ok then begin
-          if Node_desc.size shrunk < a && p <> t.sentinel then rebalance ctx t k;
-          true
-        end
-        else begin
-          Ctx.cm_wait ~site:target ctx ~attempt;
-          go (attempt + 1)
-        end
+        Ctx.cm_wait ~site:target ctx ~attempt;
+        update ctx t k ~insert (attempt + 1)
       end
-    in
-    go 0
+    end
 
   (* One rebalancing step at the window (gp, p, u). Returns true on a
      successful IAS; false means "inconsistency or conflict — re-descend".
      The tag set still holds {gp?, p, u} (+ possibly a sibling we add). *)
   and apply_step ctx t gp ixp p ixc u um =
-    let weight = Node_desc.meta_weight um in
-    if weight = 0 then
-      if p = t.sentinel then begin
-        (* RootUntag: replace the flagged root child by a weight-1 copy. *)
-        let ud = read_desc ctx u in
-        Ctx.ias ctx (p + ptrs_off + ixc) (write_desc ctx (Node_desc.set_weight ud 1))
-      end
-      else begin
-        (* gp exists because p is not the sentinel. *)
-        let pd = read_desc ctx p in
-        if ixc >= Array.length pd.ptrs || pd.ptrs.(ixc) <> u || pd.leaf then false
-        else begin
-          let ud = read_desc ctx u in
-          if ud.leaf then false
-          else begin
-            let comb = Node_desc.absorb ~parent:pd ~ix:ixc ~child:ud in
-            let target = gp + ptrs_off + ixp in
-            if Node_desc.size comb <= b then
-              (* AbsorbChild: p and u replaced by one combined node. *)
-              Ctx.ias ctx target (write_desc ctx comb)
-            else begin
-              (* PropagateTag: the flag violation moves one level up. *)
-              let l, r, sep = Node_desc.split comb in
-              let la = write_desc ctx l in
-              let ra = write_desc ctx r in
-              let np =
-                write_desc ctx
-                  { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
-              in
-              Ctx.ias ctx target np
-            end
-          end
-        end
-      end
-    else if p = t.sentinel then begin
-      (* RootAbsorb: internal root child with a single child. *)
+    if p = t.sentinel then begin
       let ud = read_desc ctx u in
-      if ud.leaf || Array.length ud.ptrs <> 1 then false
-      else begin
-        let child = ud.ptrs.(0) in
-        let (_ : int) = tagged_meta ctx child in
-        if not (Ctx.validate ctx) then false
-        else begin
-          let cd = read_desc ctx child in
-          Ctx.ias ctx (p + ptrs_off + ixc) (write_desc ctx (Node_desc.set_weight cd 1))
-        end
-      end
+      let slot = p + ptrs_off + ixc in
+      if Node_desc.meta_weight um = 0 then
+        (* RootUntag: replace the flagged root child by a weight-1 copy. *)
+        Ctx.ias ctx slot (write_desc ctx (Node_desc.set_weight ud 1))
+      else
+        (* RootAbsorb: an internal root child with a single child is
+           replaced by a weight-1 copy of that child. *)
+        (not ud.leaf) && Array.length ud.ptrs = 1
+        && tag_valid ctx ud.ptrs.(0)
+        && Ctx.ias ctx slot
+             (write_desc ctx (Node_desc.set_weight (read_desc ctx ud.ptrs.(0)) 1))
     end
     else begin
-      (* Degree violation at u: operate on u and an adjacent sibling. *)
+      (* gp exists because p is not the sentinel. *)
       let pd = read_desc ctx p in
-      if ixc >= Array.length pd.ptrs || pd.ptrs.(ixc) <> u || pd.leaf then false
+      let target = gp + ptrs_off + ixp in
+      ixc < Array.length pd.ptrs && pd.ptrs.(ixc) = u && (not pd.leaf)
+      &&
+      if Node_desc.meta_weight um = 0 then
+        (* AbsorbChild / PropagateTag on the flagged u. *)
+        absorb_child ctx target pd ixc (read_desc ctx u)
       else begin
+        (* Degree violation at u: operate on u and an adjacent sibling. *)
         let six = if ixc > 0 then ixc - 1 else ixc + 1 in
-        if six >= Array.length pd.ptrs then false
+        six < Array.length pd.ptrs
+        && tag_valid ctx pd.ptrs.(six)
+        &&
+        let sd = read_desc ctx pd.ptrs.(six) in
+        if sd.weight = 0 then
+          (* The sibling carries a flag violation: fix it first. *)
+          absorb_child ctx target pd six sd
         else begin
-          let s = pd.ptrs.(six) in
-          let (_ : int) = tagged_meta ctx s in
-          if not (Ctx.validate ctx) then false
-          else begin
-            let sd = read_desc ctx s in
-            let target = gp + ptrs_off + ixp in
-            if sd.weight = 0 then begin
-              (* The sibling carries a flag violation: fix it first
-                 (AbsorbChild / PropagateTag on s instead of u). *)
-              if sd.leaf then false
-              else begin
-                let comb = Node_desc.absorb ~parent:pd ~ix:six ~child:sd in
-                if Node_desc.size comb <= b then Ctx.ias ctx target (write_desc ctx comb)
-                else begin
-                  let l, r, sep = Node_desc.split comb in
-                  let la = write_desc ctx l in
-                  let ra = write_desc ctx r in
-                  let np =
-                    write_desc ctx
-                      { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
-                  in
-                  Ctx.ias ctx target np
-                end
-              end
-            end
-            else begin
-              let ud = read_desc ctx u in
-              let li, l, r = if six < ixc then (six, sd, ud) else (ixc, ud, sd) in
-              if l.leaf <> r.leaf || li >= Array.length pd.keys then false
-              else begin
-                let sep = pd.keys.(li) in
-                if Node_desc.size l + Node_desc.size r <= b then begin
-                  (* AbsorbSibling (Algorithm 4): merge u and s; p is
-                     replaced by a copy with one child fewer. *)
-                  let m = write_desc ctx (Node_desc.merge_pair ~sep l r) in
-                  let p' = Node_desc.replace_pair_with_one pd li ~addr:m in
-                  Ctx.ias ctx target (write_desc ctx p')
-                end
-                else begin
-                  (* Distribute: even out u and s. *)
-                  let l', r', sep' = Node_desc.distribute_pair ~sep l r in
-                  let la = write_desc ctx l' in
-                  let ra = write_desc ctx r' in
-                  let p' = Node_desc.update_pair pd li ~left:la ~right:ra ~sep:sep' in
-                  Ctx.ias ctx target (write_desc ctx p')
-                end
-              end
-            end
-          end
+          let ud = read_desc ctx u in
+          let li, l, r = if six < ixc then (six, sd, ud) else (ixc, ud, sd) in
+          l.leaf = r.leaf && li < Array.length pd.keys
+          && Ctx.ias ctx target (Node_desc.rebalance_pair ~b write_desc ctx pd li l r)
         end
       end
     end
 
   (* Rebalance (Algorithm 5): repeatedly fix the first violation on the
-     search path to k until the whole path is violation-free. *)
+     search path to k until the whole path is violation-free. Whether a
+     step succeeds or aborts, the path is re-examined. *)
   and rebalance ctx t k =
-    let stop ~p ~meta = violation t ~p ~meta in
-    let gp, ixp, p, ixc, u, um = locate_gen ctx t k ~stop in
-    if p = null || not (violation t ~p ~meta:um) then Ctx.clear_tag_set ctx
-    else begin
+    let gp, ixp, p, ixc, u, um = locate ctx t k ~rebalancing:true in
+    if p <> null && Node_desc.violates ~a ~root_child:(p = t.sentinel) um then begin
       let (_ : bool) = apply_step ctx t gp ixp p ixc u um in
       Ctx.clear_tag_set ctx;
-      (* Whether the step succeeded or aborted, re-examine the path. *)
       rebalance ctx t k
     end
+    else Ctx.clear_tag_set ctx
+
+  let insert ctx t k = update ctx t k ~insert:true 0
+  let delete ctx t k = update ctx t k ~insert:false 0
 
   (* ------------------------------------------------------------------ *)
   (* Searches: plain untagged descent. Correct because nodes are only ever
@@ -413,8 +323,7 @@ struct
           let rec visit node =
             decr budget;
             if !budget <= 0 then raise Exit;
-            let (_ : int) = tagged_meta ctx node in
-            if not (Ctx.validate ctx) then raise Restart;
+            if not (tag_valid ctx node) then raise Restart;
             let d = read_desc ctx node in
             if d.leaf then
               Array.iter (fun k -> if k >= lo && k <= hi then acc := k :: !acc) d.keys
@@ -437,39 +346,10 @@ struct
             None)
 
   let check machine t =
-    let peek = Mt_sim.Machine.peek machine in
-    let reader addr : Checker.node =
-      let meta = peek addr in
-      let count = Node_desc.meta_count meta in
-      let leaf = Node_desc.meta_leaf meta in
-      {
-        Checker.weight = Node_desc.meta_weight meta;
-        leaf;
-        keys = Array.init count (fun i -> peek (addr + keys_off + i));
-        children =
-          (if leaf then [||] else Array.init (count + 1) (fun i -> peek (addr + ptrs_off + i)));
-      }
-    in
-    Checker.check ~a ~b ~reader ~sentinel:t.sentinel
+    Checker.check ~a ~b ~reader:(peek_desc machine) ~sentinel:t.sentinel
 
   let to_list_unsafe machine t =
-    let peek = Mt_sim.Machine.peek machine in
-    (* Accumulates keys in reverse while walking left-to-right. *)
-    let rec walk node acc =
-      let meta = peek node in
-      let count = Node_desc.meta_count meta in
-      let acc = ref acc in
-      if Node_desc.meta_leaf meta then
-        for i = 0 to count - 1 do
-          acc := peek (node + keys_off + i) :: !acc
-        done
-      else
-        for i = 0 to count do
-          acc := walk (peek (node + ptrs_off + i)) !acc
-        done;
-      !acc
-    in
-    List.rev (walk t.sentinel [])
+    Checker.keys ~reader:(peek_desc machine) ~sentinel:t.sentinel
 end
 
 module Make (P : sig

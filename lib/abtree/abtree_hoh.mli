@@ -16,7 +16,9 @@
 
     Rebalancing repeatedly fixes the first violation on the search path:
     RootUntag, RootAbsorb, AbsorbChild, PropagateTag, AbsorbSibling,
-    Distribute — until the path is violation-free. *)
+    Distribute — until the path is violation-free. {!Node_desc} plans
+    each step (as it does for {!Abtree_llx}); this tree reads the nodes
+    involved with tagged loads plus validate and commits with one IAS. *)
 
 (** What every HoH tree offers beyond {!Mt_list.Set_intf.SET}. *)
 module type S = sig

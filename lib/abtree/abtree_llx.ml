@@ -3,6 +3,34 @@ module Llx_scx = Mt_llxscx.Llx_scx
 
 let null = Mt_sim.Memory.null
 
+(* Two header reads per node: field count (leaf test), then meta. *)
+let node_info ctx r =
+  let nf = Llx_scx.nfields ctx r in
+  Ctx.read ctx (Llx_scx.payload_addr r ~mutable_fields:nf)
+
+(* LLX [r], snapshotting only the live prefix of its pointer slots (none
+   for a leaf) — the mutable content the operation actually depends on.
+   [None] triggers a retry of the whole operation. *)
+let llx_node ctx r =
+  let meta = node_info ctx r in
+  let fields =
+    if Node_desc.meta_leaf meta then 0 else Node_desc.meta_count meta + 1
+  in
+  match Llx_scx.llx ~fields ctx r with
+  | Llx_scx.Snapshot s -> Some s
+  | Llx_scx.Finalized | Llx_scx.Fail -> None
+
+(* {!llx_node} on [r], and [None] too unless its field [ix] still points
+   to [c]. *)
+let llx_parent ctx r ix c =
+  match llx_node ctx r with
+  | Some (s : Llx_scx.snapshot) as snap
+    when ix < Array.length s.fields && s.fields.(ix) = c ->
+      snap
+  | _ -> None
+
+let ( let* ) o f = match o with None -> false | Some x -> f x
+
 module Make (P : sig
   val a : int
   val b : int
@@ -37,11 +65,6 @@ struct
     Array.iteri (fun i k -> Ctx.write ctx (payload + 1 + i) k) d.keys;
     Array.iteri (fun i p -> Llx_scx.init_field ctx r i p) d.ptrs;
     r
-
-  (* Two header reads per node: field count (leaf test), then meta. *)
-  let node_info ctx r =
-    let nf = Llx_scx.nfields ctx r in
-    Ctx.read ctx (Llx_scx.payload_addr r ~mutable_fields:nf)
 
   let payload_of_meta r meta =
     Llx_scx.payload_addr r
@@ -111,112 +134,53 @@ struct
     in
     scan 0
 
-  (* LLX a node expecting it to be an internal node with a live snapshot;
-     [None] triggers a retry of the whole operation. *)
-  (* Snapshot only the live prefix of the pointer slots (none for a
-     leaf) — the mutable content the operation actually depends on. *)
-  let llx_node ctx r =
-    let meta = node_info ctx r in
-    let fields =
-      if Node_desc.meta_leaf meta then 0 else Node_desc.meta_count meta + 1
-    in
-    match Llx_scx.llx ~fields ctx r with
-    | Llx_scx.Snapshot s -> Some s
-    | Llx_scx.Finalized | Llx_scx.Fail -> None
-
-  let ( let* ) o f = match o with None -> false | Some x -> f x
-
   (* ------------------------------------------------------------------ *)
 
-  let rec insert ctx t k =
-    match insert_attempt ctx t k with
+  (* INSERT and DELETE: LLX the leaf and its parent, write the leaf's
+     replacement (split under a flagged parent when it overflows) and swing
+     the parent's field with one SCX. The baseline is measured as
+     published: a failed attempt retries at once, without consulting the
+     contention policy. *)
+  let rec update ctx t k ~insert =
+    match update_attempt ctx t k ~insert with
     | Some result -> result
-    | None -> insert ctx t k
+    | None -> update ctx t k ~insert
 
-  and insert_attempt ctx t k =
+  and update_attempt ctx t k ~insert =
     let _gp, _ixp, p, ixc, u = search_full ctx t k in
-    match llx_node ctx p with
+    match llx_parent ctx p ixc u with
     | None -> None
-    | Some ps ->
-        if ixc >= Array.length ps.fields || ps.fields.(ixc) <> u then None
-        else begin
-          match llx_node ctx u with
-          | None -> None
-          | Some us ->
-              let ud = desc_of_snapshot ctx u us in
-              if not ud.leaf then None
-              else if Node_desc.leaf_contains ud k then Some false
-              else begin
-                let grew = Node_desc.leaf_insert ud k in
-                let new_node =
-                  if Node_desc.size grew <= b then write_desc ctx grew
-                  else begin
-                    let l, r, sep = Node_desc.split grew in
-                    let la = write_desc ctx l in
-                    let ra = write_desc ctx r in
-                    write_desc ctx
-                      { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
-                  end
-                in
+    | Some ps -> (
+        match llx_node ctx u with
+        | None -> None
+        | Some us ->
+            let ud = desc_of_snapshot ctx u us in
+            if not ud.leaf then None
+            else if Node_desc.leaf_contains ud k = insert then Some false
+            else begin
+              let d =
+                if insert then Node_desc.leaf_insert ud k else Node_desc.leaf_remove ud k
+              in
+              if
+                Llx_scx.scx ctx ~v:[ ps; us ] ~r:[] ~fld:(Llx_scx.field_addr p ixc)
+                  ~old_val:u ~new_val:(Node_desc.write_fitted ~b write_desc ctx d)
+              then begin
                 if
-                  Llx_scx.scx ctx ~v:[ ps; us ] ~r:[]
-                    ~fld:(Llx_scx.field_addr p ixc) ~old_val:u ~new_val:new_node
-                then begin
-                  if Node_desc.size grew > b then rebalance ctx t k;
-                  Some true
-                end
-                else None
+                  if insert then Node_desc.size d > b
+                  else Node_desc.size d < a && p <> t.sentinel
+                then rebalance ctx t k;
+                Some true
               end
-        end
-
-  and delete ctx t k =
-    match delete_attempt ctx t k with
-    | Some result -> result
-    | None -> delete ctx t k
-
-  and delete_attempt ctx t k =
-    let _gp, _ixp, p, ixc, u = search_full ctx t k in
-    match llx_node ctx p with
-    | None -> None
-    | Some ps ->
-        if ixc >= Array.length ps.fields || ps.fields.(ixc) <> u then None
-        else begin
-          match llx_node ctx u with
-          | None -> None
-          | Some us ->
-              let ud = desc_of_snapshot ctx u us in
-              if not ud.leaf then None
-              else if not (Node_desc.leaf_contains ud k) then Some false
-              else begin
-                let shrunk = Node_desc.leaf_remove ud k in
-                let new_node = write_desc ctx shrunk in
-                if
-                  Llx_scx.scx ctx ~v:[ ps; us ] ~r:[]
-                    ~fld:(Llx_scx.field_addr p ixc) ~old_val:u ~new_val:new_node
-                then begin
-                  if Node_desc.size shrunk < a && p <> t.sentinel then rebalance ctx t k;
-                  Some true
-                end
-                else None
-              end
-        end
+              else None
+            end)
 
   (* Find the first violation on the search path to k (plain reads). *)
   and find_violation ctx t k =
     let rec go gp ixp p ixc curr =
       let meta = node_info ctx curr in
-      let w = Node_desc.meta_weight meta in
-      let count = Node_desc.meta_count meta in
-      let leaf = Node_desc.meta_leaf meta in
-      let violating =
-        if p = null then false
-        else if w = 0 then true
-        else if p = t.sentinel then (not leaf) && count = 0
-        else if leaf then count < a
-        else count + 1 < a
-      in
-      if violating then Some (gp, ixp, p, ixc, curr)
-      else if leaf then None
+      if p <> null && Node_desc.violates ~a ~root_child:(p = t.sentinel) meta then
+        Some (gp, ixp, p, ixc, curr)
+      else if Node_desc.meta_leaf meta then None
       else begin
         let ix, next = select_child ctx curr meta k in
         go p ixc curr ix next
@@ -226,114 +190,64 @@ struct
 
   (* One rebalancing step via SCX; false = conflict, re-descend. *)
   and apply_step ctx t gp ixp p ixc u =
-    let* ps = llx_node ctx p in
-    if ixc >= Array.length ps.fields || ps.fields.(ixc) <> u then false
-    else begin
-      let* us = llx_node ctx u in
-      let pd = desc_of_snapshot ctx p ps in
-      let ud = desc_of_snapshot ctx u us in
+    let* ps = llx_parent ctx p ixc u in
+    let* us = llx_node ctx u in
+    let pd = desc_of_snapshot ctx p ps in
+    let ud = desc_of_snapshot ctx u us in
+    if p = t.sentinel then begin
       let fld_p = Llx_scx.field_addr p ixc in
       if ud.weight = 0 then
-        if p = t.sentinel then
-          (* RootUntag *)
-          let nn = write_desc ctx (Node_desc.set_weight ud 1) in
-          Llx_scx.scx ctx ~v:[ ps; us ] ~r:[ u ] ~fld:fld_p ~old_val:u ~new_val:nn
-        else begin
-          if ud.leaf || pd.leaf then false
-          else begin
-            let* gs = llx_node ctx gp in
-            if ixp >= Array.length gs.fields || gs.fields.(ixp) <> p then false
-            else begin
-              let comb = Node_desc.absorb ~parent:pd ~ix:ixc ~child:ud in
-              let fld_gp = Llx_scx.field_addr gp ixp in
-              let new_node =
-                if Node_desc.size comb <= b then write_desc ctx comb
-                else begin
-                  let l, r, sep = Node_desc.split comb in
-                  let la = write_desc ctx l in
-                  let ra = write_desc ctx r in
-                  write_desc ctx
-                    { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
-                end
-              in
-              Llx_scx.scx ctx ~v:[ gs; ps; us ] ~r:[ p; u ] ~fld:fld_gp ~old_val:p
-                ~new_val:new_node
-            end
-          end
-        end
-      else if p = t.sentinel then begin
-        (* RootAbsorb *)
-        if ud.leaf || Array.length ud.ptrs <> 1 then false
-        else begin
-          let c = ud.ptrs.(0) in
-          let* cs = llx_node ctx c in
-          let cd = desc_of_snapshot ctx c cs in
-          let nn = write_desc ctx (Node_desc.set_weight cd 1) in
-          Llx_scx.scx ctx ~v:[ ps; us; cs ] ~r:[ u; c ] ~fld:fld_p ~old_val:u
-            ~new_val:nn
-        end
-      end
+        (* RootUntag *)
+        let nn = write_desc ctx (Node_desc.set_weight ud 1) in
+        Llx_scx.scx ctx ~v:[ ps; us ] ~r:[ u ] ~fld:fld_p ~old_val:u ~new_val:nn
+      else if ud.leaf || Array.length ud.ptrs <> 1 then false
       else begin
-        (* Degree violation: involve an adjacent sibling. *)
-        if pd.leaf then false
-        else begin
-          let six = if ixc > 0 then ixc - 1 else ixc + 1 in
-          if six >= Array.length pd.ptrs then false
-          else begin
-            let s = pd.ptrs.(six) in
-            let* ss = llx_node ctx s in
-            let sd = desc_of_snapshot ctx s ss in
-            let* gs = llx_node ctx gp in
-            if ixp >= Array.length gs.fields || gs.fields.(ixp) <> p then false
-            else begin
-              let fld_gp = Llx_scx.field_addr gp ixp in
-              if sd.weight = 0 then begin
-                (* Fix the sibling's flag violation first. *)
-                if sd.leaf then false
-                else begin
-                  let comb = Node_desc.absorb ~parent:pd ~ix:six ~child:sd in
-                  let new_node =
-                    if Node_desc.size comb <= b then write_desc ctx comb
-                    else begin
-                      let l, r, sep = Node_desc.split comb in
-                      let la = write_desc ctx l in
-                      let ra = write_desc ctx r in
-                      write_desc ctx
-                        { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
-                    end
-                  in
-                  Llx_scx.scx ctx ~v:[ gs; ps; ss ] ~r:[ p; s ] ~fld:fld_gp
-                    ~old_val:p ~new_val:new_node
-                end
-              end
-              else begin
-                let li, l, r = if six < ixc then (six, sd, ud) else (ixc, ud, sd) in
-                if l.Node_desc.leaf <> r.Node_desc.leaf || li >= Array.length pd.keys
-                then false
-                else begin
-                  let sep = pd.keys.(li) in
-                  let new_parent =
-                    if Node_desc.size l + Node_desc.size r <= b then begin
-                      (* AbsorbSibling *)
-                      let m = write_desc ctx (Node_desc.merge_pair ~sep l r) in
-                      Node_desc.replace_pair_with_one pd li ~addr:m
-                    end
-                    else begin
-                      (* Distribute *)
-                      let l', r', sep' = Node_desc.distribute_pair ~sep l r in
-                      let la = write_desc ctx l' in
-                      let ra = write_desc ctx r' in
-                      Node_desc.update_pair pd li ~left:la ~right:ra ~sep:sep'
-                    end
-                  in
-                  let nn = write_desc ctx new_parent in
-                  Llx_scx.scx ctx ~v:[ gs; ps; us; ss ] ~r:[ p; u; s ] ~fld:fld_gp
-                    ~old_val:p ~new_val:nn
-                end
-              end
-            end
-          end
-        end
+        (* RootAbsorb *)
+        let c = ud.ptrs.(0) in
+        let* cs = llx_node ctx c in
+        let nn = write_desc ctx (Node_desc.set_weight (desc_of_snapshot ctx c cs) 1) in
+        Llx_scx.scx ctx ~v:[ ps; us; cs ] ~r:[ u; c ] ~fld:fld_p ~old_val:u
+          ~new_val:nn
+      end
+    end
+    else if ud.weight = 0 then begin
+      (* AbsorbChild / PropagateTag *)
+      (not (ud.leaf || pd.leaf))
+      &&
+      let* gs = llx_parent ctx gp ixp p in
+      let nn =
+        Node_desc.write_fitted ~b write_desc ctx
+          (Node_desc.absorb ~parent:pd ~ix:ixc ~child:ud)
+      in
+      Llx_scx.scx ctx ~v:[ gs; ps; us ] ~r:[ p; u ] ~fld:(Llx_scx.field_addr gp ixp)
+        ~old_val:p ~new_val:nn
+    end
+    else begin
+      (* Degree violation: involve an adjacent sibling. *)
+      let six = if ixc > 0 then ixc - 1 else ixc + 1 in
+      (not pd.leaf) && six < Array.length pd.ptrs
+      &&
+      let s = pd.ptrs.(six) in
+      let* ss = llx_node ctx s in
+      let sd = desc_of_snapshot ctx s ss in
+      let* gs = llx_parent ctx gp ixp p in
+      if sd.weight = 0 then
+        (* Fix the sibling's flag violation first. *)
+        (not sd.leaf)
+        &&
+        let nn =
+          Node_desc.write_fitted ~b write_desc ctx
+            (Node_desc.absorb ~parent:pd ~ix:six ~child:sd)
+        in
+        Llx_scx.scx ctx ~v:[ gs; ps; ss ] ~r:[ p; s ] ~fld:(Llx_scx.field_addr gp ixp)
+          ~old_val:p ~new_val:nn
+      else begin
+        let li, l, r = if six < ixc then (six, sd, ud) else (ixc, ud, sd) in
+        l.leaf = r.leaf && li < Array.length pd.keys
+        &&
+        let nn = Node_desc.rebalance_pair ~b write_desc ctx pd li l r in
+        Llx_scx.scx ctx ~v:[ gs; ps; us; ss ] ~r:[ p; u; s ]
+          ~fld:(Llx_scx.field_addr gp ixp) ~old_val:p ~new_val:nn
       end
     end
 
@@ -344,44 +258,30 @@ struct
         let (_ : bool) = apply_step ctx t gp ixp p ixc u in
         rebalance ctx t k
 
-  let check machine t =
+  let insert ctx t k = update ctx t k ~insert:true
+  let delete ctx t k = update ctx t k ~insert:false
+
+  (* A timing-free read of a node, for the checker on a quiescent machine. *)
+  let peek_desc machine r : Node_desc.t =
     let peek = Mt_sim.Machine.peek machine in
-    let reader addr : Checker.node =
-      let nf = Llx_scx.nfields_unsafe machine addr in
-      let payload = Llx_scx.payload_addr addr ~mutable_fields:nf in
-      let meta = peek payload in
-      let count = Node_desc.meta_count meta in
-      let leaf = Node_desc.meta_leaf meta in
-      {
-        Checker.weight = Node_desc.meta_weight meta;
-        leaf;
-        keys = Array.init count (fun i -> peek (payload + 1 + i));
-        children =
-          (if leaf then [||]
-           else Array.init (count + 1) (fun i -> Llx_scx.field_unsafe machine addr i));
-      }
-    in
-    Checker.check ~a ~b ~reader ~sentinel:t.sentinel
+    let nf = Llx_scx.nfields_unsafe machine r in
+    let payload = Llx_scx.payload_addr r ~mutable_fields:nf in
+    let meta = peek payload in
+    let count = Node_desc.meta_count meta in
+    let leaf = Node_desc.meta_leaf meta in
+    {
+      weight = Node_desc.meta_weight meta;
+      leaf;
+      keys = Array.init count (fun i -> peek (payload + 1 + i));
+      ptrs =
+        (if leaf then [||] else Array.init (count + 1) (Llx_scx.field_unsafe machine r));
+    }
+
+  let check machine t =
+    Checker.check ~a ~b ~reader:(peek_desc machine) ~sentinel:t.sentinel
 
   let to_list_unsafe machine t =
-    let peek = Mt_sim.Machine.peek machine in
-    let rec walk node acc =
-      let nf = Llx_scx.nfields_unsafe machine node in
-      let payload = Llx_scx.payload_addr node ~mutable_fields:nf in
-      let meta = peek payload in
-      let count = Node_desc.meta_count meta in
-      let acc = ref acc in
-      if Node_desc.meta_leaf meta then
-        for i = 0 to count - 1 do
-          acc := peek (payload + 1 + i) :: !acc
-        done
-      else
-        for i = 0 to count do
-          acc := walk (peek (Llx_scx.field_addr node i)) !acc
-        done;
-      !acc
-    in
-    List.rev (walk t.sentinel [])
+    Checker.keys ~reader:(peek_desc machine) ~sentinel:t.sentinel
 end
 
 module Paper = Make (struct

@@ -2,12 +2,15 @@
     chapter 8 — the implementation the paper's Figures 6 and 7 compare
     MemTags against.
 
-    Same tree shape and rebalancing steps as {!Abtree_hoh}, but
-    synchronized with the Brown–Ellen–Ruppert primitives: every update
+    Same tree shape and rebalancing steps as {!Abtree_hoh}; both trees
+    plan each step once, in {!Node_desc}, and differ only in how they read
+    the nodes involved and commit the result. This one reads LLX snapshots
+    and commits with the Brown–Ellen–Ruppert SCX: every update
     LLXes the involved nodes, allocates an SCX-record, freezes each node
     with a CAS on its info word, marks removed nodes, swings one child
     pointer and commits — the per-update overhead that a single IAS
-    replaces in the tagged variant. *)
+    replaces in the tagged variant. As the published baseline, a failed
+    update retries at once, without consulting the contention policy. *)
 
 module Make (_ : sig
   val a : int

@@ -5,15 +5,8 @@
     must have contracted to a strict one: no flagged (weight-0) nodes, all
     leaves at the same depth, all arities within [a, b] (root exempted). *)
 
-type node = {
-  weight : int;
-  leaf : bool;
-  keys : int array;
-  children : int array;  (** child addresses; [||] for leaves *)
-}
-
 (** Timing-free node reader, variant-specific. *)
-type reader = int -> node
+type reader = int -> Node_desc.t
 
 type report = {
   ok : bool;
@@ -25,3 +18,7 @@ type report = {
 
 (** [check ~a ~b ~reader ~sentinel] walks the whole tree. *)
 val check : a:int -> b:int -> reader:reader -> sentinel:int -> report
+
+(** [keys ~reader ~sentinel] — every key in the leaves, in order: the
+    trees' [to_list_unsafe]. *)
+val keys : reader:reader -> sentinel:int -> int list

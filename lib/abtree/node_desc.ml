@@ -117,6 +117,35 @@ let update_pair d ix ~left ~right ~sep =
   ptrs.(ix + 1) <- right;
   { d with keys; ptrs }
 
+(* The replacement each step writes, planned once for both trees.
+   [write ctx d] is the tree's node writer; it and [ctx] travel as
+   separate arguments so that a call allocates no closure. *)
+
+let write_fitted ~b write ctx d =
+  if size d <= b then write ctx d
+  else begin
+    let l, r, sep = split d in
+    let la = write ctx l in
+    let ra = write ctx r in
+    write ctx { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
+  end
+
+let rebalance_pair ~b write ctx p li l r =
+  let sep = p.keys.(li) in
+  let p' =
+    if size l + size r <= b then
+      (* AbsorbSibling (Algorithm 4): one merged child replaces the pair. *)
+      replace_pair_with_one p li ~addr:(write ctx (merge_pair ~sep l r))
+    else begin
+      (* Distribute: the pair's keys evened out over two fresh nodes. *)
+      let l', r', sep' = distribute_pair ~sep l r in
+      let la = write ctx l' in
+      let ra = write ctx r' in
+      update_pair p li ~left:la ~right:ra ~sep:sep'
+    end
+  in
+  write ctx p'
+
 let pp ppf d =
   Format.fprintf ppf "{%s w%d keys=[%s] %d ptrs}"
     (if d.leaf then "leaf" else "int")
@@ -131,3 +160,11 @@ let pack_meta ~leaf ~weight ~count =
 let meta_leaf m = m land 1 = 1
 let meta_weight m = (m lsr 1) land 1
 let meta_count m = m lsr 2
+
+(* The balance predicate both trees rebalance by. *)
+let violates ~a ~root_child m =
+  meta_weight m = 0
+  ||
+  if root_child then (not (meta_leaf m)) && meta_count m = 0
+  else if meta_leaf m then meta_count m < a
+  else meta_count m + 1 < a

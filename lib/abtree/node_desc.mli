@@ -47,22 +47,30 @@ val absorb : parent:t -> ix:int -> child:t -> t
     removed from the key list. *)
 val split : t -> t * t * int
 
-(** [merge_pair ~sep l r] — coalesce two same-kind siblings ([sep] is the
-    separator between them in the parent; used for internal merges,
-    ignored for leaves). Result has weight 1. *)
-val merge_pair : sep:int -> t -> t -> t
-
 (** [distribute_pair ~sep l r] — rebalance two siblings evenly; returns
     [(l', r', sep')]. *)
 val distribute_pair : sep:int -> t -> t -> t * t * int
 
-(** [replace_pair_with_one d ix ~addr] — children [ix] and [ix+1] (and the
-    separator between them) replaced by the single child [addr]. *)
-val replace_pair_with_one : t -> int -> addr:int -> t
+(** {1 Rebalancing steps} — planned here once; each tree only reads the
+    nodes involved and commits the result (one IAS in {!Abtree_hoh}, one
+    SCX in {!Abtree_llx}). [write ctx d] is the tree's node writer: it
+    allocates a node holding [d] and returns its address. It and the
+    tree's [ctx] are separate arguments, so a call allocates no closure. *)
 
-(** [update_pair d ix ~left ~right ~sep] — children [ix], [ix+1] repointed
-    to [left]/[right] with a new separator. *)
-val update_pair : t -> int -> left:int -> right:int -> sep:int -> t
+(** [write_fitted ~b write ctx d] writes [d] as one node when
+    [size d <= b]; otherwise it writes the two {!split} halves, left first,
+    then a weight-0 parent over them carrying the split's separator. The
+    result is the address of the node that replaces the old one: the
+    insert split (Figure 3(b)), AbsorbChild, and PropagateTag. *)
+val write_fitted : b:int -> ('c -> t -> int) -> 'c -> t -> int
+
+(** [rebalance_pair ~b write ctx p li l r] — [l] and [r] are [p]'s
+    children [li] and [li+1]. AbsorbSibling when [size l + size r <= b]
+    (the pair merges into one child), else Distribute (the pair's keys are
+    evened out over two fresh children and a new separator). Writes the
+    new children, then the new copy of [p], and returns that copy's
+    address. *)
+val rebalance_pair : b:int -> ('c -> t -> int) -> 'c -> t -> int -> t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
@@ -72,3 +80,10 @@ val pack_meta : leaf:bool -> weight:int -> count:int -> int
 val meta_leaf : int -> bool
 val meta_weight : int -> int
 val meta_count : int -> int
+
+(** [violates ~a ~root_child meta] — the balance predicate: does the node
+    with meta word [meta] need a rebalancing step? True for a flagged
+    (weight-0) node; for the root's child ([root_child]), only when it is
+    internal with a single child; otherwise when it holds fewer than [a]
+    keys (leaf) or children (internal). *)
+val violates : a:int -> root_child:bool -> int -> bool

@@ -1,8 +1,10 @@
 (** Pluggable contention management for optimistic retry loops.
 
-    Every CAS/VAS/IAS failure and every structure/STM/kCAS/Store restart
-    loop consults one policy object (threaded through [Mt_core.Ctx])
-    instead of spinning. A policy computes a wait in {e simulated cycles};
+    The retry loops of the tagged structures, NOrec, kCAS and the store
+    consult one policy object (threaded through [Mt_core.Ctx]) instead of
+    spinning. The two published baselines, [Harris_list] and
+    [Abtree_llx], do not: they retry at once by design, because they are
+    measured as published. A policy computes a wait in {e simulated cycles};
     the context charges it through the existing stall path, so runs stay
     byte-identical for any [--jobs] value and with tracing on or off.
 

@@ -275,6 +275,148 @@ let prop_absorb_preserves_children =
                 List.filteri (fun i _ -> i > ix) l;
               ]))
 
+(* The shared rebalancing steps, driven by a recording writer: [ctx] is
+   the log, and each write gets a fresh fake address. *)
+let record log d =
+  let addr = 10_000 + List.length !log in
+  log := (addr, d) :: !log;
+  addr
+
+let ab_gen =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun a ->
+    map (fun b -> (a, b)) (int_range ((2 * a) - 1) ((2 * a) + 3)))
+
+(* [n] strictly increasing keys starting above [lo]. *)
+let ascending_gen ~lo n =
+  QCheck.Gen.(
+    map
+      (fun gaps ->
+        let k = ref lo in
+        Array.of_list (List.map (fun g -> k := !k + g; !k) gaps))
+      (list_repeat n (int_range 1 5)))
+
+(* A weight-1 node holding [keys]; an internal one gets fake children. *)
+let node ~leaf keys =
+  let ptrs = if leaf then [||] else Array.init (Array.length keys + 1) (fun i -> i + 1) in
+  { Node_desc.weight = 1; leaf; keys; ptrs }
+
+let prop_write_fitted =
+  let gen =
+    QCheck.Gen.(
+      pair ab_gen bool >>= fun ((_, b), leaf) ->
+      int_range 0 (2 * b) >>= fun n ->
+      map (fun keys -> (b, node ~leaf keys)) (ascending_gen ~lo:0 n))
+  in
+  QCheck.Test.make ~name:"write_fitted: one node, or two halves then a flagged parent"
+    ~count:300
+    (QCheck.make ~print:(fun (b, d) -> Format.asprintf "b=%d %a" b Node_desc.pp d) gen)
+    (fun (b, d) ->
+      let log = ref [] in
+      let addr = Node_desc.write_fitted ~b record log d in
+      match List.rev !log with
+      | [ (x, d') ] -> Node_desc.size d <= b && x = addr && d' = d
+      | [ (la, l); (ra, r); (pa, parent) ] ->
+          let l', r', sep = Node_desc.split d in
+          Node_desc.size d > b && l = l' && r = r' && pa = addr
+          && parent = { weight = 0; leaf = false; keys = [| sep |]; ptrs = [| la; ra |] }
+      | _ -> false)
+
+(* Two same-kind siblings [l] and [r] at children [li] and [li+1] of a
+   parent with [n] children, keys in routing order: the parent's keys
+   left of the pair are negative, right of it above every pair key. *)
+let pair_gen =
+  QCheck.Gen.(
+    triple ab_gen bool (int_range 2 6) >>= fun ((_, b), leaf, n) ->
+    let lo = if leaf then 0 else 1 in
+    triple (int_range lo b) (int_range lo b) (int_range 0 (n - 2))
+    >>= fun (nl, nr, li) ->
+    (* Leaves: l's keys, then r's; the separator is r's first key (or above
+       l's when r is empty). Internal: l's keys, the separator, r's keys. *)
+    let kl = if leaf then nl else nl - 1 and kr = if leaf then nr else nr - 1 in
+    map
+      (fun ks ->
+        let l = node ~leaf (Array.sub ks 0 kl) in
+        let sep = ks.(kl) in
+        let r = node ~leaf (Array.sub ks (if leaf then kl else kl + 1) kr) in
+        let top = ks.(Array.length ks - 1) in
+        let keys =
+          Array.init (n - 1) (fun i ->
+              if i < li then -100 * (li - i) else if i = li then sep else top + (100 * i))
+        in
+        let ptrs = Array.init n (fun i -> i + 1) in
+        (b, { Node_desc.weight = 1; leaf = false; keys; ptrs }, li, l, r))
+      (ascending_gen ~lo:0 (kl + kr + 1)))
+
+let prop_rebalance_pair =
+  QCheck.Test.make ~name:"rebalance_pair: merges exactly when the pair fits, keys in order"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (b, p, li, l, r) ->
+         Format.asprintf "b=%d li=%d p=%a l=%a r=%a" b li Node_desc.pp p Node_desc.pp l
+           Node_desc.pp r)
+       pair_gen)
+    (fun (b, p, li, l, r) ->
+      let log = ref [] in
+      let pa = Node_desc.rebalance_pair ~b record log p li l r in
+      let written = List.rev !log in
+      let p' = List.assoc pa written in
+      let merged = Node_desc.size l + Node_desc.size r <= b in
+      let fresh = if merged then 1 else 2 in
+      let kids = List.init fresh (fun i -> List.assoc p'.ptrs.(li + i) written) in
+      (* The pair's keys in order: each leaf's keys, or each internal
+         node's keys with the separators between them. *)
+      let flat seps ds =
+        List.concat
+          (List.mapi
+             (fun i (d : Node_desc.t) ->
+               (if i > 0 && not d.leaf then [ seps.(i - 1) ] else []) @ Array.to_list d.keys)
+             ds)
+      in
+      let sorted keys =
+        let rec go = function x :: (y :: _ as tl) -> x < y && go tl | _ -> true in
+        go (Array.to_list keys)
+      in
+      (* Every key of child i lies between the parent's keys i-1 and i. *)
+      let routed (d : Node_desc.t) i =
+        Array.for_all
+          (fun k ->
+            (i = 0 || p'.keys.(i - 1) <= k) && (i = Array.length p'.keys || k < p'.keys.(i)))
+          d.keys
+      in
+      List.length written = fresh + 1
+      && fst (List.nth written fresh) = pa
+      && Array.length p'.ptrs = Array.length p.ptrs - (if merged then 1 else 0)
+      && sorted p'.keys
+      && List.for_all2 routed kids (List.init fresh (fun i -> li + i))
+      && flat (Array.sub p'.keys li (fresh - 1)) kids = flat [| p.keys.(li) |] [ l; r ])
+
+let prop_violates =
+  let gen =
+    QCheck.Gen.(
+      triple ab_gen bool bool >>= fun ((a, b), root_child, leaf) ->
+      (* The counts a strict (a,b)-tree allows: keys for a leaf, keys =
+         children - 1 for an internal node; the root's child is exempt
+         from [a], but an internal one has at least two children. *)
+      let lo, hi =
+        match (root_child, leaf) with
+        | true, true -> (0, b)
+        | true, false -> (1, b - 1)
+        | false, true -> (a, b)
+        | false, false -> (a - 1, b - 1)
+      in
+      map (fun count -> (a, root_child, leaf, count)) (int_range lo hi))
+  in
+  QCheck.Test.make ~name:"violates: never a strict node, always a flagged one" ~count:500
+    (QCheck.make
+       ~print:(fun (a, rc, leaf, count) ->
+         Printf.sprintf "a=%d root_child=%b leaf=%b count=%d" a rc leaf count)
+       gen)
+    (fun (a, root_child, leaf, count) ->
+      let meta weight = Node_desc.pack_meta ~leaf ~weight ~count in
+      (not (Node_desc.violates ~a ~root_child (meta 1)))
+      && Node_desc.violates ~a ~root_child (meta 0))
+
 (* Randomized sequential oracle against stdlib Set, at both parameter
    choices, exercising deep splits and merges. *)
 let test_deep_oracle (module T : Mt_list.Set_intf.SET) () =
@@ -410,5 +552,8 @@ let () =
             prop_merge_then_split_roundtrip;
             prop_leaf_insert_remove_roundtrip;
             prop_absorb_preserves_children;
+            prop_write_fitted;
+            prop_rebalance_pair;
+            prop_violates;
           ] );
     ]
