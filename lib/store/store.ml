@@ -2,10 +2,14 @@ open Mt_core
 module Obs = Mt_obs.Obs
 
 (* A sharded multi-structure store. Keys hash-partition (k mod shards)
-   across per-core shards, each backed by a pluggable tagged structure.
+   across per-core shards, each backed by a pluggable structure.
    Concurrency control lives entirely in one plain *version word* per
    shard (its own cache line): even = unlocked, odd = locked, and the
-   value only ever increases, so there is no ABA.
+   value only ever increases, so there is no ABA. Every backend
+   [insert]/[delete] below runs while this core holds its shard's lock,
+   and every other backend access is a plain walk, so a backend needs no
+   synchronization of its own: the norec-tagged shard writes its B+-tree
+   directly (backend.mli has the argument).
 
    - Point writes first try to prove themselves no-ops without the
      lock: read the version, walk the key with the backend's plain
@@ -181,18 +185,18 @@ let retry_wait ctx ~site ~attempt =
 (* Spin until the lock word [a] is even and our CAS takes it odd.
    Returns the locked (odd) value. Every lock holder releases without
    waiting, except the one fallback transaction holding the store's
-   fallback lock; so this terminates under any fair schedule. *)
-let acquire ctx a =
-  let rec go attempt =
-    let v = Ctx.read ctx a in
-    if (not (locked v)) && Ctx.cas ctx a ~expected:v ~desired:(v + 1)
-    then v + 1
-    else begin
-      retry_wait ctx ~site:a ~attempt;
-      go (attempt + 1)
-    end
-  in
-  go 0
+   fallback lock; so this terminates under any fair schedule. The loop
+   is a top-level function so that a lock taken at once builds no
+   closure. *)
+let rec acquire_from ctx a attempt =
+  let v = Ctx.read ctx a in
+  if (not (locked v)) && Ctx.cas ctx a ~expected:v ~desired:(v + 1) then v + 1
+  else begin
+    retry_wait ctx ~site:a ~attempt;
+    acquire_from ctx a (attempt + 1)
+  end
+
+let acquire ctx a = acquire_from ctx a 0
 
 let release ctx a vlocked =
   (* We hold the lock: nothing else may move the word, and a

@@ -1,10 +1,10 @@
 (** The sharded multi-structure store.
 
     Hash-partitions a key space across per-core shards (key [k] lives in
-    shard [k mod shards]), each backed by a pluggable tagged structure
-    ({!Backend.S}). All cross-operation coordination lives in one plain
-    {e version word} per shard (even = unlocked, odd = locked,
-    monotonically increasing):
+    shard [k mod shards]), each backed by a pluggable structure
+    ({!Backend.S}) that only the shard-lock holder updates. All
+    cross-operation coordination lives in one plain {e version word} per
+    shard (even = unlocked, odd = locked, monotonically increasing):
 
     - {b point ops} touch exactly one shard with zero cross-shard
       coordination. A write first walks its key with the backend's plain

@@ -18,8 +18,9 @@ let null = Mt_sim.Memory.null
    Invariants the plain walk relies on: a child half only ever holds null
    or a node address (nodes are never freed or reused), a node's kind is
    fixed when its header is first written, and that header write is the
-   node's first write, so NOrec's in-order write-back publishes it before
-   any pointer to the node. *)
+   node's first write, so writes made visible in first-write order
+   (NOrec's in-order write-back, or the direct instance's program order)
+   publish it before any pointer to the node. *)
 let half_bits = 31
 let half_limit = 1 lsl half_bits
 let half_mask = half_limit - 1
@@ -43,7 +44,31 @@ let key_word node j = node + key_base + (j lsr 1)
 (* Leaf key [j] out of the word holding it. *)
 let key_of j w = if j land 1 = 0 then low w else high w
 
-module Make (S : Mt_stm.Stm_intf.S) = struct
+module type ACCESS = sig
+  type tx
+
+  val read : tx -> Ctx.addr -> int
+  val write : tx -> Ctx.addr -> int -> unit
+  val ctx : tx -> Ctx.t
+end
+
+module type TREE = sig
+  type tx
+  type t
+
+  val create : Ctx.t -> t
+  val contains : tx -> t -> int -> bool
+  val insert : tx -> t -> int -> bool
+  val delete : tx -> t -> int -> bool
+  val scan_plain : Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  val mem_plain : Ctx.t -> t -> int -> bool
+  val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
+  val depth_unsafe : Mt_sim.Machine.t -> t -> int
+end
+
+module Make (S : ACCESS) = struct
+  type tx = S.tx
+
   (* The map handle is a one-word cell holding the root pointer; the
      tree always has a root node, an empty leaf to begin with. *)
   type t = { root_cell : Ctx.addr }
@@ -96,8 +121,8 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
   (* The one-key descent, shared by the transactional [contains] and the
      plain [mem_plain]. Counts are clamped to their node's capacity and
      a null child ends the descent, as in the plain range walk, so a walk
-     racing a NOrec write-back stays inside the tree; it needs no fuel,
-     because a node's level never changes and each step goes one down. *)
+     racing an update stays inside the tree; it needs no fuel, because a
+     node's level never changes and each step goes one down. *)
   let rec mem read c node k =
     node <> null
     &&
@@ -279,10 +304,10 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
   let mem_plain ctx t k = mem Ctx.read ctx (Ctx.read ctx t.root_cell) k
   let delete tx t k = del tx (S.read tx t.root_cell) k
 
-  (* Plain (untagged, unvalidated) range walk. Under a racing NOrec
-     write-back it may see a mix of old and new words, so every count is
-     clamped to its node's capacity and a null child ends its branch; the
-     caller's version check discards such a walk. Children are visited
+  (* Plain (untagged, unvalidated) range walk. Racing an update it may
+     see a mix of old and new words, so every count is clamped to its
+     node's capacity and a null child ends its branch; the caller's
+     version check discards such a walk. Children are visited
      right to left and keys prepended, so a quiescent walk returns keys
      ascending. *)
 
@@ -356,3 +381,11 @@ module Make (S : Mt_stm.Stm_intf.S) = struct
     in
     go (peek t.root_cell) 1
 end
+
+module Direct = Make (struct
+  type tx = Ctx.t
+
+  let read = Ctx.read
+  let write = Ctx.write
+  let ctx c = c
+end)

@@ -1,5 +1,8 @@
-(** A transactional B+-tree set in simulated memory, accessed through an
-    STM's read/write primitives: the sharded store's [norec-tagged] shard.
+(** A B+-tree set in simulated memory, written once over an abstract
+    read/write: the sharded store's [norec-tagged] shard runs it with
+    plain [Ctx] accesses under the shard lock ({!Direct}), and the
+    standalone tagged-NOrec set of the structure catalog runs it inside
+    tagged-NOrec transactions ([Make (Mt_stm.Norec_tagged)]).
 
     Every node is one 8-word cache line of half-width fields, two 31-bit
     halves per word. A leaf is a header word (key count and leaf bit)
@@ -10,41 +13,61 @@
     key from its leaf and merges nothing, so leaves may go empty while
     the separators above them stay valid bounds. Mutations shift the
     packed words in place. Keys and node addresses must lie in
-    [\[0, 2^31)]. *)
+    [\[0, 2^31)].
 
-module Make (S : Mt_stm.Stm_intf.S) : sig
+    {b Plain walks.} [scan_plain] and [mem_plain] read with [Ctx.read]
+    whatever the instance, and terminate against concurrent updates
+    provided those become visible in first-write order: a node's header
+    is its first write, so no pointer to a node is seen before its kind;
+    a child half only ever holds null or a node address; and every count
+    is clamped to its node's capacity. NOrec's in-order write-back gives
+    that order, and so do {!Direct}'s writes, which are made in program
+    order one word at a time. *)
+
+(** The memory accesses the tree is written over. *)
+module type ACCESS = sig
+  type tx
+
+  val read : tx -> Mt_core.Ctx.addr -> int
+  val write : tx -> Mt_core.Ctx.addr -> int -> unit
+
+  (** The simulated thread behind [tx], which allocates new nodes. *)
+  val ctx : tx -> Mt_core.Ctx.t
+end
+
+module type TREE = sig
+  type tx
   type t
 
   (** Allocate an empty set (outside any transaction). Every node
-      allocation, here and inside transactions, raises [Invalid_argument]
-      if its address does not fit the 31-bit pointer field. *)
+      allocation, here and in [insert], raises [Invalid_argument] if its
+      address does not fit the 31-bit pointer field. *)
   val create : Mt_core.Ctx.t -> t
 
-  val contains : S.tx -> t -> int -> bool
+  val contains : tx -> t -> int -> bool
 
   (** [insert tx t k] — false if [k] is already present. Raises
       [Invalid_argument] when [k] is outside [\[0, 2^31)]. *)
-  val insert : S.tx -> t -> int -> bool
+  val insert : tx -> t -> int -> bool
 
   (** [delete tx t k] — false if [k] is absent. *)
-  val delete : S.tx -> t -> int -> bool
+  val delete : tx -> t -> int -> bool
 
   (** [scan_plain ctx t ~lo ~hi ~budget] — plain (untagged, unvalidated)
       walk collecting the keys in [\[lo, hi\]] in ascending order,
       visiting at most [budget] nodes. Safe to run against concurrent
-      commits (it never follows anything but null or a node address) but
-      {e not} atomic on its own: callers must prove quiescence externally
-      (the sharded store's per-shard version protocol does). Requires the
-      STM to write a commit back in first-write order, as NOrec does. *)
+      updates (see {e Plain walks} above) but {e not} atomic on its own:
+      callers must prove quiescence externally (the sharded store's
+      per-shard version protocol does). *)
   val scan_plain :
     Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
 
   (** [mem_plain ctx t k] — [contains] as one plain (untagged,
-      unvalidated) descent: the same code over [Ctx.read] instead of the
-      STM's read. It terminates against concurrent commits (counts are
-      clamped and every step goes one level down) but is exact only when
-      the caller proves the tree quiescent across it, as the sharded
-      store's version protocol does. *)
+      unvalidated) descent: the same code over [Ctx.read]. It terminates
+      against concurrent updates (counts are clamped and every step goes
+      one level down) but is exact only when the caller proves the tree
+      quiescent across it, as the sharded store's version protocol
+      does. *)
   val mem_plain : Mt_core.Ctx.t -> t -> int -> bool
 
   (** Timing-free contents, ascending, for test oracles (quiescent
@@ -54,3 +77,11 @@ module Make (S : Mt_stm.Stm_intf.S) : sig
   (** Number of levels, leaves included (quiescent machine only). *)
   val depth_unsafe : Mt_sim.Machine.t -> t -> int
 end
+
+module Make (S : ACCESS) : TREE with type tx = S.tx
+
+(** The tree over plain [Ctx.read]/[Ctx.write]: no synchronization of
+    its own. Updates are safe only while the caller excludes every other
+    updater (the store holds the shard lock); plain walks may race
+    them. *)
+module Direct : TREE with type tx = Mt_core.Ctx.t

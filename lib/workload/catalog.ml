@@ -46,9 +46,34 @@ let abtree_llx =
     (module Mt_abtree.Abtree_llx.Paper)
     ~fuzz:(module Mt_abtree.Abtree_llx.Make (Fuzz_ab))
 
+(* The store's B+-tree as a standalone concurrent set: every operation
+   is one transaction on the set's own tagged-NOrec instance. The store's
+   shards run the same tree directly under their lock
+   ([Mt_store.Backend.Norec_map]). *)
+module Norec_btree : SET = struct
+  module Stm = Mt_stm.Norec_tagged
+  module TB = Mt_store.Tx_btree.Make (Stm)
+
+  type t = { stm : Stm.t; tree : TB.t }
+
+  let name = "norec-tagged"
+  let create ctx = { stm = Stm.create ctx; tree = TB.create ctx }
+
+  let insert ctx t k =
+    Stm.atomically ctx t.stm (fun tx -> TB.insert tx t.tree k)
+
+  let delete ctx t k =
+    Stm.atomically ctx t.stm (fun tx -> TB.delete tx t.tree k)
+
+  let contains ctx t k =
+    Stm.atomically ctx t.stm (fun tx -> TB.contains tx t.tree k)
+
+  let to_list_unsafe machine t = TB.to_list_unsafe machine t.tree
+end
+
 let norec_btree =
   entry "norec_btree" ~aliases:[ "norec-tagged" ]
-    (module Mt_store.Backend.Norec_map : SET)
+    (module Norec_btree)
     ~backend:(module Mt_store.Backend.Norec_map)
 
 let all =

@@ -25,6 +25,11 @@ val hoh_list : entry
 val elided_list : entry
 val abtree_hoh : entry
 val abtree_llx : entry
+
+(** The store's B+-tree ({!Mt_store.Tx_btree}) as a standalone set, each
+    operation one tagged-NOrec transaction; its store backend is
+    {!Mt_store.Backend.Norec_map}, the same tree written directly under
+    the shard lock. *)
 val norec_btree : entry
 
 (** Every entry, the canaries last. *)

@@ -17,13 +17,18 @@
      words: the invalidation sweep loops over the directory's sharer
      bits instead of passing it a closure.
 
-   B+-tree walks. On the store's B+-tree (lib/store/tx_btree.ml), over an
-   STM that reads memory directly, a [contains] and a plain [mem_plain]
-   (the store's get) allocate 0 words, a one-key [scan_plain] 5 (its fuel
-   cell and its one-element result), and a delete plus re-insert of a
-   present key 0, at depth 1 and at depth 4 alike: no descent allocates
-   per node visited, and mutations shift the packed words in place
-   instead of unpacking a node into arrays.
+   B+-tree walks. On the store's B+-tree (lib/store/tx_btree.ml), in the
+   direct instance the store's shards run, a [contains] and a plain
+   [mem_plain] (the store's get) allocate 0 words, a one-key [scan_plain]
+   5 (its fuel cell and its one-element result), and a delete plus
+   re-insert of a present key 0, at depth 1 and at depth 4 alike: no
+   descent allocates per node visited, and mutations shift the packed
+   words in place instead of unpacking a node into arrays.
+
+   Store writes. An effective [Store.insert] plus [Store.delete] of one
+   key on a norec-tagged store allocates 11 words: the store layer's
+   walks and event records, nothing in the tree (183 while each shard
+   update ran as a tagged-NOrec transaction).
 
    Directory footprint. A [Directory] costs one word per line of each
    chunk that some line was written to, plus the chunk table; the plane
@@ -156,25 +161,7 @@ let () =
 
 (* B+-tree walks --------------------------------------------------------- *)
 
-(* An STM that reads and writes memory directly, so that only the tree's
-   own code allocates. *)
-module Direct : Mt_stm.Stm_intf.S with type tx = Ctx.t = struct
-  type t = unit
-  type tx = Ctx.t
-
-  let name = "direct"
-  let create _ = ()
-  let atomically ctx () body = body ctx
-  let read = Ctx.read
-  let write = Ctx.write
-  let ctx tx = tx
-  let commits () = 0
-  let aborts () = 0
-  let vbv_passes () = 0
-  let reset_stats () = ()
-end
-
-module TB = Mt_store.Tx_btree.Make (Direct)
+module TB = Mt_store.Tx_btree.Direct
 
 let btree ~keys ctx =
   let t = TB.create ctx in
@@ -218,6 +205,34 @@ let () =
           ignore (TB.delete ctx t k);
           ignore (TB.insert ctx t k) );
     ]
+
+(* Store writes ----------------------------------------------------------- *)
+
+(* An effective [Store.insert] and [Store.delete] of the same absent key
+   on a warm norec-tagged store: both one-key walks, the lock CAS and
+   release CAS of each, and the B+-tree update written directly under the
+   lock. The 11 words are the store layer's own: the walks' fuel cells
+   and results (7) and the two [Store_op] event records (4). The tree
+   adds nothing. With a tagged-NOrec transaction per update and a
+   closure per lock acquisition the pair allocated 183. *)
+let () =
+  let module Store = Mt_store.Store in
+  pin "store insert + delete, norec-tagged" ~expected:11.
+    (words_per_step ~n:20_000 (fun k ->
+         let m = Machine.create (Config.default ~num_cores:1 ()) in
+         Harness.exec1 m (fun ctx ->
+             let s =
+               Store.create (module Mt_store.Backend.Norec_map) ctx ~shards:4
+                 ~key_space:64
+             in
+             for key = 0 to 31 do
+               ignore (Store.insert ctx s (2 * key))
+             done;
+             for i = 1 to k do
+               let key = (2 * (i land 31)) + 1 in
+               ignore (Store.insert ctx s key);
+               ignore (Store.delete ctx s key)
+             done)))
 
 (* Directory footprint -------------------------------------------------- *)
 
