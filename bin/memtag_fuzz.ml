@@ -36,8 +36,8 @@ let replay_command name (c : Shrink.config) =
 let write dir file s =
   Out_channel.with_open_text (Filename.concat dir file) (fun oc -> output_string oc s)
 
-let violation_of (o : Explore.outcome) =
-  match o.verdict with Error v -> v | Ok () -> assert false
+let failure_of (o : Explore.outcome) =
+  match o.verdict with Error f -> f | Ok () -> assert false
 
 (* Replay the failing run [o] of configuration [c] with tracing on and
    write what a debugging session needs into [dir]: the Perfetto event
@@ -61,26 +61,29 @@ let dump_run m dir ~prefix (c : Shrink.config) (o : Explore.outcome) notes =
    minimized per-key window the checker rejected and a repro line); with
    [shrink], delta-debug it to a minimal repro and dump that alongside. *)
 let report_failure name m (o : Explore.outcome) params ~spec_of ~shrink =
-  let violation = violation_of o in
+  let failure = failure_of o in
   Format.printf "@.FAIL %s threads=%d seed=%d (%d events)@." name
     params.Explore.threads o.seed (Array.length o.history);
-  Format.printf "%a@." Linearize.pp_violation violation;
+  Format.printf "%a@." Explore.pp_failure failure;
   let dir = Printf.sprintf "fuzz-failure-%d" o.seed in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let failure = { Shrink.params; spec = spec_of o.seed; seed = o.seed } in
+  let window =
+    match failure with Explore.Violation v -> v.window | Unsound _ -> []
+  in
+  let config = { Shrink.params; spec = spec_of o.seed; seed = o.seed } in
   let identical =
-    dump_run m dir ~prefix:"" failure o
+    dump_run m dir ~prefix:"" config o
       [
         ( "minimized.txt",
-          Format.asprintf "%a@.@.%s@." Linearize.pp_violation violation
-            (History.to_string (Array.of_list violation.window)) );
+          Format.asprintf "%a@.@.%s@." Explore.pp_failure failure
+            (History.to_string (Array.of_list window)) );
         ( "repro.txt",
           Printf.sprintf
             "structure=%s threads=%d seed=%d ops=%d range=%d prefill=%d \
              max-delay=%d spec=%s\nreplay: %s\n"
             name params.threads o.seed params.ops params.range params.prefill
-            params.max_delay (Inject.to_string failure.spec)
-            (replay_command name failure) );
+            params.max_delay (Inject.to_string config.spec)
+            (replay_command name config) );
       ]
   in
   Format.printf "wrote %s/{trace.json,history.txt,minimized.txt,repro.txt}@." dir;
@@ -88,7 +91,7 @@ let report_failure name m (o : Explore.outcome) params ~spec_of ~shrink =
   let identical =
     if not shrink then identical
     else begin
-      let shrunk = Shrink.shrink m failure in
+      let shrunk = Shrink.shrink m config in
       let c = shrunk.config in
       let minimal_identical =
         dump_run m dir ~prefix:"minimal-" c shrunk.outcome
@@ -98,8 +101,8 @@ let report_failure name m (o : Explore.outcome) params ~spec_of ~shrink =
                 "minimal failing configuration (%d candidate runs):@.  %a@.@.\
                  started from:@.  %a@.@.replay: %s@.@.%a@."
                 shrunk.runs Shrink.pp_config c Shrink.pp_config shrunk.initial
-                (replay_command name c) Linearize.pp_violation
-                (violation_of shrunk.outcome) );
+                (replay_command name c) Explore.pp_failure
+                (failure_of shrunk.outcome) );
           ]
       in
       Format.printf

@@ -6,7 +6,8 @@ module type S = sig
   include Mt_list.Set_intf.SET
 
   val range : Ctx.t -> t -> lo:int -> hi:int -> int list option
-  val scan_plain : Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  val collect :
+    Ctx.load -> Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
   val check : Mt_sim.Machine.t -> t -> Checker.report
 end
 
@@ -52,10 +53,9 @@ struct
      nodes it read, is guaranteed to overlap it). *)
   let tread ctx addr = Ctx.add_tag_read ctx addr ~words:1
 
-  (* Reads of a window (tagged) node go through tagged loads; plain
-     searches use untagged reads. *)
-  let read_desc_gen word ctx node : Node_desc.t =
-    let meta = word ctx node in
+  (* The rest of [node] once its meta word [meta] is read, each word
+     with [word]. *)
+  let desc_of_meta word ctx node meta : Node_desc.t =
     let count = Node_desc.meta_count meta in
     let leaf = Node_desc.meta_leaf meta in
     let keys = Array.make count 0 in
@@ -68,6 +68,10 @@ struct
       ptrs.(i) <- word ctx (node + ptrs_off + i)
     done;
     { weight = Node_desc.meta_weight meta; leaf; keys; ptrs }
+
+  (* Reads of a window (tagged) node go through tagged loads; plain
+     searches use untagged reads. *)
+  let read_desc_gen word ctx node = desc_of_meta word ctx node (word ctx node)
 
   let read_desc ctx node = read_desc_gen tread ctx node
 
@@ -281,21 +285,37 @@ struct
     in
     down t.sentinel
 
-  (* Plain (untagged, unvalidated) range collect: descend into the
-     subtrees overlapping [lo, hi] with plain reads only. Nodes are
+  (* Range collect: descend into the subtrees overlapping [lo, hi]. Each
+     visited node's meta word, then the rest of the lines its read
+     touches, go through [load], so a tagged load tags exactly those
+     lines, each once; the words in them are then read plainly. Nodes are
      immutable after creation (updates swing parent pointers to fresh
-     copies), so every visited node is internally consistent; the pointer
-     graph itself may be a mix of epochs, which is why this is only
-     atomic under an external quiescence proof (the sharded store's
-     per-shard version protocol). [budget] bounds the visit count so a
-     doomed attempt racing live updates still terminates. *)
-  let scan_plain ctx t ~lo ~hi ~budget =
+     copies), so every visited node is internally
+     consistent; the pointer graph itself may be a mix of epochs, which
+     is why a plain collect is only atomic under an external quiescence
+     proof (the sharded store's per-shard version protocol). [budget]
+     bounds the visit count so a doomed attempt racing live updates still
+     terminates. *)
+  let collect load ctx t ~lo ~hi ~budget =
+    let line_words =
+      Mt_sim.Config.line_words (Mt_sim.Machine.cfg (Ctx.machine ctx))
+    in
     let fuel = ref budget in
     let acc = ref [] in
     let rec visit node =
       if !fuel > 0 then begin
         decr fuel;
-        let d = read_desc_gen Ctx.read ctx node in
+        let meta = load ctx node ~words:1 in
+        (* The node's other lines, up to its last key (a leaf) or last
+           child pointer (an internal node), in one more load. *)
+        let count = Node_desc.meta_count meta in
+        let last_word =
+          if Node_desc.meta_leaf meta then count else ptrs_off + count
+        in
+        if last_word >= line_words then
+          ignore
+            (load ctx (node + line_words) ~words:(last_word - line_words + 1));
+        let d = desc_of_meta Ctx.read ctx node meta in
         if d.leaf then
           Array.iter (fun k -> if k >= lo && k <= hi then acc := k :: !acc) d.keys
         else begin

@@ -28,11 +28,21 @@ module type S = sig
       [None] when the range spans more lines than [Max_Tags] allows. *)
   val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
 
-  (** [scan_plain ctx t ~lo ~hi ~budget] — plain untagged range collect
-      visiting at most [budget] nodes. {e Not} atomic on its own: callers
-      must prove quiescence externally (the sharded store's per-shard
-      version protocol does). *)
-  val scan_plain : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  (** [collect load ctx t ~lo ~hi ~budget] — range collect visiting at
+      most [budget] nodes; [load] reads the first word of each line of a
+      visited node that the walk reads (a tagged load tags exactly those
+      lines). With
+      {!Mt_core.Ctx.plain_load} it is a plain walk, {e not} atomic on its
+      own: callers must prove quiescence externally (the sharded store's
+      per-shard version protocol does). *)
+  val collect :
+    Mt_core.Ctx.load ->
+    Mt_core.Ctx.t ->
+    t ->
+    lo:int ->
+    hi:int ->
+    budget:int ->
+    int list
 
   (** Structural invariant check on a quiescent machine. *)
   val check : Mt_sim.Machine.t -> t -> Checker.report

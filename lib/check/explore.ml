@@ -11,17 +11,53 @@ type params = {
 
 let default_params = { threads = 4; ops = 50; range = 12; prefill = 4; max_delay = 64 }
 
+module type TARGET = sig
+  include Mt_list.Set_intf.SET
+
+  val audit : Machine.t -> t -> string list
+end
+
+let plain (module S : Mt_list.Set_intf.SET) : (module TARGET) =
+  (module struct
+    include S
+
+    let audit _ _ = []
+  end)
+
+module type TREE = sig
+  include Mt_list.Set_intf.SET
+
+  val check : Machine.t -> t -> Mt_abtree.Checker.report
+end
+
+let tree (module T : TREE) : (module TARGET) =
+  (module struct
+    include T
+
+    let audit m t = (T.check m t).errors
+  end)
+
+type failure = Violation of Linearize.violation | Unsound of string list
+
+let pp_failure ppf = function
+  | Violation v -> Linearize.pp_violation ppf v
+  | Unsound errors ->
+      Format.fprintf ppf
+        "@[<v 2>final structure fails its structural check:@,%a@]"
+        (Format.pp_print_list Format.pp_print_string)
+        errors
+
 type outcome = {
   seed : int;
   history : History.event array;
   init : int list;
   final : int list;
   duration : int;
-  verdict : (unit, Linearize.violation) result;
+  verdict : (unit, failure) result;
 }
 
-let run ?(obs = Mt_obs.Obs.null) ?(spec = Inject.none)
-    (module S : Mt_list.Set_intf.SET) ~params ~seed =
+let run ?(obs = Mt_obs.Obs.null) ?(spec = Inject.none) (module S : TARGET)
+    ~params ~seed =
   let p = params in
   let m = Inject.make_machine spec ~obs ~num_cores:p.threads in
   let s = Harness.exec1 m (fun ctx -> S.create ctx) in
@@ -59,7 +95,14 @@ let run ?(obs = Mt_obs.Obs.null) ?(spec = Inject.none)
      the history still linearizes. Raises Failure on violation. *)
   Machine.check_coherence m;
   let history = History.events h in
-  let verdict = Linearize.check_set ~init ~final history in
+  (* A history that linearizes must also leave a sound structure: a tree
+     that stops rebalancing keeps set semantics but not its shape. *)
+  let verdict =
+    match Linearize.check_set ~init ~final history with
+    | Error v -> Error (Violation v)
+    | Ok () -> (
+        match S.audit m s with [] -> Ok () | errors -> Error (Unsound errors))
+  in
   { seed; history; init; final; duration; verdict }
 
 (* Scan [lo, hi) in ascending order, stopping at the first violation. *)
@@ -73,7 +116,7 @@ let scan_range ~run ~lo ~hi =
   go lo
 
 let sweep ?(jobs = 1) ?(start = 0) ?(spec_of = Fun.const Inject.none)
-    (module S : Mt_list.Set_intf.SET) ~params ~seeds =
+    (module S : TARGET) ~params ~seeds =
   let run ~seed = run ~spec:(spec_of seed) (module S) ~params ~seed in
   let hi = start + seeds in
   let first_failure =

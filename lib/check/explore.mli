@@ -1,6 +1,6 @@
 (** Schedule exploration: run one set workload under many distinct,
     individually reproducible interleavings and linearizability-check each
-    recorded history.
+    recorded history, then audit the structure it leaves.
 
     One {!run} = one seed: a fresh machine, a fresh
     {!Mt_sim.Runtime.random_policy} built from the seed (yield injection +
@@ -25,25 +25,56 @@ type params = {
 
 val default_params : params
 
+(** A fuzz target: a set plus a structural audit of its quiescent
+    state. *)
+module type TARGET = sig
+  include Mt_list.Set_intf.SET
+
+  (** [audit machine t] — the structural invariants [t] breaks on a
+      quiescent machine; [\[\]] when it is sound. *)
+  val audit : Mt_sim.Machine.t -> t -> string list
+end
+
+(** A set with no structural audit beyond its contents. *)
+val plain : (module Mt_list.Set_intf.SET) -> (module TARGET)
+
+(** A tree with a structural invariant checker. *)
+module type TREE = sig
+  include Mt_list.Set_intf.SET
+
+  val check : Mt_sim.Machine.t -> t -> Mt_abtree.Checker.report
+end
+
+(** A tree audited by its [check]: a strict (a,b)-tree once every update
+    has finished rebalancing. *)
+val tree : (module TREE) -> (module TARGET)
+
+(** Why a run failed: its history does not linearize, or it does but the
+    structure left behind breaks its invariants. *)
+type failure = Violation of Linearize.violation | Unsound of string list
+
+val pp_failure : Format.formatter -> failure -> unit
+
 type outcome = {
   seed : int;
   history : History.event array;
   init : int list;  (** contents after prefill, before the measured run *)
   final : int list;  (** contents after the run, read off quiescent memory *)
   duration : int;  (** simulated cycles *)
-  verdict : (unit, Linearize.violation) result;
+  verdict : (unit, failure) result;
 }
 
 (** [run ?obs ?spec (module S) ~params ~seed] — execute the workload
     under the seed's schedule, with the fault plan [spec] (default
-    {!Inject.none}) armed, and check the history. A recording [obs]
+    {!Inject.none}) armed, check the history, and, when it linearizes,
+    audit the final structure ([S.audit]). A recording [obs]
     captures the full simulator event stream of the run (tracing never
     perturbs the schedule, so a traced replay reproduces the untraced
     history — with or without injected faults). *)
 val run :
   ?obs:Mt_obs.Obs.t ->
   ?spec:Inject.spec ->
-  (module Mt_list.Set_intf.SET) ->
+  (module TARGET) ->
   params:params ->
   seed:int ->
   outcome
@@ -63,7 +94,7 @@ val sweep :
   ?jobs:int ->
   ?start:int ->
   ?spec_of:(int -> Inject.spec) ->
-  (module Mt_list.Set_intf.SET) ->
+  (module TARGET) ->
   params:params ->
   seeds:int ->
   int * outcome option

@@ -63,7 +63,7 @@ let reductions : (config -> (Explore.params * Inject.spec) list) list =
     drop (fun s -> { s with adaptive = false });
   ]
 
-let shrink (module S : Mt_list.Set_intf.SET) (initial : config) =
+let shrink (module S : Explore.TARGET) (initial : config) =
   let runs = ref 0 in
   let exec c =
     incr runs;

@@ -39,6 +39,6 @@ val pp_config : Format.formatter -> config -> unit
     raises [Invalid_argument] otherwise) to a minimal failing
     configuration. *)
 val shrink :
-  (module Mt_list.Set_intf.SET) ->
+  (module Explore.TARGET) ->
   config ->
   result

@@ -94,6 +94,10 @@ let add_tag_read t addr ~words =
   charge_last t;
   v
 
+type load = t -> addr -> words:int -> int
+
+let plain_load t addr ~words:_ = read t addr
+
 let remove_tag t addr ~words =
   let lat = Machine.remove_tag t.machine ~core:t.core addr ~words in
   charge t lat

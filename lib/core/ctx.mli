@@ -66,6 +66,16 @@ val add_tag : t -> addr -> words:int -> unit
 (** [add_tag_read t addr ~words] tags the range and returns the word at
     [addr] in one access (a tagged load). *)
 val add_tag_read : t -> addr -> words:int -> int
+
+(** How a walk reads the first word of each line it visits: a plain
+    {!read} ({!plain_load}) or a tagged load ({!add_tag_read}, whose
+    [words] name the lines to tag). One walk written over a [load] serves
+    both a plain pass and a tag-certified one. *)
+type load = t -> addr -> words:int -> int
+
+(** {!read} of [addr], ignoring [words]. *)
+val plain_load : load
+
 val remove_tag : t -> addr -> words:int -> unit
 val validate : t -> bool
 val clear_tag_set : t -> unit

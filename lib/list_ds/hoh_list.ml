@@ -117,16 +117,18 @@ module For_testing = struct
   let locate = locate
 end
 
-(* Plain (untagged, unvalidated) walk collecting keys in [lo, hi]. Not
-   atomic on its own: the sharded store calls this under its per-shard
+(* Walk collecting keys in [lo, hi], reading each node's line first with
+   [load] (plain or tagged): the head's next pointer, then each node's
+   key; the next pointer beside it is in the same line. A plain walk is
+   not atomic on its own: the sharded store calls it under its per-shard
    version protocol, which proves the structure quiescent over the walk
    whenever the enclosing scan validates. [budget] bounds the walk so a
    doomed attempt racing live updates still terminates. *)
-let scan_plain ctx t ~lo ~hi ~budget =
+let collect load ctx t ~lo ~hi ~budget =
   let rec go node fuel acc =
     if fuel <= 0 || node = Mt_sim.Memory.null then List.rev acc
     else begin
-      let ck = Node.key ctx node in
+      let ck = load ctx (node + Node.key_off) ~words:Node.words in
       if ck > hi then List.rev acc
       else
         let next = Node.ptr_of (Node.next_packed ctx node) in
@@ -134,7 +136,7 @@ let scan_plain ctx t ~lo ~hi ~budget =
         go next (fuel - 1) acc
     end
   in
-  go (Node.ptr_of (Node.next_packed ctx t.head)) budget []
+  go (Node.ptr_of (load ctx (t.head + Node.next_off) ~words:1)) budget []
 
 let range ctx t ~lo ~hi =
   let max_tags = (Mt_sim.Machine.cfg (Ctx.machine ctx)).Mt_sim.Config.max_tags in

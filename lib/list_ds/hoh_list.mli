@@ -15,12 +15,22 @@ include Set_intf.SET
     [None] if the range cannot fit in the tag set ([Max_Tags]). *)
 val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
 
-(** [scan_plain ctx t ~lo ~hi ~budget] — plain untagged walk collecting
-    keys in [\[lo, hi\]], visiting at most [budget] nodes. {e Not} atomic
-    on its own: callers must prove quiescence externally (the sharded
-    store's per-shard version protocol does), or treat the result as a
-    racy approximation. *)
-val scan_plain : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+(** [collect load ctx t ~lo ~hi ~budget] — walk collecting keys in
+    [\[lo, hi\]], visiting at most [budget] nodes; [load] reads the first
+    word of each line it visits (the head's next pointer, then each
+    node's key). With {!Mt_core.Ctx.plain_load} it is a plain walk, {e
+    not} atomic on its own: callers must prove quiescence externally (the
+    sharded store's per-shard version protocol does), or treat the result
+    as a racy approximation. With a tagged load it tags every node it
+    read. *)
+val collect :
+  Mt_core.Ctx.load ->
+  Mt_core.Ctx.t ->
+  t ->
+  lo:int ->
+  hi:int ->
+  budget:int ->
+  int list
 
 (** SEARCH exactly as written in the paper's Algorithm 2: a fully
     HoH-tagged locate. [contains] itself uses a plain untagged traversal,

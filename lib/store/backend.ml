@@ -1,9 +1,10 @@
 open Mt_core
 
 (* A store shard backend: a set structure that only the shard-lock
-   holder updates, plus two plain-read walks whose results the store's
-   version words validate. The contract and the argument that it is
-   enough are in backend.mli. *)
+   holder updates, plus a range collect written over its load (plain, or
+   tagged so that one validate certifies it) and a plain one-key
+   descent. The contract and the argument that it is enough are in
+   backend.mli. *)
 module type S = sig
   type t
 
@@ -11,7 +12,8 @@ module type S = sig
   val create : Ctx.t -> t
   val insert : Ctx.t -> t -> int -> bool
   val delete : Ctx.t -> t -> int -> bool
-  val scan_plain : Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  val collect :
+    Ctx.load -> Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
   val mem_plain : Ctx.t -> t -> int -> bool
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
 end

@@ -1,10 +1,11 @@
 (** Pluggable shard backends for the sharded store.
 
     A backend is a set structure driven under the store's per-shard
-    version lock, plus two plain-read walks, a range collect and a
-    one-key descent. Its contract with the store:
+    version lock, plus a range collect written over its load (plain or
+    tagged, {!Mt_core.Ctx.load}) and a plain one-key descent. Its
+    contract with the store:
     - only the holder of the shard lock calls [insert] and [delete];
-    - every other access uses [mem_plain] or [scan_plain].
+    - every other access uses [mem_plain] or [collect].
     The store never asks a backend for [contains].
 
     {b Why the norec-tagged shard needs no synchronization of its own.}
@@ -16,16 +17,41 @@
       its acquisition and its releases.
     + Every other access to a shard's tree is one of:
       - a plain walk whose result is used only between two equal even
-        reads of the version (a get, a write's no-op proof, a scan's
-        collect), so no update ran during it;
+        reads of the version (a get, a write's no-op proof, a fallback
+        scan's collect), so no update ran during it;
+      - a scan's tagged collect, certified as below;
       - a walk under the caller's own lock (a transaction's [Get]);
       - a walk whose result is discarded (the warm-up walk of a write
         or a transaction).
-    + A plain walk terminates against direct writes made in program
-      order, for the reasons it terminates against NOrec's in-order
-      write-back: a node's header is its first write, a child half holds
-      only null or a node address, and counts are clamped
-      ({!Tx_btree}, "Plain walks").
+    + A walk terminates against direct writes made in program order, for
+      the reasons it terminates against NOrec's in-order write-back: a
+      node's header is its first write, a child half holds only null or
+      a node address, and counts are clamped ({!Tx_btree}, "Plain
+      walks").
+
+    {b Why a tagged collect is a snapshot.} A scan runs [collect] with a
+    tagged load on every relevant shard, so each line a walk read is in
+    the tag set from its read on. After the walks it reads each shard's
+    version until it is even, at some instant [t_v] of its own, and then
+    validates once, at [t_val]. The argument has two parts.
+    + The tags: a validate that succeeds proves that no line the scan read
+      was written between its read and [t_val]. A walk is a deterministic
+      function of the words it reads, so a walk over memory as it stands
+      at any instant in [\[t_v, t_val\]] reads the same lines, sees the
+      same words and returns the same keys.
+    + The even version: only lock holders write a shard, and at [t_v] no
+      core held its lock, so memory at [t_v] is a committed state of the
+      shard. A writer that locks after [t_v] and commits before [t_val]
+      wrote none of the lines read (or the validate fails), so the state
+      it commits holds the same range contents.
+    Together these make each shard's range contents constant from its
+    [t_v] to [t_val], and equal to what its walk returned. [t_val] lies
+    in every shard's interval, so that one instant serves every shard at
+    once; the scan linearizes there. Without the even read the tags alone
+    are not enough: memory at [t_val] may be a lock holder's half-done
+    update (a B+-tree split written node by node) whose remaining writes
+    fall after [t_val], so a walk can read a state no committed history
+    ever held.
 
     The HoH backends keep their own tagged synchronization (they are the
     paper's structures); under the lock it is simply uncontended. *)
@@ -47,20 +73,30 @@ module type S = sig
       holder of the shard lock. *)
   val delete : Mt_core.Ctx.t -> t -> int -> bool
 
-  (** Plain (untagged, unvalidated) walk collecting the keys in
-      [\[lo, hi\]], visiting at most [budget] nodes. Only atomic under an
-      external quiescence proof (the store's version protocol). It has
-      two users: scans collect shards with it, and writes and
-      transactions walk each key with the one-key walk [~lo:k ~hi:k]
-      (which must return [\[k\]] when [k] is present and [\[\]]
-      otherwise) before taking any shard lock: a write to prove itself a
-      no-op or to warm its lines, a transaction only to warm them. *)
-  val scan_plain :
-    Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  (** [collect load ctx t ~lo ~hi ~budget] walks the keys in
+      [\[lo, hi\]], visiting at most [budget] nodes, and reads the first
+      word of every line it depends on with [load]: a tagged load tags
+      each such line (the root or head cell, then every node), so one
+      validate certifies the walk as above. With
+      {!Mt_core.Ctx.plain_load} it is a plain walk, only atomic under an
+      external quiescence proof (the store's version protocol). Its
+      plain users: a scan's fallback rounds, and writes and transactions
+      walking each key with [~lo:k ~hi:k] (which must return [\[k\]] when
+      [k] is present and [\[\]] otherwise) before taking any shard lock: a
+      write to prove itself a no-op or to warm its lines, a transaction
+      only to warm them. *)
+  val collect :
+    Mt_core.Ctx.load ->
+    Mt_core.Ctx.t ->
+    t ->
+    lo:int ->
+    hi:int ->
+    budget:int ->
+    int list
 
   (** Plain (untagged, unvalidated) one-key membership descent,
       terminating against a concurrent lock holder's updates but exact
-      only under the same quiescence proof as [scan_plain]. Gets run it
+      only under the same quiescence proof as a plain [collect]. Gets run it
       between two equal even reads of the shard version, and a
       transaction's [Get] sub-ops under the held shard locks. *)
   val mem_plain : Mt_core.Ctx.t -> t -> int -> bool

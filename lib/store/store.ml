@@ -13,7 +13,8 @@ module Obs = Mt_obs.Obs
 
    - Point writes first try to prove themselves no-ops without the
      lock: read the version, walk the key with the backend's plain
-     one-key walk ([scan_plain ~lo:k ~hi:k]), re-read the version. An
+     one-key collect ([collect Ctx.plain_load ~lo:k ~hi:k]), re-read the
+     version. An
      insert of a present key or a delete of an absent key whose two
      reads agree on an even version returns [false] having written
      nothing: it linearizes between the reads, by [get]'s argument, and
@@ -51,14 +52,21 @@ module Obs = Mt_obs.Obs
      drops the fallback lock and commits the same way. Only the
      fallback-lock holder ever waits while holding a shard lock, so
      there is no deadlock and a transaction never aborts.
-   - Scans tag each touched shard's version word, walk the shard with
-     the backend's plain collect, then validate the whole tag set once.
-     On a broken or capacity-evicted tag the plain re-read fallback
-     discriminates: versions are monotone, so a version unchanged
-     between a shard's pre-walk read and the re-read pass proves that
-     shard quiescent over an interval containing the pass start — a
-     common instant for every shard. Only shards whose version moved
-     are re-collected. *)
+   - Scans walk every touched shard with the backend's collect over a
+     tagged load, so the tag set holds exactly the lines the walks read
+     and no version word; then read each touched shard's version until
+     it is even (at most [txn_max_retries] waits), then validate once.
+     The tags prove no line read was written before the validate, and
+     the even versions that no writer was mid-update, so each shard's
+     range contents held still from its version read to the validate:
+     one instant for every shard (backend.mli has the proof). A write
+     elsewhere in a shard breaks nothing. A failed validate, a lock that
+     never clears or a walk that would outgrow [Max_Tags] falls back to
+     plain re-read rounds: versions are monotone, so a version unchanged
+     between a shard's pre-walk pin and the re-read pass proves that
+     shard quiescent over an interval containing the pass start, again
+     a common instant. Only shards whose version moved are walked
+     again. *)
 
 type op = Get | Insert | Delete
 
@@ -165,9 +173,11 @@ let shard_of (T s) k =
 let stats (T s) = { s.c with shard_ops = Array.copy s.c.shard_ops }
 let reset_stats (T s) = s.c <- zero_stats ~shards:(Array.length s.versions)
 
+(* Event records are built only under [tracing], so an untraced run
+   allocates none. *)
+let tracing ctx = Obs.enabled (Ctx.obs ctx)
 let emit ctx kind =
-  let o = Ctx.obs ctx in
-  if Obs.enabled o then Obs.emit o ~core:(Ctx.core ctx) ~time:(Ctx.now ctx) kind
+  Obs.emit (Ctx.obs ctx) ~core:(Ctx.core ctx) ~time:(Ctx.now ctx) kind
 
 let check_key key_space k =
   if k < 0 || k >= key_space then invalid_arg "Store: key out of range"
@@ -207,7 +217,7 @@ let release ctx a vlocked =
 let point_done ctx c sh =
   c.point_ops <- c.point_ops + 1;
   c.shard_ops.(sh) <- c.shard_ops.(sh) + 1;
-  emit ctx (Obs.Store_op { shard = sh })
+  if tracing ctx then emit ctx (Obs.Store_op { shard = sh })
 
 (* An insert ([~insert:true]) or delete of [k]. The unlocked walk either
    proves the write a no-op at an instant between two equal even version
@@ -220,7 +230,8 @@ let write ctx (T s) k ~insert =
   let sh = k mod Array.length s.versions in
   let v = Ctx.read ctx s.versions.(sh) in
   let present =
-    B.scan_plain ctx s.shards.(sh) ~lo:k ~hi:k ~budget:s.scan_budget <> []
+    B.collect Ctx.plain_load ctx s.shards.(sh) ~lo:k ~hi:k ~budget:s.scan_budget
+    <> []
   in
   let r =
     if present = insert && (not (locked v)) && Ctx.read ctx s.versions.(sh) = v
@@ -282,7 +293,7 @@ let txn ctx (T s) ops =
       List.iter
         (fun (k, _) ->
           ignore
-            (B.scan_plain ctx s.shards.(k mod nsh) ~lo:k ~hi:k
+            (B.collect Ctx.plain_load ctx s.shards.(k mod nsh) ~lo:k ~hi:k
                ~budget:s.scan_budget))
         ops;
       let rec acquire_all attempt =
@@ -357,7 +368,7 @@ let txn ctx (T s) ops =
             let sh = k mod nsh in
             s.c.txn_sub_ops <- s.c.txn_sub_ops + 1;
             s.c.shard_ops.(sh) <- s.c.shard_ops.(sh) + 1;
-            emit ctx (Obs.Store_op { shard = sh });
+            if tracing ctx then emit ctx (Obs.Store_op { shard = sh });
             match o with
             | Get -> B.mem_plain ctx s.shards.(sh) k
             | Insert -> B.insert ctx s.shards.(sh) k
@@ -371,10 +382,128 @@ let txn ctx (T s) ops =
       s.c.txn_commits <- s.c.txn_commits + 1;
       s.c.txn_locked_cycles <-
         s.c.txn_locked_cycles + (Ctx.now ctx - t_locked);
-      emit ctx
-        (Obs.Txn_commit
-           { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });
+      if tracing ctx then
+        emit ctx
+          (Obs.Txn_commit
+             { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });
       results
+
+(* Relevant shards of a scan over [lo, hi]: the residue classes the
+   window meets, every shard unless it is narrower than the shard
+   count. *)
+let relevant nsh ~lo ~width sh =
+  width >= nsh || (sh - (lo mod nsh) + nsh) mod nsh < width
+
+(* Raised by [tagged_load] when the tag set is full: the walk would need
+   more lines than [Max_Tags] certifies, so it stops at once. *)
+exception Tag_set_full
+
+let tagged_load ctx a ~words =
+  if Ctx.tag_count ctx >= Mt_sim.Machine.max_tags (Ctx.machine ctx) then
+    raise_notrace Tag_set_full;
+  Ctx.add_tag_read ctx a ~words
+
+(* Reads version word [a] until it is even, waiting out a held lock for
+   at most [txn_max_retries] tries; false if it never cleared. *)
+let rec settled ctx a tries =
+  (not (locked (Ctx.read ctx a)))
+  || tries < txn_max_retries
+     && begin
+          retry_wait ctx ~site:a ~attempt:tries;
+          settled ctx a (tries + 1)
+        end
+
+(* True when every relevant shard from [sh] on is [settled]. *)
+let rec all_settled ctx versions ~lo ~width sh =
+  let nsh = Array.length versions in
+  sh >= nsh
+  || ((not (relevant nsh ~lo ~width sh)) || settled ctx versions.(sh) 0)
+     && all_settled ctx versions ~lo ~width (sh + 1)
+
+(* The tag-certified pass: walk every relevant shard with tagged loads
+   into [res], read each one's version until it is even, then validate
+   once. True when that validate certified the whole scan. *)
+let tagged_pass ctx c collect shards versions ~budget res ~lo ~hi ~width =
+  let nsh = Array.length shards in
+  Ctx.clear_tag_set ctx;
+  let walked =
+    match
+      for sh = 0 to nsh - 1 do
+        if relevant nsh ~lo ~width sh then begin
+          res.(sh) <- collect tagged_load ctx shards.(sh) ~lo ~hi ~budget;
+          c.scan_collects <- c.scan_collects + 1
+        end
+      done
+    with
+    | () -> true
+    | exception Tag_set_full -> false
+  in
+  let ok =
+    walked && all_settled ctx versions ~lo ~width 0 && Ctx.validate ctx
+  in
+  Ctx.clear_tag_set ctx;
+  ok
+
+(* The fallback: plain re-read rounds. Pin an even version, walk with
+   plain reads, then re-read every version. Every walk precedes the
+   re-read pass and every re-read follows its start, so an unchanged
+   (monotone) version pins each shard's frozen interval around the pass
+   start — a common instant. Only the shards that moved are walked
+   again. *)
+let plain_rounds ctx c collect shards versions ~budget res ~lo ~hi ~width =
+  let nsh = Array.length shards in
+  let vers = Array.make nsh 0 in
+  let dirty = Array.init nsh (relevant nsh ~lo ~width) in
+  let rec pin a tries =
+    let v = Ctx.read ctx a in
+    if locked v then begin
+      retry_wait ctx ~site:a ~attempt:tries;
+      pin a (tries + 1)
+    end
+    else v
+  in
+  let rec round () =
+    for sh = 0 to nsh - 1 do
+      if dirty.(sh) then begin
+        vers.(sh) <- pin versions.(sh) 0;
+        res.(sh) <- collect Ctx.plain_load ctx shards.(sh) ~lo ~hi ~budget;
+        c.scan_collects <- c.scan_collects + 1;
+        dirty.(sh) <- false
+      end
+    done;
+    let moved = ref false in
+    for sh = 0 to nsh - 1 do
+      if relevant nsh ~lo ~width sh && Ctx.read ctx versions.(sh) <> vers.(sh)
+      then begin
+        dirty.(sh) <- true;
+        moved := true;
+        c.scan_shard_retries <- c.scan_shard_retries + 1;
+        if tracing ctx then
+          emit ctx (Obs.Scan_validate { shard = sh; ok = false })
+      end
+    done;
+    if !moved then round ()
+  in
+  round ()
+
+(* The index of the shard whose remaining keys start lowest, or -1. *)
+let rec lowest res sh best k0 =
+  if sh < 0 then best
+  else
+    match res.(sh) with
+    | k :: _ when best < 0 || k < k0 -> lowest res (sh - 1) sh k
+    | _ -> lowest res (sh - 1) best k0
+
+(* Merges the shards' ascending, disjoint key lists, consuming [res]. *)
+let[@tail_mod_cons] rec merge res =
+  let sh = lowest res (Array.length res - 1) (-1) 0 in
+  if sh < 0 then []
+  else
+    match res.(sh) with
+    | [] -> []
+    | k :: rest ->
+        res.(sh) <- rest;
+        k :: merge res
 
 let scan ctx (T s) ~lo ~hi =
   check_key s.key_space lo;
@@ -382,101 +511,25 @@ let scan ctx (T s) ~lo ~hi =
   if lo > hi then invalid_arg "Store.scan: lo > hi";
   let module B = (val s.backend) in
   let nsh = Array.length s.versions in
-  (* Residue classes intersecting [lo, hi]: all of them unless the window
-     is narrower than the shard count. *)
-  let relevant =
-    if hi - lo + 1 >= nsh then List.init nsh (fun i -> i)
-    else List.sort_uniq compare (List.init (hi - lo + 1) (fun i -> (lo + i) mod nsh))
-  in
-  let nrel = List.length relevant in
-  let machine = Ctx.machine ctx in
-  let vers = Array.make nsh 0 in
+  let width = hi - lo + 1 in
+  let budget = s.scan_budget in
   let res : int list array = Array.make nsh [] in
-  let dirty = Array.make nsh false in
-  List.iter (fun sh -> dirty.(sh) <- true) relevant;
-  let rec round () =
-    (* Tags certify the whole shard set at one instant only if every
-       version word fits the tag set; past capacity (or under a squeeze)
-       we go straight to the monotone-version fallback. *)
-    let use_tags = nrel <= Mt_sim.Machine.max_tags machine in
-    if use_tags then Ctx.clear_tag_set ctx;
-    let read_version sh =
-      if use_tags then Ctx.add_tag_read ctx s.versions.(sh) ~words:1
-      else Ctx.read ctx s.versions.(sh)
-    in
-    (* Re-pin shards kept from earlier rounds: versions are monotone, so
-       an unchanged version means the shard never moved since its walk. *)
-    List.iter
-      (fun sh ->
-        if not dirty.(sh) then begin
-          let v = read_version sh in
-          if v <> vers.(sh) then begin
-            dirty.(sh) <- true;
-            s.c.scan_shard_retries <- s.c.scan_shard_retries + 1;
-            emit ctx (Obs.Scan_validate { shard = sh; ok = false })
-          end
-        end)
-      relevant;
-    (* Collect invalidated shards: pin an even version, then walk with
-       plain reads. *)
-    List.iter
-      (fun sh ->
-        if dirty.(sh) then begin
-          let rec pin tries =
-            let v = read_version sh in
-            if locked v then begin
-              retry_wait ctx ~site:s.versions.(sh) ~attempt:tries;
-              pin (tries + 1)
-            end
-            else v
-          in
-          vers.(sh) <- pin 0;
-          res.(sh) <- B.scan_plain ctx s.shards.(sh) ~lo ~hi ~budget:s.scan_budget;
-          s.c.scan_collects <- s.c.scan_collects + 1;
-          dirty.(sh) <- false
-        end)
-      relevant;
-    if use_tags && Ctx.validate ctx then begin
-      (* Fast path: one validate proves every tagged version word
-         unchanged since its (re-)read — all shards quiescent from their
-         walks through this single instant. *)
-      Ctx.clear_tag_set ctx;
-      List.iter
-        (fun sh -> emit ctx (Obs.Scan_validate { shard = sh; ok = true }))
-        relevant
-    end
-    else begin
-      if use_tags then begin
-        Ctx.clear_tag_set ctx;
-        s.c.scan_tag_fallbacks <- s.c.scan_tag_fallbacks + 1
-      end;
-      (* Plain re-read pass, sound without tags: every walk precedes the
-         pass and every re-read follows its start, so an unchanged
-         (monotone) version pins each shard's frozen interval around the
-         pass start — a common instant. Discriminates spurious tag
-         failures (capacity evictions) from real shard movement, and
-         re-collects only the movers. *)
-      let all_ok = ref true in
-      List.iter
-        (fun sh ->
-          let v = Ctx.read ctx s.versions.(sh) in
-          if v <> vers.(sh) then begin
-            dirty.(sh) <- true;
-            all_ok := false;
-            s.c.scan_shard_retries <- s.c.scan_shard_retries + 1;
-            emit ctx (Obs.Scan_validate { shard = sh; ok = false })
-          end)
-        relevant;
-      if !all_ok then
-        List.iter
-          (fun sh -> emit ctx (Obs.Scan_validate { shard = sh; ok = true }))
-          relevant
-      else round ()
-    end
-  in
-  round ();
+  if
+    not
+      (tagged_pass ctx s.c B.collect s.shards s.versions ~budget res ~lo ~hi
+         ~width)
+  then begin
+    s.c.scan_tag_fallbacks <- s.c.scan_tag_fallbacks + 1;
+    plain_rounds ctx s.c B.collect s.shards s.versions ~budget res ~lo ~hi
+      ~width
+  end;
+  if tracing ctx then
+    for sh = 0 to nsh - 1 do
+      if relevant nsh ~lo ~width sh then
+        emit ctx (Obs.Scan_validate { shard = sh; ok = true })
+    done;
   s.c.scans <- s.c.scans + 1;
-  List.sort compare (List.concat_map (fun sh -> res.(sh)) relevant)
+  merge res
 
 let to_list_unsafe machine (T s) =
   let module B = (val s.backend) in

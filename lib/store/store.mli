@@ -28,12 +28,15 @@
       shard locks one at a time; only one transaction at a time holds
       the fallback lock, so fallbacks never wait on each other and a
       transaction always commits;
-    - {b scans/snapshots} tag each touched shard's version word, walk
-      shards with the backend's plain collect, and validate the whole
-      tag set at one instant, falling back to a monotone-version re-read
-      pass that re-collects only the shards that actually moved (so
-      spurious tag capacity evictions and [shards > Max_Tags] both
-      degrade gracefully instead of failing).
+    - {b scans} walk every touched shard with the backend's collect
+      over tagged loads, so the tag set holds exactly the lines walked
+      (no version word), read each touched shard's version until it is
+      even, and certify the whole scan with one validate; a write
+      elsewhere in a shard does not break it. A failed validate, a lock
+      that never clears or a walk longer than [Max_Tags] lines falls
+      back to monotone-version re-read rounds that re-collect only the
+      shards that actually moved, so tag pressure degrades a scan
+      instead of failing it.
 
     Progress and accounting are deterministic: a run is a pure function
     of the simulation, byte-identical for any [--jobs] and with tracing
@@ -61,9 +64,11 @@ type stats = {
   mutable scans : int;
   mutable scan_collects : int;  (** per-shard walk executions (>= touched shards) *)
   mutable scan_tag_fallbacks : int;
-      (** tag validations that failed and fell back to the version
-          re-read pass (spurious or real) *)
-  mutable scan_shard_retries : int;  (** shards re-collected after moving *)
+      (** scans whose tag-certified pass failed (a failed validate, a
+          lock that never cleared, or a walk past [Max_Tags]) and that
+          took the plain re-read rounds *)
+  mutable scan_shard_retries : int;
+      (** shards the re-read rounds walked again after they moved *)
   shard_ops : int array;  (** routed ops per shard (imbalance source) *)
   mutable txn_locked_cycles : int;
       (** simulated cycles from lock acquisition to release, summed over
@@ -104,7 +109,7 @@ val delete : Mt_core.Ctx.t -> t -> int -> bool
     sub-op runs under all touched shard locks, released after the last, and
     the per-sub-op results come back in the order the sub-ops were given.
     It always commits. Before its first acquisition attempt it walks each
-    sub-op's key once with [scan_plain ~lo:k ~hi:k] and discards the
+    sub-op's key once with a plain [collect ~lo:k ~hi:k] and discards the
     result, so the locked sub-ops hit in L1 and the locks are held
     briefly (see [txn_locked_cycles]). Under the locks a [Get] sub-op is
     the backend's plain [mem_plain] descent, and [Insert]/[Delete] the
@@ -113,7 +118,8 @@ val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]
     (both within the key space), merged across shards in ascending
-    order. Retries only the shards whose version moved. *)
+    order. Certified by one validate over the lines its walks read; its
+    fallback retries only the shards whose version moved. *)
 val scan : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list
 
 val stats : t -> stats

@@ -60,7 +60,8 @@ module type TREE = sig
   val contains : tx -> t -> int -> bool
   val insert : tx -> t -> int -> bool
   val delete : tx -> t -> int -> bool
-  val scan_plain : Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  val collect :
+    Ctx.load -> Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
   val mem_plain : Ctx.t -> t -> int -> bool
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
   val depth_unsafe : Mt_sim.Machine.t -> t -> int
@@ -304,16 +305,17 @@ module Make (S : ACCESS) = struct
   let mem_plain ctx t k = mem Ctx.read ctx (Ctx.read ctx t.root_cell) k
   let delete tx t k = del tx (S.read tx t.root_cell) k
 
-  (* Plain (untagged, unvalidated) range walk. Racing an update it may
-     see a mix of old and new words, so every count is clamped to its
-     node's capacity and a null child ends its branch; the caller's
-     version check discards such a walk. Children are visited
-     right to left and keys prepended, so a quiescent walk returns keys
-     ascending. *)
+  (* Range walk, written over [load]: the read of each line's first word
+     (the root cell, then every node's header, a node being one line),
+     plain or tagged. Racing an update a plain walk may see a mix of old
+     and new words, so every count is clamped to its node's capacity and
+     a null child ends its branch; the caller's version check or tag
+     validation discards such a walk. Children are visited right to left
+     and keys prepended, so a quiescent walk returns keys ascending. *)
 
   (* Keys [j] and below of a leaf that are >= [lo], those <= [hi]
-     prepended to [acc]; one read per word. *)
-  let rec collect ctx node lo hi j acc =
+     prepended to [acc]; one read per word, in the line [load] took. *)
+  let rec collect_keys ctx node lo hi j acc =
     if j < 0 then acc
     else
       let w = Ctx.read ctx (key_word node j) in
@@ -321,41 +323,46 @@ module Make (S : ACCESS) = struct
       else
         let k = high w in
         if k < lo then acc
-        else collect_low ctx node lo hi (j - 1) w (if k <= hi then k :: acc else acc)
+        else
+          collect_low ctx node lo hi (j - 1) w
+            (if k <= hi then k :: acc else acc)
 
   and collect_low ctx node lo hi j w acc =
     let k = low w in
     if k < lo then acc
-    else collect ctx node lo hi (j - 1) (if k <= hi then k :: acc else acc)
+    else collect_keys ctx node lo hi (j - 1) (if k <= hi then k :: acc else acc)
 
-  let rec walk ctx node lo hi fuel acc =
+  let rec walk load ctx node lo hi fuel acc =
     if node = null || !fuel <= 0 then acc
     else begin
       decr fuel;
-      let w = Ctx.read ctx node in
-      if is_leaf w then collect ctx node lo hi (min (count w) leaf_cap - 1) acc
-      else last_child ctx node (min (count w) inner_cap) lo hi fuel 0 w acc
+      let w = load ctx node ~words:node_words in
+      if is_leaf w then
+        collect_keys ctx node lo hi (min (count w) leaf_cap - 1) acc
+      else last_child load ctx node (min (count w) inner_cap) lo hi fuel 0 w acc
     end
 
   (* Finds the last child whose range meets [hi], as [child_for] does,
      then walks children from there leftwards. *)
-  and last_child ctx node n lo hi fuel i w acc =
+  and last_child load ctx node n lo hi fuel i w acc =
     if i < n then
       let w' = Ctx.read ctx (node + i + 1) in
-      if low w' <= hi then last_child ctx node n lo hi fuel (i + 1) w' acc
-      else walk_children ctx node lo hi fuel i w acc
-    else walk_children ctx node lo hi fuel i w acc
+      if low w' <= hi then last_child load ctx node n lo hi fuel (i + 1) w' acc
+      else walk_children load ctx node lo hi fuel i w acc
+    else walk_children load ctx node lo hi fuel i w acc
 
   (* Walks child [i] (the high half of word [w]), then, while its lower
      bound (separator [i-1], the low half) is above [lo], child [i-1]. *)
-  and walk_children ctx node lo hi fuel i w acc =
-    let acc = walk ctx (high w) lo hi fuel acc in
+  and walk_children load ctx node lo hi fuel i w acc =
+    let acc = walk load ctx (high w) lo hi fuel acc in
     if i > 0 && low w > lo then
-      walk_children ctx node lo hi fuel (i - 1) (Ctx.read ctx (node + i - 1)) acc
+      walk_children load ctx node lo hi fuel (i - 1)
+        (Ctx.read ctx (node + i - 1))
+        acc
     else acc
 
-  let scan_plain ctx t ~lo ~hi ~budget =
-    walk ctx (Ctx.read ctx t.root_cell) lo hi (ref budget) []
+  let collect load ctx t ~lo ~hi ~budget =
+    walk load ctx (load ctx t.root_cell ~words:1) lo hi (ref budget) []
 
   let rec peek_keys peek node acc =
     let w = peek node in

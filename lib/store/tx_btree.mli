@@ -15,9 +15,10 @@
     packed words in place. Keys and node addresses must lie in
     [\[0, 2^31)].
 
-    {b Plain walks.} [scan_plain] and [mem_plain] read with [Ctx.read]
-    whatever the instance, and terminate against concurrent updates
-    provided those become visible in first-write order: a node's header
+    {b Plain walks.} [collect] over a plain load and [mem_plain] read
+    with [Ctx.read] whatever the instance, and terminate against
+    concurrent updates provided those become visible in first-write
+    order: a node's header
     is its first write, so no pointer to a node is seen before its kind;
     a child half only ever holds null or a node address; and every count
     is clamped to its node's capacity. NOrec's in-order write-back gives
@@ -53,14 +54,24 @@ module type TREE = sig
   (** [delete tx t k] — false if [k] is absent. *)
   val delete : tx -> t -> int -> bool
 
-  (** [scan_plain ctx t ~lo ~hi ~budget] — plain (untagged, unvalidated)
-      walk collecting the keys in [\[lo, hi\]] in ascending order,
-      visiting at most [budget] nodes. Safe to run against concurrent
-      updates (see {e Plain walks} above) but {e not} atomic on its own:
-      callers must prove quiescence externally (the sharded store's
-      per-shard version protocol does). *)
-  val scan_plain :
-    Mt_core.Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
+  (** [collect load ctx t ~lo ~hi ~budget] — walk collecting the keys in
+      [\[lo, hi\]] in ascending order, visiting at most [budget] nodes.
+      [load] reads the first word of every line the walk visits: the
+      root cell, then each node's header (a node is one line); the rest
+      of a node is read plainly. With {!Mt_core.Ctx.plain_load} it is a
+      plain walk, safe to run against concurrent updates (see {e Plain
+      walks} above) but {e not} atomic on its own: callers must prove
+      quiescence externally (the sharded store's per-shard version
+      protocol does). With a tagged load it tags exactly the lines it
+      read, one tag per line. *)
+  val collect :
+    Mt_core.Ctx.load ->
+    Mt_core.Ctx.t ->
+    t ->
+    lo:int ->
+    hi:int ->
+    budget:int ->
+    int list
 
   (** [mem_plain ctx t k] — [contains] as one plain (untagged,
       unvalidated) descent: the same code over [Ctx.read]. It terminates

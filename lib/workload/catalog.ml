@@ -4,13 +4,14 @@ type entry = {
   name : string;
   aliases : string list;
   set : (module SET);
-  fuzz : (module SET);
+  fuzz : (module Mt_check.Explore.TARGET);
   backend : (module Mt_store.Backend.S) option;
   canary : bool;
 }
 
 let entry ?(aliases = []) ?fuzz ?backend ?(canary = false) name set =
-  { name; aliases; set; fuzz = Option.value fuzz ~default:set; backend; canary }
+  let fuzz = Option.value fuzz ~default:(Mt_check.Explore.plain set) in
+  { name; aliases; set; fuzz; backend; canary }
 
 (* The fuzzer's trees are (2,4), the smallest legal (a,b), so that its
    default 12-key range reaches every rebalancing step. At (4,8) a 12-key
@@ -38,13 +39,13 @@ let elided_list = entry "elided_list" (module Mt_list.Elided_list)
 let abtree_hoh =
   entry "abtree_hoh" ~aliases:[ "abtree-hoh"; "hoh-abtree" ]
     (module Mt_abtree.Abtree_hoh.Paper)
-    ~fuzz:(module Mt_abtree.Abtree_hoh.Make (Fuzz_ab))
+    ~fuzz:(Mt_check.Explore.tree (module Mt_abtree.Abtree_hoh.Make (Fuzz_ab)))
     ~backend:(module Mt_store.Backend.Hoh_abtree)
 
 let abtree_llx =
   entry "abtree_llx" ~aliases:[ "abtree-llx" ]
     (module Mt_abtree.Abtree_llx.Paper)
-    ~fuzz:(module Mt_abtree.Abtree_llx.Make (Fuzz_ab))
+    ~fuzz:(Mt_check.Explore.tree (module Mt_abtree.Abtree_llx.Make (Fuzz_ab)))
 
 (* The store's B+-tree as a standalone concurrent set: every operation
    is one transaction on the set's own tagged-NOrec instance. The store's

@@ -11,8 +11,9 @@ type entry = {
   aliases : string list;
   set : (module Mt_list.Set_intf.SET);
       (** the instance the benchmarks run; the trees at the paper's (4,8) *)
-  fuzz : (module Mt_list.Set_intf.SET);
-      (** the fuzzer's instance: [set], except the trees at (2,4) *)
+  fuzz : (module Mt_check.Explore.TARGET);
+      (** the fuzzer's instance: [set], except the trees at (2,4), whose
+          final structure every run also audits *)
   backend : (module Mt_store.Backend.S) option;  (** the store shard backend *)
   canary : bool;
       (** a deliberately broken structure: fuzzed to prove the checker can

@@ -461,7 +461,9 @@ let test_catalog_names () =
     [ ("harris", "harris-list"); ("vas", "vas-list"); ("hoh", "hoh-list");
       ("abtree-llx", "llx-abtree(4,8)"); ("abtree-hoh", "hoh-abtree(4,8)") ];
   resolves Catalog.all
-    (fun e -> set_name e.fuzz)
+    (fun e ->
+      let (module F) = e.fuzz in
+      F.name)
     [ ("harris_list", "harris-list"); ("vas_list", "vas-list");
       ("hoh_list", "hoh-list"); ("elided_list", "elided-hoh-list");
       ("abtree_hoh", "hoh-abtree(2,4)"); ("abtree_llx", "llx-abtree(2,4)");

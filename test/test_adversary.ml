@@ -28,7 +28,7 @@ let full_spec =
 
 let test_injected_replay_identical () =
   let run () =
-    Explore.run ~spec:full_spec (module Mt_list.Vas_list)
+    Explore.run ~spec:full_spec (Explore.plain (module Mt_list.Vas_list))
       ~params:(params ()) ~seed:7
   in
   let a = run () and b = run () in
@@ -41,12 +41,13 @@ let test_tracing_changes_nothing_injected () =
   (* Recording a full event trace during an injected run must not perturb
      the schedule, the injections, or the history. *)
   let bare =
-    Explore.run ~spec:full_spec (module Mt_list.Vas_list)
+    Explore.run ~spec:full_spec (Explore.plain (module Mt_list.Vas_list))
       ~params:(params ()) ~seed:11
   in
   let obs = Mt_obs.Obs.create ~num_cores:4 () in
   let traced =
-    Explore.run ~obs ~spec:full_spec (module Mt_list.Vas_list)
+    Explore.run ~obs ~spec:full_spec
+      (Explore.plain (module Mt_list.Vas_list))
       ~params:(params ()) ~seed:11
   in
   check_bool "traced history identical" true
@@ -57,11 +58,11 @@ let test_injection_has_effect () =
   (* The plan must actually change the run — otherwise the adversary is a
      no-op and every "survives --adversary" claim is vacuous. *)
   let plain =
-    Explore.run ~spec:Inject.none (module Mt_list.Vas_list)
+    Explore.run ~spec:Inject.none (Explore.plain (module Mt_list.Vas_list))
       ~params:(params ()) ~seed:7
   in
   let injected =
-    Explore.run ~spec:full_spec (module Mt_list.Vas_list)
+    Explore.run ~spec:full_spec (Explore.plain (module Mt_list.Vas_list))
       ~params:(params ()) ~seed:7
   in
   check_bool "injected schedule differs from plain" true
@@ -179,22 +180,24 @@ let test_set_max_tags_latches_overflow () =
 
 let test_adversarial_sweep_clean () =
   let _, failure =
-    Explore.sweep (module Mt_list.Vas_list) ~params:(params ())
+    Explore.sweep
+      (Explore.plain (module Mt_list.Vas_list))
+      ~params:(params ())
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:10
   in
   match failure with
   | None -> ()
   | Some o ->
-      let v = match o.verdict with Error v -> v | Ok () -> assert false in
+      let f = match o.verdict with Error f -> f | Ok () -> assert false in
       Alcotest.failf "vas_list failed adversarial seed %d: %a" o.seed
-        Linearize.pp_violation v
+        Explore.pp_failure f
 
 let test_buggy_abtree_caught () =
   (* The new canary: hand-over-hand a-b tree with the insert commit's
      validation dropped must be caught within 100 adversarial seeds. *)
   let _, failure =
-    Explore.sweep (module Buggy_abtree) ~params:(params ())
+    Explore.sweep (Explore.plain (module Buggy_abtree)) ~params:(params ())
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:100
   in
@@ -202,7 +205,8 @@ let test_buggy_abtree_caught () =
   | Some o ->
       check_bool "caught well within budget" true (o.seed < 100);
       let replay =
-        Explore.run ~spec:(Inject.of_seed ~seed:o.seed) (module Buggy_abtree)
+        Explore.run ~spec:(Inject.of_seed ~seed:o.seed)
+          (Explore.plain (module Buggy_abtree))
           ~params:(params ()) ~seed:o.seed
       in
       check_bool "failure replays byte-identically" true
@@ -212,7 +216,7 @@ let test_buggy_abtree_caught () =
 let test_sweep_jobs_invariant () =
   (* First reported adversarial failure must not depend on --jobs. *)
   let sweep jobs =
-    Explore.sweep ~jobs (module Buggy_list) ~params:(params ())
+    Explore.sweep ~jobs (Explore.plain (module Buggy_list)) ~params:(params ())
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:40
   in
@@ -232,7 +236,7 @@ let test_sweep_jobs_invariant () =
 let find_failure (module S : Mt_list.Set_intf.SET) =
   let p = params () in
   let _, failure =
-    Explore.sweep (module S) ~params:p
+    Explore.sweep (Explore.plain (module S)) ~params:p
       ~spec_of:(fun seed -> Inject.of_seed ~seed)
       ~seeds:100
   in
@@ -243,13 +247,18 @@ let find_failure (module S : Mt_list.Set_intf.SET) =
 (* The exact minimal repro and probe count for each canary: a reordered
    reduction table, a changed ladder or a changed seed budget moves them. *)
 let check_shrink_pinned (module S : Mt_list.Set_intf.SET) ~config ~runs =
-  let r = Shrink.shrink (module S) (find_failure (module S)) in
+  let r =
+    Shrink.shrink (Explore.plain (module S)) (find_failure (module S))
+  in
   let c = r.config in
   Alcotest.(check string) "minimal config" config
     (Format.asprintf "%a" Shrink.pp_config c);
   check_int "candidate runs" runs r.runs;
   (* and the minimal repro replays byte-identically, still failing *)
-  let replay = Explore.run ~spec:c.spec (module S) ~params:c.params ~seed:c.seed in
+  let replay =
+    Explore.run ~spec:c.spec (Explore.plain (module S)) ~params:c.params
+      ~seed:c.seed
+  in
   check_bool "minimal repro replays byte-identically" true
     (History.to_string replay.history = History.to_string r.outcome.history
     && Result.is_error replay.verdict)
@@ -271,8 +280,8 @@ let test_shrink_buggy_abtree () =
 
 let test_shrink_idempotent () =
   let initial = find_failure (module Buggy_list) in
-  let r1 = Shrink.shrink (module Buggy_list) initial in
-  let r2 = Shrink.shrink (module Buggy_list) r1.config in
+  let r1 = Shrink.shrink (Explore.plain (module Buggy_list)) initial in
+  let r2 = Shrink.shrink (Explore.plain (module Buggy_list)) r1.config in
   check_bool "re-shrinking is a fixpoint" true (r2.config = r1.config)
 
 let test_shrink_rejects_passing_config () =
@@ -280,7 +289,7 @@ let test_shrink_rejects_passing_config () =
     { Shrink.params = params (); spec = Inject.none; seed = 0 }
   in
   check_bool "non-failing initial raises" true
-    (match Shrink.shrink (module Mt_list.Vas_list) c with
+    (match Shrink.shrink (Explore.plain (module Mt_list.Vas_list)) c with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -25,10 +25,15 @@
    descent allocates per node visited, and mutations shift the packed
    words in place instead of unpacking a node into arrays.
 
-   Store writes. An effective [Store.insert] plus [Store.delete] of one
-   key on a norec-tagged store allocates 11 words: the store layer's
-   walks and event records, nothing in the tree (183 while each shard
-   update ran as a tagged-NOrec transaction).
+   Store writes and scans. An effective [Store.insert] plus
+   [Store.delete] of one key on a norec-tagged store allocates 7 words:
+   the store layer's walks, nothing in the tree and no event record in
+   an untraced run (11 while the records were built before the sink
+   check, 183 while each shard update ran as a tagged-NOrec
+   transaction). A quiet whole-store scan of 32 keys over 4 shards
+   allocates 205 words: its walks' results and the merged result (913
+   while every scan built its shard list, fallback state and a sorted
+   copy).
 
    Directory footprint. A [Directory] costs one word per line of each
    chunk that some line was written to, plus the chunk table; the plane
@@ -198,7 +203,8 @@ let () =
       ("mem_plain", 0., fun ctx t k -> ignore (TB.mem_plain ctx t k));
       ( "scan k..k",
         5.,
-        fun ctx t k -> ignore (TB.scan_plain ctx t ~lo:k ~hi:k ~budget:64) );
+        fun ctx t k ->
+          ignore (TB.collect Ctx.plain_load ctx t ~lo:k ~hi:k ~budget:64) );
       ( "delete + re-insert",
         0.,
         fun ctx t k ->
@@ -211,13 +217,14 @@ let () =
 (* An effective [Store.insert] and [Store.delete] of the same absent key
    on a warm norec-tagged store: both one-key walks, the lock CAS and
    release CAS of each, and the B+-tree update written directly under the
-   lock. The 11 words are the store layer's own: the walks' fuel cells
-   and results (7) and the two [Store_op] event records (4). The tree
-   adds nothing. With a tagged-NOrec transaction per update and a
-   closure per lock acquisition the pair allocated 183. *)
+   lock. The 7 words are the walks' fuel cells and results; an untraced
+   run builds no event record, and the tree adds nothing. With the
+   [Store_op] records built before the sink check the pair allocated
+   11, and with a tagged-NOrec transaction per update and a closure per
+   lock acquisition 183. *)
 let () =
   let module Store = Mt_store.Store in
-  pin "store insert + delete, norec-tagged" ~expected:11.
+  pin "store insert + delete, norec-tagged" ~expected:7.
     (words_per_step ~n:20_000 (fun k ->
          let m = Machine.create (Config.default ~num_cores:1 ()) in
          Harness.exec1 m (fun ctx ->
@@ -232,6 +239,31 @@ let () =
                let key = (2 * (i land 31)) + 1 in
                ignore (Store.insert ctx s key);
                ignore (Store.delete ctx s key)
+             done)))
+
+(* A quiet [Store.scan] of the whole key space of a warm norec-tagged
+   store with 4 shards and 32 keys: the tag-certified pass, with no
+   fallback. 205 words: the per-shard results array (5), each shard
+   walk's fuel cell (2) and key list (3 per key), and the merged result
+   (3 per key); no per-scan list of shards, no fallback state and no
+   sort. The version-tagged scan, which built the shard list, three
+   arrays, a concatenation and a sorted copy on every call, allocated
+   913. *)
+let () =
+  let module Store = Mt_store.Store in
+  pin "store scan, 4 shards, 32 keys" ~expected:205.
+    (words_per_step ~n:5_000 (fun k ->
+         let m = Machine.create (Config.default ~num_cores:1 ()) in
+         Harness.exec1 m (fun ctx ->
+             let s =
+               Store.create (module Mt_store.Backend.Norec_map) ctx ~shards:4
+                 ~key_space:64
+             in
+             for key = 0 to 31 do
+               ignore (Store.insert ctx s (2 * key))
+             done;
+             for _ = 1 to k do
+               ignore (Store.scan ctx s ~lo:0 ~hi:63)
              done)))
 
 (* Directory footprint -------------------------------------------------- *)

@@ -141,7 +141,9 @@ let params ?(threads = 4) ?(ops = 40) () =
 
 let test_explorer_replay_identical () =
   let run () =
-    Explore.run (module Mt_list.Vas_list) ~params:(params ()) ~seed:3
+    Explore.run
+      (Explore.plain (module Mt_list.Vas_list))
+      ~params:(params ()) ~seed:3
   in
   let a = run () and b = run () in
   check_bool "byte-identical histories" true
@@ -153,18 +155,22 @@ let test_explorer_seeds_differ () =
   (* Distinct seeds must actually explore distinct schedules. *)
   let h seed =
     History.to_string
-      (Explore.run (module Mt_list.Vas_list) ~params:(params ()) ~seed).history
+      (Explore.run
+         (Explore.plain (module Mt_list.Vas_list))
+         ~params:(params ()) ~seed)
+        .history
   in
   check_bool "seed 1 and 2 give different histories" true (h 1 <> h 2)
 
 let sweep_clean name (module S : Mt_list.Set_intf.SET) =
-  let _, failure = Explore.sweep (module S) ~params:(params ()) ~seeds:15 in
+  let _, failure =
+    Explore.sweep (Explore.plain (module S)) ~params:(params ()) ~seeds:15
+  in
   match failure with
   | None -> ()
   | Some o ->
-      let v = match o.verdict with Error v -> v | Ok () -> assert false in
-      Alcotest.failf "%s: seed %d not linearizable: %a" name o.seed
-        Linearize.pp_violation v
+      let f = match o.verdict with Error f -> f | Ok () -> assert false in
+      Alcotest.failf "%s: seed %d failed: %a" name o.seed Explore.pp_failure f
 
 let test_sweep_vas () = sweep_clean "vas" (module Mt_list.Vas_list)
 let test_sweep_hoh () = sweep_clean "hoh" (module Mt_list.Hoh_list)
@@ -174,13 +180,19 @@ let test_buggy_list_caught () =
   (* The canary: the marking-disabled list must be caught within 100
      seeds (acceptance criterion; in practice the first few). *)
   let _, failure =
-    Explore.sweep (module Buggy_list) ~params:(params ()) ~seeds:100
+    Explore.sweep
+      (Explore.plain (module Buggy_list))
+      ~params:(params ()) ~seeds:100
   in
   match failure with
   | Some o ->
       check_bool "caught well within budget" true (o.seed < 100);
       (* and its failing seed replays identically *)
-      let replay = Explore.run (module Buggy_list) ~params:(params ()) ~seed:o.seed in
+      let replay =
+        Explore.run
+          (Explore.plain (module Buggy_list))
+          ~params:(params ()) ~seed:o.seed
+      in
       check_bool "failure replays byte-identically" true
         (History.to_string replay.history = History.to_string o.history)
   | None -> Alcotest.fail "broken list survived 100 seeds"

@@ -104,7 +104,8 @@ let test_point_walk () =
             (bname ^ " one-key walks")
             (List.init range (fun k -> if present.(k) then [ k ] else []))
             (List.init range (fun k ->
-                 B.scan_plain ctx t ~lo:k ~hi:k ~budget:((2 * range) + 64)));
+                 B.collect Ctx.plain_load ctx t ~lo:k ~hi:k
+                   ~budget:((2 * range) + 64)));
           Alcotest.(check (list bool))
             (bname ^ " mem_plain")
             (Array.to_list present)
@@ -321,6 +322,68 @@ let test_txn_past_tag_capacity () =
     backend_names
 
 (* ------------------------------------------------------------------ *)
+(* Scans certified by tags on the lines they walk. *)
+
+(* A quiet scan on a core whose cache is cold (so every line it reads
+   misses, with an [L1_miss] event) tags exactly the lines its walks
+   read, each once, and never a shard's version word; it validates once
+   and takes no fallback. The store holds the even keys below 160 (20
+   per shard) and the scan covers [0, 79]. *)
+let test_quiet_scan_tags () =
+  List.iter
+    (fun bname ->
+      let obs = Obs.create ~retain:false ~num_cores:2 () in
+      let missed = Hashtbl.create 64 and tagged = ref [] in
+      Obs.set_tap obs
+        (Some
+           (fun (e : Obs.event) ->
+             if e.core = 1 then
+               match e.kind with
+               | Obs.L1_miss { line } -> Hashtbl.replace missed line ()
+               | Obs.Tag_add { line } -> tagged := line :: !tagged
+               | _ -> ()));
+      let m = Machine.create ~obs (Config.default ~num_cores:2 ()) in
+      let s =
+        Harness.exec1 m (fun ctx ->
+            let s = Store.create (backend bname) ctx ~shards:4 ~key_space:160 in
+            for k = 0 to 79 do
+              ignore (Store.insert ctx s (2 * k))
+            done;
+            s)
+      in
+      Hashtbl.reset missed;
+      tagged := [];
+      let before = Machine.total_stats m in
+      let (_ : int) =
+        Harness.exec m ~threads:2 (fun ctx ->
+            if Ctx.core ctx = 1 then
+              Alcotest.(check (list int))
+                (bname ^ " scan") (List.init 40 (fun i -> 2 * i))
+                (Store.scan ctx s ~lo:0 ~hi:79))
+      in
+      let after = Machine.total_stats m in
+      let walked =
+        Hashtbl.fold
+          (fun line () acc ->
+            if Obs.label_of obs line = Some "store-version" then acc
+            else line :: acc)
+          missed []
+      in
+      let sort = List.sort compare in
+      Alcotest.(check (list int))
+        (bname ^ " tagged lines = lines walked")
+        (sort walked) (sort !tagged);
+      check_int (bname ^ " one tag add per line")
+        (List.length walked)
+        (after.Stats.tag_adds - before.Stats.tag_adds);
+      check_int (bname ^ " one validate") 1
+        (after.Stats.validates - before.Stats.validates);
+      let st = Store.stats s in
+      check_int (bname ^ " no fallback") 0 st.scan_tag_fallbacks;
+      check_int (bname ^ " one walk per shard") 4 st.scan_collects)
+    backend_names
+
+(* ------------------------------------------------------------------ *)
 (* Sequential map + range-query model (set_battery's ranged battery). *)
 
 let ranged_battery bname =
@@ -372,7 +435,8 @@ module Btree = struct
   let to_list_unsafe machine t = TB.to_list_unsafe machine t.tree
 
   let range ctx t ~lo ~hi =
-    TB.scan_plain ctx t.tree ~lo ~hi ~budget:(List.length skeleton + 4096)
+    TB.collect Ctx.plain_load ctx t.tree ~lo ~hi
+      ~budget:(List.length skeleton + 4096)
 end
 
 module Btree_battery = Set_battery.Make (Btree)
@@ -547,9 +611,13 @@ let point ctx s o k =
 
 (* One seeded run: [threads] fibers each make [steps] calls of [step] on a
    fresh 4-shard store, pausing a random [0, think) cycles before each;
-   the history must linearize and the final contents be reachable. *)
-let check_history bname ~seed ~key_space ~threads ~steps ~policy ~think step =
-  let m = machine ~cores:threads () in
+   the history must linearize and the final contents be reachable.
+   Returns the store's counters. *)
+let check_history ?(max_tags = 64) bname ~seed ~key_space ~threads ~steps
+    ~policy ~think step =
+  let m =
+    Machine.create { (Config.default ~num_cores:threads ()) with max_tags }
+  in
   let s =
     Harness.exec1 m (fun ctx ->
         Store.create (backend bname) ctx ~shards:4 ~key_space)
@@ -567,7 +635,7 @@ let check_history bname ~seed ~key_space ~threads ~steps ~policy ~think step =
         done)
   in
   Machine.check_coherence m;
-  match Linearize.check whole_model ~init:[] (Array.of_list !log) with
+  (match Linearize.check whole_model ~init:[] (Array.of_list !log) with
   | Ok states ->
       check_bool
         (Printf.sprintf "%s seed %d: final contents reachable" bname seed)
@@ -575,10 +643,10 @@ let check_history bname ~seed ~key_space ~threads ~steps ~policy ~think step =
         (List.mem (Store.to_list_unsafe m s) states)
   | Error window ->
       Alcotest.failf "%s seed %d: history not linearizable (%d-op window)"
-        bname seed (Array.length window)
+        bname seed (Array.length window));
+  Store.stats s
 
-let test_mixed_linearizable () =
-  let step ctx s g =
+let mixed_step ctx s g =
     let k = Prng.int g 12 in
     match Prng.int g 5 with
     | 0 | 1 ->
@@ -596,14 +664,39 @@ let test_mixed_linearizable () =
         let lo = Prng.int g 8 in
         let hi = lo + Prng.int g (12 - lo) in
         Scan (lo, hi, Store.scan ctx s ~lo ~hi)
-  in
+
+let test_mixed_linearizable () =
   List.iter
     (fun bname ->
       for seed = 0 to 4 do
-        check_history bname ~seed ~key_space:12 ~threads:3 ~steps:12
-          ~policy:(Runtime.random_policy ~seed:(seed + 50) ())
-          ~think:0 step
+        ignore
+          (check_history bname ~seed ~key_space:12 ~threads:3 ~steps:12
+             ~policy:(Runtime.random_policy ~seed:(seed + 50) ())
+             ~think:0 mixed_step)
       done)
+    backend_names
+
+(* The same histories on a tag set too small for a scan's walks: every
+   scan's tagged pass fills it and stops, so scans take the plain
+   re-read fallback, and the histories still linearize. The lists and
+   the B+-tree get 4 tags; the HoH tree keeps 16, because its own
+   updates tag a window of up to three nodes of three lines each. *)
+let test_scan_fallback_linearizable () =
+  List.iter
+    (fun bname ->
+      let max_tags = if bname = "hoh-abtree" then 16 else 4 in
+      let fallbacks = ref 0 in
+      for seed = 0 to 4 do
+        let st =
+          check_history ~max_tags bname ~seed ~key_space:12 ~threads:3 ~steps:12
+            ~policy:(Runtime.random_policy ~seed:(seed + 50) ())
+            ~think:0 mixed_step
+        in
+        fallbacks := !fallbacks + st.scan_tag_fallbacks
+      done;
+      check_bool
+        (Printf.sprintf "%s scans fell back (%d)" bname !fallbacks)
+        true (!fallbacks > 0))
     backend_names
 
 (* No-op-heavy: five keys, point ops are all writes, so about half find
@@ -634,8 +727,9 @@ let test_noop_linearizable () =
   List.iter
     (fun bname ->
       for seed = 0 to 199 do
-        check_history bname ~seed ~key_space:5 ~threads:4 ~steps:20
-          ~policy:Runtime.default_policy ~think:1000 step
+        ignore
+          (check_history bname ~seed ~key_space:5 ~threads:4 ~steps:20
+             ~policy:Runtime.default_policy ~think:1000 step)
       done)
     backend_names
 
@@ -658,10 +752,106 @@ let test_get_linearizable () =
   List.iter
     (fun bname ->
       for seed = 0 to 199 do
-        check_history bname ~seed ~key_space:5 ~threads:4 ~steps:20
-          ~policy:Runtime.default_policy ~think:1000 step
+        ignore
+          (check_history bname ~seed ~key_space:5 ~threads:4 ~steps:20
+             ~policy:Runtime.default_policy ~think:1000 step)
       done)
     backend_names
+
+(* Scans racing leaf splits, root splits and cross-shard moves. Two
+   shards start with full root leaves (the even keys 0-26 and the odd
+   keys 1-27). A writer fiber inserts keys that split leaves, the first
+   split in each shard being a root split, and runs transactions that
+   delete a key in one shard and insert one in the other ([`Move]),
+   pausing [writer_gap] cycles after each; a scanner
+   fiber scans the whole key space back to back until the writer is
+   done. The writer is a straggler, every stall 6 or 20 cycles longer,
+   so its critical sections span several of the scanner's reads, and
+   the scanner's start is swept across [0, 600) cycles so that some scan
+   lands inside each window of every update. Each history must
+   linearize. A scan that skips waiting for even versions, skips the
+   validate, or reads the B+-tree's root cell untagged returns a state
+   no linearization holds. On the B+-tree alone, the missing wait shows
+   only at the longer straggle (its windows between a transaction's
+   writes in two shards are short) and the untagged root cell at start
+   132 of the shorter one. *)
+let writer_gap = 400
+
+let test_scan_races () =
+  let key_space = 80 in
+  let writer =
+    List.concat
+      [
+        [ `Insert 28; `Move (0, 29) ];
+        List.init 10 (fun i -> `Insert (30 + (2 * i)));
+        [ `Move (2, 31); `Move (31, 0) ];
+        List.init 8 (fun i -> `Insert (33 + (2 * i)));
+        [ `Move (29, 2) ];
+      ]
+  in
+  let init = List.init 28 Fun.id in
+  List.iter
+    (fun (bname, straggle) ->
+      for start = 0 to 199 do
+        let start = 3 * start in
+        let m = machine ~cores:2 () in
+        let s =
+          Harness.exec1 m (fun ctx ->
+              let s = Store.create (backend bname) ctx ~shards:2 ~key_space in
+              List.iter (fun k -> ignore (Store.insert ctx s k)) init;
+              s)
+        in
+        let log : whole_op Linearize.entry list ref = ref [] in
+        let record ctx t_inv op =
+          log :=
+            { Linearize.op; result = true; t_inv; t_res = Ctx.now ctx } :: !log
+        in
+        let writing = ref true in
+        let (_ : int) =
+          Harness.exec m ~threads:2
+            ~policy:
+              (Runtime.decorate_policy Runtime.default_policy
+                 ~extra_delay:(fun ~tid ~now:_ ~base ->
+                   if tid = 0 then base + straggle else base))
+            (fun ctx ->
+              if Ctx.core ctx = 0 then begin
+                List.iter
+                  (fun w ->
+                    let t_inv = Ctx.now ctx in
+                    record ctx t_inv
+                      (match w with
+                      | `Insert k -> Point (Store.Insert, k, Store.insert ctx s k)
+                      | `Move (a, b) ->
+                          let ops = [ (a, Store.Delete); (b, Store.Insert) ] in
+                          Txn (ops, Store.txn ctx s ops));
+                    Ctx.work ctx writer_gap)
+                  writer;
+                writing := false
+              end
+              else begin
+                Ctx.work ctx start;
+                while !writing do
+                  let t_inv = Ctx.now ctx in
+                  let hi = key_space - 1 in
+                  record ctx t_inv (Scan (0, hi, Store.scan ctx s ~lo:0 ~hi))
+                done
+              end)
+        in
+        Machine.check_coherence m;
+        match Linearize.check whole_model ~init (Array.of_list !log) with
+        | Ok states ->
+            check_bool
+              (Printf.sprintf "%s straggle %d start %d: final contents \
+                               reachable" bname straggle start)
+              true
+              (List.mem (Store.to_list_unsafe m s) states)
+        | Error window ->
+            Alcotest.failf
+              "%s straggle %d start %d: history not linearizable (%d-op \
+               window)"
+              bname straggle start (Array.length window)
+      done)
+    (List.concat_map (fun b -> [ (b, 6); (b, 20) ]) backend_names)
 
 (* ------------------------------------------------------------------ *)
 (* Serve integration: conservation, per-class accounting, and the
@@ -765,6 +955,15 @@ let () =
          ] );
        ( "backend",
          [ Alcotest.test_case "point walk contract" `Quick test_point_walk ] );
+       ( "scan",
+         [
+           Alcotest.test_case "quiet scan tags only its walks" `Quick
+             test_quiet_scan_tags;
+           Alcotest.test_case "races with splits and moves" `Slow
+             test_scan_races;
+           Alcotest.test_case "small tag set falls back" `Slow
+             test_scan_fallback_linearizable;
+         ] );
        ( "linearizability",
          [
            Alcotest.test_case "mixed point/txn/scan histories" `Slow
