@@ -624,7 +624,8 @@ let store o _ =
    the HoH list (VAS/IAS storms on a short hot list), the HoH (a,b)-tree
    (locate/commit restarts over a wider structure), tagged NOrec (STM
    abort/retry on the global seqlock) and the sharded store's transaction
-   path (kCAS + shard-lock acquisition retries). Every point reuses the
+   path (tagged shard-lock acquisition: VAS retries, then the serialized
+   fallback). Every point reuses the
    same per-core PRNG streams regardless of policy (jitter draws come
    from a separate split stream), so the offered operation sequence is
    identical across policies and throughput differences are pure
@@ -697,9 +698,10 @@ let contention_stm_point o ~range ~theta ~cm ~threads =
           S.write tx b (vb - 1)))
     spec
 
-(* Zipf-keyed 3-key transactions against the sharded store (hoh-list
-   shards): hot ranks all route to the same shard, so its version word
-   becomes the contended site for the shard-lock retry loop. *)
+(* Zipf-keyed 3-key transactions against the sharded store
+   (norec-tagged shards, as in perfbench's store workload): hot ranks
+   all route to the same shard, so its version word becomes the
+   contended site for the shard-lock retry loop. *)
 let contention_store_point o ~theta ~cm ~threads =
   let key_space = 8192 and shards = 8 and txn_keys = 3 in
   let z = Zipf.create ~n:key_space ~theta in
@@ -708,7 +710,9 @@ let contention_store_point o ~theta ~cm ~threads =
   in
   Driver.run_custom ~cm ~name:"store-txn"
     ~setup:(fun ctx ->
-      let st = Store.create (module Store_backend.Hoh_list) ctx ~shards ~key_space in
+      let st =
+        Store.create (module Store_backend.Norec_map) ctx ~shards ~key_space
+      in
       let g = Prng.create ~seed:(spec.Spec.seed + 1) in
       for _ = 1 to 1024 do
         ignore (Store.insert ctx st (Prng.int g key_space))

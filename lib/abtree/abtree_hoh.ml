@@ -330,40 +330,17 @@ struct
     visit t.sentinel;
     List.sort compare !acc
 
-  (* Atomic range snapshot: visit the subtrees overlapping [lo, hi],
-     keeping every visited node tagged, then rely on the per-extension
-     validates for atomicity. *)
+  (* Atomic range snapshot: {!collect} over tagged loads, certified by
+     one validate ({!Ctx.certified}). Every committed state of the tree
+     is a whole tree (each update is one IAS of a fresh subtree), so a
+     walk that validates returns the range of the tree at the validate.
+     Each visit tags its node's meta line, and a validated walk visits
+     no node twice, so one visit past the live ceiling can only end in
+     {!Ctx.Tag_set_full}; the budget stops a torn walk that loops. *)
   let range ctx t ~lo ~hi =
-    let max_tags = (Mt_sim.Machine.cfg (Ctx.machine ctx)).Mt_sim.Config.max_tags in
-    let lines_per_node = ((node_words + 7) / 8) + 1 in
-    Ctx.with_restarts ~site:t.sentinel ctx (fun () ->
-        match
-          let budget = ref (max_tags / lines_per_node) in
-          let acc = ref [] in
-          let rec visit node =
-            decr budget;
-            if !budget <= 0 then raise Exit;
-            if not (tag_valid ctx node) then raise Restart;
-            let d = read_desc ctx node in
-            if d.leaf then
-              Array.iter (fun k -> if k >= lo && k <= hi then acc := k :: !acc) d.keys
-            else begin
-              let first = Node_desc.child_index d lo in
-              let last = Node_desc.child_index d hi in
-              for i = first to last do
-                visit d.ptrs.(i)
-              done
-            end
-          in
-          visit t.sentinel;
-          List.sort compare !acc
-        with
-        | keys ->
-            Ctx.clear_tag_set ctx;
-            Some keys
-        | exception Exit ->
-            Ctx.clear_tag_set ctx;
-            None)
+    let budget = Mt_sim.Machine.max_tags (Ctx.machine ctx) + 1 in
+    Ctx.certified ~site:t.sentinel ctx (fun load ->
+        collect load ctx t ~lo ~hi ~budget)
 
   let check machine t =
     Checker.check ~a ~b ~reader:(peek_desc machine) ~sentinel:t.sentinel

@@ -24,8 +24,10 @@
 module type S = sig
   include Mt_list.Set_intf.SET
 
-  (** Atomic range snapshot [\[lo, hi\]] via tag-validated leaf walks;
-      [None] when the range spans more lines than [Max_Tags] allows. *)
+  (** Atomic range snapshot [\[lo, hi\]]: {!collect} over tagged loads,
+      certified by one validate ({!Mt_core.Ctx.certified}); [None] when
+      the range spans more lines than [Max_Tags] (as the machine
+      currently sets it) allows. *)
   val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
 
   (** [collect load ctx t ~lo ~hi ~budget] — range collect visiting at

@@ -89,6 +89,8 @@ let add_tag t addr ~words =
   let lat = Machine.add_tag t.machine ~core:t.core addr ~words in
   charge t lat
 
+let tag_count t = Machine.tag_count t.machine ~core:t.core
+
 let add_tag_read t addr ~words =
   let v = Machine.add_tag_read t.machine ~core:t.core addr ~words in
   charge_last t;
@@ -97,6 +99,15 @@ let add_tag_read t addr ~words =
 type load = t -> addr -> words:int -> int
 
 let plain_load t addr ~words:_ = read t addr
+
+exception Tag_set_full
+
+(* Refuses to tag past the live ceiling (which the adversary's squeeze
+   may lower mid-run), so a walk that would outgrow the tag set stops at
+   once instead of latching overflow. *)
+let tagged_load t addr ~words =
+  if tag_count t >= Machine.max_tags t.machine then raise_notrace Tag_set_full;
+  add_tag_read t addr ~words
 
 let remove_tag t addr ~words =
   let lat = Machine.remove_tag t.machine ~core:t.core addr ~words in
@@ -120,8 +131,6 @@ let ias t addr v =
   let ok = Machine.ias t.machine ~core:t.core addr v in
   charge_last t;
   ok
-
-let tag_count t = Machine.tag_count t.machine ~core:t.core
 
 (* ------------------------------------------------------------------ *)
 (* Contention management (DESIGN §14). *)
@@ -171,3 +180,17 @@ let with_restarts ?(site = 0) t f =
         go (attempt + 1)
   in
   go 0
+
+(* The paper's Section 3 read: tag everything the walk reads, then
+   validate once. A multi-line load can still carry the set past the
+   ceiling; that too is a walk too big to certify, not a conflict. *)
+let certified ?site t walk =
+  with_restarts ?site t (fun () ->
+      let r =
+        match walk tagged_load with
+        | r when tag_count t <= Machine.max_tags t.machine -> Some r
+        | _ | (exception Tag_set_full) -> None
+      in
+      if Option.is_some r && not (validate t) then restart t;
+      clear_tag_set t;
+      r)

@@ -76,6 +76,14 @@ type load = t -> addr -> words:int -> int
 (** {!read} of [addr], ignoring [words]. *)
 val plain_load : load
 
+(** Raised by {!tagged_load} instead of tagging past the ceiling. *)
+exception Tag_set_full
+
+(** {!add_tag_read}, or {!Tag_set_full} when the tag set already holds
+    the live ceiling's worth of lines ({!Mt_sim.Machine.max_tags}, which
+    the adversary may lower mid-run). *)
+val tagged_load : load
+
 val remove_tag : t -> addr -> words:int -> unit
 val validate : t -> bool
 val clear_tag_set : t -> unit
@@ -116,3 +124,13 @@ val restart : t -> 'a
     consults the contention policy ({!cm_wait}) and retries. This is the
     shared form of the structures' former copy-pasted retry loops. *)
 val with_restarts : ?site:addr -> t -> (unit -> 'a) -> 'a
+
+(** [certified ?site t walk] is the paper's Section 3 certified read:
+    it runs [walk tagged_load], so every line the walk reads is tagged,
+    then validates once. [Some r] when the validate passes: no line
+    read was written before it, so [r] is what the walk returns over
+    memory as it stands at the validate. [None] when the walk outgrows
+    the tag set. A failed validate restarts the walk through
+    {!with_restarts}. The tag set is empty on return. [walk] may raise
+    {!Restart} itself. *)
+val certified : ?site:addr -> t -> (load -> 'a) -> 'a option

@@ -142,22 +142,6 @@ let rec get ctx a =
   end
   else dec w
 
-(* Fused AddTag + read of one kCAS-managed cell: the caller's next
-   [Ctx.validate] covers it. Descriptors caught mid-flight are helped to
-   completion first (helping writes the cell, so the re-read re-tags). *)
-let rec get_tagged ctx a =
-  let w = Ctx.add_tag_read ctx a ~words:1 in
-  if is_rdcss w then begin
-    rdcss_complete ctx (desc_of w);
-    get_tagged ctx a
-  end
-  else if is_mcas w then begin
-    help_event ctx (desc_of w);
-    ignore (mcas_help ctx (desc_of w));
-    get_tagged ctx a
-  end
-  else dec w
-
 (* Single-word CAS on a kCAS-managed cell: the degenerate 1-CAS, without
    descriptor allocation. Helps any operation in progress, then decides on
    the plain value. *)
@@ -220,13 +204,15 @@ let snap_event ctx kind =
   if Mt_obs.Obs.enabled o then
     Mt_obs.Obs.emit o ~core:(Ctx.core ctx) ~time:(Ctx.now ctx) kind
 
+(* The ceiling is read live before every attempt: the adversary's
+   squeeze can lower it between two attempts, and a snapshot that no
+   longer fits would otherwise fail every validate forever. *)
 let snapshot ctx addrs =
-  let max_tags = (Mt_sim.Machine.cfg (Ctx.machine ctx)).Mt_sim.Config.max_tags in
   let cells = List.length addrs in
-  if cells > max_tags then None
-  else begin
-    let site = match addrs with a :: _ -> a | [] -> 0 in
-    let rec attempt n =
+  let site = match addrs with a :: _ -> a | [] -> 0 in
+  let rec attempt n =
+    if cells > Mt_sim.Machine.max_tags (Ctx.machine ctx) then None
+    else begin
       snap_event ctx (Mt_obs.Obs.Snap_attempt { cells });
       Ctx.clear_tag_set ctx;
       let values = List.map (fun a -> Ctx.add_tag_read ctx a ~words:1) addrs in
@@ -248,6 +234,6 @@ let snapshot ctx addrs =
         Ctx.cm_wait ~site ctx ~attempt:n;
         attempt (n + 1)
       end
-    in
-    attempt 0
-  end
+    end
+  in
+  attempt 0

@@ -22,11 +22,6 @@ val init : Mt_core.Ctx.t -> addr -> int -> unit
     progress there. *)
 val get : Mt_core.Ctx.t -> addr -> int
 
-(** [get_tagged ctx addr] — like {!get}, but the read is a tagged load
-    (fused AddTag + read), so the caller's next [Ctx.validate] certifies
-    the cell unchanged since this read. The caller owns the tag set. *)
-val get_tagged : Mt_core.Ctx.t -> addr -> int
-
 (** [cas ctx addr ~expected ~desired] — single-word CAS on a kCAS-managed
     cell (the degenerate 1-CAS, no descriptor): helps any operation in
     progress, then succeeds iff the cell holds [expected]. *)
@@ -46,5 +41,6 @@ val kcas_tagged : Mt_core.Ctx.t -> update list -> bool
 (** [snapshot ctx addrs] — an atomic snapshot of the cells obtained by
     tagging, reading, and validating (retrying on conflict); the paper's
     "cheap lock-free snapshots". Returns [None] if [addrs] exceeds the
-    tag capacity. *)
+    tag capacity as the machine sets it when an attempt starts
+    ({!Mt_sim.Machine.max_tags}, which the adversary may lower). *)
 val snapshot : Mt_core.Ctx.t -> addr list -> int list option

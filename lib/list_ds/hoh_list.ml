@@ -94,8 +94,7 @@ let delete ctx t k = update delete_at ctx t k
    concurrently-deleted region follows pointers that were valid at a time
    overlapping this operation — the classic frozen-successor argument. This
    matches the paper's Section 6 note that read operations "remain the
-   same" as in the original structures. A fully tagged search is available
-   as {!contains_tagged}. *)
+   same" as in the original structures. *)
 let contains ctx t k =
   let rec go node =
     let ck = Node.key ctx node in
@@ -103,63 +102,26 @@ let contains ctx t k =
   in
   go (Node.ptr_of (Node.next_packed ctx t.head))
 
-(* SEARCH exactly as in Algorithm 2: locate with HoH tagging. *)
-let contains_tagged ctx t k =
-  let _, _, ck = locate ctx t k in
-  (* The tagging inside LOCATE established a time when curr was in the
-     list; the key itself is immutable. *)
-  Ctx.clear_tag_set ctx;
-  ck = k
-
 let to_list_unsafe machine t = Node.to_list_unsafe machine t.head
 
 module For_testing = struct
   let locate = locate
 end
 
-(* Walk collecting keys in [lo, hi], reading each node's line first with
-   [load] (plain or tagged): the head's next pointer, then each node's
-   key; the next pointer beside it is in the same line. A plain walk is
-   not atomic on its own: the sharded store calls it under its per-shard
-   version protocol, which proves the structure quiescent over the walk
-   whenever the enclosing scan validates. [budget] bounds the walk so a
-   doomed attempt racing live updates still terminates. *)
-let collect load ctx t ~lo ~hi ~budget =
-  let rec go node fuel acc =
-    if fuel <= 0 || node = Mt_sim.Memory.null then List.rev acc
-    else begin
-      let ck = load ctx (node + Node.key_off) ~words:Node.words in
-      if ck > hi then List.rev acc
-      else
-        let next = Node.ptr_of (Node.next_packed ctx node) in
-        let acc = if ck >= lo && ck <> min_int then ck :: acc else acc in
-        go next (fuel - 1) acc
-    end
-  in
-  go (Node.ptr_of (load ctx (t.head + Node.next_off) ~words:1)) budget []
-
+(* Atomic range snapshot: LOCATE [lo] hand-over-hand, then extend from
+   [curr] with tagged loads, keeping every node up to the first key past
+   [hi] tagged, and certify the whole window with one validate. Keys
+   increase along every chain of next pointers, frozen or live, so the
+   extension ends at a key past [hi] or at a full tag set. *)
 let range ctx t ~lo ~hi =
-  let max_tags = (Mt_sim.Machine.cfg (Ctx.machine ctx)).Mt_sim.Config.max_tags in
-  Ctx.with_restarts ~site:t.head ctx (fun () ->
-      match
-        let _, curr, ck = locate ctx t lo in
-        (* Keep every node of the snapshot tagged; extend hand-over-hand but
-           without untagging, validating after each extension. *)
-        let rec collect node nk acc =
-          if nk > hi then List.rev acc
-          else if Ctx.tag_count ctx >= max_tags then raise Exit
-          else begin
-            let succ = Node.ptr_of (Node.next_packed ctx node) in
-            let sk = Node.tagged_key ctx succ in
-            if not (Ctx.validate ctx) then raise Restart;
-            collect succ sk (nk :: acc)
-          end
-        in
-        collect curr ck []
-      with
-      | keys ->
-          Ctx.clear_tag_set ctx;
-          Some keys
-      | exception Exit ->
-          Ctx.clear_tag_set ctx;
-          None)
+  Ctx.certified ~site:t.head ctx (fun load ->
+      let _, curr, ck = walk ctx t lo in
+      let rec extend node nk acc =
+        if nk > hi then List.rev acc
+        else begin
+          let succ = Node.ptr_of (Node.next_packed ctx node) in
+          let sk = load ctx (succ + Node.key_off) ~words:Node.words in
+          extend succ sk (nk :: acc)
+        end
+      in
+      extend curr ck [])

@@ -10,34 +10,11 @@
 include Set_intf.SET
 
 (** [range ctx t ~lo ~hi] returns an atomic snapshot of the keys in
-    [\[lo, hi\]] by keeping every node of the range tagged and validating
-    at each extension (the paper's "cheap lock-free snapshots"). Returns
-    [None] if the range cannot fit in the tag set ([Max_Tags]). *)
+    [\[lo, hi\]] ({!Mt_core.Ctx.certified}): it locates [lo], tags every
+    node of the range and validates once (the paper's "cheap lock-free
+    snapshots"). Returns [None] if the range cannot fit in the tag set
+    ([Max_Tags], as the machine currently sets it). *)
 val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
-
-(** [collect load ctx t ~lo ~hi ~budget] — walk collecting keys in
-    [\[lo, hi\]], visiting at most [budget] nodes; [load] reads the first
-    word of each line it visits (the head's next pointer, then each
-    node's key). With {!Mt_core.Ctx.plain_load} it is a plain walk, {e
-    not} atomic on its own: callers must prove quiescence externally (the
-    sharded store's per-shard version protocol does), or treat the result
-    as a racy approximation. With a tagged load it tags every node it
-    read. *)
-val collect :
-  Mt_core.Ctx.load ->
-  Mt_core.Ctx.t ->
-  t ->
-  lo:int ->
-  hi:int ->
-  budget:int ->
-  int list
-
-(** SEARCH exactly as written in the paper's Algorithm 2: a fully
-    HoH-tagged locate. [contains] itself uses a plain untagged traversal,
-    which is linearizable because deleted nodes are frozen (see the
-    implementation comment); the tagged variant is kept so a test can
-    check that the two agree. *)
-val contains_tagged : Mt_core.Ctx.t -> t -> int -> bool
 
 (** {2 The pieces {!Elided_list}'s fast path is built from} *)
 

@@ -18,13 +18,7 @@ module type S = sig
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
 end
 
-(* The two HoH structures' [contains] are already plain untagged walks. *)
-module Hoh_list : S = struct
-  include Mt_list.Hoh_list
-
-  let mem_plain = contains
-end
-
+(* The HoH tree's [contains] is already a plain untagged walk. *)
 module Hoh_abtree : S = struct
   include Mt_abtree.Abtree_hoh.Paper
 

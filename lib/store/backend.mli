@@ -53,8 +53,8 @@
     fall after [t_val], so a walk can read a state no committed history
     ever held.
 
-    The HoH backends keep their own tagged synchronization (they are the
-    paper's structures); under the lock it is simply uncontended. *)
+    The HoH tree keeps its own tagged synchronization (it is the paper's
+    structure); under the lock it is simply uncontended. *)
 
 module type S = sig
   type t
@@ -105,9 +105,6 @@ module type S = sig
       machine only). *)
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
 end
-
-(** The hand-over-hand tagged list ({!Mt_list.Hoh_list}). *)
-module Hoh_list : S
 
 (** The HoH-tagged relaxed (a,b)-tree, {!Mt_abtree.Abtree_hoh.Paper}
     under the name ["hoh-abtree"]. *)

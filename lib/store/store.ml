@@ -394,15 +394,6 @@ let txn ctx (T s) ops =
 let relevant nsh ~lo ~width sh =
   width >= nsh || (sh - (lo mod nsh) + nsh) mod nsh < width
 
-(* Raised by [tagged_load] when the tag set is full: the walk would need
-   more lines than [Max_Tags] certifies, so it stops at once. *)
-exception Tag_set_full
-
-let tagged_load ctx a ~words =
-  if Ctx.tag_count ctx >= Mt_sim.Machine.max_tags (Ctx.machine ctx) then
-    raise_notrace Tag_set_full;
-  Ctx.add_tag_read ctx a ~words
-
 (* Reads version word [a] until it is even, waiting out a held lock for
    at most [txn_max_retries] tries; false if it never cleared. *)
 let rec settled ctx a tries =
@@ -430,13 +421,13 @@ let tagged_pass ctx c collect shards versions ~budget res ~lo ~hi ~width =
     match
       for sh = 0 to nsh - 1 do
         if relevant nsh ~lo ~width sh then begin
-          res.(sh) <- collect tagged_load ctx shards.(sh) ~lo ~hi ~budget;
+          res.(sh) <- collect Ctx.tagged_load ctx shards.(sh) ~lo ~hi ~budget;
           c.scan_collects <- c.scan_collects + 1
         end
       done
     with
     | () -> true
-    | exception Tag_set_full -> false
+    | exception Ctx.Tag_set_full -> false
   in
   let ok =
     walked && all_settled ctx versions ~lo ~width 0 && Ctx.validate ctx

@@ -32,7 +32,6 @@ let vas_list = entry "vas_list" ~aliases:[ "vas" ] (module Mt_list.Vas_list)
 
 let hoh_list =
   entry "hoh_list" ~aliases:[ "hoh"; "hoh-list" ] (module Mt_list.Hoh_list)
-    ~backend:(module Mt_store.Backend.Hoh_list)
 
 let elided_list = entry "elided_list" (module Mt_list.Elided_list)
 

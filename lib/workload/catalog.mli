@@ -48,6 +48,6 @@ val find : entry list -> string -> entry option
     ["harris_list|harris, vas_list|vas, ..."]. *)
 val known : entry list -> string
 
-(** The store's shard backends, in {!all}'s order: [hoh-list],
-    [hoh-abtree], [norec-tagged]. *)
+(** The store's shard backends, in {!all}'s order: [hoh-abtree],
+    [norec-tagged]. *)
 val backends : (module Mt_store.Backend.S) list

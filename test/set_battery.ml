@@ -243,3 +243,82 @@ module Make_ranged (R : RANGED) = struct
       QCheck_alcotest.to_alcotest qcheck_ranged;
     ]
 end
+
+(* ------------------------------------------------------------------ *)
+(* Atomicity race for a set's range snapshot. A token moves between the
+   lowest key 0 and the highest key 13, over 12 keys that stay put: a
+   move inserts the token's new key, then deletes its old one, so at
+   every instant at least one of the two is present and every filler
+   is. A writer makes 8 moves, pausing 1000 cycles after
+   each; a scanner takes whole-range snapshots back to back until the
+   writer is done. The scanner straggles (50 cycles added to each of its
+   stalls) and its start is swept over one writer gap, so that some walk
+   passes key 0 before a move to it and reaches the top after the delete
+   behind it. A walk that is not certified then sees neither token (a
+   mutant that skips the validate tears 49 of 171 list snapshots and 9
+   of 206 tree snapshots); a certified one fails its validate and walks
+   again. *)
+
+module type RANGE = sig
+  include Mt_list.Set_intf.SET
+
+  val range : Ctx.t -> t -> lo:int -> hi:int -> int list option
+end
+
+module Range_race (S : RANGE) = struct
+  let top = 13
+
+  let run ~start =
+    let m = machine ~cores:2 () in
+    let s =
+      Harness.exec1 m (fun ctx ->
+          let s = S.create ctx in
+          for k = 1 to top do
+            ignore (S.insert ctx s k)
+          done;
+          s)
+    in
+    let writing = ref true and torn = ref 0 and snapshots = ref 0 in
+    let (_ : int) =
+      Harness.exec m ~threads:2
+        ~policy:
+          (Runtime.decorate_policy Runtime.default_policy
+             ~extra_delay:(fun ~tid ~now:_ ~base ->
+               if tid = 1 then base + 50 else base))
+        (fun ctx ->
+          if Ctx.core ctx = 0 then begin
+            for i = 1 to 8 do
+              let from, into = if i land 1 = 1 then (top, 0) else (0, top) in
+              ignore (S.insert ctx s into);
+              ignore (S.delete ctx s from);
+              Ctx.work ctx 1000
+            done;
+            writing := false
+          end
+          else begin
+            Ctx.work ctx start;
+            while !writing do
+              match S.range ctx s ~lo:0 ~hi:top with
+              | None -> ()
+              | Some keys ->
+                  incr snapshots;
+                  let fillers = List.init (top - 1) succ in
+                  let token = List.mem 0 keys || List.mem top keys in
+                  let kept = List.for_all (fun k -> List.mem k keys) fillers in
+                  if not (token && kept) then incr torn
+            done
+          end)
+    in
+    (!snapshots, !torn)
+
+  let test () =
+    let snapshots = ref 0 and torn = ref 0 in
+    for start = 0 to 39 do
+      let n, t = run ~start:(25 * start) in
+      snapshots := !snapshots + n;
+      torn := !torn + t
+    done;
+    check_bool (Printf.sprintf "%s took snapshots (%d)" S.name !snapshots) true
+      (!snapshots > 0);
+    Alcotest.(check int) (S.name ^ " torn snapshots") 0 !torn
+end

@@ -194,6 +194,56 @@ let test_tree_range_overflow () =
       | None -> ()
       | Some _ -> Alcotest.fail "expected Max_Tags overflow")
 
+(* The live ceiling lowered below the range's lines, as the adversary's
+   squeeze does: the range returns [None] instead of restarting. *)
+let test_tree_range_lowered_ceiling () =
+  let m = machine ~cores:1 () in
+  Harness.exec1 m (fun ctx ->
+      let t = Hoh_small.create ctx in
+      for k = 0 to 199 do
+        ignore (Hoh_small.insert ctx t k)
+      done;
+      Machine.set_max_tags m 3;
+      match Hoh_small.range ctx t ~lo:0 ~hi:199 with
+      | None -> ()
+      | Some _ -> Alcotest.fail "range should outgrow a ceiling of 3")
+
+(* Every live ceiling from 2 up gives a (4,8) range an answer: [None],
+   or the exact keys. An internal node of 7 or 8 keys spans three
+   lines, and its second tagged load tags two of them, so at some
+   ceiling that load steps past the ceiling instead of stopping before
+   it. When that node is the walk's last (an empty window [lo, lo - 1]
+   between two of its children), the walk ends with the tag set
+   overflowed, a validate that can never pass, and must still return. *)
+let test_tree_range_every_ceiling () =
+  let m = machine ~cores:1 () in
+  Harness.exec1 m (fun ctx ->
+      let t = Hoh_mid.create ctx in
+      let g = Prng.create ~seed:1 in
+      for _ = 1 to 200 do
+        ignore (Hoh_mid.insert ctx t (Prng.int g 1000))
+      done;
+      let all = Hoh_mid.to_list_unsafe m t in
+      let fits = ref 0 in
+      for ceiling = 2 to 64 do
+        Machine.set_max_tags m ceiling;
+        (match Hoh_mid.range ctx t ~lo:0 ~hi:999 with
+        | None -> ()
+        | Some keys ->
+            incr fits;
+            Alcotest.(check (list int))
+              (Printf.sprintf "ceiling %d" ceiling)
+              all keys);
+        for lo = 1 to 999 do
+          match Hoh_mid.range ctx t ~lo ~hi:(lo - 1) with
+          | None | Some [] -> ()
+          | Some _ -> Alcotest.failf "ceiling %d: empty window has keys" ceiling
+        done
+      done;
+      check_bool "the widest ceilings fit the range" true (!fits > 0))
+
+module Hoh_race = Set_battery.Range_race (Hoh_small)
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties of the pure node arithmetic. *)
 
@@ -471,7 +521,7 @@ let test_catalog_names () =
       ("buggy_abtree", "buggy-abtree") ];
   resolves Catalog.all
     (fun e -> Option.fold ~none:"" ~some:Mt_store.Backend.name e.backend)
-    (List.map (fun n -> (n, n)) [ "hoh-list"; "hoh-abtree"; "norec-tagged" ])
+    (List.map (fun n -> (n, n)) [ "hoh-abtree"; "norec-tagged" ])
 
 let test_catalog_lists () =
   let names = List.concat_map (fun (e : Catalog.entry) -> e.name :: e.aliases) Catalog.all in
@@ -483,7 +533,7 @@ let test_catalog_lists () =
       "abtree_llx"; "norec_btree" ]
     (List.map (fun (e : Catalog.entry) -> e.name) Catalog.runnable);
   Alcotest.(check (list string))
-    "store backends" [ "hoh-list"; "hoh-abtree"; "norec-tagged" ]
+    "store backends" [ "hoh-abtree"; "norec-tagged" ]
     (List.map Mt_store.Backend.name Catalog.backends)
 
 (* Why the fuzzer's trees are (2,4): filling the fuzzer's default key
@@ -537,6 +587,11 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_tree_range_basic;
           Alcotest.test_case "overflow" `Quick test_tree_range_overflow;
+          Alcotest.test_case "lowered ceiling" `Quick
+            test_tree_range_lowered_ceiling;
+          Alcotest.test_case "every ceiling returns" `Quick
+            test_tree_range_every_ceiling;
+          Alcotest.test_case "token race" `Quick Hoh_race.test;
           Alcotest.test_case "snapshot consistency" `Quick
             test_tree_range_snapshot_consistency;
         ] );

@@ -161,6 +161,17 @@ let test_snapshot_overflow () =
       | None -> ()
       | Some _ -> Alcotest.fail "expected None on overflow")
 
+(* The live ceiling lowered below the cell count, as the adversary's
+   squeeze does: [None], not a snapshot that fails every validate. *)
+let test_snapshot_lowered_ceiling () =
+  let m = Machine.create (Config.default ~num_cores:1 ()) in
+  Harness.exec1 m (fun ctx ->
+      let base = cells ctx 3 0 in
+      Machine.set_max_tags m 2;
+      match Kcas.snapshot ctx [ base; base + 1; base + 2 ] with
+      | None -> ()
+      | Some _ -> Alcotest.fail "expected None under a ceiling of 2")
+
 let count_kind obs pred =
   List.length
     (List.filter (fun (e : Mt_obs.Obs.event) -> pred e.kind) (Mt_obs.Obs.events obs))
@@ -312,6 +323,8 @@ let () =
         [
           Alcotest.test_case "consistency" `Quick test_snapshot_consistency;
           Alcotest.test_case "overflow" `Quick test_snapshot_overflow;
+          Alcotest.test_case "lowered ceiling" `Quick
+            test_snapshot_lowered_ceiling;
           Alcotest.test_case "obs events" `Quick test_snapshot_events;
           Alcotest.test_case "reads help" `Quick test_get_helps;
         ] );

@@ -117,19 +117,6 @@ let test_figure1_vas_would_miss_it () =
   check_bool "parked tag NOT invalidated by remote VAS elsewhere" true still_valid
 
 (* ------------------------------------------------------------------ *)
-(* Tagged SEARCH (Algorithm 2 verbatim) agrees with the plain one. *)
-
-let test_contains_tagged_agrees () =
-  let m = machine () in
-  Harness.exec1 m (fun ctx ->
-      let s = Mt_list.Hoh_list.create ctx in
-      List.iter (fun k -> ignore (Mt_list.Hoh_list.insert ctx s k)) [ 2; 4; 6; 8 ];
-      for k = 0 to 9 do
-        check_bool "agreement" (Mt_list.Hoh_list.contains ctx s k)
-          (Mt_list.Hoh_list.contains_tagged ctx s k)
-      done)
-
-(* ------------------------------------------------------------------ *)
 (* HoH range snapshots. *)
 
 let test_range_basic () =
@@ -155,6 +142,23 @@ let test_range_overflow_returns_none () =
       match Mt_list.Hoh_list.range ctx s ~lo:1 ~hi:20 with
       | None -> ()
       | Some _ -> Alcotest.fail "range should overflow Max_Tags")
+
+(* The adversary's squeeze lowers the live ceiling below what the range
+   needs: the range sees it and gives up, where a walk sized from the
+   configured Max_Tags would fail every validate and restart forever. *)
+let test_range_lowered_ceiling_returns_none () =
+  let m = machine ~cores:1 () in
+  Harness.exec1 m (fun ctx ->
+      let s = Mt_list.Hoh_list.create ctx in
+      for k = 1 to 10 do
+        ignore (Mt_list.Hoh_list.insert ctx s k)
+      done;
+      Machine.set_max_tags m 3;
+      match Mt_list.Hoh_list.range ctx s ~lo:1 ~hi:10 with
+      | None -> ()
+      | Some _ -> Alcotest.fail "range should outgrow a ceiling of 3")
+
+module Hoh_race = Set_battery.Range_race (Mt_list.Hoh_list)
 
 let test_range_snapshots_are_consistent_under_updates () =
   (* Writers toggle pairs (2k, 2k+1) by inserting the missing sibling
@@ -219,12 +223,14 @@ let () =
             test_figure1_ias_aborts_parked_traversal;
           Alcotest.test_case "VAS alone would miss it" `Quick
             test_figure1_vas_would_miss_it;
-          Alcotest.test_case "tagged search agrees" `Quick test_contains_tagged_agrees;
         ] );
       ( "range",
         [
           Alcotest.test_case "basic" `Quick test_range_basic;
           Alcotest.test_case "overflow -> None" `Quick test_range_overflow_returns_none;
+          Alcotest.test_case "lowered ceiling -> None" `Quick
+            test_range_lowered_ceiling_returns_none;
+          Alcotest.test_case "token race" `Quick Hoh_race.test;
           Alcotest.test_case "snapshot consistency" `Quick
             test_range_snapshots_are_consistent_under_updates;
         ] );

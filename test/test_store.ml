@@ -34,7 +34,7 @@ let backend_names = List.map fst backends
 let test_routing () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let s = Store.create (backend "hoh-list") ctx ~shards:4 ~key_space:64 in
+      let s = Store.create (backend "hoh-abtree") ctx ~shards:4 ~key_space:64 in
       check_int "shards" 4 (Store.num_shards s);
       check_int "key space" 64 (Store.key_space s);
       for k = 0 to 63 do
@@ -115,8 +115,8 @@ let test_point_walk () =
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
    holds the locks only for cached sub-ops, because the warm-up walk ran
-   first. Measured: 304 / 750 / 46 cycles (hoh-list / hoh-abtree /
-   norec-tagged) with the walk, 7376 / 2206 / 878 without it. *)
+   first. Measured: 750 / 46 cycles (hoh-abtree / norec-tagged) with
+   the walk, 2206 / 878 without it. *)
 
 let test_txn_hold_time () =
   List.iter
@@ -678,8 +678,8 @@ let test_mixed_linearizable () =
 
 (* The same histories on a tag set too small for a scan's walks: every
    scan's tagged pass fills it and stops, so scans take the plain
-   re-read fallback, and the histories still linearize. The lists and
-   the B+-tree get 4 tags; the HoH tree keeps 16, because its own
+   re-read fallback, and the histories still linearize. The B+-tree
+   gets 4 tags; the HoH tree keeps 16, because its own
    updates tag a window of up to three nodes of three lines each. *)
 let test_scan_fallback_linearizable () =
   List.iter
@@ -912,7 +912,7 @@ let test_serve_jobs_invariance () =
   let points =
     List.concat_map
       (fun bname -> [ (bname, 3.0); (bname, 8.0) ])
-      [ "hoh-list"; "hoh-abtree" ]
+      [ "hoh-abtree"; "norec-tagged" ]
   in
   let sweep jobs =
     Mt_par.Pool.map ~jobs
