@@ -2,27 +2,37 @@
 
     A backend is a set structure driven under the store's per-shard
     version lock, plus a range collect written over its load (plain or
-    tagged, {!Mt_core.Ctx.load}) and a plain one-key descent. Its
-    contract with the store:
-    - only the holder of the shard lock calls [insert] and [delete];
-    - every other access uses [mem_plain] or [collect].
+    tagged, {!Mt_core.Ctx.load}), a plain one-key descent ([find]) that
+    reports the leaf it ended at, and updates on that leaf. Its contract
+    with the store:
+    - only the holder of the shard lock calls [insert], [delete],
+      [insert_at], [delete_at] and [mem_at];
+    - every other access uses [find] or [collect].
     The store never asks a backend for [contains].
 
     {b Why the norec-tagged shard needs no synchronization of its own.}
     {!Norec_map} writes its tree directly ({!Tx_btree.Direct}); no STM
     runs on the store path. That is sound because:
-    + Every [insert]/[delete] call in [store.ml] runs while the shard's
-      version is odd and held by the calling core: a point write between
-      its lock CAS and its release CAS, a transaction's sub-op between
-      its acquisition and its releases.
+    + Every update in [store.ml] runs while the shard's version is odd
+      and held by the calling core: a point write between its lock CAS
+      and its release CAS, a transaction's sub-op between its
+      acquisition and its releases.
     + Every other access to a shard's tree is one of:
       - a plain walk whose result is used only between two equal even
         reads of the version (a get, a write's no-op proof, a fallback
         scan's collect), so no update ran during it;
       - a scan's tagged collect, certified as below;
-      - a walk under the caller's own lock (a transaction's [Get]);
-      - a walk whose result is discarded (the warm-up walk of a write
-        or a transaction).
+      - a walk under the caller's own lock (a transaction's [Get], a
+        scan's locked pass);
+      - a walk reused under the caller's lock when the lock CAS found
+        the version the walk started from: a write's or a transaction's
+        [find], whose leaf the locked [insert_at], [delete_at] and
+        [mem_at] then use. The version was an even [v] before the walk
+        and the CAS took [v] to [v + 1]; versions only grow, so no lock
+        was held and nothing was written in between, and the walk is
+        exact for the state the lock holder starts from;
+      - a walk whose result is discarded (a transaction's [find] on a
+        shard whose version moved before its lock).
     + A walk terminates against direct writes made in program order, for
       the reasons it terminates against NOrec's in-order write-back: a
       node's header is its first write, a child half holds only null or
@@ -79,12 +89,8 @@ module type S = sig
       each such line (the root or head cell, then every node), so one
       validate certifies the walk as above. With
       {!Mt_core.Ctx.plain_load} it is a plain walk, only atomic under an
-      external quiescence proof (the store's version protocol). Its
-      plain users: a scan's fallback rounds, and writes and transactions
-      walking each key with [~lo:k ~hi:k] (which must return [\[k\]] when
-      [k] is present and [\[\]] otherwise) before taking any shard lock: a
-      write to prove itself a no-op or to warm its lines, a transaction
-      only to warm them. *)
+      external quiescence proof (the store's version protocol): a scan's
+      fallback rounds and its locked pass. *)
   val collect :
     Mt_core.Ctx.load ->
     Mt_core.Ctx.t ->
@@ -94,12 +100,26 @@ module type S = sig
     budget:int ->
     int list
 
-  (** Plain (untagged, unvalidated) one-key membership descent,
-      terminating against a concurrent lock holder's updates but exact
-      only under the same quiescence proof as a plain [collect]. Gets run it
-      between two equal even reads of the shard version, and a
-      transaction's [Get] sub-ops under the held shard locks. *)
-  val mem_plain : Mt_core.Ctx.t -> t -> int -> bool
+  (** Plain (untagged, unvalidated) one-key descent: whether the key is
+      present and, when the backend has one, the leaf that holds its
+      range. It terminates against a concurrent lock holder's updates but
+      is exact only under the same quiescence proof as a plain [collect].
+      Gets run it between two equal even reads of the shard version,
+      writes to prove themselves no-ops and to find their leaf, and
+      transactions to find their sub-ops' leaves and warm their lines
+      before locking. *)
+  val find : Mt_core.Ctx.t -> t -> int -> Tx_btree.found
+
+  (** [insert_at ctx t f k], [delete_at ctx t f k] and [mem_at ctx t f k]:
+      {!Tx_btree.TREE.insert_at} and its siblings on the leaf of [f], a
+      [find] of a shard that has changed since only through the caller's
+      own [*_at] updates. A backend without leaves answers [Full_path]
+      (the store then runs [insert] or [delete]) and searches from the
+      root in [mem_at]. Called only by the holder of the shard lock. *)
+  val insert_at : Mt_core.Ctx.t -> t -> Tx_btree.found -> int -> Tx_btree.at
+
+  val delete_at : Mt_core.Ctx.t -> t -> Tx_btree.found -> int -> Tx_btree.at
+  val mem_at : Mt_core.Ctx.t -> t -> Tx_btree.found -> int -> bool
 
   (** Timing-free contents, ascending, for test oracles (quiescent
       machine only). *)
@@ -107,7 +127,9 @@ module type S = sig
 end
 
 (** The HoH-tagged relaxed (a,b)-tree, {!Mt_abtree.Abtree_hoh.Paper}
-    under the name ["hoh-abtree"]. *)
+    under the name ["hoh-abtree"]. Its [find] is its [contains] and
+    reports no leaf; its updates commit through its own IAS, so its
+    [insert_at] and [delete_at] answer [Full_path]. *)
 module Hoh_abtree : S
 
 (** A B+-tree ({!Tx_btree.Direct}, one cache line per node, two 31-bit

@@ -5,43 +5,46 @@ module Obs = Mt_obs.Obs
    across per-core shards, each backed by a pluggable structure.
    Concurrency control lives entirely in one plain *version word* per
    shard (its own cache line): even = unlocked, odd = locked, and the
-   value only ever increases, so there is no ABA. Every backend
-   [insert]/[delete] below runs while this core holds its shard's lock,
-   and every other backend access is a plain walk, so a backend needs no
-   synchronization of its own: the norec-tagged shard writes its B+-tree
-   directly (backend.mli has the argument).
+   value only ever increases, so there is no ABA. Every backend update
+   below runs while this core holds its shard's lock, and every other
+   backend access is a plain walk, so a backend needs no synchronization
+   of its own: the norec-tagged shard writes its B+-tree directly
+   (backend.mli has the argument).
 
-   - Point writes first try to prove themselves no-ops without the
-     lock: read the version, walk the key with the backend's plain
-     one-key collect ([collect Ctx.plain_load ~lo:k ~hi:k]), re-read the
-     version. An
-     insert of a present key or a delete of an absent key whose two
-     reads agree on an even version returns [false] having written
-     nothing: it linearizes between the reads, by [get]'s argument, and
-     leaves the version line shared, so it breaks no scan's tag and no
-     transaction's acquisition. Every other write locks its one shard
-     with a single-word CAS (even v -> v+1), runs the backend op on the
-     lines the walk warmed, and releases (v+1 -> v+2). Zero cross-shard
-     coordination.
+   - Point writes descend once. Read the version, walk the key with the
+     backend's plain one-key descent ([find], which also returns the
+     leaf it ended at), and, when the key is already as the write would
+     leave it, re-read the version. An insert of a present key or a
+     delete of an absent key whose two reads agree on an even version
+     returns [false] having written nothing: it linearizes between the
+     reads, by [get]'s argument, and leaves the version line shared, so
+     it breaks no scan's tag and no transaction's acquisition. Every
+     other write locks its one shard with a single-word CAS (even v ->
+     v+1). When that CAS took the version read before the walk, nothing
+     was written since before the walk, so the update runs on the leaf
+     the walk found; otherwise it descends again, on the lines the walk
+     warmed. It releases with v+1 -> v+2. Zero cross-shard coordination.
    - Point gets are optimistic: read the version (even), walk the key
-     with the backend's plain one-key descent ([mem_plain]), re-read the
-     version; equal means no writer held or took the shard lock during
-     the walk, so the shard was frozen and the value seen is committed
-     state. The version reads are the whole proof: the walk reads no
-     tag, lock or STM sequence lock of its own, so a get touches only the
-     version line and the nodes on its key's path. (Without the closing
-     read a get could observe a cross-shard transaction's sub-op before
-     the transaction's release — unlinearizable, see test_store.)
-   - Transactions first warm their keys: one plain point walk per
-     sub-op, outside any lock, so the critical section runs on cached
-     lines. They then take every touched shard's lock with the paper's
-     VAS: one tagged load of each version word, then a VAS of each from
-     even v to v+1 in shard order. VAS validates the whole tag set, so
-     the chain completes only if no touched version moved since it was
-     tagged; a chain broken after its first VAS releases what it took
-     (v+1 -> v+2, keeping versions monotone). Sub-ops run under the
-     locks (a [Get] is the plain [mem_plain] walk: the held lock freezes
-     its shard), then each lock is released with the point writers'
+     with [find], re-read the version; equal means no writer held or
+     took the shard lock during the walk, so the shard was frozen and the
+     value seen is committed state. The version reads are the whole
+     proof: the walk reads no tag, lock or STM sequence lock of its own,
+     so a get touches only the version line and the nodes on its key's
+     path. (Without the closing read a get could observe a cross-shard
+     transaction's sub-op before the transaction's release —
+     unlinearizable, see test_store.)
+   - Transactions read each touched shard's version, then [find] each
+     sub-op's key outside any lock, so the critical section runs on
+     cached lines. They then take every touched shard's lock with the
+     paper's VAS: one tagged load of each version word, then a VAS of
+     each from even v to v+1 in shard order. VAS validates the whole tag
+     set, so the chain completes only if no touched version moved since
+     it was tagged; a chain broken after its first VAS releases what it
+     took (v+1 -> v+2, keeping versions monotone). Sub-ops run under the
+     locks, on the found leaves in each shard whose lock took the version
+     read before the finds (as for a point write), from the root in the
+     others; a shard's sub-ops return to the root after one of them
+     splits a leaf. Each lock is then released with the point writers'
      single-word CAS. Every shard stays locked from before the first
      sub-op until after the last — strict two-phase locking — so the
      commit linearizes at any instant all the locks are held. When the
@@ -66,7 +69,9 @@ module Obs = Mt_obs.Obs
      between a shard's pre-walk pin and the re-read pass proves that
      shard quiescent over an interval containing the pass start, again
      a common instant. Only shards whose version moved are walked
-     again. *)
+     again. After [txn_max_retries] rounds in which some shard moved,
+     the scan takes the shards' locks the way a fallback transaction
+     does, so it finishes however busy the writers are. *)
 
 type op = Get | Insert | Delete
 
@@ -121,15 +126,15 @@ type t =
       backend : (module Backend.S with type t = 'b);
       shards : 'b array;
       versions : Ctx.addr array;
-      fallback : Ctx.addr;  (* lock word serializing txn fallbacks *)
+      fallback : Ctx.addr;  (* lock word serializing locking fallbacks *)
       key_space : int;
       scan_budget : int;
       mutable c : stats;
     }
       -> t
 
-(* Tagged acquisition retries a transaction makes before it falls back to
-   serialized locking. *)
+(* Tagged acquisition retries a transaction makes, and plain re-read
+   rounds a scan makes, before falling back to serialized locking. *)
 let txn_max_retries = 8
 
 (* Keys share a word with another 31-bit field in the norec-tagged
@@ -219,27 +224,39 @@ let point_done ctx c sh =
   c.shard_ops.(sh) <- c.shard_ops.(sh) + 1;
   if tracing ctx then emit ctx (Obs.Store_op { shard = sh })
 
-(* An insert ([~insert:true]) or delete of [k]. The unlocked walk either
-   proves the write a no-op at an instant between two equal even version
-   reads — the shard was frozen across the walk — or warms the lines the
-   locked backend op then touches. It runs even when the first read finds
-   the shard locked: then it only warms, while the holder works. *)
+(* An insert ([~insert:true]) or delete of [k], with one descent. The
+   unlocked [find] either proves the write a no-op at an instant between
+   two equal even version reads — the shard was frozen across the walk —
+   or finds the leaf the locked update then writes. The lock CAS decides
+   which leaf: when it took the version read before the walk (lock value
+   v + 1, so v was even), versions only grow and only lock holders
+   write, so the shard has not changed since before the walk and the
+   update runs on the leaf the walk found. Otherwise (the first read
+   found the shard locked, or the version moved) the walk only warmed
+   the lines, and the update descends again from the root. A leaf too
+   full to take the key also sends an insert to the root, to split. *)
 let write ctx (T s) k ~insert =
   check_key s.key_space k;
   let module B = (val s.backend) in
   let sh = k mod Array.length s.versions in
-  let v = Ctx.read ctx s.versions.(sh) in
-  let present =
-    B.collect Ctx.plain_load ctx s.shards.(sh) ~lo:k ~hi:k ~budget:s.scan_budget
-    <> []
-  in
+  let a = s.versions.(sh) and shard = s.shards.(sh) in
+  let v = Ctx.read ctx a in
+  let f = B.find ctx shard k in
   let r =
-    if present = insert && (not (locked v)) && Ctx.read ctx s.versions.(sh) = v
+    if Tx_btree.present f = insert && (not (locked v)) && Ctx.read ctx a = v
     then false
     else begin
-      let vl = acquire ctx s.versions.(sh) in
-      let r = (if insert then B.insert else B.delete) ctx s.shards.(sh) k in
-      release ctx s.versions.(sh) vl;
+      let vl = acquire ctx a in
+      let r =
+        match
+          if vl <> v + 1 then Tx_btree.Full_path
+          else (if insert then B.insert_at else B.delete_at) ctx shard f k
+        with
+        | Changed -> true
+        | Unchanged -> false
+        | Full_path -> (if insert then B.insert else B.delete) ctx shard k
+      in
+      release ctx a vl;
       r
     end
   in
@@ -260,7 +277,7 @@ let get ctx (T s) k =
       attempt (tries + 1)
     end
     else begin
-      let r = B.mem_plain ctx s.shards.(sh) k in
+      let r = Tx_btree.present (B.find ctx s.shards.(sh) k) in
       (* Version unchanged across the walk: no writer held or took the
          shard lock meanwhile, so [r] is committed state. *)
       if Ctx.read ctx s.versions.(sh) = v then r
@@ -274,6 +291,27 @@ let get ctx (T s) k =
   point_done ctx s.c sh;
   r
 
+(* Serialized locking, for a transaction that could not take its locks
+   with tags and a scan whose re-read rounds kept losing to writers:
+   under the store's fallback lock, spin on each shard lock of
+   [shard_ids] (ascending, non-empty) in turn. Only the fallback-lock
+   holder ever waits while holding a shard lock, and every holder it
+   waits for releases without waiting, so this makes progress where
+   optimism kept losing races. One fallback at a time keeps lock holders
+   from queueing behind each other on the hot shards. Returns each shard
+   with the even version its lock CAS took, in order, and the time the
+   first lock was taken. *)
+let lock_serially ctx ~fallback versions shard_ids =
+  let fl = acquire ctx fallback in
+  let first = List.hd shard_ids in
+  let v0 = acquire ctx versions.(first) - 1 in
+  let t_locked = Ctx.now ctx in
+  let rest =
+    List.map (fun sh -> (sh, acquire ctx versions.(sh) - 1)) (List.tl shard_ids)
+  in
+  release ctx fallback fl;
+  ((first, v0) :: rest, t_locked)
+
 let txn ctx (T s) ops =
   List.iter (fun (k, _) -> check_key s.key_space k) ops;
   match ops with
@@ -285,41 +323,29 @@ let txn ctx (T s) ops =
         List.sort_uniq compare (List.map (fun (k, _) -> k mod nsh) ops)
       in
       let t0 = Ctx.now ctx in
-      (* Warm before locking: one plain point walk per sub-op key pulls the
-         nodes its sub-op will touch into this core's cache, so the
-         critical section below hits in L1 instead of paying directory
-         misses while every touched shard is locked. The walk's result is
-         discarded; correctness rests on the locked sub-ops alone. *)
-      List.iter
-        (fun (k, _) ->
-          ignore
-            (B.collect Ctx.plain_load ctx s.shards.(k mod nsh) ~lo:k ~hi:k
-               ~budget:s.scan_budget))
-        ops;
+      (* Find before locking: one plain descent per sub-op key finds the
+         leaf its sub-op will touch and pulls the path into this core's
+         cache, so the critical section below hits in L1 instead of
+         paying directory misses while every touched shard is locked.
+         Each touched shard's version is read first: a shard whose lock
+         takes that version has not changed since, and runs its sub-ops
+         on the found leaves. The read also brings the version line in,
+         so the acquisition's tagged load hits. *)
+      let before =
+        List.map (fun sh -> Ctx.read ctx s.versions.(sh)) shard_ids
+      in
+      let found =
+        List.map (fun (k, _) -> B.find ctx s.shards.(k mod nsh) k) ops
+      in
       let rec acquire_all attempt =
         if
           attempt > txn_max_retries
           || List.length shard_ids > Mt_sim.Machine.max_tags (Ctx.machine ctx)
         then begin
-          (* Serialized fallback: under the store's fallback lock, spin
-             on each shard lock in turn. Only the fallback-lock holder
-             ever waits while holding a shard lock, and every holder it
-             waits for releases without waiting, so this makes progress
-             where the tagged acquisition kept losing races, or could
-             not tag every version at once. One fallback at a time keeps
-             lock holders from queueing behind each other on the hot
-             shards. *)
-          let fl = acquire ctx s.fallback in
-          let first = List.hd shard_ids in
-          let v0 = acquire ctx s.versions.(first) - 1 in
-          let t_locked = Ctx.now ctx in
-          let rest =
-            List.map
-              (fun sh -> (sh, acquire ctx s.versions.(sh) - 1))
-              (List.tl shard_ids)
+          let vs, t_locked =
+            lock_serially ctx ~fallback:s.fallback s.versions shard_ids
           in
-          release ctx s.fallback fl;
-          ((first, v0) :: rest, attempt, t_locked)
+          (vs, attempt, t_locked)
         end
         else begin
           (* All-or-nothing acquisition: tag every touched version, then
@@ -361,19 +387,39 @@ let txn ctx (T s) ops =
       let vs, retries, t_locked = acquire_all 0 in
       s.c.txn_retries <- s.c.txn_retries + retries;
       (* Sub-ops run under every touched shard's lock. Only lock holders
-         change a shard, so a [Get] walks it plainly. *)
+         change a shard, so a shard whose lock CAS took the version read
+         before the finds is as they found it, apart from this
+         transaction's own sub-ops: those run on the found leaves, each
+         re-searching its leaf, until one needs the full path (an insert
+         splitting a full leaf), after which the shard's sub-ops descend
+         from the root. *)
+      let fresh = Array.make nsh false in
+      List.iter2 (fun (sh, v) v0 -> fresh.(sh) <- v = v0) vs before;
       let results =
-        List.map
-          (fun (k, o) ->
+        List.map2
+          (fun (k, o) f ->
             let sh = k mod nsh in
+            let shard = s.shards.(sh) in
             s.c.txn_sub_ops <- s.c.txn_sub_ops + 1;
             s.c.shard_ops.(sh) <- s.c.shard_ops.(sh) + 1;
             if tracing ctx then emit ctx (Obs.Store_op { shard = sh });
             match o with
-            | Get -> B.mem_plain ctx s.shards.(sh) k
-            | Insert -> B.insert ctx s.shards.(sh) k
-            | Delete -> B.delete ctx s.shards.(sh) k)
-          ops
+            | Get ->
+                if fresh.(sh) then B.mem_at ctx shard f k
+                else Tx_btree.present (B.find ctx shard k)
+            | Insert | Delete -> (
+                let insert = o = Insert in
+                match
+                  if fresh.(sh) then
+                    (if insert then B.insert_at else B.delete_at) ctx shard f k
+                  else Tx_btree.Full_path
+                with
+                | Changed -> true
+                | Unchanged -> false
+                | Full_path ->
+                    fresh.(sh) <- false;
+                    (if insert then B.insert else B.delete) ctx shard k))
+          ops found
       in
       (* Release only after the last sub-op: every lock was held across
          all of them (two-phase locking), so the commit needs no atomic
@@ -440,8 +486,14 @@ let tagged_pass ctx c collect shards versions ~budget res ~lo ~hi ~width =
    re-read pass and every re-read follows its start, so an unchanged
    (monotone) version pins each shard's frozen interval around the pass
    start — a common instant. Only the shards that moved are walked
-   again. *)
-let plain_rounds ctx c collect shards versions ~budget res ~lo ~hi ~width =
+   again. Writers that keep moving a shard can beat every round, so after
+   [txn_max_retries] rounds the scan stops optimizing: it takes the
+   relevant shards' locks as a fallback transaction does, walks again
+   each shard whose lock CAS did not take the version its last walk was
+   pinned at, and releases. Every result then holds while all the locks
+   are held. *)
+let plain_rounds ctx c collect shards versions ~fallback ~budget res ~lo ~hi
+    ~width =
   let nsh = Array.length shards in
   let vers = Array.make nsh 0 in
   let dirty = Array.init nsh (relevant nsh ~lo ~width) in
@@ -453,12 +505,15 @@ let plain_rounds ctx c collect shards versions ~budget res ~lo ~hi ~width =
     end
     else v
   in
-  let rec round () =
+  let walk sh =
+    res.(sh) <- collect Ctx.plain_load ctx shards.(sh) ~lo ~hi ~budget;
+    c.scan_collects <- c.scan_collects + 1
+  in
+  let rec round n =
     for sh = 0 to nsh - 1 do
       if dirty.(sh) then begin
         vers.(sh) <- pin versions.(sh) 0;
-        res.(sh) <- collect Ctx.plain_load ctx shards.(sh) ~lo ~hi ~budget;
-        c.scan_collects <- c.scan_collects + 1;
+        walk sh;
         dirty.(sh) <- false
       end
     done;
@@ -473,9 +528,18 @@ let plain_rounds ctx c collect shards versions ~budget res ~lo ~hi ~width =
           emit ctx (Obs.Scan_validate { shard = sh; ok = false })
       end
     done;
-    if !moved then round ()
+    if !moved then
+      if n < txn_max_retries then round (n + 1)
+      else begin
+        let vs, _ =
+          lock_serially ctx ~fallback versions
+            (List.filter (relevant nsh ~lo ~width) (List.init nsh Fun.id))
+        in
+        List.iter (fun (sh, v) -> if v <> vers.(sh) then walk sh) vs;
+        List.iter (fun (sh, v) -> release ctx versions.(sh) (v + 1)) vs
+      end
   in
-  round ()
+  round 1
 
 (* The index of the shard whose remaining keys start lowest, or -1. *)
 let rec lowest res sh best k0 =
@@ -511,8 +575,8 @@ let scan ctx (T s) ~lo ~hi =
          ~width)
   then begin
     s.c.scan_tag_fallbacks <- s.c.scan_tag_fallbacks + 1;
-    plain_rounds ctx s.c B.collect s.shards s.versions ~budget res ~lo ~hi
-      ~width
+    plain_rounds ctx s.c B.collect s.shards s.versions ~fallback:s.fallback
+      ~budget res ~lo ~hi ~width
   end;
   if tracing ctx then
     for sh = 0 to nsh - 1 do

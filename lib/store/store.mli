@@ -7,20 +7,23 @@
     shard (even = unlocked, odd = locked, monotonically increasing):
 
     - {b point ops} touch exactly one shard with zero cross-shard
-      coordination. A write first walks its key with the backend's plain
-      point walk between two reads of the shard version; an insert of a
-      present key or a delete of an absent key whose reads agree on an
-      even version returns [false] without the lock (no CAS). Every
-      other write takes the shard's version lock with a single-word CAS.
-      A get walks its key with the backend's plain one-key descent
-      ([mem_plain]) between two reads of the version, and retries
-      unless they agree on an even value;
-    - {b transactions} first walk each sub-op's key with the backend's
-      plain point walk (warming the cache outside the critical section),
-      then take every touched shard's lock with one tagged load of each
-      version and a VAS of each from even v to v+1 in shard order (the
-      chain completes only if no tagged version moved), run the sub-ops,
-      and release each lock with a single-word CAS after the last one.
+      coordination, and descend once. A write first walks its key with
+      the backend's plain one-key descent ([find]) between two reads of
+      the shard version; an insert of a present key or a delete of an
+      absent key whose reads agree on an even value returns [false]
+      without the lock (no CAS). Every other write takes the shard's
+      version lock with a single-word CAS and, when that CAS took the
+      version read before the walk, updates the leaf the walk found;
+      otherwise it descends again. A get runs [find] between two reads of
+      the version, and retries unless they agree on an even value;
+    - {b transactions} first read each touched shard's version and walk
+      each sub-op's key with [find] (warming the cache outside the
+      critical section), then take every touched shard's lock with one
+      tagged load of each version and a VAS of each from even v to v+1 in
+      shard order (the chain completes only if no tagged version moved),
+      run the sub-ops (on the found leaves in each shard whose version
+      did not move since it was read), and release each lock with a
+      single-word CAS after the last one.
       Every lock is held across every sub-op (strict two-phase locking),
       so the commit is atomic. When the tagged acquisition keeps losing
       races, or the transaction touches more shards than the tag set
@@ -36,7 +39,9 @@
       that never clears or a walk longer than [Max_Tags] lines falls
       back to monotone-version re-read rounds that re-collect only the
       shards that actually moved, so tag pressure degrades a scan
-      instead of failing it.
+      instead of failing it. When writers move some shard in every one
+      of 8 rounds, the scan takes the touched shards' locks like a
+      fallback transaction and finishes under them.
 
     Progress and accounting are deterministic: a run is a pure function
     of the simulation, byte-identical for any [--jobs] and with tracing
@@ -96,7 +101,7 @@ val key_space : t -> int
 val shard_of : t -> int -> int
 
 (** Point ops: shard-local, linearizable. [get] runs the backend's
-    plain [mem_plain] descent between two reads of the shard version and
+    plain [find] descent between two reads of the shard version and
     returns once they agree on an even value; it takes no lock, tag or
     STM transaction. A write that would change nothing returns [false]
     without locking when its shard is quiet. *)
@@ -108,12 +113,13 @@ val delete : Mt_core.Ctx.t -> t -> int -> bool
 (** [txn ctx t ops] — atomic multi-key transaction across shards: every
     sub-op runs under all touched shard locks, released after the last, and
     the per-sub-op results come back in the order the sub-ops were given.
-    It always commits. Before its first acquisition attempt it walks each
-    sub-op's key once with a plain [collect ~lo:k ~hi:k] and discards the
-    result, so the locked sub-ops hit in L1 and the locks are held
-    briefly (see [txn_locked_cycles]). Under the locks a [Get] sub-op is
-    the backend's plain [mem_plain] descent, and [Insert]/[Delete] the
-    backend's own ops. *)
+    It always commits. Before its first acquisition attempt it reads each
+    touched shard's version and runs [find] on each sub-op's key, so the
+    locked sub-ops hit in L1 and the locks are held briefly (see
+    [txn_locked_cycles]). Under the locks a shard whose version did not
+    move since that read runs its sub-ops on the found leaves
+    ([insert_at], [delete_at], [mem_at]) until one needs the full path;
+    other shards run the backend's [insert], [delete] and [find]. *)
 val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]

@@ -44,6 +44,17 @@ let key_word node j = node + key_base + (j lsr 1)
 (* Leaf key [j] out of the word holding it. *)
 let key_of j w = if j land 1 = 0 then low w else high w
 
+(* Where a one-key descent ended: the leaf whose range holds the key,
+   shifted up one bit, plus 1 when the key is in it. An immediate int, so
+   a descent returns both without allocating. *)
+type found = int
+
+let present f = f land 1 = 1
+let membership b = Bool.to_int b
+let leaf_of f = f lsr 1
+
+type at = Unchanged | Changed | Full_path
+
 module type ACCESS = sig
   type tx
 
@@ -62,7 +73,10 @@ module type TREE = sig
   val delete : tx -> t -> int -> bool
   val collect :
     Ctx.load -> Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
-  val mem_plain : Ctx.t -> t -> int -> bool
+  val find : Ctx.t -> t -> int -> found
+  val insert_at : tx -> found -> int -> at
+  val delete_at : tx -> found -> int -> at
+  val mem_at : tx -> found -> int -> bool
   val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
   val depth_unsafe : Mt_sim.Machine.t -> t -> int
 end
@@ -120,16 +134,21 @@ module Make (S : ACCESS) = struct
         else leaf_search read c node n k (j + 2)
 
   (* The one-key descent, shared by the transactional [contains] and the
-     plain [mem_plain]. Counts are clamped to their node's capacity and
-     a null child ends the descent, as in the plain range walk, so a walk
-     racing an update stays inside the tree; it needs no fuel, because a
-     node's level never changes and each step goes one down. *)
-  let rec mem read c node k =
-    node <> null
-    &&
-    let w = read c node in
-    if is_leaf w then leaf_search read c node (min (count w) leaf_cap) k 0 >= 0
-    else mem read c (child_for read c node (min (count w) inner_cap) k 0 w) k
+     plain [find]: the [found] leaf of [k]. Counts are clamped to their
+     node's capacity and a null child ends the descent (no leaf, absent),
+     as in the plain range walk, so a walk racing an update stays inside
+     the tree; it needs no fuel, because a node's level never changes and
+     each step goes one down. *)
+  let rec descend read c node k =
+    if node = null then 0
+    else
+      let w = read c node in
+      if is_leaf w then
+        (node lsl 1)
+        lor membership
+              (leaf_search read c node (min (count w) leaf_cap) k 0 >= 0)
+      else
+        descend read c (child_for read c node (min (count w) inner_cap) k 0 w) k
 
   (* [shift_in tx node pos k m w] makes room for [k] at key position
      [pos]: rewrites key word [m] (currently [w]) and every word below it
@@ -260,9 +279,12 @@ module Make (S : ACCESS) = struct
     | (Dup | Done) as r -> r
     | Split { sep; right } -> inner_insert tx node w0 n i sep right
 
-  let insert tx t k =
+  let check_key k =
     if k < 0 || k >= half_limit then
-      invalid_arg "Tx_btree.insert: key outside the 31-bit key field";
+      invalid_arg "Tx_btree.insert: key outside the 31-bit key field"
+
+  let insert tx t k =
+    check_key k;
     let root = S.read tx t.root_cell in
     match ins tx root k with
     | Dup -> false
@@ -284,26 +306,55 @@ module Make (S : ACCESS) = struct
       (pack (if j >= p then high w else low w) (low next));
     if j + 3 < n then shift_out tx node p n (m + 1) next
 
-  (* Removes the key from its leaf and merges nothing: a leaf may go
-     empty, and the separators above it stay valid bounds. *)
+  (* Removes [k] from leaf [node] of [n] keys, if there, and merges
+     nothing: a leaf may go empty, and the separators above it stay valid
+     bounds. *)
+  let leaf_delete tx node n k =
+    let p = leaf_search S.read tx node n k 0 in
+    if p < 0 then false
+    else begin
+      if p < n - 1 then
+        shift_out tx node p n (p lsr 1) (S.read tx (key_word node p));
+      S.write tx node (leaf_header (n - 1));
+      true
+    end
+
   let rec del tx node k =
     let w = S.read tx node in
     let n = count w in
-    if is_leaf w then begin
-      let p = leaf_search S.read tx node n k 0 in
-      if p < 0 then false
-      else begin
-        if p < n - 1 then
-          shift_out tx node p n (p lsr 1) (S.read tx (key_word node p));
-        S.write tx node (leaf_header (n - 1));
-        true
-      end
-    end
+    if is_leaf w then leaf_delete tx node n k
     else del tx (child_for S.read tx node n k 0 w) k
 
-  let contains tx t k = mem S.read tx (S.read tx t.root_cell) k
-  let mem_plain ctx t k = mem Ctx.read ctx (Ctx.read ctx t.root_cell) k
+  let contains tx t k = present (descend S.read tx (S.read tx t.root_cell) k)
+  let find ctx t k = descend Ctx.read ctx (Ctx.read ctx t.root_cell) k
   let delete tx t k = del tx (S.read tx t.root_cell) k
+
+  (* The updates on a [found] leaf, for a caller that holds the tree
+     unchanged since the descent that found it (the store proves it with
+     its shard version). Each re-searches the leaf, which the caller's
+     own earlier updates may have changed. A leaf holds the same key
+     range until it splits, and only an insert into a full leaf splits
+     one; [insert_at] leaves that to [insert]. *)
+  let insert_at tx f k =
+    check_key k;
+    let leaf = leaf_of f in
+    let n = count (S.read tx leaf) in
+    let p = leaf_search S.read tx leaf n k 0 in
+    if p >= 0 then Unchanged
+    else if n < leaf_cap then begin
+      leaf_put tx leaf n (-1 - p) k;
+      Changed
+    end
+    else Full_path
+
+  let delete_at tx f k =
+    let leaf = leaf_of f in
+    if leaf_delete tx leaf (count (S.read tx leaf)) k then Changed
+    else Unchanged
+
+  let mem_at tx f k =
+    let leaf = leaf_of f in
+    leaf_search S.read tx leaf (count (S.read tx leaf)) k 0 >= 0
 
   (* Range walk, written over [load]: the read of each line's first word
      (the root cell, then every node's header, a node being one line),

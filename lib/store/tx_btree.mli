@@ -15,7 +15,7 @@
     packed words in place. Keys and node addresses must lie in
     [\[0, 2^31)].
 
-    {b Plain walks.} [collect] over a plain load and [mem_plain] read
+    {b Plain walks.} [collect] over a plain load and [find] read
     with [Ctx.read] whatever the instance, and terminate against
     concurrent updates provided those become visible in first-write
     order: a node's header
@@ -24,6 +24,24 @@
     is clamped to its node's capacity. NOrec's in-order write-back gives
     that order, and so do {!Direct}'s writes, which are made in program
     order one word at a time. *)
+
+(** Where a one-key descent ended: the leaf whose key range holds the
+    key, and whether the key is in that leaf, packed in one immediate int
+    (a descent that returns both allocates nothing). *)
+type found = private int
+
+(** Whether the key was in the leaf. *)
+val present : found -> bool
+
+(** A [found] that carries membership and no leaf, for a set whose
+    descent has none to offer. *)
+val membership : bool -> found
+
+(** What an update on a found leaf did: the key was already as asked
+    ([Unchanged]: an insert of a present key, a delete of an absent one),
+    the leaf was updated ([Changed]), or the update needs the descent from
+    the root ([Full_path]: an insert into a full leaf, which splits it). *)
+type at = Unchanged | Changed | Full_path
 
 (** The memory accesses the tree is written over. *)
 module type ACCESS = sig
@@ -73,13 +91,27 @@ module type TREE = sig
     budget:int ->
     int list
 
-  (** [mem_plain ctx t k] — [contains] as one plain (untagged,
-      unvalidated) descent: the same code over [Ctx.read]. It terminates
-      against concurrent updates (counts are clamped and every step goes
-      one level down) but is exact only when the caller proves the tree
-      quiescent across it, as the sharded store's version protocol
-      does. *)
-  val mem_plain : Mt_core.Ctx.t -> t -> int -> bool
+  (** [find ctx t k] — [contains] as one plain (untagged, unvalidated)
+      descent, the same code over [Ctx.read], returning the leaf it ended
+      at with the answer. It terminates against concurrent updates
+      (counts are clamped and every step goes one level down) but is
+      exact only when the caller proves the tree quiescent across it, as
+      the sharded store's version protocol does. *)
+  val find : Mt_core.Ctx.t -> t -> int -> found
+
+  (** [insert_at tx f k] — [insert] on the leaf [f] found, without the
+      descent: [Full_path] when that leaf is full. [delete_at tx f k] —
+      [delete] on it; never [Full_path], because a delete merges nothing.
+      [mem_at tx f k] searches it. Each re-searches the leaf, so a
+      caller's own earlier updates through the same [f] are seen. They
+      are exact only while the tree has changed since [f]'s descent by
+      nothing but such updates: a split moves keys out of a leaf, and
+      only [insert]'s full path splits. The store proves that with its
+      shard version. *)
+  val insert_at : tx -> found -> int -> at
+
+  val delete_at : tx -> found -> int -> at
+  val mem_at : tx -> found -> int -> bool
 
   (** Timing-free contents, ascending, for test oracles (quiescent
       machine only). *)

@@ -19,18 +19,21 @@
 
    B+-tree walks. On the store's B+-tree (lib/store/tx_btree.ml), in the
    direct instance the store's shards run, a [contains] and a plain
-   [mem_plain] (the store's get) allocate 0 words, a one-key [scan_plain]
-   5 (its fuel cell and its one-element result), and a delete plus
+   [find] (the store's get, and every write's one descent) allocate 0
+   words, a one-key plain [collect] 5 (its fuel cell and its one-element
+   result; the store's writes made one each while they proved themselves
+   no-ops with it), and a delete plus
    re-insert of a present key 0, at depth 1 and at depth 4 alike: no
    descent allocates per node visited, and mutations shift the packed
    words in place instead of unpacking a node into arrays.
 
    Store writes and scans. An effective [Store.insert] plus
-   [Store.delete] of one key on a norec-tagged store allocates 7 words:
-   the store layer's walks, nothing in the tree and no event record in
-   an untraced run (11 while the records were built before the sink
-   check, 183 while each shard update ran as a tagged-NOrec
-   transaction). A quiet whole-store scan of 32 keys over 4 shards
+   [Store.delete] of one key on a norec-tagged store allocates 0 words:
+   one [find] each, whose leaf and answer come back in one int, an update
+   on that leaf, and no event record in an untraced run (7 while each
+   write walked with a one-key collect, 11 while the records were also
+   built before the sink check, 183 while each shard update ran as a
+   tagged-NOrec transaction). A quiet whole-store scan of 32 keys over 4 shards
    allocates 205 words: its walks' results and the merged result (913
    while every scan built its shard list, fallback state and a sorted
    copy).
@@ -200,7 +203,7 @@ let () =
         [ 6; 1024 ])
     [
       ("contains", 0., fun ctx t k -> ignore (TB.contains ctx t k));
-      ("mem_plain", 0., fun ctx t k -> ignore (TB.mem_plain ctx t k));
+      ("find", 0., fun ctx t k -> ignore (TB.find ctx t k));
       ( "scan k..k",
         5.,
         fun ctx t k ->
@@ -215,16 +218,18 @@ let () =
 (* Store writes ----------------------------------------------------------- *)
 
 (* An effective [Store.insert] and [Store.delete] of the same absent key
-   on a warm norec-tagged store: both one-key walks, the lock CAS and
-   release CAS of each, and the B+-tree update written directly under the
-   lock. The 7 words are the walks' fuel cells and results; an untraced
-   run builds no event record, and the tree adds nothing. With the
-   [Store_op] records built before the sink check the pair allocated
-   11, and with a tagged-NOrec transaction per update and a closure per
-   lock acquisition 183. *)
+   on a warm norec-tagged store: both [find]s, the lock CAS and release
+   CAS of each, and the B+-tree update written directly on the found
+   leaf under the lock. Nothing allocates: [find] packs the leaf and the
+   answer in one int, an untraced run builds no event record, and the
+   tree updates in place. While each write walked with a one-key collect
+   the pair allocated 7 words (two fuel cells and a one-element result),
+   with the [Store_op] records built before the sink check 11, and with a
+   tagged-NOrec transaction per update and a closure per lock
+   acquisition 183. *)
 let () =
   let module Store = Mt_store.Store in
-  pin "store insert + delete, norec-tagged" ~expected:7.
+  pin "store insert + delete, norec-tagged" ~expected:0.
     (words_per_step ~n:20_000 (fun k ->
          let m = Machine.create (Config.default ~num_cores:1 ()) in
          Harness.exec1 m (fun ctx ->

@@ -1,11 +1,12 @@
 (* Tests for the sharded multi-structure store (lib/store): routing
    determinism, the sequential map+range-query model per backend
-   (set_battery's ranged battery), transaction atomicity under fuzzed
-   schedules with the coherence audit on, point/txn/scan linearizability
-   via the generic Wing-Gong checker, the set and ranged batteries on the
-   norec-tagged shard's bare B+-tree, serve-layer conservation, and the
-   house invariants (byte-identical across --jobs and with tracing on or
-   off). *)
+   (set_battery's ranged battery), one descent per write, transaction
+   atomicity under fuzzed schedules with the coherence audit on,
+   point/txn/scan linearizability via the generic Wing-Gong checker,
+   scans that finish against a writer that never pauses, the set and
+   ranged batteries on the norec-tagged shard's bare B+-tree,
+   serve-layer conservation, and the house invariants (byte-identical
+   across --jobs and with tracing on or off). *)
 
 open Mt_sim
 open Mt_core
@@ -81,10 +82,9 @@ let test_determinism () =
 
 (* ------------------------------------------------------------------ *)
 (* The two plain walks every backend provides, on a quiescent structure:
-   [scan_plain] over the one-key window [k, k] is [k] when k is present
-   and [] otherwise (writes and the transaction warm-up rely on it), and
-   [mem_plain] is membership in the sequential oracle (gets rely on
-   it). *)
+   [collect] over the one-key window [k, k] is [k] when k is present and
+   [] otherwise, and [find] reports membership in the sequential oracle
+   (gets, writes' no-op proofs and transactions rely on it). *)
 
 let test_point_walk () =
   let range = 256 in
@@ -107,16 +107,19 @@ let test_point_walk () =
                  B.collect Ctx.plain_load ctx t ~lo:k ~hi:k
                    ~budget:((2 * range) + 64)));
           Alcotest.(check (list bool))
-            (bname ^ " mem_plain")
+            (bname ^ " find")
             (Array.to_list present)
-            (List.init range (fun k -> B.mem_plain ctx t k))))
+            (List.init range (fun k ->
+                 Mt_store.Tx_btree.present (B.find ctx t k)))))
     backends
 
 (* Lock hold time on a quiescent store: a 3-key transaction on a core
    that has never touched the shards (all their lines cold in its cache)
-   holds the locks only for cached sub-ops, because the warm-up walk ran
-   first. Measured: 750 / 46 cycles (hoh-abtree / norec-tagged) with
-   the walk, 2206 / 878 without it. *)
+   holds the locks only for cached sub-ops, because its [find]s ran
+   first. Measured: 854 / 37 cycles (hoh-abtree / norec-tagged) with
+   them (750 / 46 while the warm walk was a one-key collect, which reads
+   more of each HoH node's lines, and the norec-tagged sub-ops descended
+   from the root), 2206 / 878 without any walk. *)
 
 let test_txn_hold_time () =
   List.iter
@@ -217,6 +220,33 @@ let test_locked_writes_direct () =
             [ 2; 0; 0; 0; 0 ]
             (List.map2 ( - ) (counts ()) before))
         [ ("insert 1", Store.insert, 1); ("delete 2", Store.delete, 2) ])
+
+(* One descent per write. On a warm norec-tagged store of three levels
+   per shard (256 keys each: those below 2048 with bit 2 clear), an
+   effective insert of key 1005 and the delete that undoes it make 45
+   loads in all, each write reading its shard's root cell once: a
+   version read, one [find] (the root cell, two internal nodes' header
+   and separator words, the leaf's header and key words), the lock CAS's
+   version read, and the update on the found leaf, which re-searches it.
+   Descending again from the root cell under the lock makes 65, 10 more
+   loads per write; the writes made 59 when they also walked their key
+   with a one-key collect instead of [find]. *)
+let test_one_descent_loads () =
+  let m = machine ~cores:1 () in
+  Harness.exec1 m (fun ctx ->
+      let s = Store.create (backend "norec-tagged") ctx ~shards:4 ~key_space:2048 in
+      for k = 0 to 2047 do
+        if k land 4 = 0 then ignore (Store.insert ctx s k)
+      done;
+      let loads () = (Machine.total_stats m).Stats.loads in
+      let pair k =
+        let before = loads () in
+        check_bool "insert is effective" true (Store.insert ctx s k);
+        check_bool "delete is effective" true (Store.delete ctx s k);
+        loads () - before
+      in
+      ignore (pair 1005);
+      check_int "loads of a warm insert + delete" 45 (pair 1005))
 
 (* The serialized fallback: writer fibers hammer effective writes on
    shard 0 while transaction fibers run 3-key transactions over shards
@@ -758,6 +788,133 @@ let test_get_linearizable () =
       done)
     backend_names
 
+(* A write reuses its walk's leaf only when its lock CAS took the version
+   the walk started from. One shard starts with a full root leaf (the
+   even keys 0-26). A writer on core 1, whose cache is cold, inserts 27;
+   its walk finds that leaf. A straggling second writer on core 0, every
+   stall 20 cycles longer, inserts 1, which splits the leaf and moves 12
+   and up to a new right leaf. Its start is swept across [0, 600) cycles,
+   so that in some runs it locks the shard between the first writer's
+   walk and its lock CAS. The first writer must then take the full path:
+   27 put into the stale left leaf is lost to every later search. Both
+   writers then get both keys, and each history must linearize. The
+   first writer's insert is a point write, then a one-sub-op
+   transaction, which reuses its found leaf only when its acquisition
+   took the version read before its walk. *)
+let test_split_between_walk_and_lock () =
+  List.iter
+    (fun (bname, txn) ->
+      let overlapped = ref 0 in
+      for start = 0 to 199 do
+        let start = 3 * start in
+        let m = machine ~cores:2 () in
+        let s =
+          Harness.exec1 m (fun ctx ->
+              let s = Store.create (backend bname) ctx ~shards:1 ~key_space:32 in
+              for k = 0 to 13 do
+                ignore (Store.insert ctx s (2 * k))
+              done;
+              s)
+        in
+        let log : whole_op Linearize.entry list ref = ref [] in
+        let spans = Array.make 2 (0, 0) in
+        let (_ : int) =
+          Harness.exec m ~threads:2
+            ~policy:
+              (Runtime.decorate_policy Runtime.default_policy
+                 ~extra_delay:(fun ~tid ~now:_ ~base ->
+                   if tid = 0 then base + 20 else base))
+            (fun ctx ->
+              let c = Ctx.core ctx in
+              if c = 0 then Ctx.work ctx start;
+              List.iter
+                (fun (o, k) ->
+                  let t_inv = Ctx.now ctx in
+                  let op =
+                    if txn && c = 1 && o = Store.Insert then
+                      Txn ([ (k, o) ], Store.txn ctx s [ (k, o) ])
+                    else Point (o, k, point ctx s o k)
+                  in
+                  if o = Store.Insert then spans.(c) <- (t_inv, Ctx.now ctx);
+                  log :=
+                    {
+                      Linearize.op;
+                      result = true;
+                      t_inv;
+                      t_res = Ctx.now ctx;
+                    }
+                    :: !log)
+                [ (Store.Insert, if c = 0 then 1 else 27); (Store.Get, 1);
+                  (Store.Get, 27) ])
+        in
+        Machine.check_coherence m;
+        (match
+           Linearize.check whole_model ~init:(List.init 14 (fun i -> 2 * i))
+             (Array.of_list !log)
+         with
+        | Ok states ->
+            check_bool
+              (Printf.sprintf "%s%s start %d: final contents reachable" bname
+                 (if txn then " txn" else "") start)
+              true
+              (List.mem (Store.to_list_unsafe m s) states)
+        | Error window ->
+            Alcotest.failf
+              "%s%s start %d: history not linearizable (%d-op window)" bname
+              (if txn then " txn" else "") start (Array.length window));
+        let (a0, b0), (a1, b1) = (spans.(0), spans.(1)) in
+        if a0 < b1 && a1 < b0 then incr overlapped
+      done;
+      check_bool
+        (Printf.sprintf "%s%s: the inserts overlap in some runs (%d)" bname
+           (if txn then " txn" else "")
+           !overlapped)
+        true (!overlapped > 0))
+    (List.concat_map (fun b -> [ (b, false); (b, true) ]) backend_names)
+
+(* A transaction's sub-ops see its own earlier sub-ops on the same shard,
+   whether they ran on found leaves or took the full path. One shard;
+   [Insert k; Get k] over keys that fill leaves and split them (a full
+   path, after which the shard's sub-ops descend again, though later
+   keys' leaves were found before the split), then [Delete k; Insert k]
+   on present and absent keys, then mixed runs on two keys of one leaf.
+   Every result must be the sequential answer. *)
+let test_txn_own_sub_ops () =
+  List.iter
+    (fun bname ->
+      let m = machine ~cores:1 () in
+      Harness.exec1 m (fun ctx ->
+          let s = Store.create (backend bname) ctx ~shards:1 ~key_space:128 in
+          let state = ref [] in
+          let run ops =
+            let expected, state' =
+              List.fold_left
+                (fun (acc, st) sub ->
+                  let r, st' = apply_sub st sub in
+                  (r :: acc, st'))
+                ([], !state) ops
+            in
+            Alcotest.(check (list bool))
+              (Printf.sprintf "%s txn on %d" bname (fst (List.hd ops)))
+              (List.rev expected) (Store.txn ctx s ops);
+            state := state'
+          in
+          for i = 0 to 39 do
+            let k = (3 * i) mod 120 in
+            run [ (k, Store.Insert); (k, Store.Get); (k + 1, Store.Insert);
+                  (k + 2, Store.Get) ]
+          done;
+          for k = 0 to 59 do
+            run [ (k, Store.Delete); (k, Store.Insert) ]
+          done;
+          for k = 60 to 69 do
+            run [ (k, Store.Delete); (k, Store.Get); (k, Store.Delete);
+                  (k + 1, Store.Insert); (k, Store.Insert); (k + 1, Store.Get) ]
+          done;
+          Alcotest.(check (list int))
+            (bname ^ " final contents") !state (Store.to_list_unsafe m s)))
+    backend_names
+
 (* Scans racing leaf splits, root splits and cross-shard moves. Two
    shards start with full root leaves (the even keys 0-26 and the odd
    keys 1-27). A writer fiber inserts keys that split leaves, the first
@@ -765,19 +922,17 @@ let test_get_linearizable () =
    delete a key in one shard and insert one in the other ([`Move]),
    pausing [writer_gap] cycles after each; a scanner
    fiber scans the whole key space back to back until the writer is
-   done. The writer is a straggler, every stall 6 or 20 cycles longer,
-   so its critical sections span several of the scanner's reads, and
-   the scanner's start is swept across [0, 600) cycles so that some scan
-   lands inside each window of every update. Each history must
-   linearize. A scan that skips waiting for even versions, skips the
-   validate, or reads the B+-tree's root cell untagged returns a state
-   no linearization holds. On the B+-tree alone, the missing wait shows
-   only at the longer straggle (its windows between a transaction's
-   writes in two shards are short) and the untagged root cell at start
-   132 of the shorter one. *)
-let writer_gap = 400
-
-let test_scan_races () =
+   done. The writer is a straggler, every stall [straggle] cycles
+   longer, so its critical sections span several of the scanner's
+   reads, and the scanner's start is swept across [starts] (every third
+   cycle) so that some scan lands inside each window of every update.
+   With [scans > 0] the scanner stops after that many scans instead, and
+   the writer, its updates done, keeps deleting and re-inserting one key
+   per shard (40 and 41) until the scanner has stopped, at most [churn]
+   times. Each history must linearize. Returns the length of each run in
+   cycles. *)
+let scan_race ~writer_gap ?(scans = 0) ?(churn = 0) ~starts (bname, straggle)
+    =
   let key_space = 80 in
   let writer =
     List.concat
@@ -789,69 +944,107 @@ let test_scan_races () =
         [ `Move (29, 2) ];
       ]
   in
+  let churn_ops = [ `Delete 40; `Delete 41; `Insert 40; `Insert 41 ] in
   let init = List.init 28 Fun.id in
+  List.init starts (fun start ->
+      let start = 3 * start in
+      let m = machine ~cores:2 () in
+      let s =
+        Harness.exec1 m (fun ctx ->
+            let s = Store.create (backend bname) ctx ~shards:2 ~key_space in
+            List.iter (fun k -> ignore (Store.insert ctx s k)) init;
+            s)
+      in
+      let log : whole_op Linearize.entry list ref = ref [] in
+      let record ctx t_inv op =
+        log :=
+          { Linearize.op; result = true; t_inv; t_res = Ctx.now ctx } :: !log
+      in
+      let update ctx w =
+        let t_inv = Ctx.now ctx in
+        record ctx t_inv
+          (match w with
+          | `Insert k -> Point (Store.Insert, k, Store.insert ctx s k)
+          | `Delete k -> Point (Store.Delete, k, Store.delete ctx s k)
+          | `Move (a, b) ->
+              let ops = [ (a, Store.Delete); (b, Store.Insert) ] in
+              Txn (ops, Store.txn ctx s ops));
+        Ctx.work ctx writer_gap
+      in
+      let writing = ref true and scanning = ref true and done_scans = ref 0 in
+      let cycles =
+        Harness.exec m ~threads:2
+          ~policy:
+            (Runtime.decorate_policy Runtime.default_policy
+               ~extra_delay:(fun ~tid ~now:_ ~base ->
+                 if tid = 0 then base + straggle else base))
+          (fun ctx ->
+            if Ctx.core ctx = 0 then begin
+              List.iter (update ctx) writer;
+              let rounds = ref 0 in
+              while !scanning && !rounds < churn do
+                List.iter (update ctx) churn_ops;
+                incr rounds
+              done;
+              writing := false
+            end
+            else begin
+              Ctx.work ctx start;
+              while if scans = 0 then !writing else !done_scans < scans do
+                let t_inv = Ctx.now ctx in
+                let hi = key_space - 1 in
+                record ctx t_inv (Scan (0, hi, Store.scan ctx s ~lo:0 ~hi));
+                incr done_scans
+              done;
+              scanning := false
+            end)
+      in
+      Machine.check_coherence m;
+      (match Linearize.check whole_model ~init (Array.of_list !log) with
+      | Ok states ->
+          check_bool
+            (Printf.sprintf "%s straggle %d start %d: final contents \
+                             reachable" bname straggle start)
+            true
+            (List.mem (Store.to_list_unsafe m s) states)
+      | Error window ->
+          Alcotest.failf
+            "%s straggle %d start %d: history not linearizable (%d-op \
+             window)"
+            bname straggle start (Array.length window));
+      cycles)
+
+(* With the writer pausing 400 cycles after each update. A scan that
+   skips waiting for even versions, skips the validate, or reads the
+   B+-tree's root cell untagged returns a state no linearization holds.
+   On the B+-tree alone, the missing wait shows only at the longer
+   straggle (its windows between a transaction's writes in two shards
+   are short) and the untagged root cell at start 132 of the shorter
+   one. *)
+let test_scan_races () =
   List.iter
-    (fun (bname, straggle) ->
-      for start = 0 to 199 do
-        let start = 3 * start in
-        let m = machine ~cores:2 () in
-        let s =
-          Harness.exec1 m (fun ctx ->
-              let s = Store.create (backend bname) ctx ~shards:2 ~key_space in
-              List.iter (fun k -> ignore (Store.insert ctx s k)) init;
-              s)
-        in
-        let log : whole_op Linearize.entry list ref = ref [] in
-        let record ctx t_inv op =
-          log :=
-            { Linearize.op; result = true; t_inv; t_res = Ctx.now ctx } :: !log
-        in
-        let writing = ref true in
-        let (_ : int) =
-          Harness.exec m ~threads:2
-            ~policy:
-              (Runtime.decorate_policy Runtime.default_policy
-                 ~extra_delay:(fun ~tid ~now:_ ~base ->
-                   if tid = 0 then base + straggle else base))
-            (fun ctx ->
-              if Ctx.core ctx = 0 then begin
-                List.iter
-                  (fun w ->
-                    let t_inv = Ctx.now ctx in
-                    record ctx t_inv
-                      (match w with
-                      | `Insert k -> Point (Store.Insert, k, Store.insert ctx s k)
-                      | `Move (a, b) ->
-                          let ops = [ (a, Store.Delete); (b, Store.Insert) ] in
-                          Txn (ops, Store.txn ctx s ops));
-                    Ctx.work ctx writer_gap)
-                  writer;
-                writing := false
-              end
-              else begin
-                Ctx.work ctx start;
-                while !writing do
-                  let t_inv = Ctx.now ctx in
-                  let hi = key_space - 1 in
-                  record ctx t_inv (Scan (0, hi, Store.scan ctx s ~lo:0 ~hi))
-                done
-              end)
-        in
-        Machine.check_coherence m;
-        match Linearize.check whole_model ~init (Array.of_list !log) with
-        | Ok states ->
-            check_bool
-              (Printf.sprintf "%s straggle %d start %d: final contents \
-                               reachable" bname straggle start)
-              true
-              (List.mem (Store.to_list_unsafe m s) states)
-        | Error window ->
-            Alcotest.failf
-              "%s straggle %d start %d: history not linearizable (%d-op \
-               window)"
-              bname straggle start (Array.length window)
-      done)
+    (fun b -> ignore (scan_race ~writer_gap:400 ~starts:200 b : int list))
     (List.concat_map (fun b -> [ (b, 6); (b, 20) ]) backend_names)
+
+(* With no pause, the writer moves some shard during every plain re-read
+   round, so a scan whose tagged pass failed would re-read for as long
+   as the writer writes. After [txn_max_retries] rounds the scan takes
+   the shards' locks instead and finishes: 4 scans complete while the
+   writer churns, at straggle 6 over 20 starts in at most 28,995
+   (hoh-abtree) and 14,856 (norec-tagged) cycles. A scan that re-reads
+   without end finishes only once the writer stops, after its 1,000
+   churn rounds: 4 scans then take 2.4 million cycles. *)
+let test_scan_races_no_gap () =
+  List.iter
+    (fun (bname, max_cycles) ->
+      List.iteri
+        (fun start cycles ->
+          check_bool
+            (Printf.sprintf "%s start %d: 4 scans in %d cycles (<= %d)" bname
+               (3 * start) cycles max_cycles)
+            true (cycles <= max_cycles))
+        (scan_race ~writer_gap:0 ~scans:4 ~churn:1000 ~starts:20 (bname, 6)))
+    [ ("hoh-abtree", 30_000); ("norec-tagged", 15_000) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve integration: conservation, per-class accounting, and the
@@ -941,6 +1134,8 @@ let () =
              test_noop_writes_cas_free;
            Alcotest.test_case "locked writes issue only the lock CASes" `Quick
              test_locked_writes_direct;
+           Alcotest.test_case "one descent per effective write" `Quick
+             test_one_descent_loads;
          ] );
        ( "txn",
          [
@@ -952,6 +1147,8 @@ let () =
              (test_txn_fallback ~txn_fibers:2);
            Alcotest.test_case "past the tag capacity" `Quick
              test_txn_past_tag_capacity;
+           Alcotest.test_case "sub-ops see their own writes" `Quick
+             test_txn_own_sub_ops;
          ] );
        ( "backend",
          [ Alcotest.test_case "point walk contract" `Quick test_point_walk ] );
@@ -961,6 +1158,8 @@ let () =
              test_quiet_scan_tags;
            Alcotest.test_case "races with splits and moves" `Slow
              test_scan_races;
+           Alcotest.test_case "races with a writer that never pauses" `Slow
+             test_scan_races_no_gap;
            Alcotest.test_case "small tag set falls back" `Slow
              test_scan_fallback_linearizable;
          ] );
@@ -972,6 +1171,8 @@ let () =
              test_noop_linearizable;
            Alcotest.test_case "get-heavy histories" `Slow
              test_get_linearizable;
+           Alcotest.test_case "a split between a write's walk and its lock"
+             `Quick test_split_between_walk_and_lock;
          ] );
        ( "serve",
          [
