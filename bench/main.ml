@@ -17,9 +17,9 @@
    layer (lib/serve) over list/tree/STM backends, sweeping offered load
    across each backend's saturation knee and reporting goodput, drop rate
    and end-to-end tail latency (p50/p99/p99.9).
-   "store" drives the sharded multi-structure store (lib/store) through
-   the same open-loop serve layer under point/txn/scan request-kind
-   mixes, one saturation curve per backend x mix.
+   "store" drives the sharded store (lib/store) through the same
+   open-loop serve layer under point/txn/scan request-kind mixes, one
+   saturation curve per mix.
    "contention" sweeps the restart contention-management policy
    (immediate/backoff/politeness, lib/cm) against thread count
    and Zipfian key skew over four restart-loop shapes (HoH list, HoH
@@ -509,11 +509,11 @@ let latency o _ =
        curves)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded store: saturation curves per request-kind mix per backend.
-   The serve layer drives the sharded multi-structure store (lib/store)
-   with a point/txn/scan request mix; each backend × mix combination is
-   calibrated like the latency panel and then offered multiples of its
-   measured capacity. Store counters (txn commit/abort, scan validation
+(* Sharded store: saturation curves per request-kind mix.
+   The serve layer drives the sharded store (lib/store), B+-tree shards,
+   with a point/txn/scan request mix; each mix is calibrated like the
+   latency panel and then offered multiples of its measured capacity.
+   Store counters (txn commit/abort, scan validation
    fallbacks, per-shard routing imbalance) ride along with each point.
    No paper counterpart (the paper has no multi-shard evaluation). *)
 
@@ -551,15 +551,14 @@ let store_stats_to_json (st : Store.stats) =
 
 let store o _ =
   print_endline
-    "\n=== Sharded store: saturation curves per mix per backend ===";
+    "\n=== Sharded store: saturation curves per mix ===";
   let horizon = if o.quick then 60_000 else 120_000 in
   let specs =
-    List.concat_map
-      (fun backend ->
-        List.map
-          (fun mix -> Store_serve.spec ~shards:store_shards ~backend ~mix ())
-          store_mixes)
-      Catalog.backends
+    List.map
+      (fun mix ->
+        Store_serve.spec ~shards:store_shards
+          ~backend:(module Store_backend.Norec_map) ~mix ())
+      store_mixes
   in
   let curves =
     saturation_curves o specs

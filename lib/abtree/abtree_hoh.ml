@@ -6,8 +6,6 @@ module type S = sig
   include Mt_list.Set_intf.SET
 
   val range : Ctx.t -> t -> lo:int -> hi:int -> int list option
-  val collect :
-    Ctx.load -> Ctx.t -> t -> lo:int -> hi:int -> budget:int -> int list
   val check : Mt_sim.Machine.t -> t -> Checker.report
 end
 
@@ -292,10 +290,9 @@ struct
      immutable after creation (updates swing parent pointers to fresh
      copies), so every visited node is internally
      consistent; the pointer graph itself may be a mix of epochs, which
-     is why a plain collect is only atomic under an external quiescence
-     proof (the sharded store's per-shard version protocol). [budget]
-     bounds the visit count so a doomed attempt racing live updates still
-     terminates. *)
+     is why the walk is atomic only once [range]'s validate certifies
+     it. [budget] bounds the visit count so a doomed attempt racing live
+     updates still terminates. *)
   let collect load ctx t ~lo ~hi ~budget =
     let line_words =
       Mt_sim.Config.line_words (Mt_sim.Machine.cfg (Ctx.machine ctx))

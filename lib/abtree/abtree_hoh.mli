@@ -24,27 +24,12 @@
 module type S = sig
   include Mt_list.Set_intf.SET
 
-  (** Atomic range snapshot [\[lo, hi\]]: {!collect} over tagged loads,
-      certified by one validate ({!Mt_core.Ctx.certified}); [None] when
-      the range spans more lines than [Max_Tags] (as the machine
-      currently sets it) allows. *)
+  (** Atomic range snapshot [\[lo, hi\]]: a range walk over tagged
+      loads, which tag exactly the lines of each visited node that it
+      reads, certified by one validate ({!Mt_core.Ctx.certified});
+      [None] when the range spans more lines than [Max_Tags] (as the
+      machine currently sets it) allows. *)
   val range : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list option
-
-  (** [collect load ctx t ~lo ~hi ~budget] — range collect visiting at
-      most [budget] nodes; [load] reads the first word of each line of a
-      visited node that the walk reads (a tagged load tags exactly those
-      lines). With
-      {!Mt_core.Ctx.plain_load} it is a plain walk, {e not} atomic on its
-      own: callers must prove quiescence externally (the sharded store's
-      per-shard version protocol does). *)
-  val collect :
-    Mt_core.Ctx.load ->
-    Mt_core.Ctx.t ->
-    t ->
-    lo:int ->
-    hi:int ->
-    budget:int ->
-    int list
 
   (** Structural invariant check on a quiescent machine. *)
   val check : Mt_sim.Machine.t -> t -> Checker.report
@@ -70,6 +55,5 @@ module Make (_ : sig
 end) : S
 
 (** The paper's evaluation tree, (a,b) = (4,8) (DESIGN §4): the one
-    instance the benchmarks, the store's [hoh-abtree] shards and the
-    examples run. *)
+    instance the benchmarks and the examples run. *)
 module Paper : S

@@ -1,16 +1,13 @@
-(** Pluggable shard backends for the sharded store.
+(** The sharded store's shard structure: the B+-tree of {!Tx_btree},
+    written directly under the store's per-shard version lock.
 
-    A backend is a set structure driven under the store's per-shard
-    version lock, plus a range collect written over its load (plain or
-    tagged, {!Mt_core.Ctx.load}), a plain one-key descent ([find]) that
-    reports the leaf it ended at, and updates on that leaf. Its contract
-    with the store:
+    Its contract with the store:
     - only the holder of the shard lock calls [insert], [delete],
       [insert_at], [delete_at] and [mem_at];
     - every other access uses [find] or [collect].
-    The store never asks a backend for [contains].
+    The store never asks a shard for [contains].
 
-    {b Why the norec-tagged shard needs no synchronization of its own.}
+    {b Why a shard needs no synchronization of its own.}
     {!Norec_map} writes its tree directly ({!Tx_btree.Direct}); no STM
     runs on the store path. That is sound because:
     + Every update in [store.ml] runs while the shard's version is odd
@@ -61,78 +58,16 @@
     are not enough: memory at [t_val] may be a lock holder's half-done
     update (a B+-tree split written node by node) whose remaining writes
     fall after [t_val], so a walk can read a state no committed history
-    ever held.
-
-    The HoH tree keeps its own tagged synchronization (it is the paper's
-    structure); under the lock it is simply uncontended. *)
+    ever held. *)
 
 module type S = sig
-  type t
+  include Tx_btree.TREE with type tx = Mt_core.Ctx.t
 
   (** Short name used in benchmark tables and store run names. *)
   val name : string
-
-  (** [create ctx] builds an empty shard. *)
-  val create : Mt_core.Ctx.t -> t
-
-  (** [insert ctx t k] adds [k]; false if already present. Called only
-      by the holder of the shard lock. *)
-  val insert : Mt_core.Ctx.t -> t -> int -> bool
-
-  (** [delete ctx t k] removes [k]; false if absent. Called only by the
-      holder of the shard lock. *)
-  val delete : Mt_core.Ctx.t -> t -> int -> bool
-
-  (** [collect load ctx t ~lo ~hi ~budget] walks the keys in
-      [\[lo, hi\]], visiting at most [budget] nodes, and reads the first
-      word of every line it depends on with [load]: a tagged load tags
-      each such line (the root or head cell, then every node), so one
-      validate certifies the walk as above. With
-      {!Mt_core.Ctx.plain_load} it is a plain walk, only atomic under an
-      external quiescence proof (the store's version protocol): a scan's
-      fallback rounds and its locked pass. *)
-  val collect :
-    Mt_core.Ctx.load ->
-    Mt_core.Ctx.t ->
-    t ->
-    lo:int ->
-    hi:int ->
-    budget:int ->
-    int list
-
-  (** Plain (untagged, unvalidated) one-key descent: whether the key is
-      present and, when the backend has one, the leaf that holds its
-      range. It terminates against a concurrent lock holder's updates but
-      is exact only under the same quiescence proof as a plain [collect].
-      Gets run it between two equal even reads of the shard version,
-      writes to prove themselves no-ops and to find their leaf, and
-      transactions to find their sub-ops' leaves and warm their lines
-      before locking. *)
-  val find : Mt_core.Ctx.t -> t -> int -> Tx_btree.found
-
-  (** [insert_at ctx t f k], [delete_at ctx t f k] and [mem_at ctx t f k]:
-      {!Tx_btree.TREE.insert_at} and its siblings on the leaf of [f], a
-      [find] of a shard that has changed since only through the caller's
-      own [*_at] updates. A backend without leaves answers [Full_path]
-      (the store then runs [insert] or [delete]) and searches from the
-      root in [mem_at]. Called only by the holder of the shard lock. *)
-  val insert_at : Mt_core.Ctx.t -> t -> Tx_btree.found -> int -> Tx_btree.at
-
-  val delete_at : Mt_core.Ctx.t -> t -> Tx_btree.found -> int -> Tx_btree.at
-  val mem_at : Mt_core.Ctx.t -> t -> Tx_btree.found -> int -> bool
-
-  (** Timing-free contents, ascending, for test oracles (quiescent
-      machine only). *)
-  val to_list_unsafe : Mt_sim.Machine.t -> t -> int list
 end
 
-(** The HoH-tagged relaxed (a,b)-tree, {!Mt_abtree.Abtree_hoh.Paper}
-    under the name ["hoh-abtree"]. Its [find] is its [contains] and
-    reports no leaf; its updates commit through its own IAS, so its
-    [insert_at] and [delete_at] answer [Full_path]. *)
-module Hoh_abtree : S
-
-(** A B+-tree ({!Tx_btree.Direct}, one cache line per node, two 31-bit
+(** The B+-tree ({!Tx_btree.Direct}, one cache line per node, two 31-bit
     fields per word: fanout 8, 14-key leaves) written directly under the
     shard lock. The name ["norec-tagged"] dates from when each shard ran
     it on a private tagged-NOrec instance; it is kept because benchmark

@@ -1,19 +1,18 @@
 open Mt_core
 module Obs = Mt_obs.Obs
 
-(* A sharded multi-structure store. Keys hash-partition (k mod shards)
-   across per-core shards, each backed by a pluggable structure.
-   Concurrency control lives entirely in one plain *version word* per
-   shard (its own cache line): even = unlocked, odd = locked, and the
-   value only ever increases, so there is no ABA. Every backend update
-   below runs while this core holds its shard's lock, and every other
-   backend access is a plain walk, so a backend needs no synchronization
-   of its own: the norec-tagged shard writes its B+-tree directly
-   (backend.mli has the argument).
+(* A sharded store. Keys hash-partition (k mod shards) across per-core
+   shards, each a B+-tree (Backend, over Tx_btree). Concurrency control
+   lives entirely in one plain *version word* per shard (its own cache
+   line): even = unlocked, odd = locked, and the value only ever
+   increases, so there is no ABA. Every tree update below runs while this
+   core holds its shard's lock, and every other tree access is a plain
+   walk, so a shard needs no synchronization of its own: it writes its
+   B+-tree directly (backend.mli has the argument).
 
    - Point writes descend once. Read the version, walk the key with the
-     backend's plain one-key descent ([find], which also returns the
-     leaf it ended at), and, when the key is already as the write would
+     tree's plain one-key descent ([find], which also returns the leaf it
+     ended at), and, when the key is already as the write would
      leave it, re-read the version. An insert of a present key or a
      delete of an absent key whose two reads agree on an even version
      returns [false] having written nothing: it linearizes between the
@@ -55,7 +54,7 @@ module Obs = Mt_obs.Obs
      drops the fallback lock and commits the same way. Only the
      fallback-lock holder ever waits while holding a shard lock, so
      there is no deadlock and a transaction never aborts.
-   - Scans walk every touched shard with the backend's collect over a
+   - Scans walk every touched shard with the tree's collect over a
      tagged load, so the tag set holds exactly the lines the walks read
      and no version word; then read each touched shard's version until
      it is even (at most [txn_max_retries] waits), then validate once.
@@ -137,8 +136,8 @@ type t =
    rounds a scan makes, before falling back to serialized locking. *)
 let txn_max_retries = 8
 
-(* Keys share a word with another 31-bit field in the norec-tagged
-   shard's B+-tree nodes; every backend gets the same limit. *)
+(* Keys share a word with another 31-bit field in the B+-tree's
+   nodes. *)
 let key_space_limit = 1 lsl 31
 
 let create (backend : (module Backend.S)) ctx ~shards ~key_space =
@@ -161,8 +160,8 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
       versions;
       fallback;
       key_space;
-      (* Enough fuel to walk a whole shard (every structure visits at most
-         ~2 nodes per resident key) plus slack; a doomed racy walk burning
+      (* Enough fuel to walk a whole shard (a walk visits at most ~2
+         nodes per resident key) plus slack; a doomed racy walk burning
          it out just fails the version check and retries. *)
       scan_budget = (2 * per_shard) + 64;
       c = zero_stats ~shards;
@@ -250,7 +249,7 @@ let write ctx (T s) k ~insert =
       let r =
         match
           if vl <> v + 1 then Tx_btree.Full_path
-          else (if insert then B.insert_at else B.delete_at) ctx shard f k
+          else (if insert then B.insert_at else B.delete_at) ctx f k
         with
         | Changed -> true
         | Unchanged -> false
@@ -405,13 +404,13 @@ let txn ctx (T s) ops =
             if tracing ctx then emit ctx (Obs.Store_op { shard = sh });
             match o with
             | Get ->
-                if fresh.(sh) then B.mem_at ctx shard f k
+                if fresh.(sh) then B.mem_at ctx f k
                 else Tx_btree.present (B.find ctx shard k)
             | Insert | Delete -> (
                 let insert = o = Insert in
                 match
                   if fresh.(sh) then
-                    (if insert then B.insert_at else B.delete_at) ctx shard f k
+                    (if insert then B.insert_at else B.delete_at) ctx f k
                   else Tx_btree.Full_path
                 with
                 | Changed -> true

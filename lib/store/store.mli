@@ -1,14 +1,14 @@
-(** The sharded multi-structure store.
+(** The sharded store.
 
     Hash-partitions a key space across per-core shards (key [k] lives in
-    shard [k mod shards]), each backed by a pluggable structure
-    ({!Backend.S}) that only the shard-lock holder updates. All
+    shard [k mod shards]), each a B+-tree ({!Backend.S}) that only the
+    shard-lock holder updates. All
     cross-operation coordination lives in one plain {e version word} per
     shard (even = unlocked, odd = locked, monotonically increasing):
 
     - {b point ops} touch exactly one shard with zero cross-shard
       coordination, and descend once. A write first walks its key with
-      the backend's plain one-key descent ([find]) between two reads of
+      the tree's plain one-key descent ([find]) between two reads of
       the shard version; an insert of a present key or a delete of an
       absent key whose reads agree on an even value returns [false]
       without the lock (no CAS). Every other write takes the shard's
@@ -31,7 +31,7 @@
       shard locks one at a time; only one transaction at a time holds
       the fallback lock, so fallbacks never wait on each other and a
       transaction always commits;
-    - {b scans} walk every touched shard with the backend's collect
+    - {b scans} walk every touched shard with the tree's collect
       over tagged loads, so the tag set holds exactly the lines walked
       (no version word), read each touched shard's version until it is
       even, and certify the whole scan with one validate; a write
@@ -85,8 +85,7 @@ type t
 (** [create backend ctx ~shards ~key_space] — keys are [0 .. key_space-1].
     Call from a quiescent context (e.g. serve setup) before sharing.
     Raises [Invalid_argument] when [key_space > 2^31]: keys must fit a
-    31-bit field (the norec-tagged shard packs two per word), and every
-    backend shares that limit. *)
+    31-bit field (the B+-tree packs two per word). *)
 val create :
   (module Backend.S) ->
   Mt_core.Ctx.t ->
@@ -100,7 +99,7 @@ val key_space : t -> int
 (** The shard routing function: [k mod num_shards]. *)
 val shard_of : t -> int -> int
 
-(** Point ops: shard-local, linearizable. [get] runs the backend's
+(** Point ops: shard-local, linearizable. [get] runs the tree's
     plain [find] descent between two reads of the shard version and
     returns once they agree on an even value; it takes no lock, tag or
     STM transaction. A write that would change nothing returns [false]
@@ -119,7 +118,7 @@ val delete : Mt_core.Ctx.t -> t -> int -> bool
     [txn_locked_cycles]). Under the locks a shard whose version did not
     move since that read runs its sub-ops on the found leaves
     ([insert_at], [delete_at], [mem_at]) until one needs the full path;
-    other shards run the backend's [insert], [delete] and [find]. *)
+    other shards run the tree's [insert], [delete] and [find]. *)
 val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]

@@ -33,10 +33,6 @@ type found = private int
 (** Whether the key was in the leaf. *)
 val present : found -> bool
 
-(** A [found] that carries membership and no leaf, for a set whose
-    descent has none to offer. *)
-val membership : bool -> found
-
 (** What an update on a found leaf did: the key was already as asked
     ([Unchanged]: an insert of a present key, a delete of an absent one),
     the leaf was updated ([Changed]), or the update needs the descent from

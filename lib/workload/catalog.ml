@@ -5,13 +5,12 @@ type entry = {
   aliases : string list;
   set : (module SET);
   fuzz : (module Mt_check.Explore.TARGET);
-  backend : (module Mt_store.Backend.S) option;
   canary : bool;
 }
 
-let entry ?(aliases = []) ?fuzz ?backend ?(canary = false) name set =
+let entry ?(aliases = []) ?fuzz ?(canary = false) name set =
   let fuzz = Option.value fuzz ~default:(Mt_check.Explore.plain set) in
-  { name; aliases; set; fuzz; backend; canary }
+  { name; aliases; set; fuzz; canary }
 
 (* The fuzzer's trees are (2,4), the smallest legal (a,b), so that its
    default 12-key range reaches every rebalancing step. At (4,8) a 12-key
@@ -39,7 +38,6 @@ let abtree_hoh =
   entry "abtree_hoh" ~aliases:[ "abtree-hoh"; "hoh-abtree" ]
     (module Mt_abtree.Abtree_hoh.Paper)
     ~fuzz:(Mt_check.Explore.tree (module Mt_abtree.Abtree_hoh.Make (Fuzz_ab)))
-    ~backend:(module Mt_store.Backend.Hoh_abtree)
 
 let abtree_llx =
   entry "abtree_llx" ~aliases:[ "abtree-llx" ]
@@ -72,9 +70,7 @@ module Norec_btree : SET = struct
 end
 
 let norec_btree =
-  entry "norec_btree" ~aliases:[ "norec-tagged" ]
-    (module Norec_btree)
-    ~backend:(module Mt_store.Backend.Norec_map)
+  entry "norec_btree" ~aliases:[ "norec-tagged" ] (module Norec_btree)
 
 let all =
   [
@@ -94,5 +90,3 @@ let find among n = List.find_opt (fun e -> e.name = n || List.mem n e.aliases) a
 
 let known among =
   String.concat ", " (List.map (fun e -> String.concat "|" (e.name :: e.aliases)) among)
-
-let backends = List.filter_map (fun e -> e.backend) all

@@ -1,10 +1,11 @@
 (** The one table of runnable structures.
 
     Every front-end that picks a structure by name ([memtag_bench],
-    [memtag_fuzz], [bench/main.exe], the store tests) reads it here, so a
-    new structure costs one entry. Canonical names are the fuzzer's
-    ([abtree_hoh]); the names the other front-ends used before
-    ([abtree-hoh], the store's [hoh-abtree]) stay accepted as aliases. *)
+    [memtag_fuzz], [bench/main.exe]) reads it here, so a new structure
+    costs one entry. Canonical names are the fuzzer's ([abtree_hoh]);
+    the names the other front-ends used before ([abtree-hoh], and
+    [hoh-abtree] from when the store had a shard backend of that name)
+    stay accepted as aliases. *)
 
 type entry = {
   name : string;  (** canonical name, as [memtag_fuzz] prints it *)
@@ -14,7 +15,6 @@ type entry = {
   fuzz : (module Mt_check.Explore.TARGET);
       (** the fuzzer's instance: [set], except the trees at (2,4), whose
           final structure every run also audits *)
-  backend : (module Mt_store.Backend.S) option;  (** the store shard backend *)
   canary : bool;
       (** a deliberately broken structure: fuzzed to prove the checker can
           fail, never benchmarked *)
@@ -28,8 +28,8 @@ val abtree_hoh : entry
 val abtree_llx : entry
 
 (** The store's B+-tree ({!Mt_store.Tx_btree}) as a standalone set, each
-    operation one tagged-NOrec transaction; its store backend is
-    {!Mt_store.Backend.Norec_map}, the same tree written directly under
+    operation one tagged-NOrec transaction. The store's shards
+    ({!Mt_store.Backend.Norec_map}) write the same tree directly under
     the shard lock. *)
 val norec_btree : entry
 
@@ -47,7 +47,3 @@ val find : entry list -> string -> entry option
 (** [known among] lists [among]'s names for help texts and errors:
     ["harris_list|harris, vas_list|vas, ..."]. *)
 val known : entry list -> string
-
-(** The store's shard backends, in {!all}'s order: [hoh-abtree],
-    [norec-tagged]. *)
-val backends : (module Mt_store.Backend.S) list

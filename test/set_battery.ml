@@ -167,7 +167,7 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Ranged structures: anything exposing point membership ops plus an
-   atomic range query (the sharded store, its backends). The sequential
+   atomic range query (the sharded store, its B+-tree). The sequential
    model cross-checks every point return value AND every range result
    against Set.Make(Int) restricted to [lo, hi]. *)
 

@@ -60,8 +60,8 @@
    such a value into a switched chunk allocates 0 words.
 
    Store transaction. A 3-shard all-Get [Store.txn] on a quiet store
-   allocates 0 simulated words ([Memory.allocated_words]) on every
-   backend (locking through descriptor-based kCAS allocates 80).
+   allocates 0 simulated words ([Memory.allocated_words]); locking
+   through descriptor-based kCAS allocated 80.
 
    Workload budget. A contended 4-thread hoh-list set operation — dozens
    of simulated accesses, tag ops and fiber suspensions — must fit a
@@ -378,30 +378,29 @@ let () =
 (* Store transaction ------------------------------------------------------ *)
 
 (* A 3-shard all-Get transaction on a quiet store allocates no simulated
-   memory on any backend: its locks are taken with tagged loads and VAS
-   and released with single-word CASes, so it builds no descriptors. *)
+   memory: its locks are taken with tagged loads and VAS and released
+   with single-word CASes, so it builds no descriptors. *)
 let () =
-  List.iter
-    (fun b ->
-      let m = Machine.create (Config.default ~num_cores:1 ()) in
-      Harness.exec1 m (fun ctx ->
-          let s = Mt_store.Store.create b ctx ~shards:4 ~key_space:64 in
-          for k = 0 to 31 do
-            ignore (Mt_store.Store.insert ctx s (2 * k))
-          done;
-          let before = Memory.allocated_words (Machine.memory m) in
-          ignore
-            (Mt_store.Store.txn ctx s
-               [ (0, Mt_store.Store.Get); (1, Get); (2, Get) ]);
-          let words = Memory.allocated_words (Machine.memory m) - before in
-          let name = "store txn, " ^ Mt_store.Backend.name b in
-          Printf.printf "%-28s %6d simulated words (pinned 0)\n" name words;
-          if words <> 0 then begin
-            Printf.eprintf "FAIL: %s allocates %d simulated words, pinned at 0\n"
-              name words;
-            failed := true
-          end))
-    Mt_workload.Catalog.backends
+  let m = Machine.create (Config.default ~num_cores:1 ()) in
+  Harness.exec1 m (fun ctx ->
+      let s =
+        Mt_store.Store.create (module Mt_store.Backend.Norec_map) ctx ~shards:4
+          ~key_space:64
+      in
+      for k = 0 to 31 do
+        ignore (Mt_store.Store.insert ctx s (2 * k))
+      done;
+      let before = Memory.allocated_words (Machine.memory m) in
+      ignore
+        (Mt_store.Store.txn ctx s [ (0, Mt_store.Store.Get); (1, Get); (2, Get) ]);
+      let words = Memory.allocated_words (Machine.memory m) - before in
+      let name = "store txn, " ^ Mt_store.Backend.Norec_map.name in
+      Printf.printf "%-28s %6d simulated words (pinned 0)\n" name words;
+      if words <> 0 then begin
+        Printf.eprintf "FAIL: %s allocates %d simulated words, pinned at 0\n"
+          name words;
+        failed := true
+      end)
 
 (* Workload budget ------------------------------------------------------ *)
 
