@@ -698,9 +698,10 @@ let contention_stm_point o ~range ~theta ~cm ~threads =
     spec
 
 (* Zipf-keyed 3-key transactions against the sharded store
-   (norec-tagged shards, as in perfbench's store workload): hot ranks
-   all route to the same shard, so its version word becomes the
-   contended site for the shard-lock retry loop. *)
+   (norec-tagged shards, as in perfbench's store workload): the store
+   partitions keys by range, so the hot ranks (0-1023, the first
+   shard's range) all route to the same shard, and its version word
+   becomes the contended site for the shard-lock retry loop. *)
 let contention_store_point o ~theta ~cm ~threads =
   let key_space = 8192 and shards = 8 and txn_keys = 3 in
   let z = Zipf.create ~n:key_space ~theta in

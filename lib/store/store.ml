@@ -1,14 +1,17 @@
 open Mt_core
 module Obs = Mt_obs.Obs
 
-(* A sharded store. Keys hash-partition (k mod shards) across per-core
-   shards, each a B+-tree (Backend, over Tx_btree). Concurrency control
-   lives entirely in one plain *version word* per shard (its own cache
-   line): even = unlocked, odd = locked, and the value only ever
-   increases, so there is no ABA. Every tree update below runs while this
-   core holds its shard's lock, and every other tree access is a plain
-   walk, so a shard needs no synchronization of its own: it writes its
-   B+-tree directly (backend.mli has the argument).
+(* A sharded store. Keys range-partition across per-core shards: with
+   span = ceil(key_space / shards), shard i holds the contiguous keys
+   [i * span, (i + 1) * span), so a scan walks only the shards its
+   window meets. Each shard is a B+-tree (Backend, over Tx_btree).
+   Concurrency control lives entirely in one plain *version word* per
+   shard (its own cache line): even = unlocked, odd = locked, and the
+   value only ever increases, so there is no ABA. Every tree update
+   below runs while this core holds its shard's lock, and every other
+   tree access is a plain walk, so a shard needs no synchronization of
+   its own: it writes its B+-tree directly (backend.mli has the
+   argument).
 
    - Point writes descend once. Read the version, walk the key with the
      tree's plain one-key descent ([find], which also returns the leaf it
@@ -54,7 +57,8 @@ module Obs = Mt_obs.Obs
      drops the fallback lock and commits the same way. Only the
      fallback-lock holder ever waits while holding a shard lock, so
      there is no deadlock and a transaction never aborts.
-   - Scans walk every touched shard with the tree's collect over a
+   - Scans walk each shard their window meets (one, or two where the
+     window crosses a shard boundary) with the tree's collect over a
      tagged load, so the tag set holds exactly the lines the walks read
      and no version word; then read each touched shard's version until
      it is even (at most [txn_max_retries] waits), then validate once.
@@ -64,13 +68,14 @@ module Obs = Mt_obs.Obs
      one instant for every shard (backend.mli has the proof). A write
      elsewhere in a shard breaks nothing. A failed validate, a lock that
      never clears or a walk that would outgrow [Max_Tags] falls back to
-     plain re-read rounds: versions are monotone, so a version unchanged
-     between a shard's pre-walk pin and the re-read pass proves that
-     shard quiescent over an interval containing the pass start, again
-     a common instant. Only shards whose version moved are walked
-     again. After [txn_max_retries] rounds in which some shard moved,
-     the scan takes the shards' locks the way a fallback transaction
-     does, so it finishes however busy the writers are. *)
+     plain re-read rounds: versions are monotone, so an even pre-walk
+     pin that the re-read pass finds unchanged proves that shard
+     quiescent over an interval containing the pass start, again a
+     common instant. Only shards whose version moved, or that a round
+     found locked and skipped, are walked again. After
+     [txn_max_retries] rounds in which some shard moved, the scan takes
+     the shards' locks the way a fallback transaction does, so it
+     finishes however busy the writers are. *)
 
 type op = Get | Insert | Delete
 
@@ -127,6 +132,7 @@ type t =
       versions : Ctx.addr array;
       fallback : Ctx.addr;  (* lock word serializing locking fallbacks *)
       key_space : int;
+      span : int;  (* keys per shard: shard [k / span] holds [k] *)
       scan_budget : int;
       mutable c : stats;
     }
@@ -152,7 +158,7 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
     Array.init shards (fun _ -> Ctx.alloc ~label:"store-version" ctx ~words:1)
   in
   let fallback = Ctx.alloc ~label:"store-fallback" ctx ~words:1 in
-  let per_shard = ((key_space + shards - 1) / shards) + 1 in
+  let span = (key_space + shards - 1) / shards in
   T
     {
       backend = (module B : Backend.S with type t = B.t);
@@ -160,10 +166,11 @@ let create (backend : (module Backend.S)) ctx ~shards ~key_space =
       versions;
       fallback;
       key_space;
+      span;
       (* Enough fuel to walk a whole shard (a walk visits at most ~2
          nodes per resident key) plus slack; a doomed racy walk burning
          it out just fails the version check and retries. *)
-      scan_budget = (2 * per_shard) + 64;
+      scan_budget = (2 * (span + 1)) + 64;
       c = zero_stats ~shards;
     }
 
@@ -171,8 +178,9 @@ let num_shards (T s) = Array.length s.versions
 let key_space (T s) = s.key_space
 
 let shard_of (T s) k =
-  if k < 0 then invalid_arg "Store.shard_of: negative key";
-  k mod Array.length s.versions
+  if k < 0 || k >= s.key_space then
+    invalid_arg "Store.shard_of: key out of range";
+  k / s.span
 
 let stats (T s) = { s.c with shard_ops = Array.copy s.c.shard_ops }
 let reset_stats (T s) = s.c <- zero_stats ~shards:(Array.length s.versions)
@@ -237,7 +245,7 @@ let point_done ctx c sh =
 let write ctx (T s) k ~insert =
   check_key s.key_space k;
   let module B = (val s.backend) in
-  let sh = k mod Array.length s.versions in
+  let sh = k / s.span in
   let a = s.versions.(sh) and shard = s.shards.(sh) in
   let v = Ctx.read ctx a in
   let f = B.find ctx shard k in
@@ -268,7 +276,7 @@ let delete ctx t k = write ctx t k ~insert:false
 let get ctx (T s) k =
   check_key s.key_space k;
   let module B = (val s.backend) in
-  let sh = k mod Array.length s.versions in
+  let sh = k / s.span in
   let rec attempt tries =
     let v = Ctx.read ctx s.versions.(sh) in
     if locked v then begin
@@ -319,7 +327,7 @@ let txn ctx (T s) ops =
       let module B = (val s.backend) in
       let nsh = Array.length s.versions in
       let shard_ids =
-        List.sort_uniq compare (List.map (fun (k, _) -> k mod nsh) ops)
+        List.sort_uniq compare (List.map (fun (k, _) -> k / s.span) ops)
       in
       let t0 = Ctx.now ctx in
       (* Find before locking: one plain descent per sub-op key finds the
@@ -334,7 +342,7 @@ let txn ctx (T s) ops =
         List.map (fun sh -> Ctx.read ctx s.versions.(sh)) shard_ids
       in
       let found =
-        List.map (fun (k, _) -> B.find ctx s.shards.(k mod nsh) k) ops
+        List.map (fun (k, _) -> B.find ctx s.shards.(k / s.span) k) ops
       in
       let rec acquire_all attempt =
         if
@@ -397,7 +405,7 @@ let txn ctx (T s) ops =
       let results =
         List.map2
           (fun (k, o) f ->
-            let sh = k mod nsh in
+            let sh = k / s.span in
             let shard = s.shards.(sh) in
             s.c.txn_sub_ops <- s.c.txn_sub_ops + 1;
             s.c.shard_ops.(sh) <- s.c.shard_ops.(sh) + 1;
@@ -433,12 +441,6 @@ let txn ctx (T s) ops =
              { shards = List.length shard_ids; cycles = Ctx.now ctx - t0 });
       results
 
-(* Relevant shards of a scan over [lo, hi]: the residue classes the
-   window meets, every shard unless it is narrower than the shard
-   count. *)
-let relevant nsh ~lo ~width sh =
-  width >= nsh || (sh - (lo mod nsh) + nsh) mod nsh < width
-
 (* Reads version word [a] until it is even, waiting out a held lock for
    at most [txn_max_retries] tries; false if it never cleared. *)
 let rec settled ctx a tries =
@@ -449,77 +451,65 @@ let rec settled ctx a tries =
           settled ctx a (tries + 1)
         end
 
-(* True when every relevant shard from [sh] on is [settled]. *)
-let rec all_settled ctx versions ~lo ~width sh =
-  let nsh = Array.length versions in
-  sh >= nsh
-  || ((not (relevant nsh ~lo ~width sh)) || settled ctx versions.(sh) 0)
-     && all_settled ctx versions ~lo ~width (sh + 1)
+(* True when every shard from [sh] to [last] is [settled]. *)
+let rec all_settled ctx versions sh ~last =
+  sh > last
+  || (settled ctx versions.(sh) 0 && all_settled ctx versions (sh + 1) ~last)
 
-(* The tag-certified pass: walk every relevant shard with tagged loads
+(* The tag-certified pass: walk shards [first .. last] with tagged loads
    into [res], read each one's version until it is even, then validate
    once. True when that validate certified the whole scan. *)
-let tagged_pass ctx c collect shards versions ~budget res ~lo ~hi ~width =
-  let nsh = Array.length shards in
+let tagged_pass ctx c collect shards versions ~budget res ~lo ~hi ~first ~last =
   Ctx.clear_tag_set ctx;
   let walked =
     match
-      for sh = 0 to nsh - 1 do
-        if relevant nsh ~lo ~width sh then begin
-          res.(sh) <- collect Ctx.tagged_load ctx shards.(sh) ~lo ~hi ~budget;
-          c.scan_collects <- c.scan_collects + 1
-        end
+      for sh = first to last do
+        res.(sh) <- collect Ctx.tagged_load ctx shards.(sh) ~lo ~hi ~budget;
+        c.scan_collects <- c.scan_collects + 1
       done
     with
     | () -> true
     | exception Ctx.Tag_set_full -> false
   in
-  let ok =
-    walked && all_settled ctx versions ~lo ~width 0 && Ctx.validate ctx
-  in
+  let ok = walked && all_settled ctx versions first ~last && Ctx.validate ctx in
   Ctx.clear_tag_set ctx;
   ok
 
-(* The fallback: plain re-read rounds. Pin an even version, walk with
-   plain reads, then re-read every version. Every walk precedes the
-   re-read pass and every re-read follows its start, so an unchanged
-   (monotone) version pins each shard's frozen interval around the pass
-   start — a common instant. Only the shards that moved are walked
-   again. Writers that keep moving a shard can beat every round, so after
-   [txn_max_retries] rounds the scan stops optimizing: it takes the
-   relevant shards' locks as a fallback transaction does, walks again
+(* The fallback: plain re-read rounds. A round walks, with plain reads,
+   each dirty shard whose version it reads even, pinning that version; a
+   shard it finds locked is not waited for, but stays dirty and counts as
+   moved. Then it re-reads every version. Every walk precedes the re-read
+   pass and every re-read follows its start, so an even pin that equals
+   its (monotone) re-read proves its shard frozen over an interval
+   around the pass start — a common instant. Only the shards that moved
+   are walked again. Writers that keep moving a shard can beat every
+   round, so after [txn_max_retries] rounds the scan stops optimizing: it
+   takes the shards' locks as a fallback transaction does, walks again
    each shard whose lock CAS did not take the version its last walk was
    pinned at, and releases. Every result then holds while all the locks
    are held. *)
 let plain_rounds ctx c collect shards versions ~fallback ~budget res ~lo ~hi
-    ~width =
-  let nsh = Array.length shards in
-  let vers = Array.make nsh 0 in
-  let dirty = Array.init nsh (relevant nsh ~lo ~width) in
-  let rec pin a tries =
-    let v = Ctx.read ctx a in
-    if locked v then begin
-      retry_wait ctx ~site:a ~attempt:tries;
-      pin a (tries + 1)
-    end
-    else v
-  in
+    ~first ~last =
+  let vers = Array.make (Array.length shards) 0 in
+  let dirty = Array.make (Array.length shards) true in
   let walk sh =
     res.(sh) <- collect Ctx.plain_load ctx shards.(sh) ~lo ~hi ~budget;
     c.scan_collects <- c.scan_collects + 1
   in
   let rec round n =
-    for sh = 0 to nsh - 1 do
+    for sh = first to last do
       if dirty.(sh) then begin
-        vers.(sh) <- pin versions.(sh) 0;
-        walk sh;
-        dirty.(sh) <- false
+        let v = Ctx.read ctx versions.(sh) in
+        if not (locked v) then begin
+          vers.(sh) <- v;
+          walk sh;
+          dirty.(sh) <- false
+        end
       end
     done;
     let moved = ref false in
-    for sh = 0 to nsh - 1 do
-      if relevant nsh ~lo ~width sh && Ctx.read ctx versions.(sh) <> vers.(sh)
-      then begin
+    for sh = first to last do
+      if dirty.(sh) || Ctx.read ctx versions.(sh) <> vers.(sh) then begin
         dirty.(sh) <- true;
         moved := true;
         c.scan_shard_retries <- c.scan_shard_retries + 1;
@@ -532,7 +522,7 @@ let plain_rounds ctx c collect shards versions ~fallback ~budget res ~lo ~hi
       else begin
         let vs, _ =
           lock_serially ctx ~fallback versions
-            (List.filter (relevant nsh ~lo ~width) (List.init nsh Fun.id))
+            (List.init (last - first + 1) (( + ) first))
         in
         List.iter (fun (sh, v) -> if v <> vers.(sh) then walk sh) vs;
         List.iter (fun (sh, v) -> release ctx versions.(sh) (v + 1)) vs
@@ -540,50 +530,34 @@ let plain_rounds ctx c collect shards versions ~fallback ~budget res ~lo ~hi
   in
   round 1
 
-(* The index of the shard whose remaining keys start lowest, or -1. *)
-let rec lowest res sh best k0 =
-  if sh < 0 then best
-  else
-    match res.(sh) with
-    | k :: _ when best < 0 || k < k0 -> lowest res (sh - 1) sh k
-    | _ -> lowest res (sh - 1) best k0
-
-(* Merges the shards' ascending, disjoint key lists, consuming [res]. *)
-let[@tail_mod_cons] rec merge res =
-  let sh = lowest res (Array.length res - 1) (-1) 0 in
-  if sh < 0 then []
-  else
-    match res.(sh) with
-    | [] -> []
-    | k :: rest ->
-        res.(sh) <- rest;
-        k :: merge res
+(* Shards hold ascending, disjoint key ranges, so the scan's result is
+   the shards' results in shard order. *)
+let rec concat res sh ~last =
+  if sh = last then res.(sh) else res.(sh) @ concat res (sh + 1) ~last
 
 let scan ctx (T s) ~lo ~hi =
   check_key s.key_space lo;
   check_key s.key_space hi;
   if lo > hi then invalid_arg "Store.scan: lo > hi";
   let module B = (val s.backend) in
-  let nsh = Array.length s.versions in
-  let width = hi - lo + 1 in
+  let first = lo / s.span and last = hi / s.span in
   let budget = s.scan_budget in
-  let res : int list array = Array.make nsh [] in
+  let res : int list array = Array.make (Array.length s.versions) [] in
   if
     not
       (tagged_pass ctx s.c B.collect s.shards s.versions ~budget res ~lo ~hi
-         ~width)
+         ~first ~last)
   then begin
     s.c.scan_tag_fallbacks <- s.c.scan_tag_fallbacks + 1;
     plain_rounds ctx s.c B.collect s.shards s.versions ~fallback:s.fallback
-      ~budget res ~lo ~hi ~width
+      ~budget res ~lo ~hi ~first ~last
   end;
   if tracing ctx then
-    for sh = 0 to nsh - 1 do
-      if relevant nsh ~lo ~width sh then
-        emit ctx (Obs.Scan_validate { shard = sh; ok = true })
+    for sh = first to last do
+      emit ctx (Obs.Scan_validate { shard = sh; ok = true })
     done;
   s.c.scans <- s.c.scans + 1;
-  merge res
+  concat res first ~last
 
 let to_list_unsafe machine (T s) =
   let module B = (val s.backend) in

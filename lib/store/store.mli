@@ -1,8 +1,8 @@
 (** The sharded store.
 
-    Hash-partitions a key space across per-core shards (key [k] lives in
-    shard [k mod shards]), each a B+-tree ({!Backend.S}) that only the
-    shard-lock holder updates. All
+    Range-partitions a key space across per-core shards (with [span =
+    ceil(key_space / shards)], key [k] lives in shard [k / span]), each a
+    B+-tree ({!Backend.S}) that only the shard-lock holder updates. All
     cross-operation coordination lives in one plain {e version word} per
     shard (even = unlocked, odd = locked, monotonically increasing):
 
@@ -31,14 +31,17 @@
       shard locks one at a time; only one transaction at a time holds
       the fallback lock, so fallbacks never wait on each other and a
       transaction always commits;
-    - {b scans} walk every touched shard with the tree's collect
+    - {b scans} walk only the shards their window meets (one, or two
+      where it crosses a shard boundary) with the tree's collect
       over tagged loads, so the tag set holds exactly the lines walked
       (no version word), read each touched shard's version until it is
       even, and certify the whole scan with one validate; a write
       elsewhere in a shard does not break it. A failed validate, a lock
       that never clears or a walk longer than [Max_Tags] lines falls
       back to monotone-version re-read rounds that re-collect only the
-      shards that actually moved, so tag pressure degrades a scan
+      shards that actually moved (a round skips a shard it finds locked
+      instead of waiting, and walks it in a later round), so tag
+      pressure degrades a scan
       instead of failing it. When writers move some shard in every one
       of 8 rounds, the scan takes the touched shards' locks like a
       fallback transaction and finishes under them.
@@ -73,7 +76,8 @@ type stats = {
           lock that never cleared, or a walk past [Max_Tags]) and that
           took the plain re-read rounds *)
   mutable scan_shard_retries : int;
-      (** shards the re-read rounds walked again after they moved *)
+      (** shards the re-read rounds found moved, or locked and skipped,
+          and so walk again *)
   shard_ops : int array;  (** routed ops per shard (imbalance source) *)
   mutable txn_locked_cycles : int;
       (** simulated cycles from lock acquisition to release, summed over
@@ -96,7 +100,10 @@ val create :
 val num_shards : t -> int
 val key_space : t -> int
 
-(** The shard routing function: [k mod num_shards]. *)
+(** The shard routing function: [k / span], where [span =
+    ceil(key_space / num_shards)]. A shard past [(key_space - 1) / span]
+    holds no key: 5 keys over 4 shards fill shards 0-2. Raises
+    [Invalid_argument] for a key outside [\[0, key_space)]. *)
 val shard_of : t -> int -> int
 
 (** Point ops: shard-local, linearizable. [get] runs the tree's
@@ -122,7 +129,8 @@ val delete : Mt_core.Ctx.t -> t -> int -> bool
 val txn : Mt_core.Ctx.t -> t -> (int * op) list -> bool list
 
 (** [scan ctx t ~lo ~hi] — an atomic snapshot of the keys in [\[lo, hi\]]
-    (both within the key space), merged across shards in ascending
+    (both within the key space), in ascending order. It walks shards
+    [lo / span .. hi / span] only and concatenates their keys in shard
     order. Certified by one validate over the lines its walks read; its
     fallback retries only the shards whose version moved. *)
 val scan : Mt_core.Ctx.t -> t -> lo:int -> hi:int -> int list

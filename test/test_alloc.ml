@@ -34,9 +34,9 @@
    write walked with a one-key collect, 11 while the records were also
    built before the sink check, 183 while each shard update ran as a
    tagged-NOrec transaction). A quiet whole-store scan of 32 keys over 4 shards
-   allocates 205 words: its walks' results and the merged result (913
-   while every scan built its shard list, fallback state and a sorted
-   copy).
+   allocates 181 words: its walks' results and their concatenation in
+   shard order (205 while the shards' results were merged, 913 while
+   every scan built its shard list, fallback state and a sorted copy).
 
    Directory footprint. A [Directory] costs one word per line of each
    chunk that some line was written to, plus the chunk table; the plane
@@ -248,15 +248,17 @@ let () =
 
 (* A quiet [Store.scan] of the whole key space of a warm norec-tagged
    store with 4 shards and 32 keys: the tag-certified pass, with no
-   fallback. 205 words: the per-shard results array (5), each shard
-   walk's fuel cell (2) and key list (3 per key), and the merged result
-   (3 per key); no per-scan list of shards, no fallback state and no
-   sort. The version-tagged scan, which built the shard list, three
-   arrays, a concatenation and a sorted copy on every call, allocated
-   913. *)
+   fallback. 181 words: the per-shard results array (5), each shard
+   walk's fuel cell (2) and key list (3 per key), and the copies of the
+   first three shards' lists that concatenate them in shard order (3
+   per key); no per-scan list of shards, no fallback state and no sort.
+   A k-way merge of the shards' lists, needed while keys were routed
+   [k mod shards], copied all four (205). The version-tagged scan,
+   which built the shard list, three arrays, a concatenation and a
+   sorted copy on every call, allocated 913. *)
 let () =
   let module Store = Mt_store.Store in
-  pin "store scan, 4 shards, 32 keys" ~expected:205.
+  pin "store scan, 4 shards, 32 keys" ~expected:181.
     (words_per_step ~n:5_000 (fun k ->
          let m = Machine.create (Config.default ~num_cores:1 ()) in
          Harness.exec1 m (fun ctx ->
@@ -377,9 +379,10 @@ let () =
 
 (* Store transaction ------------------------------------------------------ *)
 
-(* A 3-shard all-Get transaction on a quiet store allocates no simulated
-   memory: its locks are taken with tagged loads and VAS and released
-   with single-word CASes, so it builds no descriptors. *)
+(* A 3-shard all-Get transaction (keys 0, 16 and 32 of 64 over 4
+   shards) on a quiet store allocates no simulated memory: its locks
+   are taken with tagged loads and VAS and released with single-word
+   CASes, so it builds no descriptors. *)
 let () =
   let m = Machine.create (Config.default ~num_cores:1 ()) in
   Harness.exec1 m (fun ctx ->
@@ -392,7 +395,8 @@ let () =
       done;
       let before = Memory.allocated_words (Machine.memory m) in
       ignore
-        (Mt_store.Store.txn ctx s [ (0, Mt_store.Store.Get); (1, Get); (2, Get) ]);
+        (Mt_store.Store.txn ctx s
+           [ (0, Mt_store.Store.Get); (16, Get); (32, Get) ]);
       let words = Memory.allocated_words (Machine.memory m) - before in
       let name = "store txn, " ^ Mt_store.Backend.Norec_map.name in
       Printf.printf "%-28s %6d simulated words (pinned 0)\n" name words;
