@@ -18,9 +18,6 @@ type config = {
    batching amortizes. *)
 let dispatch_cycles = 16
 
-(* How long an idle worker waits before polling the queue again. *)
-let idle_poll_cycles = 32
-
 let config ?(batch = 1) ?(queue_capacity = 64) ?(process = Arrival.Poisson)
     ?(horizon = 150_000) ?(seed = 1) ~workers ~rate_per_kcycle () =
   if workers <= 0 || workers > 63 then invalid_arg "Server.config: bad workers";
@@ -85,24 +82,28 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
   let class_service = Array.init nclasses (fun _ -> Hist.create ()) in
   let class_e2e = Array.init nclasses (fun _ -> Hist.create ()) in
 
+  (* [next_arrival] is the time the arrival fiber admits its next
+     request, published so that idle workers can sleep until it. *)
+  let arr =
+    Arrival.create ~process:c.process ~rate_per_kcycle:c.rate_per_kcycle
+      ~seed:(c.seed + 101)
+  in
+  let next_arrival = ref (Arrival.next arr) in
+
   (* The arrival fiber: generates timestamped requests from the arrival
      process until [horizon] and admits each one — enqueued if the queue
      has room, dropped for good if it is full. *)
   let arrival_fiber ctx =
     let core = Ctx.core ctx in
-    let arr =
-      Arrival.create ~process:c.process ~rate_per_kcycle:c.rate_per_kcycle
-        ~seed:(c.seed + 101)
-    in
     let pay = Prng.create ~seed:(c.seed + 202) in
-    let due = ref (Arrival.next arr) in
-    while !due < c.horizon do
+    while !next_arrival < c.horizon do
       let now = Ctx.now ctx in
-      if !due > now then Runtime.stall_on (Ctx.runtime ctx) (!due - now);
+      if !next_arrival > now then
+        Runtime.stall_on (Ctx.runtime ctx) (!next_arrival - now);
       let payload = Int64.to_int (Prng.next pay) land max_int in
       let req = { id = !generated; arrival = Ctx.now ctx; payload } in
       incr generated;
-      due := Arrival.next arr;
+      next_arrival := Arrival.next arr;
       if Obs.enabled obs then
         Obs.emit obs ~core ~time:req.arrival (Obs.Req_arrive { id = req.id });
       if Queue.length queue < c.queue_capacity then begin
@@ -124,7 +125,20 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
 
   (* A worker fiber: take up to [batch] requests, charge the dispatch
      overhead once, execute each request, record wait / service /
-     end-to-end. Exits once arrivals are done and the queue is empty. *)
+     end-to-end. Exits once arrivals are done and the queue is empty.
+
+     Dispatch rule: the lowest-numbered idle worker takes each request
+     (fixed priority), so low load is packed onto worker 0, whose caches
+     stay warm. A worker that finds the queue empty sleeps until one
+     cycle after the next arrival. The arrival fiber is the highest fiber
+     id, so at the arrival's own clock every worker would run before it;
+     one cycle later the request is queued and the idle workers wake in
+     fiber-id order (ties at equal clocks go to the lower id, DESIGN
+     §12). That is exactly what polling every cycle would give, with one
+     wake per idle worker per arrival. An arrival that is due but not yet
+     enqueued (only under a policy that delays the arrival fiber) is
+     re-checked after one cycle; under [random_policy] ties are random,
+     so the rule does not hold there. *)
   let worker_fiber ctx w =
     let rec take k acc =
       if k = 0 || Queue.is_empty queue then List.rev acc
@@ -135,7 +149,9 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
       match take c.batch [] with
       | [] ->
           if !gen_done then continue := false
-          else Runtime.stall_on (Ctx.runtime ctx) idle_poll_cycles
+          else
+            Runtime.stall_on (Ctx.runtime ctx)
+              (max 1 (!next_arrival + 1 - Ctx.now ctx))
       | batch ->
           let t_dq = Ctx.now ctx in
           let n = List.length batch in
@@ -255,7 +271,6 @@ let config_to_json (c : config) =
       ("offered_per_kcycle", Json.Float c.rate_per_kcycle);
       ("horizon_cycles", Json.Int c.horizon);
       ("dispatch_cycles", Json.Int dispatch_cycles);
-      ("idle_poll_cycles", Json.Int idle_poll_cycles);
       ("seed", Json.Int c.seed);
     ]
 

@@ -30,8 +30,9 @@ type config = {
 
 (** [config ~workers ~rate_per_kcycle ()] with defaults: batch 1, capacity
     64, Poisson arrivals, horizon 150_000, seed 1. Each dequeued batch
-    costs a fixed 16-cycle dispatch; an idle worker polls the queue every
-    32 cycles. *)
+    costs a fixed 16-cycle dispatch. An idle worker sleeps until one cycle
+    after the next arrival, and the lowest-numbered idle worker takes each
+    request (see {!run}). *)
 val config :
   ?batch:int ->
   ?queue_capacity:int ->
@@ -81,6 +82,14 @@ type result = {
     Requests are conserved: [generated = completed + dropped +
     still_queued] always holds, and [still_queued] is 0 because workers
     drain the queue after arrivals stop. Dequeues are globally FIFO.
+
+    Dispatch is fixed-priority: under the default policy the
+    lowest-numbered idle worker takes each request, one cycle after it
+    arrives, so low load is packed onto worker 0 and its caches stay
+    warm. Idle workers do not poll; each sleeps until one cycle after the
+    next arrival, which gives exactly the schedule of polling every cycle
+    with one wake per idle worker per arrival. Under a policy with random
+    ties ({!Mt_sim.Runtime.random_policy}) any idle worker may win.
 
     Every request is a causal chain in the event stream — [Req_arrive] at
     generation, [Req_enqueue] or [Req_drop] at admission,

@@ -3,7 +3,9 @@
    arrival-process statistics and determinism, request conservation
    (generated = completed + dropped + still-queued) and exactly-once
    completion over random configurations, same-seed byte-identical replay
-   (with tracing on or off), and the two macroscopic sanity properties of
+   (with tracing on or off), the dispatch rule (the lowest-numbered idle
+   worker takes each request one cycle after it arrives, with one wake per
+   idle worker per arrival), and the two macroscopic sanity properties of
    an open-loop system: at low load end-to-end latency is dominated by
    service time, and past saturation goodput plateaus while requests get
    dropped. *)
@@ -225,7 +227,68 @@ let test_low_load_latency () =
   let e50 = Hist.percentile r.e2e 50.0 in
   check_bool "service p50 ~ work cycles" true (s50 >= 100 && s50 <= 115);
   check_bool "e2e p50 dominated by service" true (e50 < 2 * s50);
-  check_bool "median wait is tiny" true (Hist.percentile r.queue_wait 50.0 < s50)
+  check_int "median wait is one cycle" 1 (Hist.percentile r.queue_wait 50.0)
+
+(* Low load under the default policy with a recording sink: Poisson at
+   2 req/kcycle into 3 workers, each request 100 cycles of work. *)
+let low_load_trace () =
+  let c = Serve.config ~workers:3 ~rate_per_kcycle:2.0 ~horizon:100_000 () in
+  let obs = Obs.create ~num_cores:4 () in
+  let r = synthetic ~obs c in
+  check_int "nothing lost to ring wraparound" 0 (Obs.dropped obs);
+  (c, r, Obs.events obs)
+
+let test_dispatch_rule () =
+  (* Fixed-priority dispatch: a request that arrives to an empty queue
+     while worker 0 is idle is dequeued by worker 0 one cycle later. *)
+  let _, r, events = low_load_trace () in
+  let busy0 = ref false in
+  let expected = ref [] and taken = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Obs.event) ->
+      match e.kind with
+      | Obs.Req_enqueue { id; depth } ->
+          if (not !busy0) && depth = 1 then expected := id :: !expected
+      | Obs.Req_dequeue { id; wait } ->
+          Hashtbl.replace taken id (e.core, wait);
+          if e.core = 0 then busy0 := true
+      | Obs.Req_commit _ when e.core = 0 -> busy0 := false
+      | _ -> ())
+    events;
+  List.iter
+    (fun id ->
+      match Hashtbl.find_opt taken id with
+      | Some (0, 1) -> ()
+      | Some (core, wait) ->
+          Alcotest.failf "request %d (worker 0 idle) went to worker %d after %d cycles"
+            id core wait
+      | None -> Alcotest.failf "request %d was never dequeued" id)
+    !expected;
+  (* Worker 0 is ~20% busy, so about four in five requests are checked. *)
+  check_bool "most requests find worker 0 idle" true
+    (4 * List.length !expected >= 3 * r.generated)
+
+let test_wake_economy () =
+  (* Idle workers sleep until the next arrival instead of polling: at low
+     load each generated request costs at most one stall per worker
+     outside service (the workers it does not go to re-sleep, the one it
+     goes to sleeps once it is done). A fixed-interval poll stalls every
+     idle worker many times per inter-arrival gap. *)
+  let c, r, events = low_load_trace () in
+  let busy = Array.make c.workers false and idle_stalls = ref 0 in
+  List.iter
+    (fun (e : Obs.event) ->
+      if e.core < c.workers then
+        match e.kind with
+        | Obs.Req_dequeue _ -> busy.(e.core) <- true
+        | Obs.Req_commit _ -> busy.(e.core) <- false
+        | Obs.Fiber_stall _ -> if not busy.(e.core) then incr idle_stalls
+        | _ -> ())
+    events;
+  check_bool "generated load" true (r.generated > 100);
+  if !idle_stalls > c.workers * r.generated then
+    Alcotest.failf "%d idle-worker stalls for %d requests (bound %d per request)"
+      !idle_stalls r.generated c.workers
 
 let test_overload_saturation () =
   (* Past the knee: goodput plateaus (2x vs 4x offered changes goodput by
@@ -301,6 +364,10 @@ let () =
       ( "latency",
         [
           Alcotest.test_case "low load: e2e ~ service" `Quick test_low_load_latency;
+          Alcotest.test_case "dispatch: lowest-numbered idle worker" `Quick
+            test_dispatch_rule;
+          Alcotest.test_case "idle workers wake once per arrival" `Quick
+            test_wake_economy;
           Alcotest.test_case "overload: plateau + drops + tail" `Quick
             test_overload_saturation;
           Alcotest.test_case "batching amortizes dispatch" `Quick
