@@ -17,8 +17,9 @@ let () =
   let cell = Machine.alloc machine ~words:1 in
   Harness.exec1 machine (fun ctx ->
       Ctx.write ctx cell 10;
-      (* Tag the line, then validate: nothing touched it, so it holds. *)
-      Ctx.add_tag ctx cell ~words:1;
+      (* Tag the line (a tagged load), then validate: nothing touched it,
+         so it holds. *)
+      ignore (Ctx.add_tag_read ctx cell ~words:1);
       Printf.printf "validate after tagging: %b\n" (Ctx.validate ctx);
       (* VAS = validate-and-swap: succeeds while the tag is intact. *)
       let swapped = Ctx.vas ctx cell 11 in
@@ -30,7 +31,7 @@ let () =
   let rt = Runtime.create () in
   Runtime.spawn rt (fun () ->
       let ctx = Ctx.make machine ~rt ~core:0 ~prng:(Prng.create ~seed:1) in
-      Ctx.add_tag ctx cell ~words:1;
+      ignore (Ctx.add_tag_read ctx cell ~words:1);
       Runtime.stall_on rt 1000;
       (* core 1 wrote meanwhile *)
       t0 := Ctx.validate ctx;

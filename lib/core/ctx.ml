@@ -85,10 +85,6 @@ let faa t addr delta =
   charge_last t;
   old
 
-let add_tag t addr ~words =
-  let lat = Machine.add_tag t.machine ~core:t.core addr ~words in
-  charge t lat
-
 let tag_count t = Machine.tag_count t.machine ~core:t.core
 
 let add_tag_read t addr ~words =

@@ -5,9 +5,10 @@
     cycles it cost, so algorithmic synchronization choices translate
     directly into simulated throughput.
 
-    Operations mirror the paper's Section 3 primitives: [add_tag],
-    [remove_tag], [validate], [vas], [ias], [clear_tag_set], alongside the
-    conventional [read]/[write]/[cas] that baseline data structures use. *)
+    Operations mirror the paper's Section 3 primitives: AddTag (as the
+    tagged load [add_tag_read]), [remove_tag], [validate], [vas], [ias],
+    [clear_tag_set], alongside the conventional [read]/[write]/[cas] that
+    baseline data structures use. *)
 
 type t
 
@@ -60,8 +61,6 @@ val cas : t -> addr -> expected:int -> desired:int -> bool
 val faa : t -> addr -> int -> int
 
 (** {1 MemTags operations} *)
-
-val add_tag : t -> addr -> words:int -> unit
 
 (** [add_tag_read t addr ~words] tags the range and returns the word at
     [addr] in one access (a tagged load). *)

@@ -6,7 +6,6 @@ type core = {
   l2 : Cache.t;
   tags : Memtag_unit.t;
   stats : Stats.t;
-  mutable scratch : int array;  (* IAS line-sort buffer, grown on demand *)
 }
 
 type latency = { mutable last : int }
@@ -39,7 +38,6 @@ let create ?(obs = Obs.null) cfg =
             l2 = Cache.create ~sets_log2:cfg.l2_sets_log2 ~ways:cfg.l2_ways;
             tags = Memtag_unit.create ~max_tags:cfg.max_tags;
             stats = Stats.create ();
-            scratch = Array.make cfg.max_tags 0;
           });
     obs;
     evented = Obs.enabled obs;
@@ -535,24 +533,6 @@ let vas t ~core:cid addr v =
     end
   end
 
-(* Sort the tracked lines ascending into [c.scratch] — the iteration order
-   the old sorted-list implementation used — and return the count. *)
-let sorted_tag_lines c =
-  let n = Memtag_unit.count c.tags in
-  if Array.length c.scratch < n then c.scratch <- Array.make (2 * n) 0;
-  let n = Memtag_unit.fill_lines c.tags c.scratch in
-  let a = c.scratch in
-  for i = 1 to n - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done;
-  n
-
 let ias t ~core:cid addr v =
   let c = core t cid in
   c.stats.ias_ops <- c.stats.ias_ops + 1;
@@ -563,7 +543,12 @@ let ias t ~core:cid addr v =
     false
   end
   else begin
-    let n = sorted_tag_lines c in
+    (* Walk the issuer's own entries in ascending line order, the order
+       the committed baselines were measured with. The kill loop adds and
+       removes no entry of that set (an eviction only changes an entry's
+       state), so the sort holds throughout. *)
+    Memtag_unit.sort c.tags;
+    let n = Memtag_unit.count c.tags in
     let target = line_of t addr in
     let tag_targeted = t.cfg.ias_tag_targeted in
     (* Tag-targeted semantics kill each tagged line only at cores that
@@ -573,7 +558,7 @@ let ias t ~core:cid addr v =
     let rec kill i lat =
       if i >= n then lat
       else begin
-        let line = c.scratch.(i) in
+        let line = Memtag_unit.line c.tags i in
         if line = target then kill (i + 1) lat
         else if tag_targeted then kill (i + 1) (lat + invalidate_taggers t c line)
         else kill (i + 1) (lat + acquire t c line ~excl:true)

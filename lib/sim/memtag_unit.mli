@@ -1,11 +1,12 @@
 (** Per-core MemTags state (the paper's Section 3 mechanism at L1).
 
-    The unit tracks a bounded set of {e tagged} cache lines. A tagged line
-    moves to the {e evicted} set when the L1 loses it — either because a
-    remote core invalidated it (a real [Conflict]) or because it fell out of
-    the L1 by replacement ([Capacity], the source of spurious failures).
-    [validate] succeeds iff no tagged line has been evicted and the tag set
-    never exceeded [max_tags] since the last [clear]. *)
+    The unit tracks a small set of {e tagged} cache lines, kept as a dense
+    array that every lookup scans. A tagged line moves to the {e evicted}
+    set when the L1 loses it — either because a remote core invalidated it
+    (a real [Conflict]) or because it fell out of the L1 by replacement
+    ([Capacity], the source of spurious failures). [validate] succeeds iff
+    no tagged line has been evicted and the tag set never exceeded
+    [max_tags] since the last [clear]. *)
 
 type cause = Conflict | Capacity
 
@@ -59,8 +60,11 @@ val max_tags : t -> int
 val set_max_tags : t -> int -> unit
 val clear : t -> unit
 
-(** [fill_lines t a] writes the tracked lines (tagged or evicted) into
-    [a] (which must have at least {!count} slots), in unspecified but
-    deterministic order without allocating, and returns how many were
-    written — the IAS hot path's view of the tag set. *)
-val fill_lines : t -> int array -> int
+(** [sort t] orders the tracked lines (tagged or evicted) ascending in
+    place, without allocating; each keeps its state. IAS walks the
+    issuer's set in this order with {!line}. [add] and [remove] may
+    reorder the set again. *)
+val sort : t -> unit
+
+(** [line t k] is the [k]-th tracked line, for [0 <= k < count t]. *)
+val line : t -> int -> int

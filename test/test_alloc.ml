@@ -11,6 +11,10 @@
    allocation, exactly.
    - An L1-hit [Ctx.read], [Ctx.add_tag_read], [Ctx.write] and
      [Ctx.validate] allocate 0 words (DESIGN §12).
+   - So do one hand-over-hand walk step on L1-resident lines (remove the
+     trailing tag, tag the next line, validate), and a round that tags
+     32 lines and clears them: past the tag array's initial 16 entries,
+     which it grows once, in the fixed cost.
    - A suspending stall allocates 2 words: the effect continuation.
    - An S -> M upgrade that invalidates one remote sharer, together with
      the read miss that makes that core a sharer again, allocates 0
@@ -137,6 +141,19 @@ let () =
   pin "validate" ~expected:0.
     (words_per_step ~n
        (access ~prepare:read_warm (fun ctx _ _ -> ignore (Ctx.validate ctx))));
+  pin "HoH walk step" ~expected:0.
+    (words_per_step ~n
+       (access ~prepare:read_warm (fun ctx addrs i ->
+            Ctx.remove_tag ctx addrs.((i - 1) land (lines - 1)) ~words:1;
+            ignore (Ctx.add_tag_read ctx addrs.((i + 1) land (lines - 1)) ~words:1);
+            ignore (Ctx.validate ctx))));
+  pin "tag set past initial size" ~expected:0.
+    (words_per_step ~n:(n / lines)
+       (access ~prepare:read_warm (fun ctx addrs _ ->
+            for j = 0 to lines - 1 do
+              ignore (Ctx.add_tag_read ctx addrs.(j) ~words:1)
+            done;
+            Ctx.clear_tag_set ctx)));
   (* Two fibers at equal clocks stalling one cycle each: every stall
      hands over to the other fiber, so [k] stalls per fiber are [2k]
      suspensions. *)

@@ -673,6 +673,92 @@ let test_tags_untagged_eviction_ignored () =
   Memtag_unit.on_evict u 42 Memtag_unit.Conflict;
   check_bool "still ok" true (Memtag_unit.check u = Memtag_unit.Ok)
 
+(* The unit against a naive model: an association list from tracked line
+   to state, a conflict latch and an overflow latch. Random sequences of
+   add, remove, on_evict, clear, set_max_tags and sort over lines 0-7
+   with Max_Tags 1-4; after every step the two must agree on the verdict,
+   the count, the overflow flag, which lines are tracked and which are
+   live, and after a sort on the tracked lines in ascending order. It
+   pins each rule of memtag_unit.mli: conflict evidence survives remove
+   until clear, capacity evidence leaves with its entry, re-tagging an
+   evicted line keeps it evicted, and overflow (by add or by a lowered
+   ceiling) latches. *)
+let prop_tags_model =
+  let lines = List.init 8 Fun.id in
+  QCheck.Test.make ~name:"memtag unit matches a reference model" ~count:1000
+    QCheck.(
+      pair (int_range 1 4)
+        (list_of_size (Gen.int_range 0 60) (pair (int_bound 15) (int_bound 7))))
+    (fun (max0, ops) ->
+      let u = Memtag_unit.create ~max_tags:max0 in
+      (* [entries]: tracked line -> [`Tagged | `Conflict | `Capacity]. *)
+      let entries = ref [] and conflict = ref false and overflow = ref false in
+      let max_tags = ref max0 in
+      let verdict () =
+        if !conflict then Memtag_unit.Fail_conflict
+        else if !overflow || List.exists (fun (_, s) -> s = `Capacity) !entries then
+          Memtag_unit.Fail_spurious
+        else Memtag_unit.Ok
+      in
+      let evict l st =
+        match List.assoc_opt l !entries with
+        | None -> ()
+        | Some s ->
+            let s' =
+              match (st, s) with
+              | `Conflict, _ -> `Conflict
+              | `Capacity, `Tagged -> `Capacity
+              | `Capacity, s -> s
+            in
+            if s' = `Conflict then conflict := true;
+            entries := (l, s') :: List.remove_assoc l !entries
+      in
+      let agree ~sorted =
+        Memtag_unit.check u = verdict ()
+        && Memtag_unit.count u = List.length !entries
+        && Memtag_unit.overflowed u = !overflow
+        && Memtag_unit.max_tags u = !max_tags
+        && List.for_all
+             (fun l ->
+               Memtag_unit.is_tagged u l = List.mem_assoc l !entries
+               && Memtag_unit.live u l = (List.assoc_opt l !entries = Some `Tagged))
+             lines
+        && ((not sorted)
+           || List.init (Memtag_unit.count u) (Memtag_unit.line u)
+              = List.sort compare (List.map fst !entries))
+      in
+      List.for_all
+        (fun (op, l) ->
+          (match op with
+          | 0 | 1 | 2 | 3 | 4 | 5 ->
+              Memtag_unit.add u l;
+              if not (List.mem_assoc l !entries) then begin
+                entries := (l, `Tagged) :: !entries;
+                if List.length !entries > !max_tags then overflow := true
+              end
+          | 6 | 7 | 8 ->
+              Memtag_unit.remove u l;
+              entries := List.remove_assoc l !entries
+          | 9 | 10 ->
+              Memtag_unit.on_evict u l Memtag_unit.Conflict;
+              evict l `Conflict
+          | 11 | 12 ->
+              Memtag_unit.on_evict u l Memtag_unit.Capacity;
+              evict l `Capacity
+          | 13 ->
+              Memtag_unit.clear u;
+              entries := [];
+              conflict := false;
+              overflow := false
+          | 14 ->
+              let n = 1 + (l land 3) in
+              Memtag_unit.set_max_tags u n;
+              max_tags := n;
+              if List.length !entries > n then overflow := true
+          | _ -> Memtag_unit.sort u);
+          agree ~sorted:(op = 15))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Runtime *)
 
@@ -1339,10 +1425,10 @@ let test_add_tag_read_equals_read_plus_tag () =
   let ok = Machine.validate m ~core:0 in
   check_bool "line was really tagged" false ok
 
-(* The tagged-read hit path grows the tag table itself. One core with
-   every line L1-resident tags enough distinct lines to pass the table's
-   rehash load and its journal's initial 128 entries, with removes
-   interleaved so that tombstones build up, then re-tags the removed
+(* The tagged-read hit path grows the tag array itself. One core with
+   every line L1-resident tags enough distinct lines to double the
+   array's initial 16 entries several times, with removes interleaved so
+   that each moves the last entry into its hole, then re-tags the removed
    lines. A recording sink sends the same sequence through the general
    path: both machines must agree on every latency (a tag op costs a
    cycle, so a skipped one shows), the tag count, the verdict and every
@@ -1485,7 +1571,8 @@ let () =
           Alcotest.test_case "overflow latches" `Quick test_tags_overflow_latches;
           Alcotest.test_case "untagged ignored" `Quick
             test_tags_untagged_eviction_ignored;
-        ] );
+        ]
+        @ qsuite [ prop_tags_model ] );
       ( "runtime",
         [
           Alcotest.test_case "interleaving" `Quick test_runtime_interleaving;
