@@ -27,6 +27,8 @@ let config ?(batch = 1) ?(queue_capacity = 64) ?(process = Arrival.Poisson)
   if horizon <= 0 then invalid_arg "Server.config: bad horizon";
   { workers; batch; queue_capacity; process; rate_per_kcycle; horizon; seed }
 
+type dispatch = Fixed_priority | Packed
+
 type req = { id : int; arrival : int; payload : int }
 
 type result = {
@@ -51,8 +53,8 @@ type result = {
   class_e2e : Hist.t array;
 }
 
-let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
-    (c : config) =
+let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes
+    ?(dispatch = Fixed_priority) ~name ~setup ~op (c : config) =
   let threads = c.workers + 1 in
   let cfg =
     match cfg with Some m -> m | None -> Config.default ~num_cores:threads ()
@@ -125,23 +127,30 @@ let run ?cfg ?(obs = Obs.null) ?make_policy ?series ?classes ~name ~setup ~op
 
   (* A worker fiber: take up to [batch] requests, charge the dispatch
      overhead once, execute each request, record wait / service /
-     end-to-end. Exits once arrivals are done and the queue is empty.
+     end-to-end. Exits once arrivals are done and it finds nothing to take.
 
-     Dispatch rule: the lowest-numbered idle worker takes each request
-     (fixed priority), so low load is packed onto worker 0, whose caches
-     stay warm. A worker that finds the queue empty sleeps until one
-     cycle after the next arrival. The arrival fiber is the highest fiber
-     id, so at the arrival's own clock every worker would run before it;
-     one cycle later the request is queued and the idle workers wake in
-     fiber-id order (ties at equal clocks go to the lower id, DESIGN
-     §12). That is exactly what polling every cycle would give, with one
-     wake per idle worker per arrival. An arrival that is due but not yet
-     enqueued (only under a policy that delays the arrival fiber) is
-     re-checked after one cycle; under [random_policy] ties are random,
-     so the rule does not hold there. *)
+     Dispatch rule. A worker takes requests while more than [threshold]
+     are queued: [threshold] is 0 for every worker under [Fixed_priority],
+     so the lowest-numbered idle worker takes each request, and [w] for
+     worker [w] under [Packed], so worker [w > 0] joins only while more
+     than [w] requests wait and low load stays on worker 0, whose caches
+     are warm. A worker that finds nothing to take sleeps until one
+     cycle after the next arrival; only arrivals raise the depth, so that
+     is the first time it could find more. The arrival fiber is the
+     highest fiber id, so at the arrival's own clock every worker would
+     run before it; one cycle later the request is queued and the idle
+     workers wake in fiber-id order (ties at equal clocks go to the lower
+     id, DESIGN §12). That is exactly what polling every cycle would
+     give, with one wake per idle worker per arrival. Once arrivals are
+     done a worker that finds nothing to take exits; worker 0's threshold
+     is 0, so it drains whatever the others leave. An arrival that is due
+     but not yet enqueued (only under a policy that delays the arrival
+     fiber) is re-checked after one cycle; under [random_policy] ties are
+     random, so the fixed order among idle workers does not hold there. *)
   let worker_fiber ctx w =
+    let threshold = match dispatch with Fixed_priority -> 0 | Packed -> w in
     let rec take k acc =
-      if k = 0 || Queue.is_empty queue then List.rev acc
+      if k = 0 || Queue.length queue <= threshold then List.rev acc
       else take (k - 1) (Queue.pop queue :: acc)
     in
     let continue = ref true in

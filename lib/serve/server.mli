@@ -31,8 +31,9 @@ type config = {
 (** [config ~workers ~rate_per_kcycle ()] with defaults: batch 1, capacity
     64, Poisson arrivals, horizon 150_000, seed 1. Each dequeued batch
     costs a fixed 16-cycle dispatch. An idle worker sleeps until one cycle
-    after the next arrival, and the lowest-numbered idle worker takes each
-    request (see {!run}). *)
+    after the next arrival. Which worker takes a request is not part of
+    the config: it is the [?dispatch] rule of {!run}, fixed priority
+    unless the caller chooses otherwise. *)
 val config :
   ?batch:int ->
   ?queue_capacity:int ->
@@ -43,6 +44,14 @@ val config :
   rate_per_kcycle:float ->
   unit ->
   config
+
+(** Which idle worker takes a queued request (see {!run}).
+    - [Fixed_priority]: any worker takes requests while the queue is
+      non-empty, so the lowest-numbered idle worker takes each one.
+    - [Packed]: worker [w] takes requests only while more than [w] are
+      queued, so worker 0 takes any request and worker [w > 0] joins
+      only once the backlog exceeds [w]. *)
+type dispatch = Fixed_priority | Packed
 
 type result = {
   backend : string;
@@ -71,9 +80,9 @@ type result = {
   class_e2e : Mt_obs.Hist.t array;  (** end-to-end latency per class *)
 }
 
-(** [run ?cfg ?obs ?make_policy ?series ?classes ~name ~setup ~op config]
-    — the open-loop analogue of
-    {!Mt_workload.Driver.run_custom}: [setup] builds the backend on core 0;
+(** [run ?cfg ?obs ?make_policy ?series ?classes ?dispatch ~name ~setup ~op
+    config] — the open-loop analogue of {!Mt_workload.Driver.run_custom}:
+    [setup] builds the backend on core 0;
     [op ctx state payload] executes one request ([payload] is 62 bits of
     seeded per-request randomness that determines the operation). The
     machine defaults to [workers + 1] cores (the extra core runs the
@@ -83,13 +92,20 @@ type result = {
     still_queued] always holds, and [still_queued] is 0 because workers
     drain the queue after arrivals stop. Dequeues are globally FIFO.
 
-    Dispatch is fixed-priority: under the default policy the
-    lowest-numbered idle worker takes each request, one cycle after it
-    arrives, so low load is packed onto worker 0 and its caches stay
-    warm. Idle workers do not poll; each sleeps until one cycle after the
-    next arrival, which gives exactly the schedule of polling every cycle
-    with one wake per idle worker per arrival. Under a policy with random
-    ties ({!Mt_sim.Runtime.random_policy}) any idle worker may win.
+    [dispatch] (default [Fixed_priority]) picks the worker; see
+    {!dispatch}. Under the default policy a request that an idle worker
+    may take is taken one cycle after it arrives. Under [Packed] low load
+    stays on worker 0 even while it is busy; once arrivals are done a
+    worker that finds [w] or fewer queued exits and worker 0 drains the
+    rest. Packing keeps a warm cache serving at the price of queueing
+    delay: it suits a backend whose cold service is much slower than its
+    warm service ([Mt_store.Store_serve.run] uses it), and measured
+    worse on the set backends, which keep the default (DESIGN §9). Idle
+    workers do not poll under either rule; each sleeps until one cycle
+    after the next arrival (only arrivals raise the depth), which gives
+    exactly the schedule of polling every cycle with one wake per idle
+    worker per arrival. Under a policy with random ties
+    ({!Mt_sim.Runtime.random_policy}) any eligible idle worker may win.
 
     Every request is a causal chain in the event stream — [Req_arrive] at
     generation, [Req_enqueue] or [Req_drop] at admission,
@@ -111,6 +127,7 @@ val run :
   ?make_policy:(Mt_sim.Machine.t -> Mt_sim.Runtime.policy) ->
   ?series:Mt_obs.Series.t ->
   ?classes:string array * (int -> int) ->
+  ?dispatch:dispatch ->
   name:string ->
   setup:(Mt_core.Ctx.t -> 'a) ->
   op:(Mt_core.Ctx.t -> 'a -> int -> unit) ->

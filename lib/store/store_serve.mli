@@ -41,7 +41,15 @@ val classes : string array
     a store built in setup (with seeded prefill) on the serve layer's
     default machine; returns the serve result (including the per-class
     latency breakdown) and the store's operation counters for the serving
-    phase. [obs] and [make_policy] are as in {!Mt_serve.Server.run}. *)
+    phase. [obs] and [make_policy] are as in {!Mt_serve.Server.run}.
+
+    Set-up (creation and prefill) runs on core 0, which is worker 0, so
+    worker 0 starts with the shards in its caches and every other worker
+    starts cold. The run therefore uses
+    [Packed] dispatch ({!Mt_serve.Server.dispatch}): worker [w] takes
+    requests only while more than [w] are queued, so low load stays on
+    the warm worker and the others join as the backlog grows (DESIGN
+    §9). *)
 val run :
   ?obs:Mt_obs.Obs.t ->
   ?make_policy:(Mt_sim.Machine.t -> Mt_sim.Runtime.policy) ->

@@ -3,14 +3,16 @@
    arrival-process statistics and determinism, request conservation
    (generated = completed + dropped + still-queued) and exactly-once
    completion over random configurations, same-seed byte-identical replay
-   (with tracing on or off), the dispatch rule (the lowest-numbered idle
-   worker takes each request one cycle after it arrives, with one wake per
-   idle worker per arrival), and the two macroscopic sanity properties of
-   an open-loop system: at low load end-to-end latency is dominated by
-   service time, and past saturation goodput plateaus while requests get
-   dropped. *)
+   (with tracing on or off), the two dispatch rules (fixed priority: the
+   lowest-numbered idle worker takes each request one cycle after it
+   arrives; packed: worker w takes requests only while more than w are
+   queued; under both, one wake per idle worker per arrival), and the two
+   macroscopic sanity properties of an open-loop system: at low load
+   end-to-end latency is dominated by service time, and past saturation
+   goodput plateaus while requests get dropped. *)
 
 open Mt_core
+module Runtime = Mt_sim.Runtime
 module Serve = Mt_serve.Server
 module Arrival = Mt_serve.Arrival
 module Hist = Mt_obs.Hist
@@ -73,8 +75,8 @@ let test_arrival_bursty () =
    exactly [work] cycles, so capacity = workers / work and every latency
    number is predictable. *)
 
-let synthetic ?(work = 100) ?obs c =
-  Serve.run ?obs ~name:"synthetic"
+let synthetic ?(work = 100) ?obs ?make_policy ?dispatch c =
+  Serve.run ?obs ?make_policy ?dispatch ~name:"synthetic"
     ~setup:(fun _ctx -> ())
     ~op:(fun ctx () _payload -> Ctx.work ctx work)
     c
@@ -123,10 +125,11 @@ let test_conservation_drop () =
   check_bool "generated some load" true (r.generated > 1_000);
   check_bool "dropped under overload" true (r.dropped > 0)
 
-(* Over random accepted configs: every generated request ends in exactly
-   one commit or drop, the counters balance, nothing is left queued, the
-   queue never outgrows its bound, and dequeues are globally FIFO
-   (request ids strictly ascend). *)
+(* Over random accepted configs, under either dispatch rule and under the
+   default or a seeded random policy: every generated request ends in
+   exactly one commit or drop, the counters balance, nothing is left
+   queued, the queue never outgrows its bound, and dequeues are globally
+   FIFO (request ids strictly ascend). *)
 let prop_exactly_once =
   let process =
     QCheck.Gen.(
@@ -139,26 +142,46 @@ let prop_exactly_once =
             (int_range 1 5_000) (int_range 0 15_000);
         ])
   in
+  (* [policy] is [None] for the default schedule, [Some s] for
+     [random_policy ~seed:s]. *)
   let gen =
     QCheck.Gen.(
       map
-        (fun ((workers, batch, queue_capacity), (rate, horizon, process, seed)) ->
-          Serve.config ~workers ~batch ~queue_capacity ~process ~horizon ~seed
-            ~rate_per_kcycle:(float_of_int rate) ())
+        (fun ( ((workers, batch, queue_capacity), (rate, horizon, process, seed)),
+               (dispatch, policy) ) ->
+          ( Serve.config ~workers ~batch ~queue_capacity ~process ~horizon ~seed
+              ~rate_per_kcycle:(float_of_int rate) (),
+            dispatch,
+            policy ))
         (pair
-           (triple (int_range 1 8) (int_range 1 8) (int_range 1 64))
-           (quad (int_range 1 80) (int_range 1 20_000) process (int_bound 1_000))))
+           (pair
+              (triple (int_range 1 8) (int_range 1 8) (int_range 1 64))
+              (quad (int_range 1 80) (int_range 1 20_000) process
+                 (int_bound 1_000)))
+           (pair
+              (oneofl [ Serve.Fixed_priority; Serve.Packed ])
+              (opt (int_bound 1_000)))))
   in
-  let print (c : Serve.config) =
-    Printf.sprintf "workers %d batch %d cap %d %s rate %g horizon %d seed %d"
+  let print ((c : Serve.config), dispatch, policy) =
+    Printf.sprintf
+      "workers %d batch %d cap %d %s rate %g horizon %d seed %d %s %s"
       c.workers c.batch c.queue_capacity
       (Arrival.process_name c.process)
       c.rate_per_kcycle c.horizon c.seed
+      (match dispatch with
+       | Serve.Fixed_priority -> "fixed-priority"
+       | Serve.Packed -> "packed")
+      (match policy with
+       | None -> "default policy"
+       | Some s -> Printf.sprintf "random policy %d" s)
   in
   QCheck.Test.make ~name:"exactly-once, FIFO" ~count:100 (QCheck.make ~print gen)
-    (fun c ->
+    (fun (c, dispatch, policy) ->
       let obs = Obs.create ~num_cores:(c.workers + 1) () in
-      let r = synthetic ~obs c in
+      let make_policy =
+        Option.map (fun seed _m -> Runtime.random_policy ~seed ()) policy
+      in
+      let r = synthetic ~obs ?make_policy ~dispatch c in
       let ends = Array.make r.generated 0 in
       List.iter
         (fun id ->
@@ -231,11 +254,12 @@ let test_low_load_latency () =
 
 (* Low load under the default policy with a recording sink: Poisson at
    2 req/kcycle into 3 workers, each request 100 cycles of work. *)
-let low_load_trace () =
+let low_load_trace ?dispatch () =
   let c = Serve.config ~workers:3 ~rate_per_kcycle:2.0 ~horizon:100_000 () in
   let obs = Obs.create ~num_cores:4 () in
-  let r = synthetic ~obs c in
+  let r = synthetic ~obs ?dispatch c in
   check_int "nothing lost to ring wraparound" 0 (Obs.dropped obs);
+  conserved r;
   (c, r, Obs.events obs)
 
 let test_dispatch_rule () =
@@ -268,13 +292,14 @@ let test_dispatch_rule () =
   check_bool "most requests find worker 0 idle" true
     (4 * List.length !expected >= 3 * r.generated)
 
-let test_wake_economy () =
+let test_wake_economy ?dispatch () =
   (* Idle workers sleep until the next arrival instead of polling: at low
      load each generated request costs at most one stall per worker
      outside service (the workers it does not go to re-sleep, the one it
      goes to sleeps once it is done). A fixed-interval poll stalls every
-     idle worker many times per inter-arrival gap. *)
-  let c, r, events = low_load_trace () in
+     idle worker many times per inter-arrival gap. Under packed dispatch
+     a worker that finds too few requests queued sleeps the same way. *)
+  let c, r, events = low_load_trace ?dispatch () in
   let busy = Array.make c.workers false and idle_stalls = ref 0 in
   List.iter
     (fun (e : Obs.event) ->
@@ -289,6 +314,43 @@ let test_wake_economy () =
   if !idle_stalls > c.workers * r.generated then
     Alcotest.failf "%d idle-worker stalls for %d requests (bound %d per request)"
       !idle_stalls r.generated c.workers
+
+let test_packed_dispatch () =
+  (* Packed dispatch, rebuilt from the event stream: the depth rises by
+     one at each enqueue and falls by one at each dequeue, and a worker
+     dequeues only while more requests are queued than its index. Work
+     500 cycles at 5.5 req/kcycle into 4 workers is ~70% of capacity, so
+     the backlog reaches every worker's threshold many times. *)
+  let c =
+    Serve.config ~workers:4 ~batch:2 ~queue_capacity:32 ~rate_per_kcycle:5.5
+      ~horizon:60_000 ()
+  in
+  let obs = Obs.create ~num_cores:5 () in
+  let r = synthetic ~work:500 ~obs ~dispatch:Serve.Packed c in
+  check_int "nothing lost to ring wraparound" 0 (Obs.dropped obs);
+  conserved r;
+  let depth = ref 0 and per_worker = Array.make c.workers 0 in
+  List.iter
+    (fun (e : Obs.event) ->
+      match e.kind with
+      | Obs.Req_enqueue _ -> incr depth
+      | Obs.Req_dequeue { id; _ } ->
+          if !depth <= e.core then
+            Alcotest.failf "worker %d dequeued request %d with %d queued" e.core
+              id !depth;
+          per_worker.(e.core) <- per_worker.(e.core) + 1;
+          decr depth
+      | _ -> ())
+    (Obs.events obs);
+  check_int "queue empty at the end" 0 !depth;
+  (* Every worker served, and the lower a worker's index the more. *)
+  Array.iteri
+    (fun w n ->
+      if n = 0 then Alcotest.failf "worker %d served nothing" w;
+      if w > 0 && n > per_worker.(w - 1) then
+        Alcotest.failf "worker %d served %d, more than worker %d's %d" w n
+          (w - 1) per_worker.(w - 1))
+    per_worker
 
 let test_overload_saturation () =
   (* Past the knee: goodput plateaus (2x vs 4x offered changes goodput by
@@ -366,8 +428,12 @@ let () =
           Alcotest.test_case "low load: e2e ~ service" `Quick test_low_load_latency;
           Alcotest.test_case "dispatch: lowest-numbered idle worker" `Quick
             test_dispatch_rule;
+          Alcotest.test_case "packed: worker w needs more than w queued"
+            `Quick test_packed_dispatch;
           Alcotest.test_case "idle workers wake once per arrival" `Quick
-            test_wake_economy;
+            (test_wake_economy ?dispatch:None);
+          Alcotest.test_case "packed: one wake per idle worker per arrival"
+            `Quick (test_wake_economy ~dispatch:Serve.Packed);
           Alcotest.test_case "overload: plateau + drops + tail" `Quick
             test_overload_saturation;
           Alcotest.test_case "batching amortizes dispatch" `Quick

@@ -1110,8 +1110,8 @@ let test_scan_parked_split () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Serve integration: conservation, per-class accounting, and the
-   jobs/tracing invariance contract. *)
+(* Serve integration: conservation, per-class accounting, the
+   jobs/tracing invariance contract, and packed dispatch at low load. *)
 
 let store_spec () =
   Store_serve.spec ~shards:4 ~key_space:4096 ~prefill:128 ~scan_width:256
@@ -1155,6 +1155,32 @@ let test_serve_tracing_invariance () =
   let kinds = List.map (fun (e : Obs.event) -> e.kind) (Obs.events obs) in
   check_bool (bname ^ " store events present") true
     (List.exists (function Obs.Store_op _ -> true | _ -> false) kinds)
+
+let test_serve_packed_low_load () =
+  (* Set-up warms worker 0's caches, and the store serves with packed
+     dispatch: at about 1 req/kcycle into 3 workers a second request
+     rarely arrives while worker 0 is busy, so worker 0 takes at least
+     99% of them, and the others still drain the queue. *)
+  let c =
+    Serve.config ~workers:3 ~rate_per_kcycle:1.0 ~horizon:400_000 ()
+  in
+  let obs = Obs.create ~num_cores:4 () in
+  let r, _ = Store_serve.run ~obs (store_spec ()) c in
+  check_int (bname ^ " nothing lost to ring wraparound") 0 (Obs.dropped obs);
+  check_int (bname ^ " queues drained") 0 r.Serve.still_queued;
+  check_int (bname ^ " all completed") r.Serve.generated r.Serve.completed;
+  let by_worker = Array.make c.workers 0 in
+  List.iter
+    (fun (e : Obs.event) ->
+      match e.kind with
+      | Obs.Req_dequeue _ -> by_worker.(e.core) <- by_worker.(e.core) + 1
+      | _ -> ())
+    (Obs.events obs);
+  check_int (bname ^ " every completion dequeued") r.Serve.completed
+    (Array.fold_left ( + ) 0 by_worker);
+  if 100 * by_worker.(0) < 99 * r.Serve.completed then
+    Alcotest.failf "%s: worker 0 took %d of %d requests (workers 1-2: %d, %d)"
+      bname by_worker.(0) r.Serve.completed by_worker.(1) by_worker.(2)
 
 let test_serve_jobs_invariance () =
   (* The sweep contract: mapping the same points over 1 and 2 domains must
@@ -1234,6 +1260,8 @@ let () =
           Alcotest.test_case "tracing invariance" `Quick
             test_serve_tracing_invariance;
           Alcotest.test_case "jobs invariance" `Quick test_serve_jobs_invariance;
+          Alcotest.test_case "low load stays on worker 0" `Quick
+            test_serve_packed_low_load;
         ] );
       ("ranged-" ^ bname, ranged_battery);
       ("btree", btree_cases);
