@@ -161,6 +161,45 @@ let meta_leaf m = m land 1 = 1
 let meta_weight m = (m lsr 1) land 1
 let meta_count m = m lsr 2
 
+(* Memory layout: a leaf is [meta, k0, k1, ...]; an internal node is
+   [meta, p0, k0, p1, k1, ..., pn]. *)
+let key_word ~leaf i = if leaf then 1 + i else 2 + (2 * i)
+let ptr_word i = 1 + (2 * i)
+let last_word ~leaf ~count = if leaf then count else ptr_word count
+
+let store write ctx base d =
+  write ctx base (pack_meta ~leaf:d.leaf ~weight:d.weight ~count:(Array.length d.keys));
+  Array.iteri (fun i k -> write ctx (base + key_word ~leaf:d.leaf i) k) d.keys;
+  Array.iteri (fun i p -> write ctx (base + ptr_word i) p) d.ptrs
+
+let load word ctx base meta =
+  let count = meta_count meta and leaf = meta_leaf meta in
+  let keys = Array.make count 0 in
+  for i = 0 to count - 1 do
+    keys.(i) <- word ctx (base + key_word ~leaf i)
+  done;
+  let ptrs = Array.make (if leaf then 0 else count + 1) 0 in
+  for i = 0 to Array.length ptrs - 1 do
+    ptrs.(i) <- word ctx (base + ptr_word i)
+  done;
+  { weight = meta_weight meta; leaf; keys; ptrs }
+
+(* The scans are top-level functions of all their arguments: a local
+   recursive closure would be allocated at every node visited. *)
+let rec route_from word ctx base count k i =
+  if i >= count || k < word ctx (base + key_word ~leaf:false i) then i
+  else route_from word ctx base count k (i + 1)
+
+let route word ctx base count k = route_from word ctx base count k 0
+
+let rec leaf_mem_from word ctx base count k i =
+  i < count
+  &&
+  let key = word ctx (base + key_word ~leaf:true i) in
+  key = k || (key < k && leaf_mem_from word ctx base count k (i + 1))
+
+let leaf_mem word ctx base count k = leaf_mem_from word ctx base count k 0
+
 (* The balance predicate both trees rebalance by. *)
 let violates ~a ~root_child m =
   meta_weight m = 0

@@ -27,11 +27,14 @@ let aborted = 2
    It is odd, so it can never collide with a line-aligned address. *)
 let quiescent_info = 1
 
-let field_addr r i = r + header_words + i
-let payload_addr r ~mutable_fields = r + header_words + mutable_fields
+(* After the header, the payload's first word, then each mutable field
+   after one more payload word: field i at header + 1 + 2i. *)
+let field_addr r i = r + header_words + 1 + (2 * i)
+let payload_addr r = r + header_words
 
 let alloc_record ctx ~mutable_fields ~extra_words =
-  if mutable_fields < 0 || extra_words < 0 then invalid_arg "Llx_scx.alloc_record";
+  if mutable_fields < 0 || extra_words < mutable_fields then
+    invalid_arg "Llx_scx.alloc_record";
   let r = Ctx.alloc ~label:"llxscx-record" ctx ~words:(header_words + mutable_fields + extra_words) in
   Ctx.write ctx (r + info_off) quiescent_info;
   Ctx.write ctx (r + nfields_off) mutable_fields;
@@ -156,7 +159,3 @@ let scx ctx ~v ~r ~fld ~old_val ~new_val =
   help ctx u
 
 let is_marked_unsafe machine r = Mt_sim.Machine.peek machine (r + marked_off) = 1
-
-let nfields_unsafe machine r = Mt_sim.Machine.peek machine (r + nfields_off)
-
-let field_unsafe machine r i = Mt_sim.Machine.peek machine (field_addr r i)

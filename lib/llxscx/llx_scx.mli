@@ -22,21 +22,26 @@ type addr = Mt_core.Ctx.addr
 (** {1 Data-records}
 
     A data-record has a fixed number of mutable word fields plus an
-    arbitrary immutable payload managed by the client. Layout (word
-    offsets): 0 [info], 1 [marked], 2 [nfields], 3.. mutable fields, then
-    the client's immutable payload. *)
+    immutable payload managed by the client. Layout (word offsets): 0
+    [info], 1 [marked], 2 [nfields], then the payload with the mutable
+    fields interleaved: payload word 3, mutable field [i] at [4 + 2i],
+    so each field follows one payload word (a tree node's meta word, then
+    each separator key between two child pointers), and the rest of the
+    payload after the last field. *)
 
 (** [alloc_record ctx ~mutable_fields ~extra_words] allocates a fresh
-    data-record with [mutable_fields] mutable slots and [extra_words]
-    immutable payload words; returns its address. The record starts
-    unmarked with a quiescent info. *)
+    data-record of [3 + mutable_fields + extra_words] words: [mutable_fields]
+    mutable slots and [extra_words] immutable payload words, at least one
+    per mutable field. Returns its address; the record starts unmarked
+    with a quiescent info. *)
 val alloc_record : Mt_core.Ctx.t -> mutable_fields:int -> extra_words:int -> addr
 
 (** Address of mutable field [i] of record [r] (for SCX's [fld]). *)
 val field_addr : addr -> int -> addr
 
-(** Address of the first immutable payload word. *)
-val payload_addr : addr -> mutable_fields:int -> addr
+(** Address of the first immutable payload word, right after the
+    header. *)
+val payload_addr : addr -> addr
 
 (** Write mutable field [i] directly — only valid during initialisation,
     before the record is published. *)
@@ -84,8 +89,3 @@ val scx :
     (tests only). *)
 val is_marked_unsafe : Mt_sim.Machine.t -> addr -> bool
 
-(** Timing-free read of a record's mutable-field count (test oracles). *)
-val nfields_unsafe : Mt_sim.Machine.t -> addr -> int
-
-(** Timing-free read of mutable field [i] (test oracles). *)
-val field_unsafe : Mt_sim.Machine.t -> addr -> int -> int

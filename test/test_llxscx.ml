@@ -19,7 +19,7 @@ let snapshot_exn = function
 let test_llx_snapshot () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let r = Llx_scx.alloc_record ctx ~mutable_fields:2 ~extra_words:1 in
+      let r = Llx_scx.alloc_record ctx ~mutable_fields:2 ~extra_words:2 in
       Llx_scx.init_field ctx r 0 11;
       Llx_scx.init_field ctx r 1 22;
       let s = snapshot_exn (Llx_scx.llx ctx r) in
@@ -30,7 +30,7 @@ let test_llx_snapshot () =
 let test_scx_updates_field () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
       Llx_scx.init_field ctx r 0 5;
       let s = snapshot_exn (Llx_scx.llx ctx r) in
       let ok =
@@ -45,7 +45,7 @@ let test_scx_updates_field () =
 let test_scx_fails_on_stale_snapshot () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
       Llx_scx.init_field ctx r 0 5;
       let s_stale = snapshot_exn (Llx_scx.llx ctx r) in
       let s_fresh = snapshot_exn (Llx_scx.llx ctx r) in
@@ -64,8 +64,8 @@ let test_scx_fails_on_stale_snapshot () =
 let test_finalize_marks () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
-      let holder = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
+      let holder = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
       Llx_scx.init_field ctx holder 0 r;
       let hs = snapshot_exn (Llx_scx.llx ctx holder) in
       let rs = snapshot_exn (Llx_scx.llx ctx r) in
@@ -83,8 +83,8 @@ let test_finalize_marks () =
 let test_scx_on_finalized_fails () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
-      let holder = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
+      let holder = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
       Llx_scx.init_field ctx holder 0 r;
       let hs = snapshot_exn (Llx_scx.llx ctx holder) in
       let rs = snapshot_exn (Llx_scx.llx ctx r) in
@@ -105,8 +105,8 @@ let test_scx_on_finalized_fails () =
 let test_r_subset_check () =
   let m = machine () in
   Harness.exec1 m (fun ctx ->
-      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
-      let other = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+      let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
+      let other = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
       let s = snapshot_exn (Llx_scx.llx ctx r) in
       Alcotest.check_raises "R must be subset of V"
         (Invalid_argument "Llx_scx.scx: R not a subset of V") (fun () ->
@@ -123,7 +123,7 @@ let test_concurrent_counter () =
   let m = machine ~cores:threads () in
   let r =
     Harness.exec1 m (fun ctx ->
-        let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+        let r = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
         Llx_scx.init_field ctx r 0 0;
         r)
   in
@@ -153,8 +153,8 @@ let test_concurrent_two_record_swap () =
   let m = machine ~cores:2 () in
   let ra, rb =
     Harness.exec1 m (fun ctx ->
-        let ra = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
-        let rb = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:0 in
+        let ra = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
+        let rb = Llx_scx.alloc_record ctx ~mutable_fields:1 ~extra_words:1 in
         Llx_scx.init_field ctx ra 0 1;
         Llx_scx.init_field ctx rb 0 2;
         (ra, rb))
