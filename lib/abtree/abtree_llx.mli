@@ -20,6 +20,20 @@ end) : sig
 
   (** Structural invariant check on a quiescent machine. *)
   val check : Mt_sim.Machine.t -> t -> Checker.report
+
+  (** {1 Node layout} — hand-built nodes and trees, for the layout
+      tests. *)
+
+  (** [write_desc ctx d] allocates a fresh, unpublished node holding [d]
+      in {!Node_desc}'s layout and returns its address. *)
+  val write_desc : Mt_core.Ctx.t -> Node_desc.t -> Mt_core.Ctx.addr
+
+  (** [peek_desc machine node] — the node at [node], read timing-free. *)
+  val peek_desc : Mt_sim.Machine.t -> Mt_core.Ctx.addr -> Node_desc.t
+
+  (** [of_root ctx root] — a tree whose sentinel has [root] as its only
+      child. *)
+  val of_root : Mt_core.Ctx.t -> Mt_core.Ctx.addr -> t
 end
 
 (** The LLX/SCX baseline at the paper's (a,b) = (4,8) (DESIGN §4), the
