@@ -25,18 +25,25 @@ struct
   let a = P.a
   let b = P.b
 
-  (* Nodes use {!Node_desc}'s layout from word 0: a leaf
-     [meta, k0, k1, ...], an internal node [meta, p0, k0, p1, ..., pn].
-     Leaves and internal nodes share one allocation size, which avoids
-     tagging a neighbour's line; an internal node of b keys and b+1
-     children fills it. *)
-  let node_words = (2 * b) + 2
+  (* Nodes use {!Node_desc}'s half-width layout from word 0: a leaf
+     [meta|k0, k1|k2, ...], an internal node [meta|p0, k0|p1, ...].
+     Every node gets exactly [b] words, which a node of [b] children or
+     [b] keys fits: one line at b = 8. Leaves and internal nodes share
+     the size, which avoids tagging a neighbour's line. A larger
+     allocation costs more than its slack: at 2 lines per node, every
+     node's first line, the only one a search touches, falls on an even
+     line index, and the nodes crowd half the L2's sets. *)
+  let node_words = b
 
   type t = { sentinel : Ctx.addr }
 
   let name = Printf.sprintf "hoh-abtree(%d,%d)" a b
 
   let write_desc ctx d =
+    if Node_desc.size d > b then
+      invalid_arg
+        (Format.asprintf "Abtree_hoh.write_desc: %a has more than %d children or keys"
+           Node_desc.pp d b);
     let n = Ctx.alloc ~label:"abtree-hoh-node" ctx ~words:node_words in
     Node_desc.store Ctx.write ctx n d;
     n
@@ -61,6 +68,15 @@ struct
 
   let untag ctx node = Ctx.remove_tag ctx node ~words:node_words
 
+  (* The word holding [node]'s child [ix] with [c] swung in: [node] is
+     tagged, and the word's low half (meta or key) never changes. *)
+  let swing ctx node ix c =
+    Node_desc.with_child (tread ctx (node + Node_desc.ptr_word ix)) c
+
+  (* One IAS swings [node]'s child [ix] to [c]. *)
+  let ias_child ctx node ix c =
+    Ctx.ias ctx (node + Node_desc.ptr_word ix) (swing ctx node ix c)
+
   (* Tag [node] (a tagged load of its meta word) and validate the tag set. *)
   let tag_valid ctx node =
     let (_ : int) = tread ctx node in
@@ -84,7 +100,7 @@ struct
   let locate ctx t k ~rebalancing =
     Ctx.with_restarts ~site:t.sentinel ctx (fun () ->
         let curr = t.sentinel in
-        let cm = tread ctx curr in
+        let cm = Node_desc.meta (tread ctx curr) in
         if not (Ctx.validate ctx) then raise Restart;
         let rec go gp ixp p ixc curr cm =
           if
@@ -94,8 +110,8 @@ struct
           then (gp, ixp, p, ixc, curr, cm)
           else begin
             let ix = Node_desc.route tread ctx curr (Node_desc.meta_count cm) k in
-            let next = tread ctx (curr + Node_desc.ptr_word ix) in
-            let nm = tread ctx next in
+            let next = Node_desc.child (tread ctx (curr + Node_desc.ptr_word ix)) in
+            let nm = Node_desc.meta (tread ctx next) in
             if not (Ctx.validate ctx) then raise Restart;
             if gp <> null then untag ctx gp;
             go p ixc curr ix next nm
@@ -113,19 +129,19 @@ struct
      overwritten. [Mt_check.Buggy_abtree] instantiates this to give the
      linearizability battery a tree-shaped seeded bug; every real tree
      uses {!Make}, which pins it to [true]. *)
-  let commit ctx ~insert target v =
+  let commit ctx ~insert p ix c =
     if insert && not P.validated_insert then begin
-      Ctx.write ctx target v;
+      Ctx.write ctx (p + Node_desc.ptr_word ix) (swing ctx p ix c);
       true
     end
-    else Ctx.ias ctx target v
+    else ias_child ctx p ix c
 
   (* AbsorbChild or PropagateTag: [pd] and its flagged internal child [cd]
      (slot [ix]) become one node, or two under a flagged parent, at
-     [target]. *)
-  let absorb_child ctx target pd ix (cd : Node_desc.t) =
+     [gp]'s child [ixp]. *)
+  let absorb_child ctx gp ixp pd ix (cd : Node_desc.t) =
     (not cd.leaf)
-    && Ctx.ias ctx target
+    && ias_child ctx gp ixp
          (Node_desc.write_fitted ~b write_desc ctx
             (Node_desc.absorb ~parent:pd ~ix ~child:cd))
 
@@ -145,11 +161,10 @@ struct
       (* Only p's slot is written and only u is removed: drop gp's tag to
          avoid collateral invalidation. *)
       if gp <> null then untag ctx gp;
-      let target = p + Node_desc.ptr_word ixc in
       let d =
         if insert then Node_desc.leaf_insert ud k else Node_desc.leaf_remove ud k
       in
-      let ok = commit ctx ~insert target (Node_desc.write_fitted ~b write_desc ctx d) in
+      let ok = commit ctx ~insert p ixc (Node_desc.write_fitted ~b write_desc ctx d) in
       Ctx.clear_tag_set ctx;
       if ok then begin
         if
@@ -159,7 +174,7 @@ struct
         true
       end
       else begin
-        Ctx.cm_wait ~site:target ctx ~attempt;
+        Ctx.cm_wait ~site:(p + Node_desc.ptr_word ixc) ctx ~attempt;
         update ctx t k ~insert (attempt + 1)
       end
     end
@@ -170,27 +185,25 @@ struct
   and apply_step ctx t gp ixp p ixc u um =
     if p = t.sentinel then begin
       let ud = read_desc ctx u in
-      let slot = p + Node_desc.ptr_word ixc in
       if Node_desc.meta_weight um = 0 then
         (* RootUntag: replace the flagged root child by a weight-1 copy. *)
-        Ctx.ias ctx slot (write_desc ctx (Node_desc.set_weight ud 1))
+        ias_child ctx p ixc (write_desc ctx (Node_desc.set_weight ud 1))
       else
         (* RootAbsorb: an internal root child with a single child is
            replaced by a weight-1 copy of that child. *)
         (not ud.leaf) && Array.length ud.ptrs = 1
         && tag_valid ctx ud.ptrs.(0)
-        && Ctx.ias ctx slot
+        && ias_child ctx p ixc
              (write_desc ctx (Node_desc.set_weight (read_desc ctx ud.ptrs.(0)) 1))
     end
     else begin
       (* gp exists because p is not the sentinel. *)
       let pd = read_desc ctx p in
-      let target = gp + Node_desc.ptr_word ixp in
       ixc < Array.length pd.ptrs && pd.ptrs.(ixc) = u && (not pd.leaf)
       &&
       if Node_desc.meta_weight um = 0 then
         (* AbsorbChild / PropagateTag on the flagged u. *)
-        absorb_child ctx target pd ixc (read_desc ctx u)
+        absorb_child ctx gp ixp pd ixc (read_desc ctx u)
       else begin
         (* Degree violation at u: operate on u and an adjacent sibling. *)
         let six = if ixc > 0 then ixc - 1 else ixc + 1 in
@@ -200,12 +213,12 @@ struct
         let sd = read_desc ctx pd.ptrs.(six) in
         if sd.weight = 0 then
           (* The sibling carries a flag violation: fix it first. *)
-          absorb_child ctx target pd six sd
+          absorb_child ctx gp ixp pd six sd
         else begin
           let ud = read_desc ctx u in
           let li, l, r = if six < ixc then (six, sd, ud) else (ixc, ud, sd) in
           l.leaf = r.leaf && li < Array.length pd.keys
-          && Ctx.ias ctx target (Node_desc.rebalance_pair ~b write_desc ctx pd li l r)
+          && ias_child ctx gp ixp (Node_desc.rebalance_pair ~b write_desc ctx pd li l r)
         end
       end
     end
@@ -222,7 +235,11 @@ struct
     end
     else Ctx.clear_tag_set ctx
 
-  let insert ctx t k = update ctx t k ~insert:true 0
+  let insert ctx t k =
+    if not (Mt_core.Half.fits k) then
+      invalid_arg
+        (Printf.sprintf "Abtree_hoh.insert: key %d outside [0, 2^31)" k);
+    update ctx t k ~insert:true 0
   let delete ctx t k = update ctx t k ~insert:false 0
 
   (* ------------------------------------------------------------------ *)
@@ -232,12 +249,12 @@ struct
      time — the same argument as for sequential searches in the LLX/SCX
      tree. A step allocates nothing. *)
   let rec search ctx node k =
-    let meta = Ctx.read ctx node in
-    let count = Node_desc.meta_count meta in
-    if Node_desc.meta_leaf meta then Node_desc.leaf_mem Ctx.read ctx node count k
+    let w0 = Ctx.read ctx node in
+    let meta = Node_desc.meta w0 in
+    if Node_desc.meta_leaf meta then Node_desc.leaf_mem Ctx.read ctx node w0 k
     else
-      let ix = Node_desc.route Ctx.read ctx node count k in
-      search ctx (Ctx.read ctx (node + Node_desc.ptr_word ix)) k
+      let ix = Node_desc.route Ctx.read ctx node (Node_desc.meta_count meta) k in
+      search ctx (Node_desc.child (Ctx.read ctx (node + Node_desc.ptr_word ix))) k
 
   let contains ctx t k = search ctx t.sentinel k
 
@@ -260,17 +277,17 @@ struct
     let rec visit node =
       if !fuel > 0 then begin
         decr fuel;
-        let meta = load ctx node ~words:1 in
-        (* The node's other lines, up to its last key (a leaf) or last
-           child pointer (an internal node), in one more load. *)
-        let last_word =
-          Node_desc.last_word ~leaf:(Node_desc.meta_leaf meta)
+        let w0 = load ctx node ~words:1 in
+        let meta = Node_desc.meta w0 in
+        (* The node's other lines, if its words spill past the first, in
+           one more load. *)
+        let words =
+          Node_desc.words ~leaf:(Node_desc.meta_leaf meta)
             ~count:(Node_desc.meta_count meta)
         in
-        if last_word >= line_words then
-          ignore
-            (load ctx (node + line_words) ~words:(last_word - line_words + 1));
-        let d = Node_desc.load Ctx.read ctx node meta in
+        if words > line_words then
+          ignore (load ctx (node + line_words) ~words:(words - line_words));
+        let d = Node_desc.load Ctx.read ctx node w0 in
         if d.leaf then
           Array.iter (fun k -> if k >= lo && k <= hi then acc := k :: !acc) d.keys
         else begin

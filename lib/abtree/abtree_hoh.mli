@@ -18,7 +18,12 @@
     RootUntag, RootAbsorb, AbsorbChild, PropagateTag, AbsorbSibling,
     Distribute — until the path is violation-free. {!Node_desc} plans
     each step (as it does for {!Abtree_llx}); this tree reads the nodes
-    involved with tagged loads plus validate and commits with one IAS. *)
+    involved with tagged loads plus validate and commits with one IAS.
+
+    {b Key domain.} Nodes hold keys and child addresses in 31-bit
+    half-words ({!Node_desc}), so keys must lie in [\[0, 2^31)]: [insert]
+    raises [Invalid_argument] on a key outside it. [contains] and
+    [delete] of such a key return [false]. *)
 
 (** What every HoH tree offers beyond {!Mt_list.Set_intf.SET}. *)
 module type S = sig
@@ -37,8 +42,10 @@ module type S = sig
   (** {1 Node layout} — hand-built nodes and trees, for the layout
       tests. *)
 
-  (** [write_desc ctx d] allocates a fresh, unpublished node holding [d]
-      in {!Node_desc}'s layout and returns its address. *)
+  (** [write_desc ctx d] allocates a fresh, unpublished node of [b]
+      words holding [d] in {!Node_desc}'s layout and returns its address.
+      Raises [Invalid_argument] when [d] has more than [b] children or
+      keys, or a key or child pointer that does not fit 31 bits. *)
   val write_desc : Mt_core.Ctx.t -> Node_desc.t -> Mt_core.Ctx.addr
 
   (** [peek_desc machine node] — the node at [node], read timing-free. *)

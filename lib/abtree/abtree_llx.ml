@@ -5,7 +5,8 @@ let null = Mt_sim.Memory.null
 
 (* Two header reads per node, as the original reads a node's type and
    size fields: the field count, whose value the meta word's fixed place
-   no longer needs, then the meta word. *)
+   no longer needs, then the node's first word (the meta word beside
+   child 0 or key 0). *)
 let node_info ctx r =
   let (_ : int) = Llx_scx.nfields ctx r in
   Ctx.read ctx (Llx_scx.payload_addr r)
@@ -14,7 +15,7 @@ let node_info ctx r =
    for a leaf) — the mutable content the operation actually depends on.
    [None] triggers a retry of the whole operation. *)
 let llx_node ctx r =
-  let meta = node_info ctx r in
+  let meta = Node_desc.meta (node_info ctx r) in
   let fields =
     if Node_desc.meta_leaf meta then 0 else Node_desc.meta_count meta + 1
   in
@@ -27,9 +28,16 @@ let llx_node ctx r =
 let llx_parent ctx r ix c =
   match llx_node ctx r with
   | Some (s : Llx_scx.snapshot) as snap
-    when ix < Array.length s.fields && s.fields.(ix) = c ->
+    when ix < Array.length s.fields && Node_desc.child s.fields.(ix) = c ->
       snap
   | _ -> None
+
+(* SCX swinging child [ix] of the node snapshotted as [s] to [c]: the
+   whole field word, its low half (meta or key) unchanged. *)
+let scx_child ctx ~v ~r (s : Llx_scx.snapshot) ix c =
+  let old_val = s.fields.(ix) in
+  Llx_scx.scx ctx ~v ~r ~fld:(Llx_scx.field_addr s.record ix) ~old_val
+    ~new_val:(Node_desc.with_child old_val c)
 
 let ( let* ) o f = match o with None -> false | Some x -> f x
 
@@ -49,39 +57,41 @@ struct
 
   let name = Printf.sprintf "llx-abtree(%d,%d)" a b
 
-  (* Node = LLX data-record. Internal nodes: b+1 mutable fields (child
-     pointers); leaves: none (leaves stay compact, as in Brown's C++).
-     Immutable payload: meta word then b key slots. From the payload's
-     first word the node follows {!Node_desc}'s layout: the record puts
-     mutable field i at {!Node_desc.ptr_word} i, between the keys
-     (checked below). *)
-  let ptr_slots = b + 1
+  (* Node = LLX data-record whose payload follows {!Node_desc}'s
+     half-width layout. An internal node's b words are its b mutable
+     fields, field i at {!Node_desc.ptr_word} i (checked below): child
+     pointer i beside the meta word or key i-1. A leaf has no fields
+     (leaves stay compact, as in Brown's C++), only the words of b keys:
+     3 + 5 words, one line, at b = 8. *)
+  let leaf_words = Node_desc.words ~leaf:true ~count:b
 
   let () =
-    for i = 0 to b do
+    for i = 0 to b - 1 do
       if Llx_scx.field_addr 0 i <> Llx_scx.payload_addr 0 + Node_desc.ptr_word i then
         invalid_arg "Abtree_llx: record fields off Node_desc's pointer words"
     done
 
   let write_desc ctx (d : Node_desc.t) =
-    let mutable_fields = if d.leaf then 0 else ptr_slots in
-    let r = Llx_scx.alloc_record ctx ~mutable_fields ~extra_words:(1 + b) in
+    if Node_desc.size d > b then
+      invalid_arg
+        (Format.asprintf "Abtree_llx.write_desc: %a has more than %d children or keys"
+           Node_desc.pp d b);
+    let r =
+      if d.leaf then Llx_scx.alloc_record ctx ~mutable_fields:0 ~extra_words:leaf_words
+      else Llx_scx.alloc_record ctx ~mutable_fields:b ~extra_words:0
+    in
     Node_desc.store Ctx.write ctx (Llx_scx.payload_addr r) d;
     r
 
-  (* Description from an LLX snapshot (child pointers) plus the immutable
-     payload (meta + keys). *)
-  let desc_of_snapshot ctx r (snap : Llx_scx.snapshot) : Node_desc.t =
-    let meta = node_info ctx r in
-    let payload = Llx_scx.payload_addr r in
-    let count = Node_desc.meta_count meta in
-    let leaf = Node_desc.meta_leaf meta in
-    let keys = Array.make count 0 in
-    for i = 0 to count - 1 do
-      keys.(i) <- Ctx.read ctx (payload + Node_desc.key_word ~leaf i)
-    done;
-    let ptrs = if leaf then [||] else Array.sub snap.fields 0 (count + 1) in
-    { weight = Node_desc.meta_weight meta; leaf; keys; ptrs }
+  (* Description of [r] from its LLX snapshot. An internal node's
+     snapshot holds every word the node uses, keys in their immutable low
+     halves; a leaf has no fields, and its words are read. *)
+  let desc_of_snapshot ctx r (snap : Llx_scx.snapshot) =
+    if Array.length snap.fields > 0 then
+      Node_desc.load Array.get snap.fields 0 snap.fields.(0)
+    else
+      let payload = Llx_scx.payload_addr r in
+      Node_desc.load Ctx.read ctx payload (Ctx.read ctx payload)
 
   let of_root ctx root =
     { sentinel = write_desc ctx { weight = 1; leaf = false; keys = [||]; ptrs = [| root |] } }
@@ -92,25 +102,29 @@ struct
   let child_slot ctx r meta k =
     Node_desc.route Ctx.read ctx (Llx_scx.payload_addr r) (Node_desc.meta_count meta) k
 
-  (* Plain sequential search to the leaf for [k], tracking grandparent and
-     parent with child indices; no synchronization at all (thesis ch. 8:
-     searches run exactly as in a sequential tree). *)
+  (* Child [ix] of internal node [r], a plain read. *)
+  let child_at ctx r ix = Node_desc.child (Ctx.read ctx (Llx_scx.field_addr r ix))
+
+  (* Plain sequential search to the leaf for [k], tracking the parent and
+     the leaf's child index in it; no synchronization at all (thesis
+     ch. 8: searches run exactly as in a sequential tree). Returns
+     [(p, ixc, leaf, w0)], [w0] the leaf's first word as {!node_info}
+     read it. *)
   let search_full ctx t k =
-    let rec go gp ixp p ixc curr =
-      let meta = node_info ctx curr in
-      if Node_desc.meta_leaf meta then (gp, ixp, p, ixc, curr)
+    let rec go p ixc curr =
+      let w0 = node_info ctx curr in
+      let meta = Node_desc.meta w0 in
+      if Node_desc.meta_leaf meta then (p, ixc, curr, w0)
       else begin
         let ix = child_slot ctx curr meta k in
-        go p ixc curr ix (Ctx.read ctx (Llx_scx.field_addr curr ix))
+        go curr ix (child_at ctx curr ix)
       end
     in
-    go null (-1) null (-1) t.sentinel
+    go null (-1) t.sentinel
 
   let contains ctx t k =
-    let _, _, _, _, u = search_full ctx t k in
-    let meta = node_info ctx u in
-    Node_desc.leaf_mem Ctx.read ctx (Llx_scx.payload_addr u)
-      (Node_desc.meta_count meta) k
+    let _, _, u, w0 = search_full ctx t k in
+    Node_desc.leaf_mem Ctx.read ctx (Llx_scx.payload_addr u) w0 k
 
   (* ------------------------------------------------------------------ *)
 
@@ -125,7 +139,7 @@ struct
     | None -> update ctx t k ~insert
 
   and update_attempt ctx t k ~insert =
-    let _gp, _ixp, p, ixc, u = search_full ctx t k in
+    let p, ixc, u, _ = search_full ctx t k in
     match llx_parent ctx p ixc u with
     | None -> None
     | Some ps -> (
@@ -140,8 +154,8 @@ struct
                 if insert then Node_desc.leaf_insert ud k else Node_desc.leaf_remove ud k
               in
               if
-                Llx_scx.scx ctx ~v:[ ps; us ] ~r:[] ~fld:(Llx_scx.field_addr p ixc)
-                  ~old_val:u ~new_val:(Node_desc.write_fitted ~b write_desc ctx d)
+                scx_child ctx ~v:[ ps; us ] ~r:[] ps ixc
+                  (Node_desc.write_fitted ~b write_desc ctx d)
               then begin
                 if
                   if insert then Node_desc.size d > b
@@ -155,13 +169,13 @@ struct
   (* Find the first violation on the search path to k (plain reads). *)
   and find_violation ctx t k =
     let rec go gp ixp p ixc curr =
-      let meta = node_info ctx curr in
+      let meta = Node_desc.meta (node_info ctx curr) in
       if p <> null && Node_desc.violates ~a ~root_child:(p = t.sentinel) meta then
         Some (gp, ixp, p, ixc, curr)
       else if Node_desc.meta_leaf meta then None
       else begin
         let ix = child_slot ctx curr meta k in
-        go p ixc curr ix (Ctx.read ctx (Llx_scx.field_addr curr ix))
+        go p ixc curr ix (child_at ctx curr ix)
       end
     in
     go null (-1) null (-1) t.sentinel
@@ -173,19 +187,17 @@ struct
     let pd = desc_of_snapshot ctx p ps in
     let ud = desc_of_snapshot ctx u us in
     if p = t.sentinel then begin
-      let fld_p = Llx_scx.field_addr p ixc in
       if ud.weight = 0 then
         (* RootUntag *)
         let nn = write_desc ctx (Node_desc.set_weight ud 1) in
-        Llx_scx.scx ctx ~v:[ ps; us ] ~r:[ u ] ~fld:fld_p ~old_val:u ~new_val:nn
+        scx_child ctx ~v:[ ps; us ] ~r:[ u ] ps ixc nn
       else if ud.leaf || Array.length ud.ptrs <> 1 then false
       else begin
         (* RootAbsorb *)
         let c = ud.ptrs.(0) in
         let* cs = llx_node ctx c in
         let nn = write_desc ctx (Node_desc.set_weight (desc_of_snapshot ctx c cs) 1) in
-        Llx_scx.scx ctx ~v:[ ps; us; cs ] ~r:[ u; c ] ~fld:fld_p ~old_val:u
-          ~new_val:nn
+        scx_child ctx ~v:[ ps; us; cs ] ~r:[ u; c ] ps ixc nn
       end
     end
     else if ud.weight = 0 then begin
@@ -197,8 +209,7 @@ struct
         Node_desc.write_fitted ~b write_desc ctx
           (Node_desc.absorb ~parent:pd ~ix:ixc ~child:ud)
       in
-      Llx_scx.scx ctx ~v:[ gs; ps; us ] ~r:[ p; u ] ~fld:(Llx_scx.field_addr gp ixp)
-        ~old_val:p ~new_val:nn
+      scx_child ctx ~v:[ gs; ps; us ] ~r:[ p; u ] gs ixp nn
     end
     else begin
       (* Degree violation: involve an adjacent sibling. *)
@@ -217,15 +228,13 @@ struct
           Node_desc.write_fitted ~b write_desc ctx
             (Node_desc.absorb ~parent:pd ~ix:six ~child:sd)
         in
-        Llx_scx.scx ctx ~v:[ gs; ps; ss ] ~r:[ p; s ] ~fld:(Llx_scx.field_addr gp ixp)
-          ~old_val:p ~new_val:nn
+        scx_child ctx ~v:[ gs; ps; ss ] ~r:[ p; s ] gs ixp nn
       else begin
         let li, l, r = if six < ixc then (six, sd, ud) else (ixc, ud, sd) in
         l.leaf = r.leaf && li < Array.length pd.keys
         &&
         let nn = Node_desc.rebalance_pair ~b write_desc ctx pd li l r in
-        Llx_scx.scx ctx ~v:[ gs; ps; us; ss ] ~r:[ p; u; s ]
-          ~fld:(Llx_scx.field_addr gp ixp) ~old_val:p ~new_val:nn
+        scx_child ctx ~v:[ gs; ps; us; ss ] ~r:[ p; u; s ] gs ixp nn
       end
     end
 
@@ -236,7 +245,11 @@ struct
         let (_ : bool) = apply_step ctx t gp ixp p ixc u in
         rebalance ctx t k
 
-  let insert ctx t k = update ctx t k ~insert:true
+  let insert ctx t k =
+    if not (Mt_core.Half.fits k) then
+      invalid_arg
+        (Printf.sprintf "Abtree_llx.insert: key %d outside [0, 2^31)" k);
+    update ctx t k ~insert:true
   let delete ctx t k = update ctx t k ~insert:false
 
   (* A timing-free read of a node, for the checker on a quiescent machine. *)

@@ -10,7 +10,12 @@
     with a CAS on its info word, marks removed nodes, swings one child
     pointer and commits — the per-update overhead that a single IAS
     replaces in the tagged variant. As the published baseline, a failed
-    update retries at once, without consulting the contention policy. *)
+    update retries at once, without consulting the contention policy.
+
+    {b Key domain.} Nodes hold keys and child addresses in 31-bit
+    half-words ({!Node_desc}), so keys must lie in [\[0, 2^31)]: [insert]
+    raises [Invalid_argument] on a key outside it. [contains] and
+    [delete] of such a key return [false]. *)
 
 module Make (_ : sig
   val a : int
@@ -25,7 +30,11 @@ end) : sig
       tests. *)
 
   (** [write_desc ctx d] allocates a fresh, unpublished node holding [d]
-      in {!Node_desc}'s layout and returns its address. *)
+      in {!Node_desc}'s layout and returns its address: an internal node
+      is a record of [b] field words, a leaf one of the [(b + 2) / 2]
+      words of [b] keys. Raises [Invalid_argument] when [d] has more than
+      [b] children or keys, or a key or child pointer that does not fit
+      31 bits. *)
   val write_desc : Mt_core.Ctx.t -> Node_desc.t -> Mt_core.Ctx.addr
 
   (** [peek_desc machine node] — the node at [node], read timing-free. *)

@@ -161,44 +161,86 @@ let meta_leaf m = m land 1 = 1
 let meta_weight m = (m lsr 1) land 1
 let meta_count m = m lsr 2
 
-(* Memory layout: a leaf is [meta, k0, k1, ...]; an internal node is
-   [meta, p0, k0, p1, k1, ..., pn]. *)
-let key_word ~leaf i = if leaf then 1 + i else 2 + (2 * i)
-let ptr_word i = 1 + (2 * i)
-let last_word ~leaf ~count = if leaf then count else ptr_word count
+module Half = Mt_core.Half
+
+(* Memory layout: slot [s] is the low (even [s]) or high (odd [s]) half
+   of word [s/2]. A leaf's slots are [meta, k0, k1, ...]; an internal
+   node's [meta, p0, k0, p1, k1, ..., pn], so its word [i] holds child
+   pointer [i] in the high half over meta ([i = 0]) or key [i-1]. *)
+let key_slot ~leaf i = if leaf then 1 + i else 2 + (2 * i)
+let ptr_slot i = 1 + (2 * i)
+let slots ~leaf ~count = if leaf then 1 + count else ptr_slot count + 1
+let words ~leaf ~count = (slots ~leaf ~count + 1) / 2
+let ptr_word i = i
+let meta w = Half.low w
+let child w = Half.high w
+
+let check_half v =
+  if not (Half.fits v) then
+    invalid_arg
+      (Printf.sprintf "Node_desc: %d does not fit a 31-bit half-word slot" v)
+
+let with_child w c =
+  check_half c;
+  Half.pack (Half.low w) c
 
 let store write ctx base d =
-  write ctx base (pack_meta ~leaf:d.leaf ~weight:d.weight ~count:(Array.length d.keys));
-  Array.iteri (fun i k -> write ctx (base + key_word ~leaf:d.leaf i) k) d.keys;
-  Array.iteri (fun i p -> write ctx (base + ptr_word i) p) d.ptrs
+  let leaf = d.leaf and count = Array.length d.keys in
+  let slot = Array.make (2 * words ~leaf ~count) 0 in
+  slot.(0) <- pack_meta ~leaf ~weight:d.weight ~count;
+  Array.iteri (fun i k -> slot.(key_slot ~leaf i) <- k) d.keys;
+  Array.iteri (fun i p -> slot.(ptr_slot i) <- p) d.ptrs;
+  Array.iter check_half slot;
+  for j = 0 to (Array.length slot / 2) - 1 do
+    write ctx (base + j) (Half.pack slot.(2 * j) slot.((2 * j) + 1))
+  done
 
-let load word ctx base meta =
-  let count = meta_count meta and leaf = meta_leaf meta in
-  let keys = Array.make count 0 in
-  for i = 0 to count - 1 do
-    keys.(i) <- word ctx (base + key_word ~leaf i)
+let load word ctx base w0 =
+  let m = meta w0 in
+  let count = meta_count m and leaf = meta_leaf m in
+  let slot = Array.make (2 * words ~leaf ~count) 0 in
+  for j = 0 to (Array.length slot / 2) - 1 do
+    let w = if j = 0 then w0 else word ctx (base + j) in
+    slot.(2 * j) <- Half.low w;
+    slot.((2 * j) + 1) <- Half.high w
   done;
-  let ptrs = Array.make (if leaf then 0 else count + 1) 0 in
-  for i = 0 to Array.length ptrs - 1 do
-    ptrs.(i) <- word ctx (base + ptr_word i)
-  done;
-  { weight = meta_weight meta; leaf; keys; ptrs }
+  {
+    weight = meta_weight m;
+    leaf;
+    keys = Array.init count (fun i -> slot.(key_slot ~leaf i));
+    ptrs = (if leaf then [||] else Array.init (count + 1) (fun i -> slot.(ptr_slot i)));
+  }
 
 (* The scans are top-level functions of all their arguments: a local
-   recursive closure would be allocated at every node visited. *)
+   recursive closure would be allocated at every node visited. Key [i]
+   of an internal node is the low half of word [i + 1]; one read per
+   key. *)
 let rec route_from word ctx base count k i =
-  if i >= count || k < word ctx (base + key_word ~leaf:false i) then i
+  if i >= count || k < Half.low (word ctx (base + i + 1)) then i
   else route_from word ctx base count k (i + 1)
 
 let route word ctx base count k = route_from word ctx base count k 0
 
-let rec leaf_mem_from word ctx base count k i =
-  i < count
+(* Leaf key [j] is the high half of word [(j + 1) / 2] when [j] is even,
+   the low half of the next word when [j] is odd: [w] holds keys [j] (low
+   half) and [j + 1] (high half), one read per two keys. *)
+let rec leaf_mem_from word ctx base count k j =
+  j < count
   &&
-  let key = word ctx (base + key_word ~leaf:true i) in
-  key = k || (key < k && leaf_mem_from word ctx base count k (i + 1))
+  let w = word ctx (base + ((j + 1) / 2)) in
+  let x = Half.low w in
+  x = k
+  || x < k && j + 1 < count
+     &&
+     let y = Half.high w in
+     y = k || (y < k && leaf_mem_from word ctx base count k (j + 2))
 
-let leaf_mem word ctx base count k = leaf_mem_from word ctx base count k 0
+let leaf_mem word ctx base w0 k =
+  let count = meta_count (meta w0) in
+  count > 0
+  &&
+  let k0 = Half.high w0 in
+  k0 = k || (k0 < k && leaf_mem_from word ctx base count k 1)
 
 (* The balance predicate both trees rebalance by. *)
 let violates ~a ~root_child m =

@@ -75,42 +75,57 @@ val rebalance_pair : b:int -> ('c -> t -> int) -> 'c -> t -> int -> t -> t -> in
 val pp : Format.formatter -> t -> unit
 
 (** {1 Memory layout} — one layout for both trees, in words counted from
-    a node's meta word. A leaf is [\[meta, k0, k1, …\]]; an internal node
-    interleaves [\[meta, p0, k0, p1, k1, …, pn\]], each key right after
-    the child pointer left of it. The key scan that routes a search to
-    child [i] then reads no word past [2 + 2i]: on 8-word lines, when the
-    meta word starts a line, children 0-2, and every child of a node with
-    at most 3 keys, are served from that line. The functions below read and write through a
-    word accessor [word ctx addr] (or writer [write ctx addr v]) that
-    travels with its [ctx] as a separate argument, so a call allocates no
-    closure. *)
+    a node's first word. Every word holds two 31-bit halves
+    ({!Mt_core.Half}), and slot [s] of a node is the low (even [s]) or
+    high (odd [s]) half of word [s/2]. A leaf's slots are
+    [\[meta, k0, k1, …\]], so its words are [\[meta|k0, k1|k2, …\]]; an
+    internal node's are [\[meta, p0, k0, p1, k1, …, pn\]], so its word [i]
+    holds child pointer [i] in its high half over meta ([i = 0]) or key
+    [i-1], the key left of it. A node of [b] children or [b] keys fits
+    [b] words: at [b = 8], one 8-word line. Keys, child pointers and the
+    meta word must each fit a half ([\[0, 2^31)]).
 
-(** [key_word ~leaf i] — offset of key [i]. *)
-val key_word : leaf:bool -> int -> int
+    The functions below read and write through a word accessor
+    [word ctx addr] (or writer [write ctx addr v]) that travels with its
+    [ctx] as a separate argument, so a call allocates no closure. *)
 
-(** [ptr_word i] — offset of child pointer [i] of an internal node. *)
+(** [words ~leaf ~count] — how many words a node with [count] keys
+    occupies. *)
+val words : leaf:bool -> count:int -> int
+
+(** [ptr_word i] — offset of the word whose high half is child pointer
+    [i] of an internal node. *)
 val ptr_word : int -> int
 
-(** [last_word ~leaf ~count] — offset of the last word a node with
-    [count] keys uses: its last key (a leaf; the meta word when empty) or
-    its last child pointer (an internal node). *)
-val last_word : leaf:bool -> count:int -> int
+(** [meta w] — the meta word out of a node's first word. *)
+val meta : int -> int
 
-(** [store write ctx base d] writes [d] at [base]: meta word, keys, then
-    child pointers. *)
+(** [child w] — the child pointer out of a {!ptr_word} word. *)
+val child : int -> int
+
+(** [with_child w c] — {!ptr_word} word [w] with its child pointer
+    replaced by [c] and its low half (meta or key, immutable) kept: the
+    whole word a child swing writes. Raises [Invalid_argument] when [c]
+    does not fit a half. *)
+val with_child : int -> int -> int
+
+(** [store write ctx base d] writes [d]'s {!words} at [base]. Raises
+    [Invalid_argument], writing nothing, when a key or child pointer does
+    not fit a half. *)
 val store : ('c -> int -> int -> unit) -> 'c -> int -> t -> unit
 
-(** [load word ctx base meta] — the node at [base] whose meta word reads
-    [meta]: its keys, then its child pointers, each read with [word]. *)
+(** [load word ctx base w0] — the node at [base] whose first word reads
+    [w0]: each of its other words read once with [word]. *)
 val load : ('c -> int -> int) -> 'c -> int -> int -> t
 
-(** [route word ctx base count k] — the slot of the child covering [k] in
-    the internal node at [base] with [count] keys: a key scan with early
-    exit. *)
+(** [route word ctx base count k] — the index of the child covering [k]
+    in the internal node at [base] with [count] keys: a key scan with
+    early exit, one read per key. *)
 val route : ('c -> int -> int) -> 'c -> int -> int -> int -> int
 
-(** [leaf_mem word ctx base count k] — is [k] among the [count] keys of
-    the leaf at [base]? A key scan with early exit. *)
+(** [leaf_mem word ctx base w0 k] — is [k] among the keys of the leaf at
+    [base] whose first word reads [w0]? A key scan with early exit, one
+    read per two keys past the first. *)
 val leaf_mem : ('c -> int -> int) -> 'c -> int -> int -> int -> bool
 
 (** {1 Meta-word packing} *)

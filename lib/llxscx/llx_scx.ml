@@ -27,13 +27,13 @@ let aborted = 2
    It is odd, so it can never collide with a line-aligned address. *)
 let quiescent_info = 1
 
-(* After the header, the payload's first word, then each mutable field
-   after one more payload word: field i at header + 1 + 2i. *)
-let field_addr r i = r + header_words + 1 + (2 * i)
+(* The payload starts right after the header with the mutable fields:
+   field i at header + i. *)
+let field_addr r i = r + header_words + i
 let payload_addr r = r + header_words
 
 let alloc_record ctx ~mutable_fields ~extra_words =
-  if mutable_fields < 0 || extra_words < mutable_fields then
+  if mutable_fields < 0 || extra_words < 0 then
     invalid_arg "Llx_scx.alloc_record";
   let r = Ctx.alloc ~label:"llxscx-record" ctx ~words:(header_words + mutable_fields + extra_words) in
   Ctx.write ctx (r + info_off) quiescent_info;

@@ -23,24 +23,25 @@ type addr = Mt_core.Ctx.addr
 
     A data-record has a fixed number of mutable word fields plus an
     immutable payload managed by the client. Layout (word offsets): 0
-    [info], 1 [marked], 2 [nfields], then the payload with the mutable
-    fields interleaved: payload word 3, mutable field [i] at [4 + 2i],
-    so each field follows one payload word (a tree node's meta word, then
-    each separator key between two child pointers), and the rest of the
-    payload after the last field. *)
+    [info], 1 [marked], 2 [nfields], then the payload, which starts with
+    the mutable fields, field [i] at [3 + i], and ends with the immutable
+    words. A field is a whole word, written only by SCX; a client may
+    keep immutable data in part of it (a tree node packs its meta word or
+    a separator key beside each child pointer) and SCX the whole word
+    with that part unchanged. *)
 
 (** [alloc_record ctx ~mutable_fields ~extra_words] allocates a fresh
     data-record of [3 + mutable_fields + extra_words] words: [mutable_fields]
-    mutable slots and [extra_words] immutable payload words, at least one
-    per mutable field. Returns its address; the record starts unmarked
-    with a quiescent info. *)
+    mutable slots and [extra_words] immutable payload words after them.
+    Returns its address; the record starts unmarked with a quiescent
+    info. *)
 val alloc_record : Mt_core.Ctx.t -> mutable_fields:int -> extra_words:int -> addr
 
 (** Address of mutable field [i] of record [r] (for SCX's [fld]). *)
 val field_addr : addr -> int -> addr
 
-(** Address of the first immutable payload word, right after the
-    header. *)
+(** Address of the payload's first word, right after the header: field
+    0 when the record has mutable fields. *)
 val payload_addr : addr -> addr
 
 (** Write mutable field [i] directly — only valid during initialisation,

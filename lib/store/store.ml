@@ -142,14 +142,12 @@ type t =
    rounds a scan makes, before falling back to serialized locking. *)
 let txn_max_retries = 8
 
-(* Keys share a word with another 31-bit field in the B+-tree's
-   nodes. *)
-let key_space_limit = 1 lsl 31
-
 let create (backend : (module Backend.S)) ctx ~shards ~key_space =
   if shards <= 0 then invalid_arg "Store.create: shards must be positive";
   if key_space < shards then invalid_arg "Store.create: key_space < shards";
-  if key_space > key_space_limit then
+  (* Keys share a word with another 31-bit field in the B+-tree's
+     nodes. *)
+  if key_space > Half.limit then
     invalid_arg "Store.create: key_space > 2^31, past the 31-bit key field";
   let (module B) = backend in
   (* One word per line, so shard locks never false-share; memory comes

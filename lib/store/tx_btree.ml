@@ -21,12 +21,9 @@ let null = Mt_sim.Memory.null
    node's first write, so writes made visible in first-write order
    (NOrec's in-order write-back, or the direct instance's program order)
    publish it before any pointer to the node. *)
-let half_bits = 31
-let half_limit = 1 lsl half_bits
-let half_mask = half_limit - 1
-let low w = w land half_mask
-let high w = w lsr half_bits
-let pack lo hi = lo lor (hi lsl half_bits)
+let low = Half.low
+let high = Half.high
+let pack = Half.pack
 let leaf_bit = 1
 let key_base = 1
 let leaf_cap = 14
@@ -90,7 +87,7 @@ module Make (S : ACCESS) = struct
 
   let new_node ctx =
     let n = Ctx.alloc ~label:"btree-node" ctx ~words:node_words in
-    if n >= half_limit then
+    if not (Half.fits n) then
       invalid_arg "Tx_btree: node address past the 31-bit pointer field";
     n
 
@@ -280,7 +277,7 @@ module Make (S : ACCESS) = struct
     | Split { sep; right } -> inner_insert tx node w0 n i sep right
 
   let check_key k =
-    if k < 0 || k >= half_limit then
+    if not (Half.fits k) then
       invalid_arg "Tx_btree.insert: key outside the 31-bit key field"
 
   let insert tx t k =

@@ -469,8 +469,9 @@ let prop_violates =
 
 (* ------------------------------------------------------------------ *)
 (* Node layout: both (4,8)-trees store a node as Node_desc lays it out,
-   a leaf [meta, k0, k1, ...], an internal node [meta, p0, k0, p1, k1,
-   ..., pn], inside a fixed allocation per tree and node kind. *)
+   two 31-bit half slots per word: a leaf [meta|k0, k1|k2, ...], an
+   internal node [meta|p0, k0|p1, ..., k(n-1)|pn], inside a fixed
+   allocation per tree and node kind. *)
 
 module type LAYOUT = sig
   include CHECKED_SET
@@ -480,19 +481,24 @@ module type LAYOUT = sig
   val of_root : Ctx.t -> Ctx.addr -> t
 end
 
-(* Each tree's node allocation, in words: 2b + 2 for every HoH node; for
-   an LLX record 3 header words, b + 1 child-pointer fields (internal
-   nodes only), the meta word and b key slots. *)
-let hoh_alloc ~leaf:_ = (2 * Mid.b) + 2
-let llx_alloc ~leaf = 3 + (if leaf then 0 else Mid.b + 1) + 1 + Mid.b
+(* Each tree's node allocation, in words: b for every HoH node; for an
+   LLX record 3 header words, then b field words (internal) or the
+   (b + 2) / 2 words of b keys (leaf). *)
+let hoh_alloc ~leaf:_ = Mid.b
+let llx_header = 3
+let llx_alloc ~leaf = llx_header + if leaf then (Mid.b + 2) / 2 else Mid.b
 
-(* A leaf or internal node of every key count from 0 to b, with keys
-   and child pointers distinct from each other and from 0. *)
+(* A leaf of 0 to b keys or an internal node of 1 to b children, with
+   keys and child pointers distinct from each other and from 0. *)
 let layout_arb =
   QCheck.make
     ~print:(fun d -> Format.asprintf "%a" Node_desc.pp d)
     QCheck.Gen.(
-      triple bool (int_range 0 Mid.b) (int_range 0 1) >>= fun (leaf, count, weight) ->
+      bool >>= fun leaf ->
+      triple (return leaf)
+        (if leaf then int_range 0 Mid.b else int_range 0 (Mid.b - 1))
+        (int_range 0 1)
+      >>= fun (leaf, count, weight) ->
       map
         (fun keys ->
           let ptrs =
@@ -515,39 +521,40 @@ let prop_layout_roundtrip name (module T : LAYOUT) ~alloc =
            (fun w -> Machine.peek m (n + w) = 0)
            (List.init 64 (( + ) words)))
 
-(* The mechanism of the interleaved layout: a search for the key of
-   child [ix], on a core that has read nothing, misses in the root on
-   exactly the lines up to word 2 + 2 ix, where key [ix] ends the key
-   scan, or, for the last child, up to its pointer at word 1 + 2 count;
-   [header] words of record header come first. With no header, children
-   0-2, and every child of a root with at most 3 keys, cost one line.
-   The sentinel and the leaf (its meta word and first key) cost one line
-   each. *)
+(* An internal root with [count] keys 100, 200, ..., over [count + 1]
+   full leaves, leaf i holding 100 i .. 100 i + b - 1. *)
+let full_leaves_root (module T : LAYOUT) ctx ~count =
+  let leaf i = T.write_desc ctx (node ~leaf:true (Array.init Mid.b (fun j -> (100 * i) + j))) in
+  T.write_desc ctx
+    {
+      Node_desc.weight = 1;
+      leaf = false;
+      keys = Array.init count (fun i -> 100 * (i + 1));
+      ptrs = Array.init (count + 1) leaf;
+    }
+
+(* The mechanism of the half-width layout: a search for the last key of
+   leaf [ix], on a core that has read nothing, scans the whole leaf and
+   the root's keys up to the one that ends its scan. In the HoH tree
+   every node is one line, so the search misses on exactly three lines:
+   sentinel, root and leaf. In the LLX tree the leaf is one line too
+   (3 header words and the 5 words of b keys); the root, 3 header words
+   and then word i holding child i, misses on the lines up to the word
+   of the key that ends the scan, or of the last child. *)
 let test_descent_misses (module T : LAYOUT) ~header () =
-  for count = 1 to Mid.b - 1 do
+  for count = 0 to Mid.b - 1 do
     for ix = 0 to count do
       let m = machine ~cores:2 () in
       let line_words = Config.line_words (Machine.cfg m) in
-      (* An internal root with keys 10, 20, ..., 10 count over count + 1
-         one-key leaves, leaf i holding 10 i. *)
       let t =
-        Harness.exec1 m (fun ctx ->
-            let leaf i = T.write_desc ctx (node ~leaf:true [| 10 * i |]) in
-            T.of_root ctx
-              (T.write_desc ctx
-                 {
-                   Node_desc.weight = 1;
-                   leaf = false;
-                   keys = Array.init count (fun i -> 10 * (i + 1));
-                   ptrs = Array.init (count + 1) leaf;
-                 }))
+        Harness.exec1 m (fun ctx -> T.of_root ctx (full_leaves_root (module T) ctx ~count))
       in
       let found = ref false in
       let (_ : int) =
         Harness.exec m ~threads:2 (fun ctx ->
-            if Ctx.core ctx = 1 then found := T.contains ctx t (10 * ix))
+            if Ctx.core ctx = 1 then found := T.contains ctx t ((100 * ix) + Mid.b - 1))
       in
-      let last = header + if ix < count then 2 + (2 * ix) else 1 + (2 * count) in
+      let last = header + min (ix + 1) count in
       check_bool "found" true !found;
       check_int
         (Printf.sprintf "%s: %d keys, child %d" T.name count ix)
@@ -556,16 +563,16 @@ let test_descent_misses (module T : LAYOUT) ~header () =
     done
   done
 
-(* [Abtree_hoh.collect] tags a node's meta line, then the node's other
-   lines up to its last key or child pointer in one more load, and
-   reads the words plainly. Over hand-built trees whose nodes have every
-   count (internal roots of 0 to b keys, leaves of 0 to b keys), a
-   [range] on a core that has read nothing misses only on tagged loads:
-   each L1 miss is followed by the tag of the same line, so no word the
-   walk reads lies in a line it did not tag. *)
+(* [Abtree_hoh.collect] tags a node's first line, then any other lines
+   its words use in one more load, and reads the words plainly. Over
+   hand-built trees whose nodes have every count (internal roots of 0 to
+   b - 1 keys, leaves of 0 to b keys), a [range] on a core that has read
+   nothing misses only on tagged loads: each L1 miss is followed by the
+   tag of the same line, so no word the walk reads lies in a line it did
+   not tag. *)
 let test_range_reads_tagged_lines () =
   let b = Mid.b in
-  for count = 0 to b do
+  for count = 0 to b - 1 do
     let obs = Mt_obs.Obs.create ~num_cores:2 () in
     let m = Machine.create ~obs (Config.default ~num_cores:2 ()) in
     (* Leaf i holds (count + i) mod (b + 1) keys, all in its child's
@@ -622,6 +629,56 @@ let test_range_reads_tagged_lines () =
       (Printf.sprintf "%d keys: a line read untagged" count)
       None (untagged trail)
   done
+
+let check_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+(* Every slot is a 31-bit half: [write_desc] rejects an internal node of
+   b keys (b + 1 children, past its b words) and any key or child
+   pointer past 31 bits, and [insert] rejects a key outside [0, 2^31),
+   which [contains] and [delete] report absent. *)
+let test_domain (module T : LAYOUT) () =
+  let m = machine ~cores:1 () in
+  Harness.exec1 m (fun ctx ->
+      let t = T.create ctx in
+      let wide = Mt_core.Half.limit in
+      let write what d = check_invalid (T.name ^ ": " ^ what) (fun () -> T.write_desc ctx d) in
+      write "internal node of b keys" (node ~leaf:false (Array.init Mid.b (fun i -> i + 1)));
+      write "leaf key past 31 bits" (node ~leaf:true [| 1; wide |]);
+      write "separator past 31 bits" (node ~leaf:false [| wide |]);
+      write "negative key" (node ~leaf:true [| -1 |]);
+      write "child past 31 bits"
+        { (node ~leaf:false [| 5 |]) with ptrs = [| 1; wide |] };
+      List.iter
+        (fun k ->
+          check_invalid
+            (Printf.sprintf "%s: insert %d" T.name k)
+            (fun () -> T.insert ctx t k))
+        [ -1; wide; max_int ];
+      check_bool "contains -1" false (T.contains ctx t (-1));
+      check_bool "delete 2^31" false (T.delete ctx t wide);
+      check_bool "largest key" true (T.insert ctx t (wide - 1));
+      check_bool "largest key found" true (T.contains ctx t (wide - 1)));
+  check_invalid "with_child past 31 bits" (fun () ->
+      Node_desc.with_child 0 Mt_core.Half.limit)
+
+(* A HoH node is exactly one line: consecutive [write_desc] calls, of
+   either node kind, return addresses one line apart. A larger
+   allocation would start every node's only line on an even line index,
+   leaving half the L2 sets unused. *)
+let test_hoh_nodes_one_line_apart () =
+  let m = machine ~cores:1 () in
+  let line_words = Config.line_words (Machine.cfg m) in
+  Harness.exec1 m (fun ctx ->
+      List.iter
+        (fun leaf ->
+          let d = node ~leaf (Array.init (Mid.b - 1) (fun i -> i + 1)) in
+          let n1 = Hoh_mid.write_desc ctx d in
+          let n2 = Hoh_mid.write_desc ctx d in
+          check_int (if leaf then "leaves" else "internal nodes") line_words (n2 - n1))
+        [ true; false ])
 
 (* Randomized sequential oracle against stdlib Set, at both parameter
    choices, exercising deep splits and merges. *)
@@ -758,9 +815,15 @@ let () =
           Alcotest.test_case "hoh descent misses" `Quick
             (test_descent_misses (module Hoh_mid) ~header:0);
           Alcotest.test_case "llx descent misses" `Quick
-            (test_descent_misses (module Llx_mid) ~header:3);
+            (test_descent_misses (module Llx_mid) ~header:llx_header);
           Alcotest.test_case "range reads only tagged lines" `Quick
             test_range_reads_tagged_lines;
+          Alcotest.test_case "hoh key and slot domain" `Quick
+            (test_domain (module Hoh_mid));
+          Alcotest.test_case "llx key and slot domain" `Quick
+            (test_domain (module Llx_mid));
+          Alcotest.test_case "hoh nodes one line apart" `Quick
+            test_hoh_nodes_one_line_apart;
         ]
         @ qsuite
             [

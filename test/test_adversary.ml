@@ -274,9 +274,9 @@ let test_shrink_buggy_abtree () =
   check_shrink_pinned
     (module Buggy_abtree)
     ~config:
-      "threads=2 ops=2 range=2 prefill=0 max-delay=0 seed=4 \
+      "threads=2 ops=2 range=2 prefill=0 max-delay=7 seed=4 \
        spec=straggler=0.02,2000"
-    ~runs:216
+    ~runs:377
 
 let test_shrink_idempotent () =
   let initial = find_failure (module Buggy_list) in
