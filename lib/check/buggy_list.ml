@@ -5,45 +5,47 @@ type t = { head : Ctx.addr }
 
 let name = "buggy-list"
 
-let create ctx =
-  let tail = Node.alloc ctx ~key:max_int ~next:Mt_sim.Memory.null ~marked:false in
-  let head = Node.alloc ctx ~key:min_int ~next:tail ~marked:false in
-  { head }
+let create ctx = { head = Node.sentinels ctx }
 
-(* Unvalidated traversal; never observes marks because nothing sets them. *)
+(* Unvalidated traversal; never observes marks because nothing sets them.
+   Returns [(pred, pw, curr, cw)]: the nodes and the words it read. *)
 let locate ctx t k =
-  let rec advance pred curr =
-    let ck = Node.key ctx curr in
-    if ck >= k then (pred, curr, ck)
-    else advance curr (Node.ptr_of (Node.next_packed ctx curr))
+  let rec advance pred pw curr =
+    let cw = Node.read ctx curr in
+    if Node.key cw >= k then (pred, pw, curr, cw) else advance curr cw (Node.next cw)
   in
-  let first = Node.ptr_of (Node.next_packed ctx t.head) in
-  advance t.head first
+  let hw = Node.read ctx t.head in
+  advance t.head hw (Node.next hw)
 
 (* The bug: between [locate] and the plain write the fiber stalls on memory
    latency, so a concurrent update to the same neighbourhood is silently
    overwritten — no tag, no validation, no atomic swing. *)
 let insert ctx t k =
-  let pred, _curr, ck = locate ctx t k in
-  if ck = k then false
+  Node.check_key name k;
+  let pred, _, _, cw = locate ctx t k in
+  if Node.key cw = k then false
   else begin
-    let curr = Node.ptr_of (Node.next_packed ctx pred) in
-    let node = Node.alloc ctx ~key:k ~next:curr ~marked:false in
-    Ctx.write ctx (pred + Node.next_off) (Node.pack node ~marked:false);
+    let pw = Node.read ctx pred in
+    let node = Node.alloc ctx ~key:k ~next:(Node.next pw) in
+    Ctx.write ctx pred (Node.with_next pw node);
     true
   end
 
 let delete ctx t k =
-  let pred, curr, ck = locate ctx t k in
-  if ck <> k then false
-  else begin
-    let succ = Node.ptr_of (Node.next_packed ctx curr) in
-    Ctx.write ctx (pred + Node.next_off) (Node.pack succ ~marked:false);
-    true
-  end
+  if not (Node.in_domain k) then false
+  else
+    let pred, pw, curr, cw = locate ctx t k in
+    if Node.key cw <> k then false
+    else begin
+      let succ = Node.next (Node.read ctx curr) in
+      Ctx.write ctx pred (Node.with_next pw succ);
+      true
+    end
 
 let contains ctx t k =
-  let _, _, ck = locate ctx t k in
-  ck = k
+  if not (Node.in_domain k) then false
+  else
+    let _, _, _, cw = locate ctx t k in
+    Node.key cw = k
 
 let to_list_unsafe machine t = Node.to_list_unsafe machine t.head

@@ -63,29 +63,28 @@ let with_lock ctx t f =
   result
 
 let slow_locate ctx t k =
-  let rec go pred curr =
-    let ck = Node.key ctx curr in
-    if ck >= k then (pred, curr, ck)
-    else go curr (Node.ptr_of (Node.next_packed ctx curr))
+  let rec go pred pw curr =
+    let cw = Node.read ctx curr in
+    if Node.key cw >= k then (pred, pw, cw) else go curr cw (Node.next cw)
   in
   let head = Hoh_list.head t.list in
-  go head (Node.ptr_of (Node.next_packed ctx head))
+  let hw = Node.read ctx head in
+  go head hw (Node.next hw)
 
 let slow_insert ctx t k () =
-  let pred, curr, ck = slow_locate ctx t k in
-  if ck = k then false
+  let pred, pw, cw = slow_locate ctx t k in
+  if Node.key cw = k then false
   else begin
-    let node = Node.alloc ~label:"elided-node" ctx ~key:k ~next:curr ~marked:false in
-    Ctx.write ctx (pred + Node.next_off) (Node.pack node ~marked:false);
+    let node = Node.alloc ~label:"elided-node" ctx ~key:k ~next:(Node.next pw) in
+    Ctx.write ctx pred (Node.with_next pw node);
     true
   end
 
 let slow_delete ctx t k () =
-  let pred, curr, ck = slow_locate ctx t k in
-  if ck <> k then false
+  let pred, pw, cw = slow_locate ctx t k in
+  if Node.key cw <> k then false
   else begin
-    let succ = Node.ptr_of (Node.next_packed ctx curr) in
-    Ctx.write ctx (pred + Node.next_off) (Node.pack succ ~marked:false);
+    Ctx.write ctx pred (Node.with_next pw (Node.next cw));
     true
   end
 
@@ -125,9 +124,12 @@ let elide ctx t k ~step ~slow =
   in
   attempt 0
 
-let insert ctx t k = elide ctx t k ~step:Hoh_list.insert_at ~slow:slow_insert
+let insert ctx t k =
+  Node.check_key name k;
+  elide ctx t k ~step:Hoh_list.insert_at ~slow:slow_insert
 
-let delete ctx t k = elide ctx t k ~step:Hoh_list.delete_at ~slow:slow_delete
+let delete ctx t k =
+  Node.in_domain k && elide ctx t k ~step:Hoh_list.delete_at ~slow:slow_delete
 
 (* Plain traversal; linearizable for the same frozen-successor reason as in
    Hoh_list: neither fast nor slow deletes ever write the removed node. *)

@@ -4,80 +4,69 @@ type t = { head : Ctx.addr }
 
 let name = "harris-list"
 
-let create ctx =
-  let tail = Node.alloc ~label:"harris-node" ctx ~key:max_int ~next:Mt_sim.Memory.null ~marked:false in
-  let head = Node.alloc ~label:"harris-node" ctx ~key:min_int ~next:tail ~marked:false in
-  { head }
+let create ctx = { head = Node.sentinels ~label:"harris-node" ctx }
 
-(* [search ctx t k] returns [(pred, curr, curr_key)] with
-   [pred.key < k <= curr_key] and both nodes unmarked when observed.
-   Physically unlinks any marked nodes it passes (Michael's helping). *)
+(* [search ctx t k] returns [(pred, pw, curr, cw)] with
+   [pred.key < k <= key cw], where [pw] and [cw] are the unmarked words of
+   [pred] and [curr] as observed. Physically unlinks any marked nodes it
+   passes (Michael's helping). *)
 let rec search ctx t k =
-  let rec advance pred curr =
-    let curr_next = Node.next_packed ctx curr in
-    if Node.is_marked curr_next then begin
-      let succ = Node.ptr_of curr_next in
-      if
-        Ctx.cas ctx
-          (pred + Node.next_off)
-          ~expected:(Node.pack curr ~marked:false)
-          ~desired:(Node.pack succ ~marked:false)
-      then advance pred succ
+  let rec advance pred pw curr =
+    let cw = Node.read ctx curr in
+    if Node.is_marked cw then begin
+      let unlinked = Node.with_next pw (Node.next cw) in
+      if Ctx.cas ctx pred ~expected:pw ~desired:unlinked then
+        advance pred unlinked (Node.next cw)
       else search ctx t k
     end
+    else if Node.key cw >= k then (pred, pw, curr, cw)
+    else advance curr cw (Node.next cw)
+  in
+  let hw = Node.read ctx t.head in
+  advance t.head hw (Node.next hw)
+
+let insert ctx t k =
+  Node.check_key name k;
+  let rec go () =
+    let pred, pw, curr, cw = search ctx t k in
+    if Node.key cw = k then false
     else begin
-      let ck = Node.key ctx curr in
-      if ck >= k then (pred, curr, ck) else advance curr (Node.ptr_of curr_next)
+      let node = Node.alloc ~label:"harris-node" ctx ~key:k ~next:curr in
+      if Ctx.cas ctx pred ~expected:pw ~desired:(Node.with_next pw node) then true
+      else go ()
     end
   in
-  let first = Node.ptr_of (Node.next_packed ctx t.head) in
-  advance t.head first
+  go ()
 
-let rec insert ctx t k =
-  let pred, curr, ck = search ctx t k in
-  if ck = k then false
-  else begin
-    let node = Node.alloc ~label:"harris-node" ctx ~key:k ~next:curr ~marked:false in
-    if
-      Ctx.cas ctx
-        (pred + Node.next_off)
-        ~expected:(Node.pack curr ~marked:false)
-        ~desired:(Node.pack node ~marked:false)
-    then true
-    else insert ctx t k
-  end
-
-let rec delete ctx t k =
-  let pred, curr, ck = search ctx t k in
-  if ck <> k then false
-  else begin
-    let curr_next = Node.next_packed ctx curr in
-    if Node.is_marked curr_next then delete ctx t k
-    else if
-      (* Logical deletion: set the mark bit on curr's next pointer. *)
-      Ctx.cas ctx
-        (curr + Node.next_off)
-        ~expected:curr_next
-        ~desired:(Node.pack (Node.ptr_of curr_next) ~marked:true)
-    then begin
-      (* Best-effort physical unlink; traversals will finish the job. *)
-      ignore
-        (Ctx.cas ctx
-           (pred + Node.next_off)
-           ~expected:(Node.pack curr ~marked:false)
-           ~desired:(Node.pack (Node.ptr_of curr_next) ~marked:false));
-      true
+let delete ctx t k =
+  let rec go () =
+    let pred, pw, curr, cw = search ctx t k in
+    if Node.key cw <> k then false
+    else begin
+      (* A fresh read: a successor inserted since the search does not fail
+         the mark. *)
+      let cw = Node.read ctx curr in
+      if Node.is_marked cw then go ()
+      else if
+        (* Logical deletion: set the mark bit in curr's word. *)
+        Ctx.cas ctx curr ~expected:cw ~desired:(Node.mark cw)
+      then begin
+        (* Best-effort physical unlink; traversals will finish the job. *)
+        ignore (Ctx.cas ctx pred ~expected:pw ~desired:(Node.with_next pw (Node.next cw)));
+        true
+      end
+      else go ()
     end
-    else delete ctx t k
-  end
+  in
+  Node.in_domain k && go ()
 
 (* Wait-free membership test: pure traversal, no helping. *)
 let contains ctx t k =
   let rec go node =
-    let ck = Node.key ctx node in
-    if ck < k then go (Node.ptr_of (Node.next_packed ctx node))
-    else ck = k && not (Node.is_marked (Node.next_packed ctx node))
+    let w = Node.read ctx node in
+    if Node.key w < k then go (Node.next w)
+    else Node.key w = k && not (Node.is_marked w)
   in
-  go (Node.ptr_of (Node.next_packed ctx t.head))
+  Node.in_domain k && go (Node.next (Node.read ctx t.head))
 
 let to_list_unsafe machine t = Node.to_list_unsafe machine t.head

@@ -24,25 +24,29 @@ val create_labelled : label:string -> Mt_core.Ctx.t -> t
 
 val head : t -> Mt_core.Ctx.addr
 
-(** [walk ctx t k] is one attempt of LOCATE: it returns
-    [(pred, curr, curr_key)] with [pred] and [curr] left tagged, or raises
-    {!Mt_core.Ctx.Restart} when a validation fails. The caller must
+(** [(pred, pw, curr, cw)]: two adjacent nodes and the {!Node} words their
+    tagged loads read. *)
+type window = Mt_core.Ctx.addr * int * Mt_core.Ctx.addr * int
+
+(** [walk ctx t k] is one attempt of LOCATE: it returns the window with
+    [pred.key < k <= Node.key cw] and [pred] and [curr] left tagged, or
+    raises {!Mt_core.Ctx.Restart} when a validation fails. The caller must
     eventually [clear_tag_set]. *)
-val walk : Mt_core.Ctx.t -> t -> int -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int
+val walk : Mt_core.Ctx.t -> t -> int -> window
 
 (** [insert_at ctx t window k] and [delete_at ctx t window k] are the
     commit steps of INSERT (a VAS) and DELETE (an IAS) on a window from
     {!walk}, tags still held: [Some result] when the operation is decided,
-    [None] when the swap lost a race. They leave the tag set as it is. *)
-val insert_at :
-  Mt_core.Ctx.t -> t -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int -> int -> bool option
+    [None] when the swap lost a race. Each writes [pred]'s whole word,
+    built from [pw]; [delete_at] takes curr's successor from [cw]. They
+    leave the tag set as it is. *)
+val insert_at : Mt_core.Ctx.t -> t -> window -> int -> bool option
 
-val delete_at :
-  Mt_core.Ctx.t -> t -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int -> int -> bool option
+val delete_at : Mt_core.Ctx.t -> t -> window -> int -> bool option
 
 (** Internals exposed for white-box tests (e.g. reproducing Figure 1). *)
 module For_testing : sig
-  (** [locate ctx t k] returns [(pred, curr, curr_key)] and leaves [pred]
-      and [curr] tagged; the caller must [clear_tag_set]. *)
-  val locate : Mt_core.Ctx.t -> t -> int -> Mt_core.Ctx.addr * Mt_core.Ctx.addr * int
+  (** [locate ctx t k] returns {!walk}'s window and leaves [pred] and
+      [curr] tagged; the caller must [clear_tag_set]. *)
+  val locate : Mt_core.Ctx.t -> t -> int -> window
 end

@@ -1,48 +1,39 @@
-(** Shared node layout and pointer packing for the list variants.
-
-    A node occupies one cache line: word 0 is the key, word 1 the packed
-    next pointer. In the marking-based variants (Harris–Michael, VAS) the
-    low bit of the packed pointer is the mark bit; the HoH variant always
-    stores it as 0. Packing leaves 61 bits for word addresses, far more
-    than any simulation uses. *)
-
-let words = 2
-let key_off = 0
-let next_off = 1
-
-let pack ptr ~marked = (ptr lsl 1) lor (if marked then 1 else 0)
-let ptr_of packed = packed asr 1
-let is_marked packed = packed land 1 = 1
-
 open Mt_core
 
-(* [alloc ctx k next] builds a fresh node (its own cache line). [label]
-   attributes the line in the hot-line contention profiler. *)
-let alloc ?(label = "list-node") ctx ~key ~next ~marked =
+let words = 1
+let tail_key = Half.limit - 1
+let in_domain k = k >= 0 && k < tail_key
+
+let word ~key ~next = Half.pack key (next lsl 1)
+let key w = Half.low w
+let next w = Half.high w lsr 1
+let is_marked w = Half.high w land 1 = 1
+let with_next w n = word ~key:(key w) ~next:n
+let mark w = Half.pack (key w) (Half.high w lor 1)
+
+let read ctx node = Ctx.read ctx node
+let tagged_read ctx node = Ctx.add_tag_read ctx node ~words
+
+let alloc ?(label = "list-node") ctx ~key ~next =
   let node = Ctx.alloc ~label ctx ~words in
-  Ctx.write ctx (node + key_off) key;
-  Ctx.write ctx (node + next_off) (pack next ~marked);
+  Ctx.write ctx node (word ~key ~next);
   node
 
-let key ctx node = Ctx.read ctx (node + key_off)
-let next_packed ctx node = Ctx.read ctx (node + next_off)
+let sentinels ?label ctx =
+  let tail = alloc ?label ctx ~key:tail_key ~next:Mt_sim.Memory.null in
+  alloc ?label ctx ~key:0 ~next:tail
 
-(* Tagged loads: tag the node's line and return a field in one access —
-   the fused "AddTag(x, sizeof(node)); read x" pattern. *)
-let tagged_key ctx node = Ctx.add_tag_read ctx (node + key_off) ~words
-let tagged_next ctx node = Ctx.add_tag_read ctx (node + next_off) ~words:1
+let check_key name k =
+  if not (in_domain k) then
+    invalid_arg
+      (Printf.sprintf "%s.insert: key %d outside [0, 2^31 - 1)" name k)
 
-(* Direct (timing-free) list walk for test oracles. *)
 let to_list_unsafe machine head =
-  let open Mt_sim in
+  let peek node = Mt_sim.Machine.peek machine node in
+  (* The tail, the one node with a null successor, ends the walk. *)
   let rec go node acc =
-    if node = Memory.null then List.rev acc
-    else
-      let k = Machine.peek machine (node + key_off) in
-      let nx = Machine.peek machine (node + next_off) in
-      let acc =
-        if k = min_int || k = max_int || is_marked nx then acc else k :: acc
-      in
-      go (ptr_of nx) acc
+    let w = peek node in
+    if next w = Mt_sim.Memory.null then List.rev acc
+    else go (next w) (if is_marked w then acc else key w :: acc)
   in
-  go head []
+  go (next (peek head)) []

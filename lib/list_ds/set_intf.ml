@@ -2,9 +2,12 @@
     repository (lists and trees alike), as consumed by the workload driver
     in [lib/workload].
 
-    Keys are OCaml ints strictly between [min_int] and [max_int] (the
-    sentinel keys). All operations must be called from within a simulated
-    fiber (they stall). *)
+    Keys are non-negative ints that fit a {!Mt_core.Half}: the lists take
+    [\[0, Half.limit - 1)] (the tail sentinel holds [Half.limit - 1]), the
+    trees [\[0, Half.limit)]. [insert] raises [Invalid_argument] on a key
+    outside the domain; [contains] and [delete] of such a key return
+    [false]. All operations must be called from within a simulated fiber
+    (they stall). *)
 
 module type SET = sig
   type t

@@ -4,21 +4,18 @@ type t = { head : Ctx.addr }
 
 let name = "vas-list"
 
-let create ctx =
-  let tail = Node.alloc ~label:"vas-node" ctx ~key:max_int ~next:Mt_sim.Memory.null ~marked:false in
-  let head = Node.alloc ~label:"vas-node" ctx ~key:min_int ~next:tail ~marked:false in
-  { head }
+let create ctx = { head = Node.sentinels ~label:"vas-node" ctx }
 
-(* HELPIFNEEDED (Algorithm 1, lines 3-12): [curr] is marked; unlink it from
-   [pred] with tag + VAS. Always followed by a restart of LOCATE. *)
-let help ctx pred curr curr_next =
-  let pn = Node.tagged_next ctx pred in
-  if Node.is_marked pn || Node.ptr_of pn <> curr then Ctx.clear_tag_set ctx
+(* HELPIFNEEDED (Algorithm 1, lines 3-12): [curr], whose word is [cw], is
+   marked; unlink it from [pred] with tag + VAS. Always followed by a
+   restart of LOCATE. *)
+let help ctx pred curr cw =
+  let pw = Node.tagged_read ctx pred in
+  if Node.is_marked pw || Node.next pw <> curr then Ctx.clear_tag_set ctx
   else begin
-    let (_ : int) = Node.tagged_next ctx curr in
+    let (_ : int) = Node.tagged_read ctx curr in
     (* Marked nodes never change, so succ is the same for all helpers. *)
-    let succ = Node.ptr_of curr_next in
-    ignore (Ctx.vas ctx (pred + Node.next_off) (Node.pack succ ~marked:false));
+    ignore (Ctx.vas ctx pred (Node.with_next pw (Node.next cw)));
     Ctx.clear_tag_set ctx
   end
 
@@ -26,45 +23,43 @@ let help ctx pred curr curr_next =
    the search from scratch. Returns [(pred, curr, curr_key)]. *)
 let rec locate ctx t k =
   let rec advance pred curr =
-    let curr_next = Node.next_packed ctx curr in
-    if Node.is_marked curr_next then begin
-      help ctx pred curr curr_next;
+    let cw = Node.read ctx curr in
+    if Node.is_marked cw then begin
+      help ctx pred curr cw;
       locate ctx t k
     end
-    else begin
-      let ck = Node.key ctx curr in
-      if ck >= k then (pred, curr, ck) else advance curr (Node.ptr_of curr_next)
-    end
+    else if Node.key cw >= k then (pred, curr, Node.key cw)
+    else advance curr (Node.next cw)
   in
-  let first = Node.ptr_of (Node.next_packed ctx t.head) in
-  advance t.head first
+  advance t.head (Node.next (Node.read ctx t.head))
 
 (* Tag pred and curr, then re-check that both are unmarked and adjacent
-   (Algorithm 1 lines 26-30 / 40-45). Returns [None] on conflict, otherwise
-   [Some curr_next]. *)
+   (Algorithm 1 lines 26-30 / 40-45). Returns [None] on conflict,
+   otherwise [Some (pw, cw)], the words the tagged loads read. *)
 let tag_and_check ctx pred curr =
-  let pn = Node.tagged_next ctx pred in
-  let cn = Node.tagged_next ctx curr in
-  if Node.is_marked pn || Node.is_marked cn || Node.ptr_of pn <> curr then begin
+  let pw = Node.tagged_read ctx pred in
+  let cw = Node.tagged_read ctx curr in
+  if Node.is_marked pw || Node.is_marked cw || Node.next pw <> curr then begin
     Ctx.clear_tag_set ctx;
     None
   end
-  else Some cn
+  else Some (pw, cw)
 
 let insert ctx t k =
+  Node.check_key name k;
   let rec go attempt =
     let pred, curr, ck = locate ctx t k in
     if ck = k then false
     else
       let retry () =
-        Ctx.cm_wait ~site:(pred + Node.next_off) ctx ~attempt;
+        Ctx.cm_wait ~site:pred ctx ~attempt;
         go (attempt + 1)
       in
       match tag_and_check ctx pred curr with
       | None -> retry ()
-      | Some _curr_next ->
-          let node = Node.alloc ~label:"vas-node" ctx ~key:k ~next:curr ~marked:false in
-          if Ctx.vas ctx (pred + Node.next_off) (Node.pack node ~marked:false) then begin
+      | Some (pw, _cw) ->
+          let node = Node.alloc ~label:"vas-node" ctx ~key:k ~next:curr in
+          if Ctx.vas ctx pred (Node.with_next pw node) then begin
             Ctx.clear_tag_set ctx;
             true
           end
@@ -85,30 +80,28 @@ let delete ctx t k =
         go (attempt + 1)
       in
       match tag_and_check ctx pred curr with
-      | None -> retry (pred + Node.next_off)
-      | Some curr_next ->
-          let succ = Node.ptr_of curr_next in
-          (* Logical deletion via VAS on curr's own next pointer. *)
-          if not (Ctx.vas ctx (curr + Node.next_off) (Node.pack succ ~marked:true))
-          then begin
+      | None -> retry pred
+      | Some (pw, cw) ->
+          (* Logical deletion via VAS on curr's own word. *)
+          if not (Ctx.vas ctx curr (Node.mark cw)) then begin
             Ctx.clear_tag_set ctx;
-            retry (curr + Node.next_off)
+            retry curr
           end
           else begin
             (* Best-effort unlink; our own mark write did not evict our tags. *)
-            ignore (Ctx.vas ctx (pred + Node.next_off) (Node.pack succ ~marked:false));
+            ignore (Ctx.vas ctx pred (Node.with_next pw (Node.next cw)));
             Ctx.clear_tag_set ctx;
             true
           end
   in
-  go 0
+  Node.in_domain k && go 0
 
 let contains ctx t k =
   let rec go node =
-    let ck = Node.key ctx node in
-    if ck < k then go (Node.ptr_of (Node.next_packed ctx node))
-    else ck = k && not (Node.is_marked (Node.next_packed ctx node))
+    let w = Node.read ctx node in
+    if Node.key w < k then go (Node.next w)
+    else Node.key w = k && not (Node.is_marked w)
   in
-  go (Node.ptr_of (Node.next_packed ctx t.head))
+  Node.in_domain k && go (Node.next (Node.read ctx t.head))
 
 let to_list_unsafe machine t = Node.to_list_unsafe machine t.head

@@ -1,6 +1,7 @@
-(* Correctness tests for the three linked-list variants: the generic SET
+(* Correctness tests for the linked-list variants: the generic SET
    battery (sequential oracle, concurrent accounting, determinism), the
-   Figure 1 counterexample, and HoH range snapshots. *)
+   one-word node layout and key domain, the Figure 1 counterexample, and
+   HoH range snapshots. *)
 
 open Mt_sim
 open Mt_core
@@ -86,8 +87,8 @@ let test_figure1_ias_aborts_parked_traversal () =
      20), park for a long time, then validate. *)
   Runtime.spawn rt (fun () ->
       let ctx = Ctx.make m ~rt ~core:0 ~prng:(Prng.create ~seed:1) in
-      let _pred, _curr, ck = Mt_list.Hoh_list.For_testing.locate ctx s 20 in
-      check_int "found 20" 20 ck;
+      let _pred, _pw, _curr, cw = Mt_list.Hoh_list.For_testing.locate ctx s 20 in
+      check_int "found 20" 20 (Mt_list.Node.key cw);
       Runtime.stall_on rt 100_000;
       parked_validation := Some (Ctx.validate ctx);
       Ctx.clear_tag_set ctx);
@@ -203,6 +204,117 @@ let test_range_snapshots_are_consistent_under_updates () =
   check_bool "took snapshots" true (!snapshots > 0);
   check_int "no atomicity violations" 0 !violations
 
+(* ------------------------------------------------------------------ *)
+(* The one-word node layout ([Node]) and the key domain. *)
+
+module Node = Mt_list.Node
+
+let lists : (module Mt_list.Set_intf.SET) list =
+  [
+    (module Mt_list.Harris_list);
+    (module Mt_list.Vas_list);
+    (module Mt_list.Hoh_list);
+    (module Mt_list.Elided_list);
+  ]
+
+let prop_word_roundtrip =
+  QCheck.Test.make ~name:"node word roundtrip" ~count:1000
+    QCheck.(
+      triple (int_range 0 (Node.tail_key - 1)) (int_range 0 ((1 lsl 30) - 1))
+        (int_range 0 ((1 lsl 30) - 1)))
+    (fun (key, next, next') ->
+      let w = Node.word ~key ~next in
+      let w' = Node.with_next w next' in
+      let m = Node.mark w in
+      Node.key w = key && Node.next w = next && not (Node.is_marked w)
+      && Node.key w' = key && Node.next w' = next' && not (Node.is_marked w')
+      && Node.key m = key && Node.next m = next && Node.is_marked m
+      && Node.mark m = m)
+
+(* A node is one word on its own line: consecutive allocations are one
+   line apart. *)
+let test_nodes_one_line_apart () =
+  let m = machine ~cores:1 () in
+  let line_words = Config.line_words (Machine.cfg m) in
+  Harness.exec1 m (fun ctx ->
+      let n1 = Node.alloc ctx ~key:1 ~next:Memory.null in
+      let n2 = Node.alloc ctx ~key:2 ~next:n1 in
+      check_int "one line apart" line_words (n2 - n1))
+
+let check_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+(* Keys lie in [0, 2^31 - 1): [insert] rejects a key outside, which
+   [contains] and [delete] report absent; the tail sentinel's key is not
+   a member. *)
+let test_key_domain () =
+  List.iter
+    (fun (module S : Mt_list.Set_intf.SET) ->
+      let m = machine ~cores:1 () in
+      Harness.exec1 m (fun ctx ->
+          let s = S.create ctx in
+          let largest = Node.tail_key - 1 in
+          List.iter
+            (fun k ->
+              check_invalid
+                (Printf.sprintf "%s: insert %d" S.name k)
+                (fun () -> S.insert ctx s k))
+            [ -1; Node.tail_key; Mt_core.Half.limit; max_int; min_int ];
+          List.iter
+            (fun k ->
+              check_bool (Printf.sprintf "%s: contains %d" S.name k) false (S.contains ctx s k);
+              check_bool (Printf.sprintf "%s: delete %d" S.name k) false (S.delete ctx s k))
+            [ -1; Node.tail_key; Mt_core.Half.limit; max_int ];
+          check_bool (S.name ^ ": insert 0") true (S.insert ctx s 0);
+          check_bool (S.name ^ ": insert largest") true (S.insert ctx s largest);
+          check_bool (S.name ^ ": largest found") true (S.contains ctx s largest);
+          check_bool (S.name ^ ": tail key absent") false (S.contains ctx s Node.tail_key);
+          Alcotest.(check (list int)) (S.name ^ ": contents") [ 0; largest ]
+            (S.to_list_unsafe m s)))
+    lists
+
+(* On a core that has read nothing, a traversal loads each node it visits
+   once, and that load is its only L1 miss there: the key, the successor
+   and the mark come in one word. The list holds 0, 2, …, 2(n-1); a
+   [contains] of key 2j visits the head and j + 1 nodes, a [delete] of the
+   absent key 2j + 1 the head and j + 2 nodes (the elided list's fast path
+   also tags its mode line). *)
+let test_one_load_per_node () =
+  let n = 12 in
+  List.iter
+    (fun (module S : Mt_list.Set_intf.SET) ->
+      List.iter
+        (fun j ->
+          List.iter
+            (fun (what, op, visits) ->
+              let m = machine ~cores:2 () in
+              let s =
+                Harness.exec1 m (fun ctx ->
+                    let s = S.create ctx in
+                    for i = 0 to n - 1 do
+                      ignore (S.insert ctx s (2 * i))
+                    done;
+                    s)
+              in
+              let (_ : int) =
+                Harness.exec m ~threads:2 (fun ctx ->
+                    if Ctx.core ctx = 1 then ignore (op ctx s))
+              in
+              let st = Machine.stats m ~core:1 in
+              let label = Printf.sprintf "%s: %s, j = %d" S.name what j in
+              check_int (label ^ ": loads") visits st.loads;
+              check_int (label ^ ": L1 misses") visits st.l1_misses)
+            [
+              ("contains", (fun ctx s -> S.contains ctx s (2 * j)), j + 2);
+              ( "delete of an absent key",
+                (fun ctx s -> S.delete ctx s ((2 * j) + 1)),
+                j + 3 + if S.name = Mt_list.Elided_list.name then 1 else 0 );
+            ])
+        [ 0; 1; n / 2; n - 1 ])
+    lists
+
 let () =
   Alcotest.run "mt_list"
     [
@@ -210,6 +322,13 @@ let () =
       ("vas", Vas_battery.cases);
       ("hoh", Hoh_battery.cases);
       ("elided", Elided_battery.cases);
+      ( "layout",
+        [
+          QCheck_alcotest.to_alcotest prop_word_roundtrip;
+          Alcotest.test_case "list nodes one line apart" `Quick test_nodes_one_line_apart;
+          Alcotest.test_case "key domain" `Quick test_key_domain;
+          Alcotest.test_case "one load and L1 miss per node" `Quick test_one_load_per_node;
+        ] );
       ( "fallback",
         [
           Alcotest.test_case "tiny Max_Tags stays live" `Quick

@@ -326,14 +326,14 @@ let test_hot_lines_deterministic () =
    counts or allocation labels must not move a single count, owner or
    rank. *)
 let hot_run_top8 =
-  {|[{"line":4,"invalidations":39,"downgrades":15,"owner":"hoh-node"},|}
-  ^ {|{"line":35,"invalidations":34,"downgrades":13,"owner":"hoh-node"},|}
-  ^ {|{"line":2,"invalidations":24,"downgrades":10,"owner":"hoh-node"},|}
-  ^ {|{"line":31,"invalidations":24,"downgrades":9,"owner":"hoh-node"},|}
-  ^ {|{"line":104,"invalidations":22,"downgrades":10,"owner":"hoh-node"},|}
-  ^ {|{"line":56,"invalidations":17,"downgrades":7,"owner":"hoh-node"},|}
-  ^ {|{"line":110,"invalidations":16,"downgrades":7,"owner":"hoh-node"},|}
-  ^ {|{"line":73,"invalidations":15,"downgrades":7,"owner":"hoh-node"}]|}
+  {|[{"line":97,"invalidations":28,"downgrades":12,"owner":"hoh-node"},|}
+  ^ {|{"line":104,"invalidations":27,"downgrades":11,"owner":"hoh-node"},|}
+  ^ {|{"line":119,"invalidations":24,"downgrades":11,"owner":"hoh-node"},|}
+  ^ {|{"line":26,"invalidations":23,"downgrades":9,"owner":"hoh-node"},|}
+  ^ {|{"line":56,"invalidations":23,"downgrades":9,"owner":"hoh-node"},|}
+  ^ {|{"line":144,"invalidations":22,"downgrades":9,"owner":"hoh-node"},|}
+  ^ {|{"line":2,"invalidations":21,"downgrades":8,"owner":"hoh-node"},|}
+  ^ {|{"line":31,"invalidations":20,"downgrades":8,"owner":"hoh-node"}]|}
 
 let test_hot_lines_pinned () =
   check_string "top-8 report" hot_run_top8

@@ -272,14 +272,16 @@ let prop_fast_path_list =
     ~op:(set_op L.insert L.delete L.contains)
     ~contents:L.to_list_unsafe ()
 
-(* Keys offset by 2^40 do not fit a narrow chunk. The prefill inserts
-   every key but the multiples of 3; [create] pads the allocator so that
-   its nodes end on a chunk boundary, and the first node the concurrent
-   phase allocates lands in a fresh narrow chunk, which its key write
-   switches to wide on every path. *)
+(* Every list node's word is wide (its high half holds the successor).
+   The prefill inserts every key but the multiples of 3; [create] pads
+   the allocator so that its nodes end on a chunk boundary, and the first
+   node the concurrent phase allocates lands in a fresh narrow chunk,
+   which its word switches to wide on every path. [contents] checks that
+   the switch happened whenever the concurrent phase allocated a node. *)
 let prop_fast_path_wide_list =
   let module L = Mt_list.Hoh_list in
-  let offset = 1 lsl 40 and chunk_words = 1 lsl Memory.chunk_log2 in
+  let chunk_words = 1 lsl Memory.chunk_log2 in
+  let boundary = ref 0 in
   fast_path_equiv ~checks:false ~name:"hoh-list, wide keys"
     ~create:(fun ctx ~range ->
       let s = L.create ctx in
@@ -289,9 +291,17 @@ let prop_fast_path_wide_list =
       let need = mem.Memory.next_free + (prefill * lw) in
       let pad = -need land (chunk_words - 1) in
       if pad > 0 then ignore (Mt_core.Ctx.alloc ctx ~words:pad);
+      boundary := need + pad;
       s)
-    ~op:(fun ctx s kind k -> set_op L.insert L.delete L.contains ctx s kind (k + offset))
-    ~contents:L.to_list_unsafe ()
+    ~op:(set_op L.insert L.delete L.contains)
+    ~contents:(fun m s ->
+      let mem = Machine.memory m in
+      if
+        mem.Memory.next_free > !boundary
+        && Bytes.length mem.Memory.narrow.(!boundary lsr Memory.chunk_log2) <> 0
+      then failwith "the first concurrent node's chunk stayed narrow";
+      L.to_list_unsafe m s)
+    ()
 
 let prop_fast_path_abtree =
   let module T = Fast_abtree in
