@@ -92,32 +92,35 @@ struct
 
   (* Hand-over-hand tagged descent toward [k], stopping at a leaf or, when
      [rebalancing], at the first node that {!Node_desc.violates} balance.
-     Returns [(gp, ixp, p, ixc, curr, curr_meta)]: [ixp] is [p]'s slot in
-     [gp], [ixc] is [curr]'s slot in [p]; [null]/[-1] when absent. The
-     returned window nodes remain tagged; the caller must clear the tag
-     set. Restarts go through {!Ctx.with_restarts} (clear, consult the
+     Returns [(gp, ixp, p, ixc, curr, cw)]: [ixp] is [p]'s slot in [gp],
+     [ixc] is [curr]'s slot in [p]; [null]/[-1] when absent; [cw] is
+     [curr]'s first word as the descent read it. Each step reads each
+     word of a node at most once, with {!Node_desc.step}. The returned
+     window nodes remain tagged; the caller must clear the tag set.
+     Restarts go through {!Ctx.with_restarts} (clear, consult the
      contention policy, re-descend). *)
   let locate ctx t k ~rebalancing =
     Ctx.with_restarts ~site:t.sentinel ctx (fun () ->
         let curr = t.sentinel in
-        let cm = Node_desc.meta (tread ctx curr) in
+        let cw = tread ctx curr in
         if not (Ctx.validate ctx) then raise Restart;
-        let rec go gp ixp p ixc curr cm =
+        let rec go gp ixp p ixc curr cw =
+          let cm = Node_desc.meta cw in
           if
             (rebalancing && p <> null
             && Node_desc.violates ~a ~root_child:(p = t.sentinel) cm)
             || Node_desc.meta_leaf cm
-          then (gp, ixp, p, ixc, curr, cm)
+          then (gp, ixp, p, ixc, curr, cw)
           else begin
-            let ix = Node_desc.route tread ctx curr (Node_desc.meta_count cm) k in
-            let next = Node_desc.child (tread ctx (curr + Node_desc.ptr_word ix)) in
-            let nm = Node_desc.meta (tread ctx next) in
+            let s = Node_desc.step tread ctx curr cw k in
+            let next = Node_desc.child s in
+            let nw = tread ctx next in
             if not (Ctx.validate ctx) then raise Restart;
             if gp <> null then untag ctx gp;
-            go p ixc curr ix next nm
+            go p ixc curr (Node_desc.slot s) next nw
           end
         in
-        go null (-1) null (-1) curr cm)
+        go null (-1) null (-1) curr cw)
 
   (* ------------------------------------------------------------------ *)
   (* Updates. *)
@@ -150,8 +153,8 @@ struct
      with one IAS on the parent's slot; a lost race waits on the
      contention policy (keyed by the contended slot) and retries. *)
   let rec update ctx t k ~insert attempt =
-    let gp, _ixp, p, ixc, u, _um = locate ctx t k ~rebalancing:false in
-    let ud = read_desc ctx u in
+    let gp, _ixp, p, ixc, u, uw = locate ctx t k ~rebalancing:false in
+    let ud = Node_desc.load tread ctx u uw in
     if Node_desc.leaf_contains ud k = insert then begin
       (* Already present (insert) or absent (delete). *)
       Ctx.clear_tag_set ctx;
@@ -227,7 +230,8 @@ struct
      search path to k until the whole path is violation-free. Whether a
      step succeeds or aborts, the path is re-examined. *)
   and rebalance ctx t k =
-    let gp, ixp, p, ixc, u, um = locate ctx t k ~rebalancing:true in
+    let gp, ixp, p, ixc, u, uw = locate ctx t k ~rebalancing:true in
+    let um = Node_desc.meta uw in
     if p <> null && Node_desc.violates ~a ~root_child:(p = t.sentinel) um then begin
       let (_ : bool) = apply_step ctx t gp ixp p ixc u um in
       Ctx.clear_tag_set ctx;
@@ -250,11 +254,9 @@ struct
      tree. A step allocates nothing. *)
   let rec search ctx node k =
     let w0 = Ctx.read ctx node in
-    let meta = Node_desc.meta w0 in
-    if Node_desc.meta_leaf meta then Node_desc.leaf_mem Ctx.read ctx node w0 k
-    else
-      let ix = Node_desc.route Ctx.read ctx node (Node_desc.meta_count meta) k in
-      search ctx (Node_desc.child (Ctx.read ctx (node + Node_desc.ptr_word ix))) k
+    if Node_desc.meta_leaf (Node_desc.meta w0) then
+      Node_desc.leaf_mem Ctx.read ctx node w0 k
+    else search ctx (Node_desc.child (Node_desc.step Ctx.read ctx node w0 k)) k
 
   let contains ctx t k = search ctx t.sentinel k
 

@@ -99,11 +99,9 @@ struct
   let create ctx =
     of_root ctx (write_desc ctx { weight = 1; leaf = true; keys = [||]; ptrs = [||] })
 
-  let child_slot ctx r meta k =
-    Node_desc.route Ctx.read ctx (Llx_scx.payload_addr r) (Node_desc.meta_count meta) k
-
-  (* Child [ix] of internal node [r], a plain read. *)
-  let child_at ctx r ix = Node_desc.child (Ctx.read ctx (Llx_scx.field_addr r ix))
+  (* One plain {!Node_desc.step} through internal node [r], whose first
+     word reads [w0]. *)
+  let step ctx r w0 k = Node_desc.step Ctx.read ctx (Llx_scx.payload_addr r) w0 k
 
   (* Plain sequential search to the leaf for [k], tracking the parent and
      the leaf's child index in it; no synchronization at all (thesis
@@ -113,12 +111,10 @@ struct
   let search_full ctx t k =
     let rec go p ixc curr =
       let w0 = node_info ctx curr in
-      let meta = Node_desc.meta w0 in
-      if Node_desc.meta_leaf meta then (p, ixc, curr, w0)
-      else begin
-        let ix = child_slot ctx curr meta k in
-        go curr ix (child_at ctx curr ix)
-      end
+      if Node_desc.meta_leaf (Node_desc.meta w0) then (p, ixc, curr, w0)
+      else
+        let s = step ctx curr w0 k in
+        go curr (Node_desc.slot s) (Node_desc.child s)
     in
     go null (-1) t.sentinel
 
@@ -169,14 +165,14 @@ struct
   (* Find the first violation on the search path to k (plain reads). *)
   and find_violation ctx t k =
     let rec go gp ixp p ixc curr =
-      let meta = Node_desc.meta (node_info ctx curr) in
+      let w0 = node_info ctx curr in
+      let meta = Node_desc.meta w0 in
       if p <> null && Node_desc.violates ~a ~root_child:(p = t.sentinel) meta then
         Some (gp, ixp, p, ixc, curr)
       else if Node_desc.meta_leaf meta then None
-      else begin
-        let ix = child_slot ctx curr meta k in
-        go p ixc curr ix (child_at ctx curr ix)
-      end
+      else
+        let s = step ctx curr w0 k in
+        go p ixc curr (Node_desc.slot s) (Node_desc.child s)
     in
     go null (-1) null (-1) t.sentinel
 

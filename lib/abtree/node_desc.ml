@@ -213,13 +213,19 @@ let load word ctx base w0 =
 
 (* The scans are top-level functions of all their arguments: a local
    recursive closure would be allocated at every node visited. Key [i]
-   of an internal node is the low half of word [i + 1]; one read per
+   of an internal node is the low half of word [i + 1], and child [i]
+   the high half of word [i]: the scan carries the word before the one
+   it reads, so the child comes out of a word already read, one read per
    key. *)
-let rec route_from word ctx base count k i =
-  if i >= count || k < Half.low (word ctx (base + i + 1)) then i
-  else route_from word ctx base count k (i + 1)
+let rec step_from word ctx base count k i w =
+  if i >= count then Half.pack i (Half.high w)
+  else
+    let w' = word ctx (base + i + 1) in
+    if k < Half.low w' then Half.pack i (Half.high w)
+    else step_from word ctx base count k (i + 1) w'
 
-let route word ctx base count k = route_from word ctx base count k 0
+let step word ctx base w0 k = step_from word ctx base (meta_count (meta w0)) k 0 w0
+let slot s = Half.low s
 
 (* Leaf key [j] is the high half of word [(j + 1) / 2] when [j] is even,
    the low half of the next word when [j] is odd: [w] holds keys [j] (low

@@ -118,10 +118,18 @@ val store : ('c -> int -> int -> unit) -> 'c -> int -> t -> unit
     [w0]: each of its other words read once with [word]. *)
 val load : ('c -> int -> int) -> 'c -> int -> int -> t
 
-(** [route word ctx base count k] — the index of the child covering [k]
-    in the internal node at [base] with [count] keys: a key scan with
-    early exit, one read per key. *)
-val route : ('c -> int -> int) -> 'c -> int -> int -> int -> int
+(** [step word ctx base w0 k] — one descent step through the internal
+    node at [base] whose first word reads [w0]: a key scan with early
+    exit, one read per key, that carries the word before the one it
+    reads, so the child covering [k] comes out of a word already read.
+    Each word of the node is read at most once, [w0] not again. The
+    result packs the child's index ({!slot}) and the child's address
+    ({!child}) into one int, so a step allocates nothing. *)
+val step : ('c -> int -> int) -> 'c -> int -> int -> int -> int
+
+(** [slot s] — the child index out of a {!step} result. {!child} gives
+    the child's address. *)
+val slot : int -> int
 
 (** [leaf_mem word ctx base w0 k] — is [k] among the keys of the leaf at
     [base] whose first word reads [w0]? A key scan with early exit, one

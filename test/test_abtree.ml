@@ -563,6 +563,91 @@ let test_descent_misses (module T : LAYOUT) ~header () =
     done
   done
 
+(* Hand-built trees for counting a descent's reads. Level [l] of
+   [counts] is a row of internal nodes of [counts.(l)] keys each, and leaf
+   [j] (in key order) holds the [leaf_count j] keys [stride j + 2 i]:
+   every key of leaf [j] lies in [\[stride j, stride (j + 1))], and odd
+   keys are absent. *)
+let stride = (2 * Mid.b) + 2
+let leaf_count j = 1 + (j mod Mid.b)
+let span counts = List.fold_left (fun acc c -> acc * (c + 1)) 1 counts
+
+(* The subtree over the leaves from [lo] whose levels are [counts]. *)
+let rec build_levels (module T : LAYOUT) ctx counts lo =
+  match counts with
+  | [] ->
+      T.write_desc ctx
+        (node ~leaf:true (Array.init (leaf_count lo) (fun i -> (stride * lo) + (2 * i))))
+  | c :: below ->
+      let s = span below in
+      T.write_desc ctx
+        {
+          Node_desc.weight = 1;
+          leaf = false;
+          keys = Array.init c (fun i -> stride * (lo + ((i + 1) * s)));
+          ptrs = Array.init (c + 1) (fun i -> build_levels (module T) ctx below (lo + (i * s)));
+        }
+
+(* The reads a descent to leaf [j] makes in the internal nodes of
+   [counts] over the leaves from [lo]: per node, [header] reads, its
+   first word, and the words its key scan reads, [ix + 1] when the scan
+   stops at key [ix] and all [c] when it passes the last key. The child
+   comes out of a word already read. *)
+let rec walk_reads ~header counts lo j =
+  match counts with
+  | [] -> 0
+  | c :: below ->
+      let s = span below in
+      let ix = (j - lo) / s in
+      header + 1 + (if ix < c then ix + 1 else c)
+      + walk_reads ~header below (lo + (ix * s)) j
+
+(* A descent reads each word of a node at most once. Over hand-built
+   trees of 1 to 3 internal levels under the sentinel (a level of 0
+   keys), with 1 to b children per internal node, a [contains] of key
+   [i] of leaf [j] makes exactly {!walk_reads} loads on the way down,
+   then [header] reads, the leaf's first word, and [(i + 1) / 2] more
+   words up to the one holding the key. [header] is the LLX tree's
+   field-count read ([Abtree_llx.node_info]), 0 in the HoH tree. A HoH
+   [delete] of an absent key makes one tagged load, and no other load,
+   per word of the same walk, then one per word of the leaf: its
+   description is built from the first word the descent read. *)
+let test_one_load_per_word () =
+  List.iter
+    (fun ((module T : LAYOUT), header, tagged_delete) ->
+      for depth = 1 to 3 do
+        for c = 0 to Mid.b - 1 do
+          let counts = List.init depth (fun l -> (c + (3 * l)) mod Mid.b) in
+          let m = machine ~cores:1 () in
+          Harness.exec1 m (fun ctx ->
+              let t = T.of_root ctx (build_levels (module T) ctx counts 0) in
+              let st = Machine.stats m ~core:0 in
+              for j = 0 to span counts - 1 do
+                let label =
+                  Printf.sprintf "%s: levels [%s], leaf %d" T.name
+                    (String.concat ";" (List.map string_of_int counts))
+                    j
+                in
+                let walk = walk_reads ~header (0 :: counts) 0 j in
+                let i = j mod leaf_count j in
+                let loads = st.loads in
+                check_bool (label ^ ": found") true (T.contains ctx t ((stride * j) + (2 * i)));
+                check_int (label ^ ": contains loads")
+                  (walk + header + 1 + ((i + 1) / 2))
+                  (st.loads - loads);
+                if tagged_delete then begin
+                  let loads = st.loads and tags = st.tag_adds in
+                  check_bool (label ^ ": absent") false
+                    (T.delete ctx t ((stride * j) + (2 * i) + 1));
+                  let reads = walk + Node_desc.words ~leaf:true ~count:(leaf_count j) in
+                  check_int (label ^ ": delete tagged loads") reads (st.tag_adds - tags);
+                  check_int (label ^ ": delete loads") reads (st.loads - loads)
+                end
+              done)
+        done
+      done)
+    [ ((module Hoh_mid : LAYOUT), 0, true); ((module Llx_mid : LAYOUT), 1, false) ]
+
 (* [Abtree_hoh.collect] tags a node's first line, then any other lines
    its words use in one more load, and reads the words plainly. Over
    hand-built trees whose nodes have every count (internal roots of 0 to
@@ -816,6 +901,8 @@ let () =
             (test_descent_misses (module Hoh_mid) ~header:0);
           Alcotest.test_case "llx descent misses" `Quick
             (test_descent_misses (module Llx_mid) ~header:llx_header);
+          Alcotest.test_case "one load per word on a descent" `Quick
+            test_one_load_per_word;
           Alcotest.test_case "range reads only tagged lines" `Quick
             test_range_reads_tagged_lines;
           Alcotest.test_case "hoh key and slot domain" `Quick

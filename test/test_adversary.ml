@@ -274,9 +274,8 @@ let test_shrink_buggy_abtree () =
   check_shrink_pinned
     (module Buggy_abtree)
     ~config:
-      "threads=2 ops=2 range=2 prefill=0 max-delay=7 seed=4 \
-       spec=straggler=0.02,2000"
-    ~runs:377
+      "threads=2 ops=2 range=1 prefill=0 max-delay=62 seed=6 spec=plain"
+    ~runs:656
 
 let test_shrink_idempotent () =
   let initial = find_failure (module Buggy_list) in

@@ -1425,6 +1425,38 @@ let test_ias_self_only_tags () =
   check_bool "ias ok" true ok;
   check_int "stored" 2 (Machine.peek m a)
 
+(* A tag-targeted IAS asks the directory about every non-target line in
+   its tag set, even when no other core tags it (DESIGN §7.3 states the
+   cost). On one core whose target line is M in its L1 (an acquire of
+   lat_l1), the IAS over the target alone costs lat_validate + lat_l1
+   and sends no coherence message; with one more tagged line it costs
+   lat_validate + lat_dir + lat_l1 and sends one, with no tag probe or
+   invalidation. *)
+let test_ias_probes_directory_per_tagged_line () =
+  let cfg = { (Config.default ~num_cores:1 ()) with lat_validate = 3 } in
+  let ias ~lines =
+    let m = Machine.create cfg in
+    let addrs = List.init lines (fun _ -> Machine.alloc m ~words:8) in
+    List.iter
+      (fun a ->
+        ignore (Machine.write m ~core:0 a 1);
+        ignore (Machine.add_tag m ~core:0 a ~words:1))
+      addrs;
+    let st = Machine.stats m ~core:0 in
+    let msgs = st.coherence_msgs in
+    check_bool "ias ok" true (Machine.ias m ~core:0 (List.hd addrs) 2);
+    check_int "no tag probe" 0 st.tag_probes_sent;
+    check_int "no invalidation" 0 st.invalidations_sent;
+    (Machine.last_latency m, st.coherence_msgs - msgs)
+  in
+  let lat, msgs = ias ~lines:1 in
+  check_int "target alone: latency" (cfg.lat_validate + cfg.lat_l1) lat;
+  check_int "target alone: coherence messages" 0 msgs;
+  let lat, msgs = ias ~lines:2 in
+  check_int "one more tagged line: latency"
+    (cfg.lat_validate + cfg.lat_dir + cfg.lat_l1) lat;
+  check_int "one more tagged line: coherence messages" 1 msgs
+
 let test_add_tag_read_equals_read_plus_tag () =
   let m = machine () in
   let a = Machine.alloc m ~words:8 in
@@ -1653,6 +1685,8 @@ let () =
           Alcotest.test_case "downgrade vs write" `Quick
             test_downgrade_keeps_tag_but_write_kills_it;
           Alcotest.test_case "ias self tags" `Quick test_ias_self_only_tags;
+          Alcotest.test_case "ias probes the directory per tagged line" `Quick
+            test_ias_probes_directory_per_tagged_line;
           Alcotest.test_case "tagged load" `Quick test_add_tag_read_equals_read_plus_tag;
           Alcotest.test_case "tagged-read hit grows the tag table" `Quick
             test_tag_read_hit_grows_table;
