@@ -1,6 +1,6 @@
 (** Pluggable contention management for optimistic retry loops.
 
-    The retry loops of the tagged structures, NOrec, kCAS and the store
+    The retry loops of the tagged structures, NOrec and the store
     consult one policy object (threaded through [Mt_core.Ctx]) instead of
     spinning. The two published baselines, [Harris_list] and
     [Abtree_llx], do not: they retry at once by design, because they are

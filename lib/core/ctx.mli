@@ -37,7 +37,7 @@ val core : t -> int
 val prng : t -> Mt_sim.Prng.t
 
 (** The machine's observability sink — hook sites above the simulator
-    (STM, kCAS) emit their structured events through this; guard with
+    (STM, the store) emit their structured events through this; guard with
     [Mt_obs.Obs.enabled] before constructing an event. *)
 val obs : t -> Mt_obs.Obs.t
 

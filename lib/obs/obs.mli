@@ -40,6 +40,10 @@ type kind =
   | Stm_abort of { impl : string; reason : string }
   | Stm_demote  (** Tagged NOrec fell off the tag fast path. *)
   | Kcas_help of { addr : int }
+      (** No emitter: the multi-word CAS that raised it is gone. Kept, with
+          {!Snap_attempt} and {!Snap_invalid}, only because perfbench's
+          [kcas.*] per-layer metrics still match these kinds; the kinds
+          and those metrics retire together (ROADMAP item 11a). *)
   | Fiber_stall of { cycles : int }
   | Fiber_resume
   | Span_begin of { name : string }
@@ -73,10 +77,11 @@ type kind =
           instant; [ok = false] means that shard (and only that shard) is
           re-scanned. *)
   | Snap_attempt of { cells : int }
-      (** [Kcas.snapshot] started an attempt over [cells] cells. *)
+      (** No emitter (see {!Kcas_help}): a tag-validated snapshot attempt
+          over [cells] cells. *)
   | Snap_invalid of { cells : int }
-      (** A [Kcas.snapshot] attempt failed validation (tag broken or a
-          descriptor caught mid-flight) and will retry. *)
+      (** No emitter (see {!Kcas_help}): a snapshot attempt that failed
+          validation and would retry. *)
   | Cm_wait of { site : int; cycles : int; attempt : int }
       (** A non-[immediate] contention-management policy imposed a wait of
           [cycles] before retry number [attempt] against location [site].

@@ -79,8 +79,6 @@ type window = {
   mutable w_txn_commits : int;
   mutable w_scan_ok : int;
   mutable w_scan_fail : int;
-  mutable w_snap_attempts : int;
-  mutable w_snap_invalid : int;
   mutable w_cm_waits : int;  (* contention-policy waits (Cm_wait events) *)
   mutable w_cm_wait_cycles : int;
   w_shard_ops : (int, int) Hashtbl.t;  (* shard -> routed ops (Store_op) *)
@@ -112,8 +110,6 @@ let fresh_window t0 =
     w_txn_commits = 0;
     w_scan_ok = 0;
     w_scan_fail = 0;
-    w_snap_attempts = 0;
-    w_snap_invalid = 0;
     w_cm_waits = 0;
     w_cm_wait_cycles = 0;
     w_shard_ops = Hashtbl.create 8;
@@ -248,8 +244,6 @@ let feed t (e : Obs.event) =
   | Obs.Scan_validate { ok; _ } ->
       if ok then w.w_scan_ok <- w.w_scan_ok + 1
       else w.w_scan_fail <- w.w_scan_fail + 1
-  | Obs.Snap_attempt _ -> w.w_snap_attempts <- w.w_snap_attempts + 1
-  | Obs.Snap_invalid _ -> w.w_snap_invalid <- w.w_snap_invalid + 1
   | Obs.Cm_wait { cycles; _ } ->
       w.w_cm_waits <- w.w_cm_waits + 1;
       w.w_cm_wait_cycles <- w.w_cm_wait_cycles + cycles
@@ -355,8 +349,6 @@ let window_to_json t occ_end (w : window) =
             ("txn_commits", Json.Int w.w_txn_commits);
             ("scan_validate_ok", Json.Int w.w_scan_ok);
             ("scan_validate_fail", Json.Int w.w_scan_fail);
-            ("snap_attempts", Json.Int w.w_snap_attempts);
-            ("snap_invalid", Json.Int w.w_snap_invalid);
             ( "shard_ops",
               Json.List
                 (List.map

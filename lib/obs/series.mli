@@ -99,8 +99,6 @@ type window = {
   mutable w_txn_commits : int;
   mutable w_scan_ok : int;
   mutable w_scan_fail : int;
-  mutable w_snap_attempts : int;
-  mutable w_snap_invalid : int;
   mutable w_cm_waits : int;
       (** contention-policy waits ({!Obs.kind.Cm_wait} events) *)
   mutable w_cm_wait_cycles : int;

@@ -24,6 +24,9 @@
      the committed baseline is still worthwhile so future regressions
      are measured from the better level).
 
+   One watched metric is derived rather than read: L1 misses per op,
+   from [counters.l1_misses] and [ops].
+
    Every other leaf — raw event counts, histogram buckets, energy
    totals, spec echoes — is deliberately ignored: those drift with any
    behavioural change and carry no direction. *)
@@ -48,7 +51,7 @@ let default_bands : (string * band) list =
     ("goodput_per_kcycle", { dir = Higher_better; rel = 0.30; abs = 0.0 });
     ("measured_peak_speedup", { dir = Higher_better; rel = 0.30; abs = 0.0 });
     ("energy_per_op", { dir = Lower_better; rel = 0.30; abs = 0.0 });
-    ("l1_miss_rate", { dir = Lower_better; rel = 0.0; abs = 0.02 });
+    ("l1_misses_per_op", { dir = Lower_better; rel = 0.30; abs = 0.0 });
     ("drop_rate", { dir = Lower_better; rel = 0.0; abs = 0.05 });
     ("p50", { dir = Lower_better; rel = 0.50; abs = 64.0 });
     ("p90", { dir = Lower_better; rel = 0.50; abs = 64.0 });
@@ -91,6 +94,18 @@ let number = function
   | Json.Float f -> Some f
   | _ -> None
 
+(* L1 misses per op, derived wherever an object carries [ops] and
+   [counters.l1_misses]. The stored [l1_miss_rate] is not watched: its
+   denominator is the loads, so a change that only removes L1 hits raises
+   the rate while the misses per op stay put. *)
+let l1_misses_per_op fields =
+  match (List.assoc_opt "ops" fields, List.assoc_opt "counters" fields) with
+  | Some ops, Some (Json.Obj c) -> (
+      match (number ops, Option.bind (List.assoc_opt "l1_misses" c) number) with
+      | Some o, Some m when o > 0.0 -> Some (m /. o)
+      | _ -> None)
+  | _ -> None
+
 let check_metric r ~path ~metric band base cur =
   r.compared <- r.compared + 1;
   let slack = (band.rel *. Float.abs base) +. band.abs in
@@ -124,6 +139,16 @@ let compare_docs ?(bands = default_bands) ~baseline ~current () =
   let rec walk rev base cur =
     match (base, cur) with
     | Json.Obj bf, Json.Obj cf ->
+        (match
+           ( l1_misses_per_op bf,
+             l1_misses_per_op cf,
+             List.assoc_opt "l1_misses_per_op" bands )
+         with
+        | Some b, Some c, Some band ->
+            check_metric r
+              ~path:(path_str (".l1_misses_per_op" :: rev))
+              ~metric:"l1_misses_per_op" band b c
+        | _ -> ());
         List.iter
           (fun (k, bv) ->
             if not (List.mem k skip_keys) then

@@ -3,9 +3,10 @@
 
     The baseline and current documents are walked structurally in
     parallel. Watched performance metrics (throughput, goodput, latency
-    percentiles, drop and miss rates, peak speedups) are tested against
-    per-metric tolerance {!band}s; a move outside the band in the bad
-    direction is a {e regression}, in the good direction an {e
+    percentiles, drop rates, peak speedups, and L1 misses per op, derived
+    from [counters.l1_misses] and [ops] wherever an object has both) are
+    tested against per-metric tolerance {!band}s; a move outside the band
+    in the bad direction is a {e regression}, in the good direction an {e
     improvement} (reported, never fatal). A baseline key missing from the
     current document, a changed list length, or a changed identity field
     (implementation name, workload label, ...) is a {e structural}

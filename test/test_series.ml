@@ -435,6 +435,43 @@ let test_compare_band_override () =
   in
   check_int "zero band regresses" 1 (List.length r.BC.regressed)
 
+(* The sentinel watches L1 misses per op, not the miss rate: cutting
+   loads that hit raises the rate with the misses unchanged, and must
+   pass; doubling the misses must fail. *)
+let test_compare_l1_misses_per_op () =
+  let point ~loads ~misses =
+    doc
+      ~extra:
+        [
+          ("ops", Json.Int 100);
+          ( "l1_miss_rate",
+            Json.Float (float_of_int misses /. float_of_int loads) );
+          ( "counters",
+            Json.Obj
+              [
+                ("loads", Json.Int loads);
+                ("l1_hits", Json.Int (loads - misses));
+                ("l1_misses", Json.Int misses);
+              ] );
+        ]
+      ()
+  in
+  let baseline = point ~loads:3000 ~misses:300 in
+  let r =
+    BC.compare_docs ~baseline ~current:(point ~loads:2000 ~misses:300) ()
+  in
+  check_bool "fewer loads, rate 0.10 -> 0.15, same misses/op: ok" true
+    (BC.ok r);
+  check_int "misses/op compared" 3 r.BC.compared;
+  let r =
+    BC.compare_docs ~baseline ~current:(point ~loads:3000 ~misses:600) ()
+  in
+  match r.BC.regressed with
+  | [ f ] ->
+      check_string "metric" "l1_misses_per_op" f.BC.metric;
+      check_string "path" ".l1_misses_per_op" f.BC.path
+  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -488,5 +525,7 @@ let () =
           Alcotest.test_case "structural mismatches" `Quick
             test_compare_structural;
           Alcotest.test_case "band override" `Quick test_compare_band_override;
+          Alcotest.test_case "l1 misses per op, not the rate" `Quick
+            test_compare_l1_misses_per_op;
         ] );
     ]
