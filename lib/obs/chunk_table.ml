@@ -47,8 +47,6 @@ let chunk t ci =
   let ch = if ci >= 0 then slot t ci else [||] in
   if Array.length ch > 0 then ch else fresh t ci
 
-let[@inline] unsafe_chunk t ci = Array.unsafe_get t.chunks ci
-
 let chunks t =
   Array.fold_left (fun n ch -> if Array.length ch > 0 then n + 1 else n) 0 t.chunks
 

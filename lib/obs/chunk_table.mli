@@ -8,8 +8,8 @@
     allocated chunk allocate nothing. Indices are non-negative; a write
     that would allocate for a negative one raises [Invalid_argument].
 
-    The coherence directory's planes, the hot-line counts of {!Obs} and
-    the wide chunks of simulated memory are each one of these. *)
+    The coherence directory's planes and the hot-line counts of {!Obs}
+    are each one of these. *)
 
 type t
 
@@ -28,12 +28,6 @@ val add : t -> int -> int -> unit
 (** [chunk t ci] is chunk [ci] itself, allocated all-zero if it was
     absent: a write into the array is a write into the table. *)
 val chunk : t -> int -> int array
-
-(** [unsafe_chunk t ci] is chunk [ci] without any check, for a caller
-    whose own invariant proves that chunk [ci] is allocated: two dependent
-    loads. Through [get]/[set] instead, a wide-chunk read plus write of
-    [Mt_sim.Memory] took about twice as long. *)
-val unsafe_chunk : t -> int -> int array
 
 (** Number of allocated chunks. *)
 val chunks : t -> int

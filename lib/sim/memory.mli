@@ -1,35 +1,18 @@
 (** Simulated flat memory.
 
     The functional contents of memory live here; the caches and directory
-    only model {e timing} and coherence state. Addresses are word indices
-    (one word holds one OCaml [int]; {!t} says how it is stored). Address
-    [0] is reserved as the null pointer and is never handed out by the
-    allocator. *)
+    only model {e timing} and coherence state. Addresses are word indices;
+    a word holds one OCaml [int] and reads back exactly over all 63 bits.
+    Address [0] is reserved as the null pointer and is never handed out by
+    the allocator. *)
 
 type addr = int
 
-(** Memory is a table of chunks of [2^chunk_log2] words; word [a] lives
-    in chunk [ci = a lsr chunk_log2]. Each chunk is in one of two forms:
-    - {e narrow}: [narrow.(ci)] holds every word as a sign-extended
-      32-bit integer, 4 bytes per word;
-    - {e wide}: [narrow.(ci)] is physically [Bytes.empty] and chunk [ci]
-      of the {!Mt_obs.Chunk_table} [wide] holds every word as an OCaml
-      [int].
-
-    A chunk is born narrow. The first write into it of a value outside
-    [[-2^31, 2^31 - 1]] switches it to wide: its words are copied into
-    its [wide] chunk and its bytes dropped. The switch happens at most
-    once per chunk and never reverses, so reads and writes are exact over
-    every OCaml [int]. Chunks never move. [narrow] holds exactly the
-    chunks up to the one holding word [next_free - 1]; [wide] holds only
-    the switched ones. The record is visible so that tests can inspect a
-    chunk's form; everything else goes through the functions below. *)
-type t = {
-  line_words : int;
-  mutable narrow : Bytes.t array;
-  wide : Mt_obs.Chunk_table.t;
-  mutable next_free : addr;  (** first unallocated word *)
-}
+(** A table of chunks of [2^chunk_log2] words, each an [int array]: word
+    [a] lives in chunk [a lsr chunk_log2]. Chunks never move. The table
+    holds exactly the chunks up to the one holding the last allocated
+    word; {!alloc} adds each, zero-filled, when the frontier reaches it. *)
+type t
 
 val chunk_log2 : int
 
@@ -52,10 +35,8 @@ val allocated_words : t -> int
     {!Debug.on}: with checks enabled an out-of-bounds access raises
     [Invalid_argument]. With checks off (the default, for bench speed) a
     stray address inside an allocated chunk silently touches its
-    zero-filled backing store, and one past the last allocated chunk
-    raises [Invalid_argument] from the bounds check of the chunk table. A
-    [set] of a value outside the signed 32-bit range into a narrow chunk
-    switches that chunk to wide (see {!t}). *)
+    zero-filled backing store, and one past the frontier's chunk still
+    raises [Invalid_argument], from the bounds check of the chunk table. *)
 val get : t -> addr -> int
 
 val set : t -> addr -> int -> unit

@@ -63,12 +63,13 @@
    per core, a boxed record and a hash binding per hot line, a hash
    binding per labelled line) fails all four.
 
-   Simulated memory. Four narrow chunks of [Memory] cost at most half a
-   word per simulated word plus 64 words (the chunk tables, headers and
-   record); one value outside the signed 32-bit range switches only its
-   own chunk to a full word per word. The former layout (every chunk an
-   [int array]) holds twice that and fails the gate. An L1-hit write of
-   such a value into a switched chunk allocates 0 words.
+   Simulated memory. Four full chunks of [Memory] cost at most one word
+   per simulated word plus 64 words (the chunk table, headers and
+   record), and a one-line allocation holds exactly one chunk: chunks
+   exist only up to the allocation frontier. A layout that allocates
+   chunks past the frontier or keeps a second copy of a chunk fails it.
+   An L1-hit write of a value past 32 bits, as a half-packed node word
+   is, allocates 0 words.
 
    Store transaction. A 3-shard all-Get [Store.txn] on a quiet store
    allocates 0 simulated words ([Memory.allocated_words]); locking
@@ -139,11 +140,6 @@ let () =
   pin "L1-hit write" ~expected:0.
     (words_per_step ~n
        (access ~prepare:write_warm (fun ctx addrs i ->
-            Ctx.write ctx addrs.(i land (lines - 1)) i)));
-  (* The same writes into a chunk already switched to 64-bit words. *)
-  pin "L1-hit wide write" ~expected:0.
-    (words_per_step ~n
-       (access ~prepare:(fun ctx a -> Ctx.write ctx a max_int) (fun ctx addrs i ->
             Ctx.write ctx addrs.(i land (lines - 1)) (i lsl 40))));
   pin "validate" ~expected:0.
     (words_per_step ~n
@@ -414,20 +410,20 @@ let () =
 
 let () =
   let chunk_words = 1 lsl Memory.chunk_log2 in
-  let mem = Memory.create (Config.default ()) in
-  (* The null line is reserved: this fills four chunks exactly. *)
-  ignore (Memory.alloc mem ~words:((4 * chunk_words) - mem.Memory.line_words));
-  let words () = Obj.reachable_words (Obj.repr mem) in
-  footprint "memory, 4 narrow chunks" ~words:(words ())
-    ~budget:((4 * chunk_words / 2) + 64);
-  Memory.set mem (chunk_words + 5) max_int;
-  footprint "memory, 1 of 4 chunks wide" ~words:(words ())
-    ~budget:((3 * chunk_words / 2) + chunk_words + 64);
-  let wide = Array.map (fun b -> Bytes.length b = 0) mem.Memory.narrow in
-  if wide <> [| false; true; false; false |] then begin
-    Printf.eprintf "FAIL: one wide value switched chunks other than its own\n";
+  let cfg = Config.default () in
+  let words mem = Obj.reachable_words (Obj.repr mem) in
+  let mem = Memory.create cfg in
+  ignore (Memory.alloc mem ~words:1);
+  let one_line = words mem in
+  footprint "memory, 1 line" ~words:one_line ~budget:(chunk_words + 64);
+  if one_line < chunk_words then begin
+    Printf.eprintf "FAIL: a one-line memory holds %d words, less than one chunk\n"
+      one_line;
     failed := true
-  end
+  end;
+  (* The null line is reserved: this fills four chunks exactly. *)
+  ignore (Memory.alloc mem ~words:((4 * chunk_words) - (2 * Config.line_words cfg)));
+  footprint "memory, 4 full chunks" ~words:(words mem) ~budget:((4 * chunk_words) + 64)
 
 (* Store transaction ------------------------------------------------------ *)
 

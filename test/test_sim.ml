@@ -272,37 +272,6 @@ let prop_fast_path_list =
     ~op:(set_op L.insert L.delete L.contains)
     ~contents:L.to_list_unsafe ()
 
-(* Every list node's word is wide (its high half holds the successor).
-   The prefill inserts every key but the multiples of 3; [create] pads
-   the allocator so that its nodes end on a chunk boundary, and the first
-   node the concurrent phase allocates lands in a fresh narrow chunk,
-   which its word switches to wide on every path. [contents] checks that
-   the switch happened whenever the concurrent phase allocated a node. *)
-let prop_fast_path_wide_list =
-  let module L = Mt_list.Hoh_list in
-  let chunk_words = 1 lsl Memory.chunk_log2 in
-  let boundary = ref 0 in
-  fast_path_equiv ~checks:false ~name:"hoh-list, wide keys"
-    ~create:(fun ctx ~range ->
-      let s = L.create ctx in
-      let mem = Machine.memory (Mt_core.Ctx.machine ctx) in
-      let prefill = range - ((range + 2) / 3) in
-      let lw = mem.Memory.line_words in
-      let need = mem.Memory.next_free + (prefill * lw) in
-      let pad = -need land (chunk_words - 1) in
-      if pad > 0 then ignore (Mt_core.Ctx.alloc ctx ~words:pad);
-      boundary := need + pad;
-      s)
-    ~op:(set_op L.insert L.delete L.contains)
-    ~contents:(fun m s ->
-      let mem = Machine.memory m in
-      if
-        mem.Memory.next_free > !boundary
-        && Bytes.length mem.Memory.narrow.(!boundary lsr Memory.chunk_log2) <> 0
-      then failwith "the first concurrent node's chunk stayed narrow";
-      L.to_list_unsafe m s)
-    ()
-
 let prop_fast_path_abtree =
   let module T = Fast_abtree in
   fast_path_equiv ~name:"hoh-abtree" ~create:(fun ctx ~range:_ -> T.create ctx)
@@ -364,18 +333,23 @@ let test_memory_growth () =
   check_int "far word" 99 (Memory.get mem (a + (1 lsl 20) - 1))
 
 (* Chunks exist only up to the allocation frontier. With debug checks
-   off, a stray address inside the last chunk reads zero and one past it
-   traps on the array bounds. *)
+   off, a stray address inside the last chunk reads zero, and a read or
+   write one past it traps on the chunk table's bounds, also once the
+   frontier ends exactly on a chunk boundary. *)
 let test_memory_stray_reads () =
   let cfg = Config.default () in
   let mem = Memory.create cfg in
   let a = Memory.alloc mem ~words:8 in
   let past_chunk = ((a lsr Memory.chunk_log2) + 1) lsl Memory.chunk_log2 in
+  let traps name f = Alcotest.check_raises name (Invalid_argument "index out of bounds") f in
   with_checks false @@ fun () ->
   check_int "stray read in the chunk" 0 (Memory.get mem (a + 64));
-  match Memory.get mem past_chunk with
-  | _ -> Alcotest.fail "read past the last chunk returned"
-  | exception Invalid_argument _ -> ()
+  traps "read past the last chunk" (fun () -> ignore (Memory.get mem past_chunk));
+  ignore (Memory.alloc mem ~words:(past_chunk - a - Config.line_words cfg));
+  check_int "frontier on the chunk boundary" past_chunk
+    (Config.line_words cfg + Memory.allocated_words mem);
+  traps "read past a full chunk" (fun () -> ignore (Memory.get mem past_chunk));
+  traps "write past a full chunk" (fun () -> Memory.set mem past_chunk 1)
 
 let test_memory_allocated_words () =
   let cfg = Config.default () in
@@ -389,10 +363,10 @@ let test_memory_allocated_words () =
 
 (* Memory against a plain int-array model: random allocations, writes and
    reads over at least three chunks, with values at and around the edges
-   of the 4-byte range so that chunks switch to wide mid-sequence. Every
-   switch is followed by a read-back of every word allocated so far. Each
-   op runs on a bare [Memory] and, through core 0, on a [Machine]; checks
-   are off, so neither makes the debug bounds check. *)
+   of the 32-bit range and at the ends of the 63-bit one. Every allocation
+   that opens a chunk is followed by a read-back of every word allocated
+   so far. Each op runs on a bare [Memory] and, through core 0, on a
+   [Machine]; checks are off, so neither makes the debug bounds check. *)
 type mem_op = Alloc of int | Set of int * int | Get of int
 
 let prop_memory_model =
@@ -426,10 +400,12 @@ let prop_memory_model =
       let lw = Config.line_words cfg in
       let mem = Memory.create cfg and m = Machine.create cfg in
       let model = ref [||] in
+      let next_free () = lw + Memory.allocated_words mem in
+      let chunks () = ((next_free () - 1) lsr Memory.chunk_log2) + 1 in
       let alloc words =
         ignore (Memory.alloc mem ~words);
         ignore (Machine.alloc m ~words);
-        let a = Array.make mem.Memory.next_free 0 in
+        let a = Array.make (next_free ()) 0 in
         Array.blit !model 0 a 0 (Array.length !model);
         model := a
       in
@@ -439,24 +415,23 @@ let prop_memory_model =
       let reads a = Memory.get mem a = !model.(a) && Machine.read m ~core:0 a = !model.(a) in
       let all_read_back () =
         let ok = ref true in
-        for a = lw to mem.Memory.next_free - 1 do
+        for a = lw to next_free () - 1 do
           if not (reads a) then ok := false
         done;
         !ok
       in
-      let wide () =
-        Array.fold_left (fun n b -> if Bytes.length b = 0 then n + 1 else n) 0
-          mem.Memory.narrow
-      in
       List.for_all
         (function
-          | Alloc w -> alloc w; true
+          | Alloc w ->
+              let before = chunks () in
+              alloc w;
+              chunks () = before || all_read_back ()
           | Set (r, v) ->
-              let a = addr r and before = wide () in
+              let a = addr r in
               Memory.set mem a v;
               ignore (Machine.write m ~core:0 a v);
               !model.(a) <- v;
-              reads a && (wide () = before || all_read_back ())
+              reads a
           | Get r -> reads (addr r))
         ops
       && all_read_back ())
@@ -1576,7 +1551,7 @@ let () =
         @ qsuite [ prop_pqueue_sorted; prop_pqueue_model; prop_pqueue_values ] );
       ( "fast path",
         qsuite
-          [ prop_fast_path_list; prop_fast_path_wide_list; prop_fast_path_abtree;
+          [ prop_fast_path_list; prop_fast_path_abtree;
             prop_fast_path_store ] );
       ( "memory",
         [
