@@ -263,19 +263,21 @@ let of_string str =
                   Ok { acc with distribution = Flash_crowd { hot; period; duty } }
               | _ -> fail "dist=flash,HOT,PERIOD,DUTY expected in %S" group)
           | "geom", l -> (
-              (* The injector only shrinks caches: a size past the default
-                 would make Cache.create allocate it. The L2 is inclusive,
-                 so it must hold at least as many lines as the L1. *)
-              let d = Config.default () in
-              let within v hi = v >= 0 && v <= hi in
+              (* Between small_geometry and Config.default, component by
+                 component. The former is the smallest geometry the
+                 adversary draws; below it a hand-over-hand tag window can
+                 outgrow a set and livelock the run (geom=1,1,1,1 does).
+                 Past the latter Cache.create would allocate the size.
+                 Small's L2 holds as many lines as the default's L1, so
+                 the L2 always covers the L1 it includes. *)
+              let lo = small_geometry and d = Config.default () in
+              let within v lo hi = v >= lo && v <= hi in
               match ints l with
               | Some [ l1_sets_log2; l1_ways; l2_sets_log2; l2_ways ]
-                when within l1_sets_log2 d.l1_sets_log2
-                     && within l1_ways d.l1_ways && l1_ways > 0
-                     && within l2_sets_log2 d.l2_sets_log2
-                     && within l2_ways d.l2_ways && l2_ways > 0
-                     && (1 lsl l2_sets_log2) * l2_ways
-                        >= (1 lsl l1_sets_log2) * l1_ways ->
+                when within l1_sets_log2 lo.l1_sets_log2 d.l1_sets_log2
+                     && within l1_ways lo.l1_ways d.l1_ways
+                     && within l2_sets_log2 lo.l2_sets_log2 d.l2_sets_log2
+                     && within l2_ways lo.l2_ways d.l2_ways ->
                   Ok
                     {
                       acc with
@@ -284,8 +286,9 @@ let of_string str =
                     }
               | _ ->
                   fail
-                    "geom=L1SETS_LOG2,L1WAYS,L2SETS_LOG2,L2WAYS (at most %d,%d,%d,%d, \
-                     L2 lines >= L1 lines) expected in %S"
+                    "geom=L1SETS_LOG2,L1WAYS,L2SETS_LOG2,L2WAYS (from %d,%d,%d,%d \
+                     to %d,%d,%d,%d) expected in %S"
+                    lo.l1_sets_log2 lo.l1_ways lo.l2_sets_log2 lo.l2_ways
                     d.l1_sets_log2 d.l1_ways d.l2_sets_log2 d.l2_ways group)
           | "adaptive", [] -> Ok { acc with adaptive = true }
           | _ -> fail "unknown group %S" group)

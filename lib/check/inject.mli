@@ -87,7 +87,11 @@ val to_string : spec -> string
 
 (** [of_string s] parses {!to_string}'s syntax. A geometry larger than
     {!Mt_sim.Config.default}'s in any component (L1 2^6 sets x 8 ways, L2
-    2^8 sets x 16 ways) is an [Error]: the injector only shrinks caches. *)
+    2^8 sets x 16 ways) is an [Error]: the injector only shrinks caches.
+    So is one smaller than {!small_geometry}'s in any component (L1 2^3
+    sets x 4 ways, L2 2^6 sets x 8 ways), the smallest the adversary
+    draws: below it a hand-over-hand tag window can outgrow a set and
+    livelock the run. *)
 val of_string : string -> (spec, string) result
 
 (** [make_machine spec ~obs ~num_cores] — {!Mt_sim.Config.default} with

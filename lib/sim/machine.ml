@@ -83,21 +83,28 @@ let poke t addr v = Memory.set t.mem addr v
 (* ------------------------------------------------------------------ *)
 (* Coherence actions on remote cores.                                  *)
 
-(* Remove [line] from [victim]'s whole private hierarchy: a remote core is
+(* [c]'s L1 lost [line]: a tag on it dies for [cause]. MemTags live at
+   the L1 level, so any way out of L1 kills the tag. *)
+let[@inline] lose_tag t c line cause =
+  if on t && Memtag_unit.live c.tags line then
+    ev t c.id (Obs.Tag_evict { line; conflict = cause = Memtag_unit.Conflict });
+  Memtag_unit.on_evict c.tags line cause
+
+(* [c] removes [line] from [victim]'s whole private hierarchy: [c] is
    taking exclusive ownership. Kills any tag the victim held on the line. *)
-let invalidate_remote t victim line =
+let invalidate_remote t c victim line =
   let v = t.cores.(victim) in
   let dirty = Cache.find v.l2 line = M in
   Cache.remove v.l1 line;
   Cache.remove v.l2 line;
   if dirty then v.stats.writebacks <- v.stats.writebacks + 1;
   if on t then begin
+    ev t c.id (Obs.Inval_sent { line; victim });
     ev t victim (Obs.Inval_received { line });
-    if dirty then ev t victim (Obs.Writeback { line });
-    if Memtag_unit.live v.tags line then
-      ev t victim (Obs.Tag_evict { line; conflict = true })
+    if dirty then ev t victim (Obs.Writeback { line })
   end;
-  Memtag_unit.on_evict v.tags line Memtag_unit.Conflict;
+  lose_tag t v line Memtag_unit.Conflict;
+  c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
   v.stats.invalidations_received <- v.stats.invalidations_received + 1;
   Directory.drop t.dir line victim
 
@@ -118,15 +125,11 @@ let downgrade_remote t victim line =
 (* ------------------------------------------------------------------ *)
 (* Fills with victim handling.                                         *)
 
-(* L1 victim stays in L2 (inclusive hierarchy), but its tag dies: MemTags
-   live at the L1 level, so falling out of L1 is a (spurious) eviction. *)
+(* L1 victim stays in L2 (inclusive hierarchy), but its tag dies: falling
+   out of L1 is a (spurious) eviction. *)
 let l1_insert t c line st =
   let vline = Cache.insert c.l1 line st in
-  if vline >= 0 then begin
-    if on t && Memtag_unit.live c.tags vline then
-      ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
-    Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
-  end
+  if vline >= 0 then lose_tag t c vline Memtag_unit.Capacity
 
 (* An L2 victim leaves the whole hierarchy: back-invalidate the L1 copy
    (inclusion), write back if dirty, and tell the directory. *)
@@ -135,9 +138,7 @@ let l2_insert t c line st =
   if vline >= 0 then begin
     if Cache.find c.l1 vline <> Cache.I then begin
       Cache.remove c.l1 vline;
-      if on t && Memtag_unit.live c.tags vline then
-        ev t c.id (Obs.Tag_evict { line = vline; conflict = false });
-      Memtag_unit.on_evict c.tags vline Memtag_unit.Capacity
+      lose_tag t c vline Memtag_unit.Capacity
     end;
     if Cache.evicted_state c.l2 = Cache.M then begin
       c.stats.writebacks <- c.stats.writebacks + 1;
@@ -161,10 +162,7 @@ let inval_round_lat cfg n_sharers =
 let rec invalidate_mask t c line base m n =
   if m = 0 then n
   else begin
-    let o = base + Directory.lowest_core m in
-    if on t then ev t c.id (Obs.Inval_sent { line; victim = o });
-    invalidate_remote t o line;
-    c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
+    invalidate_remote t c (base + Directory.lowest_core m) line;
     invalidate_mask t c line base (m land (m - 1)) (n + 1)
   end
 
@@ -184,134 +182,94 @@ let upgrade_from_shared t c line =
   c.stats.coherence_msgs <- c.stats.coherence_msgs + 1;
   cfg.lat_dir + inval_round_lat cfg n
 
-let acquire_general t c line ~excl =
+(* The directory step of a full miss on a line some core caches: serve it
+   from its exclusive owner (downgraded for a read, invalidated for a
+   write) or, past any sharers, from memory. Returns the latency beyond
+   the directory lookup. *)
+let fetch_cached t c line ~excl =
   let cfg = t.cfg in
-  let s1 = Cache.probe c.l1 line in
+  let o = Directory.excl_owner t.dir line in
+  if Debug.on () && o = c.id then
+    invalid_arg "Machine.acquire: self-owned full miss";
+  if not excl then
+    if o >= 0 then begin
+      downgrade_remote t o line;
+      Directory.set_shared_pair t.dir line o c.id;
+      cfg.lat_remote
+    end
+    else begin
+      Directory.add_sharer t.dir line c.id;
+      cfg.lat_mem
+    end
+  else begin
+    let lat =
+      if o >= 0 then begin
+        invalidate_remote t c o line;
+        cfg.lat_remote
+      end
+      else cfg.lat_mem + inval_round_lat cfg (invalidate_others t c line)
+    in
+    Directory.set_excl t.dir line c.id;
+    lat
+  end
+
+(* Every access [acquire]'s L1 hit does not serve: [s1] is [line]'s L1
+   slot for an E/S -> M promotion, or -1 on an L1 miss. *)
+let acquire_slow t c line s1 ~excl =
+  let cfg = t.cfg in
   if s1 >= 0 then begin
-    (* L1 hit: the probed slot stays valid across the match (only remote
-       caches are touched by an upgrade round). *)
-    match Cache.state_at c.l1 s1 with
-    | Cache.M ->
-        Cache.touch_at c.l1 s1;
-        c.stats.l1_hits <- c.stats.l1_hits + 1;
-        cfg.lat_l1
-    | Cache.E ->
-        if excl then begin
-          (* silent E -> M promotion *)
-          Cache.set_state_at c.l1 s1 Cache.M;
-          Cache.set_state c.l2 line Cache.M
+    (* E -> M silently, S -> M through a permission round. The slot stays
+       valid: an upgrade round touches only remote caches. *)
+    c.stats.l1_hits <- c.stats.l1_hits + 1;
+    let lat =
+      if Cache.state_at c.l1 s1 = Cache.E then 0 else upgrade_from_shared t c line
+    in
+    Cache.set_state_at c.l1 s1 Cache.M;
+    Cache.set_state c.l2 line Cache.M;
+    cfg.lat_l1 + lat
+  end
+  else begin
+    c.stats.l1_misses <- c.stats.l1_misses + 1;
+    if on t then ev t c.id (Obs.L1_miss { line });
+    let s2 = Cache.probe c.l2 line in
+    if s2 >= 0 then begin
+      c.stats.l2_hits <- c.stats.l2_hits + 1;
+      let st2 = Cache.state_at c.l2 s2 in
+      let lat = if excl && st2 = Cache.S then upgrade_from_shared t c line else 0 in
+      if excl && st2 <> Cache.M then Cache.set_state_at c.l2 s2 Cache.M;
+      l1_insert t c line (if excl then Cache.M else st2);
+      cfg.lat_l2 + lat
+    end
+    else begin
+      (* Full miss: directory transaction, then the fill. *)
+      c.stats.l2_misses <- c.stats.l2_misses + 1;
+      c.stats.coherence_msgs <- c.stats.coherence_msgs + 1;
+      if on t then ev t c.id (Obs.L2_miss { line });
+      let uncached = Directory.is_uncached t.dir line in
+      let lat =
+        if uncached then begin
+          Directory.set_excl t.dir line c.id;
+          cfg.lat_mem
         end
-        else Cache.touch_at c.l1 s1;
-        c.stats.l1_hits <- c.stats.l1_hits + 1;
-        cfg.lat_l1
-    | Cache.S when not excl ->
-        Cache.touch_at c.l1 s1;
-        c.stats.l1_hits <- c.stats.l1_hits + 1;
-        cfg.lat_l1
-    | Cache.S ->
-        (* S -> M upgrade: permission round through the directory. *)
-        c.stats.l1_hits <- c.stats.l1_hits + 1;
-        let lat = upgrade_from_shared t c line in
-        Cache.set_state_at c.l1 s1 Cache.M;
-        Cache.set_state c.l2 line Cache.M;
-        cfg.lat_l1 + lat
-    | Cache.I -> assert false
-  end
-  else begin
-      c.stats.l1_misses <- c.stats.l1_misses + 1;
-      if on t then ev t c.id (Obs.L1_miss { line });
-      let s2 = Cache.probe c.l2 line in
-      match (if s2 >= 0 then Cache.state_at c.l2 s2 else Cache.I) with
-      | (Cache.M | Cache.E) as st2 ->
-          c.stats.l2_hits <- c.stats.l2_hits + 1;
-          let st = if excl then Cache.M else st2 in
-          if excl && st2 = Cache.E then Cache.set_state_at c.l2 s2 Cache.M;
-          l1_insert t c line st;
-          cfg.lat_l2
-      | Cache.S when not excl ->
-          c.stats.l2_hits <- c.stats.l2_hits + 1;
-          l1_insert t c line Cache.S;
-          cfg.lat_l2
-      | Cache.S ->
-          c.stats.l2_hits <- c.stats.l2_hits + 1;
-          let lat = upgrade_from_shared t c line in
-          Cache.set_state_at c.l2 s2 Cache.M;
-          l1_insert t c line Cache.M;
-          cfg.lat_l2 + lat
-      | Cache.I ->
-          (* Full miss: directory transaction. *)
-          c.stats.l2_misses <- c.stats.l2_misses + 1;
-          c.stats.coherence_msgs <- c.stats.coherence_msgs + 1;
-          if on t then ev t c.id (Obs.L2_miss { line });
-          if excl then begin
-            let xlat =
-              if Directory.is_uncached t.dir line then cfg.lat_mem
-              else begin
-                let o = Directory.excl_owner t.dir line in
-                if o >= 0 then begin
-                  if Debug.on () && o = c.id then
-                    invalid_arg "Machine.acquire: self-owned full miss";
-                  if on t then ev t c.id (Obs.Inval_sent { line; victim = o });
-                  invalidate_remote t o line;
-                  c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
-                  cfg.lat_remote
-                end
-                else begin
-                  let n = invalidate_others t c line in
-                  cfg.lat_mem + inval_round_lat cfg n
-                end
-              end
-            in
-            Directory.set_excl t.dir line c.id;
-            l2_insert t c line Cache.M;
-            l1_insert t c line Cache.M;
-            cfg.lat_dir + xlat
-          end
-          else if Directory.is_uncached t.dir line then begin
-            Directory.set_excl t.dir line c.id;
-            l2_insert t c line Cache.E;
-            l1_insert t c line Cache.E;
-            cfg.lat_dir + cfg.lat_mem
-          end
-          else begin
-            let o = Directory.excl_owner t.dir line in
-            if o >= 0 then begin
-              if Debug.on () && o = c.id then
-                invalid_arg "Machine.acquire: self-owned full miss";
-              downgrade_remote t o line;
-              Directory.set_shared_pair t.dir line o c.id;
-              l2_insert t c line Cache.S;
-              l1_insert t c line Cache.S;
-              cfg.lat_dir + cfg.lat_remote
-            end
-            else begin
-              Directory.add_sharer t.dir line c.id;
-              l2_insert t c line Cache.S;
-              l1_insert t c line Cache.S;
-              cfg.lat_dir + cfg.lat_mem
-            end
-          end
+        else fetch_cached t c line ~excl
+      in
+      let st = if excl then Cache.M else if uncached then Cache.E else Cache.S in
+      l2_insert t c line st;
+      l1_insert t c line st;
+      cfg.lat_dir + lat
     end
-
-(* The L1-hit branch: the latency of serving [line] from [c]'s L1 — any
-   resident state for a read, M for exclusive rights — or -1 when the
-   access needs [acquire_general] (a miss, an E/S -> M promotion, or a
-   recording sink). *)
-let[@inline] l1_hit t c line ~excl =
-  if on t then -1
-  else begin
-    let s1 = Cache.probe c.l1 line in
-    if s1 >= 0 && ((not excl) || Cache.state_at c.l1 s1 = Cache.M) then begin
-      Cache.touch_at c.l1 s1;
-      c.stats.l1_hits <- c.stats.l1_hits + 1;
-      t.cfg.lat_l1
-    end
-    else -1
   end
 
+(* One L1 probe; the hit branch — any resident state for a read, M for
+   exclusive rights — emits no event, so it serves every sink. *)
 let[@inline] acquire t c line ~excl =
-  let lat = l1_hit t c line ~excl in
-  if lat >= 0 then lat else acquire_general t c line ~excl
+  let s1 = Cache.probe c.l1 line in
+  if s1 >= 0 && ((not excl) || Cache.state_at c.l1 s1 = Cache.M) then begin
+    Cache.touch_at c.l1 s1;
+    c.stats.l1_hits <- c.stats.l1_hits + 1;
+    t.cfg.lat_l1
+  end
+  else acquire_slow t c line s1 ~excl
 
 (* Kill [line] at every other core that has it *tagged* (IAS invalidation
    step, tag-targeted variant). Returns the latency charged to the issuer:
@@ -322,43 +280,20 @@ let[@inline] acquire t c line ~excl =
    families separate "taggers interrogated" (what the latency formula
    charges per sharer) from "copies invalidated". *)
 let invalidate_taggers t c line =
-  let n_cores = Array.length t.cores in
-  let rec go i hit =
-    if i >= n_cores then hit
-    else begin
-      let v = t.cores.(i) in
-      if
-        v.id <> c.id && Memtag_unit.is_tagged v.tags line
-      then begin
-        c.stats.tag_probes_sent <- c.stats.tag_probes_sent + 1;
-        v.stats.tag_probes_received <- v.stats.tag_probes_received + 1;
-        if Cache.find v.l2 line <> Cache.I || Cache.find v.l1 line <> Cache.I
-        then begin
-          if Cache.find v.l2 line = Cache.M then begin
-            v.stats.writebacks <- v.stats.writebacks + 1;
-            if on t then ev t v.id (Obs.Writeback { line })
-          end;
-          Cache.remove v.l1 line;
-          Cache.remove v.l2 line;
-          Directory.drop t.dir line v.id;
-          v.stats.invalidations_received <- v.stats.invalidations_received + 1;
-          c.stats.invalidations_sent <- c.stats.invalidations_sent + 1;
-          if on t then begin
-            ev t c.id (Obs.Inval_sent { line; victim = v.id });
-            ev t v.id (Obs.Inval_received { line })
-          end
-        end;
-        if on t && Memtag_unit.live v.tags line then
-          ev t v.id (Obs.Tag_evict { line; conflict = true });
-        Memtag_unit.on_evict v.tags line Memtag_unit.Conflict;
-        go (i + 1) (hit + 1)
-      end
-      else go (i + 1) hit
+  let hit = ref 0 in
+  for i = 0 to Array.length t.cores - 1 do
+    let v = t.cores.(i) in
+    if i <> c.id && Memtag_unit.is_tagged v.tags line then begin
+      c.stats.tag_probes_sent <- c.stats.tag_probes_sent + 1;
+      v.stats.tag_probes_received <- v.stats.tag_probes_received + 1;
+      (* Inclusion: a line in L1 is in L2. *)
+      if Cache.find v.l2 line <> Cache.I then invalidate_remote t c i line
+      else lose_tag t v line Memtag_unit.Conflict;
+      incr hit
     end
-  in
-  let hit = go 0 0 in
+  done;
   c.stats.coherence_msgs <- c.stats.coherence_msgs + 1;
-  t.cfg.lat_dir + inval_round_lat t.cfg hit
+  t.cfg.lat_dir + inval_round_lat t.cfg !hit
 
 (* ------------------------------------------------------------------ *)
 (* Word-level operations.                                              *)
@@ -410,39 +345,34 @@ let faa t ~core:cid addr delta =
 let check_range words =
   if words <= 0 then invalid_arg "Machine: empty tag range"
 
-(* Tag every line of [first..last], fetching each with read rights. *)
-let rec tag_lines t c line last acc =
-  if line > last then acc
-  else begin
-    let l = acquire t c line ~excl:false in
-    Memtag_unit.add c.tags line;
-    c.stats.tag_adds <- c.stats.tag_adds + 1;
-    if on t then ev t c.id (Obs.Tag_add { line });
-    tag_lines t c (line + 1) last (acc + l + t.cfg.lat_tag_op)
-  end
+(* Tag [line], fetching it with read rights. *)
+let[@inline] tag_line t c line =
+  let l = acquire t c line ~excl:false in
+  Memtag_unit.add c.tags line;
+  c.stats.tag_adds <- c.stats.tag_adds + 1;
+  if on t then ev t c.id (Obs.Tag_add { line });
+  l + t.cfg.lat_tag_op
+
+(* Tag lines [line..last], adding their latencies to [acc]. *)
+let rec tag_more t c line last acc =
+  if line > last then acc else tag_more t c (line + 1) last (acc + tag_line t c line)
+
+(* Tag every line of [first..last] in ascending order; a one-line range
+   is one inlined [tag_line]. *)
+let[@inline] tag_lines t c first last =
+  if first = last then tag_line t c first else tag_more t c first last 0
 
 let add_tag t ~core:cid addr ~words =
   check_range words;
   let c = core t cid in
-  let lat =
-    tag_lines t c (line_of t addr) (line_of t (addr + words - 1)) 0
-  in
+  let lat = tag_lines t c (line_of t addr) (line_of t (addr + words - 1)) in
   t.lat.last <- lat;
   lat
 
-(* The hit branch is [tag_lines] for one L1-resident line. *)
 let add_tag_read t ~core:cid addr ~words =
   check_range words;
   let c = core t cid in
-  let first = line_of t addr and last = line_of t (addr + words - 1) in
-  let l = if first = last then l1_hit t c first ~excl:false else -1 in
-  t.lat.last <-
-    (if l >= 0 then begin
-       Memtag_unit.add c.tags first;
-       c.stats.tag_adds <- c.stats.tag_adds + 1;
-       l + t.cfg.lat_tag_op
-     end
-     else tag_lines t c first last 0);
+  t.lat.last <- tag_lines t c (line_of t addr) (line_of t (addr + words - 1));
   c.stats.loads <- c.stats.loads + 1;
   Memory.get t.mem addr
 
@@ -506,77 +436,66 @@ let set_max_tags t n = Array.iter (fun c -> Memtag_unit.set_max_tags c.tags n) t
 
 let max_tags t = Memtag_unit.max_tags t.cores.(0).tags
 
-let vas t ~core:cid addr v =
-  let c = core t cid in
-  c.stats.vas_ops <- c.stats.vas_ops + 1;
+(* Tag-targeted semantics kill each tagged line only at cores that have
+   it tagged — untagged sharers keep their (byte-identical) copies; only
+   the target line's write invalidates everyone. The conservative variant
+   elevates every tagged line to M. The issuer's own entries are walked
+   in ascending line order, the order the committed baselines were
+   measured with; the kills add and remove no entry of that set (an
+   eviction only changes an entry's state), so the sort holds
+   throughout. *)
+let kill_tagged t c target =
+  Memtag_unit.sort c.tags;
+  let lat = ref 0 in
+  for i = 0 to Memtag_unit.count c.tags - 1 do
+    let line = Memtag_unit.line c.tags i in
+    if line <> target then
+      lat :=
+        !lat
+        + (if t.cfg.ias_tag_targeted then invalidate_taggers t c line
+           else acquire t c line ~excl:true)
+  done;
+  !lat
+
+let store_failed t c ~ias =
+  if ias then c.stats.ias_failures <- c.stats.ias_failures + 1
+  else c.stats.vas_failures <- c.stats.vas_failures + 1;
+  if on t then ev t c.id (if ias then Obs.Ias { ok = false } else Obs.Vas { ok = false });
+  false
+
+(* VAS ([ias = false]) and IAS: validate, acquire the target with
+   exclusive rights (IAS then kills its other tagged lines), re-check the
+   tags, store. Inlined into each, so the [ias] tests fold away. *)
+let[@inline] validated_store t c addr v ~ias =
   if not (record_verdict t c (Memtag_unit.check c.tags)) then begin
     (* Fail-fast: purely local, no coherence traffic at all. *)
-    c.stats.vas_failures <- c.stats.vas_failures + 1;
-    if on t then ev t c.id (Obs.Vas { ok = false });
     t.lat.last <- t.cfg.lat_validate;
-    false
+    store_failed t c ~ias
   end
   else begin
-    let lat = acquire t c (line_of t addr) ~excl:true in
+    let target = line_of t addr in
+    let lat = acquire t c target ~excl:true in
+    let lat = if ias then kill_tagged t c target + lat else lat in
     t.lat.last <- t.cfg.lat_validate + lat;
-    (* The fill above may itself have capacity-evicted a tagged line, so
-       re-check; own writes never evict own tags. *)
-    if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
-      c.stats.vas_failures <- c.stats.vas_failures + 1;
-      if on t then ev t c.id (Obs.Vas { ok = false });
-      false
-    end
+    (* The fills above may themselves have capacity-evicted a tagged
+       line, so re-check; own writes never evict own tags. *)
+    if Memtag_unit.check c.tags <> Memtag_unit.Ok then store_failed t c ~ias
     else begin
       Memory.set t.mem addr v;
-      if on t then ev t c.id (Obs.Vas { ok = true });
+      if on t then ev t c.id (if ias then Obs.Ias { ok = true } else Obs.Vas { ok = true });
       true
     end
   end
 
+let vas t ~core:cid addr v =
+  let c = core t cid in
+  c.stats.vas_ops <- c.stats.vas_ops + 1;
+  validated_store t c addr v ~ias:false
+
 let ias t ~core:cid addr v =
   let c = core t cid in
   c.stats.ias_ops <- c.stats.ias_ops + 1;
-  if not (record_verdict t c (Memtag_unit.check c.tags)) then begin
-    c.stats.ias_failures <- c.stats.ias_failures + 1;
-    if on t then ev t c.id (Obs.Ias { ok = false });
-    t.lat.last <- t.cfg.lat_validate;
-    false
-  end
-  else begin
-    (* Walk the issuer's own entries in ascending line order, the order
-       the committed baselines were measured with. The kill loop adds and
-       removes no entry of that set (an eviction only changes an entry's
-       state), so the sort holds throughout. *)
-    Memtag_unit.sort c.tags;
-    let n = Memtag_unit.count c.tags in
-    let target = line_of t addr in
-    let tag_targeted = t.cfg.ias_tag_targeted in
-    (* Tag-targeted semantics kill each tagged line only at cores that
-       have it tagged — untagged sharers keep their (byte-identical)
-       copies; only the target line's write invalidates everyone. The
-       conservative variant elevates every tagged line to M. *)
-    let rec kill i lat =
-      if i >= n then lat
-      else begin
-        let line = Memtag_unit.line c.tags i in
-        if line = target then kill (i + 1) lat
-        else if tag_targeted then kill (i + 1) (lat + invalidate_taggers t c line)
-        else kill (i + 1) (lat + acquire t c line ~excl:true)
-      end
-    in
-    let lat = kill 0 0 + acquire t c target ~excl:true in
-    t.lat.last <- t.cfg.lat_validate + lat;
-    if Memtag_unit.check c.tags <> Memtag_unit.Ok then begin
-      c.stats.ias_failures <- c.stats.ias_failures + 1;
-      if on t then ev t c.id (Obs.Ias { ok = false });
-      false
-    end
-    else begin
-      Memory.set t.mem addr v;
-      if on t then ev t c.id (Obs.Ias { ok = true });
-      true
-    end
-  end
+  validated_store t c addr v ~ias:true
 
 (* ------------------------------------------------------------------ *)
 (* Coherence invariant checker (tests and fuzzing; never on the hot     *)

@@ -101,12 +101,14 @@ let test_spec_plain () =
     (match Inject.of_string "squeeze=oops" with Error _ -> true | Ok _ -> false)
 
 let test_spec_geometry_bound () =
-  (* The injector only shrinks caches: Config.default's geometry (L1 2^6
-     sets x 8 ways, L2 2^8 sets x 16 ways) parses, one step past it in
-     any component is rejected before anything is allocated, and so is an
-     L2 holding fewer lines than the L1 it includes. *)
+  (* The injector only shrinks caches, and no further than the smallest
+     geometry the adversary draws: Config.default's geometry (L1 2^6 sets
+     x 8 ways, L2 2^8 sets x 16 ways) and Inject.small_geometry (L1 2^3 x
+     4, L2 2^6 x 8) parse; one step past either bound in any component is
+     rejected before anything is allocated. *)
   let parses s = Result.is_ok (Inject.of_string s) in
   check_bool "default geometry accepted" true (parses "geom=6,8,8,16");
+  check_bool "small geometry accepted" true (parses "geom=3,4,6,8");
   let small = { Inject.none with geometry = Some Inject.small_geometry } in
   check_bool "small geometry round-trips" true
     (Inject.of_string (Inject.to_string small) = Ok small);
@@ -121,6 +123,12 @@ let test_spec_geometry_bound () =
       "geom=6,0,8,16";
       "geom=-1,8,8,16";
       "geom=6,8,0,1";
+      "geom=0,1,0,1";
+      "geom=1,1,1,1";
+      "geom=2,4,6,8";
+      "geom=3,3,6,8";
+      "geom=3,4,5,8";
+      "geom=3,4,6,7";
     ]
 
 (* ------------------------------------------------------------------ *)

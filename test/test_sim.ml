@@ -163,14 +163,14 @@ let test_pqueue_exchange_releases_value () =
   check_int "exchanged-in value pops" 2 !(Pqueue.pop q)
 
 (* ------------------------------------------------------------------ *)
-(* Fast path = slow path. An L1 hit is served by [Machine]'s hit branch
-   and a stall below the lane limit by [Ctx] inline (DESIGN §12). A
-   policy with an [extra_delay] hook — one that adds nothing — sends
-   every stall through [Runtime.stall_on]; a recording sink sends every
-   access through [Machine]'s evented path (and every stall through the
-   scheduler); a [Series] on that sink also snapshots the machine's
-   counters at every 64-cycle window boundary the event stream crosses.
-   The four runs must agree on everything observable. With
+(* Fast path = slow path. A stall below the lane limit is served by
+   [Ctx] inline (DESIGN §12). A policy with an [extra_delay] hook — one
+   that adds nothing — sends every stall through [Runtime.stall_on]; a
+   recording sink sends every stall through the scheduler, and every
+   access takes the same [Machine] code as on a null sink, differing
+   only in the events it emits; a [Series] on that sink also snapshots
+   the machine's counters at every 64-cycle window boundary the event
+   stream crosses. The four runs must agree on everything observable. With
    [~checks:false] memory accesses skip their debug bounds checks. *)
 
 (* Run [f] with the simulator's debug checks set to [on], then restore
@@ -1227,7 +1227,8 @@ let prop_machine_coherence_invariant =
    traffic counters and every other core's tag count unchanged. A late
    failure is exempt: it re-checks after acquiring the target, and that
    fill may evict a tagged line after traffic was sent. With [sink] the
-   machine records into an Obs sink, so its evented path runs. *)
+   machine records into an Obs sink, so every step also emits its
+   events. *)
 let prop_machine_check_coherence ~sink =
   QCheck.Test.make ~count:100
     ~name:
@@ -1446,10 +1447,9 @@ let test_add_tag_read_equals_read_plus_tag () =
    every line L1-resident tags enough distinct lines to double the
    array's initial 16 entries several times, with removes interleaved so
    that each moves the last entry into its hole, then re-tags the removed
-   lines. A recording sink sends the same sequence through the general
-   path: both machines must agree on every latency (a tag op costs a
-   cycle, so a skipped one shows), the tag count, the verdict and every
-   counter. *)
+   lines. The same sequence on a recording sink, which also emits each
+   tag event, must agree on every latency (a tag op costs a cycle, so a
+   skipped one shows), the tag count, the verdict and every counter. *)
 let test_tag_read_hit_grows_table () =
   let lines = 300 in
   let run obs =
@@ -1485,13 +1485,107 @@ let test_tag_read_hit_grows_table () =
     (List.rev !latencies, !peak, Machine.tag_count m ~core:0, ok,
      Machine.stats m ~core:0)
   in
-  let hit = run Mt_obs.Obs.null in
-  let general = run (Mt_obs.Obs.create ~retain:false ~num_cores:1 ()) in
-  let _, peak, count, ok, _ = hit in
+  let null = run Mt_obs.Obs.null in
+  let recorded = run (Mt_obs.Obs.create ~retain:false ~num_cores:1 ()) in
+  let _, peak, count, ok, _ = null in
   check_bool "past the journal's initial 128 entries" true (peak > 128);
   check_int "every line tagged" lines count;
   check_bool "validates" true ok;
-  check_bool "hit path = general path" true (hit = general)
+  check_bool "null sink = recording sink" true (null = recorded)
+
+(* The cost model, one row per transition of the access routine: each
+   row prepares line [a] on a 4-core machine, then core 0 reads it or
+   FAAs it (an FAA's latency is the uncapped acquire). The row pins the
+   access's latency and the deltas of the coherence counters (summed
+   over cores, nonzero ones listed), on a null sink and on a recording
+   sink alike. The L1 is one 2-way set: core 0 reading lines [b] and [c]
+   pushes [a] out of L1 while L2 keeps it, unless an L1 hit on [a] in
+   between refreshed its LRU stamp. *)
+let test_acquire_cost_table () =
+  let cfg =
+    { (Config.default ~num_cores:4 ()) with l1_sets_log2 = 0; l1_ways = 2 }
+  in
+  let read m core a = ignore (Machine.read m ~core a) in
+  let faa m core a = ignore (Machine.faa m ~core a 1) in
+  let counters (s : Stats.t) =
+    [
+      ("l1_hits", s.l1_hits);
+      ("l1_misses", s.l1_misses);
+      ("l2_hits", s.l2_hits);
+      ("l2_misses", s.l2_misses);
+      ("coherence_msgs", s.coherence_msgs);
+      ("invalidations_sent", s.invalidations_sent);
+      ("invalidations_received", s.invalidations_received);
+      ("downgrades_received", s.downgrades_received);
+      ("writebacks", s.writebacks);
+    ]
+  in
+  let inval n = cfg.lat_inval + (n * cfg.lat_inval_per_sharer) in
+  let l1_hit = [ ("l1_hits", 1) ] and l2_hit = [ ("l1_misses", 1); ("l2_hits", 1) ] in
+  let full_miss = [ ("l1_misses", 1); ("l2_misses", 1); ("coherence_msgs", 1) ] in
+  let killed n = [ ("invalidations_sent", n); ("invalidations_received", n) ] in
+  let shared_by cores m a = List.iter (fun c -> read m c a) cores in
+  let push_out m (b, c) = read m 0 b; read m 0 c in
+  let rows =
+    [
+      ("L1 hit, read", (fun m _ a -> read m 0 a), read, cfg.lat_l1, l1_hit);
+      ( "L1 hit refreshes LRU",
+        (fun m (b, c) a -> read m 0 a; read m 0 b; read m 0 a; read m 0 c),
+        read, cfg.lat_l1, l1_hit );
+      ("L1 hit, write to M", (fun m _ a -> faa m 0 a), faa, cfg.lat_l1, l1_hit);
+      ("silent E -> M", (fun m _ a -> read m 0 a), faa, cfg.lat_l1, l1_hit);
+      ( "S -> M upgrade, 1 sharer", (fun m _ a -> shared_by [ 0; 1 ] m a), faa,
+        cfg.lat_l1 + cfg.lat_dir + inval 1,
+        l1_hit @ [ ("coherence_msgs", 1) ] @ killed 1 );
+      ( "S -> M upgrade, 3 sharers", (fun m _ a -> shared_by [ 0; 1; 2; 3 ] m a), faa,
+        cfg.lat_l1 + cfg.lat_dir + inval 3,
+        l1_hit @ [ ("coherence_msgs", 1) ] @ killed 3 );
+      ("L2 hit in E", (fun m bc a -> read m 0 a; push_out m bc), read, cfg.lat_l2, l2_hit);
+      ("L2 hit in E, write", (fun m bc a -> read m 0 a; push_out m bc), faa, cfg.lat_l2, l2_hit);
+      ("L2 hit in M", (fun m bc a -> faa m 0 a; push_out m bc), read, cfg.lat_l2, l2_hit);
+      ( "L2 hit in S", (fun m bc a -> shared_by [ 0; 1 ] m a; push_out m bc), read,
+        cfg.lat_l2, l2_hit );
+      ( "L2 S -> M", (fun m bc a -> shared_by [ 0; 1 ] m a; push_out m bc), faa,
+        cfg.lat_l2 + cfg.lat_dir + inval 1,
+        [ ("l1_misses", 1); ("l2_hits", 1); ("coherence_msgs", 1) ] @ killed 1 );
+      ("full miss read, memory", (fun _ _ _ -> ()), read, cfg.lat_dir + cfg.lat_mem, full_miss);
+      ( "full miss read, remote owner", (fun m _ a -> faa m 1 a), read,
+        cfg.lat_dir + cfg.lat_remote,
+        full_miss @ [ ("downgrades_received", 1); ("writebacks", 1) ] );
+      ( "full miss read, sharers", (fun m _ a -> shared_by [ 1; 2 ] m a), read,
+        cfg.lat_dir + cfg.lat_mem, full_miss );
+      ("full miss write, memory", (fun _ _ _ -> ()), faa, cfg.lat_dir + cfg.lat_mem, full_miss);
+      ( "full miss write, remote owner", (fun m _ a -> faa m 1 a), faa,
+        cfg.lat_dir + cfg.lat_remote,
+        full_miss @ killed 1 @ [ ("writebacks", 1) ] );
+      ( "full miss write, sharers", (fun m _ a -> shared_by [ 1; 2 ] m a), faa,
+        cfg.lat_dir + cfg.lat_mem + inval 2, full_miss @ killed 2 );
+    ]
+  in
+  List.iter
+    (fun (name, setup, access, lat, deltas) ->
+      List.iter
+        (fun (sink, obs) ->
+          let m = Machine.create ~obs cfg in
+          let line () = Machine.alloc m ~words:8 in
+          let a = line () in
+          let bc = (line (), line ()) in
+          setup m bc a;
+          let before = counters (Machine.total_stats m) in
+          access m 0 a;
+          check_int (name ^ ", " ^ sink ^ ": latency") lat (Machine.last_latency m);
+          Alcotest.(check (list (pair string int)))
+            (name ^ ", " ^ sink ^ ": counter deltas")
+            (List.sort compare deltas)
+            (List.sort compare
+               (List.filter_map
+                  (fun ((k, v), (_, v0)) -> if v = v0 then None else Some (k, v - v0))
+                  (List.combine (counters (Machine.total_stats m)) before))))
+        [
+          ("null sink", Mt_obs.Obs.null);
+          ("recording sink", Mt_obs.Obs.create ~retain:false ~num_cores:4 ());
+        ])
+    rows
 
 let test_lines_of_range_spanning () =
   let cfg = Config.default () in
@@ -1666,6 +1760,7 @@ let () =
           Alcotest.test_case "tagged-read hit grows the tag table" `Quick
             test_tag_read_hit_grows_table;
           Alcotest.test_case "line ranges" `Quick test_lines_of_range_spanning;
+          Alcotest.test_case "acquire cost table" `Quick test_acquire_cost_table;
         ]
         @ qsuite [ prop_prng_int_uniformish ] );
       ( "harness",
