@@ -5,7 +5,7 @@
    Usage:  dune exec bench/main.exe [-- fig2 fig5 fig6 fig7 fig8 spurious
                                         ablation latency store contention
                                         timeline summary
-                                        quick --jobs N --json FILE --note k=v]
+                                        quick --jobs N --json FILE]
 
    Each word selects one panel of the registry at the bottom of this
    file ("fig4" is an alias of "fig2"); panels always run in registry
@@ -33,9 +33,7 @@
    With no panel word everything runs (the paper's full sweep). "quick"
    restricts the thread sweep for a fast smoke run. --jobs N fans the
    independent simulation points out over N OCaml domains (0 = auto, 1 =
-   sequential); output and JSON are byte-identical for any value. --note
-   records a key=value pair under "notes" in the JSON export (e.g. host
-   wall-clock stamps that must not perturb the deterministic fields). *)
+   sequential); output and JSON are byte-identical for any value. *)
 
 open Mt_sim
 module Spec = Mt_workload.Spec
@@ -1022,7 +1020,7 @@ let panels =
 (* Machine-readable export of the panels that ran. This is the BENCH_*.json
    schema — extend, don't reorder or rename. Every slot is present, as an
    empty list when its panel did not run. *)
-let export_json o ~notes ran file =
+let export_json o ran file =
   let in_slot key = List.filter (fun (p, _) -> p.slot = Some key) ran in
   let slot key = Json.List (List.concat_map (fun (_, out) -> out.rows) (in_slot key)) in
   let doc =
@@ -1037,11 +1035,7 @@ let export_json o ~notes ran file =
        ]
       @ List.map
           (fun key -> (key, slot key))
-          [ "spurious"; "headline"; "latency"; "store"; "contention"; "timeseries" ]
-      @
-      match notes with
-      | [] -> []
-      | kvs -> [ ("notes", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs)) ])
+          [ "spurious"; "headline"; "latency"; "store"; "contention"; "timeseries" ])
   in
   Json.to_file file doc;
   Printf.printf "\nWrote benchmark JSON to %s\n" file
@@ -1050,27 +1044,19 @@ let usage_error fmt =
   Printf.ksprintf (fun s -> prerr_endline ("bench: " ^ s); exit 2) fmt
 
 let () =
-  let rec parse ~json ~jobs ~notes words = function
-    | "--json" :: file :: rest -> parse ~json:(Some file) ~jobs ~notes words rest
+  let rec parse ~json ~jobs words = function
+    | "--json" :: file :: rest -> parse ~json:(Some file) ~jobs words rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some n when n >= 0 -> parse ~json ~jobs:n ~notes words rest
+        | Some n when n >= 0 -> parse ~json ~jobs:n words rest
         | _ -> usage_error "--jobs requires a non-negative integer")
-    | "--note" :: kv :: rest -> (
-        match String.index_opt kv '=' with
-        | Some i ->
-            let note =
-              (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
-            in
-            parse ~json ~jobs ~notes:(note :: notes) words rest
-        | None -> usage_error "--note requires a key=value argument")
-    | [ ("--json" | "--jobs" | "--note") as flag ] ->
+    | [ ("--json" | "--jobs") as flag ] ->
         usage_error "%s requires an argument" flag
-    | w :: rest -> parse ~json ~jobs ~notes (w :: words) rest
-    | [] -> (json, jobs, List.rev notes, List.rev words)
+    | w :: rest -> parse ~json ~jobs (w :: words) rest
+    | [] -> (json, jobs, List.rev words)
   in
-  let json_file, jobs, notes, words =
-    parse ~json:None ~jobs:0 ~notes:[] [] (List.tl (Array.to_list Sys.argv))
+  let json_file, jobs, words =
+    parse ~json:None ~jobs:0 [] (List.tl (Array.to_list Sys.argv))
   in
   let quick = List.mem "quick" words in
   let words = List.filter (fun w -> w <> "quick") words in
@@ -1093,5 +1079,5 @@ let () =
         ran @ [ (p, p.run o earlier) ])
       [] selected
   in
-  Option.iter (export_json o ~notes ran) json_file;
+  Option.iter (export_json o ran) json_file;
   Printf.printf "\nTotal bench wall time: %.1f s\n" (Unix.gettimeofday () -. t0)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paper-claim gates: one row per claim, each with a canary that must break it.
 
-Usage: python3 bench/shape_gate.py BENCH.json
+Usage: python3 bench/shape_gate.py BENCH.json [EXPERIMENTS.md]
 
 Reads a `bench/main.exe ... fig2 fig6 fig7 fig8 spurious --json` sweep.
 Each row of ROWS names the EXPERIMENTS.md heading that records its claim,
@@ -11,10 +11,18 @@ magnitude. A canary is a perturbation of a copy of the document that
 its row must reject: after the checks, each passing row is rerun on its
 canary copy, so every run shows that each gate can still fail. Exits 1
 if a row fails, or if a canary passes its row or cannot be applied.
+
+Given EXPERIMENTS.md, it also checks that every backticked JSON path the
+document cites resolves in BENCH.json. A path starts with a top-level
+panel key (`figures`, `spurious`, ...); each further step is `.field`,
+`[i]` (the i-th element of a list), or `[field=value]` (the one element
+whose field equals value; `[f=v,g=w]` requires both). Its canary is the
+document with the first path's last field renamed, which must fail.
 """
 
 import json
 import math
+import re
 import sys
 
 RATIO_BOUND = 1.0
@@ -154,12 +162,95 @@ ROWS = [
 
 VERDICT = {True: "ok", False: "FAIL", None: "reported, not gated"}
 
+PANELS = ("figures", "spurious", "headline", "latency", "store", "contention",
+          "timeseries")
+PATH = re.compile(r"`((?:%s)(?:\.\w+|\[[^\]`]+\])+)`" % "|".join(PANELS))
+STEP = re.compile(r"\.(\w+)|\[([^\]]+)\]")
+CONDITION = re.compile(r",(?=\w+=)")
+
+
+def matches(value, text):
+    """A JSON value equals the text of a `[field=value]` step: strings
+    compare as written, numbers and booleans as parsed JSON."""
+    if isinstance(value, str):
+        return value == text
+    try:
+        return json.loads(text) == value
+    except ValueError:
+        return False
+
+
+def resolve(doc, path):
+    """None if path resolves in doc, else why not."""
+    panel = next(p for p in PANELS if path.startswith(p))
+    if panel not in doc:
+        return f"no panel {panel}"
+    node = doc[panel]
+    for step in STEP.finditer(path, len(panel)):
+        field, select = step.groups()
+        if field is not None:
+            if not isinstance(node, dict) or field not in node:
+                return f"no field {field}"
+            node = node[field]
+        elif not isinstance(node, list):
+            return f"[{select}] on a non-list"
+        elif select.isdigit():
+            if int(select) >= len(node):
+                return f"[{select}] past a list of {len(node)}"
+            node = node[int(select)]
+        else:
+            conds = [c.split("=", 1) for c in CONDITION.split(select)]
+            if any(len(c) != 2 for c in conds):
+                return f"[{select}] is neither an index nor field=value"
+            hits = [e for e in node if isinstance(e, dict) and all(
+                f in e and matches(e[f], v) for f, v in conds)]
+            if len(hits) != 1:
+                return f"[{select}] selects {len(hits)} elements"
+            node = hits[0]
+    return None
+
+
+def unresolved(doc, text):
+    """(line number, path, reason) for each cited path that does not
+    resolve, and the number of paths cited. A path wrapped across lines
+    keeps its line break, so it resolves only when written on one line."""
+    bad = []
+    cited = list(PATH.finditer(text))
+    for m in cited:
+        why = resolve(doc, m.group(1))
+        if why:
+            bad.append((text.count("\n", 0, m.start()) + 1, m.group(1), why))
+    return bad, len(cited)
+
+
+def check_paths(doc, md_path):
+    """The doc-path check and its canary; True when both behave."""
+    text = open(md_path).read()
+    print(f"Doc paths ({md_path}: every cited JSON path resolves)")
+    bad, cited = unresolved(doc, text)
+    for n, path, why in bad:
+        print(f"  line {n}: {path}: {why}: FAIL")
+    print(f"  {cited} paths cited, {cited - len(bad)} resolve: "
+          f"{'ok' if cited and not bad else 'FAIL'}")
+    if bad or not cited:
+        return False
+    path = next((m.group(1) for m in PATH.finditer(text)
+                 if "." in m.group(1)), None)
+    if path is None:
+        print("  canary (a path renamed): no path with a field: FAIL")
+        return False
+    renamed = re.sub(r"\.(\w+)((?:\[[^\]]+\])*)$", r".\1_renamed\2", path)
+    caught = bool(unresolved(doc, text.replace(f"`{path}`",
+                                               f"`{renamed}`", 1))[0])
+    print(f"  canary ({renamed}): {'caught' if caught else 'NOT caught: FAIL'}")
+    return caught
+
 
 def passes(verdicts):
     return all(v is not False for _, v in verdicts)
 
 
-def main(path):
+def main(path, md_path=None):
     text = open(path).read()
     doc = json.loads(text)
     ok = True
@@ -185,10 +276,12 @@ def main(path):
         ok = ok and caught
         print(f"  canary ({canary}): "
               f"{'caught' if caught else 'NOT caught: FAIL'}")
+    if md_path is not None:
+        ok = check_paths(doc, md_path) and ok
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         sys.exit(__doc__)
-    sys.exit(main(sys.argv[1]))
+    sys.exit(main(*sys.argv[1:]))

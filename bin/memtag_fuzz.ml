@@ -126,7 +126,11 @@ let run structures all seeds seed_start threads_list ops range prefill
     threads_list;
   if range <= 0 then reject "--range must be positive (got %d)" range;
   if max_delay < 0 then reject "--max-delay must be non-negative (got %d)" max_delay;
-  if seeds < 0 then reject "--seeds must be non-negative (got %d)" seeds;
+  if seeds < 1 then reject "--seeds must be at least 1 (got %d)" seeds;
+  if seed_start < 0 then
+    reject "--seed-start must be non-negative (got %d)" seed_start;
+  if ops < 1 then reject "--ops must be at least 1 (got %d)" ops;
+  if prefill < 0 then reject "--prefill must be non-negative (got %d)" prefill;
   let jobs = if jobs > 0 then jobs else Mt_par.Pool.default_jobs () in
   let pinned_spec =
     match spec_str with

@@ -69,9 +69,6 @@ let identity_keys =
     "calibration"; "policy"; "theta";
   ]
 
-(* Subtrees that are host- or wall-clock-dependent by contract. *)
-let skip_keys = [ "notes" ]
-
 type finding = {
   path : string;
   metric : string;
@@ -151,10 +148,9 @@ let compare_docs ?(bands = default_bands) ~baseline ~current () =
         | _ -> ());
         List.iter
           (fun (k, bv) ->
-            if not (List.mem k skip_keys) then
-              match List.assoc_opt k cf with
-              | None -> structural (("." ^ k) :: rev) "missing from current"
-              | Some cv -> walk (("." ^ k) :: rev) bv cv)
+            match List.assoc_opt k cf with
+            | None -> structural (("." ^ k) :: rev) "missing from current"
+            | Some cv -> walk (("." ^ k) :: rev) bv cv)
           bf
     | Json.List bl, Json.List cl ->
         let nb = List.length bl and nc = List.length cl in

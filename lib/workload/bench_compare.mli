@@ -12,8 +12,7 @@
     (implementation name, workload label, ...) is a {e structural}
     failure — the documents are not comparable. All other leaves (raw
     counters, histogram buckets, spec echoes) are ignored: they drift
-    with any behavioural change and carry no better/worse direction. The
-    host-dependent ["notes"] subtree is skipped by contract. *)
+    with any behavioural change and carry no better/worse direction. *)
 
 module Json = Mt_obs.Json
 
