@@ -35,14 +35,33 @@ let spec () =
 
 (* One closed-loop HoH-list point with a series attached; returns the
    series and the driver result. *)
-let run_point ?make_policy ?(retain = false) () =
+let run_point ?make_policy ?cm ?(retain = false) () =
   let obs = Obs.create ~retain ~num_cores:threads () in
   let series = Series.create ~window () in
   let r =
-    Driver.run_set ~obs ?make_policy ~series (module Mt_list.Hoh_list)
+    Driver.run_set ~obs ?make_policy ?cm ~series (module Mt_list.Hoh_list)
       (spec ())
   in
   (series, r)
+
+(* Squeeze Max_Tags to 1 over [10000, 22000): a hand-over-hand locate
+   needs two live tags, so every traversal in the pulse overflows. *)
+let squeeze_at = 10_000
+let squeeze_hold = 12_000
+
+let squeeze_point () =
+  let inj =
+    match
+      Inject.of_string
+        (Printf.sprintf "squeeze=%d,1,%d" squeeze_at squeeze_hold)
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let make_policy m =
+    Inject.make_policy inj ~machine:m ~seed:7 ~max_delay:0
+  in
+  run_point ~make_policy ()
 
 let series_str s = Json.to_string (Series.to_json s)
 
@@ -153,18 +172,59 @@ let test_series_boundary_attribution () =
 (* ------------------------------------------------------------------ *)
 (* Partition identities. *)
 
+(* Every window field backed by a machine counter, with the run's total
+   of that counter. *)
+let counter_totals (st : Mt_sim.Stats.t) =
+  Mt_sim.Stats.
+    [
+      ("aborts.validate_real", st.validate_failures - st.validate_failures_spurious,
+       fun (w : Series.window) -> w.w_validate_real);
+      ("aborts.validate_spurious", st.validate_failures_spurious,
+       fun w -> w.w_validate_spurious);
+      ("aborts.vas", st.vas_failures, fun w -> w.w_vas_fail);
+      ("aborts.ias", st.ias_failures, fun w -> w.w_ias_fail);
+      ("tags.adds", st.tag_adds, fun w -> w.w_tag_adds);
+      ("tags.removes", st.tag_removes, fun w -> w.w_tag_removes);
+      ("tags.overflows", st.tag_overflows, fun w -> w.w_snap.c_tag_overflows);
+      ("mem.l1_hits", st.l1_hits, fun w -> w.w_snap.c_l1_hits);
+      ("mem.l1_misses", st.l1_misses, fun w -> w.w_snap.c_l1_misses);
+      ("mem.coherence_msgs", st.coherence_msgs,
+       fun w -> w.w_snap.c_coherence_msgs);
+      ("mem.invalidations", st.invalidations_received,
+       fun w -> w.w_snap.c_invalidations);
+      ("mem.writebacks", st.writebacks, fun w -> w.w_snap.c_writebacks);
+      ("heat", heat st, fun w -> w.w_snap.c_heat);
+      ("cm.waits", st.cm_waits, fun w -> w.w_cm_waits);
+      ("cm.wait_cycles", st.cm_wait_cycles, fun w -> w.w_cm_wait_cycles);
+    ]
+
+(* The windows partition the run: ops, latency and every counter-backed
+   field sum to the run's totals, under the default policy and under
+   backoff (whose CM waits the default never takes). *)
 let test_series_partitions_ops () =
-  let series, r = run_point () in
-  let ws = Series.windows series in
-  check_bool "several windows" true (Array.length ws > 3);
-  let sum = Array.fold_left (fun a w -> a + w.Series.w_ops) 0 ws in
-  check_int "window ops sum to run ops" r.Driver.ops sum;
-  (* The merged per-window latency histogram is the run's histogram. *)
-  check_int "latency summary count" (Hist.count r.Driver.latency)
-    (Hist.count (Series.latency_summary series));
-  check_string "latency summary percentiles"
-    (Json.to_string (Hist.to_json r.Driver.latency))
-    (Json.to_string (Hist.to_json (Series.latency_summary series)))
+  List.iter
+    (fun (policy, cm) ->
+      let series, r = run_point ?cm () in
+      let ws = Series.windows series in
+      let sum f = Array.fold_left (fun a w -> a + f w) 0 ws in
+      let name s = policy ^ ": " ^ s in
+      check_bool (name "several windows") true (Array.length ws > 3);
+      check_int (name "window ops sum to run ops") r.Driver.ops
+        (sum (fun w -> w.Series.w_ops));
+      List.iter
+        (fun (field, total, f) ->
+          check_int (name (field ^ " sums to the run's total")) total (sum f))
+        (counter_totals r.Driver.stats);
+      if cm <> None then
+        check_bool (name "the policy waited") true
+          (r.Driver.stats.Mt_sim.Stats.cm_waits > 0);
+      (* The merged per-window latency histogram is the run's histogram. *)
+      check_int (name "latency summary count") (Hist.count r.Driver.latency)
+        (Hist.count (Series.latency_summary series));
+      check_string (name "latency summary percentiles")
+        (Json.to_string (Hist.to_json r.Driver.latency))
+        (Json.to_string (Hist.to_json (Series.latency_summary series))))
+    [ ("immediate", None); ("backoff", Some (Mt_cm.Cm.backoff ())) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism contract. *)
@@ -191,18 +251,8 @@ let test_series_jobs_invariant () =
 (* Squeeze-pulse visibility. *)
 
 let test_series_squeeze_spike () =
-  (* Squeeze Max_Tags to 1 over [10000, 22000): a hand-over-hand locate
-     needs two live tags, so every traversal in the pulse overflows. *)
-  let at = 10_000 and hold = 12_000 in
-  let inj =
-    match Inject.of_string (Printf.sprintf "squeeze=%d,1,%d" at hold) with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let make_policy m =
-    Inject.make_policy inj ~machine:m ~seed:7 ~max_delay:0
-  in
-  let series, r = run_point ~make_policy () in
+  let at = squeeze_at and hold = squeeze_hold in
+  let series, r = squeeze_point () in
   (match Series.marks series with
   | [ (t1, l1); (t2, l2) ] ->
       check_string "apply mark" "squeeze(max_tags=1)" l1;
@@ -228,6 +278,34 @@ let test_series_squeeze_spike () =
   check_bool "run still completes ops" true (r.Driver.ops > 0);
   check_bool "spurious aborts recorded" true
     (r.Driver.stats.Mt_sim.Stats.validate_failures_spurious > 0)
+
+(* The squeeze point's whole [Series.to_json], pinned byte for byte: a
+   digest of the document, and the first window the pulse reaches
+   verbatim so that a failure shows which fields moved. *)
+let squeeze_json_digest = "404d4fdba476b52c52b1eab9b4666960"
+let squeeze_first_pulse_window =
+  {|{"t0":10000,"t1":15000,"ops":5|}
+  ^ {|,"aborts":{"validate_real":0,"validate_spurious":9663,"vas":0,"ias":0,"stm":0}|}
+  ^ {|,"tags":{"adds":19331,"removes":0,"evict_capacity":0,"evict_conflict":0,"occupancy_end":6,"overflows":9663}|}
+  ^ {|,"mem":{"l1_hits":19403,"l1_misses":3,"l1_miss_rate":0.00015459136349582603,"coherence_msgs":3,"invalidations":0,"writebacks":1}|}
+  ^ {|,"heat":9663|}
+  ^ {|,"serve":{"enqueues":0,"dequeues":0,"drops":0,"commits":0,"max_depth":0}|}
+  ^ {|,"store":{"ops":0,"txn_commits":0,"scan_validate_ok":0,"scan_validate_fail":0,"shard_ops":[],"imbalance":1.0}|}
+  ^ {|,"cm":{"waits":0,"wait_cycles":0}|}
+  ^ {|,"latency":{"count":5,"min":119,"p50":144,"p90":512,"p99":512,"p999":512,"max":520,"mean":238.6,"sum":1193}}|}
+
+let test_series_squeeze_json_pinned () =
+  let series, _ = squeeze_point () in
+  let doc = Series.to_json series in
+  let first_pulse =
+    match (Series.marks series, Json.member "windows" doc) with
+    | (applied, _) :: _, Some (Json.List ws) -> List.nth ws (applied / window)
+    | _ -> Alcotest.fail "no squeeze mark or no windows"
+  in
+  check_string "first in-pulse window" squeeze_first_pulse_window
+    (Json.to_string first_pulse);
+  check_string "document digest" squeeze_json_digest
+    (Digest.to_hex (Digest.string (Json.to_string doc)))
 
 (* ------------------------------------------------------------------ *)
 (* Serve-layer conservation: result counters vs series sums. *)
@@ -487,6 +565,8 @@ let () =
           Alcotest.test_case "jobs invariant" `Quick test_series_jobs_invariant;
           Alcotest.test_case "squeeze spike visible" `Quick
             test_series_squeeze_spike;
+          Alcotest.test_case "squeeze JSON pinned" `Quick
+            test_series_squeeze_json_pinned;
           Alcotest.test_case "exec rejects a null sink" `Quick
             test_exec_series_needs_sink;
           Alcotest.test_case "exec detaches its tap" `Quick
