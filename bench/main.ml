@@ -199,8 +199,9 @@ let run_figure f o _ =
   figure_output series
 
 (* ------------------------------------------------------------------ *)
-(* Figure 8: STAMP vacation on NOrec vs tagged NOrec,
-   -n4 -q60 -u90 -r16384 (-t is replaced by a fixed simulated window). *)
+(* Figure 8: STAMP vacation on NOrec vs tagged NOrec, -n4 -q60 -u90 with
+   -r16384 relations (-r4096 under quick); -t is replaced by a fixed
+   simulated window. *)
 
 (* One vacation run: the Fig. 8 client mix over [relations] rows per
    table on a [max_tags]-tag machine. Returns the result, the STM's aborts
@@ -230,8 +231,10 @@ let vacation (module S : Mt_stm.Stm_intf.S) ~max_tags ~relations ~threads
 let stm_name (module S : Mt_stm.Stm_intf.S) = S.name
 
 let fig8 o _ =
-  print_endline "\n=== Figure 8: STAMP vacation on NOrec (-n4 -q60 -u90 -r16384) ===";
   let relations = if o.quick then 4096 else vacation_relations in
+  Printf.printf
+    "\n=== Figure 8: STAMP vacation on NOrec (-n4 -q60 -u90 -r%d) ===\n%!"
+    relations;
   let impls : (module Mt_stm.Stm_intf.S) list =
     [ (module Mt_stm.Norec); (module Mt_stm.Norec_tagged) ]
   in
@@ -894,23 +897,19 @@ let timeline o _ =
       List.iter
         (fun (t, label) -> Printf.printf "  [%s] mark @%-6d %s\n%!" name t label)
         (Series.marks series);
-      let ws = Series.windows series in
+      let overflows i = Series.get series i (Counter Tag_overflows) in
       let peak = ref 0 in
-      Array.iteri
-        (fun i w ->
-          if
-            w.Series.w_snap.Series.c_tag_overflows
-            > ws.(!peak).Series.w_snap.Series.c_tag_overflows
-          then peak := i)
-        ws;
-      let w = ws.(!peak) in
+      for i = 1 to Series.n_windows series - 1 do
+        if overflows i > overflows !peak then peak := i
+      done;
+      let t0 = !peak * timeline_window in
       Printf.printf
         "  [%s] %d windows of %d cycles; peak window [%d,%d): %d tag \
          overflows, %d spurious validation failures, %d ops\n%!"
-        name (Array.length ws) timeline_window w.Series.w_t0
-        (w.Series.w_t0 + timeline_window)
-        w.Series.w_snap.Series.c_tag_overflows w.Series.w_validate_spurious
-        w.Series.w_ops)
+        name (Series.n_windows series) timeline_window t0
+        (t0 + timeline_window) (overflows !peak)
+        (Series.get series !peak (Counter Validate_spurious))
+        (Series.get series !peak (Tally Ops)))
     scenarios;
   output
     (List.map

@@ -1,18 +1,18 @@
 (* Regression sentinel CLI: compare a committed BENCH JSON baseline
    against a freshly generated document.
 
-   Usage:  bench_diff [--tol METRIC=REL]... BASELINE CURRENT
+   Usage:  bench_diff BASELINE CURRENT
 
    Exit status: 0 when every watched metric is inside its tolerance band
    (improvements included), 1 when at least one metric regressed, 2 on
    structural mismatch (missing keys, changed identity fields, changed
-   list lengths) or usage/parse errors. The engine and the default bands
+   list lengths) or usage/parse errors. The engine and its tolerance bands
    live in Mt_workload.Bench_compare. *)
 
 module Json = Mt_obs.Json
 module BC = Mt_workload.Bench_compare
 
-let usage = "usage: bench_diff [--tol METRIC=REL]... BASELINE CURRENT"
+let usage = "usage: bench_diff BASELINE CURRENT"
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -25,40 +25,13 @@ let read_json path =
   with Json.Parse_error msg -> fail "%s: invalid JSON: %s" path msg
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec split bands files = function
-    | "--tol" :: kv :: rest -> (
-        match String.index_opt kv '=' with
-        | Some i -> (
-            let metric = String.sub kv 0 i in
-            let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-            match float_of_string_opt v with
-            | Some rel when rel >= 0.0 ->
-                let band =
-                  match List.assoc_opt metric BC.default_bands with
-                  | Some b -> { b with BC.rel }
-                  | None -> { BC.dir = BC.Higher_better; rel; abs = 0.0 }
-                in
-                split ((metric, band) :: bands) files rest
-            | _ -> fail "bench_diff: bad --tol value %S" kv)
-        | None -> fail "bench_diff: --tol wants METRIC=REL, got %S" kv)
-    | "--tol" :: [] -> fail "%s" usage
-    | a :: rest -> split bands (a :: files) rest
-    | [] -> (bands, List.rev files)
-  in
-  let overrides, files = split [] [] args in
   let base_file, cur_file =
-    match files with [ b; c ] -> (b, c) | _ -> fail "%s" usage
-  in
-  (* Later --tol wins; unmentioned metrics keep their default band. *)
-  let bands =
-    overrides
-    @ List.filter
-        (fun (m, _) -> not (List.mem_assoc m overrides))
-        BC.default_bands
+    match List.tl (Array.to_list Sys.argv) with
+    | [ b; c ] -> (b, c)
+    | _ -> fail "%s" usage
   in
   let baseline = read_json base_file and current = read_json cur_file in
-  let r = BC.compare_docs ~bands ~baseline ~current () in
+  let r = BC.compare_docs ~baseline ~current () in
   List.iter (Printf.printf "STRUCTURAL %s\n") r.BC.structural;
   List.iter
     (fun (f : BC.finding) ->

@@ -23,8 +23,9 @@
             - every headline row (an object with "comparison") carries a
               numeric "measured_peak_speedup" or the skip marker;
             - every time-series object (an object with "windows") is a
-              full Series export: window geometry, marks, the per-window
-              panels and a latency summary.
+              full Series export: window geometry, marks, a latency
+              summary, and in every window each member of Series' field
+              table (Mt_obs.Series.keys), by group and key.
    --trace  additionally requires a "traceEvents" array where every
             element has "ph", "ts" and "pid" fields (the Chrome
             trace-event contract Perfetto relies on). *)
@@ -55,12 +56,6 @@ let serve_fields =
 
 let series_fields =
   [ "window_cycles"; "n_windows"; "marks"; "windows"; "latency_summary" ]
-
-let window_fields =
-  [
-    "t0"; "t1"; "ops"; "aborts"; "tags"; "mem"; "heat"; "serve"; "store";
-    "cm"; "latency";
-  ]
 
 (* The counters object every sharded-store point must carry. *)
 let store_stat_fields =
@@ -157,10 +152,14 @@ let rec check_points path j =
           List.iteri
             (fun i w ->
               List.iter
-                (fun f ->
-                  if Json.member f w = None then
-                    fail "%s: windows[%d] lacks %S" path i f)
-                window_fields)
+                (fun (group, key) ->
+                  let scope =
+                    if group = "" then Some w else Json.member group w
+                  in
+                  if Option.bind scope (Json.member key) = None then
+                    fail "%s: windows[%d] lacks \"%s\"" path i
+                      (if group = "" then key else group ^ "." ^ key))
+                Mt_obs.Series.keys)
             ws
       | Some _ -> fail "%s: \"windows\" must be a list" path
       | None -> ());

@@ -9,7 +9,6 @@ module Obs = Mt_obs.Obs
 module Trace = Mt_obs.Trace
 module Json = Mt_obs.Json
 module Serve = Mt_serve.Server
-module Arrival = Mt_serve.Arrival
 
 (* "trace.json" -> "trace.hoh.json" when several impls each get a file. *)
 let trace_file_for ~multi file name =
@@ -82,15 +81,7 @@ let sink ~tracing ~num_cores =
    independent Serve.run_set simulation. Shares --range/--insert/--delete/
    --seed with the closed-loop mode; --cycles becomes the arrival horizon. *)
 let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
-    ~workers ~batch ~qcap ~arrival ~jobs ~tracing =
-  let process =
-    match Arrival.process_of_string arrival with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown arrival process %S (fixed|poisson|bursty)\n"
-          arrival;
-        exit 2
-  in
+    ~workers ~batch ~qcap ~jobs ~tracing =
   let points =
     List.concat_map (fun rate -> List.map (fun im -> (im, rate)) chosen) rates
   in
@@ -98,7 +89,7 @@ let serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon ~seed
     (fun ((name, m), rate) ->
       let obs = sink ~tracing ~num_cores:(workers + 1) in
       let config =
-        Serve.config ~batch ~queue_capacity:qcap ~process ~horizon ~seed
+        Serve.config ~batch ~queue_capacity:qcap ~horizon ~seed
           ~workers ~rate_per_kcycle:rate ()
       in
       let r = Serve.run_set ~obs ~insert_pct ~delete_pct m ~key_range config in
@@ -166,7 +157,7 @@ let validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates
   end
 
 let run impl_names threads key_range insert_pct delete_pct measure seed all verbose
-    json_file trace_file hot jobs rates workers batch qcap arrival =
+    json_file trace_file hot jobs rates workers batch qcap =
   validate ~threads ~key_range ~insert_pct ~delete_pct ~measure ~rates ~workers
     ~batch ~qcap;
   let jobs = if jobs > 0 then jobs else Mt_par.Pool.default_jobs () in
@@ -187,7 +178,7 @@ let run impl_names threads key_range insert_pct delete_pct measure seed all verb
     if rates <> [] then
       ( "serve_results",
         serve chosen rates ~key_range ~insert_pct ~delete_pct ~horizon:measure
-          ~seed ~workers ~batch ~qcap ~arrival ~jobs ~tracing )
+          ~seed ~workers ~batch ~qcap ~jobs ~tracing )
     else
       ( "results",
         closed chosen ~threads ~key_range ~insert_pct ~delete_pct ~measure ~seed
@@ -245,7 +236,7 @@ let () =
          & info [ "rate" ] ~docv:"R"
              ~doc:"Offered load in requests per 1000 simulated cycles; \
                    repeatable. Any $(docv) switches to the open-loop service \
-                   mode: a seeded arrival process offers requests to the \
+                   mode: seeded Poisson arrivals offer requests to the \
                    structure through one bounded queue that drops on full, \
                    reporting goodput, drop rate and end-to-end latency tails \
                    instead of closed-loop throughput. $(b,--cycles) is the \
@@ -265,16 +256,11 @@ let () =
     Arg.(value & opt int 64
          & info [ "qcap" ] ~doc:"Service mode: queue capacity.")
   in
-  let arrival =
-    Arg.(value & opt string "poisson"
-         & info [ "arrival" ] ~docv:"PROC"
-             ~doc:"Service mode: arrival process (fixed|poisson|bursty).")
-  in
   let cmd =
     Cmd.v
       (Cmd.info "memtag_bench" ~doc:"Run one MemTags set benchmark data point")
       Term.(const run $ impl $ threads $ range $ ins $ del $ measure $ seed $ all
             $ verbose $ json_file $ trace_file $ hot $ jobs $ rates $ workers
-            $ batch $ qcap $ arrival)
+            $ batch $ qcap)
   in
   exit (Cmd.eval cmd)

@@ -9,112 +9,148 @@
    sink retains a trace or not, and for any --jobs value (one series per
    point, like one sink per point). *)
 
-(* Cumulative machine counters, snapshotted at window boundaries. The
-   consumer (Mt_sim.Stats) converts its own counter record into this
-   shape; [heat] is the adversary's contention temperature (failed
-   validations + failed primitives + inbound invalidations). *)
-type counters = {
-  c_l1_hits : int;
-  c_l1_misses : int;
-  c_coherence_msgs : int;
-  c_invalidations : int;
-  c_writebacks : int;
-  c_tag_overflows : int;
-  c_heat : int;
-}
+type counter =
+  | Validate_real
+  | Validate_spurious
+  | Vas_fail
+  | Ias_fail
+  | Tag_adds
+  | Tag_removes
+  | Tag_overflows
+  | L1_hits
+  | L1_misses
+  | Coherence_msgs
+  | Invalidations
+  | Writebacks
+  | Heat
+  | Cm_waits
+  | Cm_wait_cycles
 
-let zero_counters =
-  {
-    c_l1_hits = 0;
-    c_l1_misses = 0;
-    c_coherence_msgs = 0;
-    c_invalidations = 0;
-    c_writebacks = 0;
-    c_tag_overflows = 0;
-    c_heat = 0;
-  }
+type tally =
+  | Ops
+  | Stm_aborts
+  | Evict_capacity
+  | Evict_conflict
+  | Occupancy
+  | Enqueues
+  | Dequeues
+  | Drops
+  | Commits
+  | Max_depth
+  | Store_ops
+  | Txn_commits
+  | Scan_ok
+  | Scan_fail
 
-let sub_counters a b =
-  {
-    c_l1_hits = a.c_l1_hits - b.c_l1_hits;
-    c_l1_misses = a.c_l1_misses - b.c_l1_misses;
-    c_coherence_msgs = a.c_coherence_msgs - b.c_coherence_msgs;
-    c_invalidations = a.c_invalidations - b.c_invalidations;
-    c_writebacks = a.c_writebacks - b.c_writebacks;
-    c_tag_overflows = a.c_tag_overflows - b.c_tag_overflows;
-    c_heat = a.c_heat - b.c_heat;
-  }
+type field = Counter of counter | Tally of tally
 
-let add_counters a b =
-  {
-    c_l1_hits = a.c_l1_hits + b.c_l1_hits;
-    c_l1_misses = a.c_l1_misses + b.c_l1_misses;
-    c_coherence_msgs = a.c_coherence_msgs + b.c_coherence_msgs;
-    c_invalidations = a.c_invalidations + b.c_invalidations;
-    c_writebacks = a.c_writebacks + b.c_writebacks;
-    c_tag_overflows = a.c_tag_overflows + b.c_tag_overflows;
-    c_heat = a.c_heat + b.c_heat;
-  }
+(* One member of a window's JSON: a field, or a value derived from the
+   window's index, fields, per-shard op counts or latency histogram. *)
+type cell =
+  | Field of field
+  | T0
+  | T1
+  | L1_miss_rate
+  | Shard_ops
+  | Imbalance
+  | Latency
+
+(* The field table: every member of a window's JSON by group ("" for a
+   top-level member) and key, in the order [to_json] writes them. *)
+let table =
+  [
+    ("", [ ("t0", T0); ("t1", T1); ("ops", Field (Tally Ops)) ]);
+    ( "aborts",
+      [
+        ("validate_real", Field (Counter Validate_real));
+        ("validate_spurious", Field (Counter Validate_spurious));
+        ("vas", Field (Counter Vas_fail));
+        ("ias", Field (Counter Ias_fail));
+        ("stm", Field (Tally Stm_aborts));
+      ] );
+    ( "tags",
+      [
+        ("adds", Field (Counter Tag_adds));
+        ("removes", Field (Counter Tag_removes));
+        ("evict_capacity", Field (Tally Evict_capacity));
+        ("evict_conflict", Field (Tally Evict_conflict));
+        ("occupancy_end", Field (Tally Occupancy));
+        ("overflows", Field (Counter Tag_overflows));
+      ] );
+    ( "mem",
+      [
+        ("l1_hits", Field (Counter L1_hits));
+        ("l1_misses", Field (Counter L1_misses));
+        ("l1_miss_rate", L1_miss_rate);
+        ("coherence_msgs", Field (Counter Coherence_msgs));
+        ("invalidations", Field (Counter Invalidations));
+        ("writebacks", Field (Counter Writebacks));
+      ] );
+    ("", [ ("heat", Field (Counter Heat)) ]);
+    ( "serve",
+      [
+        ("enqueues", Field (Tally Enqueues));
+        ("dequeues", Field (Tally Dequeues));
+        ("drops", Field (Tally Drops));
+        ("commits", Field (Tally Commits));
+        ("max_depth", Field (Tally Max_depth));
+      ] );
+    ( "store",
+      [
+        ("ops", Field (Tally Store_ops));
+        ("txn_commits", Field (Tally Txn_commits));
+        ("scan_validate_ok", Field (Tally Scan_ok));
+        ("scan_validate_fail", Field (Tally Scan_fail));
+        ("shard_ops", Shard_ops);
+        ("imbalance", Imbalance);
+      ] );
+    ( "cm",
+      [
+        ("waits", Field (Counter Cm_waits));
+        ("wait_cycles", Field (Counter Cm_wait_cycles));
+      ] );
+    ("", [ ("latency", Latency) ]);
+  ]
+
+let keys =
+  List.concat_map
+    (fun (group, cells) -> List.map (fun (key, _) -> (group, key)) cells)
+    table
+
+(* A window's fields in table order; [slot f] is [f]'s index in a
+   window's array and in a counter snapshot. *)
+let fields =
+  Array.of_list
+    (List.concat_map
+       (fun (_, cells) ->
+         List.filter_map (function _, Field f -> Some f | _ -> None) cells)
+       table)
+
+let slot =
+  let slots = Hashtbl.create 32 in
+  Array.iteri (fun i f -> Hashtbl.replace slots f i) fields;
+  Hashtbl.find slots
+
+let occupancy = slot (Tally Occupancy)
+
+(* A snapshot is as wide as a window and zero at every tally, so a
+   window's counter delta is one loop over the whole array. *)
+type counters = int array
+
+let counters read =
+  Array.map (function Counter c -> read c | Tally _ -> 0) fields
 
 type window = {
-  w_t0 : int;
-  mutable w_ops : int;
-  mutable w_validate_real : int;
-  mutable w_validate_spurious : int;
-  mutable w_vas_fail : int;
-  mutable w_ias_fail : int;
-  mutable w_stm_aborts : int;
-  mutable w_tag_adds : int;
-  mutable w_tag_removes : int;
-  mutable w_tag_evict_capacity : int;
-  mutable w_tag_evict_conflict : int;
-  mutable w_tag_occupancy_end : int;
-  mutable w_occ_seen : bool;  (* did any tag event land in this window? *)
-  mutable w_enqueues : int;
-  mutable w_dequeues : int;
-  mutable w_drops : int;
-  mutable w_commits : int;
-  mutable w_max_depth : int;
-  mutable w_store_ops : int;
-  mutable w_txn_commits : int;
-  mutable w_scan_ok : int;
-  mutable w_scan_fail : int;
-  mutable w_cm_waits : int;  (* contention-policy waits (Cm_wait events) *)
-  mutable w_cm_wait_cycles : int;
-  w_shard_ops : (int, int) Hashtbl.t;  (* shard -> routed ops (Store_op) *)
-  w_lat : Hist.t;
-  mutable w_snap : counters;  (* counter delta attributed to this window *)
+  counts : int array;  (* indexed by [slot] *)
+  shard_ops : (int, int) Hashtbl.t;  (* shard -> routed ops (Store_op) *)
+  lat : Hist.t;
 }
 
-let fresh_window t0 =
+let fresh_window () =
   {
-    w_t0 = t0;
-    w_ops = 0;
-    w_validate_real = 0;
-    w_validate_spurious = 0;
-    w_vas_fail = 0;
-    w_ias_fail = 0;
-    w_stm_aborts = 0;
-    w_tag_adds = 0;
-    w_tag_removes = 0;
-    w_tag_evict_capacity = 0;
-    w_tag_evict_conflict = 0;
-    w_tag_occupancy_end = 0;
-    w_occ_seen = false;
-    w_enqueues = 0;
-    w_dequeues = 0;
-    w_drops = 0;
-    w_commits = 0;
-    w_max_depth = 0;
-    w_store_ops = 0;
-    w_txn_commits = 0;
-    w_scan_ok = 0;
-    w_scan_fail = 0;
-    w_cm_waits = 0;
-    w_cm_wait_cycles = 0;
-    w_shard_ops = Hashtbl.create 8;
-    w_lat = Hist.create ();
-    w_snap = zero_counters;
+    counts = Array.make (Array.length fields) 0;
+    shard_ops = Hashtbl.create 8;
+    lat = Hist.create ();
   }
 
 type t = {
@@ -133,36 +169,37 @@ let default_window = 5_000
 
 let create ?(window = default_window) () =
   if window <= 0 then invalid_arg "Series.create: window";
+  let zero = counters (fun _ -> 0) in
   {
     window;
     windows = [||];
     n = 0;
     occ = 0;
     marks = [];
-    last = zero_counters;
-    read = (fun () -> zero_counters);
+    last = zero;
+    read = (fun () -> zero);
     next_boundary = max_int;
     open_spans = Hashtbl.create 16;
   }
 
 (* The dense window array grows on demand; every slot up to the highest
-   index touched exists (quiet windows stay all-zero). *)
+   index touched exists (quiet windows stay all-zero). Events arrive in
+   time order, so a window first touched opens at the tag occupancy the
+   windows before it closed with, and a quiet window carries it. *)
 let win t idx =
   let idx = max idx 0 in
   let cap = Array.length t.windows in
   if idx >= cap then begin
     let cap' = max (idx + 1) (max 8 (2 * cap)) in
-    let a = Array.init cap' (fun i ->
-        if i < cap then t.windows.(i) else fresh_window (i * t.window))
-    in
-    t.windows <- a
+    t.windows <-
+      Array.init cap' (fun i ->
+          if i < cap then t.windows.(i) else fresh_window ())
   end;
+  for i = t.n to idx do
+    t.windows.(i).counts.(occupancy) <- t.occ
+  done;
   if idx >= t.n then t.n <- idx + 1;
   t.windows.(idx)
-
-let touch_occ t (w : window) =
-  w.w_tag_occupancy_end <- t.occ;
-  w.w_occ_seen <- true
 
 (* A snapshot at time T closes the counter delta since the previous
    snapshot into the window containing cycle T-1: at a boundary
@@ -174,8 +211,8 @@ let touch_occ t (w : window) =
 let snapshot t ~time =
   if time > 0 then begin
     let c = t.read () in
-    let w = win t ((time - 1) / t.window) in
-    w.w_snap <- add_counters w.w_snap (sub_counters c t.last);
+    let w = (win t ((time - 1) / t.window)).counts in
+    Array.iteri (fun i v -> w.(i) <- w.(i) + v - t.last.(i)) c;
     t.last <- c
   end
 
@@ -195,6 +232,14 @@ let cross t time =
     t.next_boundary <- t.next_boundary + t.window
   done
 
+let bump w tally =
+  let i = slot (Tally tally) in
+  w.counts.(i) <- w.counts.(i) + 1
+
+let occupy t w level =
+  t.occ <- max 0 level;
+  w.counts.(occupancy) <- t.occ
+
 let feed t (e : Obs.event) =
   if e.time >= t.next_boundary then cross t e.time;
   let w = win t (e.time / t.window) in
@@ -205,48 +250,29 @@ let feed t (e : Obs.event) =
       | Some t0 ->
           Hashtbl.remove t.open_spans e.core;
           (* The op is attributed to the window it completes in. *)
-          w.w_ops <- w.w_ops + 1;
-          Hist.add w.w_lat (e.time - t0)
+          bump w Ops;
+          Hist.add w.lat (e.time - t0)
       | None -> ())
-  | Obs.Validate { ok = false; spurious } ->
-      if spurious then w.w_validate_spurious <- w.w_validate_spurious + 1
-      else w.w_validate_real <- w.w_validate_real + 1
-  | Obs.Vas { ok = false } -> w.w_vas_fail <- w.w_vas_fail + 1
-  | Obs.Ias { ok = false } -> w.w_ias_fail <- w.w_ias_fail + 1
-  | Obs.Stm_abort _ -> w.w_stm_aborts <- w.w_stm_aborts + 1
-  | Obs.Tag_add _ ->
-      w.w_tag_adds <- w.w_tag_adds + 1;
-      t.occ <- t.occ + 1;
-      touch_occ t w
-  | Obs.Tag_remove _ ->
-      w.w_tag_removes <- w.w_tag_removes + 1;
-      t.occ <- max 0 (t.occ - 1);
-      touch_occ t w
+  | Obs.Stm_abort _ -> bump w Stm_aborts
+  | Obs.Tag_add _ -> occupy t w (t.occ + 1)
+  | Obs.Tag_remove _ -> occupy t w (t.occ - 1)
   | Obs.Tag_evict { conflict; _ } ->
-      if conflict then w.w_tag_evict_conflict <- w.w_tag_evict_conflict + 1
-      else w.w_tag_evict_capacity <- w.w_tag_evict_capacity + 1;
-      t.occ <- max 0 (t.occ - 1);
-      touch_occ t w
-  | Obs.Tag_clear { count } ->
-      t.occ <- max 0 (t.occ - count);
-      touch_occ t w
+      bump w (if conflict then Evict_conflict else Evict_capacity);
+      occupy t w (t.occ - 1)
+  | Obs.Tag_clear { count } -> occupy t w (t.occ - count)
   | Obs.Req_enqueue { depth; _ } ->
-      w.w_enqueues <- w.w_enqueues + 1;
-      if depth > w.w_max_depth then w.w_max_depth <- depth
-  | Obs.Req_dequeue _ -> w.w_dequeues <- w.w_dequeues + 1
-  | Obs.Req_drop _ -> w.w_drops <- w.w_drops + 1
-  | Obs.Req_commit _ -> w.w_commits <- w.w_commits + 1
+      bump w Enqueues;
+      let i = slot (Tally Max_depth) in
+      w.counts.(i) <- max w.counts.(i) depth
+  | Obs.Req_dequeue _ -> bump w Dequeues
+  | Obs.Req_drop _ -> bump w Drops
+  | Obs.Req_commit _ -> bump w Commits
   | Obs.Store_op { shard } ->
-      w.w_store_ops <- w.w_store_ops + 1;
-      Hashtbl.replace w.w_shard_ops shard
-        (1 + Option.value ~default:0 (Hashtbl.find_opt w.w_shard_ops shard))
-  | Obs.Txn_commit _ -> w.w_txn_commits <- w.w_txn_commits + 1
-  | Obs.Scan_validate { ok; _ } ->
-      if ok then w.w_scan_ok <- w.w_scan_ok + 1
-      else w.w_scan_fail <- w.w_scan_fail + 1
-  | Obs.Cm_wait { cycles; _ } ->
-      w.w_cm_waits <- w.w_cm_waits + 1;
-      w.w_cm_wait_cycles <- w.w_cm_wait_cycles + cycles
+      bump w Store_ops;
+      Hashtbl.replace w.shard_ops shard
+        (1 + Option.value ~default:0 (Hashtbl.find_opt w.shard_ops shard))
+  | Obs.Txn_commit _ -> bump w Txn_commits
+  | Obs.Scan_validate { ok; _ } -> bump w (if ok then Scan_ok else Scan_fail)
   | Obs.Fault { label } -> t.marks <- (e.time, label) :: t.marks
   | _ -> ()
 
@@ -257,118 +283,60 @@ let finish t ~time =
 
 let marks t = List.rev t.marks
 
-let windows t = Array.sub t.windows 0 t.n
+let n_windows t = t.n
+
+let get t i f =
+  if i < 0 || i >= t.n then invalid_arg "Series.get: window";
+  t.windows.(i).counts.(slot f)
 
 let latency_summary t =
   let h = Hist.create () in
   for i = 0 to t.n - 1 do
-    Hist.merge ~into:h t.windows.(i).w_lat
+    Hist.merge ~into:h t.windows.(i).lat
   done;
   h
 
-(* Carry tag occupancy forward through quiet windows so the series reads
-   as a level, not a spike train. *)
-let occupancy_series t =
-  let occ = ref 0 in
-  Array.map
-    (fun w ->
-      if w.w_occ_seen then occ := w.w_tag_occupancy_end;
-      !occ)
-    (windows t)
-
-let window_to_json t occ_end (w : window) =
-  let miss_rate =
-    let total = w.w_snap.c_l1_hits + w.w_snap.c_l1_misses in
-    if total = 0 then 0.0
-    else float_of_int w.w_snap.c_l1_misses /. float_of_int total
+let window_to_json t i =
+  let w = t.windows.(i) in
+  let count f = w.counts.(slot f) in
+  (* Per-shard counts render sorted by shard id (hash-table order is not
+     part of the determinism contract); imbalance is the hottest shard's
+     share normalized so uniform = 1.0. *)
+  let shards =
+    List.sort compare
+      (Hashtbl.fold (fun sh n acc -> (sh, n) :: acc) w.shard_ops [])
+  in
+  let value = function
+    | Field f -> Json.Int (count f)
+    | T0 -> Json.Int (i * t.window)
+    | T1 -> Json.Int ((i + 1) * t.window)
+    | L1_miss_rate ->
+        let misses = count (Counter L1_misses) in
+        let total = count (Counter L1_hits) + misses in
+        Json.Float
+          (if total = 0 then 0.0 else float_of_int misses /. float_of_int total)
+    | Shard_ops ->
+        Json.List
+          (List.map
+             (fun (sh, n) ->
+               Json.Obj [ ("shard", Json.Int sh); ("ops", Json.Int n) ])
+             shards)
+    | Imbalance ->
+        let ops = count (Tally Store_ops) in
+        let hottest = List.fold_left (fun a (_, n) -> max a n) 0 shards in
+        Json.Float
+          (if ops = 0 || shards = [] then 1.0
+           else float_of_int (hottest * List.length shards) /. float_of_int ops)
+    | Latency -> Hist.to_json w.lat
   in
   Json.Obj
-    [
-      ("t0", Json.Int w.w_t0);
-      ("t1", Json.Int (w.w_t0 + t.window));
-      ("ops", Json.Int w.w_ops);
-      ( "aborts",
-        Json.Obj
-          [
-            ("validate_real", Json.Int w.w_validate_real);
-            ("validate_spurious", Json.Int w.w_validate_spurious);
-            ("vas", Json.Int w.w_vas_fail);
-            ("ias", Json.Int w.w_ias_fail);
-            ("stm", Json.Int w.w_stm_aborts);
-          ] );
-      ( "tags",
-        Json.Obj
-          [
-            ("adds", Json.Int w.w_tag_adds);
-            ("removes", Json.Int w.w_tag_removes);
-            ("evict_capacity", Json.Int w.w_tag_evict_capacity);
-            ("evict_conflict", Json.Int w.w_tag_evict_conflict);
-            ("occupancy_end", Json.Int occ_end);
-            ("overflows", Json.Int w.w_snap.c_tag_overflows);
-          ] );
-      ( "mem",
-        Json.Obj
-          [
-            ("l1_hits", Json.Int w.w_snap.c_l1_hits);
-            ("l1_misses", Json.Int w.w_snap.c_l1_misses);
-            ("l1_miss_rate", Json.Float miss_rate);
-            ("coherence_msgs", Json.Int w.w_snap.c_coherence_msgs);
-            ("invalidations", Json.Int w.w_snap.c_invalidations);
-            ("writebacks", Json.Int w.w_snap.c_writebacks);
-          ] );
-      ("heat", Json.Int w.w_snap.c_heat);
-      ( "serve",
-        Json.Obj
-          [
-            ("enqueues", Json.Int w.w_enqueues);
-            ("dequeues", Json.Int w.w_dequeues);
-            ("drops", Json.Int w.w_drops);
-            ("commits", Json.Int w.w_commits);
-            ("max_depth", Json.Int w.w_max_depth);
-          ] );
-      ( "store",
-        (* Per-shard counts render sorted by shard id (hash-table order is
-           not part of the determinism contract); imbalance is the hottest
-           shard's share normalized so uniform = 1.0. *)
-        let shards =
-          List.sort compare
-            (Hashtbl.fold (fun sh n acc -> (sh, n) :: acc) w.w_shard_ops [])
-        in
-        let hottest =
-          List.fold_left (fun a (_, n) -> max a n) 0 shards
-        in
-        let imbalance =
-          if w.w_store_ops = 0 || shards = [] then 1.0
-          else
-            float_of_int (hottest * List.length shards)
-            /. float_of_int w.w_store_ops
-        in
-        Json.Obj
-          [
-            ("ops", Json.Int w.w_store_ops);
-            ("txn_commits", Json.Int w.w_txn_commits);
-            ("scan_validate_ok", Json.Int w.w_scan_ok);
-            ("scan_validate_fail", Json.Int w.w_scan_fail);
-            ( "shard_ops",
-              Json.List
-                (List.map
-                   (fun (sh, n) ->
-                     Json.Obj
-                       [ ("shard", Json.Int sh); ("ops", Json.Int n) ])
-                   shards) );
-            ("imbalance", Json.Float imbalance);
-          ] );
-      ( "cm",
-        Json.Obj
-          [
-            ("waits", Json.Int w.w_cm_waits);
-            ("wait_cycles", Json.Int w.w_cm_wait_cycles);
-          ] );
-      ("latency", Hist.to_json w.w_lat);
-    ]
+    (List.concat_map
+       (fun (group, cells) ->
+         let members = List.map (fun (key, cell) -> (key, value cell)) cells in
+         if group = "" then members else [ (group, Json.Obj members) ])
+       table)
 
 let to_json t =
-  let occ = occupancy_series t in
   Json.Obj
     [
       ("window_cycles", Json.Int t.window);
@@ -379,10 +347,6 @@ let to_json t =
              (fun (time, label) ->
                Json.Obj [ ("t", Json.Int time); ("label", Json.String label) ])
              (marks t)) );
-      ( "windows",
-        Json.List
-          (Array.to_list
-             (Array.mapi (fun i w -> window_to_json t occ.(i) w) (windows t)))
-      );
+      ("windows", Json.List (List.init t.n (window_to_json t)));
       ("latency_summary", Hist.to_json (latency_summary t));
     ]

@@ -1,17 +1,24 @@
 (** Windowed time-series telemetry.
 
     A series partitions the simulated clock into fixed-width windows
-    ([window] cycles, default 5000) and folds two deterministic inputs
-    into per-window metrics:
+    ([window] cycles, default 5000). Each window is one int array, and
+    each quantity in it has one source:
 
-    - the live Obs event stream, delivered through {!Obs.set_tap} — ops
-      (span completions) and their latency histogram, abort causes,
-      tag churn and occupancy, service-layer queue activity;
-    - cumulative machine counters, read through the closure given to
-      {!attach} each time the event stream crosses a window boundary and
-      differenced into per-window deltas — L1 hits/misses, coherence
-      messages, invalidations, writebacks, tag overflows, and the
-      adversary's heat metric.
+    - {!counter} fields are deltas of cumulative machine counters, read
+      through the closure given to {!attach} each time the event stream
+      crosses a window boundary: real and spurious validation failures,
+      VAS and IAS failures, tag adds, removes and overflows, L1
+      hits/misses, coherence messages, invalidations, writebacks, the
+      adversary's heat metric, and contention-policy waits and their
+      cycles;
+    - {!tally} fields count the live Obs event stream, delivered through
+      {!Obs.set_tap}, for what no machine counter holds: ops (span
+      completions) and their latency histogram, STM aborts, tag
+      evictions and occupancy, service-layer queue activity and store
+      activity. [Fault] events become timeline marks.
+
+    One table of (JSON group, key, cell) defines the window's fields and
+    its JSON: {!keys} lists it.
 
     {b Determinism contract}: the output is a pure function of the fed
     events and snapshots. A series never reads the sink's rings, so it is
@@ -22,18 +29,55 @@
 
 type t
 
-(** Cumulative machine counters at a point in time (shape-independent of
-    [Mt_sim.Stats] so the dependency points the right way). [c_heat] is
-    the adversary's contention temperature. *)
-type counters = {
-  c_l1_hits : int;
-  c_l1_misses : int;
-  c_coherence_msgs : int;
-  c_invalidations : int;
-  c_writebacks : int;
-  c_tag_overflows : int;
-  c_heat : int;
-}
+(** Window fields read from cumulative machine counters. [Heat] is the
+    adversary's contention temperature; [Validate_real] counts the
+    validation failures that are not spurious. *)
+type counter =
+  | Validate_real
+  | Validate_spurious
+  | Vas_fail
+  | Ias_fail
+  | Tag_adds
+  | Tag_removes
+  | Tag_overflows
+  | L1_hits
+  | L1_misses
+  | Coherence_msgs
+  | Invalidations
+  | Writebacks
+  | Heat
+  | Cm_waits
+  | Cm_wait_cycles
+
+(** Window fields tallied from events. [Occupancy] is the live-tag level
+    at the window's end (carried through quiet windows); [Max_depth] is
+    the queue's high-water depth; every other tally is a count. *)
+type tally =
+  | Ops
+  | Stm_aborts
+  | Evict_capacity
+  | Evict_conflict
+  | Occupancy
+  | Enqueues
+  | Dequeues
+  | Drops
+  | Commits
+  | Max_depth
+  | Store_ops
+  | Txn_commits
+  | Scan_ok
+  | Scan_fail
+
+type field = Counter of counter | Tally of tally
+
+(** Cumulative machine counters at a point in time, one int per
+    {!counter} (shape-independent of [Mt_sim.Stats] so the dependency
+    points the right way). *)
+type counters
+
+(** [counters read] — the snapshot whose value for each counter is
+    [read counter]. *)
+val counters : (counter -> int) -> counters
 
 (** [create ?window ()] — an empty series with [window]-cycle windows. *)
 val create : ?window:int -> unit -> t
@@ -63,48 +107,24 @@ val finish : t -> time:int -> unit
 (** Fault-injection marks, oldest first: [(time, label)]. *)
 val marks : t -> (int * string) list
 
+(** Windows so far; window [i] covers cycles
+    [[i * window, (i + 1) * window)]. *)
+val n_windows : t -> int
+
+(** [get t i field] — [field] in window [i]. *)
+val get : t -> int -> field -> int
+
 (** All per-window latency histograms merged ({!Hist.merge}) into one
     run-level summary. *)
 val latency_summary : t -> Hist.t
 
+(** Every member of a window's JSON as [(group, key)], in the order
+    {!to_json} writes them; group [""] is a top-level member. *)
+val keys : (string * string) list
+
 (** Deterministic JSON: window geometry, marks, one object per window
-    (throughput, abort breakdown, tag churn/occupancy/overflows, memory
-    traffic and L1 miss rate, heat, serve activity, latency histogram),
-    and the merged latency summary. Contains no JSON nulls. *)
+    (the members {!keys} lists: throughput, abort breakdown, tag
+    churn/occupancy/overflows, memory traffic and L1 miss rate, heat,
+    serve and store activity, CM waits, latency histogram), and the
+    merged latency summary. Contains no JSON nulls. *)
 val to_json : t -> Json.t
-
-(**/**)
-
-(* Exposed for the unit tests. *)
-type window = {
-  w_t0 : int;
-  mutable w_ops : int;
-  mutable w_validate_real : int;
-  mutable w_validate_spurious : int;
-  mutable w_vas_fail : int;
-  mutable w_ias_fail : int;
-  mutable w_stm_aborts : int;
-  mutable w_tag_adds : int;
-  mutable w_tag_removes : int;
-  mutable w_tag_evict_capacity : int;
-  mutable w_tag_evict_conflict : int;
-  mutable w_tag_occupancy_end : int;
-  mutable w_occ_seen : bool;
-  mutable w_enqueues : int;
-  mutable w_dequeues : int;
-  mutable w_drops : int;
-  mutable w_commits : int;
-  mutable w_max_depth : int;
-  mutable w_store_ops : int;
-  mutable w_txn_commits : int;
-  mutable w_scan_ok : int;
-  mutable w_scan_fail : int;
-  mutable w_cm_waits : int;
-      (** contention-policy waits ({!Obs.kind.Cm_wait} events) *)
-  mutable w_cm_wait_cycles : int;
-  w_shard_ops : (int, int) Hashtbl.t;
-  w_lat : Hist.t;
-  mutable w_snap : counters;
-}
-
-val windows : t -> window array

@@ -1,27 +1,17 @@
 open Mt_sim
 
-type process =
-  | Fixed
-  | Poisson
-  | Bursty of { on_cycles : int; off_cycles : int }
+type process = Poisson
 
 type t = {
-  process : process;
   rate_per_cycle : float;
   prng : Prng.t;
   mutable clock : float;  (* absolute time of the last arrival generated *)
 }
 
-let create ~process ~rate_per_kcycle ~seed =
+let create ~process:Poisson ~rate_per_kcycle ~seed =
   if not (rate_per_kcycle > 0.0) then
     invalid_arg "Arrival.create: rate must be positive";
-  (match process with
-  | Bursty { on_cycles; off_cycles } ->
-      if on_cycles <= 0 || off_cycles < 0 then
-        invalid_arg "Arrival.create: bad bursty window"
-  | Fixed | Poisson -> ());
   {
-    process;
     rate_per_cycle = rate_per_kcycle /. 1000.0;
     prng = Prng.create ~seed;
     clock = 0.0;
@@ -31,51 +21,8 @@ let create ~process ~rate_per_kcycle ~seed =
    in [0,1), so [1 - u] is in (0,1] and the log is finite. *)
 let exp_gap prng rate = -.log (1.0 -. Prng.float prng) /. rate
 
-(* Advance [t0] by [g] cycles of *active* time, where the first
-   [on_cycles] of every [on + off] period are active. *)
-let advance_bursty ~on_cycles ~off_cycles t0 g =
-  let on = float_of_int on_cycles and period = float_of_int (on_cycles + off_cycles) in
-  let t = ref t0 and g = ref g in
-  while !g > 0.0 do
-    let pos = Float.rem !t period in
-    if pos >= on then
-      (* In the off window: jump to the start of the next on window. *)
-      t := !t -. pos +. period
-    else begin
-      let avail = on -. pos in
-      if !g <= avail then begin
-        t := !t +. !g;
-        g := 0.0
-      end
-      else begin
-        t := !t +. avail;
-        g := !g -. avail
-      end
-    end
-  done;
-  !t
-
 let next t =
-  (match t.process with
-  | Fixed -> t.clock <- t.clock +. (1.0 /. t.rate_per_cycle)
-  | Poisson -> t.clock <- t.clock +. exp_gap t.prng t.rate_per_cycle
-  | Bursty { on_cycles; off_cycles } ->
-      (* Boost the in-burst rate so the long-run average matches. *)
-      let boost =
-        float_of_int (on_cycles + off_cycles) /. float_of_int on_cycles
-      in
-      let g = exp_gap t.prng (t.rate_per_cycle *. boost) in
-      t.clock <- advance_bursty ~on_cycles ~off_cycles t.clock g);
+  t.clock <- t.clock +. exp_gap t.prng t.rate_per_cycle;
   int_of_float t.clock
 
-let process_name = function
-  | Fixed -> "fixed"
-  | Poisson -> "poisson"
-  | Bursty { on_cycles; off_cycles } ->
-      Printf.sprintf "bursty(%d/%d)" on_cycles off_cycles
-
-let process_of_string = function
-  | "fixed" -> Some Fixed
-  | "poisson" -> Some Poisson
-  | "bursty" -> Some (Bursty { on_cycles = 5000; off_cycles = 15000 })
-  | _ -> None
+let process_name Poisson = "poisson"

@@ -22,7 +22,7 @@ type config = {
   workers : int;  (** worker fibers (cores 0..workers-1; arrivals on core [workers]) *)
   batch : int;  (** max requests moved per dequeue (>= 1) *)
   queue_capacity : int;  (** bound of the shared queue *)
-  process : Arrival.process;
+  process : Arrival.process;  (** always [Poisson]; see {!Arrival.process} *)
   rate_per_kcycle : float;  (** offered load: requests per 1000 cycles *)
   horizon : int;  (** arrivals stop at this simulated time; workers drain *)
   seed : int;

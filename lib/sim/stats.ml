@@ -131,18 +131,25 @@ let heat t =
   t.validate_failures + t.cas_failures + t.vas_failures + t.ias_failures
   + t.invalidations_received
 
-(* The counter shape the windowed telemetry layer snapshots at window
+(* The counters the windowed telemetry layer snapshots at window
    boundaries. *)
-let series_counters t : Mt_obs.Series.counters =
-  {
-    Mt_obs.Series.c_l1_hits = t.l1_hits;
-    c_l1_misses = t.l1_misses;
-    c_coherence_msgs = t.coherence_msgs;
-    c_invalidations = t.invalidations_received;
-    c_writebacks = t.writebacks;
-    c_tag_overflows = t.tag_overflows;
-    c_heat = heat t;
-  }
+let series_counters t =
+  Mt_obs.Series.counters (function
+    | Validate_real -> t.validate_failures - t.validate_failures_spurious
+    | Validate_spurious -> t.validate_failures_spurious
+    | Vas_fail -> t.vas_failures
+    | Ias_fail -> t.ias_failures
+    | Tag_adds -> t.tag_adds
+    | Tag_removes -> t.tag_removes
+    | Tag_overflows -> t.tag_overflows
+    | L1_hits -> t.l1_hits
+    | L1_misses -> t.l1_misses
+    | Coherence_msgs -> t.coherence_msgs
+    | Invalidations -> t.invalidations_received
+    | Writebacks -> t.writebacks
+    | Heat -> heat t
+    | Cm_waits -> t.cm_waits
+    | Cm_wait_cycles -> t.cm_wait_cycles)
 
 let l1_accesses t = t.l1_hits + t.l1_misses
 

@@ -58,8 +58,8 @@ val sum : t array -> t
     telemetry windows both read this one definition. *)
 val heat : t -> int
 
-(** Cumulative counters in the shape {!Mt_obs.Series} snapshots at window
-    boundaries; [c_heat] is {!heat}. *)
+(** The cumulative counters {!Mt_obs.Series} snapshots at window
+    boundaries; its [Heat] is {!heat}. *)
 val series_counters : t -> Mt_obs.Series.counters
 
 (** L1 miss rate in [0,1]; 0 if there were no accesses. *)

@@ -45,7 +45,7 @@ type band = {
    the document. Latency percentiles get absolute slack on top of the
    relative band: a p50 of 40 cycles doubling to 80 is noise, a p99 of
    40k cycles doubling is a saturation collapse. *)
-let default_bands : (string * band) list =
+let bands : (string * band) list =
   [
     ("throughput_per_kcycle", { dir = Higher_better; rel = 0.30; abs = 0.0 });
     ("goodput_per_kcycle", { dir = Higher_better; rel = 0.30; abs = 0.0 });
@@ -120,7 +120,7 @@ let check_metric r ~path ~metric band base cur =
       if cur > bad_edge then r.regressed <- finding bad_edge :: r.regressed
       else if cur < good_edge then r.improved <- finding good_edge :: r.improved
 
-let compare_docs ?(bands = default_bands) ~baseline ~current () =
+let compare_docs ~baseline ~current () =
   let r = { compared = 0; improved = []; regressed = []; structural = [] } in
   let structural rev fmt =
     Printf.ksprintf

@@ -1,6 +1,6 @@
 (* Unit and integration tests for the open-loop service layer (lib/serve):
    the shared queue's FIFO order, capacity bound and counters,
-   arrival-process statistics and determinism, request conservation
+   Poisson arrival statistics and determinism, request conservation
    (generated = completed + dropped + still-queued) and exactly-once
    completion over random configurations, same-seed byte-identical replay
    (with tracing on or off), the two dispatch rules (fixed priority: the
@@ -24,14 +24,9 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
-(* Arrival processes. *)
+(* Poisson arrivals. *)
 
 let times n arr = List.init n (fun _ -> Arrival.next arr)
-
-let test_arrival_fixed () =
-  let arr = Arrival.create ~process:Arrival.Fixed ~rate_per_kcycle:10.0 ~seed:1 in
-  check_bool "evenly spaced" true
-    (times 5 arr = [ 100; 200; 300; 400; 500 ])
 
 let test_arrival_poisson () =
   let mk seed =
@@ -51,24 +46,6 @@ let test_arrival_poisson () =
     true;
   check_bool "same seed replays" true (ts = times 10_000 (mk 42));
   check_bool "different seed differs" false (ts = times 10_000 (mk 43))
-
-let test_arrival_bursty () =
-  let arr =
-    Arrival.create
-      ~process:(Arrival.Bursty { on_cycles = 1000; off_cycles = 3000 })
-      ~rate_per_kcycle:4.0 ~seed:7
-  in
-  let ts = times 5_000 arr in
-  (* Arrivals land only inside the on-window of each 4000-cycle period. *)
-  List.iter
-    (fun t ->
-      if t mod 4000 >= 1000 then
-        Alcotest.failf "arrival at %d is inside the off window" t)
-    ts;
-  (* The long-run average still matches the offered rate (within 15%). *)
-  let last = List.nth ts 4_999 in
-  let rate = 5_000.0 /. float_of_int last *. 1000.0 in
-  check_bool "average rate ~ 4/kcycle" true (abs_float (rate -. 4.0) < 0.6)
 
 (* ------------------------------------------------------------------ *)
 (* Service runs against a synthetic fixed-cost backend: service time is
@@ -131,32 +108,21 @@ let test_conservation_drop () =
    queued, the queue never outgrows its bound, and dequeues are globally
    FIFO (request ids strictly ascend). *)
 let prop_exactly_once =
-  let process =
-    QCheck.Gen.(
-      oneof
-        [
-          return Arrival.Fixed;
-          return Arrival.Poisson;
-          map2
-            (fun on_cycles off_cycles -> Arrival.Bursty { on_cycles; off_cycles })
-            (int_range 1 5_000) (int_range 0 15_000);
-        ])
-  in
   (* [policy] is [None] for the default schedule, [Some s] for
      [random_policy ~seed:s]. *)
   let gen =
     QCheck.Gen.(
       map
-        (fun ( ((workers, batch, queue_capacity), (rate, horizon, process, seed)),
+        (fun ( ((workers, batch, queue_capacity), (rate, horizon, seed)),
                (dispatch, policy) ) ->
-          ( Serve.config ~workers ~batch ~queue_capacity ~process ~horizon ~seed
+          ( Serve.config ~workers ~batch ~queue_capacity ~horizon ~seed
               ~rate_per_kcycle:(float_of_int rate) (),
             dispatch,
             policy ))
         (pair
            (pair
               (triple (int_range 1 8) (int_range 1 8) (int_range 1 64))
-              (quad (int_range 1 80) (int_range 1 20_000) process
+              (triple (int_range 1 80) (int_range 1 20_000)
                  (int_bound 1_000)))
            (pair
               (oneofl [ Serve.Fixed_priority; Serve.Packed ])
@@ -164,10 +130,8 @@ let prop_exactly_once =
   in
   let print ((c : Serve.config), dispatch, policy) =
     Printf.sprintf
-      "workers %d batch %d cap %d %s rate %g horizon %d seed %d %s %s"
-      c.workers c.batch c.queue_capacity
-      (Arrival.process_name c.process)
-      c.rate_per_kcycle c.horizon c.seed
+      "workers %d batch %d cap %d rate %g horizon %d seed %d %s %s"
+      c.workers c.batch c.queue_capacity c.rate_per_kcycle c.horizon c.seed
       (match dispatch with
        | Serve.Fixed_priority -> "fixed-priority"
        | Serve.Packed -> "packed")
@@ -407,9 +371,7 @@ let () =
         [ Alcotest.test_case "fifo, capacity, counters" `Quick test_queue_fifo ] );
       ( "arrival",
         [
-          Alcotest.test_case "fixed spacing" `Quick test_arrival_fixed;
           Alcotest.test_case "poisson rate + determinism" `Quick test_arrival_poisson;
-          Alcotest.test_case "bursty windows" `Quick test_arrival_bursty;
         ] );
       ( "conservation",
         [
