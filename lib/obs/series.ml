@@ -126,12 +126,28 @@ let fields =
          List.filter_map (function _, Field f -> Some f | _ -> None) cells)
        table)
 
-let slot =
-  let slots = Hashtbl.create 32 in
-  Array.iteri (fun i f -> Hashtbl.replace slots f i) fields;
-  Hashtbl.find slots
+let slot f =
+  let rec find i = if fields.(i) = f then i else find (i + 1) in
+  find 0
 
-let occupancy = slot (Tally Occupancy)
+(* The slots [feed] and [render] use by name, resolved once here so that
+   folding an event does no lookup. *)
+let ops = slot (Tally Ops)
+and stm_aborts = slot (Tally Stm_aborts)
+and evict_capacity = slot (Tally Evict_capacity)
+and evict_conflict = slot (Tally Evict_conflict)
+and occupancy = slot (Tally Occupancy)
+and enqueues = slot (Tally Enqueues)
+and dequeues = slot (Tally Dequeues)
+and drops = slot (Tally Drops)
+and commits = slot (Tally Commits)
+and max_depth = slot (Tally Max_depth)
+and store_ops = slot (Tally Store_ops)
+and txn_commits = slot (Tally Txn_commits)
+and scan_ok = slot (Tally Scan_ok)
+and scan_fail = slot (Tally Scan_fail)
+and l1_hits = slot (Counter L1_hits)
+and l1_misses = slot (Counter L1_misses)
 
 (* A snapshot is as wide as a window and zero at every tally, so a
    window's counter delta is one loop over the whole array. *)
@@ -232,9 +248,7 @@ let cross t time =
     t.next_boundary <- t.next_boundary + t.window
   done
 
-let bump w tally =
-  let i = slot (Tally tally) in
-  w.counts.(i) <- w.counts.(i) + 1
+let bump w i = w.counts.(i) <- w.counts.(i) + 1
 
 let occupy t w level =
   t.occ <- max 0 level;
@@ -250,29 +264,28 @@ let feed t (e : Obs.event) =
       | Some t0 ->
           Hashtbl.remove t.open_spans e.core;
           (* The op is attributed to the window it completes in. *)
-          bump w Ops;
+          bump w ops;
           Hist.add w.lat (e.time - t0)
       | None -> ())
-  | Obs.Stm_abort _ -> bump w Stm_aborts
+  | Obs.Stm_abort _ -> bump w stm_aborts
   | Obs.Tag_add _ -> occupy t w (t.occ + 1)
   | Obs.Tag_remove _ -> occupy t w (t.occ - 1)
   | Obs.Tag_evict { conflict; _ } ->
-      bump w (if conflict then Evict_conflict else Evict_capacity);
+      bump w (if conflict then evict_conflict else evict_capacity);
       occupy t w (t.occ - 1)
   | Obs.Tag_clear { count } -> occupy t w (t.occ - count)
   | Obs.Req_enqueue { depth; _ } ->
-      bump w Enqueues;
-      let i = slot (Tally Max_depth) in
-      w.counts.(i) <- max w.counts.(i) depth
-  | Obs.Req_dequeue _ -> bump w Dequeues
-  | Obs.Req_drop _ -> bump w Drops
-  | Obs.Req_commit _ -> bump w Commits
+      bump w enqueues;
+      w.counts.(max_depth) <- max w.counts.(max_depth) depth
+  | Obs.Req_dequeue _ -> bump w dequeues
+  | Obs.Req_drop _ -> bump w drops
+  | Obs.Req_commit _ -> bump w commits
   | Obs.Store_op { shard } ->
-      bump w Store_ops;
+      bump w store_ops;
       Hashtbl.replace w.shard_ops shard
         (1 + Option.value ~default:0 (Hashtbl.find_opt w.shard_ops shard))
-  | Obs.Txn_commit _ -> bump w Txn_commits
-  | Obs.Scan_validate { ok; _ } -> bump w (if ok then Scan_ok else Scan_fail)
+  | Obs.Txn_commit _ -> bump w txn_commits
+  | Obs.Scan_validate { ok; _ } -> bump w (if ok then scan_ok else scan_fail)
   | Obs.Fault { label } -> t.marks <- (e.time, label) :: t.marks
   | _ -> ()
 
@@ -296,45 +309,61 @@ let latency_summary t =
   done;
   h
 
-let window_to_json t i =
-  let w = t.windows.(i) in
-  let count f = w.counts.(slot f) in
-  (* Per-shard counts render sorted by shard id (hash-table order is not
-     part of the determinism contract); imbalance is the hottest shard's
-     share normalized so uniform = 1.0. *)
-  let shards =
-    List.sort compare
-      (Hashtbl.fold (fun sh n acc -> (sh, n) :: acc) w.shard_ops [])
-  in
-  let value = function
-    | Field f -> Json.Int (count f)
-    | T0 -> Json.Int (i * t.window)
-    | T1 -> Json.Int ((i + 1) * t.window)
-    | L1_miss_rate ->
-        let misses = count (Counter L1_misses) in
-        let total = count (Counter L1_hits) + misses in
+(* [render cell t i w shards] writes [cell] for window [i] ([w], whose
+   per-shard op counts are [shards]). A field's slot is resolved when
+   [render] is applied to its cell, once per cell in [layout], so writing
+   a window does no lookup. Imbalance is the hottest shard's share
+   normalized so uniform = 1.0. *)
+let render = function
+  | Field f ->
+      let s = slot f in
+      fun _ _ w _ -> Json.Int w.counts.(s)
+  | T0 -> fun t i _ _ -> Json.Int (i * t.window)
+  | T1 -> fun t i _ _ -> Json.Int ((i + 1) * t.window)
+  | L1_miss_rate ->
+      fun _ _ w _ ->
+        let misses = w.counts.(l1_misses) in
+        let total = w.counts.(l1_hits) + misses in
         Json.Float
           (if total = 0 then 0.0 else float_of_int misses /. float_of_int total)
-    | Shard_ops ->
+  | Shard_ops ->
+      fun _ _ _ shards ->
         Json.List
           (List.map
              (fun (sh, n) ->
                Json.Obj [ ("shard", Json.Int sh); ("ops", Json.Int n) ])
              shards)
-    | Imbalance ->
-        let ops = count (Tally Store_ops) in
+  | Imbalance ->
+      fun _ _ w shards ->
+        let ops = w.counts.(store_ops) in
         let hottest = List.fold_left (fun a (_, n) -> max a n) 0 shards in
         Json.Float
           (if ops = 0 || shards = [] then 1.0
            else float_of_int (hottest * List.length shards) /. float_of_int ops)
-    | Latency -> Hist.to_json w.lat
+  | Latency -> fun _ _ w _ -> Hist.to_json w.lat
+
+let layout =
+  List.map
+    (fun (group, cells) ->
+      (group, List.map (fun (key, cell) -> (key, render cell)) cells))
+    table
+
+let window_to_json t i =
+  let w = t.windows.(i) in
+  (* Per-shard counts render sorted by shard id (hash-table order is not
+     part of the determinism contract). *)
+  let shards =
+    List.sort compare
+      (Hashtbl.fold (fun sh n acc -> (sh, n) :: acc) w.shard_ops [])
   in
   Json.Obj
     (List.concat_map
        (fun (group, cells) ->
-         let members = List.map (fun (key, cell) -> (key, value cell)) cells in
+         let members =
+           List.map (fun (key, write) -> (key, write t i w shards)) cells
+         in
          if group = "" then members else [ (group, Json.Obj members) ])
-       table)
+       layout)
 
 let to_json t =
   Json.Obj

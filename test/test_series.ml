@@ -82,7 +82,9 @@ let test_exec_series_needs_sink () =
   | exception Invalid_argument _ -> ()
 
 (* The series observes exactly one phase: once exec returns, its tap is
-   gone and later events leave the series untouched. *)
+   gone and later events leave the series untouched. The events emitted
+   afterwards are ones [feed] tallies (an op and an STM abort in window
+   0), so a tap left attached would change the JSON. *)
 let test_exec_detaches_tap () =
   let obs = Obs.create ~retain:false ~num_cores:2 () in
   let series = Series.create ~window () in
@@ -91,7 +93,10 @@ let test_exec_detaches_tap () =
         Mt_core.Ctx.work ctx (2 * window))
   in
   let before = series_str series in
-  Obs.emit obs ~core:0 ~time:1 (Obs.Vas { ok = false });
+  Obs.emit obs ~core:0 ~time:1 (Obs.Span_begin { name = "op" });
+  Obs.emit obs ~core:0 ~time:2 (Obs.Span_end { name = "op" });
+  Obs.emit obs ~core:0 ~time:2
+    (Obs.Stm_abort { impl = "norec"; reason = "x" });
   check_string "series unchanged after exec" before (series_str series)
 
 (* ------------------------------------------------------------------ *)
